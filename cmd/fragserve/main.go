@@ -48,7 +48,7 @@ func main() {
 		shards       = flag.Int("shards", 1, "shard count (1 = single volume)")
 		capacity     = flag.String("capacity", "4G", "per-volume capacity")
 		mode         = flag.String("mode", "data", "disk mode: data (payload bytes retained) or meta (metadata only)")
-		groupcommit  = flag.Bool("groupcommit", false, "enable group commit (batch 8, 200µs)")
+		groupcommit  = flag.Bool("groupcommit", false, "enable group commit: batches of up to 8, held open only while other writers are open, for 200µs at most (Go's netpoller makes that ≥ 1ms in an idle process)")
 		cacheBytes   = flag.String("cache", "", "read-cache capacity above the store (empty = no cache)")
 		maxInflight  = flag.Int("maxinflight", server.DefaultMaxInFlight, "admission: max concurrent store operations")
 		maxQueue     = flag.Int("maxqueue", 2*server.DefaultMaxInFlight, "admission: max queued operations beyond the in-flight limit")

@@ -1,6 +1,7 @@
 package blob
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,6 +18,19 @@ import (
 // typed error (or nil) fanned back. Semantics are unchanged — nothing is
 // visible under a key before that key's Commit returns — only the force
 // schedule moves.
+//
+// How long a batch stays open follows the classic commit_siblings rule:
+// a batcher holds an underfull batch only while the store has open
+// writers that have not queued their commit yet (SetOpenWriters minus
+// the commits already in the pipeline), and maxDelay is the CEILING on
+// that wait, not its default. A lone writer therefore flushes at once
+// with a batch of one, as the synchronous path would, and k concurrent
+// writers flush when the last visible sibling arrives, not when the
+// clock runs out. The ceiling matters more than its value suggests: in
+// an otherwise idle process Go's netpoller rounds a sub-millisecond
+// timer wait up to 1 ms (runtime/netpoll_epoll.go: delay < 1e6 →
+// waitms = 1), so a configured 200 µs used to cost every lone commit
+// ≥ 1 ms of wall time.
 //
 // The pipeline has three stages:
 //
@@ -133,6 +147,13 @@ type GroupCommitter struct {
 	observer CommitObserver
 	obsClock *vclock.Clock
 
+	// openWriters (SetOpenWriters) is the store's count of writers
+	// holding an uncommitted claim; queued counts the commits that are
+	// in the pipeline and whose apply has not run yet. Their difference
+	// is the number of siblings a gathering batcher may still wait for.
+	openWriters func() int
+	queued      atomic.Int64
+
 	// closeMu orders enqueues against Close: Do sends while holding the
 	// read side, Close flips closed under the write side before halting
 	// the batchers, so a commit is either enqueued before the final
@@ -150,6 +171,10 @@ type GroupCommitter struct {
 type batcher struct {
 	gc    *GroupCommitter
 	queue chan *pendingCommit
+	// wake is poked (never blocking, hence the one-slot buffer) after
+	// every counted enqueue, on any batcher's queue: the sibling this
+	// batcher is holding its batch open for may have arrived elsewhere.
+	wake chan struct{}
 }
 
 // batcherCount sizes the gathering pool for a given maxBatch: one
@@ -170,10 +195,12 @@ func batcherCount(maxBatch int) int {
 // NewGroupCommitter builds a commit pipeline. maxBatch is the largest
 // group one batcher coalesces before submitting (combined forces may
 // cover more; see CommitStats.MaxBatch); maxBatch <= 1 disables
-// batching and commits synchronously. maxDelay is how long a batcher
-// holds an underfull batch open waiting for more commits; 0 coalesces
-// only commits already queued (no added latency). begin and end bracket
-// each group force on the backend.
+// batching and commits synchronously. maxDelay is the longest a batcher
+// holds an underfull batch open for writers that are open but have not
+// queued their commit (see SetOpenWriters; without that callback, or
+// with no such writer, a batch never waits); 0 coalesces only commits
+// already queued. begin and end bracket each group force on the
+// backend.
 func NewGroupCommitter(maxBatch int, maxDelay time.Duration, begin, end func()) *GroupCommitter {
 	gc := &GroupCommitter{maxBatch: maxBatch, maxDelay: maxDelay, begin: begin, end: end}
 	if maxBatch > 1 {
@@ -189,7 +216,9 @@ func NewGroupCommitter(maxBatch int, maxDelay time.Duration, begin, end func()) 
 		}
 		var wg sync.WaitGroup
 		for i := 0; i < n; i++ {
-			b := &batcher{gc: gc, queue: make(chan *pendingCommit, 4*per)}
+			// The queue holds four gather targets, so writers keep
+			// enqueueing while a flush is in progress.
+			b := &batcher{gc: gc, queue: make(chan *pendingCommit, 4*per), wake: make(chan struct{}, 1)}
 			gc.batchers = append(gc.batchers, b)
 			wg.Add(1)
 			go func() {
@@ -216,6 +245,28 @@ func (gc *GroupCommitter) Batching() bool { return len(gc.batchers) > 0 }
 func (gc *GroupCommitter) SetObserver(clock *vclock.Clock, o CommitObserver) {
 	gc.observer = o
 	gc.obsClock = clock
+}
+
+// SetOpenWriters installs the store's sibling count: fn reports how
+// many writers currently hold an uncommitted claim, including those
+// whose commit is already queued here (the pipeline subtracts them).
+// A writer that failed its apply, or crashed mid-commit, stays counted
+// until the store releases its claim (Abort, Recover), so a batch can
+// wait for it — never longer than maxDelay. Call before the store
+// serves traffic; fn runs on batcher goroutines with no pipeline lock
+// held.
+func (gc *GroupCommitter) SetOpenWriters(fn func() int) { gc.openWriters = fn }
+
+// siblings is the number of open writers that have not queued their
+// commit. It may undercount for a moment (a successful apply releases
+// the store's claim before queued drops), which only closes a batch
+// early, or overcount (a commit is queued before it is counted), which
+// the poke that follows the count corrects.
+func (gc *GroupCommitter) siblings() int {
+	if gc.openWriters == nil {
+		return 0
+	}
+	return gc.openWriters() - int(gc.queued.Load())
 }
 
 // Do routes one writer's commit through the pipeline and returns that
@@ -255,6 +306,19 @@ func (gc *GroupCommitter) Do(apply func() error) error {
 	b := gc.batchers[gc.rr.Add(1)%uint64(len(gc.batchers))]
 	b.queue <- pc
 	gc.closeMu.RUnlock()
+	// Count the commit only once it is in the queue, then poke every
+	// batcher: one that is holding a batch open — for this very writer,
+	// if it received pc before the count moved, or for a sibling that
+	// landed on another batcher's queue — re-counts after the poke.
+	// Counting before the send would let a batcher see "no sibling
+	// left" while this commit is still on its way in, and close early.
+	gc.queued.Add(1)
+	for _, o := range gc.batchers {
+		select {
+		case o.wake <- struct{}{}:
+		default:
+		}
+	}
 	err := <-pc.done
 	pc.apply = nil
 	pc.enqueuedNs = 0
@@ -304,12 +368,13 @@ func (gc *GroupCommitter) record(n int) {
 // can be open.
 //
 // Each batcher owns ONE maxDelay timer for its whole lifetime. The
-// timer only runs while a batch is being gathered — gather arms it for
-// each batch and disarms it (stopping AND draining the fired tick) on
-// every exit path where it did not fire, so an idle store can never
-// carry a stale tick into the next batch. Without the drain, a tick
-// that fired between batches would truncate the next batch's wait to
-// zero: a stale "the delay elapsed" flush for a delay that never ran.
+// timer only runs while a batch is held open for an outstanding sibling
+// — gather arms it at most once per batch and disarms it (stopping AND
+// draining the fired tick) on every exit path where it did not fire, so
+// an idle store can never carry a stale tick into the next batch.
+// Without the drain, a tick that fired between batches would truncate
+// the next batch's wait to zero: a stale "the delay elapsed" flush for
+// a delay that never ran.
 func (b *batcher) run(per int) {
 	gc := b.gc
 	var timer *time.Timer
@@ -355,37 +420,53 @@ func stopTimer(t *time.Timer) {
 }
 
 // gather coalesces queued commits behind first into batch (reused
-// storage), waiting up to maxDelay (timer non-nil) for an underfull
-// batch to fill. The timer is armed on entry and always disarmed by
-// exit.
+// storage). It takes whatever is queued without blocking, then holds
+// the underfull batch open only while a sibling is outstanding (and a
+// timer exists: maxDelay > 0, not the final drain), re-counting after
+// every arrival; the timer is armed at the first such wait, bounds the
+// whole gather, and is always disarmed by exit. With no sibling left it
+// yields the processor once and takes what that brought in: on a single
+// P an enqueue readies the batcher ahead of every other runnable
+// writer, so without the yield it would always find itself alone and
+// k concurrent writers would never coalesce.
 func (b *batcher) gather(batch []*pendingCommit, first *pendingCommit, per int, timer *time.Timer) []*pendingCommit {
 	gc := b.gc
 	batch = append(batch, first)
-	if timer == nil {
-		for len(batch) < per {
-			select {
-			case pc := <-b.queue:
-				batch = append(batch, pc)
-			default:
-				return batch
-			}
-		}
-		return batch
-	}
-	timer.Reset(gc.maxDelay)
+	armed, yielded := false, false
 	for len(batch) < per {
 		select {
 		case pc := <-b.queue:
 			batch = append(batch, pc)
-		case <-timer.C:
-			// The tick was consumed; the timer is already disarmed.
-			return batch
-		case <-gc.stop:
-			stopTimer(timer)
-			return batch
+			continue
+		default:
 		}
+		if timer != nil && gc.siblings() > 0 {
+			if !armed {
+				timer.Reset(gc.maxDelay)
+				armed = true
+			}
+			select {
+			case pc := <-b.queue:
+				batch = append(batch, pc)
+			case <-b.wake:
+			case <-timer.C:
+				// The tick was consumed; the timer is already disarmed.
+				return batch
+			case <-gc.stop:
+				stopTimer(timer)
+				return batch
+			}
+			continue
+		}
+		if yielded {
+			break
+		}
+		yielded = true
+		runtime.Gosched()
 	}
-	stopTimer(timer)
+	if armed {
+		stopTimer(timer)
+	}
 	return batch
 }
 
@@ -432,6 +513,7 @@ func (gc *GroupCommitter) flush(batch []*pendingCommit) {
 	gc.begin()
 	for _, pc := range batch {
 		pc.err = pc.apply()
+		gc.queued.Add(-1)
 	}
 	var forceStart int64
 	if gc.observer != nil {

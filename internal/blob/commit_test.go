@@ -3,6 +3,7 @@ package blob
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -59,33 +60,45 @@ func TestSynchronousCommitter(t *testing.T) {
 	gc.Close() // no-op
 }
 
-// TestBatcherCoalescesConcurrentCommits pins the pipeline shape: n
-// concurrent commits form batches bracketed by exactly one begin/end
-// pair each, and every commit's own error comes back to it.
+// TestBatcherCoalescesConcurrentCommits pins the pipeline shape without
+// racing a timer: n writers are open before the first commit, so the
+// batcher holds its batch for exactly those siblings and closes it when
+// the last one arrives — ONE batch, bracketed by one begin/end pair,
+// long before the multi-second ceiling — and every commit's own error
+// comes back to it.
 func TestBatcherCoalescesConcurrentCommits(t *testing.T) {
 	h := &hookCounter{}
-	gc := NewGroupCommitter(8, 2*time.Millisecond, h.begin, h.end)
+	const n = 8
+	const ceiling = 5 * time.Second
+	gc := NewGroupCommitter(n, ceiling, h.begin, h.end)
 	defer gc.Close()
 	if !gc.Batching() {
 		t.Fatal("pipeline should batch")
 	}
+	var open atomic.Int64
+	gc.SetOpenWriters(func() int { return int(open.Load()) })
+	open.Store(n) // every writer is open before anyone commits
 	boom := errors.New("boom")
-	const n = 24
 	errs := make([]error, n)
 	var wg sync.WaitGroup
+	start := time.Now()
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			errs[i] = gc.Do(func() error {
 				if i%6 == 0 {
-					return boom
+					return boom // a failed apply leaves its writer open
 				}
+				open.Add(-1)
 				return nil
 			})
 		}(i)
 	}
 	wg.Wait()
+	if d := time.Since(start); d > ceiling/10 {
+		t.Errorf("%d sibling commits took %v: the batch waited on the %v timer", n, d, ceiling)
+	}
 	for i, err := range errs {
 		if i%6 == 0 && !errors.Is(err, boom) {
 			t.Fatalf("commit %d = %v, want its own boom", i, err)
@@ -94,18 +107,53 @@ func TestBatcherCoalescesConcurrentCommits(t *testing.T) {
 			t.Fatalf("commit %d = %v", i, err)
 		}
 	}
-	st := gc.Stats()
-	if st.Commits != n {
-		t.Fatalf("commits = %d, want %d", st.Commits, n)
-	}
-	if st.Batches >= n || st.MeanBatch() <= 1 {
-		t.Fatalf("no coalescing: %d batches for %d commits", st.Batches, n)
+	if st := gc.Stats(); st.Commits != n || st.Batches != 1 || st.MaxBatch != n {
+		t.Fatalf("stats = %+v, want %d commits in one batch", st, n)
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.sawImproper || h.begins != h.ends || int64(h.begins) != st.Batches {
-		t.Fatalf("hook bracketing wrong: begins=%d ends=%d batches=%d improper=%v",
-			h.begins, h.ends, st.Batches, h.sawImproper)
+	if h.sawImproper || h.begins != 1 || h.ends != 1 {
+		t.Fatalf("hook bracketing wrong: begins=%d ends=%d improper=%v", h.begins, h.ends, h.sawImproper)
+	}
+}
+
+// TestLoneCommitFlushesAtOnce pins the other half of the wait rule at
+// the pipeline itself: with no sibling open (or no sibling callback at
+// all) a commit never touches the timer, and a writer count that went
+// stale — a failed apply nobody aborted — costs later commits at most
+// maxDelay, never more.
+func TestLoneCommitFlushesAtOnce(t *testing.T) {
+	const ceiling = 5 * time.Second
+	for _, withCallback := range []bool{false, true} {
+		gc := NewGroupCommitter(8, ceiling, func() {}, func() {})
+		if withCallback {
+			gc.SetOpenWriters(func() int { return 1 })
+		}
+		start := time.Now()
+		for i := 0; i < 3; i++ {
+			if err := gc.Do(func() error { return nil }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if d := time.Since(start); d > ceiling/10 {
+			t.Errorf("callback=%v: three lone commits took %v", withCallback, d)
+		}
+		if st := gc.Stats(); st.Commits != 3 || st.Batches != 3 {
+			t.Errorf("callback=%v: stats = %+v, want three batches of one", withCallback, st)
+		}
+		gc.Close()
+	}
+
+	const short = 20 * time.Millisecond
+	gc := NewGroupCommitter(8, short, func() {}, func() {})
+	defer gc.Close()
+	gc.SetOpenWriters(func() int { return 2 }) // this writer plus a stale claim
+	start := time.Now()
+	if err := gc.Do(func() error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d < short || d > ceiling/10 {
+		t.Errorf("commit beside a stale claim took %v, want about the %v ceiling", d, short)
 	}
 }
 
@@ -179,6 +227,10 @@ func TestIdleBatcherNoStaleTimerFlush(t *testing.T) {
 	h := &hookCounter{}
 	gc := NewGroupCommitter(4, time.Millisecond, h.begin, h.end)
 	defer gc.Close()
+	// A phantom sibling that never commits: every round's underfull
+	// batch is held open and closed by the timer firing, the path whose
+	// leftover tick this test is about.
+	gc.SetOpenWriters(func() int { return 4 })
 
 	// Idle well past several maxDelay periods: no batch may form.
 	time.Sleep(10 * time.Millisecond)

@@ -686,3 +686,81 @@ func testConcurrentMixedChurn(t *testing.T, mk Factory) {
 		t.Fatalf("unexpected error under churn: %v", err)
 	}
 }
+
+// GroupCommitCeiling is the maxDelay the group-commit wait-rule tests
+// build their stores with: so long that a commit which ever sleeps on
+// the batch timer cannot stay inside the tests' wall-time bounds.
+const GroupCommitCeiling = 5 * time.Second
+
+// CommitTogether opens one writer per key on s, appends size
+// metadata-only bytes to each, and only then commits them all at once:
+// every commit has its siblings open and visible, so the pipeline under
+// s has to coalesce them by counting writers, not by waiting out its
+// timer. It returns the wall time of the commit phase.
+func CommitTogether(t testing.TB, s blob.Store, keys []string, size int64) time.Duration {
+	t.Helper()
+	ctx := context.Background()
+	writers := make([]blob.Writer, len(keys))
+	for i, key := range keys {
+		w, err := s.Create(ctx, key, size)
+		if err != nil {
+			t.Fatalf("create %s: %v", key, err)
+		}
+		if err := w.Append(size, nil); err != nil {
+			t.Fatalf("append %s: %v", key, err)
+		}
+		writers[i] = w
+	}
+	errs := make([]error, len(keys))
+	var wg sync.WaitGroup
+	//fragvet:ignore vclockpurity the wait rule under test is real scheduling latency, so the bound is wall time
+	start := time.Now()
+	for i, w := range writers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = w.Commit()
+		}()
+	}
+	wg.Wait()
+	//fragvet:ignore vclockpurity as above
+	elapsed := time.Since(start)
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("commit %s: %v", keys[i], err)
+		}
+	}
+	return elapsed
+}
+
+// LoneCommitDoesNotWait pins the lone-writer rule on a stack built with
+// blob.WithGroupCommit(8, GroupCommitCeiling) that holds no open
+// writer: put — one whole-object write through the stack, by whatever
+// path the caller wants covered — returns without touching the timer,
+// and the pipeline counters (stats: CommitStats of the stack, or of the
+// store beneath a network hop) grow by one commit in one batch.
+func LoneCommitDoesNotWait(t testing.TB, stats func() blob.CommitStats, put func() error) {
+	t.Helper()
+	before := stats()
+	//fragvet:ignore vclockpurity the wait rule under test is real scheduling latency, so the bound is wall time
+	start := time.Now()
+	if err := put(); err != nil {
+		t.Fatal(err)
+	}
+	//fragvet:ignore vclockpurity as above
+	if d := time.Since(start); d > GroupCommitCeiling/10 {
+		t.Errorf("lone commit took %v against a %v ceiling: it waited for siblings that do not exist",
+			d, GroupCommitCeiling)
+	}
+	after := stats()
+	if after.Commits-before.Commits != 1 || after.Batches-before.Batches != 1 {
+		t.Errorf("lone commit: pipeline went %+v -> %+v, want one more commit in one more batch",
+			before, after)
+	}
+}
+
+// PutKey is the usual put for LoneCommitDoesNotWait: a small
+// metadata-only object written to key through s.
+func PutKey(s blob.Store, key string) func() error {
+	return func() error { return blob.Put(context.Background(), s, key, 64*units.KB, nil) }
+}

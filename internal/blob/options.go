@@ -72,9 +72,10 @@ type Options struct {
 	// commits synchronously (no pipeline); set via WithGroupCommit.
 	GroupCommitBatch int
 
-	// GroupCommitDelay is how long the batcher holds an underfull batch
-	// open waiting for more commits; 0 coalesces only commits already
-	// queued. Set via WithGroupCommit.
+	// GroupCommitDelay is the longest the batcher holds an underfull
+	// batch open, and it does so only while other writers are open on
+	// the store; 0 coalesces only commits already queued. Set via
+	// WithGroupCommit.
 	GroupCommitDelay time.Duration
 
 	// CommitObserver receives the group-commit pipeline's queue-wait and
@@ -185,9 +186,14 @@ func WithLockStripes(n int) Option {
 // coalesces up to maxBatch pending commits, and the backend issues one
 // group force per batch instead of one per transaction — the classic
 // amortization of the per-operation costs §3.1's folklore blames.
-// maxDelay bounds how long an underfull batch waits for company; 0 adds
-// no latency and coalesces only commits already queued. maxBatch <= 1
-// leaves commits synchronous.
+// maxDelay is a ceiling, not a wait every batch pays: an underfull
+// batch is held open only while the store has other writers open that
+// have not committed yet, and closes when the last of them arrives or
+// maxDelay passes, whichever is first. A lone writer's commit is a
+// batch of one, flushed at once. (In an otherwise idle process the Go
+// netpoller rounds a sub-millisecond wait up to 1 ms, so a 200 µs
+// ceiling can cost 1 ms when it is reached.) 0 coalesces only commits
+// already queued. maxBatch <= 1 leaves commits synchronous.
 func WithGroupCommit(maxBatch int, maxDelay time.Duration) Option {
 	return func(o *Options) {
 		o.GroupCommitBatch = maxBatch

@@ -111,3 +111,20 @@ func TestCacheCapacitySweepConformance(t *testing.T) {
 		})
 	}
 }
+
+// TestLoneCommitDoesNotWait: the cache only forwards commits, so a lone
+// writer through it is still alone on the store beneath and flushes at
+// once — single volume and 4-shard fleet alike.
+func TestLoneCommitDoesNotWait(t *testing.T) {
+	for name, mk := range map[string]func(opts ...blob.Option) blob.Store{
+		"Filesystem": fileInner, "Database": dbInner, "Sharded4Mixed": mixedShardInner,
+	} {
+		t.Run(name, func(t *testing.T) {
+			c := wrap(t, mk)(blob.WithCapacity(64*units.MB),
+				blob.WithGroupCommit(8, conformance.GroupCommitCeiling)).(*cache.Store)
+			for _, key := range []string{"a", "b", "c"} {
+				conformance.LoneCommitDoesNotWait(t, c.CommitStats, conformance.PutKey(c, key))
+			}
+		})
+	}
+}

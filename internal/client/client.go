@@ -304,7 +304,7 @@ func (s *Store) Fetch(ctx context.Context, key string) (int64, []byte, error) {
 		drain(resp)
 		return size, nil, nil
 	}
-	data, err := io.ReadAll(resp.Body)
+	data, err := wire.ReadBody(resp.Body, resp.ContentLength)
 	if err != nil {
 		return 0, nil, fmt.Errorf("client: fetch %s: %w", key, err)
 	}
@@ -327,7 +327,7 @@ func (s *Store) FetchAt(ctx context.Context, key string, off, length int64) ([]b
 		drain(resp)
 		return nil, nil
 	}
-	data, err := io.ReadAll(resp.Body)
+	data, err := wire.ReadBody(resp.Body, resp.ContentLength)
 	if err != nil {
 		return nil, fmt.Errorf("client: fetch %s range: %w", key, err)
 	}
@@ -423,7 +423,7 @@ func (r *reader) read(path string) ([]byte, error) {
 		drain(resp)
 		return nil, nil
 	}
-	data, err := io.ReadAll(resp.Body)
+	data, err := wire.ReadBody(resp.Body, resp.ContentLength)
 	if err != nil {
 		return nil, fmt.Errorf("client: session read: %w", err)
 	}

@@ -9,12 +9,14 @@ import (
 
 	"repro/internal/blob"
 	"repro/internal/blob/conformance"
+	"repro/internal/cache"
 	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/disk"
 	"repro/internal/extent"
 	"repro/internal/server"
 	"repro/internal/shard"
+	"repro/internal/units"
 	"repro/internal/vclock"
 )
 
@@ -261,5 +263,29 @@ func TestClientAccountingSurface(t *testing.T) {
 		if remoteTags[k] != tag {
 			t.Fatalf("tag for %q: remote %d, local %d", k, remoteTags[k], tag)
 		}
+	}
+}
+
+// TestLoneCommitDoesNotWait: one client, one PUT, one commit — the
+// served path the group-commit ceiling used to tax. Through the HTTP
+// front-end, shard and cache, by the one-shot Upload and by the session
+// protocol, a lone writer is a batch of one that never sleeps on the
+// batch timer.
+func TestLoneCommitDoesNotWait(t *testing.T) {
+	ctx := context.Background()
+	var stack *cache.Store
+	c := serve(t, func(opts ...blob.Option) blob.Store {
+		var err error
+		if stack, err = cache.New(mixedShardInner(opts...), cache.WithCapacity(8*units.MB)); err != nil {
+			panic(err)
+		}
+		t.Cleanup(func() { _ = stack.Close() })
+		return stack
+	})(blob.WithCapacity(64*units.MB), blob.WithGroupCommit(8, conformance.GroupCommitCeiling)).(*client.Store)
+	for _, key := range []string{"a", "b", "c"} {
+		conformance.LoneCommitDoesNotWait(t, stack.CommitStats, func() error {
+			return c.Upload(ctx, key, 64*units.KB, nil, false)
+		})
+		conformance.LoneCommitDoesNotWait(t, stack.CommitStats, conformance.PutKey(c, key+"-session"))
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/blob"
@@ -361,4 +362,37 @@ func TestSafeReplaceNeverLosesOldVersionOnFailure(t *testing.T) {
 			t.Fatalf("old version damaged: info=%+v err=%v", info, err)
 		}
 	})
+}
+
+// TestDataModeReadAllocatesOnePayload pins the charge-only drive read:
+// a whole-object read on a data-mode FileStore allocates the payload it
+// returns and little else. While File.ReadAll went through
+// Drive.ReadRun, every read also built (and dropped) a zeroed run-sized
+// buffer per fragment — about twice the object size per read.
+func TestDataModeReadAllocatesOnePayload(t *testing.T) {
+	ctx := context.Background()
+	const size = 256 * units.KB
+	s := mustFileStore(t, blob.WithCapacity(64*units.MB), blob.WithDiskMode(disk.DataMode))
+	if err := blob.Put(ctx, s, "obj", size, bytes.Repeat([]byte{7}, int(size))); err != nil {
+		t.Fatal(err)
+	}
+	read := func() {
+		if _, body, err := blob.Get(ctx, s, "obj"); err != nil || int64(len(body)) != size {
+			t.Fatalf("read %d bytes, err %v", len(body), err)
+		}
+	}
+	read() // fill the handle pool
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(runs, read)
+	runtime.ReadMemStats(&after)
+	// AllocsPerRun makes one warm-up call on top of runs.
+	perRead := int64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
+	if perRead > size+4*units.KB {
+		t.Errorf("whole-object read allocates %d bytes for a %d-byte object", perRead, size)
+	}
+	if allocs > 2 {
+		t.Errorf("whole-object read makes %.0f allocations", allocs)
+	}
 }

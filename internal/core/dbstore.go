@@ -84,6 +84,7 @@ func NewDBStore(clock *vclock.Clock, options ...blob.Option) (*DBStore, error) {
 	}
 	s.committer = blob.NewGroupCommitter(opts.GroupCommitBatch, opts.GroupCommitDelay,
 		s.beginGroup, s.endGroup)
+	s.committer.SetOpenWriters(s.openWriters)
 	if opts.CommitObserver != nil {
 		s.committer.SetObserver(clock, opts.CommitObserver)
 	}
@@ -103,6 +104,14 @@ func (s *DBStore) endGroup() {
 	s.mu.Lock()
 	s.eng.EndGroup()
 	s.mu.Unlock()
+}
+
+// openWriters is the commit pipeline's sibling count: every writer
+// holding an uncommitted claim, whether or not its commit is queued.
+func (s *DBStore) openWriters() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.inflight)
 }
 
 // Close shuts down the group-commit pipeline. The store stays usable;

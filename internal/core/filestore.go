@@ -94,6 +94,7 @@ func NewFileStore(clock *vclock.Clock, options ...blob.Option) (*FileStore, erro
 	}
 	s.committer = blob.NewGroupCommitter(opts.GroupCommitBatch, opts.GroupCommitDelay,
 		s.beginGroup, s.endGroup)
+	s.committer.SetOpenWriters(s.openWriters)
 	if opts.CommitObserver != nil {
 		s.committer.SetObserver(clock, opts.CommitObserver)
 	}
@@ -116,6 +117,14 @@ func (s *FileStore) endGroup() {
 	s.vol.EndBatch()
 	s.metaDB.EndGroup()
 	s.mu.Unlock()
+}
+
+// openWriters is the commit pipeline's sibling count: every writer
+// holding an uncommitted claim, whether or not its commit is queued.
+func (s *FileStore) openWriters() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.inflight)
 }
 
 // Close shuts down the group-commit pipeline. The store stays usable;

@@ -10,13 +10,14 @@ import (
 	"time"
 
 	"repro/internal/blob"
+	"repro/internal/blob/conformance"
 	"repro/internal/disk"
 	"repro/internal/units"
 	"repro/internal/vclock"
 )
 
-// groupOpts enables batching up to 8 commits with a small fill delay so
-// concurrent writers reliably coalesce.
+// groupOpts enables batching up to 8 commits with a short ceiling on
+// the wait for open siblings.
 func groupOpts(extra ...blob.Option) []blob.Option {
 	return append([]blob.Option{
 		blob.WithCapacity(256 * units.MB),
@@ -25,45 +26,49 @@ func groupOpts(extra ...blob.Option) []blob.Option {
 	}, extra...)
 }
 
-// runConcurrentPuts drives writers concurrent streams of rounds commits
-// each through s.
-func runConcurrentPuts(t *testing.T, s blob.Store, writers, rounds int, size int64) {
-	t.Helper()
-	ctx := context.Background()
-	var wg sync.WaitGroup
-	errs := make([]error, writers)
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < rounds; i++ {
-				key := fmt.Sprintf("w%02d-o%04d", w, i)
-				if err := blob.Put(ctx, s, key, size, nil); err != nil {
-					errs[w] = err
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
+// ceilingOpts is groupOpts with a ceiling no test could sit out: a
+// batch that closes does so because the writers were counted, not
+// because a timer ran.
+func ceilingOpts(extra ...blob.Option) []blob.Option {
+	return groupOpts(append([]blob.Option{
+		blob.WithGroupCommit(8, conformance.GroupCommitCeiling)}, extra...)...)
 }
 
-// TestGroupCommitBatchesUnderConcurrency pins the acceptance criterion:
-// under 8 concurrent writers the pipeline coalesces more than one
-// commit per group force on both backends, and the committed objects
-// are all there.
+// pipelineStore is what both backends offer the wait-rule tests beyond
+// blob.Store.
+type pipelineStore interface {
+	blob.Store
+	CommitStats() blob.CommitStats
+	Close() error
+}
+
+// roundKeys names the writers of one CommitTogether round.
+func roundKeys(round, writers int) []string {
+	keys := make([]string, writers)
+	for w := range keys {
+		keys[w] = fmt.Sprintf("w%02d-o%04d", w, round)
+	}
+	return keys
+}
+
+// TestGroupCommitBatchesUnderConcurrency pins the acceptance criterion
+// deterministically: 8 writers open on a maxBatch-8 store and commit at
+// once, round after round; each round is exactly one group force on
+// both backends, closed when the last sibling arrives and long before
+// the multi-second ceiling, and the committed objects are all there.
 func TestGroupCommitBatchesUnderConcurrency(t *testing.T) {
-	const writers, rounds = 8, 12
-	fsStore := mustFileStore(t, groupOpts()...)
-	dbStore := mustDBStore(t, groupOpts()...)
+	const writers, rounds = 8, 4
+	fsStore := mustFileStore(t, ceilingOpts()...)
+	dbStore := mustDBStore(t, ceilingOpts()...)
 	for _, s := range []blob.Store{fsStore, dbStore} {
 		t.Run(s.Name(), func(t *testing.T) {
-			runConcurrentPuts(t, s, writers, rounds, 1*units.MB)
+			var total time.Duration
+			for r := 0; r < rounds; r++ {
+				total += conformance.CommitTogether(t, s, roundKeys(r, writers), 1*units.MB)
+			}
+			if total > conformance.GroupCommitCeiling/10 {
+				t.Errorf("%d rounds of sibling commits took %v: batches waited on the timer", rounds, total)
+			}
 			if got := s.ObjectCount(); got != writers*rounds {
 				t.Fatalf("committed %d objects, want %d", got, writers*rounds)
 			}
@@ -71,12 +76,9 @@ func TestGroupCommitBatchesUnderConcurrency(t *testing.T) {
 			if !ok {
 				t.Fatal("store exposes no CommitStats")
 			}
-			if cs.Commits != writers*rounds {
-				t.Fatalf("pipeline saw %d commits, want %d", cs.Commits, writers*rounds)
-			}
-			if cs.MeanBatch() <= 1 {
-				t.Errorf("mean batch %.2f under %d concurrent writers, want > 1 (max seen %d)",
-					cs.MeanBatch(), writers, cs.MaxBatch)
+			if cs.Commits != writers*rounds || cs.Batches != rounds || cs.MaxBatch != writers {
+				t.Errorf("pipeline stats %+v, want %d commits in %d batches of %d",
+					cs, writers*rounds, rounds, writers)
 			}
 			if err := blob.CloseStore(s); err != nil {
 				t.Fatal(err)
@@ -86,21 +88,23 @@ func TestGroupCommitBatchesUnderConcurrency(t *testing.T) {
 }
 
 // TestGroupCommitReducesLogForces pins the amortization itself: the same
-// concurrent workload issues fewer forced log flushes per committed
-// object with batching on than off.
+// rounds of 8 sibling commits issue fewer forced log flushes with
+// batching on than off.
 func TestGroupCommitReducesLogForces(t *testing.T) {
-	const writers, rounds = 8, 12
+	const writers, rounds = 8, 4
+	drive := func(s blob.Store) {
+		for r := 0; r < rounds; r++ {
+			conformance.CommitTogether(t, s, roundKeys(r, writers), 1*units.MB)
+		}
+	}
 	run := func(opts ...blob.Option) int64 {
-		s := mustDBStore(t, append([]blob.Option{
-			blob.WithCapacity(256 * units.MB),
-			blob.WithDiskMode(disk.MetadataMode),
-		}, opts...)...)
+		s := mustDBStore(t, opts...)
 		defer s.Close()
-		runConcurrentPuts(t, s, writers, rounds, 1*units.MB)
+		drive(s)
 		return s.Engine().Stats().LogForces
 	}
-	unbatched := run()
-	batched := run(blob.WithGroupCommit(8, 2*time.Millisecond))
+	unbatched := run(blob.WithCapacity(256*units.MB), blob.WithDiskMode(disk.MetadataMode))
+	batched := run(ceilingOpts()...)
 	if batched >= unbatched {
 		t.Errorf("log forces with batching = %d, without = %d; group commit saved nothing", batched, unbatched)
 	}
@@ -111,18 +115,85 @@ func TestGroupCommitReducesLogForces(t *testing.T) {
 
 	// Filesystem counterpart: forced MFT writes per commit shrink too.
 	runFS := func(opts ...blob.Option) int64 {
-		s := mustFileStore(t, append([]blob.Option{
-			blob.WithCapacity(256 * units.MB),
-			blob.WithDiskMode(disk.MetadataMode),
-		}, opts...)...)
+		s := mustFileStore(t, opts...)
 		defer s.Close()
-		runConcurrentPuts(t, s, writers, rounds, 1*units.MB)
+		drive(s)
 		return s.Volume().Stats().MetaWrites
 	}
-	fsUnbatched := runFS()
-	fsBatched := runFS(blob.WithGroupCommit(8, 2*time.Millisecond))
+	fsUnbatched := runFS(blob.WithCapacity(256*units.MB), blob.WithDiskMode(disk.MetadataMode))
+	fsBatched := runFS(ceilingOpts()...)
 	if fsBatched >= fsUnbatched {
 		t.Errorf("MFT forces with batching = %d, without = %d", fsBatched, fsUnbatched)
+	}
+}
+
+// TestLoneCommitDoesNotWait pins the lone-writer rule on both backends:
+// with nobody else open, a commit is a batch of one and never sleeps on
+// the batch timer.
+func TestLoneCommitDoesNotWait(t *testing.T) {
+	fsStore := mustFileStore(t, ceilingOpts()...)
+	dbStore := mustDBStore(t, ceilingOpts()...)
+	for _, s := range []pipelineStore{fsStore, dbStore} {
+		t.Run(s.Name(), func(t *testing.T) {
+			defer s.Close()
+			for _, key := range []string{"a", "b", "c"} {
+				conformance.LoneCommitDoesNotWait(t, s.CommitStats, conformance.PutKey(s, key))
+			}
+		})
+	}
+}
+
+// TestLoneCommitAfterRecoverDoesNotWait guards the sibling count against
+// going stale: a crash-armed commit leaves its writer claim behind, as a
+// process death would, and a writer that is aborted (before committing,
+// or after a failed one) was counted as open. Once Recover or Abort has
+// released the claim, a later lone commit must again flush at once —
+// a leftover count would silently reinstate the full wait on every
+// commit that follows.
+func TestLoneCommitAfterRecoverDoesNotWait(t *testing.T) {
+	ctx := context.Background()
+	t.Run("filesystem/Recover", func(t *testing.T) {
+		s := mustFileStore(t, ceilingOpts()...)
+		defer s.Close()
+		s.ArmCommitCrash("doomed")
+		w, err := s.Create(ctx, "doomed", 64*units.KB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Append(64*units.KB, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Commit(); !errors.Is(err, blob.ErrCrashed) {
+			t.Fatalf("armed commit = %v, want ErrCrashed", err)
+		}
+		s.Recover()
+		conformance.LoneCommitDoesNotWait(t, s.CommitStats, conformance.PutKey(s, "after-recover"))
+	})
+	fsStore := mustFileStore(t, ceilingOpts()...)
+	dbStore := mustDBStore(t, ceilingOpts()...)
+	for _, s := range []pipelineStore{fsStore, dbStore} {
+		t.Run(s.Name()+"/Abort", func(t *testing.T) {
+			defer s.Close()
+			w, err := s.Create(ctx, "abandoned", 64*units.KB)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Abort(); err != nil {
+				t.Fatal(err)
+			}
+			// A short stream fails its commit and stays open until Abort.
+			w, err = s.Create(ctx, "short", 64*units.KB)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Commit(); !errors.Is(err, blob.ErrInvalidSize) {
+				t.Fatalf("short commit = %v, want ErrInvalidSize", err)
+			}
+			if err := w.Abort(); err != nil {
+				t.Fatal(err)
+			}
+			conformance.LoneCommitDoesNotWait(t, s.CommitStats, conformance.PutKey(s, "after-abort"))
+		})
 	}
 }
 

@@ -504,7 +504,7 @@ func (d *Database) GetRange(key string, off, length int64) ([]byte, error) {
 	}
 	for _, p := range r.nodes {
 		if !d.pool.Access(p) {
-			d.data.ReadRun(d.clusterRun(PageRun{Start: p, Len: 1}))
+			d.data.ChargeRead(d.clusterRun(PageRun{Start: p, Len: 1}))
 		}
 	}
 	// Map the byte range onto the page list. Write requests that are not
@@ -522,7 +522,7 @@ func (d *Database) GetRange(key string, off, length int64) ([]byte, error) {
 		d.runScratch = runs
 	}
 	for _, pr := range runs {
-		d.data.ReadRun(d.clusterRun(pr))
+		d.data.ChargeRead(d.clusterRun(pr))
 	}
 	d.data.ChargeCPU(d.cfg.PageCPUUs * float64(len(touched)))
 	d.statGets++
@@ -592,11 +592,11 @@ func (d *Database) Compact(key string) (int64, error) {
 	d.data.ChargeCPU(d.cfg.RowCPUUs)
 	for _, p := range r.nodes {
 		if !d.pool.Access(p) {
-			d.data.ReadRun(d.clusterRun(PageRun{Start: p, Len: 1}))
+			d.data.ChargeRead(d.clusterRun(PageRun{Start: p, Len: 1}))
 		}
 	}
 	for _, pr := range CoalescePageRuns(r.pages) {
-		d.data.ReadRun(d.clusterRun(pr))
+		d.data.ChargeRead(d.clusterRun(pr))
 	}
 	d.data.ChargeCPU(d.cfg.PageCPUUs * float64(len(r.pages)))
 

@@ -32,7 +32,7 @@ func (d *Database) Rebuild() RebuildReport {
 	for _, k := range keys {
 		r := d.rows[k]
 		for _, pr := range CoalescePageRuns(r.pages) {
-			d.data.ReadRun(d.clusterRun(pr))
+			d.data.ChargeRead(d.clusterRun(pr))
 		}
 		d.data.ChargeCPU(d.cfg.PageCPUUs * float64(len(r.pages)))
 		rep.BytesMoved += r.size

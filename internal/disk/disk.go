@@ -249,7 +249,9 @@ func (d *Drive) WriteRun(r extent.Run, tag uint32, seqStart int64, data []byte) 
 				copy(buf, data[i*d.geo.ClusterSize:(i+1)*d.geo.ClusterSize])
 				d.data[r.Start+i] = buf
 			}
-		} else {
+		} else if len(d.data) > 0 {
+			// Only a drive that holds payload has stale clusters to drop;
+			// the engines keep payload above the drive and always pass nil.
 			for i := int64(0); i < r.Len; i++ {
 				delete(d.data, r.Start+i)
 			}
@@ -257,14 +259,23 @@ func (d *Drive) WriteRun(r extent.Run, tag uint32, seqStart int64, data []byte) 
 	}
 }
 
-// ReadRun reads the run, charging seek and transfer time. In DataMode it
-// returns the stored payload (zeros for never-written clusters); in
-// MetadataMode it returns nil.
-func (d *Drive) ReadRun(r extent.Run) []byte {
+// ChargeRead accounts for a read of the run — the same clock advance and
+// the same Stats as ReadRun — without assembling the payload. The
+// engines keep object bytes above the drive and only ever need the
+// cost, which in DataMode would otherwise buy a zeroed run-sized buffer
+// and a map lookup per cluster just to be dropped.
+func (d *Drive) ChargeRead(r extent.Run) {
 	d.checkRun(r)
 	d.charge(r)
 	d.stats.Reads++
 	d.stats.BytesRead += r.Len * d.geo.ClusterSize
+}
+
+// ReadRun reads the run, charging seek and transfer time. In DataMode it
+// returns the stored payload (zeros for never-written clusters); in
+// MetadataMode it returns nil.
+func (d *Drive) ReadRun(r extent.Run) []byte {
+	d.ChargeRead(r)
 	if d.mode != DataMode {
 		return nil
 	}

@@ -119,7 +119,7 @@ func (v *Volume) moveContiguous(f *File) bool {
 	}
 	// Read old, write new, free old.
 	for _, r := range f.runs {
-		v.drive.ReadRun(r)
+		v.drive.ChargeRead(r)
 	}
 	tag := v.nextTag
 	v.nextTag++

@@ -256,7 +256,7 @@ func (f *File) ReadAll() []byte {
 		f.pack.readRange(f.packOff, f.size)
 	}
 	for _, r := range f.runs {
-		f.vol.drive.ReadRun(r)
+		f.vol.drive.ChargeRead(r)
 	}
 	if f.vol.dataMode() {
 		out := make([]byte, len(f.data))
@@ -299,7 +299,7 @@ func (f *File) ReadAt(off, length int64) ([]byte, error) {
 		}
 		lo := max(firstC, rFirst)
 		hi := min(lastC, rLast)
-		f.vol.drive.ReadRun(extent.Run{Start: r.Start + (lo - rFirst), Len: hi - lo + 1})
+		f.vol.drive.ChargeRead(extent.Run{Start: r.Start + (lo - rFirst), Len: hi - lo + 1})
 	}
 	if f.vol.dataMode() && off+length <= int64(len(f.data)) {
 		out := make([]byte, length)

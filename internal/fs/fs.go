@@ -233,7 +233,7 @@ func (v *Volume) metadataWrite(tag uint32) {
 
 // metadataRead charges an MFT record lookup for the file tag.
 func (v *Volume) metadataRead(tag uint32) {
-	v.drive.ReadRun(extent.Run{Start: v.mftCluster(tag), Len: 1})
+	v.drive.ChargeRead(extent.Run{Start: v.mftCluster(tag), Len: 1})
 }
 
 // noteMetadataOp counts a metadata mutation toward the periodic log

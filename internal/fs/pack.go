@@ -113,7 +113,7 @@ func (v *Volume) PackFiles(names []string, opts PackOptions) (PackReport, error)
 	// index last, like a git pack and its idx.
 	for _, f := range members {
 		for _, r := range f.runs {
-			v.drive.ReadRun(r)
+			v.drive.ChargeRead(r)
 		}
 	}
 	tag := v.nextTag
@@ -230,10 +230,10 @@ func (p *Pack) runsOf(off, length int64) []extent.Run {
 // lookup, then the covered data clusters.
 func (p *Pack) readRange(off, length int64) {
 	if len(p.indexRuns) > 0 {
-		p.vol.drive.ReadRun(extent.Run{Start: p.indexRuns[0].Start, Len: 1})
+		p.vol.drive.ChargeRead(extent.Run{Start: p.indexRuns[0].Start, Len: 1})
 	}
 	for _, r := range p.runsOf(off, length) {
-		p.vol.drive.ReadRun(r)
+		p.vol.drive.ChargeRead(r)
 	}
 }
 

@@ -95,6 +95,7 @@ func InterleaveSweep(c Config) ([]*stats.Table, error) {
 	}
 	frags.Note("fixed total volume; k goroutine streams interleave appends in allocation order — the §6 interleaved-append regime the single-writer sweeps cannot reach")
 	batch.Note("commit pipeline: k concurrent writers coalesce into batches of up to k commits per forced flush (1.0 = every commit forces, as without group commit)")
+	batch.Note("a batch closes when the last open writer's commit arrives; the 500µs delay is only the ceiling on that wait")
 	for _, t := range latTables {
 		t.Note("virtual-time quantiles: an op's latency includes time charged by other streams while it was in flight; store.commit.queuewait vs store.commit.force splits the pipeline's wait from the one group force")
 	}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/shard"
+	"repro/internal/units"
 	"repro/internal/vclock"
 )
 
@@ -99,4 +100,24 @@ func TestObsStoreStacked(t *testing.T) {
 		reg := obs.NewRegistry()
 		return obs.Wrap(obs.Wrap(fileInner(opts...), "disk", reg), "cache", reg)
 	})
+}
+
+// TestLoneCommitDoesNotWait: the observability wrapper and the commit
+// observer only watch the pipeline; a lone writer through them still
+// flushes at once.
+func TestLoneCommitDoesNotWait(t *testing.T) {
+	for name, mk := range map[string]func(opts ...blob.Option) blob.Store{
+		"Filesystem": fileInner, "Database": dbInner, "Sharded4Mixed": mixedShardInner,
+	} {
+		t.Run(name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			s := obs.Wrap(mk(blob.WithCapacity(64*units.MB),
+				blob.WithGroupCommit(8, conformance.GroupCommitCeiling),
+				blob.WithCommitObserver(obs.NewCommitObserver(reg, "store"))), "store", reg)
+			defer blob.CloseStore(s)
+			for _, key := range []string{"a", "b", "c"} {
+				conformance.LoneCommitDoesNotWait(t, s.CommitStats, conformance.PutKey(s, key))
+			}
+		})
+	}
 }

@@ -32,6 +32,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/blob"
@@ -271,6 +272,9 @@ func (s *Server) writePayload(w http.ResponseWriter, status int, size int64, dat
 		h.Set(wire.HeaderMeta, "1")
 	}
 	h.Set("Content-Type", "application/octet-stream")
+	// Declared, so the body travels unchunked and the client can read it
+	// into a buffer of the right size.
+	h.Set("Content-Length", strconv.Itoa(len(data)))
 	s.setClock(h)
 	w.WriteHeader(status)
 	_, err := w.Write(data)
@@ -397,9 +401,20 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) error {
 	return s.writeEmpty(w)
 }
 
+// copyBufPool recycles copyBody's chunk buffer, which used to be
+// allocated and zeroed per PUT. Sharing it across requests is safe
+// because blob.Writer.Append copies what it keeps — copyBody already
+// reuses the buffer between chunks of one stream.
+var copyBufPool = sync.Pool{New: func() any {
+	b := make([]byte, 256<<10)
+	return &b
+}}
+
 // copyBody streams a request body into a writer in bounded chunks.
 func copyBody(w blob.Writer, body io.Reader) error {
-	buf := make([]byte, 256<<10)
+	bp := copyBufPool.Get().(*[]byte)
+	defer copyBufPool.Put(bp)
+	buf := *bp
 	for {
 		n, err := body.Read(buf)
 		if n > 0 {
@@ -558,7 +573,7 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) error {
 		}
 		return s.writeEmpty(w)
 	}
-	data, err := io.ReadAll(r.Body)
+	data, err := wire.ReadBody(r.Body, r.ContentLength)
 	if err != nil {
 		return err
 	}

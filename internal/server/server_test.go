@@ -97,6 +97,11 @@ func TestFrontDoorRoundTrip(t *testing.T) {
 	if resp.Header.Get(wire.HeaderSize) != strconv.Itoa(len(data)) {
 		t.Fatalf("GET size header = %q", resp.Header.Get(wire.HeaderSize))
 	}
+	// The payload length is declared (not chunked), so the client can
+	// read the body into one buffer of the right size.
+	if resp.ContentLength != int64(len(data)) {
+		t.Fatalf("GET Content-Length = %d, want %d", resp.ContentLength, len(data))
+	}
 
 	resp = doReq(t, client, "HEAD", ts.URL+wire.PathBlobs+"a", nil)
 	resp.Body.Close()

@@ -34,7 +34,11 @@
 // network hop.
 package wire
 
-import "repro/internal/extent"
+import (
+	"io"
+
+	"repro/internal/extent"
+)
 
 // Header names of the wire contract.
 const (
@@ -124,4 +128,24 @@ type LayoutObject struct {
 	Bytes int64        `json:"bytes"`
 	Runs  []extent.Run `json:"runs"`
 	Tag   uint32       `json:"tag"`
+}
+
+// maxSizedBody bounds the buffer ReadBody allocates on a peer's say-so
+// before any byte has arrived.
+const maxSizedBody = 1 << 30
+
+// ReadBody reads a payload body whose length the peer declared
+// (Content-Length; negative when absent) into a buffer of exactly that
+// size, where io.ReadAll would grow one by doubling and copy the
+// payload several times over. An undeclared or implausibly large length
+// falls back to io.ReadAll, which allocates only as bytes arrive.
+func ReadBody(body io.Reader, declared int64) ([]byte, error) {
+	if declared < 0 || declared > maxSizedBody {
+		return io.ReadAll(body)
+	}
+	data := make([]byte, declared)
+	if _, err := io.ReadFull(body, data); err != nil {
+		return nil, err
+	}
+	return data, nil
 }

@@ -7,9 +7,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/blob"
+	"repro/internal/blob/conformance"
 	"repro/internal/core"
 	"repro/internal/disk"
 	"repro/internal/shard"
@@ -390,52 +390,45 @@ func TestSameKeyChurnConservation(t *testing.T) {
 }
 
 // TestShardGroupCommitFansOutPerChild pins the parallel commit
-// pipelines: with group commit enabled on every child, concurrent
-// writers spread over the shards coalesce into batches on each shard
-// independently, the aggregated CommitStats sees every commit, and
-// Close shuts the whole fleet down in parallel.
+// pipelines deterministically: 8 writers open across a 4-shard fleet
+// whose children batch up to 8 with a multi-second ceiling, then commit
+// at once. Each child counts only ITS open writers, so every child that
+// received commits closes exactly one batch — when its last sibling
+// arrives, not when the timer runs out — the aggregated CommitStats
+// sees every commit, and Close shuts the whole fleet down in parallel.
 func TestShardGroupCommitFansOutPerChild(t *testing.T) {
 	ctx := context.Background()
-	s := mkSharded(t, 4, 64*units.MB, blob.WithGroupCommit(8, 2*time.Millisecond))
-	const writers, rounds = 8, 10
-	var wg sync.WaitGroup
-	errs := make([]error, writers)
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < rounds; i++ {
-				key := fmt.Sprintf("w%02d-o%04d", w, i)
-				if err := blob.Put(ctx, s, key, 512*units.KB, nil); err != nil {
-					errs[w] = err
-					return
-				}
-			}
-		}(w)
+	s := mkSharded(t, 4, 64*units.MB, blob.WithGroupCommit(8, conformance.GroupCommitCeiling))
+	const writers = 8
+	keys := make([]string, writers)
+	for w := range keys {
+		keys[w] = fmt.Sprintf("w%02d", w)
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
+	if d := conformance.CommitTogether(t, s, keys, 512*units.KB); d > conformance.GroupCommitCeiling/10 {
+		t.Errorf("sibling commits took %v: a child waited on the timer", d)
 	}
-	cs := s.CommitStats()
-	if cs.Commits != writers*rounds {
-		t.Fatalf("fleet saw %d commits, want %d", cs.Commits, writers*rounds)
-	}
-	if cs.MeanBatch() <= 1 {
-		t.Errorf("fleet mean batch %.2f, want > 1 (max %d)", cs.MeanBatch(), cs.MaxBatch)
-	}
-	// More than one child formed batches: the keyspace spreads over all
-	// four shards and each shard batches its own commits.
+	// More than one child formed a batch: the keyspace spreads over the
+	// shards and each shard batches its own commits, once.
 	batchingChildren := 0
 	for i := 0; i < s.NumShards(); i++ {
-		if st, ok := blob.CommitStatsOf(s.Shard(i)); ok && st.Commits > 0 {
-			batchingChildren++
+		st, ok := blob.CommitStatsOf(s.Shard(i))
+		if !ok || st.Commits == 0 {
+			continue
+		}
+		batchingChildren++
+		if st.Batches != 1 {
+			t.Errorf("shard %d closed %d batches for %d sibling commits, want 1", i, st.Batches, st.Commits)
 		}
 	}
 	if batchingChildren < 2 {
 		t.Errorf("only %d children processed commits", batchingChildren)
+	}
+	cs := s.CommitStats()
+	if cs.Commits != writers || cs.Batches != int64(batchingChildren) {
+		t.Fatalf("fleet stats %+v, want %d commits in %d batches", cs, writers, batchingChildren)
+	}
+	if cs.MeanBatch() <= 1 {
+		t.Errorf("fleet mean batch %.2f, want > 1 (max %d)", cs.MeanBatch(), cs.MaxBatch)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -443,5 +436,15 @@ func TestShardGroupCommitFansOutPerChild(t *testing.T) {
 	// The fleet stays usable after Close (commits turn synchronous).
 	if err := blob.Put(ctx, s, "after-close", 512*units.KB, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLoneCommitDoesNotWait: a lone writer through the fleet lands on
+// one child, is alone there, and never sleeps on that child's timer.
+func TestLoneCommitDoesNotWait(t *testing.T) {
+	s := mkSharded(t, 4, 64*units.MB, blob.WithGroupCommit(8, conformance.GroupCommitCeiling))
+	defer s.Close()
+	for _, key := range []string{"a", "b", "c", "d", "e"} {
+		conformance.LoneCommitDoesNotWait(t, s.CommitStats, conformance.PutKey(s, key))
 	}
 }
