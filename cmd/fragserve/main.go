@@ -32,11 +32,9 @@ import (
 	"time"
 
 	"repro/internal/blob"
-	"repro/internal/cache"
-	"repro/internal/core"
 	"repro/internal/disk"
 	"repro/internal/server"
-	"repro/internal/shard"
+	"repro/internal/stack"
 	"repro/internal/units"
 	"repro/internal/vclock"
 )
@@ -70,7 +68,11 @@ func main() {
 }
 
 func run(addr, backend string, shards int, capacity, mode string, groupcommit bool, cacheBytes string, cfg server.Config) error {
-	store, err := buildStore(backend, shards, capacity, mode, groupcommit, cacheBytes)
+	spec, err := stackSpec(backend, shards, capacity, mode, groupcommit, cacheBytes)
+	if err != nil {
+		return err
+	}
+	store, err := stack.Build(vclock.New(), spec)
 	if err != nil {
 		return err
 	}
@@ -86,7 +88,7 @@ func run(addr, backend string, shards int, capacity, mode string, groupcommit bo
 
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "fragserve: serving %s on %s\n", store.Name(), addr)
+	fmt.Fprintf(os.Stderr, "fragserve: serving %s on %s\n", spec, addr)
 
 	select {
 	case err := <-errc:
@@ -106,69 +108,30 @@ func run(addr, backend string, shards int, capacity, mode string, groupcommit bo
 	return nil
 }
 
-// buildStore assembles the served stack: core volumes (sharded when
-// asked), then an optional read cache on top.
-func buildStore(backend string, shards int, capacity, mode string, groupcommit bool, cacheBytes string) (blob.Store, error) {
-	capBytes, err := units.ParseBytes(capacity)
-	if err != nil {
-		return nil, fmt.Errorf("bad -capacity: %w", err)
+// stackSpec maps the flags onto the served stack's Spec.
+func stackSpec(backend string, shards int, capacity, mode string, groupcommit bool, cacheBytes string) (stack.Spec, error) {
+	spec := stack.Spec{Backends: []string{backend}}
+	var err error
+	if spec.Capacity, err = units.ParseBytes(capacity); err != nil {
+		return spec, fmt.Errorf("bad -capacity: %w", err)
 	}
-	var opts []blob.Option
-	opts = append(opts, blob.WithCapacity(capBytes))
+	if shards > 1 {
+		spec.Shards = shards
+	}
 	switch mode {
 	case "data":
-		opts = append(opts, blob.WithDiskMode(disk.DataMode))
+		spec.Mode = disk.DataMode
 	case "meta":
 	default:
-		return nil, fmt.Errorf("%w: bad -mode %q (want data or meta)", blob.ErrBadOption, mode)
+		return spec, fmt.Errorf("%w: bad -mode %q (want data or meta)", blob.ErrBadOption, mode)
 	}
 	if groupcommit {
-		opts = append(opts, blob.WithGroupCommit(8, 200*time.Microsecond))
+		spec.GroupCommitBatch, spec.GroupCommitDelay = 8, 200*time.Microsecond
 	}
-
-	mk := func(clock *vclock.Clock, opts ...blob.Option) (blob.Store, error) {
-		return core.NewFileStore(clock, opts...)
-	}
-	switch backend {
-	case "file":
-	case "db":
-		mk = func(clock *vclock.Clock, opts ...blob.Option) (blob.Store, error) {
-			return core.NewDBStore(clock, opts...)
-		}
-	default:
-		return nil, fmt.Errorf("%w: bad -backend %q (want file or db)", blob.ErrBadOption, backend)
-	}
-
-	clock := vclock.New()
-	var store blob.Store
-	if shards <= 1 {
-		store, err = mk(clock, opts...)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		children := make([]blob.Store, shards)
-		for i := range children {
-			children[i], err = mk(clock, opts...)
-			if err != nil {
-				return nil, err
-			}
-		}
-		store, err = shard.New(children...)
-		if err != nil {
-			return nil, err
-		}
-	}
-
 	if cacheBytes != "" {
-		n, err := units.ParseBytes(cacheBytes)
-		if err != nil {
-			return nil, fmt.Errorf("bad -cache: %w", err)
-		}
-		store, err = cache.New(store, cache.WithCapacity(n))
-		if err != nil {
-			return nil, err
+		if spec.CacheBytes, err = units.ParseBytes(cacheBytes); err != nil {
+			return spec, fmt.Errorf("bad -cache: %w", err)
 		}
 	}
-	return store, nil
+	return spec, nil
 }

@@ -34,8 +34,8 @@ import (
 
 	"repro/internal/blob"
 	"repro/internal/core"
-	"repro/internal/disk"
 	"repro/internal/frag"
+	"repro/internal/stack"
 	"repro/internal/units"
 	"repro/internal/vclock"
 )
@@ -66,26 +66,21 @@ func main() {
 		os.Exit(2)
 	}
 	s := &session{ctx: context.Background(), trackers: map[string]*core.AgeTracker{}, rngState: 0x9E3779B97F4A7C15}
-	storeOpts := []blob.Option{blob.WithCapacity(capBytes), blob.WithDiskMode(disk.MetadataMode)}
-	if *backend == "fs" || *backend == "both" {
-		st, err := core.NewFileStore(vclock.New(), storeOpts...)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fragstore: %v\n", err)
-			os.Exit(2)
-		}
-		s.repos = append(s.repos, st)
-	}
-	if *backend == "db" || *backend == "both" {
-		st, err := core.NewDBStore(vclock.New(), storeOpts...)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fragstore: %v\n", err)
-			os.Exit(2)
-		}
-		s.repos = append(s.repos, st)
-	}
-	if len(s.repos) == 0 {
+	backends, ok := map[string][]string{
+		"fs": {stack.File}, "db": {stack.DB}, "both": {stack.File, stack.DB},
+	}[*backend]
+	if !ok {
 		fmt.Fprintf(os.Stderr, "fragstore: unknown backend %q\n", *backend)
 		os.Exit(2)
+	}
+	// One single-volume stack per backend, each on a clock of its own.
+	for _, b := range backends {
+		st, err := stack.Build(vclock.New(), stack.Spec{Backends: []string{b}, Capacity: capBytes})
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "fragstore: %v\n", err)
+			os.Exit(2)
+		}
+		s.repos = append(s.repos, st)
 	}
 	for _, r := range s.repos {
 		s.trackers[r.Name()] = core.NewAgeTracker(r)

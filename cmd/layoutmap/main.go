@@ -20,6 +20,7 @@ import (
 	"repro/internal/disk"
 	"repro/internal/extent"
 	"repro/internal/frag"
+	"repro/internal/stack"
 	"repro/internal/units"
 	"repro/internal/vclock"
 	"repro/internal/workload"
@@ -43,28 +44,23 @@ func main() {
 		fail(err)
 	}
 
-	var repo blob.Store
-	var drive *disk.Drive
-	storeOpts := []blob.Option{
-		blob.WithCapacity(capBytes),
-		blob.WithDiskMode(disk.MetadataMode),
-		blob.WithWriteRequestSize(64 * units.KB),
-	}
-	switch *backend {
-	case "fs":
-		st, err := core.NewFileStore(vclock.New(), storeOpts...)
-		if err != nil {
-			fail(err)
-		}
-		repo, drive = st, st.Volume().Drive()
-	case "db":
-		st, err := core.NewDBStore(vclock.New(), storeOpts...)
-		if err != nil {
-			fail(err)
-		}
-		repo, drive = st, st.Engine().DataDrive()
-	default:
+	engine, ok := map[string]string{"fs": stack.File, "db": stack.DB}[*backend]
+	if !ok {
 		fail(fmt.Errorf("unknown backend %q", *backend))
+	}
+	repo, err := stack.Build(vclock.New(), stack.Spec{
+		Backends: []string{engine},
+		Capacity: capBytes,
+		Options:  []blob.Option{blob.WithWriteRequestSize(64 * units.KB)},
+	})
+	if err != nil {
+		fail(err)
+	}
+	var drive *disk.Drive
+	if st, ok := blob.As[*core.FileStore](repo); ok {
+		drive = st.Volume().Drive()
+	} else if st, ok := blob.As[*core.DBStore](repo); ok {
+		drive = st.Engine().DataDrive()
 	}
 
 	runner := workload.NewRunner(repo, workload.Constant{Size: objBytes}, 1)

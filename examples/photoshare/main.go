@@ -22,9 +22,8 @@ import (
 	"math/rand"
 
 	"repro/internal/blob"
-	"repro/internal/core"
-	"repro/internal/disk"
 	"repro/internal/frag"
+	"repro/internal/stack"
 	"repro/internal/units"
 	"repro/internal/vclock"
 )
@@ -57,18 +56,8 @@ func deleteAlbum(ctx context.Context, repo blob.Store, album int) {
 
 func main() {
 	ctx := context.Background()
-	for _, mk := range []func() (blob.Store, error){
-		func() (blob.Store, error) {
-			return core.NewFileStore(vclock.New(),
-				blob.WithCapacity(2*units.GB), blob.WithDiskMode(disk.MetadataMode),
-				blob.WithWriteRequestSize(64*units.KB))
-		},
-		func() (blob.Store, error) {
-			return core.NewDBStore(vclock.New(),
-				blob.WithCapacity(2*units.GB), blob.WithDiskMode(disk.MetadataMode))
-		},
-	} {
-		repo, err := mk()
+	for _, backend := range []string{stack.File, stack.DB} {
+		repo, err := stack.Build(vclock.New(), stack.Spec{Backends: []string{backend}, Capacity: 2 * units.GB})
 		if err != nil {
 			log.Fatal(err)
 		}

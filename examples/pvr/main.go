@@ -24,8 +24,8 @@ import (
 
 	"repro/internal/blob"
 	"repro/internal/core"
-	"repro/internal/disk"
 	"repro/internal/frag"
+	"repro/internal/stack"
 	"repro/internal/units"
 	"repro/internal/vclock"
 )
@@ -39,12 +39,11 @@ const (
 
 func main() {
 	ctx := context.Background()
-	store, err := core.NewFileStore(vclock.New(),
-		blob.WithCapacity(volumeSize),
-		blob.WithDiskMode(disk.MetadataMode),
-		blob.WithWriteRequestSize(64*units.KB),
-		blob.WithoutOwnerMap(),
-	)
+	store, err := stack.Build(vclock.New(), stack.Spec{
+		Backends: []string{stack.File},
+		Capacity: volumeSize,
+		Options:  []blob.Option{blob.WithoutOwnerMap()},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -117,7 +116,8 @@ func main() {
 	// A month in: defragment online and weigh the cost against the win.
 	before := frag.Analyze(store).MeanFragments()
 	t0 := store.Clock().Seconds()
-	repDefrag := store.Volume().Defragment(0)
+	fileStore, _ := blob.As[*core.FileStore](store)
+	repDefrag := fileStore.Volume().CompactPass(0)
 	defragCost := store.Clock().Seconds() - t0
 	after := frag.Analyze(store).MeanFragments()
 	fmt.Printf("\ndefragmenter: %d files moved, %s rewritten, %.1f -> %.1f fragments/show, %.1f virtual seconds spent\n",

@@ -15,9 +15,9 @@ import (
 	"log"
 
 	"repro/internal/blob"
-	"repro/internal/core"
 	"repro/internal/disk"
 	"repro/internal/frag"
+	"repro/internal/stack"
 	"repro/internal/units"
 	"repro/internal/vclock"
 )
@@ -27,24 +27,14 @@ func main() {
 
 	// A store is a simple get/put abstraction (§4). Build one over the
 	// NTFS-analog filesystem and one over the SQL-Server-analog database,
-	// each on its own simulated 1 GB drive, using functional options.
+	// each on its own simulated 1 GB drive, described by a stack.Spec.
 	// DataMode retains payloads so reads return real bytes.
-	fsStore, err := core.NewFileStore(vclock.New(),
-		blob.WithCapacity(1*units.GB),
-		blob.WithDiskMode(disk.DataMode),
-	)
-	if err != nil {
-		log.Fatal(err)
-	}
-	dbStore, err := core.NewDBStore(vclock.New(),
-		blob.WithCapacity(1*units.GB),
-		blob.WithDiskMode(disk.DataMode),
-	)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	for _, store := range []blob.Store{fsStore, dbStore} {
+	for _, backend := range []string{stack.File, stack.DB} {
+		store, err := stack.Build(vclock.New(),
+			stack.Spec{Backends: []string{backend}, Capacity: 1 * units.GB, Mode: disk.DataMode})
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("--- %s backend ---\n", store.Name())
 
 		// Create: stream a 256 KB object in. Appends flow to the

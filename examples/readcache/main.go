@@ -19,8 +19,8 @@ import (
 
 	"repro/internal/blob"
 	"repro/internal/cache"
-	"repro/internal/core"
 	"repro/internal/disk"
+	"repro/internal/stack"
 	"repro/internal/units"
 	"repro/internal/vclock"
 )
@@ -29,15 +29,16 @@ func main() {
 	ctx := context.Background()
 
 	// A 256 MB simulated volume with an 8 MB memory cache above it.
-	inner, err := core.NewFileStore(vclock.New(),
-		blob.WithCapacity(256*units.MB), blob.WithDiskMode(disk.DataMode))
+	built, err := stack.Build(vclock.New(), stack.Spec{
+		Backends:   []string{stack.File},
+		Capacity:   256 * units.MB,
+		Mode:       disk.DataMode,
+		CacheBytes: 8 * units.MB,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	store, err := cache.New(inner, cache.WithCapacity(8*units.MB))
-	if err != nil {
-		log.Fatal(err)
-	}
+	store, _ := blob.As[*cache.Store](built) // the cache layer, for its counters
 	fmt.Printf("built %s: %s store behind an %s cache\n\n",
 		store.Name(), units.FormatBytes(store.CapacityBytes()),
 		units.FormatBytes(store.Capacity()))

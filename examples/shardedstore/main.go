@@ -17,9 +17,9 @@ import (
 	"log"
 
 	"repro/internal/blob"
-	"repro/internal/core"
 	"repro/internal/disk"
 	"repro/internal/shard"
+	"repro/internal/stack"
 	"repro/internal/units"
 	"repro/internal/vclock"
 )
@@ -27,31 +27,20 @@ import (
 func main() {
 	ctx := context.Background()
 
-	// Four shards on one shared virtual clock: three filesystem volumes
-	// and one database engine, 64 MB each. Children must share the clock
-	// so aggregate timing stays coherent (shard.New enforces it).
-	clock := vclock.New()
-	opts := []blob.Option{
-		blob.WithCapacity(64 * units.MB),
-		blob.WithDiskMode(disk.DataMode),
-	}
-	children := make([]blob.Store, 0, 4)
-	for i := 0; i < 3; i++ {
-		c, err := core.NewFileStore(clock, opts...)
-		if err != nil {
-			log.Fatal(err)
-		}
-		children = append(children, c)
-	}
-	dbChild, err := core.NewDBStore(clock, opts...)
+	// Four shards on one shared virtual clock (stack.Build puts every
+	// volume on the clock it is given, so aggregate timing stays
+	// coherent): three filesystem volumes and one database engine, 64 MB
+	// each.
+	built, err := stack.Build(vclock.New(), stack.Spec{
+		Backends: []string{stack.File, stack.File, stack.File, stack.DB},
+		Shards:   4,
+		Capacity: 64 * units.MB,
+		Mode:     disk.DataMode,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	children = append(children, dbChild)
-	store, err := shard.New(children...)
-	if err != nil {
-		log.Fatal(err)
-	}
+	store, _ := blob.As[*shard.Store](built) // the shard layer, for routing and snapshots
 	fmt.Printf("built %s: %s total capacity across %d shards\n\n",
 		store.Name(), units.FormatBytes(store.CapacityBytes()), store.NumShards())
 

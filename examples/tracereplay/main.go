@@ -19,9 +19,8 @@ import (
 	"path/filepath"
 
 	"repro/internal/blob"
-	"repro/internal/core"
-	"repro/internal/disk"
 	"repro/internal/frag"
+	"repro/internal/stack"
 	"repro/internal/trace"
 	"repro/internal/units"
 	"repro/internal/vclock"
@@ -29,8 +28,7 @@ import (
 )
 
 func newStore() blob.Store {
-	s, err := core.NewFileStore(vclock.New(),
-		blob.WithCapacity(256*units.MB), blob.WithDiskMode(disk.MetadataMode))
+	s, err := stack.Build(vclock.New(), stack.Spec{Backends: []string{stack.File}, Capacity: 256 * units.MB})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -80,7 +78,7 @@ func main() {
 		log.Fatal(err)
 	}
 	solo := newStore()
-	res, err := trace.ReplaySources(ctx, solo, []*trace.Source{trace.NewSource(f)})
+	res, err := trace.Replay(ctx, solo, trace.NewSource(f))
 	f.Close()
 	if err != nil {
 		log.Fatal(err)
@@ -92,9 +90,8 @@ func main() {
 	// 4. Replay the SAME log as 8 concurrent writer streams: Partition
 	// routes each key's ops to one stream (per-key order survives), the
 	// Executor interleaves the streams' appends in allocation order.
-	parts := trace.Partition(ops, 8)
 	inter := newStore()
-	res, err = trace.ReplayStreams(ctx, inter, parts)
+	res, err = trace.Replay(ctx, inter, trace.OpsSources(trace.Partition(ops, 8)...)...)
 	if err != nil {
 		log.Fatal(err)
 	}

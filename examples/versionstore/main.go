@@ -21,9 +21,9 @@ import (
 	"math/rand"
 
 	"repro/internal/blob"
-	"repro/internal/core"
 	"repro/internal/disk"
 	"repro/internal/frag"
+	"repro/internal/stack"
 	"repro/internal/units"
 	"repro/internal/vclock"
 	"repro/internal/workload"
@@ -39,18 +39,8 @@ func main() {
 	type point struct{ age, mbps, frags float64 }
 	results := map[string][]point{}
 
-	for _, mk := range []func() (blob.Store, error){
-		func() (blob.Store, error) {
-			return core.NewDBStore(vclock.New(),
-				blob.WithCapacity(2*units.GB), blob.WithDiskMode(disk.MetadataMode))
-		},
-		func() (blob.Store, error) {
-			return core.NewFileStore(vclock.New(),
-				blob.WithCapacity(2*units.GB), blob.WithDiskMode(disk.MetadataMode),
-				blob.WithWriteRequestSize(64*units.KB))
-		},
-	} {
-		repo, err := mk()
+	for _, backend := range []string{stack.DB, stack.File} {
+		repo, err := stack.Build(vclock.New(), stack.Spec{Backends: []string{backend}, Capacity: 2 * units.GB})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -93,8 +83,8 @@ func main() {
 	// Demonstrate per-document version history retention as WebDAV would:
 	// keep the last 3 versions of one hot document by key suffix.
 	ctx := context.Background()
-	repo, err := core.NewFileStore(vclock.New(),
-		blob.WithCapacity(256*units.MB), blob.WithDiskMode(disk.DataMode))
+	repo, err := stack.Build(vclock.New(),
+		stack.Spec{Backends: []string{stack.File}, Capacity: 256 * units.MB, Mode: disk.DataMode})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,75 +1,36 @@
 package blob
 
 import (
-	"errors"
 	"testing"
 
 	"repro/internal/disk"
 )
 
 func TestOptionsCompose(t *testing.T) {
-	geo := disk.DefaultGeometry(1 << 30)
 	o := NewOptions(
 		WithCapacity(1<<30),
 		WithDiskMode(disk.DataMode),
-		WithGeometry(geo),
 		WithWriteRequestSize(1<<16),
 		WithSizeHint(),
 		WithDelayedAllocation(),
-		WithLogCapacity(2<<30),
-		WithMetaCapacity(1<<28),
 		WithoutOwnerMap(),
-		WithFullLogging(),
-		WithGhostHorizon(4),
-		WithLockStripes(128),
 	)
 	if o.Capacity != 1<<30 || o.DiskMode != disk.DataMode {
 		t.Fatalf("capacity/mode: %+v", o)
 	}
-	if o.Geometry == nil || o.Geometry.Clusters != geo.Clusters {
-		t.Fatalf("geometry: %+v", o.Geometry)
-	}
 	if o.WriteRequestSize != 1<<16 || !o.SizeHint || !o.DelayedAllocation {
 		t.Fatalf("write path opts: %+v", o)
 	}
-	if o.LogCapacity != 2<<30 || o.MetaCapacity != 1<<28 {
-		t.Fatalf("drive sizing: %+v", o)
-	}
-	if !o.NoOwnerMap || !o.FullLogging || o.GhostHorizon != 4 {
+	if !o.NoOwnerMap {
 		t.Fatalf("backend knobs: %+v", o)
-	}
-	if o.LockStripes != 128 {
-		t.Fatalf("lock stripes: %+v", o)
 	}
 	if zero := NewOptions(); zero != (Options{}) {
 		t.Fatalf("no options must yield the zero value: %+v", zero)
 	}
 }
 
-func TestNewKeyLocksValidation(t *testing.T) {
-	// 0 takes the default; powers of two are accepted as given.
-	for n, want := range map[int]int{0: DefaultKeyStripes, 1: 1, 2: 2, 64: 64, 1024: 1024} {
-		kl, err := NewKeyLocks(n)
-		if err != nil {
-			t.Fatalf("NewKeyLocks(%d): %v", n, err)
-		}
-		if kl.Stripes() != want {
-			t.Fatalf("NewKeyLocks(%d).Stripes() = %d, want %d", n, kl.Stripes(), want)
-		}
-	}
-	// Everything else is refused with the typed sentinel.
-	for _, n := range []int{-1, -64, 3, 6, 100} {
-		if _, err := NewKeyLocks(n); !errors.Is(err, ErrBadStripeCount) {
-			t.Fatalf("NewKeyLocks(%d) = %v, want ErrBadStripeCount", n, err)
-		}
-	}
-}
-
 func TestKeyLocksStableStripes(t *testing.T) {
-	kl, err := NewKeyLocks(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	kl := NewKeyLocks()
 	// The same key must always land on the same stripe.
 	for _, key := range []string{"", "a", "obj-00000001", "album-003/img-0001.jpg"} {
 		if kl.stripe(key) != kl.stripe(key) {
@@ -87,10 +48,7 @@ func TestKeyLocksStableStripes(t *testing.T) {
 }
 
 func TestKeyLocksExcludeSameKey(t *testing.T) {
-	kl, err := NewKeyLocks(16)
-	if err != nil {
-		t.Fatal(err)
-	}
+	kl := NewKeyLocks()
 	kl.Lock("k")
 	acquired := make(chan struct{})
 	go func() {

@@ -1,6 +1,7 @@
 package blob
 
 import (
+	"io"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -529,20 +530,22 @@ func (gc *GroupCommitter) flush(batch []*pendingCommit) {
 	}
 }
 
-// CommitStatsOf returns s's group-commit pipeline counters when the
-// store exposes them (both core backends and the sharded store do).
+// CommitStatsOf returns the group-commit pipeline counters of the first
+// layer of s's chain that keeps them (both core backends and the
+// sharded store do).
 func CommitStatsOf(s Store) (CommitStats, bool) {
-	if cs, ok := s.(interface{ CommitStats() CommitStats }); ok {
-		return cs.CommitStats(), true
+	cs, ok := As[interface{ CommitStats() CommitStats }](s)
+	if !ok {
+		return CommitStats{}, false
 	}
-	return CommitStats{}, false
+	return cs.CommitStats(), true
 }
 
-// CloseStore shuts down s's commit pipeline when the store has one.
-// Stores remain usable after Close (commits turn synchronous); closing
-// is about releasing the batcher goroutine.
+// CloseStore shuts down the commit pipeline of the first layer of s's
+// chain that has one. Stores remain usable after Close (commits turn
+// synchronous); closing is about releasing the batcher goroutine.
 func CloseStore(s Store) error {
-	if c, ok := s.(interface{ Close() error }); ok {
+	if c, ok := As[io.Closer](s); ok {
 		return c.Close()
 	}
 	return nil

@@ -737,11 +737,11 @@ func CommitTogether(t testing.TB, s blob.Store, keys []string, size int64) time.
 // blob.WithGroupCommit(8, GroupCommitCeiling) that holds no open
 // writer: put — one whole-object write through the stack, by whatever
 // path the caller wants covered — returns without touching the timer,
-// and the pipeline counters (stats: CommitStats of the stack, or of the
-// store beneath a network hop) grow by one commit in one batch.
-func LoneCommitDoesNotWait(t testing.TB, stats func() blob.CommitStats, put func() error) {
+// and the commit counters of pipeline (the stack itself, or the store
+// beneath a network hop) grow by one commit in one batch.
+func LoneCommitDoesNotWait(t testing.TB, pipeline blob.Store, put func() error) {
 	t.Helper()
-	before := stats()
+	before, _ := blob.CommitStatsOf(pipeline)
 	//fragvet:ignore vclockpurity the wait rule under test is real scheduling latency, so the bound is wall time
 	start := time.Now()
 	if err := put(); err != nil {
@@ -752,7 +752,7 @@ func LoneCommitDoesNotWait(t testing.TB, stats func() blob.CommitStats, put func
 		t.Errorf("lone commit took %v against a %v ceiling: it waited for siblings that do not exist",
 			d, GroupCommitCeiling)
 	}
-	after := stats()
+	after, _ := blob.CommitStatsOf(pipeline)
 	if after.Commits-before.Commits != 1 || after.Batches-before.Batches != 1 {
 		t.Errorf("lone commit: pipeline went %+v -> %+v, want one more commit in one more batch",
 			before, after)

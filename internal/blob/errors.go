@@ -52,14 +52,9 @@ var (
 	// Unavailable at the network boundary.
 	ErrUnavailable = errors.New("blob: store unavailable")
 
-	// ErrBadStripeCount reports a WithLockStripes value that is not a
-	// positive power of two (the stripe hash folds with a mask).
-	ErrBadStripeCount = errors.New("blob: key-lock stripe count must be a positive power of two")
-
 	// ErrBadOption reports an invalid or missing store option at
-	// construction: a missing WithCapacity, a negative group-commit
-	// batch or delay, or a bad stripe count (which wraps both this
-	// sentinel and ErrBadStripeCount). Store constructors return it
-	// instead of panicking.
+	// construction: a missing WithCapacity or a negative group-commit
+	// batch or delay. Store constructors return it instead of
+	// panicking.
 	ErrBadOption = errors.New("blob: invalid store option")
 )

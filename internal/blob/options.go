@@ -20,10 +20,6 @@ type Options struct {
 	// for integrity tests, metadata mode for large simulations).
 	DiskMode disk.Mode
 
-	// Geometry overrides the data drive geometry; nil takes
-	// disk.DefaultGeometry(Capacity).
-	Geometry *disk.Geometry
-
 	// WriteRequestSize is the append request size in bytes: a Writer's
 	// appends reach the backend allocator in chunks of this size, the
 	// granularity the paper's tests fixed at 64 KB (§5.3). 0 takes 64 KB;
@@ -39,33 +35,9 @@ type Options struct {
 	// commit, with the final size known (§3.4). Filesystem backend only.
 	DelayedAllocation bool
 
-	// LogCapacity sizes the database backend's dedicated log drive
-	// (default 2 GB): "SQL was given a dedicated log and data drive"
-	// (§4.1).
-	LogCapacity int64
-
-	// MetaCapacity sizes the filesystem backend's metadata database
-	// drive (default 1 GB).
-	MetaCapacity int64
-
 	// NoOwnerMap skips the per-cluster owner map on the data drive (for
 	// very large simulated volumes); the marker scanner is unavailable.
 	NoOwnerMap bool
-
-	// FullLogging makes the database backend write BLOB payload bytes
-	// through the transaction log (ordinary full recovery mode); the
-	// paper ran bulk-logged (§4).
-	FullLogging bool
-
-	// GhostHorizon is the database backend's deferred page-reclamation
-	// horizon in committed operations; 0 takes the engine default.
-	GhostHorizon int
-
-	// LockStripes is the per-key striped-lock shard count, validated by
-	// NewKeyLocks at store construction: 0 takes DefaultKeyStripes, any
-	// other value must be a positive power of two (ErrBadStripeCount
-	// otherwise). More stripes reduce false sharing between hot keys.
-	LockStripes int
 
 	// GroupCommitBatch is the largest number of commits the store's
 	// group-commit pipeline coalesces into one backend force. 0 or 1
@@ -122,11 +94,6 @@ func WithDiskMode(mode disk.Mode) Option {
 	return func(o *Options) { o.DiskMode = mode }
 }
 
-// WithGeometry overrides the data drive geometry.
-func WithGeometry(geo disk.Geometry) Option {
-	return func(o *Options) { o.Geometry = &geo }
-}
-
 // WithWriteRequestSize sets the append request size in bytes; negative
 // flushes each append whole.
 func WithWriteRequestSize(bytes int64) Option {
@@ -145,40 +112,9 @@ func WithDelayedAllocation() Option {
 	return func(o *Options) { o.DelayedAllocation = true }
 }
 
-// WithLogCapacity sizes the database backend's dedicated log drive.
-func WithLogCapacity(bytes int64) Option {
-	return func(o *Options) { o.LogCapacity = bytes }
-}
-
-// WithMetaCapacity sizes the filesystem backend's metadata database
-// drive.
-func WithMetaCapacity(bytes int64) Option {
-	return func(o *Options) { o.MetaCapacity = bytes }
-}
-
 // WithoutOwnerMap skips the per-cluster owner map on the data drive.
 func WithoutOwnerMap() Option {
 	return func(o *Options) { o.NoOwnerMap = true }
-}
-
-// WithFullLogging routes payload bytes through the database transaction
-// log (database backend).
-func WithFullLogging() Option {
-	return func(o *Options) { o.FullLogging = true }
-}
-
-// WithGhostHorizon sets the database backend's deferred page-reclamation
-// horizon.
-func WithGhostHorizon(ops int) Option {
-	return func(o *Options) { o.GhostHorizon = ops }
-}
-
-// WithLockStripes sets the per-key striped-lock shard count. The value
-// must be a positive power of two: NewKeyLocks reports anything else as
-// ErrBadStripeCount, which the store constructors wrap in ErrBadOption
-// and return.
-func WithLockStripes(n int) Option {
-	return func(o *Options) { o.LockStripes = n }
 }
 
 // WithGroupCommit enables the asynchronous group-commit pipeline:

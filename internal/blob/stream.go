@@ -23,9 +23,6 @@ func NewStreamState(key string, size int64) StreamState {
 	return StreamState{key: key, size: size}
 }
 
-// Written returns the bytes appended so far.
-func (s *StreamState) Written() int64 { return s.written }
-
 // WithData reports whether the stream carries payload bytes.
 func (s *StreamState) WithData() bool { return s.withData }
 

@@ -1,14 +1,12 @@
 package blob
 
 import (
-	"fmt"
 	"sync"
 	"unsafe"
 )
 
-// DefaultKeyStripes is the stripe count a KeyLocks gets when the
-// WithLockStripes option is absent. Power of two so the hash folds with
-// a mask.
+// DefaultKeyStripes is the stripe count of every KeyLocks. Power of two
+// so the hash folds with a mask.
 const DefaultKeyStripes = 64
 
 // KeyLocks is a striped per-key reader/writer lock: keys hash onto a
@@ -39,24 +37,13 @@ type paddedRWMutex struct {
 	_ [64 - unsafe.Sizeof(sync.RWMutex{})%64]byte
 }
 
-// NewKeyLocks builds a KeyLocks with the given stripe count. A count of
-// 0 takes DefaultKeyStripes; anything else must be a positive power of
-// two or the constructor fails with ErrBadStripeCount.
-func NewKeyLocks(stripes int) (*KeyLocks, error) {
-	if stripes == 0 {
-		stripes = DefaultKeyStripes
-	}
-	if stripes < 1 || stripes&(stripes-1) != 0 {
-		return nil, fmt.Errorf("%w: %d", ErrBadStripeCount, stripes)
-	}
+// NewKeyLocks builds a KeyLocks of DefaultKeyStripes stripes.
+func NewKeyLocks() *KeyLocks {
 	return &KeyLocks{
-		stripes: make([]paddedRWMutex, stripes),
-		mask:    uint64(stripes - 1),
-	}, nil
+		stripes: make([]paddedRWMutex, DefaultKeyStripes),
+		mask:    DefaultKeyStripes - 1,
+	}
 }
-
-// Stripes returns the stripe count.
-func (kl *KeyLocks) Stripes() int { return len(kl.stripes) }
 
 // stripe returns the lock shard for key (FNV-1a, folded to the stripe
 // count).

@@ -10,7 +10,7 @@
 // fragmentation only bites the cold tail. The cache makes that regime
 // measurable with hit-rate-aware virtual-time accounting — a hit
 // advances the store's virtual clock at memory speed (bytes over
-// Options.MemoryMBps) instead of paying per-fragment disk seeks, while
+// DefaultMemoryMBps) instead of paying per-fragment disk seeks, while
 // a miss reads through the wrapped store at full disk cost and fills
 // the cache.
 //
@@ -29,7 +29,6 @@ import (
 	"sync"
 
 	"repro/internal/blob"
-	"repro/internal/extent"
 	"repro/internal/units"
 	"repro/internal/vclock"
 )
@@ -38,21 +37,17 @@ import (
 type Options struct {
 	// CapacityBytes is the cache's resident-byte budget. Required, > 0.
 	CapacityBytes int64
-
-	// MemoryMBps is the simulated memory bandwidth a hit is charged at,
-	// in MB per virtual second. 0 takes DefaultMemoryMBps.
-	MemoryMBps float64
-
-	// MaxRanges caps how many discontiguous ranged reads one partial
-	// entry retains before further range fills are dropped. 0 takes 32.
-	MaxRanges int
 }
 
-// DefaultMemoryMBps is the default simulated memory bandwidth:
-// 12.5 GB/s, two orders of magnitude above the simulated drives'
-// streaming rate, so an all-hit phase runs at memory speed without
-// driving virtual elapsed time to exactly zero.
+// DefaultMemoryMBps is the simulated memory bandwidth a hit is charged
+// at, in MB per virtual second: 12.5 GB/s, two orders of magnitude
+// above the simulated drives' streaming rate, so an all-hit phase runs
+// at memory speed without driving virtual elapsed time to exactly zero.
 const DefaultMemoryMBps = 12800.0
+
+// maxRanges caps how many discontiguous ranged reads one partial entry
+// retains before further range fills are dropped.
+const maxRanges = 32
 
 // Option configures a Store at construction.
 type Option func(*Options)
@@ -60,17 +55,6 @@ type Option func(*Options)
 // WithCapacity sets the cache's resident-byte budget.
 func WithCapacity(bytes int64) Option {
 	return func(o *Options) { o.CapacityBytes = bytes }
-}
-
-// WithMemoryMBps sets the simulated memory bandwidth hits are charged
-// at.
-func WithMemoryMBps(mbps float64) Option {
-	return func(o *Options) { o.MemoryMBps = mbps }
-}
-
-// WithMaxRanges caps the discontiguous cached ranges per partial entry.
-func WithMaxRanges(n int) Option {
-	return func(o *Options) { o.MaxRanges = n }
 }
 
 // Stats counts cache activity. Snapshot via Store.CacheStats; zero the
@@ -142,7 +126,11 @@ type entry struct {
 // mutex guards the cache index, LRU list, versions, and stats, and is
 // never held across inner-store calls.
 type Store struct {
-	inner blob.Store
+	// Store is the wrapped store. It is embedded so the introspection
+	// methods the cache does not change (Stat, Keys, LiveBytes, ...)
+	// forward by promotion; capabilities it does not change are reached
+	// through Inner by blob.As.
+	blob.Store
 	clock *vclock.Clock
 	opts  Options
 
@@ -191,20 +179,8 @@ func New(inner blob.Store, options ...Option) (*Store, error) {
 	if opts.CapacityBytes <= 0 {
 		return nil, fmt.Errorf("%w: cache capacity %d must be positive", blob.ErrBadOption, opts.CapacityBytes)
 	}
-	if opts.MemoryMBps == 0 {
-		opts.MemoryMBps = DefaultMemoryMBps
-	}
-	if opts.MemoryMBps <= 0 {
-		return nil, fmt.Errorf("%w: memory bandwidth %.1f MB/s must be positive", blob.ErrBadOption, opts.MemoryMBps)
-	}
-	if opts.MaxRanges == 0 {
-		opts.MaxRanges = 32
-	}
-	if opts.MaxRanges < 0 {
-		return nil, fmt.Errorf("%w: max ranges %d must be positive", blob.ErrBadOption, opts.MaxRanges)
-	}
 	return &Store{
-		inner:    inner,
+		Store:    inner,
 		clock:    inner.Clock(),
 		opts:     opts,
 		entries:  make(map[string]*entry),
@@ -213,14 +189,13 @@ func New(inner blob.Store, options ...Option) (*Store, error) {
 	}, nil
 }
 
-// Inner returns the wrapped store, for analysis tools.
-func (s *Store) Inner() blob.Store { return s.inner }
+// Inner returns the wrapped store, for analysis tools and blob.As.
+func (s *Store) Inner() blob.Store { return s.Store }
 
 // Capacity returns the cache's resident-byte budget.
 func (s *Store) Capacity() int64 { return s.opts.CapacityBytes }
 
-// CacheStats returns a snapshot of the cache counters. StatsOf
-// retrieves it through the blob.Store interface.
+// CacheStats returns a snapshot of the cache counters.
 func (s *Store) CacheStats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -239,15 +214,6 @@ func (s *Store) ResetStats() {
 	s.mu.Unlock()
 }
 
-// StatsOf returns s's cache counters when the store is (or wraps) a
-// cache, mirroring blob.CommitStatsOf.
-func StatsOf(s blob.Store) (Stats, bool) {
-	if cs, ok := s.(interface{ CacheStats() Stats }); ok {
-		return cs.CacheStats(), true
-	}
-	return Stats{}, false
-}
-
 // chargeMemory advances the virtual clock for n bytes served from
 // memory — the hit-rate-aware accounting: memory bandwidth instead of
 // per-fragment disk requests.
@@ -255,7 +221,7 @@ func (s *Store) chargeMemory(n int64) {
 	if n <= 0 {
 		return
 	}
-	s.clock.AdvanceSeconds(float64(n) / (s.opts.MemoryMBps * float64(units.MB)))
+	s.clock.AdvanceSeconds(float64(n) / (DefaultMemoryMBps * float64(units.MB)))
 }
 
 // --- LRU maintenance (callers hold s.mu) ---
@@ -419,7 +385,7 @@ func (s *Store) fillRange(key string, v uint64, size, off, length int64, data []
 			keep = append(keep, r)
 		}
 	}
-	if len(keep) >= s.opts.MaxRanges {
+	if len(keep) >= maxRanges {
 		e.ranges = append(keep, absorbed...) // full: restore, skip the fill
 		return
 	}
@@ -465,10 +431,7 @@ func checkRange(key string, size, off, length int64) error {
 
 // Name implements blob.Store, e.g. "cache(filesystem)" or
 // "cache(sharded-4(database+filesystem))".
-func (s *Store) Name() string { return "cache(" + s.inner.Name() + ")" }
-
-// Clock implements blob.Store.
-func (s *Store) Clock() *vclock.Clock { return s.clock }
+func (s *Store) Name() string { return "cache(" + s.Store.Name() + ")" }
 
 // Open implements blob.Store. A fully resident object opens a pure
 // memory handle — no store access at all; anything else opens the
@@ -489,7 +452,7 @@ func (s *Store) Open(ctx context.Context, key string) (blob.Reader, error) {
 	}
 	v := s.versions[key]
 	s.mu.Unlock()
-	inner, err := s.inner.Open(ctx, key)
+	inner, err := s.Store.Open(ctx, key)
 	if err != nil {
 		return nil, err
 	}
@@ -752,7 +715,7 @@ func (w *cacheWriter) Commit() error {
 
 // Create implements blob.Store.
 func (s *Store) Create(ctx context.Context, key string, size int64) (blob.Writer, error) {
-	w, err := s.inner.Create(ctx, key, size)
+	w, err := s.Store.Create(ctx, key, size)
 	if err != nil {
 		return nil, err
 	}
@@ -761,7 +724,7 @@ func (s *Store) Create(ctx context.Context, key string, size int64) (blob.Writer
 
 // Replace implements blob.Store.
 func (s *Store) Replace(ctx context.Context, key string, size int64) (blob.Writer, error) {
-	w, err := s.inner.Replace(ctx, key, size)
+	w, err := s.Store.Replace(ctx, key, size)
 	if err != nil {
 		return nil, err
 	}
@@ -771,54 +734,11 @@ func (s *Store) Replace(ctx context.Context, key string, size int64) (blob.Write
 // Delete implements blob.Store, dropping the cached entry once the
 // inner store confirms the delete.
 func (s *Store) Delete(ctx context.Context, key string) error {
-	if err := s.inner.Delete(ctx, key); err != nil {
+	if err := s.Store.Delete(ctx, key); err != nil {
 		return err
 	}
 	s.invalidate(key)
 	return nil
 }
-
-// Stat implements blob.Store. Metadata stays authoritative in the
-// wrapped store: the cache holds payload residency, not the name map.
-func (s *Store) Stat(ctx context.Context, key string) (blob.Info, error) {
-	return s.inner.Stat(ctx, key)
-}
-
-// Keys implements blob.Store.
-func (s *Store) Keys() []string { return s.inner.Keys() }
-
-// ObjectCount implements blob.Store.
-func (s *Store) ObjectCount() int { return s.inner.ObjectCount() }
-
-// LiveBytes implements blob.Store.
-func (s *Store) LiveBytes() int64 { return s.inner.LiveBytes() }
-
-// FreeBytes implements blob.Store.
-func (s *Store) FreeBytes() int64 { return s.inner.FreeBytes() }
-
-// CapacityBytes implements blob.Store: the wrapped store's data
-// capacity (the cache's own budget is Capacity).
-func (s *Store) CapacityBytes() int64 { return s.inner.CapacityBytes() }
-
-// EachObjectRuns implements frag.Source via the wrapped store.
-func (s *Store) EachObjectRuns(fn func(key string, bytes int64, runs []extent.Run)) {
-	s.inner.EachObjectRuns(fn)
-}
-
-// EachObjectTag implements frag.TagSource via the wrapped store.
-func (s *Store) EachObjectTag(fn func(key string, tag uint32)) {
-	s.inner.EachObjectTag(fn)
-}
-
-// CommitStats passes the wrapped store's group-commit counters through,
-// so blob.CommitStatsOf works on a cached store.
-func (s *Store) CommitStats() blob.CommitStats {
-	cs, _ := blob.CommitStatsOf(s.inner)
-	return cs
-}
-
-// Close shuts the wrapped store's commit pipeline down via
-// blob.CloseStore; the cache itself holds no goroutines.
-func (s *Store) Close() error { return blob.CloseStore(s.inner) }
 
 var _ blob.Store = (*Store)(nil)

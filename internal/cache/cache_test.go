@@ -44,9 +44,6 @@ func TestNewValidatesOptions(t *testing.T) {
 	if _, err := cache.New(inner, cache.WithCapacity(-1)); !errors.Is(err, blob.ErrBadOption) {
 		t.Fatalf("negative capacity = %v, want ErrBadOption", err)
 	}
-	if _, err := cache.New(inner, cache.WithCapacity(units.MB), cache.WithMemoryMBps(-5)); !errors.Is(err, blob.ErrBadOption) {
-		t.Fatalf("negative bandwidth = %v, want ErrBadOption", err)
-	}
 }
 
 // TestHitServedAtMemorySpeed pins the hit-rate-aware virtual-time
@@ -245,18 +242,11 @@ func TestResetStatsKeepsResidency(t *testing.T) {
 // 4-shard mixed fleet, every one wrapped in a cache.
 func mkStores(t *testing.T) map[string]*cache.Store {
 	t.Helper()
-	opts := []blob.Option{blob.WithCapacity(256 * units.MB), blob.WithDiskMode(disk.DataMode)}
 	out := make(map[string]*cache.Store)
-	for name, inner := range map[string]blob.Store{
-		"filesystem":   fileInner(opts...),
-		"database":     dbInner(opts...),
-		"shard4-mixed": mixedShardInner(opts...),
-	} {
-		c, err := cache.New(inner, cache.WithCapacity(32*units.MB))
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[name] = c
+	for name, spec := range inners {
+		spec.Mode, spec.CacheBytes = disk.DataMode, 32*units.MB
+		s := build(t, spec)(blob.WithCapacity(256 * units.MB))
+		out[name], _ = blob.As[*cache.Store](s)
 	}
 	return out
 }
@@ -377,21 +367,6 @@ func TestInvalidationAfterEviction(t *testing.T) {
 	}
 	if _, err := pinned.ReadAll(); !errors.Is(err, blob.ErrNotFound) {
 		t.Fatalf("read after replace = %v, want ErrNotFound", err)
-	}
-}
-
-// TestStatsOf pins the snapshot helper used by harness reports.
-func TestStatsOf(t *testing.T) {
-	c := newCachedFS(t, units.MB)
-	if _, ok := cache.StatsOf(c); !ok {
-		t.Fatal("StatsOf failed on a cache.Store")
-	}
-	inner, err := core.NewFileStore(vclock.New(), blob.WithCapacity(64*units.MB))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := cache.StatsOf(inner); ok {
-		t.Fatal("StatsOf succeeded on a bare store")
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+
+	"repro/internal/blob"
 )
 
 // This file makes the cache layer observe compactor rewrites. A
@@ -16,20 +18,12 @@ import (
 // bump and entry drop happen atomically with the relocation becoming
 // visible, and concurrent fills are suppressed for the duration.
 
-type rewriter interface {
-	CompactObject(ctx context.Context, key string) (int64, error)
-}
-
-type packer interface {
-	PackObjects(ctx context.Context, keys []string) ([]string, error)
-}
-
 // CompactObject forwards a compactor rewrite to the wrapped store,
 // bumping key's version when the object actually moved.
 func (s *Store) CompactObject(ctx context.Context, key string) (int64, error) {
-	rw, ok := s.inner.(rewriter)
+	rw, ok := blob.As[blob.Rewriter](s.Store)
 	if !ok {
-		return 0, fmt.Errorf("%w: %s cannot compact objects", errors.ErrUnsupported, s.inner.Name())
+		return 0, fmt.Errorf("%w: %s cannot compact objects", errors.ErrUnsupported, s.Store.Name())
 	}
 	s.beginWrite(key)
 	n, err := rw.CompactObject(ctx, key)
@@ -40,9 +34,9 @@ func (s *Store) CompactObject(ctx context.Context, key string) (int64, error) {
 // PackObjects forwards a pack attempt to the wrapped store, bumping the
 // version of every key that was actually packed (relocated).
 func (s *Store) PackObjects(ctx context.Context, keys []string) ([]string, error) {
-	pk, ok := s.inner.(packer)
+	pk, ok := blob.As[blob.Packer](s.Store)
 	if !ok {
-		return nil, fmt.Errorf("%w: %s cannot pack objects", errors.ErrUnsupported, s.inner.Name())
+		return nil, fmt.Errorf("%w: %s cannot pack objects", errors.ErrUnsupported, s.Store.Name())
 	}
 	for _, k := range keys {
 		s.beginWrite(k)

@@ -7,64 +7,35 @@ import (
 
 	"repro/internal/blob"
 	"repro/internal/blob/conformance"
-	"repro/internal/cache"
-	"repro/internal/core"
-	"repro/internal/shard"
+	"repro/internal/stack"
 	"repro/internal/units"
 	"repro/internal/vclock"
 )
 
-// wrap adapts an inner-store factory into a cache-wrapped conformance
-// factory. The cache budget is deliberately smaller than the suite's
-// working sets, so the contract holds through fills AND evictions.
-func wrap(t *testing.T, mkInner func(opts ...blob.Option) blob.Store) conformance.Factory {
+// build adapts a stack.Spec into a conformance factory; the suite's
+// per-test options (capacity, disk mode) ride in Spec.Options.
+func build(t *testing.T, spec stack.Spec) conformance.Factory {
 	return func(opts ...blob.Option) blob.Store {
-		c, err := cache.New(mkInner(opts...), cache.WithCapacity(8*units.MB))
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = blob.CloseStore(c) })
-		return c
-	}
-}
-
-func fileInner(opts ...blob.Option) blob.Store {
-	s, err := core.NewFileStore(vclock.New(), opts...)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
-func dbInner(opts ...blob.Option) blob.Store {
-	s, err := core.NewDBStore(vclock.New(), opts...)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
-// mixedShardInner builds a 4-shard mixed fleet (2 filesystem + 2
-// database children on one clock).
-func mixedShardInner(opts ...blob.Option) blob.Store {
-	clock := vclock.New()
-	children := make([]blob.Store, 4)
-	for i := range children {
-		var err error
-		if i%2 == 0 {
-			children[i], err = core.NewFileStore(clock, opts...)
-		} else {
-			children[i], err = core.NewDBStore(clock, opts...)
-		}
+		spec := spec
+		spec.Options = opts
+		s, err := stack.Build(vclock.New(), spec)
 		if err != nil {
 			panic(err)
 		}
+		t.Cleanup(func() { _ = blob.CloseStore(s) })
+		return s
 	}
-	s, err := shard.New(children...)
-	if err != nil {
-		panic(err)
-	}
-	return s
+}
+
+// inners are the stacks the cache is pinned over: both single-volume
+// backends and a 4-shard mixed fleet (2 filesystem + 2 database
+// children on one clock). The cache budget is deliberately smaller than
+// the suite's working sets, so the contract holds through fills AND
+// evictions.
+var inners = map[string]stack.Spec{
+	"Filesystem":    {Backends: []string{stack.File}, CacheBytes: 8 * units.MB},
+	"Database":      {Backends: []string{stack.DB}, CacheBytes: 8 * units.MB},
+	"Sharded4Mixed": {Backends: []string{stack.File, stack.DB, stack.File, stack.DB}, Shards: 4, CacheBytes: 8 * units.MB},
 }
 
 // TestCacheConformance pins the cached store to the exact cross-backend
@@ -73,23 +44,13 @@ func mixedShardInner(opts ...blob.Option) blob.Store {
 // add no dialect — version pinning, typed errors, safe-write semantics,
 // and concurrency behaviour all hold with hits served from memory.
 func TestCacheConformance(t *testing.T) {
-	inners := []struct {
-		name string
-		mk   func(opts ...blob.Option) blob.Store
-	}{
-		{"Filesystem", fileInner},
-		{"Database", dbInner},
-		{"Sharded4Mixed", mixedShardInner},
-	}
-	for _, in := range inners {
-		t.Run(in.name, func(t *testing.T) {
-			conformance.Run(t, wrap(t, in.mk))
+	for name, spec := range inners {
+		t.Run(name, func(t *testing.T) {
+			conformance.Run(t, build(t, spec))
 		})
-		t.Run(in.name+"/GroupCommit", func(t *testing.T) {
-			mk := in.mk
-			conformance.Run(t, wrap(t, func(opts ...blob.Option) blob.Store {
-				return mk(append(opts, blob.WithGroupCommit(8, 200*time.Microsecond))...)
-			}))
+		t.Run(name+"/GroupCommit", func(t *testing.T) {
+			spec.GroupCommitBatch, spec.GroupCommitDelay = 8, 200*time.Microsecond
+			conformance.Run(t, build(t, spec))
 		})
 	}
 }
@@ -101,13 +62,7 @@ func TestCacheConformance(t *testing.T) {
 func TestCacheCapacitySweepConformance(t *testing.T) {
 	for _, capBytes := range []int64{64 * units.KB, 2 * units.MB, units.GB} {
 		t.Run(fmt.Sprintf("cap=%s", units.FormatBytes(capBytes)), func(t *testing.T) {
-			conformance.Run(t, func(opts ...blob.Option) blob.Store {
-				c, err := cache.New(fileInner(opts...), cache.WithCapacity(capBytes))
-				if err != nil {
-					t.Fatal(err)
-				}
-				return c
-			})
+			conformance.Run(t, build(t, stack.Spec{Backends: []string{stack.File}, CacheBytes: capBytes}))
 		})
 	}
 }
@@ -116,14 +71,12 @@ func TestCacheCapacitySweepConformance(t *testing.T) {
 // writer through it is still alone on the store beneath and flushes at
 // once — single volume and 4-shard fleet alike.
 func TestLoneCommitDoesNotWait(t *testing.T) {
-	for name, mk := range map[string]func(opts ...blob.Option) blob.Store{
-		"Filesystem": fileInner, "Database": dbInner, "Sharded4Mixed": mixedShardInner,
-	} {
+	for name, spec := range inners {
 		t.Run(name, func(t *testing.T) {
-			c := wrap(t, mk)(blob.WithCapacity(64*units.MB),
-				blob.WithGroupCommit(8, conformance.GroupCommitCeiling)).(*cache.Store)
+			spec.GroupCommitBatch, spec.GroupCommitDelay = 8, conformance.GroupCommitCeiling
+			c := build(t, spec)(blob.WithCapacity(64 * units.MB))
 			for _, key := range []string{"a", "b", "c"} {
-				conformance.LoneCommitDoesNotWait(t, c.CommitStats, conformance.PutKey(c, key))
+				conformance.LoneCommitDoesNotWait(t, c, conformance.PutKey(c, key))
 			}
 		})
 	}

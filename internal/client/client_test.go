@@ -279,13 +279,13 @@ func TestLoneCommitDoesNotWait(t *testing.T) {
 		if stack, err = cache.New(mixedShardInner(opts...), cache.WithCapacity(8*units.MB)); err != nil {
 			panic(err)
 		}
-		t.Cleanup(func() { _ = stack.Close() })
+		t.Cleanup(func() { _ = blob.CloseStore(stack) })
 		return stack
 	})(blob.WithCapacity(64*units.MB), blob.WithGroupCommit(8, conformance.GroupCommitCeiling)).(*client.Store)
 	for _, key := range []string{"a", "b", "c"} {
-		conformance.LoneCommitDoesNotWait(t, stack.CommitStats, func() error {
+		conformance.LoneCommitDoesNotWait(t, stack, func() error {
 			return c.Upload(ctx, key, 64*units.KB, nil, false)
 		})
-		conformance.LoneCommitDoesNotWait(t, stack.CommitStats, conformance.PutKey(c, key+"-session"))
+		conformance.LoneCommitDoesNotWait(t, stack, conformance.PutKey(c, key+"-session"))
 	}
 }

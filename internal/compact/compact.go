@@ -11,7 +11,7 @@
 // improve.
 //
 // The compactor needs no engine-specific hooks: it drives the
-// structural Rewriter and Packer capabilities, which core.FileStore,
+// blob.Rewriter and blob.Packer capabilities, which core.FileStore,
 // core.DBStore, shard.Store, and cache.Store all implement. Every
 // rewrite publishes a fresh object version, so readers pinned to the
 // old layout fail with a typed error rather than observing a torn
@@ -33,20 +33,6 @@ import (
 	"repro/internal/units"
 	"repro/internal/vclock"
 )
-
-// Rewriter is the single-object rewrite capability a store exposes to
-// the compactor. The rewrite must publish a fresh version (readers
-// pinned to the old layout fail typed) and return the bytes moved —
-// 0 when the object was already contiguous or could not be placed.
-type Rewriter interface {
-	CompactObject(ctx context.Context, key string) (int64, error)
-}
-
-// Packer is the small-object coalescing capability: pack the given keys
-// into one shared extent, returning the keys actually packed.
-type Packer interface {
-	PackObjects(ctx context.Context, keys []string) ([]string, error)
-}
 
 // ErrUnsupported reports a store without the rewrite capability.
 var ErrUnsupported = errors.New("compact: store does not support object rewrite")
@@ -148,8 +134,8 @@ func (s Stats) String() string {
 // harness code path as an enabled one. Compactor implements
 // workload.Background structurally.
 type Compactor struct {
-	exec  Rewriter
-	pack  Packer      // nil when the store cannot pack
+	exec  blob.Rewriter
+	pack  blob.Packer // nil when the store cannot pack
 	scan  frag.Source // candidate-selection scope (a shard child in a Fleet)
 	clock *vclock.Clock
 	cfg   Config
@@ -179,7 +165,7 @@ func New(store blob.Store, cfg Config) (*Compactor, error) {
 // per-child scans stay cheap while rewrites flow through the top of the
 // store chain (cache invalidation, shard routing).
 func newScoped(store blob.Store, scan frag.Source, cfg Config) (*Compactor, error) {
-	rw, ok := store.(Rewriter)
+	rw, ok := blob.As[blob.Rewriter](store)
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnsupported, store.Name())
 	}
@@ -194,9 +180,7 @@ func newScoped(store blob.Store, scan frag.Source, cfg Config) (*Compactor, erro
 		ctx:       context.Background(),
 		packTried: make(map[string]bool),
 	}
-	if pk, ok := store.(Packer); ok {
-		c.pack = pk
-	}
+	c.pack, _ = blob.As[blob.Packer](store)
 	return c, nil
 }
 

@@ -17,30 +17,17 @@ type Fleet struct {
 	comps []*Compactor
 }
 
-// innerer is the structural cache-unwrapping capability (cache.Store).
-type innerer interface {
-	Inner() blob.Store
-}
-
 // sharded is the structural shard-enumeration capability (shard.Store).
 type sharded interface {
 	NumShards() int
 	Shard(int) blob.Store
 }
 
-// NewFleet builds per-shard compactors for store. Cache layers are
-// unwrapped to find the shard fan-out (scans go straight to the
+// NewFleet builds per-shard compactors for store. Wrapper layers are
+// seen through to find the shard fan-out (scans go straight to the
 // children), but every rewrite still executes through store itself.
 func NewFleet(store blob.Store, cfg Config) (*Fleet, error) {
-	base := store
-	for {
-		if in, ok := base.(innerer); ok {
-			base = in.Inner()
-			continue
-		}
-		break
-	}
-	if sh, ok := base.(sharded); ok {
+	if sh, ok := blob.As[sharded](store); ok {
 		comps := make([]*Compactor, 0, sh.NumShards())
 		for i := 0; i < sh.NumShards(); i++ {
 			c, err := newScoped(store, sh.Shard(i), cfg)

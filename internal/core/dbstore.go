@@ -53,32 +53,17 @@ func NewDBStore(clock *vclock.Clock, options ...blob.Option) (*DBStore, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, fmt.Errorf("core: NewDBStore: %w", err)
 	}
-	if opts.LogCapacity == 0 {
-		opts.LogCapacity = 2 * units.GB
-	}
-	locks, err := blob.NewKeyLocks(opts.LockStripes)
-	if err != nil {
-		return nil, fmt.Errorf("core: NewDBStore: %w: %w", blob.ErrBadOption, err)
-	}
-	geo := disk.DefaultGeometry(opts.Capacity)
-	if opts.Geometry != nil {
-		geo = *opts.Geometry
-	}
 	var diskOpts []disk.Option
 	if opts.NoOwnerMap {
 		diskOpts = append(diskOpts, disk.WithoutOwnerMap())
 	}
-	dataDrive := disk.New(geo, clock, opts.DiskMode, diskOpts...)
-	logDrive := disk.New(disk.DefaultGeometry(opts.LogCapacity), clock, disk.MetadataMode)
-	cfg := db.Config{
-		WriteRequestSize: opts.WriteRequestSize,
-		FullLogging:      opts.FullLogging,
-		GhostHorizon:     opts.GhostHorizon,
-	}
+	dataDrive := disk.New(disk.DefaultGeometry(opts.Capacity), clock, opts.DiskMode, diskOpts...)
+	// "SQL was given a dedicated log and data drive" (§4.1).
+	logDrive := disk.New(disk.DefaultGeometry(2*units.GB), clock, disk.MetadataMode)
 	s := &DBStore{
-		eng:      db.Open(dataDrive, logDrive, cfg),
+		eng:      db.Open(dataDrive, logDrive, db.Config{WriteRequestSize: opts.WriteRequestSize}),
 		clock:    clock,
-		locks:    locks,
+		locks:    blob.NewKeyLocks(),
 		tags:     make(map[string]uint32),
 		inflight: make(map[string]bool),
 	}

@@ -60,26 +60,15 @@ func NewFileStore(clock *vclock.Clock, options ...blob.Option) (*FileStore, erro
 	if opts.WriteRequestSize == 0 {
 		opts.WriteRequestSize = 64 * units.KB
 	}
-	if opts.MetaCapacity == 0 {
-		opts.MetaCapacity = 1 * units.GB
-	}
-	locks, err := blob.NewKeyLocks(opts.LockStripes)
-	if err != nil {
-		return nil, fmt.Errorf("core: NewFileStore: %w: %w", blob.ErrBadOption, err)
-	}
-	geo := disk.DefaultGeometry(opts.Capacity)
-	if opts.Geometry != nil {
-		geo = *opts.Geometry
-	}
 	var diskOpts []disk.Option
 	if opts.NoOwnerMap {
 		diskOpts = append(diskOpts, disk.WithoutOwnerMap())
 	}
-	dataDrive := disk.New(geo, clock, opts.DiskMode, diskOpts...)
+	dataDrive := disk.New(disk.DefaultGeometry(opts.Capacity), clock, opts.DiskMode, diskOpts...)
 	vol := fs.Format(dataDrive, fs.Config{DelayedAllocation: opts.DelayedAllocation})
 	// Metadata database on its own drive pair, as the paper's deployment
 	// gave SQL Server dedicated drives (§4.1).
-	metaData := disk.New(disk.DefaultGeometry(opts.MetaCapacity), clock, disk.MetadataMode)
+	metaData := disk.New(disk.DefaultGeometry(1*units.GB), clock, disk.MetadataMode)
 	metaLog := disk.New(disk.DefaultGeometry(256*units.MB), clock, disk.MetadataMode)
 	metaDB := db.Open(metaData, metaLog, db.Config{})
 	s := &FileStore{
@@ -88,7 +77,7 @@ func NewFileStore(clock *vclock.Clock, options ...blob.Option) (*FileStore, erro
 		metaDB:   metaDB,
 		clock:    clock,
 		opts:     opts,
-		locks:    locks,
+		locks:    blob.NewKeyLocks(),
 		inflight: make(map[string]bool),
 		crashes:  make(map[string]bool),
 	}

@@ -86,6 +86,6 @@ func BenchmarkDefragment(b *testing.B) {
 		}
 		v.ShatterFiles(16)
 		b.StartTimer()
-		v.Defragment(0)
+		v.CompactPass(0)
 	}
 }

@@ -25,16 +25,6 @@ type DefragReport struct {
 	BytesMoved      int64
 }
 
-// Defragment performs a partial offline defragmentation pass.
-//
-// Deprecated: Defragment is the retired stop-the-world entry point. It
-// is now a thin wrapper over CompactPass, the same rewrite machinery
-// the online compactor (internal/compact) drives incrementally during
-// live traffic; new code should run a Compactor instead.
-func (v *Volume) Defragment(budgetBytes int64) DefragReport {
-	return v.CompactPass(budgetBytes)
-}
-
 // CompactPass rewrites the worst-fragmented files into contiguous
 // space, most-fragmented first, until budgetBytes of data has been
 // moved (budgetBytes <= 0 means no limit). Files that cannot be placed
@@ -152,8 +142,16 @@ func (v *Volume) ShatterFiles(stripeClusters int64) float64 {
 		stripeClusters = 16
 	}
 	v.FlushLog()
+	// Sorted-name order: each file's stripes land where the files before
+	// it left room, so map order would make the layout differ run to run.
+	names := make([]string, 0, len(v.files))
+	for name := range v.files {
+		names = append(names, name)
+	}
+	sort.Strings(names)
 	var spacers []sfRun
-	for _, f := range v.files {
+	for _, name := range names {
+		f := v.files[name]
 		need := f.allocated
 		if need == 0 {
 			continue

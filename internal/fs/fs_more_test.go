@@ -159,7 +159,7 @@ func TestDefragmentBudget(t *testing.T) {
 		f.Close()
 	}
 	v.ShatterFiles(16)
-	rep := v.Defragment(2 * units.MB) // budget covers ~2 files
+	rep := v.CompactPass(2 * units.MB) // budget covers ~2 files
 	if rep.FilesMoved > 3 {
 		t.Fatalf("budget ignored: moved %d files", rep.FilesMoved)
 	}

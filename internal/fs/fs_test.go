@@ -372,7 +372,7 @@ func TestDefragment(t *testing.T) {
 		v.Delete(names[i])
 	}
 	v.FlushLog()
-	rep := v.Defragment(0)
+	rep := v.CompactPass(0)
 	if rep.FilesMoved == 0 {
 		t.Fatal("defragmenter moved nothing")
 	}

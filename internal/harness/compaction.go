@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/blob"
 	"repro/internal/compact"
-	"repro/internal/core"
 	"repro/internal/stats"
 	"repro/internal/units"
 	"repro/internal/vclock"
@@ -58,11 +57,8 @@ func CompactionSweep(c Config) ([]*stats.Table, error) {
 		"Duty cycle", "MB/sec")
 
 	var latTables []*stats.Table
-	for _, kind := range []string{"database", "filesystem"} {
-		name := "Database"
-		if kind == "filesystem" {
-			name = "Filesystem"
-		}
+	for _, st := range systems {
+		kind, name := st.kind, st.name
 		fragSeries := frags.AddSeries(name)
 		tputSeries := tput.AddSeries(name)
 
@@ -71,22 +67,14 @@ func CompactionSweep(c Config) ([]*stats.Table, error) {
 			// difference between duty points is the compactor.
 			clock := vclock.New()
 			p := c.newProbe(fmt.Sprintf("compact %s duty=%g", kind, duty), clock, "")
-			var store blob.Store
-			var err error
-			switch kind {
-			case "database":
-				store, err = core.NewDBStore(clock, c.storeOptions(64*units.KB)...)
-			case "filesystem":
-				store, err = core.NewFileStore(clock, c.storeOptions(64*units.KB)...)
-			}
-			if err != nil {
-				return nil, err
-			}
 			// The obs layer wraps the whole chain, so compactor rewrites
 			// (which execute through the top) are timed as store.compact
 			// alongside the foreground ops they race.
-			top := p.wrap(store, "store")
-			runner := workload.NewRunner(top, dist, c.Seed)
+			store, err := c.build(clock, p.observe(c.spec(st.backend), "store"))
+			if err != nil {
+				return nil, err
+			}
+			runner := workload.NewRunner(store, dist, c.Seed)
 			if _, err := runner.BulkLoad(c.Occupancy); err != nil {
 				return nil, fmt.Errorf("compact %s load: %w", kind, err)
 			}
@@ -98,7 +86,7 @@ func CompactionSweep(c Config) ([]*stats.Table, error) {
 			var fleet *compact.Fleet
 			var bg workload.Background
 			if duty > 0 {
-				fleet, err = compact.NewFleet(top, compact.Config{DutyCycle: duty})
+				fleet, err = compact.NewFleet(store, compact.Config{DutyCycle: duty})
 				if err != nil {
 					return nil, fmt.Errorf("compact %s duty %g: %w", kind, duty, err)
 				}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/disk"
 	"repro/internal/extent"
 	"repro/internal/fs"
+	"repro/internal/stack"
 	"repro/internal/stats"
 	"repro/internal/units"
 	"repro/internal/vclock"
@@ -23,7 +24,7 @@ import (
 func Pathological(c Config) ([]*stats.Table, error) {
 	t := stats.NewTable("Pathological volume recovery", "Storage Age", "Fragments/object")
 	dist := workload.Constant{Size: 10 * units.MB}
-	fsStore, err := core.NewFileStore(vclock.New(), c.storeOptions(64*units.KB)...)
+	fsStore, err := c.build(vclock.New(), c.spec(stack.File))
 	if err != nil {
 		return nil, err
 	}
@@ -31,7 +32,8 @@ func Pathological(c Config) ([]*stats.Table, error) {
 	if _, err := runner.BulkLoad(c.Occupancy); err != nil {
 		return nil, err
 	}
-	shatteredMean := fsStore.Volume().ShatterFiles(16)
+	vol, _ := blob.As[*core.FileStore](fsStore)
+	shatteredMean := vol.Volume().ShatterFiles(16)
 	c.logf("patho: shattered to %.1f fragments/object", shatteredMean)
 	s := t.AddSeries("Filesystem (pre-shattered)")
 	for _, age := range c.agePoints() {
@@ -62,15 +64,8 @@ func SizeHintAblation(c Config) ([]*stats.Table, error) {
 		{"Delayed allocation", []blob.Option{blob.WithDelayedAllocation()}},
 	}
 	for _, v := range variants {
-		opts := append(c.storeOptions(64*units.KB), v.extra...)
-		store, err := core.NewFileStore(vclock.New(), opts...)
-		if err != nil {
-			return nil, err
-		}
 		c.logf("hint: variant %q", v.name)
-		s, err := c.agingCurve(store, dist, v.name, func(r *workload.Runner) float64 {
-			return meanFrags(r.Repo())
-		})
+		s, err := c.fragCurve(stack.File, dist, v.name, v.extra...)
 		if err != nil {
 			return nil, err
 		}
@@ -88,26 +83,26 @@ func WriteRequestSweep(c Config) ([]*stats.Table, error) {
 	reqSizes := []int64{16 * units.KB, 64 * units.KB, 256 * units.KB, 1 * units.MB}
 	targetAge := c.MaxAge / 2
 	dist := workload.Constant{Size: 10 * units.MB}
-	dbSeries := t.AddSeries("Database")
-	fsSeries := t.AddSeries("Filesystem")
+	for _, st := range systems {
+		t.AddSeries(st.name)
+	}
 	for _, req := range reqSizes {
 		c.logf("wreq: request size %s", units.FormatBytes(req))
-		fsStore, dbStore, err := c.pair(req)
-		if err != nil {
-			return nil, err
-		}
-		for _, st := range []struct {
-			repo   blob.Store
-			series *stats.Series
-		}{{dbStore, dbSeries}, {fsStore, fsSeries}} {
-			runner := workload.NewRunner(st.repo, dist, c.Seed)
+		for i, st := range systems {
+			spec := c.spec(st.backend)
+			spec.Options = append(spec.Options, blob.WithWriteRequestSize(req))
+			repo, err := c.build(vclock.New(), spec)
+			if err != nil {
+				return nil, err
+			}
+			runner := workload.NewRunner(repo, dist, c.Seed)
 			if _, err := runner.BulkLoad(c.Occupancy); err != nil {
 				return nil, err
 			}
 			if _, err := runner.ChurnToAge(targetAge, workload.ChurnOptions{}); err != nil {
 				return nil, err
 			}
-			st.series.Add(float64(req/units.KB), meanFrags(st.repo))
+			t.Series[i].Add(float64(req/units.KB), meanFrags(repo))
 		}
 	}
 	t.Note("fragments at storage age %.1f; larger append requests give the allocator more information (§5.4)", targetAge)

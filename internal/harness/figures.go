@@ -3,10 +3,10 @@ package harness
 import (
 	"fmt"
 
-	"repro/internal/blob"
 	"repro/internal/db"
 	"repro/internal/disk"
 	"repro/internal/fs"
+	"repro/internal/stack"
 	"repro/internal/stats"
 	"repro/internal/units"
 	"repro/internal/vclock"
@@ -53,15 +53,12 @@ func Figure1(c Config) ([]*stats.Table, error) {
 	}
 	for _, size := range sizes {
 		c.logf("fig1: object size %s", units.FormatBytes(size))
-		fsStore, dbStore, err := c.pair(64 * units.KB)
-		if err != nil {
-			return nil, err
-		}
-		for _, st := range []struct {
-			repo blob.Store
-			name string
-		}{{dbStore, "Database"}, {fsStore, "Filesystem"}} {
-			runner := workload.NewRunner(st.repo, workload.Constant{Size: size}, c.Seed)
+		for _, st := range systems {
+			repo, err := c.build(vclock.New(), c.spec(st.backend))
+			if err != nil {
+				return nil, err
+			}
+			runner := workload.NewRunner(repo, workload.Constant{Size: size}, c.Seed)
 			if _, err := runner.BulkLoad(c.Occupancy); err != nil {
 				return nil, fmt.Errorf("fig1 %s: %w", st.name, err)
 			}
@@ -106,23 +103,13 @@ func Figure3(c Config) ([]*stats.Table, error) {
 // mean fragments/object per age.
 func fragmentationCurve(c Config, dist workload.SizeDist, title string) ([]*stats.Table, error) {
 	t := stats.NewTable(title, "Storage Age", "Fragments/object")
-	fsStore, dbStore, err := c.pair(64 * units.KB)
-	if err != nil {
-		return nil, err
+	for _, st := range systems {
+		series, err := c.fragCurve(st.backend, dist, st.name)
+		if err != nil {
+			return nil, err
+		}
+		t.Series = append(t.Series, series)
 	}
-	dbSeries, err := c.agingCurve(dbStore, dist, "Database", func(r *workload.Runner) float64 {
-		return meanFrags(r.Repo())
-	})
-	if err != nil {
-		return nil, err
-	}
-	fsSeries, err := c.agingCurve(fsStore, dist, "Filesystem", func(r *workload.Runner) float64 {
-		return meanFrags(r.Repo())
-	})
-	if err != nil {
-		return nil, err
-	}
-	t.Series = append(t.Series, dbSeries, fsSeries)
 	return []*stats.Table{t}, nil
 }
 
@@ -130,16 +117,13 @@ func fragmentationCurve(c Config, dist workload.SizeDist, title string) ([]*stat
 // the churn intervals from age 0 to 2 and 2 to 4.
 func Figure4(c Config) ([]*stats.Table, error) {
 	t := stats.NewTable("Figure 4: 512K Write Throughput Over Time", "Storage Age", "MB/sec")
-	fsStore, dbStore, err := c.pair(64 * units.KB)
-	if err != nil {
-		return nil, err
-	}
-	for _, st := range []struct {
-		repo blob.Store
-		name string
-	}{{dbStore, "Database"}, {fsStore, "Filesystem"}} {
+	for _, st := range systems {
+		repo, err := c.build(vclock.New(), c.spec(st.backend))
+		if err != nil {
+			return nil, err
+		}
 		s := t.AddSeries(st.name)
-		runner := workload.NewRunner(st.repo, workload.Constant{Size: 512 * units.KB}, c.Seed)
+		runner := workload.NewRunner(repo, workload.Constant{Size: 512 * units.KB}, c.Seed)
 		res, err := runner.BulkLoad(c.Occupancy)
 		if err != nil {
 			return nil, fmt.Errorf("fig4 %s: %w", st.name, err)
@@ -172,22 +156,14 @@ func Figure5(c Config) ([]*stats.Table, error) {
 	dbTable := stats.NewTable("Figure 5a: Database Fragmentation: Blob Distributions", "Storage Age", "Fragments/object")
 	fsTable := stats.NewTable("Figure 5b: Filesystem Fragmentation: Blob Distributions", "Storage Age", "Fragments/object")
 	for i, dist := range dists {
-		fsStore, dbStore, err := c.pair(64 * units.KB)
-		if err != nil {
-			return nil, err
-		}
 		c.logf("fig5: %s distribution, database", distName[i])
-		dbSeries, err := c.agingCurve(dbStore, dist, distName[i], func(r *workload.Runner) float64 {
-			return meanFrags(r.Repo())
-		})
+		dbSeries, err := c.fragCurve(stack.DB, dist, distName[i])
 		if err != nil {
 			return nil, err
 		}
 		dbTable.Series = append(dbTable.Series, dbSeries)
 		c.logf("fig5: %s distribution, filesystem", distName[i])
-		fsSeries, err := c.agingCurve(fsStore, dist, distName[i], func(r *workload.Runner) float64 {
-			return meanFrags(r.Repo())
-		})
+		fsSeries, err := c.fragCurve(stack.File, dist, distName[i])
 		if err != nil {
 			return nil, err
 		}
@@ -221,13 +197,7 @@ func Figure6(c Config) ([]*stats.Table, error) {
 		dbCfg := sub
 		dbCfg.MaxAge = c.MaxAge / 2
 		c.logf("fig6: database %s 50%% full", volName(v))
-		_, dbStore, err := dbCfg.pair(64 * units.KB)
-		if err != nil {
-			return nil, err
-		}
-		dbSeries, err := dbCfg.agingCurve(dbStore, dist, "50% full - "+volName(v), func(r *workload.Runner) float64 {
-			return meanFrags(r.Repo())
-		})
+		dbSeries, err := dbCfg.fragCurve(stack.DB, dist, "50% full - "+volName(v))
 		if err != nil {
 			return nil, err
 		}
@@ -235,13 +205,7 @@ func Figure6(c Config) ([]*stats.Table, error) {
 
 		// Filesystem, 50% full.
 		c.logf("fig6: filesystem %s 50%% full", volName(v))
-		fsStore, _, err := sub.pair(64 * units.KB)
-		if err != nil {
-			return nil, err
-		}
-		fsSeries, err := sub.agingCurve(fsStore, dist, "50% full - "+volName(v), func(r *workload.Runner) float64 {
-			return meanFrags(r.Repo())
-		})
+		fsSeries, err := sub.fragCurve(stack.File, dist, "50% full - "+volName(v))
 		if err != nil {
 			return nil, err
 		}
@@ -252,14 +216,8 @@ func Figure6(c Config) ([]*stats.Table, error) {
 			occCfg := sub
 			occCfg.Occupancy = occ
 			c.logf("fig6: filesystem %s %.1f%% full", volName(v), occ*100)
-			fsStore, _, err := occCfg.pair(64 * units.KB)
-			if err != nil {
-				return nil, err
-			}
 			name := fmt.Sprintf("%.1f%% full - %s", occ*100, volName(v))
-			s, err := occCfg.agingCurve(fsStore, dist, name, func(r *workload.Runner) float64 {
-				return meanFrags(r.Repo())
-			})
+			s, err := occCfg.fragCurve(stack.File, dist, name)
 			if err != nil {
 				return nil, err
 			}

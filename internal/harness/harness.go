@@ -18,10 +18,9 @@ import (
 	"sort"
 
 	"repro/internal/blob"
-	"repro/internal/core"
-	"repro/internal/disk"
 	"repro/internal/frag"
 	"repro/internal/obs"
+	"repro/internal/stack"
 	"repro/internal/stats"
 	"repro/internal/units"
 	"repro/internal/vclock"
@@ -180,33 +179,31 @@ func IDs() []string {
 	return out
 }
 
-// pair builds a matched filesystem/database store pair of the configured
-// volume size, each on its own virtual clock (the paper ran the systems
-// independently).
-func (c Config) pair(writeReq int64) (*core.FileStore, *core.DBStore, error) {
-	fsStore, err := core.NewFileStore(vclock.New(), c.storeOptions(writeReq)...)
-	if err != nil {
-		return nil, nil, err
-	}
-	dbStore, err := core.NewDBStore(vclock.New(), c.storeOptions(writeReq)...)
-	if err != nil {
-		return nil, nil, err
-	}
-	return fsStore, dbStore, nil
+// systems are the paper's two systems under test, in the order every
+// table lists them: kind labels log lines and report phases, name the
+// table series.
+var systems = []struct{ kind, name, backend string }{
+	{"database", "Database", stack.DB},
+	{"filesystem", "Filesystem", stack.File},
 }
 
-// storeOptions translates experiment scale into store options shared by
-// both backends.
-func (c Config) storeOptions(writeReq int64) []blob.Option {
-	opts := []blob.Option{
-		blob.WithCapacity(c.VolumeBytes),
-		blob.WithDiskMode(disk.MetadataMode),
-		blob.WithWriteRequestSize(writeReq),
-	}
+// spec describes one volume of the given backend at experiment scale:
+// metadata-only drives and the 64 KB write requests the paper's tests
+// fixed (§5.3). Experiments adjust the returned Spec for their arm.
+func (c Config) spec(backend string) stack.Spec {
+	opts := []blob.Option{blob.WithWriteRequestSize(64 * units.KB)}
 	if c.NoOwnerMap {
 		opts = append(opts, blob.WithoutOwnerMap())
 	}
-	return opts
+	return stack.Spec{Backends: []string{backend}, Capacity: c.VolumeBytes, Options: opts}
+}
+
+// build assembles spec on clock, naming the stack in the progress log.
+// Every arm gets a clock of its own (the paper ran the systems
+// independently).
+func (c Config) build(clock *vclock.Clock, spec stack.Spec) (blob.Store, error) {
+	c.logf("  stack %s", spec)
+	return stack.Build(clock, spec)
 }
 
 // sizeDist returns the object-size distribution of the Source-driven
@@ -233,10 +230,15 @@ func (c Config) agePoints() []float64 {
 	return out
 }
 
-// agingCurve bulk loads repo and measures fn at each age point, returning
-// one series. fn runs after churn reaches each age.
-func (c Config) agingCurve(repo blob.Store, dist workload.SizeDist, name string,
-	fn func(r *workload.Runner) float64) (*stats.Series, error) {
+// fragCurve builds a fresh volume of the given backend, bulk loads it and
+// measures mean fragments/object at each age point, returning one series.
+func (c Config) fragCurve(backend string, dist workload.SizeDist, name string, extra ...blob.Option) (*stats.Series, error) {
+	spec := c.spec(backend)
+	spec.Options = append(spec.Options, extra...)
+	repo, err := c.build(vclock.New(), spec)
+	if err != nil {
+		return nil, err
+	}
 	runner := workload.NewRunner(repo, dist, c.Seed)
 	if _, err := runner.BulkLoad(c.Occupancy); err != nil {
 		return nil, fmt.Errorf("%s bulk load: %w", name, err)
@@ -248,7 +250,7 @@ func (c Config) agingCurve(repo blob.Store, dist workload.SizeDist, name string,
 				return nil, fmt.Errorf("%s churn to %.1f: %w", name, age, err)
 			}
 		}
-		s.Add(age, fn(runner))
+		s.Add(age, meanFrags(repo))
 		c.logf("  %s age %.1f: %.2f", name, age, s.Points[len(s.Points)-1].Y)
 	}
 	return s, nil

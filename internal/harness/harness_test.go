@@ -350,17 +350,25 @@ func TestFigure6Occupancy(t *testing.T) {
 	}
 }
 
+// TestDeterministicAcrossRuns: a single-stream experiment prints the
+// same tables run after run at one seed. Pathological is here because
+// ShatterFiles once walked the volume's file map in iteration order, so
+// its shattered layout — and every later row — changed between runs.
 func TestDeterministicAcrossRuns(t *testing.T) {
 	cfg := TestConfig()
-	run := func() string {
-		tables, err := Figure4(cfg)
-		if err != nil {
-			t.Fatal(err)
+	for name, exp := range map[string]func(Config) ([]*stats.Table, error){
+		"fig4": Figure4, "patho": Pathological,
+	} {
+		run := func() string {
+			tables, err := exp(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return tables[0].CSV()
 		}
-		return tables[0].CSV()
-	}
-	if run() != run() {
-		t.Fatal("experiment output not deterministic")
+		if first, second := run(), run(); first != second {
+			t.Errorf("%s output not deterministic:\n%s\nvs\n%s", name, first, second)
+		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/blob"
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/stats"
 	"repro/internal/units"
@@ -36,7 +35,7 @@ func (c Config) streamCounts() []int {
 
 // InterleaveSweep measures the §6 prediction end-to-end: "interleaved
 // append requests to multiple objects ... are likely to increase
-// fragmentation". k concurrent writer streams (workload.ConcurrentRunner
+// fragmentation". k concurrent writer streams (workload.Runner
 // goroutines with per-stream keyspaces) drive the full get/put workload
 // — concurrent bulk load, then churn to half the configured age — on
 // each backend at FIXED total volume, so appends from different streams
@@ -62,11 +61,8 @@ func InterleaveSweep(c Config) ([]*stats.Table, error) {
 		"Writer streams", "Mean batch size")
 
 	var latTables []*stats.Table
-	for _, kind := range []string{"database", "filesystem"} {
-		name := "Database"
-		if kind == "filesystem" {
-			name = "Filesystem"
-		}
+	for _, st := range systems {
+		kind, name := st.kind, st.name
 		fragSeries := frags.AddSeries(name)
 		tputSeries := tput.AddSeries(name)
 		batchSeries := batch.AddSeries(name)
@@ -74,7 +70,7 @@ func InterleaveSweep(c Config) ([]*stats.Table, error) {
 			if k < 1 {
 				return nil, fmt.Errorf("interleave: stream count %d < 1", k)
 			}
-			mf, res, cs, p, err := c.runInterleaveArm(kind, k, dist, targetAge)
+			mf, res, cs, p, err := c.runInterleaveArm(kind, st.backend, k, dist, targetAge)
 			if err != nil {
 				return nil, err
 			}
@@ -105,22 +101,16 @@ func InterleaveSweep(c Config) ([]*stats.Table, error) {
 // runInterleaveArm measures one (backend, k) arm on a fresh store,
 // always shutting the store's commit pipeline down — success or not —
 // so no batcher goroutine outlives the arm.
-func (c Config) runInterleaveArm(kind string, k int, dist workload.SizeDist, targetAge float64) (
+func (c Config) runInterleaveArm(kind, backend string, k int, dist workload.SizeDist, targetAge float64) (
 	meanFragments float64, res workload.Result, cs blob.CommitStats, p *probe, err error) {
 	clock := vclock.New()
 	p = c.newProbe(fmt.Sprintf("interleave %s k=%d", kind, k), clock, "")
-	opts := append(c.storeOptions(64*units.KB),
-		blob.WithGroupCommit(k, 500*time.Microsecond))
+	spec := p.observe(c.spec(backend), "store")
+	spec.GroupCommitBatch, spec.GroupCommitDelay = k, 500*time.Microsecond
 	if p != nil {
-		opts = append(opts, blob.WithCommitObserver(obs.NewCommitObserver(p.registry(), "store")))
+		spec.Options = append(spec.Options, blob.WithCommitObserver(obs.NewCommitObserver(p.registry(), "store")))
 	}
-	var store blob.Store
-	switch kind {
-	case "filesystem":
-		store, err = core.NewFileStore(clock, opts...)
-	case "database":
-		store, err = core.NewDBStore(clock, opts...)
-	}
+	store, err := c.build(clock, spec)
 	if err != nil {
 		return 0, res, cs, p, err
 	}
@@ -129,8 +119,7 @@ func (c Config) runInterleaveArm(kind string, k int, dist workload.SizeDist, tar
 			err = cerr
 		}
 	}()
-	runner := workload.NewConcurrentRunner(p.wrap(store, "store"),
-		workload.UniformStreams(k, dist), c.Seed).WithCollector(p.collector())
+	runner := workload.NewRunner(store, dist, c.Seed).WithStreams(k).WithCollector(p.collector())
 	// Concurrent loaders race the byte budget; near the target one
 	// stream can lose the race to a refused allocation, which is the
 	// regime itself, not a failure.

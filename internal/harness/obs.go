@@ -3,6 +3,7 @@ package harness
 import (
 	"repro/internal/blob"
 	"repro/internal/obs"
+	"repro/internal/stack"
 	"repro/internal/stats"
 	"repro/internal/vclock"
 )
@@ -41,7 +42,7 @@ func (c Config) newProbe(phase string, clock *vclock.Clock, missLayer string) *p
 }
 
 // collector returns the arm's op collector (nil when off), for
-// Runner/ConcurrentRunner.WithCollector and ReadOptions.Collector.
+// Runner.WithCollector and ReadOptions.Collector.
 func (p *probe) collector() *obs.Collector {
 	if p == nil {
 		return nil
@@ -65,6 +66,15 @@ func (p *probe) wrap(store blob.Store, layer string) blob.Store {
 		return store
 	}
 	return obs.Wrap(store, layer, p.reg)
+}
+
+// observe returns spec with its volumes instrumented as the named obs
+// layer; a nil probe returns spec unchanged.
+func (p *probe) observe(spec stack.Spec, layer string) stack.Spec {
+	if p != nil {
+		spec.ObsLayer, spec.Registry = layer, p.reg
+	}
+	return spec
 }
 
 // reset zeroes the arm's metrics in place — the phase separation a

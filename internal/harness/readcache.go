@@ -61,21 +61,12 @@ func ReadCacheSweep(c Config) ([]*stats.Table, error) {
 		"Cache MB", "MB/sec")
 
 	var latTables []*stats.Table
-	for _, kind := range []string{"database", "filesystem"} {
-		name := "Database"
-		if kind == "filesystem" {
-			name = "Filesystem"
-		}
+	for _, st := range systems {
+		kind, name := st.kind, st.name
 		hitSeries := hits.AddSeries(name)
 		tputSeries := tput.AddSeries(name)
 
-		var store blob.Store
-		switch kind {
-		case "database":
-			store, err = core.NewDBStore(vclock.New(), c.storeOptions(64*units.KB)...)
-		case "filesystem":
-			store, err = core.NewFileStore(vclock.New(), c.storeOptions(64*units.KB)...)
-		}
+		store, err := c.build(vclock.New(), c.spec(st.backend))
 		if err != nil {
 			return nil, err
 		}
@@ -90,6 +81,9 @@ func ReadCacheSweep(c Config) ([]*stats.Table, error) {
 		keys := runner.Keys()
 
 		for _, capBytes := range caps {
+			// The cache layers are built here, not by stack.Build: every
+			// capacity must read the SAME aged layout, and re-aging a fresh
+			// stack per capacity would change what the sweep measures.
 			// Per-arm observability: the aged store is wrapped as the
 			// "disk" layer and the cache (when present) as the "cache"
 			// layer, so a read op's span set shows which layers it
@@ -106,7 +100,7 @@ func ReadCacheSweep(c Config) ([]*stats.Table, error) {
 				}
 				rs = p.wrap(cs, "cache")
 			}
-			if d, ok := store.(*core.DBStore); ok {
+			if d, ok := blob.As[*core.DBStore](store); ok {
 				// Keep the engine's metadata-pool rate phase-local too.
 				d.Engine().ResetPoolStats()
 			}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/blob"
-	"repro/internal/core"
 	"repro/internal/shard"
 	"repro/internal/stats"
 	"repro/internal/units"
@@ -23,32 +22,6 @@ func shardCounts(max int) []int {
 		out = append(out, n)
 	}
 	return out
-}
-
-// shardedStore builds an n-shard store of the given backend kind, all
-// children on one shared clock, splitting c.VolumeBytes evenly so every
-// sweep point manages the same total capacity.
-func (c Config) shardedStore(kind string, n int, writeReq int64) (*shard.Store, error) {
-	sub := c
-	sub.VolumeBytes = c.VolumeBytes / int64(n)
-	opts := sub.storeOptions(writeReq)
-	clock := vclock.New()
-	children := make([]blob.Store, n)
-	for i := range children {
-		var err error
-		switch kind {
-		case "filesystem":
-			children[i], err = core.NewFileStore(clock, opts...)
-		case "database":
-			children[i], err = core.NewDBStore(clock, opts...)
-		default:
-			return nil, fmt.Errorf("harness: unknown shard backend %q", kind)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	return shard.New(children...)
 }
 
 // ShardSweep sweeps shard count at fixed total volume: the paper's
@@ -85,16 +58,17 @@ func ShardSweep(c Config) ([]*stats.Table, error) {
 		"Shard", "Fragments/object")
 	perShard := breakdown.AddSeries("Fragments/object")
 
-	for _, kind := range []string{"database", "filesystem"} {
-		name := "Database"
-		if kind == "filesystem" {
-			name = "Filesystem"
-		}
-		fragSeries := frags.AddSeries(name)
-		poolSeries := pool.AddSeries(name)
-		tputSeries := tput.AddSeries(name)
+	for _, st := range systems {
+		kind := st.kind
+		fragSeries := frags.AddSeries(st.name)
+		poolSeries := pool.AddSeries(st.name)
+		tputSeries := tput.AddSeries(st.name)
 		for _, n := range counts {
-			store, err := c.shardedStore(kind, n, 64*units.KB)
+			// Every sweep point manages the same total capacity, split
+			// evenly over n volumes.
+			spec := c.spec(st.backend)
+			spec.Shards, spec.Capacity = n, c.VolumeBytes/int64(n)
+			store, err := c.build(vclock.New(), spec)
 			if err != nil {
 				return nil, err
 			}
@@ -111,7 +85,9 @@ func ShardSweep(c Config) ([]*stats.Table, error) {
 			if err != nil {
 				return nil, fmt.Errorf("shard sweep %s n=%d churn: %w", kind, n, err)
 			}
-			snap := store.Snapshot()
+			// n >= 1 always builds the shard layer, a fleet of one included.
+			fleet, _ := blob.As[*shard.Store](store)
+			snap := fleet.Snapshot()
 			freePool := snap.Shards[0].FreePoolObjects(objSize)
 			for _, si := range snap.Shards[1:] {
 				freePool += si.FreePoolObjects(objSize)

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/blob"
-	"repro/internal/core"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/units"
@@ -62,17 +61,14 @@ func TraceReplaySweep(c Config) ([]*stats.Table, error) {
 	tput := stats.NewTable("Trace replay: write throughput vs replay streams",
 		"Replay streams", "MB/sec")
 
-	for _, kind := range []string{"database", "filesystem"} {
-		name := "Database"
-		if kind == "filesystem" {
-			name = "Filesystem"
-		}
-		fragSeries := frags.AddSeries(name)
-		tputSeries := tput.AddSeries(name)
+	for _, st := range systems {
+		kind := st.kind
+		fragSeries := frags.AddSeries(st.name)
+		tputSeries := tput.AddSeries(st.name)
 
 		ops := fileOps
 		if ops == nil {
-			recorded, baseline, err := c.recordChurnTrace(kind, dist, targetAge)
+			recorded, baseline, err := c.recordChurnTrace(kind, st.backend, dist, targetAge)
 			if err != nil {
 				return nil, err
 			}
@@ -85,7 +81,7 @@ func TraceReplaySweep(c Config) ([]*stats.Table, error) {
 			if k < 1 {
 				return nil, fmt.Errorf("tracereplay: stream count %d < 1", k)
 			}
-			mf, res, err := c.replayArm(ctx, kind, k, ops)
+			mf, res, err := c.replayArm(ctx, kind, st.backend, k, ops)
 			if err != nil {
 				return nil, err
 			}
@@ -104,8 +100,8 @@ func TraceReplaySweep(c Config) ([]*stats.Table, error) {
 // trace.Recorder on a fresh store and returns the recorded log plus the
 // recording store's converged fragments/object — the synthetic k=1
 // baseline the replay arms are compared against.
-func (c Config) recordChurnTrace(kind string, dist workload.SizeDist, targetAge float64) ([]trace.Op, float64, error) {
-	store, err := c.newStore(kind, nil)
+func (c Config) recordChurnTrace(kind, backend string, dist workload.SizeDist, targetAge float64) ([]trace.Op, float64, error) {
+	store, err := c.build(vclock.New(), c.spec(backend))
 	if err != nil {
 		return nil, 0, err
 	}
@@ -123,9 +119,11 @@ func (c Config) recordChurnTrace(kind string, dist workload.SizeDist, targetAge 
 // replayArm replays ops partitioned into k streams against a fresh
 // group-committing store, always shutting the commit pipeline down so
 // no batcher goroutine outlives the arm.
-func (c Config) replayArm(ctx context.Context, kind string, k int, ops []trace.Op) (
+func (c Config) replayArm(ctx context.Context, kind, backend string, k int, ops []trace.Op) (
 	meanFragments float64, res trace.Result, err error) {
-	store, err := c.newStore(kind, []blob.Option{blob.WithGroupCommit(k, 500*time.Microsecond)})
+	spec := c.spec(backend)
+	spec.GroupCommitBatch, spec.GroupCommitDelay = k, 500*time.Microsecond
+	store, err := c.build(vclock.New(), spec)
 	if err != nil {
 		return 0, res, err
 	}
@@ -134,23 +132,9 @@ func (c Config) replayArm(ctx context.Context, kind string, k int, ops []trace.O
 			err = cerr
 		}
 	}()
-	res, err = trace.ReplayStreams(ctx, store, trace.Partition(ops, k))
+	res, err = trace.Replay(ctx, store, trace.OpsSources(trace.Partition(ops, k)...)...)
 	if err != nil {
 		return 0, res, fmt.Errorf("tracereplay %s k=%d: %w", kind, k, err)
 	}
 	return meanFrags(store), res, nil
-}
-
-// newStore builds one backend at experiment scale with extra options
-// appended.
-func (c Config) newStore(kind string, extra []blob.Option) (blob.Store, error) {
-	opts := append(c.storeOptions(64*units.KB), extra...)
-	switch kind {
-	case "filesystem":
-		return core.NewFileStore(vclock.New(), opts...)
-	case "database":
-		return core.NewDBStore(vclock.New(), opts...)
-	default:
-		return nil, fmt.Errorf("harness: unknown backend %q: %w", kind, blob.ErrBadOption)
-	}
 }

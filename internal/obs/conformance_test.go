@@ -6,50 +6,37 @@ import (
 
 	"repro/internal/blob"
 	"repro/internal/blob/conformance"
-	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/shard"
+	"repro/internal/stack"
 	"repro/internal/units"
 	"repro/internal/vclock"
 )
 
-func fileInner(opts ...blob.Option) blob.Store {
-	s, err := core.NewFileStore(vclock.New(), opts...)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
-func dbInner(opts ...blob.Option) blob.Store {
-	s, err := core.NewDBStore(vclock.New(), opts...)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
-// mixedShardInner builds a 4-shard mixed fleet (2 filesystem + 2
-// database children on one clock).
-func mixedShardInner(opts ...blob.Option) blob.Store {
-	clock := vclock.New()
-	children := make([]blob.Store, 4)
-	for i := range children {
-		var err error
-		if i%2 == 0 {
-			children[i], err = core.NewFileStore(clock, opts...)
-		} else {
-			children[i], err = core.NewDBStore(clock, opts...)
-		}
+// wrapped adapts a stack.Spec into a conformance factory with the layer
+// under test, an obs.Store recording into reg, on top of the built
+// stack — above the shard fan-out, the one position stack.Build (which
+// instruments each volume) does not cover. The suite's per-test options
+// (capacity, disk mode) ride in Spec.Options with extra after them.
+func wrapped(t *testing.T, spec stack.Spec, reg *obs.Registry, extra ...blob.Option) conformance.Factory {
+	return func(opts ...blob.Option) blob.Store {
+		spec := spec
+		spec.Options = append(opts, extra...)
+		s, err := stack.Build(vclock.New(), spec)
 		if err != nil {
 			panic(err)
 		}
+		t.Cleanup(func() { _ = blob.CloseStore(s) })
+		return obs.Wrap(s, "store", reg)
 	}
-	s, err := shard.New(children...)
-	if err != nil {
-		panic(err)
-	}
-	return s
+}
+
+// inners are the stacks the obs layer is pinned over: both
+// single-volume backends and a 4-shard mixed fleet (2 filesystem + 2
+// database children on one clock).
+var inners = map[string]stack.Spec{
+	"Filesystem":    {Backends: []string{stack.File}},
+	"Database":      {Backends: []string{stack.DB}},
+	"Sharded4Mixed": {Backends: []string{stack.File, stack.DB, stack.File, stack.DB}, Shards: 4},
 }
 
 // TestObsStoreConformance pins the instrumented store to the exact
@@ -60,34 +47,18 @@ func mixedShardInner(opts ...blob.Option) blob.Store {
 // semantics, and context cancellation all pass through while every op
 // is being timed.
 func TestObsStoreConformance(t *testing.T) {
-	inners := []struct {
-		name string
-		mk   func(opts ...blob.Option) blob.Store
-	}{
-		{"Filesystem", fileInner},
-		{"Database", dbInner},
-		{"Sharded4Mixed", mixedShardInner},
-	}
-	for _, in := range inners {
-		mk := in.mk
-		t.Run(in.name, func(t *testing.T) {
-			conformance.Run(t, func(opts ...blob.Option) blob.Store {
-				return obs.Wrap(mk(opts...), "store", obs.NewRegistry())
-			})
+	for name, spec := range inners {
+		t.Run(name, func(t *testing.T) {
+			conformance.Run(t, wrapped(t, spec, obs.NewRegistry()))
 		})
-		t.Run(in.name+"/Disabled", func(t *testing.T) {
-			conformance.Run(t, func(opts ...blob.Option) blob.Store {
-				return obs.Wrap(mk(opts...), "store", nil)
-			})
+		t.Run(name+"/Disabled", func(t *testing.T) {
+			conformance.Run(t, wrapped(t, spec, nil))
 		})
-		t.Run(in.name+"/GroupCommit", func(t *testing.T) {
-			conformance.Run(t, func(opts ...blob.Option) blob.Store {
-				reg := obs.NewRegistry()
-				s := mk(append(opts,
-					blob.WithGroupCommit(8, 200*time.Microsecond),
-					blob.WithCommitObserver(obs.NewCommitObserver(reg, "store")))...)
-				return obs.Wrap(s, "store", reg)
-			})
+		t.Run(name+"/GroupCommit", func(t *testing.T) {
+			reg := obs.NewRegistry()
+			spec.GroupCommitBatch, spec.GroupCommitDelay = 8, 200*time.Microsecond
+			conformance.Run(t, wrapped(t, spec, reg,
+				blob.WithCommitObserver(obs.NewCommitObserver(reg, "store"))))
 		})
 	}
 }
@@ -96,27 +67,23 @@ func TestObsStoreConformance(t *testing.T) {
 // readcache experiment's shape (a layer above and a layer below) minus
 // the cache — proving composition itself changes nothing.
 func TestObsStoreStacked(t *testing.T) {
-	conformance.Run(t, func(opts ...blob.Option) blob.Store {
-		reg := obs.NewRegistry()
-		return obs.Wrap(obs.Wrap(fileInner(opts...), "disk", reg), "cache", reg)
-	})
+	reg := obs.NewRegistry()
+	conformance.Run(t, wrapped(t,
+		stack.Spec{Backends: []string{stack.File}, ObsLayer: "disk", Registry: reg}, reg))
 }
 
 // TestLoneCommitDoesNotWait: the observability wrapper and the commit
 // observer only watch the pipeline; a lone writer through them still
 // flushes at once.
 func TestLoneCommitDoesNotWait(t *testing.T) {
-	for name, mk := range map[string]func(opts ...blob.Option) blob.Store{
-		"Filesystem": fileInner, "Database": dbInner, "Sharded4Mixed": mixedShardInner,
-	} {
+	for name, spec := range inners {
 		t.Run(name, func(t *testing.T) {
 			reg := obs.NewRegistry()
-			s := obs.Wrap(mk(blob.WithCapacity(64*units.MB),
-				blob.WithGroupCommit(8, conformance.GroupCommitCeiling),
-				blob.WithCommitObserver(obs.NewCommitObserver(reg, "store"))), "store", reg)
-			defer blob.CloseStore(s)
+			spec.GroupCommitBatch, spec.GroupCommitDelay = 8, conformance.GroupCommitCeiling
+			s := wrapped(t, spec, reg, blob.WithCommitObserver(obs.NewCommitObserver(reg, "store")))(
+				blob.WithCapacity(64 * units.MB))
 			for _, key := range []string{"a", "b", "c"} {
-				conformance.LoneCommitDoesNotWait(t, s.CommitStats, conformance.PutKey(s, key))
+				conformance.LoneCommitDoesNotWait(t, s, conformance.PutKey(s, key))
 			}
 		})
 	}

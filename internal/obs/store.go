@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"repro/internal/blob"
-	"repro/internal/extent"
 	"repro/internal/vclock"
 )
 
@@ -34,7 +33,12 @@ import (
 // forwards with one branch of overhead per call (BenchmarkObsOverhead
 // pins it), so instrumented compositions need no build-time switch.
 type Store struct {
-	inner blob.Store
+	// Store is the wrapped store, embedded so everything this layer does
+	// not time — Name, Clock, the introspection methods — forwards by
+	// promotion: report labels and logs are unchanged by instrumenting
+	// a chain. Capabilities it does not time are reached through Inner
+	// by blob.As.
+	blob.Store
 	layer string
 	reg   *Registry
 	clock *vclock.Clock
@@ -48,7 +52,7 @@ type Store struct {
 // the report silently.
 func Wrap(inner blob.Store, layer string, reg *Registry) *Store {
 	mustVirtual(reg, "obs.Wrap")
-	return &Store{inner: inner, layer: layer, reg: reg, clock: inner.Clock()}
+	return &Store{Store: inner, layer: layer, reg: reg, clock: inner.Clock()}
 }
 
 // mustVirtual panics when reg records wall time — the guard every
@@ -59,9 +63,10 @@ func mustVirtual(reg *Registry, who string) {
 	}
 }
 
-// Inner returns the wrapped store, so capability probes (the compactor
-// fleet's shard fan-out discovery) can see through the obs layer.
-func (s *Store) Inner() blob.Store { return s.inner }
+// Inner returns the wrapped store, so capability probes (blob.As: the
+// compactor fleet's shard fan-out discovery, CommitStatsOf, CloseStore)
+// can see through the obs layer.
+func (s *Store) Inner() blob.Store { return s.Store }
 
 // Layer returns the observation layer name.
 func (s *Store) Layer() string { return s.layer }
@@ -91,23 +96,15 @@ func (s *Store) observe(op *OpTrace, name string, start int64, err error) {
 	}
 }
 
-// Name implements blob.Store. The obs layer is transparent: it reports
-// the wrapped store's name, so report labels and logs are unchanged by
-// instrumenting a chain.
-func (s *Store) Name() string { return s.inner.Name() }
-
-// Clock implements blob.Store.
-func (s *Store) Clock() *vclock.Clock { return s.clock }
-
 // Open implements blob.Store, timing the open and wrapping the reader
 // so its reads are timed at this layer too.
 func (s *Store) Open(ctx context.Context, key string) (blob.Reader, error) {
 	if !s.enabled(ctx) {
-		return s.inner.Open(ctx, key)
+		return s.Store.Open(ctx, key)
 	}
 	op := opFromContext(ctx)
 	start := s.clock.Now()
-	r, err := s.inner.Open(ctx, key)
+	r, err := s.Store.Open(ctx, key)
 	s.observe(op, "open", start, err)
 	if err != nil {
 		return nil, err
@@ -120,11 +117,11 @@ func (s *Store) Open(ctx context.Context, key string) (blob.Reader, error) {
 // splits them).
 func (s *Store) Create(ctx context.Context, key string, size int64) (blob.Writer, error) {
 	if !s.enabled(ctx) {
-		return s.inner.Create(ctx, key, size)
+		return s.Store.Create(ctx, key, size)
 	}
 	op := opFromContext(ctx)
 	start := s.clock.Now()
-	w, err := s.inner.Create(ctx, key, size)
+	w, err := s.Store.Create(ctx, key, size)
 	s.observe(op, "create", start, err)
 	if err != nil {
 		return nil, err
@@ -135,11 +132,11 @@ func (s *Store) Create(ctx context.Context, key string, size int64) (blob.Writer
 // Replace implements blob.Store.
 func (s *Store) Replace(ctx context.Context, key string, size int64) (blob.Writer, error) {
 	if !s.enabled(ctx) {
-		return s.inner.Replace(ctx, key, size)
+		return s.Store.Replace(ctx, key, size)
 	}
 	op := opFromContext(ctx)
 	start := s.clock.Now()
-	w, err := s.inner.Replace(ctx, key, size)
+	w, err := s.Store.Replace(ctx, key, size)
 	s.observe(op, "replace", start, err)
 	if err != nil {
 		return nil, err
@@ -150,11 +147,11 @@ func (s *Store) Replace(ctx context.Context, key string, size int64) (blob.Write
 // Delete implements blob.Store.
 func (s *Store) Delete(ctx context.Context, key string) error {
 	if !s.enabled(ctx) {
-		return s.inner.Delete(ctx, key)
+		return s.Store.Delete(ctx, key)
 	}
 	op := opFromContext(ctx)
 	start := s.clock.Now()
-	err := s.inner.Delete(ctx, key)
+	err := s.Store.Delete(ctx, key)
 	s.observe(op, "delete", start, err)
 	return err
 }
@@ -162,60 +159,22 @@ func (s *Store) Delete(ctx context.Context, key string) error {
 // Stat implements blob.Store.
 func (s *Store) Stat(ctx context.Context, key string) (blob.Info, error) {
 	if !s.enabled(ctx) {
-		return s.inner.Stat(ctx, key)
+		return s.Store.Stat(ctx, key)
 	}
 	op := opFromContext(ctx)
 	start := s.clock.Now()
-	info, err := s.inner.Stat(ctx, key)
+	info, err := s.Store.Stat(ctx, key)
 	s.observe(op, "stat", start, err)
 	return info, err
 }
-
-// Keys implements blob.Store.
-func (s *Store) Keys() []string { return s.inner.Keys() }
-
-// ObjectCount implements blob.Store.
-func (s *Store) ObjectCount() int { return s.inner.ObjectCount() }
-
-// LiveBytes implements blob.Store.
-func (s *Store) LiveBytes() int64 { return s.inner.LiveBytes() }
-
-// FreeBytes implements blob.Store.
-func (s *Store) FreeBytes() int64 { return s.inner.FreeBytes() }
-
-// CapacityBytes implements blob.Store.
-func (s *Store) CapacityBytes() int64 { return s.inner.CapacityBytes() }
-
-// EachObjectRuns implements frag.Source via the wrapped store.
-func (s *Store) EachObjectRuns(fn func(key string, bytes int64, runs []extent.Run)) {
-	s.inner.EachObjectRuns(fn)
-}
-
-// EachObjectTag implements frag.TagSource via the wrapped store.
-func (s *Store) EachObjectTag(fn func(key string, tag uint32)) {
-	s.inner.EachObjectTag(fn)
-}
-
-// CommitStats passes the wrapped store's group-commit counters
-// through, so blob.CommitStatsOf works on an instrumented store.
-func (s *Store) CommitStats() blob.CommitStats {
-	cs, _ := blob.CommitStatsOf(s.inner)
-	return cs
-}
-
-// Close shuts the wrapped store's commit pipeline down via
-// blob.CloseStore; the obs layer itself holds no goroutines.
-func (s *Store) Close() error { return blob.CloseStore(s.inner) }
 
 // CompactObject forwards a compactor rewrite, timed as
 // "<layer>.compact" (a rewrite is a full read+write of the object
 // through the chain — the compaction tax, per object).
 func (s *Store) CompactObject(ctx context.Context, key string) (int64, error) {
-	rw, ok := s.inner.(interface {
-		CompactObject(ctx context.Context, key string) (int64, error)
-	})
+	rw, ok := blob.As[blob.Rewriter](s.Store)
 	if !ok {
-		return 0, fmt.Errorf("%w: %s cannot compact objects", errors.ErrUnsupported, s.inner.Name())
+		return 0, fmt.Errorf("%w: %s cannot compact objects", errors.ErrUnsupported, s.Store.Name())
 	}
 	if !s.enabled(ctx) {
 		return rw.CompactObject(ctx, key)
@@ -229,11 +188,9 @@ func (s *Store) CompactObject(ctx context.Context, key string) (int64, error) {
 
 // PackObjects forwards a pack attempt, timed as "<layer>.pack".
 func (s *Store) PackObjects(ctx context.Context, keys []string) ([]string, error) {
-	pk, ok := s.inner.(interface {
-		PackObjects(ctx context.Context, keys []string) ([]string, error)
-	})
+	pk, ok := blob.As[blob.Packer](s.Store)
 	if !ok {
-		return nil, fmt.Errorf("%w: %s cannot pack objects", errors.ErrUnsupported, s.inner.Name())
+		return nil, fmt.Errorf("%w: %s cannot pack objects", errors.ErrUnsupported, s.Store.Name())
 	}
 	if !s.enabled(ctx) {
 		return pk.PackObjects(ctx, keys)

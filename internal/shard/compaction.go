@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+
+	"repro/internal/blob"
 )
 
 // This file routes compactor rewrites through the shard layer: a
@@ -13,18 +15,10 @@ import (
 // CompactStats come from the compact.Fleet driving one compactor per
 // child; the shard layer itself stays a pure router.
 
-type rewriter interface {
-	CompactObject(ctx context.Context, key string) (int64, error)
-}
-
-type packer interface {
-	PackObjects(ctx context.Context, keys []string) ([]string, error)
-}
-
 // CompactObject forwards a compactor rewrite to key's owning shard.
 func (s *Store) CompactObject(ctx context.Context, key string) (int64, error) {
 	child := s.owner(key)
-	rw, ok := child.(rewriter)
+	rw, ok := blob.As[blob.Rewriter](child)
 	if !ok {
 		return 0, fmt.Errorf("%w: shard backend %s cannot compact objects", errors.ErrUnsupported, child.Name())
 	}
@@ -42,7 +36,7 @@ func (s *Store) PackObjects(ctx context.Context, keys []string) ([]string, error
 	}
 	var packed []string
 	for idx, group := range groups {
-		pk, ok := s.children[idx].(packer)
+		pk, ok := blob.As[blob.Packer](s.children[idx])
 		if !ok {
 			continue
 		}

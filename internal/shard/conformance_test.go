@@ -7,44 +7,27 @@ import (
 
 	"repro/internal/blob"
 	"repro/internal/blob/conformance"
-	"repro/internal/core"
-	"repro/internal/shard"
+	"repro/internal/stack"
 	"repro/internal/vclock"
 )
 
-// childFactory builds one child store on the shared clock.
-type childFactory func(clock *vclock.Clock, opts ...blob.Option) blob.Store
-
-func fileChild(clock *vclock.Clock, opts ...blob.Option) blob.Store {
-	s, err := core.NewFileStore(clock, opts...)
-	if err != nil {
-		panic(err)
+// shardedFactory adapts a sharded stack to the conformance suite's
+// Factory: n children of the given backend(s), round-robin, each built
+// with the per-store options the suite asks for, all sharing one clock.
+// gcBatch above 1 gives every child an asynchronous commit pipeline.
+func shardedFactory(t *testing.T, n, gcBatch int, backends ...string) conformance.Factory {
+	spec := stack.Spec{Shards: n, GroupCommitBatch: gcBatch, GroupCommitDelay: 200 * time.Microsecond}
+	for i := 0; i < n; i++ {
+		spec.Backends = append(spec.Backends, backends[i%len(backends)])
 	}
-	return s
-}
-
-func dbChild(clock *vclock.Clock, opts ...blob.Option) blob.Store {
-	s, err := core.NewDBStore(clock, opts...)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
-// shardedFactory adapts a sharded store to the conformance suite's
-// Factory: n children of the given kind(s), round-robin, each built with
-// the per-store options the suite asks for, all sharing one clock.
-func shardedFactory(n int, kinds ...childFactory) conformance.Factory {
 	return func(opts ...blob.Option) blob.Store {
-		clock := vclock.New()
-		children := make([]blob.Store, n)
-		for i := range children {
-			children[i] = kinds[i%len(kinds)](clock, opts...)
-		}
-		s, err := shard.New(children...)
+		spec := spec
+		spec.Options = opts
+		s, err := stack.Build(vclock.New(), spec)
 		if err != nil {
 			panic(err)
 		}
+		t.Cleanup(func() { _ = blob.CloseStore(s) })
 		return s
 	}
 }
@@ -55,18 +38,18 @@ func shardedFactory(n int, kinds ...childFactory) conformance.Factory {
 // for routing, fan-out, and error pass-through adding no dialect of
 // their own.
 func TestShardConformance(t *testing.T) {
-	backends := []struct {
-		name  string
-		kinds []childFactory
+	fleets := []struct {
+		name     string
+		backends []string
 	}{
-		{"Filesystem", []childFactory{fileChild}},
-		{"Database", []childFactory{dbChild}},
-		{"Mixed", []childFactory{fileChild, dbChild}},
+		{"Filesystem", []string{stack.File}},
+		{"Database", []string{stack.DB}},
+		{"Mixed", []string{stack.File, stack.DB}},
 	}
-	for _, be := range backends {
+	for _, fl := range fleets {
 		for _, n := range []int{1, 4, 16} {
-			t.Run(fmt.Sprintf("%s/N=%d", be.name, n), func(t *testing.T) {
-				conformance.Run(t, shardedFactory(n, be.kinds...))
+			t.Run(fmt.Sprintf("%s/N=%d", fl.name, n), func(t *testing.T) {
+				conformance.Run(t, shardedFactory(t, n, 0, fl.backends...))
 			})
 		}
 	}
@@ -76,10 +59,5 @@ func TestShardConformance(t *testing.T) {
 // 4-shard mixed fleet whose children all batch commits asynchronously:
 // per-shard group forces must not change any visible semantics.
 func TestShardGroupCommitConformance(t *testing.T) {
-	base := shardedFactory(4, fileChild, dbChild)
-	conformance.Run(t, func(opts ...blob.Option) blob.Store {
-		s := base(append(opts, blob.WithGroupCommit(8, 200*time.Microsecond))...)
-		t.Cleanup(func() { _ = blob.CloseStore(s) })
-		return s
-	})
+	conformance.Run(t, shardedFactory(t, 4, 8, stack.File, stack.DB))
 }

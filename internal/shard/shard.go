@@ -105,12 +105,8 @@ func New(children ...blob.Store) (*Store, error) {
 		kinds = append(kinds, k)
 	}
 	sort.Strings(kinds)
-	locks, err := blob.NewKeyLocks(0)
-	if err != nil {
-		return nil, err
-	}
 	return &Store{
-		locks:    locks,
+		locks:    blob.NewKeyLocks(),
 		children: children,
 		ids:      ids,
 		clock:    children[0].Clock(),

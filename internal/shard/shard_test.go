@@ -445,6 +445,6 @@ func TestLoneCommitDoesNotWait(t *testing.T) {
 	s := mkSharded(t, 4, 64*units.MB, blob.WithGroupCommit(8, conformance.GroupCommitCeiling))
 	defer s.Close()
 	for _, key := range []string{"a", "b", "c", "d", "e"} {
-		conformance.LoneCommitDoesNotWait(t, s.CommitStats, conformance.PutKey(s, key))
+		conformance.LoneCommitDoesNotWait(t, s, conformance.PutKey(s, key))
 	}
 }

@@ -20,7 +20,7 @@
 //
 // Traces can be recorded from live store activity (Recorder), replayed
 // against any blob.Store — single-stream (Replay) or as k concurrent
-// writer streams (Partition + ReplayStreams), both through the shared
+// writer streams (Partition + Replay), both through the shared
 // workload.Executor — streamed from an io.Reader without materializing
 // the whole log (Source), and analysed without execution: storage age
 // "can be computed from the data allocation rate" (§4.4), which Analyze
@@ -263,20 +263,26 @@ func NewSource(r io.Reader) *Source {
 	}
 }
 
-// NewOpsSource streams an in-memory op slice.
-func NewOpsSource(ops []Op) *Source {
-	i := 0
-	return &Source{
-		name: "trace",
-		next: func() (Op, bool, error) {
-			if i >= len(ops) {
-				return Op{}, false, nil
-			}
-			op := ops[i]
-			i++
-			return op, true, nil
-		},
+// OpsSources returns one in-memory Source per op slice: a whole log for
+// a sequential replay, or the streams of a Partition for a concurrent
+// one.
+func OpsSources(streams ...[]Op) []*Source {
+	out := make([]*Source, len(streams))
+	for n, ops := range streams {
+		i := 0
+		out[n] = &Source{
+			name: "trace",
+			next: func() (Op, bool, error) {
+				if i >= len(ops) {
+					return Op{}, false, nil
+				}
+				op := ops[i]
+				i++
+				return op, true, nil
+			},
+		}
 	}
+	return out
 }
 
 // OnlyStream restricts the source to ops tagged with the given stream
@@ -493,30 +499,16 @@ type Result struct {
 	StorageAge   float64
 }
 
-// Replay executes a trace against store as one sequential stream,
-// preserving the recorded allocation order. Objects must exist before
+// Replay drives store with one executor stream per source — in-memory
+// (OpsSources) or reading a log line by line (NewSource) — through the
+// shared workload.Executor. One source replays sequentially, preserving
+// the recorded allocation order; k sources (normally OpsSources over a
+// Partition of one recorded log) run as k goroutine streams whose
+// appends interleave in allocation order, the §6 regime driven by a real
+// operation log instead of synthetic churn. Objects must exist before
 // replace/delete/get events reference them (Replace creates when
 // absent, as the safe-write protocol allows).
-func Replay(ctx context.Context, ops []Op, store blob.Store) (Result, error) {
-	return ReplayStreams(ctx, store, [][]Op{ops})
-}
-
-// ReplayStreams replays one op slice per concurrent writer stream —
-// normally a Partition of one recorded log — against store through the
-// shared workload.Executor: k goroutine streams whose appends
-// interleave in allocation order, the §6 regime driven by a real
-// operation log instead of synthetic churn.
-func ReplayStreams(ctx context.Context, store blob.Store, streams [][]Op) (Result, error) {
-	sources := make([]*Source, len(streams))
-	for i, ops := range streams {
-		sources[i] = NewOpsSource(ops)
-	}
-	return ReplaySources(ctx, store, sources)
-}
-
-// ReplaySources is the streaming form of ReplayStreams: each Source —
-// in-memory or reading a log line by line — drives one executor stream.
-func ReplaySources(ctx context.Context, store blob.Store, sources []*Source) (Result, error) {
+func Replay(ctx context.Context, store blob.Store, sources ...*Source) (Result, error) {
 	exec := workload.NewExecutor(store).WithContext(ctx)
 	specs := make([]workload.Stream, len(sources))
 	for i, src := range sources {

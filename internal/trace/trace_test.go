@@ -141,7 +141,7 @@ func TestReplayReproducesStateAndAge(t *testing.T) {
 	wantLive := rec.LiveBytes()
 
 	for _, fresh := range []blob.Store{newFS(128 * units.MB), newDBr(128 * units.MB)} {
-		res, err := Replay(context.Background(), rec.Ops(), fresh)
+		res, err := Replay(context.Background(), fresh, OpsSources(rec.Ops())...)
 		if err != nil {
 			t.Fatalf("%s replay: %v", fresh.Name(), err)
 		}
@@ -204,7 +204,7 @@ func TestAnalyzeRejectsBrokenTraces(t *testing.T) {
 
 func TestReplayFailsCleanlyOnBadTrace(t *testing.T) {
 	repo := newFS(64 * units.MB)
-	_, err := Replay(context.Background(), []Op{{Kind: Delete, Key: "ghost"}}, repo)
+	_, err := Replay(context.Background(), repo, OpsSources([]Op{{Kind: Delete, Key: "ghost"}})...)
 	if err == nil {
 		t.Fatal("replay of broken trace succeeded")
 	}
@@ -222,7 +222,7 @@ func TestReplayGroupedDeletePattern(t *testing.T) {
 		ops = append(ops, Op{Kind: Delete, Key: key(1, p)})
 	}
 	repo := newFS(64 * units.MB)
-	res, err := Replay(context.Background(), ops, repo)
+	res, err := Replay(context.Background(), repo, OpsSources(ops)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestRecorderCapturesRangedReads(t *testing.T) {
 	if a.RangedGets != 1 {
 		t.Fatalf("Analyze counted %d ranged gets", a.RangedGets)
 	}
-	res, err := Replay(ctx, ops, newDBr(64*units.MB))
+	res, err := Replay(ctx, newDBr(64*units.MB), OpsSources(ops)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestRecordReplayDeterminism(t *testing.T) {
 	wantAge := runner.Tracker().Age()
 
 	fresh := newFS(128 * units.MB)
-	res, err := ReplayStreams(context.Background(), fresh, Partition(ops, 1))
+	res, err := Replay(context.Background(), fresh, OpsSources(Partition(ops, 1)...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +445,7 @@ func TestConcurrentReplayPreservesState(t *testing.T) {
 
 	for _, k := range []int{2, 8} {
 		fresh := newDBr(128 * units.MB)
-		res, err := ReplayStreams(context.Background(), fresh, Partition(ops, k))
+		res, err := Replay(context.Background(), fresh, OpsSources(Partition(ops, k)...)...)
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
@@ -472,7 +472,7 @@ func TestSourceStreamsWithoutMaterializing(t *testing.T) {
 		fmt.Fprintf(&buf, "put k%02d %d\n", i, 256*units.KB)
 	}
 	store := newFS(64 * units.MB)
-	res, err := ReplaySources(context.Background(), store, []*Source{NewSource(&buf)})
+	res, err := Replay(context.Background(), store, NewSource(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -481,7 +481,7 @@ func TestSourceStreamsWithoutMaterializing(t *testing.T) {
 	}
 
 	bad := strings.NewReader("put a 1024\nput b broken\nput c 1024\n")
-	if _, err := ReplaySources(context.Background(), newFS(64*units.MB), []*Source{NewSource(bad)}); err == nil {
+	if _, err := Replay(context.Background(), newFS(64*units.MB), NewSource(bad)); err == nil {
 		t.Fatal("mid-stream parse error swallowed")
 	}
 }

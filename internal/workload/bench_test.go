@@ -52,7 +52,7 @@ func runExecutorArm(b *testing.B, k int) (ops int64, wallNs int64) {
 		b.Fatal(err)
 	}
 	defer blob.CloseStore(store)
-	r := NewConcurrentRunner(store, UniformStreams(k, Constant{Size: 32 * units.KB}), 1)
+	r := NewRunner(store, Constant{Size: 32 * units.KB}, 1).WithStreams(k)
 
 	start := time.Now()
 	load, err := r.BulkLoad(0.4)

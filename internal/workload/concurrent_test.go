@@ -15,10 +15,10 @@ import (
 	"repro/internal/vclock"
 )
 
-// TestConcurrentRunnerBulkLoadAndChurn drives 4 streams through a
+// TestRunnerStreamsBulkLoadAndChurn drives 4 streams through a
 // group-committing filesystem store and checks the phase accounting and
 // keyspace separation.
-func TestConcurrentRunnerBulkLoadAndChurn(t *testing.T) {
+func TestRunnerStreamsBulkLoadAndChurn(t *testing.T) {
 	store, err := core.NewFileStore(vclock.New(),
 		blob.WithCapacity(256*units.MB), blob.WithDiskMode(disk.MetadataMode),
 		blob.WithGroupCommit(4, 100*time.Microsecond))
@@ -26,10 +26,7 @@ func TestConcurrentRunnerBulkLoadAndChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	r := NewConcurrentRunner(store, UniformStreams(4, Constant{Size: 1 * units.MB}), 1)
-	if r.Streams() != 4 {
-		t.Fatalf("Streams() = %d", r.Streams())
-	}
+	r := NewRunner(store, Constant{Size: 1 * units.MB}, 1).WithStreams(4)
 
 	load, err := r.BulkLoad(0.5)
 	if err != nil {
@@ -68,44 +65,12 @@ func TestConcurrentRunnerBulkLoadAndChurn(t *testing.T) {
 	}
 }
 
-// TestConcurrentRunnerSingleStreamMatchesSequential pins that k=1 is
-// the sequential workload: same distribution, same store config, same
-// object count and age trajectory as Runner (keys differ by prefix
-// only).
-func TestConcurrentRunnerSingleStreamMatchesSequential(t *testing.T) {
-	mk := func() blob.Store { return newFS(128 * units.MB) }
-	seq := NewRunner(mk(), Constant{Size: 1 * units.MB}, 7)
-	seqLoad, err := seq.BulkLoad(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	conc := NewConcurrentRunner(mk(), UniformStreams(1, Constant{Size: 1 * units.MB}), 7)
-	concLoad, err := conc.BulkLoad(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seqLoad.Ops != concLoad.Ops || seqLoad.Bytes != concLoad.Bytes {
-		t.Fatalf("k=1 load diverged: seq=%+v conc=%+v", seqLoad, concLoad)
-	}
-	seqChurn, err := seq.ChurnToAge(2, ChurnOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	concChurn, err := conc.ChurnToAge(2, ChurnOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seqChurn.Ops != concChurn.Ops {
-		t.Fatalf("k=1 churn diverged: seq %d ops, conc %d ops", seqChurn.Ops, concChurn.Ops)
-	}
-}
-
-// TestConcurrentRunnerContextCancel pins that a cancelled context stops
+// TestRunnerStreamsContextCancel pins that a cancelled context stops
 // every stream with a typed error.
-func TestConcurrentRunnerContextCancel(t *testing.T) {
+func TestRunnerStreamsContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	r := NewConcurrentRunner(newFS(64*units.MB), UniformStreams(2, Constant{Size: 1 * units.MB}), 1).
+	r := NewRunner(newFS(64*units.MB), Constant{Size: 1 * units.MB}, 1).WithStreams(2).
 		WithContext(ctx)
 	if _, err := r.BulkLoad(0.5); !errors.Is(err, context.Canceled) {
 		t.Fatalf("BulkLoad under cancelled ctx = %v", err)

@@ -14,9 +14,9 @@ import (
 )
 
 // Executor drives k operation streams from any mix of Sources against
-// one blob.Store — the single engine behind the sequential Runner, the
-// ConcurrentRunner, and trace replay. Each Stream runs on its own
-// goroutine drawing ops from its Source with its own RNG, so appends
+// one blob.Store — the single engine behind the Runner (one stream or
+// k) and trace replay. Each Stream runs on its own goroutine drawing
+// ops from its Source with its own RNG, so appends
 // from different streams genuinely interleave in allocation order (the
 // §6 regime) while each stream's op sequence stays reproducible per
 // seed. One stream runs inline on the caller's goroutine, so a k=1

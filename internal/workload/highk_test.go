@@ -33,11 +33,11 @@ func TestExecutorStreamCountBounds(t *testing.T) {
 	}
 }
 
-// TestConcurrentRunnerHighK drives 64 streams through the full pipeline
+// TestRunnerStreamsHighK drives 64 streams through the full pipeline
 // — per-stream AgeTracker views, the batcher pool, pooled reader/writer
 // handles — at a size CI can afford under -race. The assertions are
 // deliberately coarse; the point of the test is the interleaving.
-func TestConcurrentRunnerHighK(t *testing.T) {
+func TestRunnerStreamsHighK(t *testing.T) {
 	const k = 64
 	store, err := core.NewFileStore(vclock.New(),
 		blob.WithCapacity(256*units.MB), blob.WithDiskMode(disk.MetadataMode),
@@ -46,7 +46,7 @@ func TestConcurrentRunnerHighK(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	r := NewConcurrentRunner(store, UniformStreams(k, Constant{Size: 256 * units.KB}), 1)
+	r := NewRunner(store, Constant{Size: 256 * units.KB}, 1).WithStreams(k)
 
 	load, err := r.BulkLoad(0.4)
 	if err != nil {

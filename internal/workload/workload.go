@@ -9,9 +9,9 @@
 // found size distribution had no obvious effect on fragmentation).
 //
 // Since the operation-source redesign, every phase is expressed as a
-// Source of typed Ops executed by the shared Executor: the sequential
-// Runner, the ConcurrentRunner, and trace replay (package trace) are
-// thin arrangements of Sources over one engine, so any workload —
+// Source of typed Ops executed by the shared Executor: the Runner (one
+// stream or k) and trace replay (package trace) are thin arrangements
+// of Sources over one engine, so any workload —
 // synthetic or recorded — can drive any blob.Store composition with one
 // set of accounting rules.
 package workload
@@ -26,7 +26,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/units"
-	"repro/internal/vclock"
 )
 
 // Typed errors for workload misconfiguration, in the spirit of
@@ -103,12 +102,12 @@ type Result struct {
 	Seconds float64
 	// SkippedSeconds is the virtual time consumed by operations that
 	// were skipped under TolerateNoSpace (a refused safe write still
-	// pays for the allocation attempt and its rollback). The sequential
+	// pays for the allocation attempt and its rollback). A single-stream
 	// Runner excludes it from MBps so skipped writes cannot dilute the
-	// throughput mean. ConcurrentRunner phases leave it zero: with k
-	// streams a skipped op's interval overlaps other streams' useful
-	// work, so there is no idle time to subtract and MBps is bytes over
-	// the whole phase.
+	// throughput mean. Multi-stream phases leave it zero: with k streams
+	// a skipped op's interval overlaps other streams' useful work, so
+	// there is no idle time to subtract and MBps is bytes over the whole
+	// phase.
 	SkippedSeconds float64
 	MBps           float64 // payload throughput (see SkippedSeconds)
 	EndingAge      float64 // storage age after the phase
@@ -120,25 +119,64 @@ func (r Result) String() string {
 		r.Ops, units.FormatBytes(r.Bytes), r.Seconds, r.MBps, r.EndingAge)
 }
 
-// Runner drives one store through the workload phases, single-stream.
-// Each phase is a Source executed by the shared Executor; the Runner
-// contributes the persistent per-workload state (one RNG spanning all
-// phases, the live-key list, fresh-key numbering).
+// Runner drives one store through the workload phases with k writer
+// streams (one unless WithStreams says otherwise). Each phase is one
+// Source per stream executed by the shared Executor; the Runner
+// contributes the state that spans phases: per stream, one RNG, the
+// live-key list and the fresh-key numbering.
+//
+// One stream is the paper's sequential workload (§4.3). k > 1 is the §6
+// regime a single writer cannot reach — "we have not yet characterized
+// the impact of interleaved append requests to multiple objects, which
+// are likely to increase fragmentation": every stream owns its keyspace
+// (keys prefixed "s<i>-") and its seeded RNG, and the Executor runs them
+// on k goroutines, so appends from different streams genuinely
+// interleave in allocation order while each stream's op sequence stays
+// reproducible. All streams share the Executor's AgeTracker: storage
+// age is a property of the volume, not of any writer.
 type Runner struct {
-	exec   *Executor
-	rng    *rand.Rand
-	dist   SizeDist
-	keys   []string
-	nextID int64
+	exec    *Executor
+	dist    SizeDist
+	seed    int64
+	streams []*stream
 }
 
-// NewRunner creates a deterministic runner over store.
+// stream is one writer's private workload state. Only its owning
+// goroutine touches it during a phase.
+type stream struct {
+	prefix string // "" for a lone stream, "s<i>-" among several
+	rng    *rand.Rand
+	keys   []string
+	next   int64
+}
+
+// key returns the stream's next fresh object key.
+func (s *stream) key() string {
+	k := fmt.Sprintf("%sobj-%08d", s.prefix, s.next)
+	s.next++
+	return k
+}
+
+// NewRunner creates a deterministic single-stream runner over store.
 func NewRunner(store blob.Store, dist SizeDist, seed int64) *Runner {
-	return &Runner{
-		exec: NewExecutor(store),
-		rng:  rand.New(rand.NewSource(seed)),
-		dist: dist,
+	r := &Runner{exec: NewExecutor(store), dist: dist, seed: seed}
+	return r.WithStreams(1)
+}
+
+// WithStreams sets the number of concurrent writer streams; call it
+// before the first phase. Stream i draws from an RNG seeded seed+i.
+// A count the Executor refuses (below 1, above MaxStreams) fails the
+// first phase with blob.ErrBadOption.
+func (r *Runner) WithStreams(k int) *Runner {
+	r.streams = make([]*stream, max(k, 0))
+	for i := range r.streams {
+		st := &stream{rng: rand.New(rand.NewSource(r.seed + int64(i)))}
+		if k > 1 {
+			st.prefix = fmt.Sprintf("s%02d-", i)
+		}
+		r.streams[i] = st
 	}
+	return r
 }
 
 // WithCollector installs per-op observability on the runner's executor
@@ -164,15 +202,14 @@ func (r *Runner) Tracker() *core.AgeTracker { return r.exec.Tracker() }
 // Repo returns the store under test.
 func (r *Runner) Repo() blob.Store { return r.exec.Store() }
 
-// Keys returns the keys of live objects, in creation order.
-func (r *Runner) Keys() []string { return r.keys }
-
-// ctx returns the context the executor carries.
-func (r *Runner) ctx() context.Context { return r.exec.ctx }
-
-// clockWatch starts a stopwatch on the repository clock.
-func (r *Runner) clockWatch() vclock.Stopwatch {
-	return vclockWatch(r.Repo())
+// Keys returns the keys of live objects: creation order within a
+// stream, stream-major across streams.
+func (r *Runner) Keys() []string {
+	var out []string
+	for _, s := range r.streams {
+		out = append(out, s.keys...)
+	}
+	return out
 }
 
 // BulkLoad puts fresh objects until live bytes reach occupancy (0..1) of
@@ -183,26 +220,32 @@ func (r *Runner) BulkLoad(occupancy float64) (Result, error) {
 }
 
 // BulkLoadBytes puts fresh objects until live bytes reach targetBytes.
+// Several streams race for the one byte budget, so their appends
+// interleave from the very first load. On a sharded store an unlucky
+// shard can fill early; the resulting ErrNoSpaceLeft is returned
+// (wrapped) for the caller to tolerate, with the other streams' work
+// intact.
 func (r *Runner) BulkLoadBytes(targetBytes int64) (Result, error) {
 	budget := NewByteBudget(targetBytes)
 	budget.Reserve(r.Repo().LiveBytes())
-	src := &LoadSource{
-		Dist:   r.dist,
-		Budget: budget,
-		Key: func() string {
-			key := fmt.Sprintf("obj-%08d", r.nextID)
-			r.nextID++
-			return key
-		},
-		OnCreate: func(key string) { r.keys = append(r.keys, key) },
+	specs := make([]Stream, len(r.streams))
+	for i, s := range r.streams {
+		specs[i] = Stream{
+			Source: &LoadSource{
+				Dist:     r.dist,
+				Budget:   budget,
+				Key:      s.key,
+				OnCreate: func(key string) { s.keys = append(s.keys, key) },
+			},
+			RNG: s.rng,
+		}
 	}
-	rr, err := r.exec.Run([]Stream{{Source: src, RNG: r.rng}}, RunOptions{})
+	rr, err := r.exec.Run(specs, RunOptions{})
+	r.Tracker().ResetBaseline()
 	res := r.writeResult(rr)
 	if err != nil {
 		return res, fmt.Errorf("bulk load after %d objects: %w", res.Ops, err)
 	}
-	r.Tracker().ResetBaseline()
-	res.EndingAge = 0
 	return res, nil
 }
 
@@ -226,23 +269,37 @@ type ChurnOptions struct {
 	Background Background
 }
 
-// ChurnToAge safe-writes uniformly chosen objects until storage age
-// reaches target. Write throughput over the phase is the Figure 4
-// measurement: "the average write throughput between the bulk load and
-// storage age two read measurements".
+// ChurnToAge safe-writes uniformly chosen objects — each stream from
+// its own keyspace — until the shared storage age reaches target. Write
+// throughput over the phase is the Figure 4 measurement: "the average
+// write throughput between the bulk load and storage age two read
+// measurements".
 func (r *Runner) ChurnToAge(target float64, opts ChurnOptions) (Result, error) {
-	if len(r.keys) == 0 {
+	specs := make([]Stream, len(r.streams))
+	loaded := 0
+	for i, s := range r.streams {
+		loaded += len(s.keys)
+		// A stream that got no budget at load time has an empty keyspace
+		// and its ChurnSource is immediately exhausted: it idles.
+		specs[i] = Stream{
+			Source: &ChurnSource{
+				Keys:          s.keys,
+				Dist:          r.dist,
+				TargetAge:     target,
+				Age:           r.Tracker().Age,
+				ReadsPerWrite: opts.ReadsPerWrite,
+			},
+			RNG:       s.rng,
+			SkipLimit: 4 * len(s.keys),
+		}
+	}
+	if loaded == 0 {
 		return Result{}, fmt.Errorf("workload: churn before bulk load")
 	}
-	src := &ChurnSource{
-		Keys:          r.keys,
-		Dist:          r.dist,
-		TargetAge:     target,
-		Age:           r.Tracker().Age,
-		ReadsPerWrite: opts.ReadsPerWrite,
-	}
-	rr, err := r.exec.RunWithBackground([]Stream{{Source: src, RNG: r.rng, SkipLimit: 4 * len(r.keys)}},
-		RunOptions{TolerateNoSpace: opts.TolerateNoSpace, TrackSkipTime: true}, opts.Background)
+	// Skip time is idle time only for a lone stream (see
+	// RunOptions.TrackSkipTime).
+	rr, err := r.exec.RunWithBackground(specs,
+		RunOptions{TolerateNoSpace: opts.TolerateNoSpace, TrackSkipTime: len(specs) == 1}, opts.Background)
 	res := r.writeResult(rr)
 	if err != nil {
 		return res, fmt.Errorf("churn: %w", err)
@@ -284,7 +341,7 @@ func (r *Runner) MeasureReadThroughput(samples int) (Result, error) {
 // (uniform when nil) and returns the payload throughput in MB/s of
 // virtual time.
 func (r *Runner) MeasureRead(samples int, opts ReadOptions) (Result, error) {
-	res, err := readPhase(r.exec, r.keys, samples, r.rng, opts)
+	res, err := readPhase(r.exec, r.Keys(), samples, r.streams[0].rng, opts)
 	if err != nil {
 		return res, err
 	}
@@ -326,9 +383,9 @@ func readPhase(exec *Executor, keys []string, samples int,
 	return res, err
 }
 
-// writeResult converts a single-stream write run into the phase Result
-// the classic Runner reported: Bytes and MBps cover committed payload,
-// with skipped-op time excluded from the throughput mean.
+// writeResult converts a write run into the phase Result: Bytes and
+// MBps cover committed payload, with a lone stream's skipped-op time
+// excluded from the throughput mean.
 func (r *Runner) writeResult(rr RunResult) Result {
 	total := rr.Total()
 	bytes := total.BytesWritten
@@ -342,38 +399,4 @@ func (r *Runner) writeResult(rr RunResult) Result {
 		EndingAge:      r.Tracker().Age(),
 		ObjectsAlive:   r.Repo().ObjectCount(),
 	}
-}
-
-// DeleteGroup deletes a contiguous group of n objects starting at a
-// random position — the structured deallocation pattern §3.2 describes
-// ("pictures shared for an event are often uploaded and later deleted as
-// a group"). Used by the photoshare example and extension benches.
-func (r *Runner) DeleteGroup(n int) (Result, error) {
-	w := r.clockWatch()
-	var res Result
-	if len(r.keys) == 0 {
-		return res, fmt.Errorf("workload: delete before bulk load")
-	}
-	if n > len(r.keys) {
-		n = len(r.keys)
-	}
-	start := r.rng.Intn(len(r.keys) - n + 1)
-	for i := 0; i < n; i++ {
-		key := r.keys[start+i]
-		info, err := r.Repo().Stat(r.ctx(), key)
-		if err != nil {
-			return res, err
-		}
-		if err := r.Tracker().Delete(r.ctx(), key); err != nil {
-			return res, err
-		}
-		res.Ops++
-		res.Bytes += info.Size
-	}
-	r.keys = append(r.keys[:start], r.keys[start+n:]...)
-	res.Seconds = w.Seconds()
-	res.MBps = units.MBps(res.Bytes, res.Seconds)
-	res.EndingAge = r.Tracker().Age()
-	res.ObjectsAlive = r.Repo().ObjectCount()
-	return res, nil
 }

@@ -214,27 +214,6 @@ func TestInterleavedReadsSlowChurn(t *testing.T) {
 	}
 }
 
-func TestDeleteGroup(t *testing.T) {
-	r := NewRunner(newFS(128*units.MB), Constant{Size: 1 * units.MB}, 9)
-	if _, err := r.BulkLoad(0.5); err != nil {
-		t.Fatal(err)
-	}
-	before := r.Repo().ObjectCount()
-	res, err := r.DeleteGroup(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Ops != 10 || r.Repo().ObjectCount() != before-10 {
-		t.Fatalf("deleted %d, count %d->%d", res.Ops, before, r.Repo().ObjectCount())
-	}
-	if len(r.Keys()) != before-10 {
-		t.Fatal("key list not maintained")
-	}
-	if r.Tracker().Age() <= 0 {
-		t.Fatal("deletes must advance storage age")
-	}
-}
-
 func TestSizesClusterAligned(t *testing.T) {
 	r := NewRunner(newFS(128*units.MB), Uniform{Min: 100 * units.KB, Max: 900 * units.KB}, 11)
 	if _, err := r.BulkLoad(0.3); err != nil {
