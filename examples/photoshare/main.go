@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
+	"slices"
 
 	"repro/internal/blob"
 	"repro/internal/frag"
@@ -89,6 +90,7 @@ func main() {
 		// Now the uncorrelated case the paper's main workload models:
 		// individual photos replaced at random ("safe writes").
 		keys := repo.Keys()
+		slices.Sort(keys) // Keys is map-ordered; the seeded picks below must not be
 		for op := 0; op < len(keys); op++ {
 			k := keys[rng.Intn(len(keys))]
 			if err := blob.Replace(ctx, repo, k, photoSize, nil); err != nil {

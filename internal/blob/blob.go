@@ -41,12 +41,18 @@ type Reader interface {
 	// path (one disk request per physically contiguous fragment). The
 	// returned payload is non-nil only when the backing drive retains
 	// payload bytes (data mode); metadata-only simulation returns nil.
+	//
+	// The returned payload is a read-only view shared with the store and
+	// other readers; it stays valid and unchanged for as long as the
+	// caller holds it — across Replace, Delete, eviction, compaction and
+	// Recover — and a caller that wants to modify bytes copies them. Its
+	// capacity equals its length, so appending to it reallocates.
 	ReadAll() ([]byte, error)
 
 	// ReadAt reads length bytes starting at off, touching only the
 	// physical runs that cover the range — an io.ReaderAt-style ranged
-	// read. Payload rules match ReadAll. Reads outside [0, Size()] fail
-	// with ErrOutOfRange.
+	// read. Payload rules match ReadAll, the view contract included.
+	// Reads outside [0, Size()] fail with ErrOutOfRange.
 	ReadAt(off, length int64) ([]byte, error)
 
 	// Close releases the handle. Reads after Close fail with ErrClosed.
@@ -65,7 +71,8 @@ type Writer interface {
 	// stream must be all-payload or all-metadata: mixing nil and non-nil
 	// appends fails with ErrInvalidSize. The total appended before
 	// Commit must equal the size declared at Create/Replace, or Commit
-	// fails with ErrInvalidSize.
+	// fails with ErrInvalidSize. Append copies what it keeps: data is the
+	// caller's to reuse as soon as the call returns.
 	Append(n int64, data []byte) error
 
 	// Write implements io.Writer over Append.

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -35,6 +36,7 @@ func Run(t *testing.T, mk Factory) {
 		{"TypedErrors", testTypedErrors},
 		{"ReplaceSemantics", testReplaceSemantics},
 		{"RangedReads", testRangedReads},
+		{"PayloadViewsAreStable", testPayloadViewsAreStable},
 		{"ReaderPinnedToVersion", testReaderPinnedToVersion},
 		{"WriterLifecycle", testWriterLifecycle},
 		{"MixedAppendsRejected", testMixedAppendsRejected},
@@ -230,6 +232,180 @@ func testRangedReads(t *testing.T, mk Factory) {
 	// A hostile offset must not overflow the bounds check into a panic.
 	if _, err := r.ReadAt(math.MaxInt64-10, 100); !errors.Is(err, blob.ErrOutOfRange) {
 		t.Fatalf("overflowing offset = %v, want ErrOutOfRange", err)
+	}
+}
+
+// testPayloadViewsAreStable pins the view contract of blob.Reader: read
+// results have no spare capacity, and bytes a caller still holds are the
+// bytes it read, whatever the store does to the object afterwards —
+// replace it with an equal-sized version, relocate it (CompactObject,
+// PackObjects, where the stack has them), push it out of a cache, delete
+// it and reuse its handles for new objects, or recover from a crash.
+func testPayloadViewsAreStable(t *testing.T, mk Factory) {
+	ctx := context.Background()
+	s := mk(blob.WithCapacity(128*units.MB), blob.WithDiskMode(disk.DataMode))
+
+	// "big" is written interleaved with a sibling so the file backend
+	// fragments it and CompactObject has something to move; the smalls
+	// are pack candidates.
+	const bigSize, smallSize = 320 * units.KB, 12 * units.KB
+	version := func(key string, size int64, ver byte) []byte {
+		p := payload(size)
+		for i := range p {
+			p[i] ^= ver + key[len(key)-1]
+		}
+		return p
+	}
+	wBig, err := s.Create(ctx, "big", bigSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wSib, err := s.Create(ctx, "sibling", bigSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big, sib := version("big", bigSize, 1), version("sibling", bigSize, 1)
+	for off := int64(0); off < bigSize; off += 64 * units.KB {
+		if err := wBig.Append(64*units.KB, big[off:off+64*units.KB]); err != nil {
+			t.Fatal(err)
+		}
+		if err := wSib.Append(64*units.KB, sib[off:off+64*units.KB]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := wBig.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := wSib.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	smalls := []string{"small-0", "small-1", "small-2", "small-3"}
+	sizes := map[string]int64{"big": bigSize}
+	for _, k := range smalls {
+		sizes[k] = smallSize
+		if err := blob.Put(ctx, s, k, smallSize, version(k, smallSize, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Hold views of everything: two whole reads of each object (behind a
+	// cache the first is the miss, the second the hit) and one range.
+	type held struct {
+		what string
+		view []byte
+		want []byte
+	}
+	var views []held
+	hold := func(what string, view, want []byte) {
+		t.Helper()
+		if !bytes.Equal(view, want) {
+			t.Fatalf("%s: payload mismatch on first read", what)
+		}
+		if cap(view) != len(view) {
+			t.Fatalf("%s: view has cap %d beyond its len %d", what, cap(view), len(view))
+		}
+		views = append(views, held{what, view, want})
+	}
+	for k, size := range sizes {
+		want := version(k, size, 1)
+		for _, pass := range []string{"first", "second"} {
+			_, got, err := blob.Get(ctx, s, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hold(k+" "+pass+" whole read", got, want)
+		}
+	}
+	r, err := s.Open(ctx, "big")
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := r.ReadAt(100*units.KB, 50*units.KB)
+	r.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hold("big ranged read", part, big[100*units.KB:150*units.KB])
+
+	check := func(after string) {
+		t.Helper()
+		for _, h := range views {
+			if !bytes.Equal(h.view, h.want) {
+				t.Fatalf("%s changed after %s", h.what, after)
+			}
+		}
+	}
+	// A second goroutine keeps reading the views while the store works,
+	// as a server writing one to a socket does: under -race a store that
+	// writes into a buffer it has handed out is a reported data race,
+	// whether or not the bytes end up equal.
+	stop, watched := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(watched)
+		for {
+			for _, h := range views {
+				if !bytes.Equal(h.view, h.want) {
+					t.Errorf("%s changed under a concurrent reader", h.what)
+					return
+				}
+			}
+			select {
+			case <-stop:
+				return
+			default:
+				runtime.Gosched()
+			}
+		}
+	}()
+	defer func() { close(stop); <-watched }()
+
+	if rw, ok := blob.As[blob.Rewriter](s); ok {
+		if _, err := rw.CompactObject(ctx, "big"); err != nil {
+			t.Fatal(err)
+		}
+		check("CompactObject")
+	}
+	if pk, ok := blob.As[blob.Packer](s); ok {
+		if _, err := pk.PackObjects(ctx, smalls); err != nil && !errors.Is(err, errors.ErrUnsupported) {
+			t.Fatal(err)
+		}
+		check("PackObjects")
+	}
+	// Same-sized new versions: a store that recycled a payload buffer
+	// would hand the old one to exactly these writes.
+	for k, size := range sizes {
+		if err := blob.Replace(ctx, s, k, size, version(k, size, 2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("Replace")
+	// 16 MB of other reads: more than the caches the suite runs under.
+	filler := version("filler", units.MB, 3)
+	for i := 0; i < 16; i++ {
+		k := fmt.Sprintf("filler-%02d", i)
+		if err := blob.Put(ctx, s, k, units.MB, filler); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := blob.Get(ctx, s, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("cache eviction")
+	sizes["sibling"] = bigSize
+	for k := range sizes {
+		if err := s.Delete(ctx, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 8; i++ { // new objects through the freed handles
+		if err := blob.Put(ctx, s, fmt.Sprintf("reuse-%d", i), bigSize, version("reuse", bigSize, 4)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("Delete and reuse")
+	if rec, ok := blob.As[interface{ Recover() int }](s); ok {
+		rec.Recover()
+		check("Recover")
 	}
 }
 

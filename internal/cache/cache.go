@@ -85,19 +85,14 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// clone copies payload bytes on the cache boundary. Both backends
-// return a fresh slice from every read, so callers may mutate results
-// freely; the cache preserves that isolation by cloning on fill (the
-// miss's caller holds the original) and on every serve (two hit
-// readers must not share one mutable buffer). nil stays nil
-// (metadata-only simulation).
-func clone(b []byte) []byte {
+// view returns b[off:off+n] with its capacity clipped, so a caller's
+// append cannot write into an array the cache and other readers share;
+// nil (metadata-only simulation) stays nil.
+func view(b []byte, off, n int64) []byte {
 	if b == nil {
 		return nil
 	}
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out
+	return b[off : off+n : off+n]
 }
 
 // crange is one cached ranged read of a partial entry.
@@ -108,6 +103,9 @@ type crange struct {
 
 // entry is one cached object version. A full entry serves any read;
 // a partial entry serves ranged reads covered by one cached range.
+// Payloads are the read-only views the wrapped store returned (see
+// blob.Reader), kept and served as they are: in data mode a resident
+// entry shares the store's bytes instead of holding a second copy.
 // bytes is the logical resident footprint charged against capacity —
 // logical, not len(data), so metadata-only simulation exercises the
 // same residency and eviction behaviour as data mode.
@@ -334,7 +332,7 @@ func (s *Store) fillFull(key string, v uint64, size int64, data []byte) {
 		}
 		s.drop(e) // promote: the full object supersedes cached ranges
 	}
-	e := &entry{key: key, size: size, full: true, data: clone(data), bytes: size}
+	e := &entry{key: key, size: size, full: true, data: data, bytes: size}
 	s.entries[key] = e
 	s.pushFront(e)
 	s.resident += size
@@ -389,8 +387,10 @@ func (s *Store) fillRange(key string, v uint64, size, off, length int64, data []
 		e.ranges = append(keep, absorbed...) // full: restore, skip the fill
 		return
 	}
-	var buf []byte
-	if data != nil {
+	// A range that absorbs nothing keeps the view it was handed; a
+	// merged one builds its own buffer, immutable once installed.
+	buf := data
+	if data != nil && len(absorbed) > 0 {
 		buf = make([]byte, hi-lo)
 		for _, r := range absorbed {
 			copy(buf[r.off-lo:], r.data)
@@ -471,9 +471,9 @@ var (
 )
 
 // hitReader serves one fully resident object version from memory. It
-// snapshots the payload at Open, so a concurrent eviction cannot
-// affect it; version pinning is enforced against the cache's version
-// counter, which every commit and delete through the cache bumps.
+// holds the entry's payload view from Open, so a concurrent eviction
+// cannot affect it; version pinning is enforced against the cache's
+// version counter, which every commit and delete through the cache bumps.
 type hitReader struct {
 	s       *Store
 	ctx     context.Context
@@ -516,7 +516,7 @@ func (r *hitReader) ReadAll() ([]byte, error) {
 	r.s.stats.Hits++
 	r.s.mu.Unlock()
 	r.s.chargeMemory(r.size)
-	return clone(r.data), nil
+	return view(r.data, 0, int64(len(r.data))), nil
 }
 
 // ReadAt implements blob.Reader at memory speed.
@@ -534,10 +534,7 @@ func (r *hitReader) ReadAt(off, length int64) ([]byte, error) {
 	r.s.stats.Hits++
 	r.s.mu.Unlock()
 	r.s.chargeMemory(length)
-	if r.data == nil {
-		return nil, nil
-	}
-	return clone(r.data[off : off+length]), nil
+	return view(r.data, off, length), nil
 }
 
 // Close implements blob.Reader. The first Close retires the handle to
@@ -569,23 +566,11 @@ type missReader struct {
 // Size implements blob.Reader.
 func (r *missReader) Size() int64 { return r.r.Size() }
 
-// fromCache returns resident bytes covering [off, off+length) at the
-// pinned version, or ok=false to read through. length < 0 requests the
-// whole object. The mutex only guards the index lookup; the payload
-// clone runs outside it — entry buffers are immutable once installed
-// (fills always allocate fresh buffers), so MB-scale memcpys must not
-// serialize every other cache operation.
+// fromCache returns a view of the resident bytes covering
+// [off, off+length) at the pinned version, or ok=false to read through.
+// length < 0 requests the whole object. Entry buffers are immutable once
+// installed, so the view outlives the mutex that guards the lookup.
 func (r *missReader) fromCache(off, length int64) (data []byte, ok bool) {
-	view, ok := r.lookup(off, length)
-	if !ok {
-		return nil, false
-	}
-	return clone(view), true
-}
-
-// lookup finds the resident view under the mutex; callers clone it
-// outside.
-func (r *missReader) lookup(off, length int64) (view []byte, ok bool) {
 	r.s.mu.Lock()
 	defer r.s.mu.Unlock()
 	if r.s.versions[r.key] != r.version {
@@ -602,10 +587,7 @@ func (r *missReader) lookup(off, length int64) (view []byte, ok bool) {
 	if e.full {
 		r.s.touch(e)
 		r.s.stats.Hits++
-		if e.data == nil {
-			return nil, true
-		}
-		return e.data[off : off+length], true
+		return view(e.data, off, length), true
 	}
 	if whole {
 		return nil, false
@@ -613,11 +595,7 @@ func (r *missReader) lookup(off, length int64) (view []byte, ok bool) {
 	if cr := covers(e, off, length); cr != nil {
 		r.s.touch(e)
 		r.s.stats.Hits++
-		if cr.data == nil {
-			return nil, true
-		}
-		lo := off - cr.off
-		return cr.data[lo : lo+length], true
+		return view(cr.data, off-cr.off, length), true
 	}
 	return nil, false
 }

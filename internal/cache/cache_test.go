@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/blob"
@@ -409,10 +410,12 @@ func TestConcurrentHitsAndInvalidations(t *testing.T) {
 	}
 }
 
-// TestCallerMutationCannotCorruptCache pins the slice-isolation
-// contract both backends provide (a fresh slice per read): mutating a
-// read result — miss or hit — must never change what later readers see.
-func TestCallerMutationCannotCorruptCache(t *testing.T) {
+// TestReadsShareTheStoresBytes pins the view contract of blob.Reader on
+// the cache boundary: the miss result, every hit result and the wrapped
+// store's own read are one array (a resident entry is not a second copy
+// of the object), every view's capacity is clipped to its length, and a
+// cached read allocates no payload.
+func TestReadsShareTheStoresBytes(t *testing.T) {
 	ctx := context.Background()
 	c := newCachedFS(t, 64*units.MB)
 	data := make([]byte, 256*units.KB)
@@ -422,25 +425,86 @@ func TestCallerMutationCannotCorruptCache(t *testing.T) {
 	if err := blob.Put(ctx, c, "a", int64(len(data)), data); err != nil {
 		t.Fatal(err)
 	}
-	_, miss, err := blob.Get(ctx, c, "a") // fills the cache
+	read := func(s blob.Store) []byte {
+		t.Helper()
+		_, got, err := blob.Get(ctx, s, "a")
+		if err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("read: %d bytes, err %v", len(got), err)
+		}
+		if cap(got) != len(got) {
+			t.Fatalf("view has cap %d beyond its len %d", cap(got), len(got))
+		}
+		return got
+	}
+	miss, hit, inner := read(c), read(c), read(c.Inner())
+	if &miss[0] != &hit[0] || &hit[0] != &inner[0] {
+		t.Fatal("miss result, hit result and store read are not one array")
+	}
+	if st := c.CacheStats(); st.Hits != 1 || st.Misses != 1 || st.ResidentBytes != int64(len(data)) {
+		t.Fatalf("stats = %+v, want 1 hit, 1 miss, the object resident", st)
+	}
+
+	r, err := c.Open(ctx, "a")
 	if err != nil {
 		t.Fatal(err)
 	}
-	miss[0] = 0xFF // caller scribbles on the miss result
-	_, hit1, err := blob.Get(ctx, c, "a")
+	defer r.Close()
+	part, err := r.ReadAt(units.KB, 4*units.KB)
+	if err != nil || &part[0] != &inner[units.KB] || cap(part) != len(part) {
+		t.Fatalf("ranged hit: err %v, cap %d len %d, aliases store: %v",
+			err, cap(part), len(part), err == nil && &part[0] == &inner[units.KB])
+	}
+
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	testing.AllocsPerRun(runs, func() { read(c) })
+	runtime.ReadMemStats(&after)
+	// AllocsPerRun makes one warm-up call on top of runs.
+	if perRead := int64(after.TotalAlloc-before.TotalAlloc) / (runs + 1); perRead > 4*units.KB {
+		t.Errorf("cached read of a %d-byte object allocates %d bytes", len(data), perRead)
+	}
+}
+
+// TestLoneRangeKeepsItsView pins fillRange's no-copy path: a ranged miss
+// that absorbs no cached neighbour is kept as the view the store handed
+// over, while a merge of two ranges builds the cache's own buffer.
+func TestLoneRangeKeepsItsView(t *testing.T) {
+	ctx := context.Background()
+	c := newCachedFS(t, 64*units.MB)
+	data := make([]byte, units.MB)
+	for i := range data {
+		data[i] = byte(i % 199)
+	}
+	if err := blob.Put(ctx, c, "a", int64(len(data)), data); err != nil {
+		t.Fatal(err)
+	}
+	r, err := c.Open(ctx, "a")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hit1[0] != data[0] {
-		t.Fatalf("caller mutation of a miss result reached the cache: %#x", hit1[0])
+	defer r.Close()
+	readAt := func(off, n int64) []byte {
+		t.Helper()
+		got, err := r.ReadAt(off, n)
+		if err != nil || !bytes.Equal(got, data[off:off+n]) || cap(got) != len(got) {
+			t.Fatalf("ReadAt(%d,%d): err %v, len %d cap %d", off, n, err, len(got), cap(got))
+		}
+		return got
 	}
-	hit1[0] = 0xEE // ... and on a hit result
-	_, hit2, err := blob.Get(ctx, c, "a")
-	if err != nil {
-		t.Fatal(err)
+	miss := readAt(0, 64*units.KB)
+	if hit := readAt(0, 64*units.KB); &hit[0] != &miss[0] {
+		t.Fatal("a lone cached range was copied on fill")
 	}
-	if hit2[0] != data[0] {
-		t.Fatalf("caller mutation of a hit result reached the cache: %#x", hit2[0])
+	readAt(64*units.KB, 64*units.KB) // abuts the first: the two merge
+	if merged := readAt(0, 128*units.KB); &merged[0] == &miss[0] {
+		t.Fatal("merged range aliases the first range's view")
+	}
+	if !bytes.Equal(miss, data[:64*units.KB]) {
+		t.Fatal("merging rewrote an installed range")
+	}
+	if st := c.CacheStats(); st.ResidentBytes != 128*units.KB {
+		t.Fatalf("resident %d, want the merged 128K", st.ResidentBytes)
 	}
 }
 

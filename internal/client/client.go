@@ -28,6 +28,7 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -96,20 +97,45 @@ func (s *Store) ratchet(h http.Header) {
 	s.mu.Unlock()
 }
 
+// sliceBody is a request body that reads the caller's slice in place.
+// The transport may still be reading it when Do returns (a server can
+// answer before it has read the request) and closes every body it was
+// given once done with it; do waits on sent for those Closes.
+type sliceBody struct {
+	*bytes.Reader
+	done func() // sent.Done, once: the transport may close a body twice
+}
+
+func (b sliceBody) Close() error { b.done(); return nil }
+
 // do performs one wire call: context pre-check, request, clock
-// ratchet, and typed error mapping. On success the caller owns the
-// response body. On failure the sentinel named by the response (or
-// mapped from its status) is wrapped into the returned error.
-func (s *Store) do(ctx context.Context, method, path string, body io.Reader, hdr map[string]string) (*http.Response, error) {
+// ratchet, and typed error mapping. payload, when not empty, is sent as
+// the request body without being copied and is not referenced after do
+// returns. On success the caller owns the response body. On failure the
+// sentinel named by the response (or mapped from its status) is wrapped
+// into the returned error.
+func (s *Store) do(ctx context.Context, method, path string, payload []byte, hdr map[string]string) (*http.Response, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	req, err := http.NewRequestWithContext(ctx, method, s.base+path, body)
+	req, err := http.NewRequestWithContext(ctx, method, s.base+path, nil)
 	if err != nil {
 		return nil, fmt.Errorf("client: %s %s: %w", method, path, err)
 	}
 	for k, v := range hdr {
 		req.Header.Set(k, v)
+	}
+	if len(payload) > 0 {
+		var sent sync.WaitGroup
+		defer sent.Wait()
+		// GetBody lets the transport replay the request on a connection
+		// the server closed while idle, as the standard body types do.
+		req.GetBody = func() (io.ReadCloser, error) {
+			sent.Add(1)
+			return sliceBody{bytes.NewReader(payload), sync.OnceFunc(sent.Done)}, nil
+		}
+		req.Body, _ = req.GetBody()
+		req.ContentLength = int64(len(payload))
 	}
 	resp, err := s.hc.Do(req)
 	if err != nil {
@@ -344,15 +370,13 @@ func (s *Store) Upload(ctx context.Context, key string, size int64, data []byte,
 		mode = wire.ModeReplace
 	}
 	path := fmt.Sprintf("%s%s?mode=%s", wire.PathBlobs, escape(key), mode)
-	var body io.Reader
 	hdr := map[string]string{}
 	if data == nil {
 		hdr[wire.HeaderMetaBytes] = strconv.FormatInt(size, 10)
 	} else {
-		body = strings.NewReader(string(data)) // avoid aliasing caller's buffer after return
 		hdr[wire.HeaderSize] = strconv.FormatInt(size, 10)
 	}
-	resp, err := s.do(ctx, "PUT", path, body, hdr)
+	resp, err := s.do(ctx, "PUT", path, data, hdr)
 	if err != nil {
 		return err
 	}
@@ -468,14 +492,11 @@ func (w *writer) Append(n int64, data []byte) error {
 	if err := w.st.BeginAppend(w.ctx, n, data); err != nil {
 		return err
 	}
-	var resp *http.Response
-	var err error
+	var hdr map[string]string
 	if data == nil {
-		hdr := map[string]string{wire.HeaderMetaBytes: strconv.FormatInt(n, 10)}
-		resp, err = w.s.do(w.ctx, "POST", wire.PathWriteH+w.handle, nil, hdr)
-	} else {
-		resp, err = w.s.do(w.ctx, "POST", wire.PathWriteH+w.handle, strings.NewReader(string(data)), nil)
+		hdr = map[string]string{wire.HeaderMetaBytes: strconv.FormatInt(n, 10)}
 	}
+	resp, err := w.s.do(w.ctx, "POST", wire.PathWriteH+w.handle, data, hdr)
 	if err != nil {
 		return err
 	}

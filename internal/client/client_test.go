@@ -1,6 +1,7 @@
 package client_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net/http/httptest"
@@ -287,5 +288,54 @@ func TestLoneCommitDoesNotWait(t *testing.T) {
 			return c.Upload(ctx, key, 64*units.KB, nil, false)
 		})
 		conformance.LoneCommitDoesNotWait(t, stack, conformance.PutKey(c, key+"-session"))
+	}
+}
+
+// TestUploadBufferIsCallersAfterReturn pins the no-copy request body: the
+// caller's slice is sent as it is, and is the caller's again once the
+// call returns — also when the server answers before it has read the
+// body (create of an existing key) and the transport is still writing.
+// The caller scribbles over its buffer right after every return; under
+// -race a transport still reading it is a reported data race.
+func TestUploadBufferIsCallersAfterReturn(t *testing.T) {
+	ctx := context.Background()
+	c := serve(t, fileInner)(blob.WithCapacity(64*units.MB), blob.WithDiskMode(disk.DataMode)).(*client.Store)
+	const size, mb = 4 << 20, 1 << 20 // far more than the socket buffers hold
+	buf := bytes.Repeat([]byte{1}, size)
+	if err := c.Upload(ctx, "k", size, buf, false); err != nil {
+		t.Fatal(err)
+	}
+	for round := byte(2); round < 10; round++ {
+		for i := range buf {
+			buf[i] = round
+		}
+		if err := c.Upload(ctx, "k", size, buf, false); !errors.Is(err, blob.ErrAlreadyExists) {
+			t.Fatalf("create of an existing key = %v, want ErrAlreadyExists", err)
+		}
+	}
+	// The session path sends its appends the same way.
+	w, err := c.Replace(ctx, "k", size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for off := 0; off < size; off += mb {
+		for i := range buf[:mb] {
+			buf[i] = byte(off/mb) + 20
+		}
+		if err := w.Append(mb, buf[:mb]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	_, got, err := c.Fetch(ctx, "k")
+	if err != nil || len(got) != size {
+		t.Fatalf("fetch: %d bytes, err %v", len(got), err)
+	}
+	for off := 0; off < size; off += mb {
+		if want := bytes.Repeat([]byte{byte(off/mb) + 20}, mb); !bytes.Equal(got[off:off+mb], want) {
+			t.Fatalf("append %d stored bytes the caller wrote after it returned", off/mb)
+		}
 	}
 }

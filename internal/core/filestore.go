@@ -305,6 +305,7 @@ func (s *FileStore) newWriter(ctx context.Context, key string, size int64, repla
 			return nil, err
 		}
 	}
+	f.ReservePayload(size)
 	s.inflight[key] = true
 	w := fileWriterPool.Get().(*fileWriter)
 	apply := w.apply

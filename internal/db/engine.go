@@ -436,6 +436,7 @@ func (d *Database) write(key string, size int64, data []byte, replace bool) erro
 	}
 	r := &row{key: key, size: size, tag: tag, pages: dataPages, nodes: nodePages}
 	if data != nil && d.data.Mode() == disk.DataMode {
+		// Callers (the store's pooled writer buffer) reuse theirs.
 		r.data = append([]byte(nil), data...)
 	}
 	d.rows[key] = r
@@ -474,7 +475,7 @@ func (d *Database) SimulateCrash() {
 
 // Get reads an object whole — a full-range GetRange, so the two read
 // paths can never drift on simulated costs. The returned payload is
-// non-nil only in data mode.
+// non-nil only in data mode, and is a view as GetRange describes.
 func (d *Database) Get(key string) ([]byte, error) {
 	r, ok := d.rows[key]
 	if !ok {
@@ -487,7 +488,9 @@ func (d *Database) Get(key string) ([]byte, error) {
 // the row lookup, the fragment-tree node reads, and one disk request per
 // physically contiguous run of the pages covering the range — the
 // engine-side half of the v2 store's ranged reads. The returned payload
-// is non-nil only in data mode.
+// is non-nil only in data mode, and is then a capacity-clipped read-only
+// view of the row's retained bytes, which are written once, when the row
+// is built: replace, delete and Compact drop or move the slice only.
 func (d *Database) GetRange(key string, off, length int64) ([]byte, error) {
 	r, ok := d.rows[key]
 	if !ok {
@@ -526,10 +529,8 @@ func (d *Database) GetRange(key string, off, length int64) ([]byte, error) {
 	}
 	d.data.ChargeCPU(d.cfg.PageCPUUs * float64(len(touched)))
 	d.statGets++
-	if r.data != nil && off+length <= int64(len(r.data)) {
-		out := make([]byte, length)
-		copy(out, r.data[off:off+length])
-		return out, nil
+	if off+length <= int64(len(r.data)) {
+		return r.data[off : off+length : off+length], nil
 	}
 	return nil, nil
 }

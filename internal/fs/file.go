@@ -31,11 +31,11 @@ type File struct {
 	// proposes in §6.
 	sizeHint int64
 
-	// data holds the file's contents when the drive retains payloads
-	// (integrity tests); delayedData buffers appended bytes under
-	// delayed allocation.
-	data        []byte
-	delayedData []byte
+	// data holds the file's contents when the drive retains payloads.
+	// Bytes below len(data) are never written again: reads hand out
+	// views of this array. payloadCap is what ReservePayload asked for.
+	data       []byte
+	payloadCap int64
 
 	// Packed files carry no runs of their own: their bytes live at
 	// [packOff, packOff+size) inside pack's shared data region.
@@ -136,6 +136,12 @@ func (f *File) SetSizeHint(size int64) error {
 	return nil
 }
 
+// ReservePayload declares how many payload bytes the appends will carry,
+// so a data-mode drive allocates the retained buffer once, at that size.
+// Memory only: unlike SetSizeHint the allocator never sees it, so the
+// on-disk layout is the same with and without it.
+func (f *File) ReservePayload(size int64) { f.payloadCap = size }
+
 // Append writes len(dataOrNil) bytes — or n bytes when data is nil — to
 // the end of the file. Each call is one write request: without delayed
 // allocation, space for exactly this request is allocated now, which is
@@ -154,16 +160,18 @@ func (f *File) Append(n int64, data []byte) error {
 	if v.cfg.DelayedAllocation {
 		// Buffer only; allocation happens at Close with the size known.
 		f.buffered += n
-		if data != nil {
-			f.delayedData = append(f.delayedData, data...)
-		}
+		f.storeData(data)
 		return nil
 	}
-	return f.appendAllocated(n, data)
+	if err := f.appendAllocated(n); err != nil {
+		return err
+	}
+	f.storeData(data)
+	return nil
 }
 
-// appendAllocated performs an immediate-allocation append.
-func (f *File) appendAllocated(n int64, data []byte) error {
+// appendAllocated allocates and charges the disk writes for n more bytes.
+func (f *File) appendAllocated(n int64) error {
 	v := f.vol
 	cs := v.ClusterSize()
 	newSize := f.size + n
@@ -181,7 +189,7 @@ func (f *File) appendAllocated(n int64, data []byte) error {
 		if err != nil {
 			return fmt.Errorf("%w: appending %d bytes to %s", ErrNoSpace, n, f.name)
 		}
-		f.writeNewRuns(runs, data)
+		f.writeNewRuns(runs)
 		f.appendRuns(runs)
 	} else {
 		// Fits in the slack of the last cluster; charge a rewrite of it.
@@ -189,19 +197,17 @@ func (f *File) appendAllocated(n int64, data []byte) error {
 		v.drive.WriteRun(extent.Run{Start: tail, Len: 1}, f.tag, f.allocated-1, nil)
 	}
 	f.size = newSize
-	f.storeData(data)
 	return nil
 }
 
 // writeNewRuns issues the disk writes for freshly allocated runs, with
 // owner tags carrying the object-relative cluster sequence.
-func (f *File) writeNewRuns(runs []extent.Run, data []byte) {
+func (f *File) writeNewRuns(runs []extent.Run) {
 	seq := f.allocated
 	for _, r := range runs {
 		f.vol.drive.WriteRun(r, f.tag, seq, nil)
 		seq += r.Len
 	}
-	_ = data // payload retention is handled by storeData in data mode
 }
 
 // Close ends the append phase. Under delayed allocation this is where
@@ -214,11 +220,11 @@ func (f *File) Close() error {
 	}
 	v := f.vol
 	if f.buffered > 0 {
+		// The buffered bytes already sit in f.data; only the space is new.
 		n := f.buffered
-		data := f.delayedData
 		f.buffered = 0
-		f.delayedData = nil
-		if err := f.appendAllocated(n, data); err != nil {
+		if err := f.appendAllocated(n); err != nil {
+			f.data = nil
 			return err
 		}
 	}
@@ -249,8 +255,8 @@ func (v *Volume) Lookup(name string) (*File, bool) {
 }
 
 // ReadAll reads the whole file, charging a seek per fragment — the paper's
-// core cost mechanism. When the drive retains payloads the file contents
-// are returned; otherwise nil.
+// core cost mechanism. When the drive retains payloads the result is a
+// read-only view of the file's contents (see view); otherwise nil.
 func (f *File) ReadAll() []byte {
 	if f.pack != nil {
 		f.pack.readRange(f.packOff, f.size)
@@ -258,12 +264,18 @@ func (f *File) ReadAll() []byte {
 	for _, r := range f.runs {
 		f.vol.drive.ChargeRead(r)
 	}
-	if f.vol.dataMode() {
-		out := make([]byte, len(f.data))
-		copy(out, f.data)
-		return out
+	return f.view(0, int64(len(f.data)))
+}
+
+// view returns data[off:off+length] without copying, capacity clipped, or
+// nil when the range is not retained. The caller must not write through
+// it. Its bytes never change: a closed file's contents are immutable, and
+// delete, replace and relocation drop or move the slice, not the bytes.
+func (f *File) view(off, length int64) []byte {
+	if off+length > int64(len(f.data)) {
+		return nil
 	}
-	return nil
+	return f.data[off : off+length : off+length]
 }
 
 // ReadAt reads length bytes starting at off, touching only the runs that
@@ -280,12 +292,7 @@ func (f *File) ReadAt(off, length int64) ([]byte, error) {
 	}
 	if f.pack != nil {
 		f.pack.readRange(f.packOff+off, length)
-		if f.vol.dataMode() && off+length <= int64(len(f.data)) {
-			out := make([]byte, length)
-			copy(out, f.data[off:off+length])
-			return out, nil
-		}
-		return nil, nil
+		return f.view(off, length), nil
 	}
 	cs := f.vol.ClusterSize()
 	firstC := off / cs
@@ -301,12 +308,7 @@ func (f *File) ReadAt(off, length int64) ([]byte, error) {
 		hi := min(lastC, rLast)
 		f.vol.drive.ChargeRead(extent.Run{Start: r.Start + (lo - rFirst), Len: hi - lo + 1})
 	}
-	if f.vol.dataMode() && off+length <= int64(len(f.data)) {
-		out := make([]byte, length)
-		copy(out, f.data[off:off+length])
-		return out, nil
-	}
-	return nil, nil
+	return f.view(off, length), nil
 }
 
 // Delete removes a file. Its clusters are quarantined until the next log
@@ -326,7 +328,7 @@ func (v *Volume) Delete(name string) error {
 		v.rc.Free(r)
 		v.drive.ClearOwner(r)
 	}
-	v.clearData(f)
+	f.data = nil
 	delete(v.files, name)
 	v.metadataWrite(f.tag)
 	v.indexShrink()
@@ -341,7 +343,6 @@ func (v *Volume) Delete(name string) error {
 	f.size = 0
 	f.buffered = 0
 	f.sizeHint = 0
-	f.delayedData = nil
 	f.pack = nil
 	f.packOff = 0
 	if len(v.filePool) < maxFilePool {
@@ -399,15 +400,16 @@ func (v *Volume) EachFile(fn func(*File)) {
 	}
 }
 
-// dataMode reports whether the drive retains payload bytes.
-func (v *Volume) dataMode() bool { return v.drive.Mode() == disk.DataMode }
-
-// storeData appends payload bytes to the file's retained contents.
+// storeData appends payload bytes to the file's retained contents — the
+// one copy a payload byte gets on its way in — allocating the reserved
+// capacity first (at most the volume's, whatever a remote client declared).
 func (f *File) storeData(data []byte) {
-	if data != nil && f.vol.dataMode() {
-		f.data = append(f.data, data...)
+	if data == nil || f.vol.drive.Mode() != disk.DataMode {
+		return
 	}
+	if f.data == nil {
+		reserve := min(f.payloadCap, f.vol.CapacityBytes())
+		f.data = make([]byte, 0, max(reserve, int64(len(data))))
+	}
+	f.data = append(f.data, data...)
 }
-
-// clearData drops retained contents on delete.
-func (v *Volume) clearData(f *File) { f.data = nil }

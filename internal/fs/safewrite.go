@@ -95,6 +95,7 @@ func (v *Volume) SafeWrite(name string, size int64, data []byte, opts SafeWriteO
 			return err
 		}
 	}
+	f.ReservePayload(size)
 	req := opts.WriteRequestSize
 	if req <= 0 {
 		req = size

@@ -410,19 +410,25 @@ var copyBufPool = sync.Pool{New: func() any {
 	return &b
 }}
 
-// copyBody streams a request body into a writer in bounded chunks.
+// copyBody streams a request body into a writer in full 256 KB appends.
+// The store cuts each Append into write requests, and the request size
+// shapes the on-disk layout (§5.3), so an append is filled before it is
+// made: the request sequence is then a function of the object's size
+// alone, not of how the kernel segmented the body on its way here.
 func copyBody(w blob.Writer, body io.Reader) error {
 	bp := copyBufPool.Get().(*[]byte)
 	defer copyBufPool.Put(bp)
 	buf := *bp
 	for {
-		n, err := body.Read(buf)
+		n, err := io.ReadFull(body, buf)
 		if n > 0 {
 			if aerr := w.Append(int64(n), buf[:n]); aerr != nil {
 				return aerr
 			}
 		}
-		if err == io.EOF {
+		// A short or empty last read is how a body normally ends; a
+		// truncated one then fails Commit's declared-size check.
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return nil
 		}
 		if err != nil {

@@ -8,14 +8,18 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"repro/internal/blob"
 	"repro/internal/core"
 	"repro/internal/disk"
+	"repro/internal/extent"
 	"repro/internal/obs"
 	"repro/internal/server/wire"
 	"repro/internal/units"
@@ -404,6 +408,92 @@ func TestMetricsAndReport(t *testing.T) {
 		t.Fatalf("report experiments = %d, want 1", len(exps))
 	}
 }
+
+// TestIngestLayoutIgnoresBodySegmentation pins that how a PUT body
+// arrives does not choose the allocator's request sizes: delivered whole,
+// in 1000-byte segments or a byte at a time, the same objects end up in
+// the same clusters — the layout of a local whole-buffer write. (When
+// copyBody appended whatever one Read returned, every segment became a
+// write request of its own.) The volumes are aged first: on an empty one
+// every request sequence lands contiguously.
+func TestIngestLayoutIgnoresBodySegmentation(t *testing.T) {
+	agedStore := func() blob.Store {
+		s, err := core.NewFileStore(vclock.New(), blob.WithCapacity(64*units.MB))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Fill with 48 KB objects, then free every third: the free space
+		// is holes smaller than one 64 KB write request.
+		ctx := context.Background()
+		n := int(s.CapacityBytes() * 9 / 10 / (48 * units.KB))
+		for i := 0; i < n; i++ {
+			if err := blob.Put(ctx, s, fmt.Sprintf("fill-%04d", i), 48*units.KB, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < n; i += 3 {
+			if err := s.Delete(ctx, fmt.Sprintf("fill-%04d", i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s
+	}
+	sizes := []int64{300 * units.KB, 64*units.KB + 1, 384 * units.KB, 256 * units.KB, 700 * units.KB}
+	body := func(i int) []byte { return bytes.Repeat([]byte{byte(i + 1)}, int(sizes[i])) }
+	key := func(i int) string { return fmt.Sprintf("obj-%d", i) }
+	layout := func(s blob.Store) map[string][]extent.Run {
+		m := make(map[string][]extent.Run)
+		s.EachObjectRuns(func(k string, _ int64, runs []extent.Run) {
+			if strings.HasPrefix(k, "obj-") {
+				m[k] = append([]extent.Run(nil), runs...)
+			}
+		})
+		return m
+	}
+
+	local := agedStore()
+	for i := range sizes {
+		if err := blob.Put(context.Background(), local, key(i), sizes[i], body(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := layout(local)
+
+	deliveries := map[string]func(io.Reader) io.Reader{
+		"whole":          func(r io.Reader) io.Reader { return r },
+		"segments":       func(r io.Reader) io.Reader { return segmentReader{r, 1000} },
+		"byte-at-a-time": iotest.OneByteReader,
+	}
+	for name, deliver := range deliveries {
+		store := agedStore()
+		srv, err := New(store, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range sizes {
+			req := httptest.NewRequest("PUT", wire.PathBlobs+key(i), deliver(bytes.NewReader(body(i))))
+			req.Header.Set(wire.HeaderSize, strconv.FormatInt(sizes[i], 10))
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, req)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s: PUT %s = %d %s", name, key(i), rec.Code, rec.Body)
+			}
+		}
+		srv.Close()
+		if got := layout(store); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s delivery laid objects out differently from a local write:\n got %v\nwant %v", name, got, want)
+		}
+	}
+}
+
+// segmentReader returns at most n bytes per Read, as a socket delivering
+// one TCP segment at a time would.
+type segmentReader struct {
+	r io.Reader
+	n int
+}
+
+func (s segmentReader) Read(p []byte) (int, error) { return s.r.Read(p[:min(len(p), s.n)]) }
 
 // TestMetadataModePut pins the metadata-only wire form: a PUT with the
 // meta-bytes header writes logical bytes with no payload, and reads
