@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -141,7 +142,7 @@ func TestCrashRollsBackInFlight(t *testing.T) {
 	// steps: begin + allocate + write, then crash.
 	tx := d.begin("a")
 	var seq int64
-	if _, err := d.writeChunk(tx, 99, 128*units.KB, &seq); err != nil {
+	if err := d.writeChunk(tx, 99, 128*units.KB, &seq); err != nil {
 		t.Fatal(err)
 	}
 	d.SimulateCrash()
@@ -342,19 +343,18 @@ func TestAllocatorFillsPartialFirst(t *testing.T) {
 	a.CheckInvariants()
 }
 
+// TestCoalescePageRuns pins appendRun, the one place page runs coalesce:
+// a run adjacent to its predecessor merges into it, whatever its length,
+// and nothing else does — a run that ends where an earlier one starts is
+// a seek on disk and stays a fragment.
 func TestCoalescePageRuns(t *testing.T) {
-	got := CoalescePageRuns([]PageID{0, 1, 2, 5, 6, 10})
-	want := []PageRun{{0, 3}, {5, 2}, {10, 1}}
-	if len(got) != len(want) {
-		t.Fatalf("got %v", got)
+	var got []PageRun
+	for _, r := range []PageRun{{0, 1}, {1, 1}, {2, 1}, {5, 2}, {10, 1}, {11, 8}, {8, 2}, {3, 2}} {
+		got = appendRun(got, r)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
-	}
-	if CoalescePageRuns(nil) != nil {
-		t.Fatal("nil input should give nil")
+	want := []PageRun{{0, 3}, {5, 2}, {10, 9}, {8, 2}, {3, 2}}
+	if !slices.Equal(got, want) {
+		t.Fatalf("got %v, want %v", got, want)
 	}
 }
 

@@ -62,28 +62,42 @@ func DefaultConfig() Config {
 	}
 }
 
-// row is one object's metadata: the clustered-index entry plus the page
-// list of its out-of-row BLOB (the leaf level of the Exodus-style
-// fragment tree) and the tree's node pages.
+// layout is where one version of an out-of-row BLOB lives: the leaf level
+// of its Exodus-style fragment tree as page runs, and the tree's node
+// pages. A published layout is immutable — the row, the ghost entry that
+// later inherits it and begin's saved copy of the row share its slices.
+type layout struct {
+	runs  []PageRun // data pages in logical order, maximal contiguous runs
+	pages int64     // data-page count: the sum of runs' lengths
+	nodes []PageID  // fragment-tree node pages
+}
+
+// row is one object's metadata: the clustered-index entry plus the layout
+// of its BLOB.
 type row struct {
-	key   string
-	size  int64
-	tag   uint32
-	pages []PageID // data pages in logical order
-	nodes []PageID // fragment-tree node pages
-	data  []byte   // retained payload (data mode only)
+	key  string
+	size int64
+	tag  uint32
+	layout
+	data []byte // retained payload (data mode only)
 }
 
-// ghostEntry is a deferred page deallocation.
+// ghostEntry is a deferred deallocation: a dropped version's layout.
 type ghostEntry struct {
-	seq   int64
-	pages []PageID
+	seq int64
+	layout
 }
 
-// txn tracks an in-flight operation's effects for crash rollback.
+// txn tracks an in-flight operation's effects for crash rollback, and
+// accumulates the version it is writing. allocated and runs are scratch
+// reused from one operation to the next; nodes is freshly owned, because
+// the published version keeps it.
 type txn struct {
-	allocated []PageID // pages to free on abort
-	savedRow  *row     // prior row value (nil if key was absent)
+	allocated []PageRun // everything to free on abort, in allocation order
+	runs      []PageRun // the new version's data runs so far
+	pages     int64     // and their page count
+	nodes     []PageID  // the new version's fragment-tree node pages
+	savedRow  *row      // prior row value (nil if key was absent)
 	key       string
 	hadRow    bool
 }
@@ -119,13 +133,9 @@ type Database struct {
 
 	inflight *txn
 
-	// runScratch backs GetRange's page-run coalescing and chunkScratch
-	// writeChunk's page accumulation. The engine is single-threaded, so
-	// one buffer each serves every operation without a fresh alloc;
-	// txnScratch and savedRowScratch likewise back begin's per-op
-	// transaction state.
-	runScratch      []PageRun
-	chunkScratch    []PageID
+	// txnScratch and savedRowScratch back begin's per-op transaction
+	// state: the engine is single-threaded, so one txn (with its run
+	// buffers) serves every operation without a fresh alloc.
 	txnScratch      txn
 	savedRowScratch row
 
@@ -255,11 +265,11 @@ func (d *Database) EndGroup() {
 
 // begin opens the implicit transaction for one engine operation. The
 // engine runs one operation at a time, so a single txn struct (and its
-// allocated-pages buffer) is reused across operations; abort copies the
-// saved row out before reinstalling it, so the scratch row is safe too.
+// run buffers) is reused across operations; abort copies the saved row
+// out before reinstalling it, so the scratch row is safe too.
 func (d *Database) begin(key string) *txn {
 	t := &d.txnScratch
-	*t = txn{key: key, allocated: t.allocated[:0]}
+	*t = txn{key: key, allocated: t.allocated[:0], runs: t.runs[:0]}
 	if old, ok := d.rows[key]; ok {
 		d.savedRowScratch = *old
 		t.savedRow = &d.savedRowScratch
@@ -269,12 +279,19 @@ func (d *Database) begin(key string) *txn {
 	return t
 }
 
+// built returns the layout of the version t wrote, its runs copied out of
+// the scratch at their exact length.
+func (t *txn) built() layout {
+	return layout{runs: append([]PageRun(nil), t.runs...), pages: t.pages, nodes: t.nodes}
+}
+
 // commit makes the operation durable: the log record is forced (bulk
-// logged: metadata only) and deferred frees are scheduled.
-func (d *Database) commit(t *txn, freed []PageID, logBytes int64) {
+// logged: metadata only) and the replaced version, if any, is ghosted —
+// its layout handed over as is, not copied.
+func (d *Database) commit(t *txn, freed layout, logBytes int64) {
 	d.logAppend(logBytes)
-	if len(freed) > 0 {
-		d.ghosts = append(d.ghosts, ghostEntry{seq: d.opSeq, pages: freed})
+	if freed.pages > 0 {
+		d.ghosts = append(d.ghosts, ghostEntry{seq: d.opSeq, layout: freed})
 	}
 	d.opSeq++
 	d.inflight = nil
@@ -287,14 +304,30 @@ func (d *Database) ghostCleanup() {
 	cut := d.opSeq - int64(d.cfg.GhostHorizon)
 	i := 0
 	for ; i < len(d.ghosts) && d.ghosts[i].seq < cut; i++ {
-		for _, p := range d.ghosts[i].pages {
-			d.alloc.FreePage(p)
-			d.pool.Invalidate(p)
-			d.data.ClearOwner(d.clusterRun(PageRun{Start: p, Len: 1}))
-		}
+		d.free(d.ghosts[i].layout)
 	}
 	if i > 0 {
 		d.ghosts = append(d.ghosts[:0], d.ghosts[i:]...)
+	}
+}
+
+// free returns a dropped version's pages to the pool — its data runs in
+// logical order, then its nodes, which is the order the deallocation
+// cache fills in. Only node pages can be resident in the buffer pool.
+func (d *Database) free(l layout) {
+	d.freeRuns(l.runs)
+	for _, p := range l.nodes {
+		d.pool.Invalidate(p)
+		d.alloc.FreePage(p)
+		d.data.ClearOwner(d.clusterRun(PageRun{Start: p, Len: 1}))
+	}
+}
+
+// freeRuns frees the runs and untags their clusters.
+func (d *Database) freeRuns(runs []PageRun) {
+	d.alloc.FreeRuns(runs)
+	for _, r := range runs {
+		d.data.ClearOwner(d.clusterRun(r))
 	}
 }
 
@@ -306,48 +339,44 @@ func (d *Database) FlushGhosts() {
 	d.opSeq = cut
 }
 
-// writeChunk allocates and writes one client write request's pages,
-// returning the data pages added. The returned slice is scratch-backed
-// and valid only until the next writeChunk; both callers append-copy it.
-func (d *Database) writeChunk(t *txn, tag uint32, chunk int64, seq *int64) ([]PageID, error) {
+// writeChunk allocates and writes one client write request's pages — one
+// disk write per run the allocator returned — and appends them to the
+// version t is building, merging across the request seam. The
+// allocator's runs are its scratch, so they are copied here, before its
+// next call.
+func (d *Database) writeChunk(t *txn, tag uint32, chunk int64, seq *int64) error {
 	pageCount := units.CeilDiv(chunk, PageSize)
 	runs, ok := d.alloc.AllocRequest(pageCount)
 	if !ok {
-		return nil, fmt.Errorf("%w: need %d pages, %d free", ErrNoSpace, pageCount, d.alloc.FreePages())
+		return fmt.Errorf("%w: need %d pages, %d free", ErrNoSpace, pageCount, d.alloc.FreePages())
 	}
-	pages := d.chunkScratch[:0]
 	for _, r := range runs {
 		cr := d.clusterRun(r)
 		d.data.WriteRun(cr, tag, *seq, nil)
 		*seq += cr.Len
-		for p := r.Start; p < r.End(); p++ {
-			pages = append(pages, p)
-			t.allocated = append(t.allocated, p)
-		}
+		t.runs = appendRun(t.runs, r)
+		t.allocated = appendRun(t.allocated, r)
 	}
+	t.pages += pageCount
 	d.data.ChargeCPU(d.cfg.PageCPUUs * float64(pageCount))
 	if d.cfg.FullLogging {
 		d.logAppend(pageCount * PageSize)
 	}
-	if pages != nil {
-		d.chunkScratch = pages
-	}
-	return pages, nil
+	return nil
 }
 
 // growBlobTree allocates fragment-tree node pages as leaf pages
 // accumulate — single-page allocations from the shared pool, interleaved
 // with the data stream, which is how object layouts drift off extent
 // alignment even for constant-size objects (§5.4).
-func (d *Database) growBlobTree(t *txn, dataPages int64, nodePages *[]PageID) error {
-	for int64(len(*nodePages)) < units.CeilDiv(dataPages, BlobTreeFanout) {
+func (d *Database) growBlobTree(t *txn) error {
+	for int64(len(t.nodes)) < units.CeilDiv(t.pages, BlobTreeFanout) {
 		runs, ok := d.alloc.AllocPages(1)
 		if !ok {
 			return fmt.Errorf("%w: blob tree node", ErrNoSpace)
 		}
-		p := runs[0].Start
-		*nodePages = append(*nodePages, p)
-		t.allocated = append(t.allocated, p)
+		t.nodes = append(t.nodes, runs[0].Start)
+		t.allocated = appendRun(t.allocated, runs[0])
 		d.data.WriteRun(d.clusterRun(runs[0]), 0, 0, nil)
 	}
 	return nil
@@ -399,24 +428,15 @@ func (d *Database) write(key string, size int64, data []byte, replace bool) erro
 	if req < 0 || req > size {
 		req = size
 	}
-	// dataPages is retained by the row, so it must be freshly owned —
-	// but its final length is known up front (each chunk takes
-	// CeilDiv(chunk, PageSize) pages), so size it once instead of
-	// paying append-growth reallocations per operation.
-	chunks := units.CeilDiv(size, req)
-	dataPages := make([]PageID, 0, units.CeilDiv(size, PageSize)+chunks)
-	var nodePages []PageID
 	var seq int64
 	for remaining := size; remaining > 0; {
 		chunk := min(req, remaining)
-		pages, err := d.writeChunk(t, tag, chunk, &seq)
-		if err != nil {
+		if err := d.writeChunk(t, tag, chunk, &seq); err != nil {
 			d.abort(t)
 			return err
 		}
-		dataPages = append(dataPages, pages...)
 		remaining -= chunk
-		if err := d.growBlobTree(t, int64(len(dataPages)), &nodePages); err != nil {
+		if err := d.growBlobTree(t); err != nil {
 			d.abort(t)
 			return err
 		}
@@ -426,15 +446,15 @@ func (d *Database) write(key string, size int64, data []byte, replace bool) erro
 		return err
 	}
 
-	var freed []PageID
+	var freed layout
 	if old, ok := d.rows[key]; ok {
 		if !replace {
 			d.abort(t)
 			return fmt.Errorf("%w: %s", ErrExists, key)
 		}
-		freed = append(append([]PageID{}, old.pages...), old.nodes...)
+		freed = old.layout
 	}
-	r := &row{key: key, size: size, tag: tag, pages: dataPages, nodes: nodePages}
+	r := &row{key: key, size: size, tag: tag, layout: t.built()}
 	if data != nil && d.data.Mode() == disk.DataMode {
 		// Callers (the store's pooled writer buffer) reuse theirs.
 		r.data = append([]byte(nil), data...)
@@ -449,12 +469,10 @@ func (d *Database) write(key string, size int64, data []byte, replace bool) erro
 	return nil
 }
 
-// abort rolls back an in-flight operation.
+// abort rolls back an in-flight operation, freeing what it allocated in
+// allocation order.
 func (d *Database) abort(t *txn) {
-	for _, p := range t.allocated {
-		d.alloc.FreePage(p)
-		d.data.ClearOwner(d.clusterRun(PageRun{Start: p, Len: 1}))
-	}
+	d.freeRuns(t.allocated)
 	if t.hadRow {
 		saved := *t.savedRow
 		d.rows[t.key] = &saved
@@ -510,24 +528,29 @@ func (d *Database) GetRange(key string, off, length int64) ([]byte, error) {
 			d.data.ChargeRead(d.clusterRun(PageRun{Start: p, Len: 1}))
 		}
 	}
-	// Map the byte range onto the page list. Write requests that are not
-	// page multiples allocate a fresh page per request, so the list can
-	// be longer than CeilDiv(size, PageSize); a range reaching the
-	// object's end therefore covers every trailing page.
+	// Map the byte range onto logical pages [firstP, lastP]. Write
+	// requests that are not page multiples allocate a fresh page per
+	// request, so there can be more pages than CeilDiv(size, PageSize);
+	// a range reaching the object's end therefore covers every trailing
+	// page.
 	firstP := off / PageSize
 	lastP := (off + length - 1) / PageSize
-	if last := int64(len(r.pages)) - 1; lastP > last || off+length == r.size {
+	if last := r.pages - 1; lastP > last || off+length == r.size {
 		lastP = last
 	}
-	touched := r.pages[firstP : lastP+1]
-	runs := coalescePageRunsInto(d.runScratch[:0], touched)
-	if runs != nil {
-		d.runScratch = runs
+	// Clip each run to the range; pos is the run's first logical page.
+	pos := int64(0)
+	for _, pr := range r.runs {
+		if pos > lastP {
+			break
+		}
+		lo, hi := max(pos, firstP), min(pos+pr.Len-1, lastP)
+		if lo <= hi {
+			d.data.ChargeRead(d.clusterRun(PageRun{Start: pr.Start + PageID(lo-pos), Len: hi - lo + 1}))
+		}
+		pos += pr.Len
 	}
-	for _, pr := range runs {
-		d.data.ChargeRead(d.clusterRun(pr))
-	}
-	d.data.ChargeCPU(d.cfg.PageCPUUs * float64(len(touched)))
+	d.data.ChargeCPU(d.cfg.PageCPUUs * float64(lastP-firstP+1))
 	d.statGets++
 	if off+length <= int64(len(r.data)) {
 		return r.data[off : off+length : off+length], nil
@@ -567,9 +590,8 @@ func (d *Database) Delete(key string) error {
 	t := d.begin(key)
 	d.data.ChargeCPU(d.cfg.RowCPUUs)
 	delete(d.rows, key)
-	freed := append(append([]PageID{}, r.pages...), r.nodes...)
 	d.statDeletes++
-	d.commit(t, freed, 128)
+	d.commit(t, r.layout, 128)
 	return nil
 }
 
@@ -586,7 +608,7 @@ func (d *Database) Compact(key string) (int64, error) {
 	if !ok {
 		return 0, fmt.Errorf("%w: %s", ErrNotFound, key)
 	}
-	if len(CoalescePageRuns(r.pages)) <= 1 {
+	if len(r.runs) <= 1 {
 		return 0, nil
 	}
 	// Read the old layout: row lookup, tree nodes, then the data runs.
@@ -596,41 +618,36 @@ func (d *Database) Compact(key string) (int64, error) {
 			d.data.ChargeRead(d.clusterRun(PageRun{Start: p, Len: 1}))
 		}
 	}
-	for _, pr := range CoalescePageRuns(r.pages) {
+	for _, pr := range r.runs {
 		d.data.ChargeRead(d.clusterRun(pr))
 	}
-	d.data.ChargeCPU(d.cfg.PageCPUUs * float64(len(r.pages)))
+	d.data.ChargeCPU(d.cfg.PageCPUUs * float64(r.pages))
 
 	t := d.begin(key)
 	tag := d.nextTag
 	d.nextTag++
-	var dataPages, nodePages []PageID
 	var seq int64
-	pages, err := d.writeChunk(t, tag, r.size, &seq)
-	if err != nil {
+	if err := d.writeChunk(t, tag, r.size, &seq); err != nil {
 		d.abort(t)
 		return 0, err
 	}
-	dataPages = append(dataPages, pages...)
 	// The allocator draws from the same free pool churn fragmented; a
 	// rewrite that does not clearly beat the old layout only burns log
 	// bandwidth and reshuffles free space (the §3.4 warning, applied per
 	// object) — publish only when the fragment count drops by at least a
 	// quarter.
-	oldFrags, newFrags := len(CoalescePageRuns(r.pages)), len(CoalescePageRuns(dataPages))
+	oldFrags, newFrags := len(r.runs), len(t.runs)
 	if oldFrags-newFrags < (oldFrags+3)/4 {
 		d.abort(t)
 		return 0, nil
 	}
-	if err := d.growBlobTree(t, int64(len(dataPages)), &nodePages); err != nil {
+	if err := d.growBlobTree(t); err != nil {
 		d.abort(t)
 		return 0, err
 	}
-	freed := append(append([]PageID{}, r.pages...), r.nodes...)
-	nr := &row{key: key, size: r.size, tag: tag, pages: dataPages, nodes: nodePages, data: r.data}
-	d.rows[key] = nr
+	d.rows[key] = &row{key: key, size: r.size, tag: tag, layout: t.built(), data: r.data}
 	d.statCompacts++
-	d.commit(t, freed, 256) // bulk-logged: metadata-only record
+	d.commit(t, r.layout, 256) // bulk-logged: metadata-only record
 	return r.size, nil
 }
 
@@ -651,7 +668,7 @@ func (d *Database) Fragments(key string) (int, error) {
 	if !ok {
 		return 0, fmt.Errorf("%w: %s", ErrNotFound, key)
 	}
-	return len(CoalescePageRuns(r.pages)), nil
+	return len(r.runs), nil
 }
 
 // ObjectRuns returns the disk cluster runs of an object's data pages, for
@@ -661,12 +678,15 @@ func (d *Database) ObjectRuns(key string) ([]extent.Run, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, key)
 	}
-	prs := CoalescePageRuns(r.pages)
+	return d.clusterRuns(r.runs), nil
+}
+
+func (d *Database) clusterRuns(prs []PageRun) []extent.Run {
 	out := make([]extent.Run, len(prs))
 	for i, pr := range prs {
 		out[i] = d.clusterRun(pr)
 	}
-	return out, nil
+	return out
 }
 
 // Tag returns the owner tag an object's data pages carry on disk, or 0
@@ -682,12 +702,7 @@ func (d *Database) Tag(key string) uint32 {
 // runs.
 func (d *Database) EachObject(fn func(key string, size int64, runs []extent.Run)) {
 	for k, r := range d.rows {
-		prs := CoalescePageRuns(r.pages)
-		runs := make([]extent.Run, len(prs))
-		for i, pr := range prs {
-			runs[i] = d.clusterRun(pr)
-		}
-		fn(k, r.size, runs)
+		fn(k, r.size, d.clusterRuns(r.runs))
 	}
 }
 
@@ -707,7 +722,7 @@ type Stats struct {
 func (d *Database) Stats() Stats {
 	ghosted := 0
 	for _, g := range d.ghosts {
-		ghosted += len(g.pages)
+		ghosted += int(g.pages) + len(g.nodes)
 	}
 	return Stats{
 		Puts: d.statPuts, Gets: d.statGets, Deletes: d.statDeletes, Replaces: d.statReplaces,
@@ -731,19 +746,34 @@ func (d *Database) ResetPoolStats() { d.pool.Reset() }
 func (d *Database) CheckInvariants() {
 	d.alloc.CheckInvariants()
 	seen := make(map[PageID]string)
-	record := func(key string, pages []PageID) {
-		for _, p := range pages {
-			if prev, dup := seen[p]; dup {
-				panic(fmt.Sprintf("db: page %d owned by both %s and %s", p, prev, key))
+	own := func(key string, p PageID) {
+		if prev, dup := seen[p]; dup {
+			panic(fmt.Sprintf("db: page %d owned by both %s and %s", p, prev, key))
+		}
+		seen[p] = key
+	}
+	record := func(key string, l layout) {
+		var pages int64
+		for i, r := range l.runs {
+			if r.Len <= 0 || i > 0 && l.runs[i-1].End() == r.Start {
+				panic(fmt.Sprintf("db: %s run %d, %v, is empty or adjacent to its predecessor", key, i, r))
 			}
-			seen[p] = key
+			for p := r.Start; p < r.End(); p++ {
+				own(key, p)
+			}
+			pages += r.Len
+		}
+		if pages != l.pages {
+			panic(fmt.Sprintf("db: %s counts %d data pages, its runs hold %d", key, l.pages, pages))
+		}
+		for _, p := range l.nodes {
+			own(key+"(nodes)", p)
 		}
 	}
 	for k, r := range d.rows {
-		record(k, r.pages)
-		record(k+"(nodes)", r.nodes)
+		record(k, r.layout)
 	}
 	for _, g := range d.ghosts {
-		record("(ghost)", g.pages)
+		record("(ghost)", g.layout)
 	}
 }

@@ -3,12 +3,10 @@ package db
 import (
 	"fmt"
 	"math/bits"
-
-	"repro/internal/btree"
 )
 
-// Allocator is the GAM/PFS analog: a bitmap of extents plus per-extent
-// free-page masks. The allocation policy is a roving-cursor (next-fit)
+// Allocator is the GAM/PFS analog: a bitmap of extents plus a free-page
+// mask per extent. The allocation policy is a roving-cursor (next-fit)
 // scan: like a real engine, the GAM scan resumes where the previous one
 // left off rather than rescanning from the start of the file, filling
 // partially used extents encountered ahead of the cursor before
@@ -20,30 +18,39 @@ import (
 // asymptote (Figures 2 and 5), in contrast to NTFS's coalescing
 // largest-run-first cache. The classic malloc literature the paper cites
 // (§3.2) documents the same policy/fragmentation relationship.
+//
+// The policy is extent- and page-granular; the bookkeeping is not. As in
+// the engine modelled, the PFS is a flat byte per extent, allocations
+// come back as page runs and a free applies one mask per extent a run
+// touches.
 type Allocator struct {
 	extents int64
 
-	// gam[i] is set when extent i is wholly free (GAM bit).
-	gam []uint64
-	// pfs maps allocated extent id -> bitmask of free pages within it,
-	// ordered so cursor-relative lookups are one tree operation.
-	pfs *btree.Map[int64, uint8]
+	// pfs[e] is extent e's free-page mask: 0xFF while the extent is
+	// wholly free — GAM bit set, or queued in the deallocation cache —
+	// and 0 when every page is in use. A free of a page whose bit is
+	// already set is a double free, whichever of the three states the
+	// extent is in.
+	pfs []uint8
+	// gam has bit e set when extent e is wholly free and not queued in
+	// the deallocation cache (the GAM bit).
+	gam bitmap
+	// partial has bit e set when extent e is partly used (0 < pfs[e] <
+	// 0xFF), so the space-pressure scan is the GAM's word scan;
+	// partials counts the set bits.
+	partial  bitmap
+	partials int
 	// cursor is the extent where the next scan begins.
 	cursor int64
-
-	// reqPages/reqRuns back AllocRequest and pagePages/pageRuns back
-	// AllocPages: the allocator is called a few times per operation on a
-	// single-threaded engine, so reusing the accumulation buffers
-	// removes two allocs per call. Each returned run slice is valid only
-	// until that method's next call; the two methods keep separate
-	// buffers because AllocRequest's tail calls AllocPages.
-	reqPages  []PageID
-	reqRuns   []PageRun
-	pagePages []PageID
-	pageRuns  []PageRun
 	// mixed is the extent currently feeding page-granular allocations
 	// (the mixed-extent pool); -1 when none.
 	mixed int64
+
+	// scratch backs the runs AllocRequest and AllocPages return: the
+	// allocator is called a few times per operation on a single-threaded
+	// engine, so one reused buffer removes an alloc per call. A returned
+	// slice is valid only until the next allocating call.
+	scratch []PageRun
 
 	// reuse is the deallocation cache: extents whose last page was freed,
 	// in completion order. New allocations consume it FIFO before falling
@@ -60,6 +67,36 @@ type Allocator struct {
 	freePages int64
 }
 
+// bitmap is one bit per extent.
+type bitmap []uint64
+
+func (b bitmap) get(i int64) bool { return b[i/64]&(1<<uint(i%64)) != 0 }
+func (b bitmap) set(i int64)      { b[i/64] |= 1 << uint(i%64) }
+func (b bitmap) clear(i int64)    { b[i/64] &^= 1 << uint(i%64) }
+
+// next returns the first set bit at or after from, or -1. from must lie
+// inside the bitmap.
+func (b bitmap) next(from int64) int64 {
+	w := from / 64
+	// Mask off bits below `from` in the first word.
+	word := b[w] &^ ((1 << uint(from%64)) - 1)
+	for word == 0 {
+		if w++; w >= int64(len(b)) {
+			return -1
+		}
+		word = b[w]
+	}
+	return w*64 + int64(bits.TrailingZeros64(word))
+}
+
+// nextWrapped is next(from), wrapping around to the start once.
+func (b bitmap) nextWrapped(from int64) int64 {
+	if i := b.next(from); i != -1 {
+		return i
+	}
+	return b.next(0)
+}
+
 // NewAllocator creates an allocator over the given number of extents,
 // all initially free.
 func NewAllocator(extents int64) *Allocator {
@@ -68,13 +105,15 @@ func NewAllocator(extents int64) *Allocator {
 	}
 	a := &Allocator{
 		extents:   extents,
-		gam:       make([]uint64, (extents+63)/64),
-		pfs:       btree.New[int64, uint8](func(x, y int64) bool { return x < y }),
+		pfs:       make([]uint8, extents),
+		gam:       make(bitmap, (extents+63)/64),
+		partial:   make(bitmap, (extents+63)/64),
 		mixed:     -1,
 		freePages: extents * PagesPerExtent,
 	}
 	for i := int64(0); i < extents; i++ {
-		a.gam[i/64] |= 1 << uint(i%64)
+		a.pfs[i] = 0xFF
+		a.gam.set(i)
 	}
 	return a
 }
@@ -85,79 +124,41 @@ func (a *Allocator) FreePages() int64 { return a.freePages }
 // Extents returns the total extent count.
 func (a *Allocator) Extents() int64 { return a.extents }
 
-func (a *Allocator) gamGet(e int64) bool { return a.gam[e/64]&(1<<uint(e%64)) != 0 }
-func (a *Allocator) gamClear(e int64)    { a.gam[e/64] &^= 1 << uint(e%64) }
-func (a *Allocator) gamSet(e int64)      { a.gam[e/64] |= 1 << uint(e%64) }
-
-// nextFreeExtent returns the next wholly-free extent: the head of the
+// takeFreeExtent claims the next wholly-free extent: the head of the
 // deallocation cache when one exists, otherwise the first GAM extent at
-// or after the cursor (wrapping once); -1 when none exists. The returned
-// extent is still marked allocated in neither structure — callers must
-// call takeFreeExtent to claim it.
-func (a *Allocator) nextFreeExtent() int64 {
+// or after the cursor (wrapping once); -1 when none exists. The claimed
+// extent's mask still reads 0xFF; the caller records what it takes.
+func (a *Allocator) takeFreeExtent() int64 {
 	if a.reuseHead < len(a.reuse) {
-		return a.reuse[a.reuseHead]
-	}
-	if e := a.scanGAMFrom(a.cursor); e != -1 {
-		return e
-	}
-	return a.scanGAMFrom(0)
-}
-
-// takeFreeExtent claims extent e returned by nextFreeExtent.
-func (a *Allocator) takeFreeExtent(e int64) {
-	if a.reuseHead < len(a.reuse) && a.reuse[a.reuseHead] == e {
+		e := a.reuse[a.reuseHead]
 		a.reuseHead++
 		if a.reuseHead == len(a.reuse) {
 			a.reuse = a.reuse[:0]
 			a.reuseHead = 0
 		}
-		return
+		return e
 	}
-	a.gamClear(e)
-	a.cursor = (e + 1) % a.extents
-}
-
-// scanGAMFrom returns the first free extent >= from, or -1.
-func (a *Allocator) scanGAMFrom(from int64) int64 {
-	if from >= a.extents {
-		return -1
-	}
-	w := from / 64
-	// Mask off bits below `from` in the first word.
-	word := a.gam[w] &^ ((1 << uint(from%64)) - 1)
-	for {
-		if word != 0 {
-			e := w*64 + int64(bits.TrailingZeros64(word))
-			if e >= a.extents {
-				return -1
-			}
-			return e
-		}
-		w++
-		if w >= int64(len(a.gam)) {
-			return -1
-		}
-		word = a.gam[w]
-	}
-}
-
-// nextPartialExtent returns the first extent with PFS-free pages at or
-// after the cursor, wrapping around once; -1 when none exists.
-func (a *Allocator) nextPartialExtent() int64 {
-	found := int64(-1)
-	a.pfs.AscendFrom(a.cursor, func(e int64, _ uint8) bool {
-		found = e
-		return false
-	})
-	if found != -1 {
-		return found
-	}
-	e, _, ok := a.pfs.Min()
-	if !ok {
-		return -1
+	e := a.gam.nextWrapped(a.cursor)
+	if e != -1 {
+		a.gam.clear(e)
+		a.cursor = (e + 1) % a.extents
 	}
 	return e
+}
+
+// setMask records extent e's free-page mask, keeping the partial bitmap
+// and its count in step.
+func (a *Allocator) setMask(e int64, mask uint8) {
+	a.pfs[e] = mask
+	if is := mask != 0 && mask != 0xFF; is != a.partial.get(e) {
+		if is {
+			a.partial.set(e)
+			a.partials++
+		} else {
+			a.partial.clear(e)
+			a.partials--
+		}
+	}
 }
 
 // AllocPages allocates n pages page-granularly, from the mixed-extent
@@ -178,48 +179,35 @@ func (a *Allocator) AllocPages(n int64) ([]PageRun, bool) {
 	if a.freePages < n {
 		return nil, false
 	}
-	pages := a.pagePages[:0]
-	remaining := n
-	for remaining > 0 {
-		// Drain the current mixed extent.
-		if a.mixed >= 0 {
-			if mask, ok := a.pfs.Get(a.mixed); ok && mask != 0 {
-				e := a.mixed
-				for mask != 0 && remaining > 0 {
-					p := bits.TrailingZeros8(mask)
-					mask &^= 1 << uint(p)
-					pages = append(pages, PageID(e*PagesPerExtent+int64(p)))
-					remaining--
-					a.freePages--
+	a.scratch = a.allocPages(a.scratch[:0], n)
+	return a.scratch, true
+}
+
+// allocPages appends n pages from the mixed-extent pool to out. The
+// caller has checked that n pages are free.
+func (a *Allocator) allocPages(out []PageRun, n int64) []PageRun {
+	a.freePages -= n
+	for n > 0 {
+		e := a.mixed
+		if e < 0 || !a.partial.get(e) {
+			// Refill the pool from the deallocation cache / GAM scan;
+			// under space pressure raid the nearest partial extent.
+			if e = a.takeFreeExtent(); e == -1 {
+				if e = a.partial.nextWrapped(a.cursor); e == -1 {
+					panic("db: free-page accounting out of sync")
 				}
-				if mask == 0 {
-					a.pfs.Delete(e)
-				} else {
-					a.pfs.Put(e, mask)
-				}
-				continue
 			}
-		}
-		// Refill the pool from the deallocation cache / GAM scan.
-		if e := a.nextFreeExtent(); e != -1 {
-			a.takeFreeExtent(e)
-			a.pfs.Put(e, 0xFF)
 			a.mixed = e
-			continue
 		}
-		// Space pressure: raid the nearest partial extent.
-		pe := a.nextPartialExtent()
-		if pe == -1 {
-			panic("db: free-page accounting out of sync")
+		mask := a.pfs[e]
+		for ; mask != 0 && n > 0; n-- {
+			p := bits.TrailingZeros8(mask)
+			mask &^= 1 << uint(p)
+			out = appendRun(out, PageRun{Start: PageID(e*PagesPerExtent + int64(p)), Len: 1})
 		}
-		a.mixed = pe
+		a.setMask(e, mask)
 	}
-	a.pagePages = pages
-	out := coalescePageRunsInto(a.pageRuns[:0], pages)
-	if out != nil {
-		a.pageRuns = out
-	}
-	return out, true
+	return out
 }
 
 // AllocRequest allocates n pages as one client write request, with SQL
@@ -237,73 +225,59 @@ func (a *Allocator) AllocRequest(n int64) ([]PageRun, bool) {
 	if a.freePages < n {
 		return nil, false
 	}
-	pages := a.reqPages[:0]
-	remaining := n
-	for remaining >= PagesPerExtent {
-		e := a.nextFreeExtent()
+	out := a.scratch[:0]
+	for ; n >= PagesPerExtent; n -= PagesPerExtent {
+		e := a.takeFreeExtent()
 		if e == -1 {
 			break
 		}
-		a.takeFreeExtent(e)
-		for p := int64(0); p < PagesPerExtent; p++ {
-			pages = append(pages, PageID(e*PagesPerExtent+p))
-		}
+		a.pfs[e] = 0
 		a.freePages -= PagesPerExtent
-		remaining -= PagesPerExtent
+		out = appendRun(out, PageRun{Start: PageID(e * PagesPerExtent), Len: PagesPerExtent})
 	}
-	if remaining > 0 {
-		runs, ok := a.AllocPages(remaining)
-		if !ok {
-			panic("db: AllocRequest tail failed after free-page check")
-		}
-		for _, r := range runs {
-			for p := r.Start; p < r.End(); p++ {
-				pages = append(pages, p)
-			}
-		}
+	if n > 0 {
+		out = a.allocPages(out, n)
 	}
-	a.reqPages = pages
-	out := coalescePageRunsInto(a.reqRuns[:0], pages)
-	if out != nil {
-		a.reqRuns = out
-	}
+	a.scratch = out
 	return out, true
 }
 
-// FreePage returns one page to the pool, promoting its extent back to the
-// GAM when all eight pages are free.
-func (a *Allocator) FreePage(p PageID) {
-	e := int64(p) / PagesPerExtent
-	bit := uint8(1) << uint(int64(p)%PagesPerExtent)
-	if a.gamGet(e) {
-		panic(fmt.Sprintf("db: double free of page %d (extent already free)", p))
-	}
-	mask, _ := a.pfs.Get(e)
-	if mask&bit != 0 {
-		panic(fmt.Sprintf("db: double free of page %d", p))
-	}
-	mask |= bit
-	a.freePages++
-	if mask == 0xFF {
-		a.pfs.Delete(e)
-		a.reuse = append(a.reuse, e)
-	} else {
-		a.pfs.Put(e, mask)
+// FreeRuns returns the runs' pages to the pool, one mask per extent a
+// run touches, queueing an extent in the deallocation cache when its
+// last page comes back. Extents complete in the order a page-at-a-time
+// free of the same runs would complete them.
+func (a *Allocator) FreeRuns(runs []PageRun) {
+	for _, r := range runs {
+		a.freeRun(r)
 	}
 }
 
-// FreeRuns frees every page of the given runs.
-func (a *Allocator) FreeRuns(runs []PageRun) {
-	for _, r := range runs {
-		for p := r.Start; p < r.End(); p++ {
-			a.FreePage(p)
+// FreePage returns one page to the pool.
+func (a *Allocator) FreePage(p PageID) { a.freeRun(PageRun{Start: p, Len: 1}) }
+
+// freeRun frees r extent by extent: the pages of r inside one extent are
+// one mask.
+func (a *Allocator) freeRun(r PageRun) {
+	for p, end := int64(r.Start), int64(r.End()); p < end; {
+		e, first := p/PagesPerExtent, p%PagesPerExtent
+		n := min(PagesPerExtent-first, end-p)
+		mask, old := uint8((uint(1)<<uint(n)-1)<<uint(first)), a.pfs[e]
+		if dup := old & mask; dup != 0 {
+			panic(fmt.Sprintf("db: double free of page %d (extent free-page mask %08b)",
+				e*PagesPerExtent+int64(bits.TrailingZeros8(dup)), old))
 		}
+		a.setMask(e, old|mask)
+		if old|mask == 0xFF {
+			a.reuse = append(a.reuse, e)
+		}
+		a.freePages += n
+		p += n
 	}
 }
 
 // PartialExtents reports how many extents are partially used — a measure
 // of page-level free-space scatter for the layout tool.
-func (a *Allocator) PartialExtents() int { return a.pfs.Len() }
+func (a *Allocator) PartialExtents() int { return a.partials }
 
 // ReuseQueueLen reports the number of extents waiting in the
 // deallocation cache.
@@ -314,7 +288,7 @@ func (a *Allocator) ReuseQueueLen() int { return len(a.reuse) - a.reuseHead }
 // from. Used by table rebuilds.
 func (a *Allocator) ResetReuse() {
 	for _, e := range a.reuse[a.reuseHead:] {
-		a.gamSet(e)
+		a.gam.set(e)
 	}
 	a.reuse = a.reuse[:0]
 	a.reuseHead = 0
@@ -322,8 +296,8 @@ func (a *Allocator) ResetReuse() {
 	a.mixed = -1
 }
 
-// CheckInvariants panics when free-page accounting disagrees with the
-// bitmaps or the deallocation cache. Intended for tests.
+// CheckInvariants panics when the masks disagree with the bitmaps, the
+// deallocation cache or the free-page count. Intended for tests.
 func (a *Allocator) CheckInvariants() {
 	queued := make(map[int64]bool)
 	for _, e := range a.reuse[a.reuseHead:] {
@@ -331,25 +305,28 @@ func (a *Allocator) CheckInvariants() {
 			panic(fmt.Sprintf("db: extent %d queued twice", e))
 		}
 		queued[e] = true
-		if a.gamGet(e) {
+		if a.gam.get(e) {
 			panic(fmt.Sprintf("db: extent %d both queued and GAM-free", e))
 		}
-		if a.pfs.Has(e) {
-			panic(fmt.Sprintf("db: extent %d both queued and partial", e))
-		}
 	}
-	count := int64(len(queued)) * PagesPerExtent
+	var count int64
+	partials := 0
 	for e := int64(0); e < a.extents; e++ {
-		if a.gamGet(e) {
-			if a.pfs.Has(e) {
-				panic(fmt.Sprintf("db: extent %d both free and partial", e))
-			}
-			count += PagesPerExtent
-		} else if mask, ok := a.pfs.Get(e); ok {
-			count += int64(bits.OnesCount8(mask))
+		mask := a.pfs[e]
+		if wholly := a.gam.get(e) || queued[e]; wholly != (mask == 0xFF) {
+			panic(fmt.Sprintf("db: extent %d has mask %08b, GAM bit %v, queued %v", e, mask, a.gam.get(e), queued[e]))
 		}
+		if is := mask != 0 && mask != 0xFF; is != a.partial.get(e) {
+			panic(fmt.Sprintf("db: extent %d has mask %08b, partial bit %v", e, mask, a.partial.get(e)))
+		} else if is {
+			partials++
+		}
+		count += int64(bits.OnesCount8(mask))
+	}
+	if partials != a.partials {
+		panic(fmt.Sprintf("db: partial count %d != bitmap sum %d", a.partials, partials))
 	}
 	if count != a.freePages {
-		panic(fmt.Sprintf("db: freePages %d != bitmap+queue sum %d", a.freePages, count))
+		panic(fmt.Sprintf("db: freePages %d != mask sum %d", a.freePages, count))
 	}
 }

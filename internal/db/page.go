@@ -15,9 +15,14 @@
 //   - no BLOB defragmentation other than a full table rebuild, the
 //     recommended practice reported in §5.3.
 //
-// The engine is deliberately page-granular: the paper traces SQL Server's
-// unbounded fragmentation growth to piecemeal lowest-first reuse of freed
-// space, in contrast to NTFS's largest-run-first cache.
+// The allocation policy is deliberately page- and extent-granular: the
+// paper traces SQL Server's unbounded fragmentation growth to piecemeal
+// lowest-first reuse of freed space, in contrast to NTFS's
+// largest-run-first cache. The bookkeeping is run-granular: a row, a
+// ghost entry and a transaction's undo list hold contiguous page runs,
+// never page lists, and the allocator's PFS is a byte per extent as in
+// the engine modelled — what an operation costs the host follows the
+// number of fragments, not the number of 8 KB pages.
 package db
 
 import (
@@ -62,23 +67,14 @@ func (r PageRun) End() PageID { return r.Start + PageID(r.Len) }
 
 func (r PageRun) String() string { return fmt.Sprintf("pages[%d,+%d)", r.Start, r.Len) }
 
-// CoalescePageRuns merges adjacent runs in a sorted-by-logical-order page
-// list into maximal physically contiguous runs. The input is the logical
-// page sequence of an object; the output length is the object's fragment
-// count as the paper's marker tool would measure it.
-func CoalescePageRuns(pages []PageID) []PageRun {
-	return coalescePageRunsInto(nil, pages)
-}
-
-// coalescePageRunsInto coalesces into out (reusing its capacity), for
-// hot paths that hold a scratch buffer.
-func coalescePageRunsInto(out []PageRun, pages []PageID) []PageRun {
-	for _, p := range pages {
-		if n := len(out); n > 0 && out[n-1].End() == p {
-			out[n-1].Len++
-		} else {
-			out = append(out, PageRun{Start: p, Len: 1})
-		}
+// appendRun appends r to a run list kept in logical order, merging it
+// into its predecessor when the two are physically adjacent. A list built
+// through it holds the maximal contiguous runs of its page sequence, so
+// its length is the fragment count the paper's marker tool would measure.
+func appendRun(runs []PageRun, r PageRun) []PageRun {
+	if n := len(runs); n > 0 && runs[n-1].End() == r.Start {
+		runs[n-1].Len += r.Len
+		return runs
 	}
-	return out
+	return append(runs, r)
 }

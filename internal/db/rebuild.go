@@ -23,7 +23,7 @@ func (d *Database) Rebuild() RebuildReport {
 	keys := make([]string, 0, len(d.rows))
 	for k, r := range d.rows {
 		keys = append(keys, k)
-		rep.FragmentsBefore += len(CoalescePageRuns(r.pages))
+		rep.FragmentsBefore += len(r.runs)
 	}
 	sort.Strings(keys)
 	rep.Objects = len(keys)
@@ -31,31 +31,21 @@ func (d *Database) Rebuild() RebuildReport {
 	// Read every object out (the copy's read half).
 	for _, k := range keys {
 		r := d.rows[k]
-		for _, pr := range CoalescePageRuns(r.pages) {
+		for _, pr := range r.runs {
 			d.data.ChargeRead(d.clusterRun(pr))
 		}
-		d.data.ChargeCPU(d.cfg.PageCPUUs * float64(len(r.pages)))
+		d.data.ChargeCPU(d.cfg.PageCPUUs * float64(r.pages))
 		rep.BytesMoved += r.size
 	}
 
 	// Drop: release every page (old table dropped whole — no ghosting).
 	d.FlushGhosts()
 	for _, k := range keys {
-		r := d.rows[k]
-		for _, p := range r.pages {
-			d.alloc.FreePage(p)
-			d.pool.Invalidate(p)
-			d.data.ClearOwner(d.clusterRun(PageRun{Start: p, Len: 1}))
-		}
-		for _, p := range r.nodes {
-			d.alloc.FreePage(p)
-			d.pool.Invalidate(p)
-		}
+		d.free(d.rows[k].layout)
 	}
 	// The old table's heap pages go with the drop too.
 	for _, p := range d.rowPages {
 		d.alloc.FreePage(p)
-		d.pool.Invalidate(p)
 	}
 	d.rowPages = d.rowPages[:0]
 	d.rowPageSlots = 0
@@ -76,7 +66,7 @@ func (d *Database) Rebuild() RebuildReport {
 		}
 	}
 	for _, r := range d.rows {
-		rep.FragmentsAfter += len(CoalescePageRuns(r.pages))
+		rep.FragmentsAfter += len(r.runs)
 	}
 	return rep
 }

@@ -295,10 +295,8 @@ func (d *Drive) ClearOwner(r extent.Run) {
 	if d.owner == nil {
 		return
 	}
-	for i := int64(0); i < r.Len; i++ {
-		d.owner[r.Start+i] = 0
-		d.seq[r.Start+i] = 0
-	}
+	clear(d.owner[r.Start:r.End()])
+	clear(d.seq[r.Start:r.End()])
 }
 
 // Owner returns the tag and sequence recorded for cluster c.

@@ -131,6 +131,27 @@ func TestOwnerMap(t *testing.T) {
 	}
 }
 
+// TestClearOwnerClearsExactlyTheRun: tag and sequence go to zero on every
+// cluster of the run and on no neighbour, and deallocation charges no
+// time and counts as no request.
+func TestClearOwnerClearsExactlyTheRun(t *testing.T) {
+	d := testDrive(1*units.GB, MetadataMode)
+	d.WriteRun(extent.Run{Start: 4, Len: 8}, 7, 50, nil)
+	now, stats := d.Clock().Now(), d.Stats()
+	d.ClearOwner(extent.Run{Start: 6, Len: 3})
+	for c := int64(4); c < 12; c++ {
+		tag, seq := d.Owner(c)
+		if cleared := c >= 6 && c < 9; cleared && (tag != 0 || seq != 0) {
+			t.Fatalf("Owner(%d) = %d,%d after ClearOwner of [6,9)", c, tag, seq)
+		} else if !cleared && (tag != 7 || seq != uint32(50+c-4)) {
+			t.Fatalf("Owner(%d) = %d,%d: ClearOwner of [6,9) reached a neighbour", c, tag, seq)
+		}
+	}
+	if d.Clock().Now() != now || d.Stats() != stats {
+		t.Fatal("ClearOwner charged time or counted a request")
+	}
+}
+
 func TestStatsAccumulate(t *testing.T) {
 	d := testDrive(1*units.GB, MetadataMode)
 	d.WriteRun(extent.Run{Start: 0, Len: 8}, 1, 0, nil)
