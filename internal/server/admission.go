@@ -25,8 +25,8 @@ import (
 //     refused with ErrUnavailable (HTTP 503): the service is saturated
 //     beyond its latency budget, not merely bursty.
 //
-// Caller cancellation passes through: an op whose own context ends
-// while queued reports the context's error, not a shed.
+// Caller cancellation passes through: an op whose own context ended
+// before or while it queued reports the context's error, not a shed.
 type admission struct {
 	slots   chan struct{} // capacity MaxInFlight; holding a token = running
 	pending atomic.Int64  // running + queued
@@ -46,18 +46,25 @@ func newAdmission(maxInFlight, maxQueue int, timeout time.Duration, reg *obs.Reg
 }
 
 // acquire admits one operation, blocking in the queue if the service
-// is at its in-flight limit. On success it returns a release func the
-// caller must run when the operation finishes. On refusal it returns
-// the typed reason: ErrOverloaded (queue full), ErrUnavailable (queue
-// wait exceeded the budget), or the caller context's own error.
-func (a *admission) acquire(ctx context.Context) (release func(), err error) {
-	if a == nil {
-		return func() {}, nil
+// is at its in-flight limit. On success the caller must run release
+// when the operation finishes. On refusal it returns the typed reason:
+// ErrOverloaded (queue full), ErrUnavailable (queue wait exceeded the
+// budget), or the caller context's own error.
+func (a *admission) acquire(ctx context.Context) error {
+	// A dead context takes no slot (a select would pick one at random).
+	if err := ctx.Err(); err != nil {
+		return err
 	}
 	if a.pending.Add(1) > a.limit {
 		a.pending.Add(-1)
 		a.count("admission.shed")
-		return nil, blob.ErrOverloaded
+		return blob.ErrOverloaded
+	}
+	select {
+	case a.slots <- struct{}{}: // a free slot arms no QueueTimeout timer
+		a.gauge()
+		return nil
+	default:
 	}
 	wait := ctx
 	if a.timeout > 0 {
@@ -68,16 +75,16 @@ func (a *admission) acquire(ctx context.Context) (release func(), err error) {
 	select {
 	case a.slots <- struct{}{}:
 		a.gauge()
-		return a.release, nil
+		return nil
 	case <-wait.Done():
 		a.pending.Add(-1)
 		if err := ctx.Err(); err != nil {
 			// The caller gave up (cancel or deadline) — report that, not
 			// a service condition.
-			return nil, err
+			return err
 		}
 		a.count("admission.timeout")
-		return nil, blob.ErrUnavailable
+		return blob.ErrUnavailable
 	}
 }
 

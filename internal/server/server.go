@@ -33,6 +33,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/blob"
@@ -212,17 +213,16 @@ func (s *Server) op(name string, admit bool, fn func(http.ResponseWriter, *http.
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := obs.WallNow()
 		if s.cfg.RequestTimeout > 0 {
-			ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-			defer cancel()
+			ctx := &reqCtx{Context: r.Context(), deadline: start + s.cfg.RequestTimeout.Nanoseconds()}
+			defer ctx.release()
 			r = r.WithContext(ctx)
 		}
 		err := func() error {
 			if admit {
-				release, aerr := s.adm.acquire(r.Context())
-				if aerr != nil {
-					return aerr
+				if err := s.adm.acquire(r.Context()); err != nil {
+					return err
 				}
-				defer release()
+				defer s.adm.release()
 			}
 			return fn(w, r)
 		}()
@@ -233,6 +233,59 @@ func (s *Server) op(name string, admit bool, fn func(http.ResponseWriter, *http.
 		if s.reg != nil {
 			s.reg.Histogram("serve." + name).Observe(obs.WallNow() - start)
 		}
+	}
+}
+
+// reqCtx is a request's context under RequestTimeout: the request's own
+// plus a deadline that costs a clock read per Err and arms a timer only
+// at the first Done (a queued admission, a context.With* child, a store
+// that blocks). Err and Value then answer from the timer context, so a
+// child's cancel propagation finds it without starting a goroutine.
+type reqCtx struct {
+	context.Context       // the request's own
+	deadline        int64 // obs.WallNow() units
+	armed           atomic.Pointer[armedCtx]
+}
+
+type armedCtx struct {
+	context.Context
+	cancel context.CancelFunc
+}
+
+func (c *reqCtx) Deadline() (time.Time, bool) { return time.Unix(0, c.deadline), true }
+
+func (c *reqCtx) Err() error {
+	if a := c.armed.Load(); a != nil {
+		return a.Err()
+	}
+	if err := c.Context.Err(); err != nil || obs.WallNow() < c.deadline {
+		return err
+	}
+	return context.DeadlineExceeded
+}
+
+func (c *reqCtx) Done() <-chan struct{} {
+	a := c.armed.Load()
+	if a == nil {
+		ctx, cancel := context.WithDeadline(c.Context, time.Unix(0, c.deadline))
+		if a = (&armedCtx{ctx, cancel}); !c.armed.CompareAndSwap(nil, a) {
+			cancel() // another goroutine armed first
+			a = c.armed.Load()
+		}
+	}
+	return a.Done()
+}
+
+func (c *reqCtx) Value(key any) any {
+	if a := c.armed.Load(); a != nil {
+		return a.Value(key)
+	}
+	return c.Context.Value(key)
+}
+
+func (c *reqCtx) release() {
+	if a := c.armed.Load(); a != nil {
+		a.cancel()
 	}
 }
 
