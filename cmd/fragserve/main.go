@@ -15,9 +15,10 @@
 //	fragserve -backend file -shards 4 -cache 256M
 //	fragserve -maxinflight 128 -maxqueue 256 -queuetimeout 250ms
 //
-// The process runs until SIGINT/SIGTERM, then shuts down gracefully:
-// the listener drains, open sessions are released, and the exit code
-// is 0. /metrics and /report expose wall-clock latency live.
+// The server keeps no state between requests, so there is nothing to
+// reap or release: the process runs until SIGINT/SIGTERM, then the
+// listener drains in-flight requests and the exit code is 0. /metrics
+// and /report expose wall-clock latency live.
 package main
 
 import (
@@ -52,7 +53,6 @@ func main() {
 		maxQueue     = flag.Int("maxqueue", 2*server.DefaultMaxInFlight, "admission: max queued operations beyond the in-flight limit")
 		queueTimeout = flag.Duration("queuetimeout", time.Second, "admission: max wall time an operation may queue (0 = wait forever)")
 		reqTimeout   = flag.Duration("reqtimeout", 30*time.Second, "per-request deadline (0 = none)")
-		sessionTTL   = flag.Duration("ttl", server.DefaultSessionTTL, "idle TTL before abandoned reader/writer sessions are reaped")
 	)
 	flag.Parse()
 	if err := run(*addr, *backend, *shards, *capacity, *mode, *groupcommit, *cacheBytes, server.Config{
@@ -60,7 +60,6 @@ func main() {
 		MaxQueue:       *maxQueue,
 		QueueTimeout:   *queueTimeout,
 		RequestTimeout: *reqTimeout,
-		SessionTTL:     *sessionTTL,
 	}); err != nil {
 		fmt.Fprintf(os.Stderr, "fragserve: %v\n", err)
 		os.Exit(1)
@@ -80,7 +79,6 @@ func run(addr, backend string, shards int, capacity, mode string, groupcommit bo
 	if err != nil {
 		return err
 	}
-	defer srv.Close()
 
 	hs := &http.Server{Addr: addr, Handler: srv}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -26,6 +26,12 @@ type Info struct {
 	Key string
 	// Size is the object's logical length in bytes.
 	Size int64
+	// Version identifies the live version of the object: opaque, equal
+	// only for the same version, and growing with every new version of
+	// the key (a replace, a delete and re-create, a relocation). A Reader
+	// is pinned to the version live at Open; the network client pins its
+	// readers by this value.
+	Version uint64
 }
 
 // Reader is a handle to one stored object, returned by Store.Open.
@@ -151,3 +157,15 @@ type Store interface {
 	// (frag.TagSource).
 	EachObjectTag(fn func(key string, tag uint32))
 }
+
+type resumeKey struct{}
+
+// Resume marks ctx as continuing a reader whose open the caller paid
+// for already: a core store's Open and Stat under it charge no simulated
+// cost, but lock, look up and fail as usual. The network service serves
+// each read of a remote reader as an Open under Resume, so the reader
+// costs what a local one does: one open, then its reads.
+func Resume(ctx context.Context) context.Context { return context.WithValue(ctx, resumeKey{}, true) }
+
+// Resumed reports whether ctx descends from Resume.
+func Resumed(ctx context.Context) bool { return ctx.Value(resumeKey{}) != nil }

@@ -182,16 +182,7 @@ type batcher struct {
 // batcher per 16 commits of configured batch, between 1 and 4. The pool
 // deliberately stays small — the backend bracket is serial, so extra
 // batchers only help keep gathering off the flusher's critical path.
-func batcherCount(maxBatch int) int {
-	n := maxBatch / 16
-	if n < 1 {
-		n = 1
-	}
-	if n > 4 {
-		n = 4
-	}
-	return n
-}
+func batcherCount(maxBatch int) int { return min(max(maxBatch/16, 1), 4) }
 
 // NewGroupCommitter builds a commit pipeline. maxBatch is the largest
 // group one batcher coalesces before submitting (combined forces may

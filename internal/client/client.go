@@ -3,7 +3,9 @@
 // remote store that is contract-identical to a local one. The
 // cross-backend conformance suite runs end-to-end through a real
 // listener — version-pinned readers, exclusive writers, streaming
-// appends, typed sentinels, and context deadlines all survive the hop.
+// appends, typed sentinels, and context deadlines all survive the hop,
+// though every operation is one plain request and the server holds no
+// state for a handle.
 //
 // Three mechanisms carry the contract across:
 //
@@ -19,12 +21,27 @@
 //     (ranged reads cheaper than full reads, ...) hold against the
 //     client's own Clock().
 //
-//   - Handles travel by session. Open/Create/Replace map to
-//     server-side sessions holding real blob.Reader/blob.Writer
-//     handles; the client revalidates locally (blob.StreamState — the
-//     same ladder backend writers use) so closed-handle, cancellation,
-//     and size-precedence semantics are bit-compatible without a round
-//     trip.
+//   - Handles travel by version. Open is one HEAD that learns the live
+//     version (blob.Info.Version) and costs the store one Open; the
+//     reader's every GET names the version (wire.HeaderVersion), costs
+//     only its read, and is answered ErrNotFound once the version is no
+//     longer live. A remote reader thus charges the virtual clock what
+//     a local one does. A writer runs the blob.StreamState ladder
+//     locally — the one backend writers use, so closed-handle,
+//     cancellation and size-precedence semantics match — and is one PUT
+//     at Commit. Until then it holds every appended byte in client
+//     memory: a streamed payload write needs as much client RAM as the
+//     object is large (a metadata-only stream keeps only a count), and
+//     lands on the server as a whole-buffer write would.
+//
+// Writer exclusivity has two scopes. Within one Store, a key with an
+// open writer refuses a second with ErrBusy, as a local store does.
+// Across Stores it is the PUT's: the server locks a key only while a
+// PUT is applied, so no remote caller — and no crashed one — can hold a
+// key between requests. A Create that found the key free can therefore
+// still fail with ErrAlreadyExists at Commit if another client created
+// it meanwhile; the writer then stays open and abortable, as after any
+// failed Commit.
 package client
 
 import (
@@ -50,11 +67,12 @@ import (
 // Store is a blob.Store backed by a remote network blob service.
 // Safe for concurrent use. Close releases idle connections.
 type Store struct {
-	base  string // service base URL, no trailing slash
-	hc    *http.Client
-	name  string
-	clock *vclock.Clock
-	mu    sync.Mutex // serializes clock ratcheting (advance-by-delta must not interleave)
+	base    string // service base URL, no trailing slash
+	hc      *http.Client
+	name    string
+	clock   *vclock.Clock
+	mu      sync.Mutex      // serializes clock ratcheting (advance-by-delta must not interleave) and guards writing
+	writing map[string]bool // keys with an open writer on this Store
 }
 
 // Dial connects to a network blob service and verifies it is alive
@@ -62,9 +80,10 @@ type Store struct {
 // the store's reported name).
 func Dial(baseURL string) (*Store, error) {
 	s := &Store{
-		base:  strings.TrimRight(baseURL, "/"),
-		hc:    &http.Client{Transport: &http.Transport{}},
-		clock: vclock.New(),
+		base:    strings.TrimRight(baseURL, "/"),
+		hc:      &http.Client{Transport: &http.Transport{}},
+		clock:   vclock.New(),
+		writing: make(map[string]bool),
 	}
 	st, err := s.stats(context.Background())
 	if err != nil {
@@ -74,9 +93,7 @@ func Dial(baseURL string) (*Store, error) {
 	return s, nil
 }
 
-// Close releases the client's idle connections. Open sessions on the
-// server are left to their own Close/Abort (or the server's TTL
-// janitor).
+// Close releases the client's idle connections.
 func (s *Store) Close() error {
 	s.hc.CloseIdleConnections()
 	return nil
@@ -109,12 +126,13 @@ type sliceBody struct {
 func (b sliceBody) Close() error { b.done(); return nil }
 
 // do performs one wire call: context pre-check, request, clock
-// ratchet, and typed error mapping. payload, when not empty, is sent as
-// the request body without being copied and is not referenced after do
-// returns. On success the caller owns the response body. On failure the
-// sentinel named by the response (or mapped from its status) is wrapped
-// into the returned error.
-func (s *Store) do(ctx context.Context, method, path string, payload []byte, hdr map[string]string) (*http.Response, error) {
+// ratchet, and typed error mapping. hdr is request headers as name,
+// value pairs. payload, when not empty, is sent as the request body
+// without being copied and is not referenced after do returns. On
+// success the caller owns the response body. On failure the sentinel
+// named by the response (or mapped from its status) is wrapped into the
+// returned error.
+func (s *Store) do(ctx context.Context, method, path string, payload []byte, hdr ...string) (*http.Response, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -122,8 +140,8 @@ func (s *Store) do(ctx context.Context, method, path string, payload []byte, hdr
 	if err != nil {
 		return nil, fmt.Errorf("client: %s %s: %w", method, path, err)
 	}
-	for k, v := range hdr {
-		req.Header.Set(k, v)
+	for i := 0; i+1 < len(hdr); i += 2 {
+		req.Header.Set(hdr[i], hdr[i+1])
 	}
 	if len(payload) > 0 {
 		var sent sync.WaitGroup
@@ -166,7 +184,7 @@ func (s *Store) do(ctx context.Context, method, path string, payload []byte, hdr
 
 // doJSON performs a wire call and decodes a JSON success body into v.
 func (s *Store) doJSON(ctx context.Context, method, path string, v any) error {
-	resp, err := s.do(ctx, method, path, nil, nil)
+	resp, err := s.do(ctx, method, path, nil)
 	if err != nil {
 		return err
 	}
@@ -191,50 +209,66 @@ func (s *Store) Name() string { return s.name }
 // clock (ratcheted from response headers).
 func (s *Store) Clock() *vclock.Clock { return s.clock }
 
-// Open opens a version-pinned reader session on the server.
+// Open pins the object's live version with one HEAD, which costs the
+// store what a local Open does. The reader's reads name that version,
+// so they fail with ErrNotFound once it is replaced or deleted, as a
+// local reader's do, and cost only what the read does.
 func (s *Store) Open(ctx context.Context, key string) (blob.Reader, error) {
-	resp, err := s.do(ctx, "POST", wire.PathRead+escape(key), nil, nil)
+	info, err := s.head(ctx, key, wire.HeaderOpen, "1")
 	if err != nil {
 		return nil, err
 	}
-	var open wire.OpenResponse
-	err = json.NewDecoder(resp.Body).Decode(&open)
-	resp.Body.Close()
-	if err != nil {
-		return nil, fmt.Errorf("client: open %s: %w", key, err)
-	}
-	return &reader{s: s, ctx: ctx, handle: open.Handle, size: open.Size}, nil
+	return &reader{s: s, ctx: ctx, key: key, size: info.Size, version: strconv.FormatUint(info.Version, 10)}, nil
 }
 
-// Create starts a streaming write of a new object via a server writer
-// session.
+// Create starts a streaming write of a new object. One HEAD refuses an
+// existing key up front; the write itself is one PUT at Commit.
 func (s *Store) Create(ctx context.Context, key string, size int64) (blob.Writer, error) {
-	return s.openWriter(ctx, key, size, wire.ModeCreate)
+	return s.newWriter(ctx, key, size, false)
 }
 
-// Replace starts a streaming safe replace via a server writer session.
+// Replace starts a streaming safe replace, sent as one PUT at Commit.
 func (s *Store) Replace(ctx context.Context, key string, size int64) (blob.Writer, error) {
-	return s.openWriter(ctx, key, size, wire.ModeReplace)
+	return s.newWriter(ctx, key, size, true)
 }
 
-func (s *Store) openWriter(ctx context.Context, key string, size int64, mode string) (blob.Writer, error) {
-	path := fmt.Sprintf("%s%s?mode=%s&size=%d", wire.PathWrite, escape(key), mode, size)
-	resp, err := s.do(ctx, "POST", path, nil, nil)
-	if err != nil {
+func (s *Store) newWriter(ctx context.Context, key string, size int64, replace bool) (blob.Writer, error) {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	var open wire.WriteOpenResponse
-	err = json.NewDecoder(resp.Body).Decode(&open)
-	resp.Body.Close()
-	if err != nil {
-		return nil, fmt.Errorf("client: %s %s: %w", mode, key, err)
+	if size <= 0 {
+		return nil, fmt.Errorf("%w: write of %d bytes to %s", blob.ErrInvalidSize, size, key)
 	}
-	return &writer{s: s, ctx: ctx, handle: open.Handle, st: blob.NewStreamState(key, size)}, nil
+	s.mu.Lock()
+	busy := s.writing[key]
+	s.writing[key] = true
+	s.mu.Unlock()
+	if busy {
+		return nil, fmt.Errorf("%w: %s", blob.ErrBusy, key)
+	}
+	if !replace {
+		_, err := s.Stat(ctx, key)
+		if err == nil {
+			err = fmt.Errorf("%w: %s", blob.ErrAlreadyExists, key)
+		}
+		if !errors.Is(err, blob.ErrNotFound) {
+			s.doneWriting(key)
+			return nil, err
+		}
+	}
+	return &writer{s: s, ctx: ctx, key: key, size: size, replace: replace, st: blob.NewStreamState(key, size)}, nil
+}
+
+// doneWriting frees key for this Store's next writer.
+func (s *Store) doneWriting(key string) {
+	s.mu.Lock()
+	delete(s.writing, key)
+	s.mu.Unlock()
 }
 
 // Delete removes an object.
 func (s *Store) Delete(ctx context.Context, key string) error {
-	resp, err := s.do(ctx, "DELETE", wire.PathBlobs+escape(key), nil, nil)
+	resp, err := s.do(ctx, "DELETE", wire.PathBlobs+escape(key), nil)
 	if err != nil {
 		return err
 	}
@@ -244,7 +278,13 @@ func (s *Store) Delete(ctx context.Context, key string) error {
 
 // Stat returns object metadata (one HEAD round trip).
 func (s *Store) Stat(ctx context.Context, key string) (blob.Info, error) {
-	resp, err := s.do(ctx, "HEAD", wire.PathBlobs+escape(key), nil, nil)
+	return s.head(ctx, key)
+}
+
+// head stats key in one HEAD; hdr (name, value pairs) may pin a version
+// or mark a reader's open.
+func (s *Store) head(ctx context.Context, key string, hdr ...string) (blob.Info, error) {
+	resp, err := s.do(ctx, "HEAD", wire.PathBlobs+escape(key), nil, hdr...)
 	if err != nil {
 		return blob.Info{}, err
 	}
@@ -253,7 +293,11 @@ func (s *Store) Stat(ctx context.Context, key string) (blob.Info, error) {
 	if err != nil {
 		return blob.Info{}, fmt.Errorf("client: stat %s: bad size header: %w", key, err)
 	}
-	return blob.Info{Key: key, Size: size}, nil
+	version, err := strconv.ParseUint(resp.Header.Get(wire.HeaderVersion), 10, 64)
+	if err != nil {
+		return blob.Info{}, fmt.Errorf("client: stat %s: bad version header: %w", key, err)
+	}
+	return blob.Info{Key: key, Size: size, Version: version}, nil
 }
 
 // stats fetches the remote accounting surface.
@@ -316,11 +360,27 @@ var _ blob.Store = (*Store)(nil)
 
 // --- one-shot fast paths ---------------------------------------------
 
-// Fetch reads a whole object in one GET round trip (versus the three
-// of Open/ReadAll/Close) — the load generator's read path. Returns the
-// object's size and, when the store retains payloads, its bytes.
+// Fetch reads a whole object in one GET round trip — the load
+// generator's read path. Returns the object's size and, when the store
+// retains payloads, its bytes.
 func (s *Store) Fetch(ctx context.Context, key string) (int64, []byte, error) {
-	resp, err := s.do(ctx, "GET", wire.PathBlobs+escape(key), nil, nil)
+	return s.get(ctx, key)
+}
+
+// FetchAt reads one byte range in one round trip via an HTTP Range
+// GET, riding the server's blob.Reader.ReadAt.
+func (s *Store) FetchAt(ctx context.Context, key string, off, length int64) ([]byte, error) {
+	if off < 0 || length < 0 {
+		return nil, fmt.Errorf("%w: range [%d, +%d)", blob.ErrOutOfRange, off, length)
+	}
+	return s.getRange(ctx, key, off, length)
+}
+
+// get performs one GET of key with the request headers hdr (name, value
+// pairs) and returns the object's size and the body, nil when the store
+// keeps no payload.
+func (s *Store) get(ctx context.Context, key string, hdr ...string) (int64, []byte, error) {
+	resp, err := s.do(ctx, "GET", wire.PathBlobs+escape(key), nil, hdr...)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -332,51 +392,45 @@ func (s *Store) Fetch(ctx context.Context, key string) (int64, []byte, error) {
 	}
 	data, err := wire.ReadBody(resp.Body, resp.ContentLength)
 	if err != nil {
-		return 0, nil, fmt.Errorf("client: fetch %s: %w", key, err)
+		return 0, nil, fmt.Errorf("client: get %s: %w", key, err)
 	}
 	return size, data, nil
 }
 
-// FetchAt reads one byte range in one round trip via an HTTP Range
-// GET, riding the server's blob.Reader.ReadAt.
-func (s *Store) FetchAt(ctx context.Context, key string, off, length int64) ([]byte, error) {
-	if off < 0 || length < 0 {
-		return nil, fmt.Errorf("%w: range [%d, +%d)", blob.ErrOutOfRange, off, length)
-	}
-	hdr := map[string]string{"Range": fmt.Sprintf("bytes=%d-%d", off, off+length-1)}
-	resp, err := s.do(ctx, "GET", wire.PathBlobs+escape(key), nil, hdr)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.Header.Get(wire.HeaderMeta) == "1" {
-		drain(resp)
+// getRange reads [off, off+length) of key; hdr may pin a version. HTTP
+// has no empty byte range, so a zero-length read is a HEAD and a bounds
+// check with a nil result.
+func (s *Store) getRange(ctx context.Context, key string, off, length int64, hdr ...string) ([]byte, error) {
+	if length == 0 {
+		info, err := s.head(ctx, key, hdr...)
+		if err != nil {
+			return nil, err
+		}
+		if off > info.Size {
+			return nil, fmt.Errorf("%w: offset %d of %d-byte object", blob.ErrOutOfRange, off, info.Size)
+		}
 		return nil, nil
 	}
-	data, err := wire.ReadBody(resp.Body, resp.ContentLength)
-	if err != nil {
-		return nil, fmt.Errorf("client: fetch %s range: %w", key, err)
-	}
-	return data, nil
+	hdr = append(hdr, "Range", fmt.Sprintf("bytes=%d-%d", off, off+length-1))
+	_, data, err := s.get(ctx, key, hdr...)
+	return data, err
 }
 
-// Upload writes a whole object in one PUT round trip (versus the
-// three of Create/Append/Commit) — the load generator's write path.
-// data nil performs a metadata-only write of size logical bytes.
-// replace selects safe-replace semantics; otherwise create.
+// Upload writes a whole object in one PUT round trip — the load
+// generator's write path, and a writer's Commit. data nil performs a
+// metadata-only write of size logical bytes. replace selects
+// safe-replace semantics; otherwise create.
 func (s *Store) Upload(ctx context.Context, key string, size int64, data []byte, replace bool) error {
 	mode := wire.ModeCreate
 	if replace {
 		mode = wire.ModeReplace
 	}
 	path := fmt.Sprintf("%s%s?mode=%s", wire.PathBlobs, escape(key), mode)
-	hdr := map[string]string{}
+	sizeHdr := wire.HeaderSize
 	if data == nil {
-		hdr[wire.HeaderMetaBytes] = strconv.FormatInt(size, 10)
-	} else {
-		hdr[wire.HeaderSize] = strconv.FormatInt(size, 10)
+		sizeHdr = wire.HeaderMetaBytes
 	}
-	resp, err := s.do(ctx, "PUT", path, data, hdr)
+	resp, err := s.do(ctx, "PUT", path, data, sizeHdr, strconv.FormatInt(size, 10))
 	if err != nil {
 		return err
 	}
@@ -396,111 +450,84 @@ func escape(key string) string {
 
 // --- reader ----------------------------------------------------------
 
-// reader is a client-side handle to a server reader session. The
-// closed flag and context are enforced locally (matching local reader
-// semantics and saving a doomed round trip); everything else —
-// version pinning above all — is the server-side blob.Reader's.
+// reader is a handle pinned to one version of an object. It holds no
+// server state: the closed flag and context are enforced locally
+// (matching local reader semantics and saving a doomed round trip), and
+// every read names the version, which the server serves only while it
+// is live.
 type reader struct {
-	s      *Store
-	ctx    context.Context
-	handle string
-	size   int64
-	closed atomic.Bool
+	s       *Store
+	ctx     context.Context
+	key     string
+	size    int64
+	version string // the pinned blob.Info.Version, as wire.HeaderVersion carries it
+	closed  atomic.Bool
 }
 
 // Size implements blob.Reader.
 func (r *reader) Size() int64 { return r.size }
 
-// ReadAll implements blob.Reader.
-func (r *reader) ReadAll() ([]byte, error) {
-	return r.read(wire.PathReadH + r.handle)
+func (r *reader) check() error {
+	if r.closed.Load() {
+		return fmt.Errorf("%w: reader for %s", blob.ErrClosed, r.key)
+	}
+	return r.ctx.Err()
 }
 
-// ReadAt implements blob.Reader. Bounds are checked locally
-// (overflow-safe), matching backend reader behavior exactly.
-func (r *reader) ReadAt(off, length int64) ([]byte, error) {
-	if r.closed.Load() {
-		return nil, fmt.Errorf("%w: reader for session %s", blob.ErrClosed, r.handle)
+// ReadAll implements blob.Reader: one pinned GET.
+func (r *reader) ReadAll() ([]byte, error) {
+	if err := r.check(); err != nil {
+		return nil, err
 	}
-	if err := r.ctx.Err(); err != nil {
+	_, data, err := r.s.get(r.ctx, r.key, wire.HeaderVersion, r.version)
+	return data, err
+}
+
+// ReadAt implements blob.Reader: one pinned Range GET. Bounds are
+// checked locally (overflow-safe), matching backend reader behavior
+// exactly.
+func (r *reader) ReadAt(off, length int64) ([]byte, error) {
+	if err := r.check(); err != nil {
 		return nil, err
 	}
 	if off < 0 || length < 0 || off > r.size || length > r.size-off {
 		return nil, fmt.Errorf("%w: [%d, +%d) of %d-byte object", blob.ErrOutOfRange, off, length, r.size)
 	}
-	return r.read(fmt.Sprintf("%s%s?off=%d&len=%d", wire.PathReadH, r.handle, off, length))
+	return r.s.getRange(r.ctx, r.key, off, length, wire.HeaderVersion, r.version)
 }
 
-func (r *reader) read(path string) ([]byte, error) {
-	if r.closed.Load() {
-		return nil, fmt.Errorf("%w: reader for session %s", blob.ErrClosed, r.handle)
-	}
-	if err := r.ctx.Err(); err != nil {
-		return nil, err
-	}
-	resp, err := r.s.do(r.ctx, "GET", path, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.Header.Get(wire.HeaderMeta) == "1" {
-		drain(resp)
-		return nil, nil
-	}
-	data, err := wire.ReadBody(resp.Body, resp.ContentLength)
-	if err != nil {
-		return nil, fmt.Errorf("client: session read: %w", err)
-	}
-	return data, nil
-}
-
-// Close implements blob.Reader: idempotent, and detached from the
-// opening context so a canceled op can still release its session.
+// Close implements blob.Reader: idempotent and local.
 func (r *reader) Close() error {
-	if r.closed.Swap(true) {
-		return nil
-	}
-	resp, err := r.s.do(context.WithoutCancel(r.ctx), "DELETE", wire.PathReadH+r.handle, nil, nil)
-	if err != nil {
-		// The server may have reaped the session already (TTL) — the
-		// handle is gone either way.
-		if errors.Is(err, blob.ErrNotFound) {
-			return nil
-		}
-		return err
-	}
-	drain(resp)
+	r.closed.Store(true)
 	return nil
 }
 
 // --- writer ----------------------------------------------------------
 
-// writer is a client-side handle to a server writer session. The full
+// writer is a streaming write held on the client until Commit. The full
 // local validation ladder (blob.StreamState — the same one backend
 // writers run) guards every call, so closed/canceled/size-precedence
-// semantics match a local writer without a round trip; bytes that pass
-// it stream to the server session in per-append requests.
+// semantics match a local writer without a round trip; the bytes that
+// pass it are copied into buf, and Commit sends them as one PUT.
 type writer struct {
-	s      *Store
-	ctx    context.Context
-	handle string
-	st     blob.StreamState
+	s       *Store
+	ctx     context.Context
+	key     string
+	size    int64
+	replace bool
+	st      blob.StreamState
+	buf     []byte // payload appended so far; a metadata-only stream keeps none
 }
 
-// Append implements blob.Writer.
+// Append implements blob.Writer. It copies data, which is the caller's
+// again on return.
 func (w *writer) Append(n int64, data []byte) error {
 	if err := w.st.BeginAppend(w.ctx, n, data); err != nil {
 		return err
 	}
-	var hdr map[string]string
-	if data == nil {
-		hdr = map[string]string{wire.HeaderMetaBytes: strconv.FormatInt(n, 10)}
+	if data != nil {
+		w.buf = append(w.buf, data...)
 	}
-	resp, err := w.s.do(w.ctx, "POST", wire.PathWriteH+w.handle, data, hdr)
-	if err != nil {
-		return err
-	}
-	drain(resp)
 	w.st.NoteAppended(n)
 	return nil
 }
@@ -513,36 +540,32 @@ func (w *writer) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// Commit implements blob.Writer. A commit the local ladder refuses
-// (short stream) never reaches the wire; a commit the server refuses
-// leaves the writer open and abortable, exactly like a local writer.
+// Commit implements blob.Writer: one PUT of the whole stream. A commit
+// the local ladder refuses (short stream) never reaches the wire; a
+// commit the server refuses leaves the writer open and abortable,
+// exactly like a local writer.
 func (w *writer) Commit() error {
 	if err := w.st.BeginCommit(w.ctx); err != nil {
 		return err
 	}
-	resp, err := w.s.do(w.ctx, "POST", wire.PathWriteH+w.handle+"/commit", nil, nil)
-	if err != nil {
+	if err := w.s.Upload(w.ctx, w.key, w.size, w.buf, w.replace); err != nil {
 		return err
 	}
-	drain(resp)
-	w.st.Close()
+	w.close()
 	return nil
 }
 
-// Abort implements blob.Writer: idempotent, detached from the opening
-// context, and tolerant of a server session already reaped by TTL.
+// Abort implements blob.Writer: idempotent and local, since nothing
+// reached the server.
 func (w *writer) Abort() error {
-	if w.st.Closed() {
-		return nil
+	if !w.st.Closed() {
+		w.close()
 	}
-	w.st.Close()
-	resp, err := w.s.do(context.WithoutCancel(w.ctx), "DELETE", wire.PathWriteH+w.handle, nil, nil)
-	if err != nil {
-		if errors.Is(err, blob.ErrNotFound) {
-			return nil
-		}
-		return err
-	}
-	drain(resp)
 	return nil
+}
+
+func (w *writer) close() {
+	w.st.Close()
+	w.buf = nil
+	w.s.doneWriting(w.key)
 }

@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net/http/httptest"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -68,11 +72,7 @@ func mixedShardInner(opts ...blob.Option) blob.Store {
 func serve(t *testing.T, mk conformance.Factory) conformance.Factory {
 	t.Helper()
 	return func(opts ...blob.Option) blob.Store {
-		srv, err := server.New(mk(opts...), server.Config{
-			// The suite abandons handles on purpose (version-pinning
-			// tests); a long TTL keeps the janitor from racing them.
-			SessionTTL: time.Hour,
-		})
+		srv, err := server.New(mk(opts...), server.Config{})
 		if err != nil {
 			panic(err)
 		}
@@ -80,13 +80,11 @@ func serve(t *testing.T, mk conformance.Factory) conformance.Factory {
 		c, err := client.Dial(ts.URL)
 		if err != nil {
 			ts.Close()
-			srv.Close()
 			panic(err)
 		}
 		t.Cleanup(func() {
 			c.Close()
 			ts.Close()
-			srv.Close()
 		})
 		return c
 	}
@@ -161,7 +159,7 @@ func TestClientClockRatchet(t *testing.T) {
 }
 
 // TestClientOneShotPaths covers the loadgen fast paths (Fetch, FetchAt,
-// Upload) that bypass the session protocol.
+// Upload).
 func TestClientOneShotPaths(t *testing.T) {
 	ctx := context.Background()
 	mk := serve(t, fileInner)
@@ -200,6 +198,177 @@ func TestClientOneShotPaths(t *testing.T) {
 	}
 	if _, err := c.FetchAt(ctx, "one", 5, 1); !errors.Is(err, blob.ErrOutOfRange) {
 		t.Fatalf("out-of-range fetchAt = %v, want ErrOutOfRange", err)
+	}
+}
+
+// TestZeroLengthRangeReadsNothing: an empty range is a read of nothing,
+// as a local ReadAt(off, 0) is — not the whole object (FetchAt once sent
+// "bytes=7-6", which a server ignores as malformed and answers with every
+// byte), and not ErrOutOfRange at the end of the object. Off the end it
+// is ErrOutOfRange, and a pinned reader's empty read still fails
+// ErrNotFound once its version is gone.
+func TestZeroLengthRangeReadsNothing(t *testing.T) {
+	ctx := context.Background()
+	c := serve(t, fileInner)(blob.WithCapacity(1<<20), blob.WithDiskMode(disk.DataMode)).(*client.Store)
+	payload := []byte("hello, network blob service")
+	size := int64(len(payload))
+	if err := c.Upload(ctx, "k", size, payload, false); err != nil {
+		t.Fatal(err)
+	}
+	r, err := c.Open(ctx, "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for _, off := range []int64{0, 7, size} {
+		if got, err := c.FetchAt(ctx, "k", off, 0); err != nil || len(got) != 0 {
+			t.Fatalf("FetchAt(%d, 0) = %d bytes, %v; want none", off, len(got), err)
+		}
+		if got, err := r.ReadAt(off, 0); err != nil || len(got) != 0 {
+			t.Fatalf("ReadAt(%d, 0) = %d bytes, %v; want none", off, len(got), err)
+		}
+	}
+	if _, err := c.FetchAt(ctx, "k", size+1, 0); !errors.Is(err, blob.ErrOutOfRange) {
+		t.Fatalf("FetchAt past the end = %v, want ErrOutOfRange", err)
+	}
+	if _, err := c.FetchAt(ctx, "absent", 0, 0); !errors.Is(err, blob.ErrNotFound) {
+		t.Fatalf("FetchAt of an absent key = %v, want ErrNotFound", err)
+	}
+	if err := c.Upload(ctx, "k", size, payload, true); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.ReadAt(0, 0); !errors.Is(err, blob.ErrNotFound) {
+		t.Fatalf("pinned ReadAt(0, 0) across a replace = %v, want ErrNotFound", err)
+	}
+}
+
+// TestRemoteHandlesHoldNoServerState: two clients of one server. A
+// remote handle is held by its client alone, so an abandoned writer
+// locks nothing for anyone else, a reader's pin is checked at each read,
+// and writer exclusivity across clients is the PUT's — a Create that
+// found its key free loses to another client's create at Commit and
+// stays abortable. Between requests no goroutine runs server code.
+func TestRemoteHandlesHoldNoServerState(t *testing.T) {
+	ctx := context.Background()
+	inner := fileInner(blob.WithCapacity(64<<20), blob.WithDiskMode(disk.DataMode))
+	mk := serve(t, func(...blob.Option) blob.Store { return inner })
+	a, b := mk().(*client.Store), mk().(*client.Store)
+	if err := blob.Put(ctx, a, "k", 4096, make([]byte, 4096)); err != nil {
+		t.Fatal(err)
+	}
+
+	r, err := a.Open(ctx, "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if _, err := a.Replace(ctx, "k", 4096); err != nil { // abandoned
+		t.Fatal(err)
+	}
+	if _, err := a.Replace(ctx, "k", 4096); !errors.Is(err, blob.ErrBusy) {
+		t.Fatalf("second writer on one client = %v, want ErrBusy", err)
+	}
+	if err := blob.Replace(ctx, b, "k", 4096, bytes.Repeat([]byte{7}, 4096)); err != nil {
+		t.Fatalf("replace past another client's abandoned writer: %v", err)
+	}
+	if _, err := r.ReadAll(); !errors.Is(err, blob.ErrNotFound) {
+		t.Fatalf("reader across another client's replace = %v, want ErrNotFound", err)
+	}
+
+	w, err := a.Create(ctx, "n", 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(4096, make([]byte, 4096)); err != nil {
+		t.Fatal(err)
+	}
+	if err := blob.Put(ctx, b, "n", 4096, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Commit(); !errors.Is(err, blob.ErrAlreadyExists) {
+		t.Fatalf("commit after another client's create = %v, want ErrAlreadyExists", err)
+	}
+	if err := w.Abort(); err != nil {
+		t.Fatalf("abort after a failed commit: %v", err)
+	}
+	if err := blob.Replace(ctx, a, "n", 4096, nil); err != nil {
+		t.Fatalf("key still busy on its client after abort: %v", err)
+	}
+
+	for i := 0; i < 16; i++ {
+		key := fmt.Sprintf("h%d", i)
+		if err := a.Upload(ctx, key, 4096, nil, false); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.Open(ctx, key); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.Replace(ctx, key, 4096); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// With handles open and no request in flight, no goroutine runs
+	// server code: no handle reaper, nothing per handle. (Idle connection
+	// goroutines sit in net/http.) A handler may still be unwinding from
+	// the last response, so the check retries briefly.
+	for i := 0; ; i++ {
+		buf := make([]byte, 1<<20)
+		stacks := string(buf[:runtime.Stack(buf, true)])
+		if !strings.Contains(stacks, "repro/internal/server.") {
+			break
+		}
+		if i == 100 {
+			t.Fatalf("server code runs between requests:\n%s", stacks)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestRemoteReaderCostsWhatALocalOneDoes: two identical stores, one
+// read in-process and one through the server, charge their virtual
+// clocks the same at every step of a reader — the open once, at Open,
+// and each read, empty ones included, only what the read costs.
+func TestRemoteReaderCostsWhatALocalOneDoes(t *testing.T) {
+	ctx := context.Background()
+	for _, backend := range []struct {
+		name string
+		mk   conformance.Factory
+	}{{"Filesystem", fileInner}, {"Database", dbInner}} {
+		t.Run(backend.name, func(t *testing.T) {
+			local, served := backend.mk(blob.WithCapacity(16<<20)), backend.mk(blob.WithCapacity(16<<20))
+			for _, s := range []blob.Store{local, served} {
+				for _, key := range []string{"a", "k", "z"} {
+					if err := blob.Put(ctx, s, key, 256<<10, nil); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			remote := serve(t, func(...blob.Option) blob.Store { return served })()
+			costs := func(s blob.Store, clock *vclock.Clock) []int64 {
+				var out []int64
+				step := func(f func() error) {
+					t0 := clock.Now()
+					if err := f(); err != nil {
+						t.Fatal(err)
+					}
+					out = append(out, clock.Now()-t0)
+				}
+				var r blob.Reader
+				step(func() (err error) { r, err = s.Open(ctx, "k"); return err })
+				step(func() error { _, err := r.ReadAt(4096, 8192); return err })
+				step(func() error { _, err := r.ReadAll(); return err })
+				step(func() error { _, err := r.ReadAt(100, 0); return err })
+				step(r.Close)
+				return out
+			}
+			want := costs(local, local.Clock())
+			if got := costs(remote, served.Clock()); !slices.Equal(got, want) {
+				t.Fatalf("virtual ns per step (open, ranged, whole, empty, close): remote %v, local %v", got, want)
+			}
+			if want[0] == 0 || want[2] == 0 {
+				t.Fatalf("local costs %v: open and read must cost something for the comparison to mean anything", want)
+			}
+		})
 	}
 }
 
@@ -269,9 +438,9 @@ func TestClientAccountingSurface(t *testing.T) {
 
 // TestLoneCommitDoesNotWait: one client, one PUT, one commit — the
 // served path the group-commit ceiling used to tax. Through the HTTP
-// front-end, shard and cache, by the one-shot Upload and by the session
-// protocol, a lone writer is a batch of one that never sleeps on the
-// batch timer.
+// front-end, shard and cache, by the one-shot Upload and by a streaming
+// writer's Create/Append/Commit, a lone writer is a batch of one that
+// never sleeps on the batch timer.
 func TestLoneCommitDoesNotWait(t *testing.T) {
 	ctx := context.Background()
 	var stack *cache.Store
@@ -287,7 +456,7 @@ func TestLoneCommitDoesNotWait(t *testing.T) {
 		conformance.LoneCommitDoesNotWait(t, stack, func() error {
 			return c.Upload(ctx, key, 64*units.KB, nil, false)
 		})
-		conformance.LoneCommitDoesNotWait(t, stack, conformance.PutKey(c, key+"-session"))
+		conformance.LoneCommitDoesNotWait(t, stack, conformance.PutKey(c, key+"-stream"))
 	}
 }
 
@@ -313,7 +482,8 @@ func TestUploadBufferIsCallersAfterReturn(t *testing.T) {
 			t.Fatalf("create of an existing key = %v, want ErrAlreadyExists", err)
 		}
 	}
-	// The session path sends its appends the same way.
+	// A streaming writer copies each append, so the buffer is the
+	// caller's again as soon as Append returns.
 	w, err := c.Replace(ctx, "k", size)
 	if err != nil {
 		t.Fatal(err)

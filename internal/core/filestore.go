@@ -171,12 +171,17 @@ func (s *FileStore) Open(ctx context.Context, key string) (blob.Reader, error) {
 	defer s.locks.RUnlock(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.meta.Lookup(key) {
-		return nil, fmt.Errorf("%w: %s", blob.ErrNotFound, key)
+	var f *fs.File
+	if blob.Resumed(ctx) {
+		f, _ = s.vol.Lookup(key) // the open was paid for already
+	} else if s.meta.Lookup(key) {
+		var err error
+		if f, err = s.vol.Open(key); err != nil {
+			return nil, err
+		}
 	}
-	f, err := s.vol.Open(key)
-	if err != nil {
-		return nil, err
+	if f == nil {
+		return nil, fmt.Errorf("%w: %s", blob.ErrNotFound, key)
 	}
 	r := fileReaderPool.Get().(*fileReader)
 	*r = fileReader{s: s, ctx: ctx, key: key, f: f, tag: f.Tag(), size: f.Size()}
@@ -517,7 +522,7 @@ func (s *FileStore) Stat(ctx context.Context, key string) (blob.Info, error) {
 	if !ok {
 		return blob.Info{}, fmt.Errorf("%w: %s", blob.ErrNotFound, key)
 	}
-	return blob.Info{Key: key, Size: f.Size()}, nil
+	return blob.Info{Key: key, Size: f.Size(), Version: uint64(f.Tag())}, nil
 }
 
 // Keys implements blob.Store.

@@ -15,7 +15,6 @@ package harness
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"repro/internal/blob"
 	"repro/internal/frag"
@@ -254,14 +253,4 @@ func (c Config) fragCurve(backend string, dist workload.SizeDist, name string, e
 		c.logf("  %s age %.1f: %.2f", name, age, s.Points[len(s.Points)-1].Y)
 	}
 	return s, nil
-}
-
-// sortedKeys is a small helper for deterministic map iteration in reports.
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -285,7 +285,6 @@ func newServedMeta(tb testing.TB) *servedMeta {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	tb.Cleanup(func() { srv.Close() })
 	put := httptest.NewRequest("PUT", wire.PathBlobs+"m", http.NoBody)
 	put.Header.Set(wire.HeaderMetaBytes, strconv.FormatInt(64*units.KB, 10))
 	m := &servedMeta{srv: srv, reqs: map[string]*http.Request{
@@ -309,8 +308,9 @@ func (m *servedMeta) serve(tb testing.TB, method string) {
 
 // TestRequestPathAllocationBudget pins the served request path's
 // allocations: a request arms no timer it does not wait on. Budgets are
-// the measured count plus 2: 24 / 21 / 24, where a timer context per
-// request and another for admission's queue wait made it 39 / 36 / 39.
+// the measured count plus 2: 24 / 22 / 24 (HEAD's version header is the
+// 22nd), where a timer context per request and another for admission's
+// queue wait made it 39 / 36 / 39.
 // The counts are the same under -race. Admission itself allocates
 // nothing with a slot free.
 func TestRequestPathAllocationBudget(t *testing.T) {
@@ -318,7 +318,7 @@ func TestRequestPathAllocationBudget(t *testing.T) {
 	for _, tc := range []struct {
 		method string
 		budget float64
-	}{{"GET", 26}, {"HEAD", 23}, {"PUT", 26}} {
+	}{{"GET", 26}, {"HEAD", 24}, {"PUT", 26}} {
 		if n := testing.AllocsPerRun(200, func() { m.serve(t, tc.method) }); n > tc.budget {
 			t.Errorf("%s: %.1f allocs per request, budget %.0f", tc.method, n, tc.budget)
 		}

@@ -10,13 +10,17 @@
 // through the same histogram/report pipeline the simulation uses for
 // virtual time (the time_unit tag keeps the two apart).
 //
-// Stateless operations (GET/HEAD/PUT/DELETE on /v1/blobs/) map one
-// request to one whole store operation. Stateful reader/writer
-// sessions (/v1/read*, /v1/write*) hold real blob.Reader/blob.Writer
-// handles server-side (session.go), so the remote client preserves the
-// full store contract — version-pinned readers, exclusive writers,
-// streaming appends — and the cross-backend conformance suite passes
-// end-to-end over a live listener (see internal/client).
+// Every operation is one request (GET/HEAD/PUT/DELETE on /v1/blobs/)
+// mapped to one whole store operation; the server holds no handle
+// between requests. Remote handles travel by version instead: HEAD
+// reports an object's version (blob.Info.Version) and a GET or HEAD
+// that names one is served only while it is live, so a remote reader
+// stays pinned to the version it opened, and a remote writer is one PUT
+// at Commit (see internal/client, where the cross-backend conformance
+// suite passes end-to-end over a live listener). A remote reader costs
+// the store what a local one does: its opening HEAD pays for an Open,
+// and each pinned read re-opens under blob.Resume and pays only for the
+// read.
 //
 // Every response carries the store's virtual clock in a header;
 // clients ratchet it into a local clock so virtual-time accounting
@@ -62,12 +66,6 @@ type Config struct {
 	// every store-touching request. Zero applies none.
 	RequestTimeout time.Duration
 
-	// SessionTTL is the idle wall time after which an abandoned
-	// reader/writer session is reaped (writers aborted, so the key's
-	// write lock is released). Zero or negative takes
-	// DefaultSessionTTL.
-	SessionTTL time.Duration
-
 	// Registry receives the service's wall-clock metrics: "serve.<op>"
 	// latency histograms, "serve.<op>.err.<name>" counters, and
 	// admission counters. Must be a wall-unit registry
@@ -75,27 +73,19 @@ type Config struct {
 	Registry *obs.Registry
 }
 
-// Defaults for Config zero values.
-const (
-	DefaultMaxInFlight = 256
-	DefaultSessionTTL  = 2 * time.Minute
-)
+// DefaultMaxInFlight is the in-flight limit a zero Config.MaxInFlight
+// takes.
+const DefaultMaxInFlight = 256
 
-// Server serves one blob.Store over HTTP. Create with New, mount as an
-// http.Handler, and Close when done (stops the session janitor and
-// aborts live sessions). The wrapped store's lifecycle belongs to the
-// caller.
+// Server serves one blob.Store over HTTP. Create with New and mount as
+// an http.Handler. It starts no goroutine and holds nothing between
+// requests; the wrapped store's lifecycle belongs to the caller.
 type Server struct {
-	store    blob.Store
-	cfg      Config
-	reg      *obs.Registry
-	adm      *admission
-	sessions *sessionTable
-	mux      *http.ServeMux
-
-	janitorStop chan struct{}
-	janitorDone chan struct{}
-	closed      bool
+	store blob.Store
+	cfg   Config
+	reg   *obs.Registry
+	adm   *admission
+	mux   *http.ServeMux
 }
 
 // New builds a Server over store. The config's Registry must be
@@ -110,24 +100,15 @@ func New(store blob.Store, cfg Config) (*Server, error) {
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = DefaultMaxInFlight
 	}
-	if cfg.MaxQueue < 0 {
-		cfg.MaxQueue = 0
-	}
-	if cfg.SessionTTL <= 0 {
-		cfg.SessionTTL = DefaultSessionTTL
-	}
+	cfg.MaxQueue = max(cfg.MaxQueue, 0)
 	s := &Server{
-		store:       store,
-		cfg:         cfg,
-		reg:         cfg.Registry,
-		adm:         newAdmission(cfg.MaxInFlight, cfg.MaxQueue, cfg.QueueTimeout, cfg.Registry),
-		sessions:    newSessionTable(cfg.SessionTTL.Nanoseconds()),
-		mux:         http.NewServeMux(),
-		janitorStop: make(chan struct{}),
-		janitorDone: make(chan struct{}),
+		store: store,
+		cfg:   cfg,
+		reg:   cfg.Registry,
+		adm:   newAdmission(cfg.MaxInFlight, cfg.MaxQueue, cfg.QueueTimeout, cfg.Registry),
+		mux:   http.NewServeMux(),
 	}
 	s.routes()
-	go s.janitor()
 	return s, nil
 }
 
@@ -137,23 +118,14 @@ func New(store blob.Store, cfg Config) (*Server, error) {
 // service can still be observed.
 func (s *Server) routes() {
 	m := s.mux
-	m.HandleFunc("GET "+wire.PathBlobs+"{key...}", s.op("get", true, s.handleGet))
-	m.HandleFunc("HEAD "+wire.PathBlobs+"{key...}", s.op("head", true, s.handleHead))
-	m.HandleFunc("PUT "+wire.PathBlobs+"{key...}", s.op("put", true, s.handlePut))
-	m.HandleFunc("DELETE "+wire.PathBlobs+"{key...}", s.op("delete", true, s.handleDelete))
+	m.HandleFunc("GET "+wire.PathBlobs+"{key...}", s.op("get", s.handleGet))
+	m.HandleFunc("HEAD "+wire.PathBlobs+"{key...}", s.op("head", s.handleHead))
+	m.HandleFunc("PUT "+wire.PathBlobs+"{key...}", s.op("put", s.handlePut))
+	m.HandleFunc("DELETE "+wire.PathBlobs+"{key...}", s.op("delete", s.handleDelete))
 
-	m.HandleFunc("GET "+wire.PathKeys, s.op("keys", true, s.handleKeys))
-	m.HandleFunc("GET "+wire.PathStats, s.op("stats", true, s.handleStats))
-	m.HandleFunc("GET "+wire.PathLayout, s.op("layout", true, s.handleLayout))
-
-	m.HandleFunc("POST "+wire.PathRead+"{key...}", s.op("read.open", true, s.handleReadOpen))
-	m.HandleFunc("GET "+wire.PathReadH+"{handle}", s.op("read.at", true, s.handleReadAt))
-	m.HandleFunc("DELETE "+wire.PathReadH+"{handle}", s.op("read.close", true, s.handleReadClose))
-
-	m.HandleFunc("POST "+wire.PathWrite+"{key...}", s.op("write.open", true, s.handleWriteOpen))
-	m.HandleFunc("POST "+wire.PathWriteH+"{handle}", s.op("write.append", true, s.handleAppend))
-	m.HandleFunc("POST "+wire.PathWriteH+"{handle}/commit", s.op("write.commit", true, s.handleCommit))
-	m.HandleFunc("DELETE "+wire.PathWriteH+"{handle}", s.op("write.abort", true, s.handleAbort))
+	m.HandleFunc("GET "+wire.PathKeys, s.op("keys", s.handleKeys))
+	m.HandleFunc("GET "+wire.PathStats, s.op("stats", s.handleStats))
+	m.HandleFunc("GET "+wire.PathLayout, s.op("layout", s.handleLayout))
 
 	m.HandleFunc("GET "+wire.PathMetrics, s.handleMetrics)
 	m.HandleFunc("GET "+wire.PathReport, s.handleReport)
@@ -166,50 +138,15 @@ func (s *Server) routes() {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// Close stops the session janitor and force-closes every live session
-// (readers closed, writers aborted — uncommitted streams vanish, prior
-// versions intact). Safe to call once; the store itself is not closed.
-func (s *Server) Close() error {
-	if s.closed {
-		return nil
-	}
-	s.closed = true
-	close(s.janitorStop)
-	<-s.janitorDone
-	s.sessions.closeAll()
-	return nil
-}
-
-// janitor periodically reaps idle sessions. Session TTLs are real
-// wall-clock idle timeouts of remote network clients — a crashed
-// client must not pin a key's write lock — so this is one of the two
-// sanctioned wall-time call sites (with obs.WallNow).
-func (s *Server) janitor() {
-	defer close(s.janitorDone)
-	interval := s.cfg.SessionTTL / 4
-	if interval < 100*time.Millisecond {
-		interval = 100 * time.Millisecond
-	}
-	//fragvet:ignore vclockpurity session TTLs reap abandoned network clients on real wall time, not simulated time
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-s.janitorStop:
-			return
-		case <-tick.C:
-			if n := s.sessions.sweep(obs.WallNow()); n > 0 && s.reg != nil {
-				s.reg.Counter("sessions.reaped").Add(int64(n))
-			}
-		}
-	}
-}
+// Close does nothing: the server holds nothing to release. It stays
+// only because the bench module, edited once per re-baseline, calls it.
+func (s *Server) Close() error { return nil }
 
 // op wraps a handler with the request path's cross-cutting layers:
 // per-request deadline, admission control, wall-latency recording, and
 // typed error rendering. fn must write its success response last (all
 // store work first), so a failure can still set status and headers.
-func (s *Server) op(name string, admit bool, fn func(http.ResponseWriter, *http.Request) error) http.HandlerFunc {
+func (s *Server) op(name string, fn func(http.ResponseWriter, *http.Request) error) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := obs.WallNow()
 		if s.cfg.RequestTimeout > 0 {
@@ -218,12 +155,10 @@ func (s *Server) op(name string, admit bool, fn func(http.ResponseWriter, *http.
 			r = r.WithContext(ctx)
 		}
 		err := func() error {
-			if admit {
-				if err := s.adm.acquire(r.Context()); err != nil {
-					return err
-				}
-				defer s.adm.release()
+			if err := s.adm.acquire(r.Context()); err != nil {
+				return err
 			}
+			defer s.adm.release()
 			return fn(w, r)
 		}()
 		if err != nil {
@@ -341,14 +276,13 @@ func (s *Server) writeEmpty(w http.ResponseWriter) error {
 	return nil
 }
 
-// --- stateless front door -------------------------------------------
+// --- blobs -----------------------------------------------------------
 
 // handleGet serves a whole object, or — with a Range header — a ranged
 // read riding blob.Reader.ReadAt, touching only the physical runs that
 // cover the range. The reader lives only for this request.
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) error {
-	key := r.PathValue("key")
-	rd, err := s.store.Open(r.Context(), key)
+	rd, _, err := s.open(r, r.PathValue("key"))
 	if err != nil {
 		return err
 	}
@@ -356,7 +290,10 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) error {
 	size := rd.Size()
 
 	if rng := r.Header.Get("Range"); rng != "" {
-		off, length, ok := parseRange(rng, size)
+		off, length, ok, err := parseRange(rng, size)
+		if err != nil {
+			return err
+		}
 		if ok {
 			data, err := rd.ReadAt(off, length)
 			if err != nil {
@@ -366,11 +303,6 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) error {
 				fmt.Sprintf("bytes %d-%d/%d", off, off+length-1, size))
 			return s.writePayload(w, http.StatusPartialContent, size, data)
 		}
-		// Unsatisfiable ranges are typed; malformed ones are served whole
-		// (RFC 9110 allows ignoring an invalid Range).
-		if rangeUnsatisfiable(rng, size) {
-			return fmt.Errorf("%w: range %q of %d-byte object", blob.ErrOutOfRange, rng, size)
-		}
 	}
 	data, err := rd.ReadAll()
 	if err != nil {
@@ -379,17 +311,67 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) error {
 	return s.writePayload(w, http.StatusOK, size, data)
 }
 
-// handleHead serves object metadata.
+// handleHead serves object metadata: size and version. It is also a
+// remote reader's open (wire.HeaderOpen), costing what Store.Open does,
+// and its empty read (pinned), costing what ReadAt(off, 0) does.
 func (s *Server) handleHead(w http.ResponseWriter, r *http.Request) error {
-	info, err := s.store.Stat(r.Context(), r.PathValue("key"))
+	key := r.PathValue("key")
+	var info blob.Info
+	var err error
+	if r.Header.Get(wire.HeaderOpen) == "" && r.Header.Get(wire.HeaderVersion) == "" {
+		info, err = s.store.Stat(r.Context(), key)
+	} else {
+		var rd blob.Reader
+		if rd, info, err = s.open(r, key); err == nil {
+			if r.Header.Get(wire.HeaderVersion) != "" {
+				_, err = rd.ReadAt(0, 0)
+			}
+			rd.Close()
+		}
+	}
 	if err != nil {
 		return err
 	}
 	h := w.Header()
 	h.Set(wire.HeaderSize, strconv.FormatInt(info.Size, 10))
+	h.Set(wire.HeaderVersion, strconv.FormatUint(info.Version, 10))
 	s.setClock(h)
 	w.WriteHeader(http.StatusOK)
 	return nil
+}
+
+// open opens key for a GET or a reader's HEAD, and but for a plain GET
+// also stats it, free of charge (blob.Resume) after the Open. A request
+// pinned to a version (wire.HeaderVersion) continues a reader whose
+// opening HEAD paid for the open, so its Open is free too. It is served
+// only while the reader holds the pinned version: a key's versions only
+// grow (pinned ≤ opened ≤ stat'd), so a Stat after Open that reports
+// the pinned version proves it. A version that does not parse is
+// ErrBadOption, never an unpinned read.
+func (s *Server) open(r *http.Request, key string) (blob.Reader, blob.Info, error) {
+	ctx := r.Context()
+	v := r.Header.Get(wire.HeaderVersion)
+	var pin uint64
+	if v != "" {
+		var err error
+		if pin, err = strconv.ParseUint(v, 10, 64); err != nil {
+			return nil, blob.Info{}, fmt.Errorf("%w: bad %s %q", blob.ErrBadOption, wire.HeaderVersion, v)
+		}
+		ctx = blob.Resume(ctx)
+	}
+	rd, err := s.store.Open(ctx, key)
+	if err != nil || (v == "" && r.Method == http.MethodGet) {
+		return rd, blob.Info{}, err
+	}
+	info, err := s.store.Stat(blob.Resume(ctx), key)
+	if err == nil && v != "" && info.Version != pin {
+		err = fmt.Errorf("%w: %s (version %d replaced or deleted)", blob.ErrNotFound, key, pin)
+	}
+	if err == nil {
+		return rd, info, nil
+	}
+	rd.Close()
+	return nil, blob.Info{}, err
 }
 
 // handlePut streams one whole object in: the body flows through the
@@ -539,132 +521,6 @@ func (s *Server) handleLayout(w http.ResponseWriter, r *http.Request) error {
 	return s.writeJSON(w, objs)
 }
 
-// --- reader sessions -------------------------------------------------
-
-// handleReadOpen opens a version-pinned reader session. The handle is
-// detached from this request's context (it must outlive it); the TTL
-// janitor is the backstop for clients that never close.
-func (s *Server) handleReadOpen(w http.ResponseWriter, r *http.Request) error {
-	rd, err := s.store.Open(context.WithoutCancel(r.Context()), r.PathValue("key"))
-	if err != nil {
-		return err
-	}
-	id := s.sessions.addReader(rd)
-	return s.writeJSON(w, wire.OpenResponse{Handle: id, Size: rd.Size()})
-}
-
-// handleReadAt reads from a session: with off/len query parameters a
-// ranged ReadAt, without them a whole-object ReadAll.
-func (s *Server) handleReadAt(w http.ResponseWriter, r *http.Request) error {
-	sess, err := s.sessions.reader(r.PathValue("handle"))
-	if err != nil {
-		return err
-	}
-	q := r.URL.Query()
-	var data []byte
-	if q.Has("off") || q.Has("len") {
-		off, err1 := strconv.ParseInt(q.Get("off"), 10, 64)
-		length, err2 := strconv.ParseInt(q.Get("len"), 10, 64)
-		if err1 != nil || err2 != nil {
-			return fmt.Errorf("%w: bad off/len query", blob.ErrOutOfRange)
-		}
-		data, err = sess.r.ReadAt(off, length)
-	} else {
-		data, err = sess.r.ReadAll()
-	}
-	if err != nil {
-		return err
-	}
-	return s.writePayload(w, http.StatusOK, sess.r.Size(), data)
-}
-
-// handleReadClose closes a reader session.
-func (s *Server) handleReadClose(w http.ResponseWriter, r *http.Request) error {
-	if err := s.sessions.closeReader(r.PathValue("handle")); err != nil {
-		return err
-	}
-	return s.writeEmpty(w)
-}
-
-// --- writer sessions -------------------------------------------------
-
-// handleWriteOpen starts a streaming writer session (mode=create or
-// mode=replace, size=n declared bytes). The store's own ErrBusy
-// exclusivity applies: a second session for the same key is refused
-// while this one is uncommitted.
-func (s *Server) handleWriteOpen(w http.ResponseWriter, r *http.Request) error {
-	q := r.URL.Query()
-	size, err := strconv.ParseInt(q.Get("size"), 10, 64)
-	if err != nil {
-		return fmt.Errorf("%w: bad size query %q", blob.ErrInvalidSize, q.Get("size"))
-	}
-	ctx := context.WithoutCancel(r.Context())
-	var wr blob.Writer
-	switch mode := q.Get("mode"); mode {
-	case wire.ModeCreate:
-		wr, err = s.store.Create(ctx, r.PathValue("key"), size)
-	case wire.ModeReplace, "":
-		wr, err = s.store.Replace(ctx, r.PathValue("key"), size)
-	default:
-		return fmt.Errorf("%w: unknown write mode %q", blob.ErrBadOption, mode)
-	}
-	if err != nil {
-		return err
-	}
-	return s.writeJSON(w, wire.WriteOpenResponse{Handle: s.sessions.addWriter(wr)})
-}
-
-// handleAppend appends one chunk to a writer session: the request body
-// as payload bytes, or — with the meta-bytes header — that many
-// logical bytes with no payload.
-func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) error {
-	sess, err := s.sessions.writer(r.PathValue("handle"))
-	if err != nil {
-		return err
-	}
-	if v := r.Header.Get(wire.HeaderMetaBytes); v != "" {
-		n, perr := strconv.ParseInt(v, 10, 64)
-		if perr != nil {
-			return fmt.Errorf("%w: bad %s %q", blob.ErrInvalidSize, wire.HeaderMetaBytes, v)
-		}
-		if err := sess.w.Append(n, nil); err != nil {
-			return err
-		}
-		return s.writeEmpty(w)
-	}
-	data, err := wire.ReadBody(r.Body, r.ContentLength)
-	if err != nil {
-		return err
-	}
-	if err := sess.w.Append(int64(len(data)), data); err != nil {
-		return err
-	}
-	return s.writeEmpty(w)
-}
-
-// handleCommit commits a writer session. On success the session is
-// retired; on failure (short commit, expired stream) the session stays
-// open and abortable, exactly like a local blob.Writer.
-func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) error {
-	sess, err := s.sessions.writer(r.PathValue("handle"))
-	if err != nil {
-		return err
-	}
-	if err := sess.w.Commit(); err != nil {
-		return err
-	}
-	s.sessions.removeWriter(sess.id, true)
-	return s.writeEmpty(w)
-}
-
-// handleAbort aborts a writer session, releasing the key.
-func (s *Server) handleAbort(w http.ResponseWriter, r *http.Request) error {
-	if err := s.sessions.removeWriter(r.PathValue("handle"), false); err != nil {
-		return err
-	}
-	return s.writeEmpty(w)
-}
-
 // --- observability ---------------------------------------------------
 
 // handleMetrics serves the live wall-clock metrics as a PhaseReport.
@@ -697,56 +553,42 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 // parseRange parses a single-range "bytes=a-b" header against an
 // object size, returning the offset/length to read and whether the
 // header yielded a satisfiable range. Suffix ranges ("bytes=-n") and
-// open ends ("bytes=a-") follow RFC 9110; ends past EOF clamp.
-func parseRange(h string, size int64) (off, length int64, ok bool) {
+// open ends ("bytes=a-") follow RFC 9110; ends past EOF clamp. A range
+// starting past the end is ErrOutOfRange (the 416 case); a malformed
+// header is not an error but no range, served whole (RFC 9110 allows
+// ignoring an invalid Range).
+func parseRange(h string, size int64) (off, length int64, ok bool, err error) {
 	spec, found := strings.CutPrefix(h, "bytes=")
 	if !found || strings.Contains(spec, ",") {
-		return 0, 0, false
+		return 0, 0, false, nil
 	}
 	first, last, found := strings.Cut(strings.TrimSpace(spec), "-")
 	if !found {
-		return 0, 0, false
+		return 0, 0, false, nil
 	}
 	if first == "" {
 		// Suffix: last n bytes.
 		n, err := strconv.ParseInt(last, 10, 64)
 		if err != nil || n <= 0 {
-			return 0, 0, false
+			return 0, 0, false, nil
 		}
-		if n > size {
-			n = size
-		}
-		return size - n, n, size > 0
+		n = min(n, size)
+		return size - n, n, size > 0, nil
 	}
 	start, err := strconv.ParseInt(first, 10, 64)
-	if err != nil || start < 0 || start >= size {
-		return 0, 0, false
+	if err != nil || start < 0 {
+		return 0, 0, false, nil
+	}
+	if start >= size {
+		return 0, 0, false, fmt.Errorf("%w: range %q of %d-byte object", blob.ErrOutOfRange, h, size)
 	}
 	end := size - 1
 	if last != "" {
 		end, err = strconv.ParseInt(last, 10, 64)
 		if err != nil || end < start {
-			return 0, 0, false
+			return 0, 0, false, nil
 		}
-		if end > size-1 {
-			end = size - 1
-		}
+		end = min(end, size-1)
 	}
-	return start, end - start + 1, true
-}
-
-// rangeUnsatisfiable reports whether a syntactically valid bytes range
-// exists but lies wholly outside the object — the 416 case, distinct
-// from a malformed header (served whole).
-func rangeUnsatisfiable(h string, size int64) bool {
-	spec, found := strings.CutPrefix(h, "bytes=")
-	if !found || strings.Contains(spec, ",") {
-		return false
-	}
-	first, _, found := strings.Cut(strings.TrimSpace(spec), "-")
-	if !found || first == "" {
-		return false
-	}
-	start, err := strconv.ParseInt(first, 10, 64)
-	return err == nil && start >= size
+	return start, end - start + 1, true, nil
 }

@@ -40,7 +40,6 @@ func newTestServer(t *testing.T, store blob.Store, cfg Config) (*Server, *httpte
 	t.Cleanup(func() {
 		tr.CloseIdleConnections()
 		ts.Close()
-		srv.Close()
 	})
 	return srv, ts, client
 }
@@ -304,66 +303,128 @@ func TestRequestDeadline(t *testing.T) {
 	}
 }
 
-// TestSessionLifecycleAndTTL pins the stateful path: sessions resolve
-// by handle, a reaped session releases its resources (a swept writer
-// frees the key's write lock; a swept reader handle turns 404), and
-// sweep honors last-use stamps.
-func TestSessionLifecycleAndTTL(t *testing.T) {
-	srv, ts, client := newTestServer(t, dataStore(t), Config{SessionTTL: time.Hour})
-	if resp := doReq(t, client, "PUT", ts.URL+wire.PathBlobs+"a", make([]byte, 64*units.KB)); true {
+// TestVersionedReads pins the read pin of the one-shot protocol: HEAD
+// reports the live version, and a GET, ranged GET or HEAD naming it is
+// served while it is live and answers 404 notfound once a replace, a
+// delete and re-create, or a relocation (CompactObject) has made another
+// version live. Versions of a key only grow. A version that does not
+// parse is a 400 badoption, never an unpinned read.
+func TestVersionedReads(t *testing.T) {
+	store := dataStore(t)
+	_, ts, client := newTestServer(t, store, Config{})
+	send := func(method, key, version, rng string, body []byte) *http.Response {
+		t.Helper()
+		var rd io.Reader
+		if body != nil {
+			rd = bytes.NewReader(body)
+		}
+		req, err := http.NewRequest(method, ts.URL+wire.PathBlobs+key, rd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if version != "" {
+			req.Header.Set(wire.HeaderVersion, version)
+		}
+		if rng != "" {
+			req.Header.Set("Range", rng)
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
+		return resp
+	}
+	version := func(key string) uint64 {
+		t.Helper()
+		resp := send("HEAD", key, "", "", nil)
+		v, err := strconv.ParseUint(resp.Header.Get(wire.HeaderVersion), 10, 64)
+		if resp.StatusCode != http.StatusOK || err != nil {
+			t.Fatalf("HEAD %s: status=%d version %q", key, resp.StatusCode, resp.Header.Get(wire.HeaderVersion))
+		}
+		return v
+	}
+	pinned := []struct{ method, rng string }{{"GET", ""}, {"GET", "bytes=0-99"}, {"HEAD", ""}}
+	expect := func(key string, v uint64, status int, errName, when string) {
+		t.Helper()
+		for _, p := range pinned {
+			resp := send(p.method, key, strconv.FormatUint(v, 10), p.rng, nil)
+			want := status
+			if p.rng != "" && status == http.StatusOK {
+				want = http.StatusPartialContent
+			}
+			if resp.StatusCode != want || resp.Header.Get(wire.HeaderError) != errName {
+				t.Fatalf("%s: %s %s pinned to %d (range %q): status=%d err=%q, want %d %q",
+					when, p.method, key, v, p.rng, resp.StatusCode, resp.Header.Get(wire.HeaderError), want, errName)
+			}
+		}
+	}
+	put := func(key string) {
+		t.Helper()
+		if resp := send("PUT", key, "", "", make([]byte, 64*units.KB)); resp.StatusCode != http.StatusOK {
+			t.Fatalf("PUT %s = %d", key, resp.StatusCode)
+		}
+	}
+	// next checks that key's live version is newer than old and served.
+	next := func(key string, old uint64, after string) uint64 {
+		t.Helper()
+		v := version(key)
+		if v <= old {
+			t.Fatalf("after %s: version %d, want > %d", after, v, old)
+		}
+		expect(key, old, http.StatusNotFound, "notfound", "after "+after)
+		expect(key, v, http.StatusOK, "", "live after "+after)
+		return v
 	}
 
-	// Open a reader session and read through it.
-	resp := doReq(t, client, "POST", ts.URL+wire.PathRead+"a", nil)
-	var open wire.OpenResponse
-	if err := json.NewDecoder(resp.Body).Decode(&open); err != nil {
+	put("a")
+	v := version("a")
+	expect("a", v, http.StatusOK, "", "live")
+	put("a")
+	v = next("a", v, "replace")
+	if resp := send("DELETE", "a", "", "", nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("DELETE = %d", resp.StatusCode)
+	}
+	expect("a", v, http.StatusNotFound, "notfound", "delete")
+	put("a")
+	next("a", v, "delete and re-create")
+
+	// Interleaved streams fragment "big", so CompactObject has runs to
+	// move and re-publishes it as a new version.
+	ctx := context.Background()
+	big, err := store.Create(ctx, "big", 256*units.KB)
+	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if open.Size != 64*units.KB || open.Handle == "" {
-		t.Fatalf("open = %+v", open)
+	sib, err := store.Create(ctx, "sibling", 256*units.KB)
+	if err != nil {
+		t.Fatal(err)
 	}
-	resp = doReq(t, client, "GET", ts.URL+wire.PathReadH+open.Handle+"?off=1024&len=512", nil)
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || len(body) != 512 {
-		t.Fatalf("session read: status=%d len=%d", resp.StatusCode, len(body))
+	for off := int64(0); off < 256*units.KB; off += 64 * units.KB {
+		for _, w := range []blob.Writer{big, sib} {
+			if err := w.Append(64*units.KB, make([]byte, 64*units.KB)); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
+	for _, w := range []blob.Writer{big, sib} {
+		if err := w.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	v = version("big")
+	if moved, err := store.(blob.Rewriter).CompactObject(ctx, "big"); err != nil || moved == 0 {
+		t.Fatalf("CompactObject = %d, %v; want runs moved", moved, err)
+	}
+	next("big", v, "CompactObject")
 
-	// Open a writer session: the key is now write-locked (ErrBusy for a
-	// second writer).
-	resp = doReq(t, client, "POST", ts.URL+wire.PathWrite+"a?mode=replace&size=1024", nil)
-	var wopen wire.WriteOpenResponse
-	json.NewDecoder(resp.Body).Decode(&wopen)
-	resp.Body.Close()
-	if wopen.Handle == "" {
-		t.Fatal("no writer handle")
-	}
-	resp = doReq(t, client, "POST", ts.URL+wire.PathWrite+"a?mode=replace&size=1024", nil)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusLocked || resp.Header.Get(wire.HeaderError) != "busy" {
-		t.Fatalf("second writer: status=%d err=%q", resp.StatusCode, resp.Header.Get(wire.HeaderError))
-	}
-
-	// The janitor reaps both after the TTL: simulate the passage of an
-	// hour by sweeping with a synthetic now.
-	if r, w := srv.sessions.counts(); r != 1 || w != 1 {
-		t.Fatalf("live sessions = %d readers, %d writers, want 1/1", r, w)
-	}
-	if n := srv.sessions.sweep(obs.WallNow() + (time.Hour + time.Minute).Nanoseconds()); n != 2 {
-		t.Fatalf("sweep reaped %d, want 2", n)
-	}
-	resp = doReq(t, client, "GET", ts.URL+wire.PathReadH+open.Handle, nil)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("read on reaped session = %d, want 404", resp.StatusCode)
-	}
-	// The swept writer released the key: a new writer session succeeds.
-	resp = doReq(t, client, "POST", ts.URL+wire.PathWrite+"a?mode=replace&size=1024", nil)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("writer after sweep = %d, want 200", resp.StatusCode)
+	for _, p := range pinned {
+		resp := send(p.method, "big", "banana", p.rng, nil)
+		if resp.StatusCode != http.StatusBadRequest || resp.Header.Get(wire.HeaderError) != "badoption" {
+			t.Fatalf("%s with a malformed version: status=%d err=%q, want 400 badoption",
+				p.method, resp.StatusCode, resp.Header.Get(wire.HeaderError))
+		}
 	}
 }
 
@@ -479,7 +540,6 @@ func TestIngestLayoutIgnoresBodySegmentation(t *testing.T) {
 				t.Fatalf("%s: PUT %s = %d %s", name, key(i), rec.Code, rec.Body)
 			}
 		}
-		srv.Close()
 		if got := layout(store); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s delivery laid objects out differently from a local write:\n got %v\nwant %v", name, got, want)
 		}
@@ -534,9 +594,7 @@ func TestWallRegistryRequired(t *testing.T) {
 	if err == nil {
 		t.Fatal("virtual-unit registry accepted, want ErrBadOption")
 	}
-	srv, err := New(dataStore(t), Config{Registry: obs.NewWallRegistry()})
-	if err != nil {
+	if _, err := New(dataStore(t), Config{Registry: obs.NewWallRegistry()}); err != nil {
 		t.Fatal(err)
 	}
-	srv.Close()
 }

@@ -5,25 +5,23 @@
 // sides cannot drift — both import these constants instead of
 // spelling strings.
 //
-// The protocol is plain HTTP/1.1:
+// The protocol is plain HTTP/1.1, one request per store operation and
+// no handle state on the server:
 //
 //	GET    /v1/blobs/{key}          whole object (or Range: bytes=a-b)
-//	HEAD   /v1/blobs/{key}          stat
+//	HEAD   /v1/blobs/{key}          stat: size and version (or a reader's open)
 //	PUT    /v1/blobs/{key}?mode=m   one-shot streaming put (create|replace)
 //	DELETE /v1/blobs/{key}          delete
 //	GET    /v1/keys                 key listing
 //	GET    /v1/stats                store accounting + virtual clock
 //	GET    /v1/layout               per-object physical runs + tags
-//	POST   /v1/read/{key}           open a pinned reader session
-//	GET    /v1/readh/{h}?off=&len=  ranged read on a session (no params: whole object)
-//	DELETE /v1/readh/{h}            close the reader
-//	POST   /v1/write/{key}?mode=m&size=n   open a writer session
-//	POST   /v1/writeh/{h}           append one chunk (body, or MetaBytes header)
-//	POST   /v1/writeh/{h}/commit    commit
-//	DELETE /v1/writeh/{h}           abort
 //	GET    /metrics                 live wall-clock metrics (PhaseReport JSON)
 //	GET    /report                  full RunReport JSON
 //	GET    /healthz                 liveness
+//
+// A GET or HEAD that carries HeaderVersion is served only while that
+// version is live, which is how a remote reader stays pinned to the
+// version it opened. A HEAD that carries HeaderOpen opens that reader.
 //
 // Errors travel primarily by name: every failure response carries the
 // sentinel's wire name (blob.ErrName) in HeaderError, and the HTTP
@@ -62,23 +60,30 @@ const (
 	// travels (the body is empty and the client returns a nil slice).
 	HeaderMeta = "X-Blob-Meta"
 
-	// HeaderMetaBytes on a PUT or append request declares n logical
-	// bytes with no payload (a metadata-only append: Writer.Append(n,
-	// nil) server-side). Mutually exclusive with a request body.
+	// HeaderMetaBytes on a PUT request declares n logical bytes with no
+	// payload (a metadata-only write: Writer.Append(n, nil) server-side).
+	// Mutually exclusive with a request body.
 	HeaderMetaBytes = "X-Blob-Meta-Bytes"
+
+	// HeaderVersion carries an object's version (blob.Info.Version, in
+	// decimal): on every HEAD response, and on a GET or HEAD request that
+	// pins one. A pinned request for a version no longer live fails with
+	// ErrNotFound; one that does not parse, with ErrBadOption. A pinned
+	// request continues a reader opened earlier, so the store charges it
+	// no open (blob.Resume).
+	HeaderVersion = "X-Blob-Version"
+
+	// HeaderOpen on a HEAD request marks a remote reader's open, which
+	// costs what Store.Open does; the reader's pinned reads do not.
+	HeaderOpen = "X-Blob-Open"
 )
 
-// Path prefixes of the wire contract (each followed by a key or
-// handle).
+// Paths of the wire contract (PathBlobs is followed by a key).
 const (
 	PathBlobs  = "/v1/blobs/"
 	PathKeys   = "/v1/keys"
 	PathStats  = "/v1/stats"
 	PathLayout = "/v1/layout"
-	PathRead   = "/v1/read/"
-	PathReadH  = "/v1/readh/"
-	PathWrite  = "/v1/write/"
-	PathWriteH = "/v1/writeh/"
 
 	PathMetrics = "/metrics"
 	PathReport  = "/report"
@@ -105,19 +110,6 @@ type StatsResponse struct {
 // KeysResponse is the body of GET /v1/keys.
 type KeysResponse struct {
 	Keys []string `json:"keys"`
-}
-
-// OpenResponse is the body of POST /v1/read/{key}: a pinned reader
-// session.
-type OpenResponse struct {
-	Handle string `json:"handle"`
-	Size   int64  `json:"size"`
-}
-
-// WriteOpenResponse is the body of POST /v1/write/{key}: a writer
-// session.
-type WriteOpenResponse struct {
-	Handle string `json:"handle"`
 }
 
 // LayoutObject is one object in GET /v1/layout: its physical cluster

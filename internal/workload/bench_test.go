@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -40,9 +41,34 @@ func BenchmarkExecutorStreams(b *testing.B) {
 	}
 }
 
+// raceEnabled is set under the race detector (race_test.go).
+var raceEnabled bool
+
+// TestExecutorAllocationBudget pins the k=256 arm of
+// BenchmarkExecutorStreams at 5 heap allocations per executed op (about
+// 2.5 measured; 10.7 before the pooled handles and scratch buffers). A
+// breach means a pooled handle or scratch buffer stopped being reused on
+// the hot path. The race detector makes sync.Pool drop items, so the
+// count means nothing there.
+func TestExecutorAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	const budget = 5.0
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ops, _ := runExecutorArm(t, 256)
+	runtime.ReadMemStats(&after)
+	perOp := float64(after.Mallocs-before.Mallocs) / float64(ops)
+	t.Logf("k=256: %.2f allocs per executed op over %d ops (budget %.1f)", perOp, ops, budget)
+	if perOp > budget {
+		t.Fatalf("k=256: %.2f allocs per executed op, budget %.1f", perOp, budget)
+	}
+}
+
 // runExecutorArm runs one load+churn cycle with k streams and returns
 // the executed op count and the wall nanoseconds the phases took.
-func runExecutorArm(b *testing.B, k int) (ops int64, wallNs int64) {
+func runExecutorArm(b testing.TB, k int) (ops int64, wallNs int64) {
 	b.Helper()
 	store, err := core.NewFileStore(vclock.New(),
 		blob.WithCapacity(1*units.GB),
