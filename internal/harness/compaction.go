@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/blob"
 	"repro/internal/compact"
 	"repro/internal/stats"
 	"repro/internal/units"
@@ -12,17 +11,14 @@ import (
 	"repro/internal/workload"
 )
 
-// defaultDutyCycles is the sweep of the "compact" experiment: off, a
-// light background trickle, and an aggressive half-time compactor.
-var defaultDutyCycles = []float64{0, 0.1, 0.5}
-
-// dutyCycles returns the configured sweep points (Config.DutyCycles or
-// the 0/0.1/0.5 default).
+// dutyCycles returns the "compact" experiment's sweep: Config.DutyCycles,
+// or off, a light background trickle and an aggressive half-time
+// compactor.
 func (c Config) dutyCycles() []float64 {
 	if len(c.DutyCycles) > 0 {
 		return c.DutyCycles
 	}
-	return defaultDutyCycles
+	return []float64{0, 0.1, 0.5}
 }
 
 // compactionSteps is the number of churn increments between the aging
@@ -70,62 +66,55 @@ func CompactionSweep(c Config) ([]*stats.Table, error) {
 			// The obs layer wraps the whole chain, so compactor rewrites
 			// (which execute through the top) are timed as store.compact
 			// alongside the foreground ops they race.
-			store, err := c.build(clock, p.observe(c.spec(st.backend), "store"))
+			err := c.age(clock, p.observe(c.spec(st.backend), "store"), dist, []float64{preAge}, drive{}, func(a arm) error {
+				before := meanFrags(a.store)
+				var fleet *compact.Fleet
+				var bg workload.Background
+				if duty > 0 {
+					var err error
+					if fleet, err = compact.NewFleet(a.store, compact.Config{DutyCycle: duty}); err != nil {
+						return fmt.Errorf("compact %s duty %g: %w", kind, duty, err)
+					}
+					bg = fleet
+				}
+				// The latency ledger covers the measured churn only; the
+				// collector attaches after setup so op quantiles describe the
+				// compactor-contended phase.
+				p.reset()
+				a.runner.WithCollector(p.collector())
+				w := vclock.StartWatch(clock)
+				var churnBytes int64
+				for i := 1; i <= compactionSteps; i++ {
+					age := preAge + (endAge-preAge)*float64(i)/compactionSteps
+					res, err := a.runner.ChurnToAge(age, workload.ChurnOptions{Background: bg})
+					if err != nil {
+						return fmt.Errorf("compact %s churn to %.2f: %w", kind, age, err)
+					}
+					churnBytes += res.Bytes
+					if fleet != nil {
+						fleet.CatchUp(context.Background())
+					}
+				}
+				mbps := units.MBps(churnBytes, w.Seconds())
+				f := meanFrags(a.store)
+				fragSeries.Add(duty, f)
+				tputSeries.Add(duty, mbps)
+				if fleet != nil {
+					fleet.PublishMetrics(p.registry(), "compact")
+					fleet.PublishShardMetrics(p.registry(), "compact")
+					st := fleet.Stats()
+					frags.Note("%s duty %.2f: %d rewrites (%s), %.1f virtual s compactor-busy; frags %.2f → %.2f",
+						name, duty, st.Rewrites, units.FormatBytes(st.RewriteBytes), st.BusySeconds, before, f)
+					c.logf("compact: %s duty %.2f: %v (frags %.2f → %.2f, churn %.2f MB/s)",
+						kind, duty, st, before, f, mbps)
+				} else {
+					c.logf("compact: %s compactor off: frags %.2f → %.2f, churn %.2f MB/s",
+						kind, before, f, mbps)
+				}
+				return nil
+			})
 			if err != nil {
 				return nil, err
-			}
-			runner := workload.NewRunner(store, dist, c.Seed)
-			if _, err := runner.BulkLoad(c.Occupancy); err != nil {
-				return nil, fmt.Errorf("compact %s load: %w", kind, err)
-			}
-			if _, err := runner.ChurnToAge(preAge, workload.ChurnOptions{}); err != nil {
-				return nil, fmt.Errorf("compact %s pre-churn: %w", kind, err)
-			}
-			before := meanFrags(store)
-
-			var fleet *compact.Fleet
-			var bg workload.Background
-			if duty > 0 {
-				fleet, err = compact.NewFleet(store, compact.Config{DutyCycle: duty})
-				if err != nil {
-					return nil, fmt.Errorf("compact %s duty %g: %w", kind, duty, err)
-				}
-				bg = fleet
-			}
-			// The latency ledger covers the measured churn only; the
-			// collector attaches after setup so op quantiles describe the
-			// compactor-contended phase.
-			p.reset()
-			runner.WithCollector(p.collector())
-			ctx := context.Background()
-			w := vclock.StartWatch(store.Clock())
-			var churnBytes int64
-			for i := 1; i <= compactionSteps; i++ {
-				age := preAge + (endAge-preAge)*float64(i)/compactionSteps
-				res, err := runner.ChurnToAge(age, workload.ChurnOptions{Background: bg})
-				if err != nil {
-					return nil, fmt.Errorf("compact %s churn to %.2f: %w", kind, age, err)
-				}
-				churnBytes += res.Bytes
-				if fleet != nil {
-					fleet.CatchUp(ctx)
-				}
-			}
-			mbps := units.MBps(churnBytes, w.Seconds())
-			f := meanFrags(store)
-			fragSeries.Add(duty, f)
-			tputSeries.Add(duty, mbps)
-			if fleet != nil {
-				fleet.PublishMetrics(p.registry(), "compact")
-				fleet.PublishShardMetrics(p.registry(), "compact")
-				st := fleet.Stats()
-				frags.Note("%s duty %.2f: %d rewrites (%s), %.1f virtual s compactor-busy; frags %.2f → %.2f",
-					name, duty, st.Rewrites, units.FormatBytes(st.RewriteBytes), st.BusySeconds, before, f)
-				c.logf("compact: %s duty %.2f: %v (frags %.2f → %.2f, churn %.2f MB/s)",
-					kind, duty, st, before, f, mbps)
-			} else {
-				c.logf("compact: %s compactor off: frags %.2f → %.2f, churn %.2f MB/s",
-					kind, before, f, mbps)
 			}
 			c.reportPhase("compact", fmt.Sprintf("%s duty=%g", kind, duty), p)
 			if duty == duties[len(duties)-1] {
@@ -133,7 +122,6 @@ func CompactionSweep(c Config) ([]*stats.Table, error) {
 					fmt.Sprintf("Compaction %s duty=%g: per-op virtual-time latency (churn phase)", name, duty),
 					compactionLatencyMetrics))
 			}
-			blob.CloseStore(store)
 		}
 	}
 	tput.Note("Duty cycle bounds the compactor's share of virtual time; its rewrites charge full read+write cost on the shared clock.")

@@ -23,27 +23,13 @@ import (
 // from both sides.
 func Pathological(c Config) ([]*stats.Table, error) {
 	t := stats.NewTable("Pathological volume recovery", "Storage Age", "Fragments/object")
-	dist := workload.Constant{Size: 10 * units.MB}
-	fsStore, err := c.build(vclock.New(), c.spec(stack.File))
+	err := c.fragCurve(t, stack.File, workload.Constant{Size: 10 * units.MB}, "Filesystem (pre-shattered)",
+		func(store blob.Store) {
+			vol, _ := blob.As[*core.FileStore](store)
+			c.logf("patho: shattered to %.1f fragments/object", vol.Volume().ShatterFiles(16))
+		})
 	if err != nil {
 		return nil, err
-	}
-	runner := workload.NewRunner(fsStore, dist, c.Seed)
-	if _, err := runner.BulkLoad(c.Occupancy); err != nil {
-		return nil, err
-	}
-	vol, _ := blob.As[*core.FileStore](fsStore)
-	shatteredMean := vol.Volume().ShatterFiles(16)
-	c.logf("patho: shattered to %.1f fragments/object", shatteredMean)
-	s := t.AddSeries("Filesystem (pre-shattered)")
-	for _, age := range c.agePoints() {
-		if age > 0 {
-			if _, err := runner.ChurnToAge(age, workload.ChurnOptions{}); err != nil {
-				return nil, err
-			}
-		}
-		s.Add(age, meanFrags(fsStore))
-		c.logf("patho age %.1f: %.2f frags/object", age, meanFrags(fsStore))
 	}
 	t.Note("the volume starts artificially shattered; churn slowly repairs it toward the natural asymptote (§5.3)")
 	return []*stats.Table{t}, nil
@@ -65,11 +51,9 @@ func SizeHintAblation(c Config) ([]*stats.Table, error) {
 	}
 	for _, v := range variants {
 		c.logf("hint: variant %q", v.name)
-		s, err := c.fragCurve(stack.File, dist, v.name, v.extra...)
-		if err != nil {
+		if err := c.fragCurve(t, stack.File, dist, v.name, nil, v.extra...); err != nil {
 			return nil, err
 		}
-		t.Series = append(t.Series, s)
 	}
 	t.Note("§6: \"The ability to specify the size of the object before initial space allocation could reduce fragmentation.\"")
 	return []*stats.Table{t}, nil
@@ -91,18 +75,13 @@ func WriteRequestSweep(c Config) ([]*stats.Table, error) {
 		for i, st := range systems {
 			spec := c.spec(st.backend)
 			spec.Options = append(spec.Options, blob.WithWriteRequestSize(req))
-			repo, err := c.build(vclock.New(), spec)
+			err := c.age(vclock.New(), spec, dist, []float64{targetAge}, drive{}, func(a arm) error {
+				t.Series[i].Add(float64(req/units.KB), meanFrags(a.store))
+				return nil
+			})
 			if err != nil {
 				return nil, err
 			}
-			runner := workload.NewRunner(repo, dist, c.Seed)
-			if _, err := runner.BulkLoad(c.Occupancy); err != nil {
-				return nil, err
-			}
-			if _, err := runner.ChurnToAge(targetAge, workload.ChurnOptions{}); err != nil {
-				return nil, err
-			}
-			t.Series[i].Add(float64(req/units.KB), meanFrags(repo))
 		}
 	}
 	t.Note("fragments at storage age %.1f; larger append requests give the allocator more information (§5.4)", targetAge)

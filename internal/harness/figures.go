@@ -41,39 +41,29 @@ func Figure1(c Config) ([]*stats.Table, error) {
 		"Figure 1c: Read Throughput After Four Overwrites",
 	}
 	ages := []float64{0, 2, 4}
-	tables := make([]*stats.Table, len(ages))
-	series := make(map[string][]*stats.Series) // backend -> per-age series
+	tables := make([]*stats.Table, len(ages)) // one per age, a series per system
 	for i, title := range titles {
 		tables[i] = stats.NewTable(title, "Object Size (KB)", "MB/sec")
-	}
-	for _, backend := range []string{"Database", "Filesystem"} {
-		for i := range ages {
-			series[backend] = append(series[backend], tables[i].AddSeries(backend))
+		for _, st := range systems {
+			tables[i].AddSeries(st.name)
 		}
 	}
 	for _, size := range sizes {
 		c.logf("fig1: object size %s", units.FormatBytes(size))
-		for _, st := range systems {
-			repo, err := c.build(vclock.New(), c.spec(st.backend))
+		for j, st := range systems {
+			i := 0
+			err := c.age(vclock.New(), c.spec(st.backend), workload.Constant{Size: size}, ages, drive{}, func(a arm) error {
+				res, err := a.runner.MeasureReadThroughput(c.ReadSamples)
+				if err != nil {
+					return err
+				}
+				tables[i].Series[j].Add(float64(size/units.KB), res.MBps)
+				i++
+				c.logf("  %s %s age %.0f: %.2f MB/s", st.name, units.FormatBytes(size), a.age, res.MBps)
+				return nil
+			})
 			if err != nil {
 				return nil, err
-			}
-			runner := workload.NewRunner(repo, workload.Constant{Size: size}, c.Seed)
-			if _, err := runner.BulkLoad(c.Occupancy); err != nil {
-				return nil, fmt.Errorf("fig1 %s: %w", st.name, err)
-			}
-			for i, age := range ages {
-				if age > 0 {
-					if _, err := runner.ChurnToAge(age, workload.ChurnOptions{}); err != nil {
-						return nil, fmt.Errorf("fig1 %s churn: %w", st.name, err)
-					}
-				}
-				res, err := runner.MeasureReadThroughput(c.ReadSamples)
-				if err != nil {
-					return nil, err
-				}
-				series[st.name][i].Add(float64(size/units.KB), res.MBps)
-				c.logf("  %s %s age %.0f: %.2f MB/s", st.name, units.FormatBytes(size), age, res.MBps)
 			}
 		}
 	}
@@ -104,11 +94,9 @@ func Figure3(c Config) ([]*stats.Table, error) {
 func fragmentationCurve(c Config, dist workload.SizeDist, title string) ([]*stats.Table, error) {
 	t := stats.NewTable(title, "Storage Age", "Fragments/object")
 	for _, st := range systems {
-		series, err := c.fragCurve(st.backend, dist, st.name)
-		if err != nil {
+		if err := c.fragCurve(t, st.backend, dist, st.name, nil); err != nil {
 			return nil, err
 		}
-		t.Series = append(t.Series, series)
 	}
 	return []*stats.Table{t}, nil
 }
@@ -118,25 +106,17 @@ func fragmentationCurve(c Config, dist workload.SizeDist, title string) ([]*stat
 func Figure4(c Config) ([]*stats.Table, error) {
 	t := stats.NewTable("Figure 4: 512K Write Throughput Over Time", "Storage Age", "MB/sec")
 	for _, st := range systems {
-		repo, err := c.build(vclock.New(), c.spec(st.backend))
+		s := t.AddSeries(st.name)
+		// At age 0 the step sees the bulk load's throughput ("During bulk
+		// load (zero)"), at 2 and 4 the churn's since the last point.
+		err := c.age(vclock.New(), c.spec(st.backend), workload.Constant{Size: 512 * units.KB}, []float64{0, 2, 4}, drive{},
+			func(a arm) error {
+				s.Add(a.age, a.res.MBps)
+				c.logf("fig4 %s age %.0f: %.2f MB/s", st.name, a.age, a.res.MBps)
+				return nil
+			})
 		if err != nil {
 			return nil, err
-		}
-		s := t.AddSeries(st.name)
-		runner := workload.NewRunner(repo, workload.Constant{Size: 512 * units.KB}, c.Seed)
-		res, err := runner.BulkLoad(c.Occupancy)
-		if err != nil {
-			return nil, fmt.Errorf("fig4 %s: %w", st.name, err)
-		}
-		s.Add(0, res.MBps) // "During bulk load (zero)"
-		c.logf("fig4 %s bulk: %.2f MB/s", st.name, res.MBps)
-		for _, age := range []float64{2, 4} {
-			res, err := runner.ChurnToAge(age, workload.ChurnOptions{})
-			if err != nil {
-				return nil, fmt.Errorf("fig4 %s churn: %w", st.name, err)
-			}
-			s.Add(age, res.MBps)
-			c.logf("fig4 %s age %.0f: %.2f MB/s", st.name, age, res.MBps)
 		}
 	}
 	t.Note("write throughput is measured during fragmentation: the age-2 value is the average over ages 0..2 (§5.3)")
@@ -157,17 +137,13 @@ func Figure5(c Config) ([]*stats.Table, error) {
 	fsTable := stats.NewTable("Figure 5b: Filesystem Fragmentation: Blob Distributions", "Storage Age", "Fragments/object")
 	for i, dist := range dists {
 		c.logf("fig5: %s distribution, database", distName[i])
-		dbSeries, err := c.fragCurve(stack.DB, dist, distName[i])
-		if err != nil {
+		if err := c.fragCurve(dbTable, stack.DB, dist, distName[i], nil); err != nil {
 			return nil, err
 		}
-		dbTable.Series = append(dbTable.Series, dbSeries)
 		c.logf("fig5: %s distribution, filesystem", distName[i])
-		fsSeries, err := c.fragCurve(stack.File, dist, distName[i])
-		if err != nil {
+		if err := c.fragCurve(fsTable, stack.File, dist, distName[i], nil); err != nil {
 			return nil, err
 		}
-		fsTable.Series = append(fsTable.Series, fsSeries)
 	}
 	dbTable.Note("paper: constant-size objects show no better fragmentation behaviour than uniform sizes with the same mean")
 	return []*stats.Table{dbTable, fsTable}, nil
@@ -177,39 +153,30 @@ func Figure5(c Config) ([]*stats.Table, error) {
 // volume at 50% full on both systems, plus the filesystem at 90% and
 // 97.5% occupancy on both volumes.
 func Figure6(c Config) ([]*stats.Table, error) {
-	smallV := c.VolumeBytes
-	bigV := c.VolumeBytes * 10
 	dist := workload.Constant{Size: 10 * units.MB}
-	volName := func(v int64) string { return units.FormatBytes(v) }
+	volName := units.FormatBytes
 
 	dbTable := stats.NewTable("Figure 6a: Database Fragmentation: Different Volumes", "Storage Age", "Fragments/object")
 	fsTable := stats.NewTable("Figure 6b: Filesystem Fragmentation: Different Volumes (50% full)", "Storage Age", "Fragments/object")
 	fsFullTable := stats.NewTable("Figure 6c: Filesystem Fragmentation: Different Volumes (90%, 97.5% full)", "Storage Age", "Fragments/object")
 
-	for _, v := range []int64{smallV, bigV} {
+	for _, v := range []int64{c.VolumeBytes, 10 * c.VolumeBytes} {
 		sub := c
 		sub.VolumeBytes = v
-		if v >= 8*units.GB {
-			sub.NoOwnerMap = true
-		}
 		// Database, 50% full; the paper measures the database arm to
 		// half the age depth (its Figure 6a x-axis stops at 5).
 		dbCfg := sub
 		dbCfg.MaxAge = c.MaxAge / 2
 		c.logf("fig6: database %s 50%% full", volName(v))
-		dbSeries, err := dbCfg.fragCurve(stack.DB, dist, "50% full - "+volName(v))
-		if err != nil {
+		if err := dbCfg.fragCurve(dbTable, stack.DB, dist, "50% full - "+volName(v), nil); err != nil {
 			return nil, err
 		}
-		dbTable.Series = append(dbTable.Series, dbSeries)
 
 		// Filesystem, 50% full.
 		c.logf("fig6: filesystem %s 50%% full", volName(v))
-		fsSeries, err := sub.fragCurve(stack.File, dist, "50% full - "+volName(v))
-		if err != nil {
+		if err := sub.fragCurve(fsTable, stack.File, dist, "50% full - "+volName(v), nil); err != nil {
 			return nil, err
 		}
-		fsTable.Series = append(fsTable.Series, fsSeries)
 
 		// Filesystem at high occupancy.
 		for _, occ := range []float64{0.90, 0.975} {
@@ -217,11 +184,9 @@ func Figure6(c Config) ([]*stats.Table, error) {
 			occCfg.Occupancy = occ
 			c.logf("fig6: filesystem %s %.1f%% full", volName(v), occ*100)
 			name := fmt.Sprintf("%.1f%% full - %s", occ*100, volName(v))
-			s, err := occCfg.fragCurve(stack.File, dist, name)
-			if err != nil {
+			if err := occCfg.fragCurve(fsFullTable, stack.File, dist, name, nil); err != nil {
 				return nil, err
 			}
-			fsFullTable.Series = append(fsFullTable.Series, s)
 		}
 	}
 	fsTable.Note("paper: at 50%% full the larger volume converges lower (4-5 vs 11-12 fragments/object on 400G vs 40G)")

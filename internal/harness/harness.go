@@ -13,6 +13,7 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -64,8 +65,6 @@ type Config struct {
 	// experiment, each in [0,1] (nil takes 0, 0.1, 0.5). Set from the
 	// fragbench -duty flag.
 	DutyCycles []float64
-	// NoOwnerMap disables the disk owner map (large-volume runs).
-	NoOwnerMap bool
 	// Obs enables per-layer observability in the experiments that
 	// support it (interleave, readcache, compact): store chains are
 	// obs-wrapped, every op is timed on the virtual clock, and each
@@ -82,12 +81,6 @@ type Config struct {
 	Tracer *obs.Tracer
 	// Log receives progress lines; nil silences them.
 	Log io.Writer
-}
-
-// obsEnabled reports whether experiments should instrument their store
-// chains (explicitly, or implied by report/trace output).
-func (c Config) obsEnabled() bool {
-	return c.Obs || c.Report != nil || c.Tracer != nil
 }
 
 // DefaultConfig returns bench-scale settings: 4 GB volumes keep every
@@ -188,21 +181,89 @@ var systems = []struct{ kind, name, backend string }{
 
 // spec describes one volume of the given backend at experiment scale:
 // metadata-only drives and the 64 KB write requests the paper's tests
-// fixed (§5.3). Experiments adjust the returned Spec for their arm.
+// fixed (§5.3). Volumes of 8 GB and up drop the disk owner map, which
+// only frag.CrossValidate reads. Experiments adjust the returned Spec
+// for their arm.
 func (c Config) spec(backend string) stack.Spec {
 	opts := []blob.Option{blob.WithWriteRequestSize(64 * units.KB)}
-	if c.NoOwnerMap {
+	if c.VolumeBytes >= 8*units.GB {
 		opts = append(opts, blob.WithoutOwnerMap())
 	}
 	return stack.Spec{Backends: []string{backend}, Capacity: c.VolumeBytes, Options: opts}
 }
 
 // build assembles spec on clock, naming the stack in the progress log.
-// Every arm gets a clock of its own (the paper ran the systems
-// independently).
 func (c Config) build(clock *vclock.Clock, spec stack.Spec) (blob.Store, error) {
 	c.logf("  stack %s", spec)
 	return stack.Build(clock, spec)
+}
+
+// withStore is the driver's prologue: build spec on clock, hand the
+// store to use, and close it on every return path, so no commit
+// pipeline outlives the arm. An arm that measures an empty store (trace
+// replay) calls it directly; every other arm goes through age.
+func (c Config) withStore(clock *vclock.Clock, spec stack.Spec, use func(blob.Store) error) (err error) {
+	store, err := c.build(clock, spec)
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, blob.CloseStore(store)) }()
+	return use(store)
+}
+
+// drive holds the extras a few arms age their store with; the zero
+// value is the paper's single-writer procedure.
+type drive struct {
+	// tolerant accepts ErrNoSpaceLeft at load and skips safe writes it
+	// refuses in churn: the sharded and concurrent regimes, where one
+	// full shard or a lost budget race is the measurement, not a failure.
+	tolerant bool
+	// streams is the number of concurrent writer streams (0 takes 1).
+	streams int
+	// col times every op of the load and churn (nil: none).
+	col *obs.Collector
+	// wrap, when non-nil, puts a layer between the store and the runner
+	// (the trace recorder).
+	wrap func(blob.Store) blob.Store
+}
+
+// arm is what an arm's step sees at one age of its store.
+type arm struct {
+	store  blob.Store // as built, under any drive.wrap layer
+	runner *workload.Runner
+	age    float64
+	res    workload.Result // the load's result at age 0, else the churn's
+}
+
+// age is every arm's procedure (§4.3, §5.4): build spec on clock (each
+// arm gets a clock of its own — the paper ran the systems independently),
+// bulk-load dist to c.Occupancy, then for each of ages in turn churn to
+// it and call step; an age of 0 is the store right after the load. The
+// store is closed on every return path (withStore).
+func (c Config) age(clock *vclock.Clock, spec stack.Spec, dist workload.SizeDist, ages []float64, d drive,
+	step func(arm) error) error {
+	return c.withStore(clock, spec, func(store blob.Store) error {
+		under := store
+		if d.wrap != nil {
+			under = d.wrap(store)
+		}
+		runner := workload.NewRunner(under, dist, c.Seed).WithStreams(max(d.streams, 1)).WithCollector(d.col)
+		res, err := runner.BulkLoad(c.Occupancy)
+		if err != nil && !(d.tolerant && errors.Is(err, blob.ErrNoSpaceLeft)) {
+			return fmt.Errorf("%s: bulk load: %w", spec, err)
+		}
+		for _, age := range ages {
+			if age > 0 {
+				if res, err = runner.ChurnToAge(age, workload.ChurnOptions{TolerateNoSpace: d.tolerant}); err != nil {
+					return fmt.Errorf("%s: churn to %.1f: %w", spec, age, err)
+				}
+			}
+			if err := step(arm{store, runner, age, res}); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
 // sizeDist returns the object-size distribution of the Source-driven
@@ -229,28 +290,20 @@ func (c Config) agePoints() []float64 {
 	return out
 }
 
-// fragCurve builds a fresh volume of the given backend, bulk loads it and
-// measures mean fragments/object at each age point, returning one series.
-func (c Config) fragCurve(backend string, dist workload.SizeDist, name string, extra ...blob.Option) (*stats.Series, error) {
+// fragCurve ages a fresh volume of the given backend and measures mean
+// fragments/object at each age point as a new series of t named name.
+// prep, when non-nil, runs on the loaded store before the first
+// measurement.
+func (c Config) fragCurve(t *stats.Table, backend string, dist workload.SizeDist, name string, prep func(blob.Store), extra ...blob.Option) error {
 	spec := c.spec(backend)
 	spec.Options = append(spec.Options, extra...)
-	repo, err := c.build(vclock.New(), spec)
-	if err != nil {
-		return nil, err
-	}
-	runner := workload.NewRunner(repo, dist, c.Seed)
-	if _, err := runner.BulkLoad(c.Occupancy); err != nil {
-		return nil, fmt.Errorf("%s bulk load: %w", name, err)
-	}
-	s := &stats.Series{Name: name}
-	for _, age := range c.agePoints() {
-		if age > 0 {
-			if _, err := runner.ChurnToAge(age, workload.ChurnOptions{}); err != nil {
-				return nil, fmt.Errorf("%s churn to %.1f: %w", name, age, err)
-			}
+	s := t.AddSeries(name)
+	return c.age(vclock.New(), spec, dist, c.agePoints(), drive{}, func(a arm) error {
+		if a.age == 0 && prep != nil {
+			prep(a.store)
 		}
-		s.Add(age, meanFrags(repo))
-		c.logf("  %s age %.1f: %.2f", name, age, s.Points[len(s.Points)-1].Y)
-	}
-	return s, nil
+		s.Add(a.age, meanFrags(a.store))
+		c.logf("  %s age %.1f: %.2f", name, a.age, s.Points[len(s.Points)-1].Y)
+		return nil
+	})
 }

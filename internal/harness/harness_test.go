@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"math"
 	"os"
@@ -350,24 +351,61 @@ func TestFigure6Occupancy(t *testing.T) {
 	}
 }
 
-// TestDeterministicAcrossRuns: a single-stream experiment prints the
-// same tables run after run at one seed. Pathological is here because
-// ShatterFiles once walked the volume's file map in iteration order, so
-// its shattered layout — and every later row — changed between runs.
+// experimentDigests pins every experiment's rendered tables at
+// TestDeterministicAcrossRuns's config: the SHA-256 of every table's
+// Render output (titles, notes) followed by its CSV (values at 4
+// decimals), concatenated. A refactor that moves any title, note or row
+// changes its digest.
+var experimentDigests = map[string]string{
+	"table1":      "86a37b1e24e0477084c3240a6749a9284b5adeeb01ab01b573ba9944482da016",
+	"fig1":        "5f0401ffbe478e0f469337600d6eac5aad3a673aa82da31962962248fb8866df",
+	"fig2":        "fc6fe59594ac061933ff683e54c858e0062f7cc3bbbc87eaf541f89e88b3d470",
+	"fig3":        "32c3ad50c2729e5bd6b8b490ea5e516984129121a600d3dfe2d1cd7d61f80058",
+	"fig4":        "cfe75683b3f4d391b44cc17cf638b9ae0b3742d7f868c904c5b23efcfcd5f52b",
+	"fig5":        "f16beae5c31d828f0d655046b2fb3530853e0f7d33ec49b3cbb7501841c3e326",
+	"fig6":        "07725338f69476863a4e45badfc5167c406d9f5de133129d43082303aeefce80",
+	"patho":       "c60edc6f59eba9f499a5831e419fbb462285e09f2bcd0274bf6f68a489eaaf67",
+	"hint":        "5207fc339c391a32cd9ee484841327b0c342b203744917d228b80c24970a2e56",
+	"wreq":        "1b1df376bb2195b17b20720e41633268986039561e8c55868c541be2e8890f58",
+	"ileave":      "a973032bed397d9000b9137a4d45281ca54d7d0794b9f48511aedac9bed6b3cf",
+	"policy":      "ddbc154fcc8974996244c93424cfd6f8478739931a6a9e2138c483d6ee0fe8a1",
+	"shard":       "720c41c850dd4715ca5a616756d8d6e3333730a99174b38fd7d01327eefe9774",
+	"interleave":  "2e9286019dbd3c4702c8330afd224c04c9c8a3c265546d2679dc7002bfdb193a",
+	"readcache":   "d7131e957c606892201912845ce3b86d21c0958af1c0454c9f866598140fcac9",
+	"tracereplay": "8daa3a92c276f658406e113b574c4927404f77a1bd8a4ad9c88eb37c4401f625",
+	"compact":     "7c43eea289980c7944c56921a14adea20c6977adf6723b89b994e15a5bec072e",
+}
+
+// TestDeterministicAcrossRuns: every experiment prints the same tables
+// run after run at one seed, and those tables are the pinned ones. It
+// runs TestConfig with one writer stream and the compactor off: k>1 and
+// duty>0 rows depend on the goroutine scheduler, every other row is
+// reproducible. Pathological once failed the run-twice check because
+// ShatterFiles walked the volume's file map in iteration order, so its
+// shattered layout — and every later row — changed between runs.
 func TestDeterministicAcrossRuns(t *testing.T) {
 	cfg := TestConfig()
-	for name, exp := range map[string]func(Config) ([]*stats.Table, error){
-		"fig4": Figure4, "patho": Pathological,
-	} {
+	cfg.StreamCounts = []int{1}
+	cfg.DutyCycles = []float64{0}
+	for _, e := range Experiments {
 		run := func() string {
-			tables, err := exp(cfg)
+			tables, err := e.Run(cfg)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s: %v", e.ID, err)
 			}
-			return tables[0].CSV()
+			var b strings.Builder
+			for _, tb := range tables {
+				b.WriteString(tb.Render())
+				b.WriteString(tb.CSV())
+			}
+			return b.String()
 		}
-		if first, second := run(), run(); first != second {
-			t.Errorf("%s output not deterministic:\n%s\nvs\n%s", name, first, second)
+		first, second := run(), run()
+		if first != second {
+			t.Errorf("%s output not deterministic:\n%s\nvs\n%s", e.ID, first, second)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(first))); got != experimentDigests[e.ID] {
+			t.Errorf("%s: tables digest %s, pinned %s:\n%s", e.ID, got, experimentDigests[e.ID], first)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -10,7 +9,6 @@ import (
 	"repro/internal/stats"
 	"repro/internal/units"
 	"repro/internal/vclock"
-	"repro/internal/workload"
 )
 
 // interleaveLatencyMetrics are the histograms the interleave sweep
@@ -70,13 +68,38 @@ func InterleaveSweep(c Config) ([]*stats.Table, error) {
 			if k < 1 {
 				return nil, fmt.Errorf("interleave: stream count %d < 1", k)
 			}
-			mf, res, cs, p, err := c.runInterleaveArm(kind, st.backend, k, dist, targetAge)
+			clock := vclock.New()
+			p := c.newProbe(fmt.Sprintf("interleave %s k=%d", kind, k), clock, "")
+			spec := p.observe(c.spec(st.backend), "store")
+			spec.GroupCommitBatch, spec.GroupCommitDelay = k, 500*time.Microsecond
+			if p != nil {
+				spec.Options = append(spec.Options, blob.WithCommitObserver(obs.NewCommitObserver(p.registry(), "store")))
+			}
+			// Concurrent loaders race the byte budget; near the target one
+			// stream can lose the race to a refused allocation, which is the
+			// regime itself, not a failure.
+			err := c.age(clock, spec, dist, []float64{0, targetAge}, drive{tolerant: true, streams: k, col: p.collector()},
+				func(a arm) error {
+					if a.age == 0 {
+						// The latency ledger covers the churn phase only: the
+						// bulk-load metrics (and its commit-pipeline timings)
+						// are zeroed so quantiles describe the steady
+						// interleaved regime.
+						p.reset()
+						return nil
+					}
+					mf, res := meanFrags(a.store), a.res
+					cs, _ := blob.CommitStatsOf(a.store)
+					fragSeries.Add(float64(k), mf)
+					tputSeries.Add(float64(k), res.MBps)
+					batchSeries.Add(float64(k), cs.MeanBatch())
+					c.logf("interleave %s k=%d: %.2f frags/obj, %.2f MB/s, batch %.2f (max %d) over %d commits, %d skipped",
+						kind, k, mf, res.MBps, cs.MeanBatch(), cs.MaxBatch, cs.Commits, res.Skipped)
+					return nil
+				})
 			if err != nil {
 				return nil, err
 			}
-			fragSeries.Add(float64(k), mf)
-			tputSeries.Add(float64(k), res.MBps)
-			batchSeries.Add(float64(k), cs.MeanBatch())
 			c.reportPhase("interleave", fmt.Sprintf("%s k=%d", kind, k), p)
 			if k == counts[len(counts)-1] {
 				// Print the deepest-k arm's latency breakdown; every arm's
@@ -85,8 +108,6 @@ func InterleaveSweep(c Config) ([]*stats.Table, error) {
 					fmt.Sprintf("Interleave %s k=%d: per-op virtual-time latency (churn phase)", name, k),
 					interleaveLatencyMetrics))
 			}
-			c.logf("interleave %s k=%d: %.2f frags/obj, %.2f MB/s, batch %.2f (max %d) over %d commits, %d skipped",
-				kind, k, mf, res.MBps, cs.MeanBatch(), cs.MaxBatch, cs.Commits, res.Skipped)
 		}
 	}
 	frags.Note("fixed total volume; k goroutine streams interleave appends in allocation order — the §6 interleaved-append regime the single-writer sweeps cannot reach")
@@ -96,44 +117,4 @@ func InterleaveSweep(c Config) ([]*stats.Table, error) {
 		t.Note("virtual-time quantiles: an op's latency includes time charged by other streams while it was in flight; store.commit.queuewait vs store.commit.force splits the pipeline's wait from the one group force")
 	}
 	return append([]*stats.Table{frags, tput, batch}, latTables...), nil
-}
-
-// runInterleaveArm measures one (backend, k) arm on a fresh store,
-// always shutting the store's commit pipeline down — success or not —
-// so no batcher goroutine outlives the arm.
-func (c Config) runInterleaveArm(kind, backend string, k int, dist workload.SizeDist, targetAge float64) (
-	meanFragments float64, res workload.Result, cs blob.CommitStats, p *probe, err error) {
-	clock := vclock.New()
-	p = c.newProbe(fmt.Sprintf("interleave %s k=%d", kind, k), clock, "")
-	spec := p.observe(c.spec(backend), "store")
-	spec.GroupCommitBatch, spec.GroupCommitDelay = k, 500*time.Microsecond
-	if p != nil {
-		spec.Options = append(spec.Options, blob.WithCommitObserver(obs.NewCommitObserver(p.registry(), "store")))
-	}
-	store, err := c.build(clock, spec)
-	if err != nil {
-		return 0, res, cs, p, err
-	}
-	defer func() {
-		if cerr := blob.CloseStore(store); err == nil {
-			err = cerr
-		}
-	}()
-	runner := workload.NewRunner(store, dist, c.Seed).WithStreams(k).WithCollector(p.collector())
-	// Concurrent loaders race the byte budget; near the target one
-	// stream can lose the race to a refused allocation, which is the
-	// regime itself, not a failure.
-	if _, err := runner.BulkLoad(c.Occupancy); err != nil && !errors.Is(err, blob.ErrNoSpaceLeft) {
-		return 0, res, cs, p, fmt.Errorf("interleave %s k=%d load: %w", kind, k, err)
-	}
-	// The latency ledger covers the churn phase only: the bulk-load
-	// metrics (and its commit-pipeline timings) are zeroed so quantiles
-	// describe the steady interleaved regime.
-	p.reset()
-	res, err = runner.ChurnToAge(targetAge, workload.ChurnOptions{TolerateNoSpace: true})
-	if err != nil {
-		return 0, res, cs, p, fmt.Errorf("interleave %s k=%d churn: %w", kind, k, err)
-	}
-	cs, _ = blob.CommitStatsOf(store)
-	return meanFrags(store), res, cs, p, nil
 }

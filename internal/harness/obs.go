@@ -21,11 +21,12 @@ type probe struct {
 	col *obs.Collector
 }
 
-// newProbe builds an arm's probe, or nil when observability is off.
+// newProbe builds an arm's probe, or nil when observability is off
+// (Obs unset and no report or tracer to imply it).
 // missLayer names the obs layer whose read spans mark a cache miss
 // (empty for arms without a cache).
 func (c Config) newProbe(phase string, clock *vclock.Clock, missLayer string) *probe {
-	if !c.obsEnabled() {
+	if !c.Obs && c.Report == nil && c.Tracer == nil {
 		return nil
 	}
 	reg := obs.NewRegistry()

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/blob"
@@ -68,43 +67,37 @@ func ShardSweep(c Config) ([]*stats.Table, error) {
 			// evenly over n volumes.
 			spec := c.spec(st.backend)
 			spec.Shards, spec.Capacity = n, c.VolumeBytes/int64(n)
-			store, err := c.build(vclock.New(), spec)
-			if err != nil {
-				return nil, err
-			}
-			runner := workload.NewRunner(store, dist, c.Seed)
 			// Rendezvous placement is uniform, not perfectly even: at high
 			// shard counts an unlucky shard can fill before the aggregate
 			// target is reached, and a nearly-full shard can refuse a safe
 			// write mid-churn. Both are the sharded regime itself, so the
 			// run tolerates them instead of failing.
-			if _, err := runner.BulkLoad(c.Occupancy); err != nil && !errors.Is(err, blob.ErrNoSpaceLeft) {
-				return nil, fmt.Errorf("shard sweep %s n=%d load: %w", kind, n, err)
-			}
-			res, err := runner.ChurnToAge(targetAge, workload.ChurnOptions{TolerateNoSpace: true})
-			if err != nil {
-				return nil, fmt.Errorf("shard sweep %s n=%d churn: %w", kind, n, err)
-			}
-			// n >= 1 always builds the shard layer, a fleet of one included.
-			fleet, _ := blob.As[*shard.Store](store)
-			snap := fleet.Snapshot()
-			freePool := snap.Shards[0].FreePoolObjects(objSize)
-			for _, si := range snap.Shards[1:] {
-				freePool += si.FreePoolObjects(objSize)
-			}
-			freePool /= float64(len(snap.Shards))
-			fragSeries.Add(float64(n), snap.MeanFragments)
-			poolSeries.Add(float64(n), freePool)
-			tputSeries.Add(float64(n), res.MBps)
-			c.logf("shard %s n=%d: %.2f frags/obj, %.1f free objs/shard, %.2f MB/s (%d skipped), imbalance %.2f",
-				kind, n, snap.MeanFragments, freePool, res.MBps, res.Skipped, snap.LiveImbalance)
-			if kind == "filesystem" && n == counts[len(counts)-1] {
-				for _, si := range snap.Shards {
-					perShard.Add(float64(si.Index), si.MeanFragments)
+			err := c.age(vclock.New(), spec, dist, []float64{targetAge}, drive{tolerant: true}, func(a arm) error {
+				// n >= 1 always builds the shard layer, a fleet of one included.
+				fleet, _ := blob.As[*shard.Store](a.store)
+				snap := fleet.Snapshot()
+				freePool := snap.Shards[0].FreePoolObjects(objSize)
+				for _, si := range snap.Shards[1:] {
+					freePool += si.FreePoolObjects(objSize)
 				}
-				breakdown.Note("live-byte imbalance (CV) %.2f across %d shards; %s live, %s retired in total",
-					snap.LiveImbalance, len(snap.Shards),
-					units.FormatBytes(snap.LiveBytes), units.FormatBytes(snap.RetiredBytes))
+				freePool /= float64(len(snap.Shards))
+				fragSeries.Add(float64(n), snap.MeanFragments)
+				poolSeries.Add(float64(n), freePool)
+				tputSeries.Add(float64(n), a.res.MBps)
+				c.logf("shard %s n=%d: %.2f frags/obj, %.1f free objs/shard, %.2f MB/s (%d skipped), imbalance %.2f",
+					kind, n, snap.MeanFragments, freePool, a.res.MBps, a.res.Skipped, snap.LiveImbalance)
+				if kind == "filesystem" && n == counts[len(counts)-1] {
+					for _, si := range snap.Shards {
+						perShard.Add(float64(si.Index), si.MeanFragments)
+					}
+					breakdown.Note("live-byte imbalance (CV) %.2f across %d shards; %s live, %s retired in total",
+						snap.LiveImbalance, len(snap.Shards),
+						units.FormatBytes(snap.LiveBytes), units.FormatBytes(snap.RetiredBytes))
+				}
+				return nil
+			})
+			if err != nil {
+				return nil, err
 			}
 		}
 	}

@@ -11,7 +11,6 @@ import (
 	"repro/internal/trace"
 	"repro/internal/units"
 	"repro/internal/vclock"
-	"repro/internal/workload"
 )
 
 // TraceReplaySweep extends the §6 interleaving measurement from
@@ -29,7 +28,6 @@ import (
 // show what stream interleaving does to the SAME operation log, the
 // comparison the paper's §6 calls for on real traces.
 func TraceReplaySweep(c Config) ([]*stats.Table, error) {
-	ctx := context.Background()
 	counts := c.streamCounts()
 	dist := c.sizeDist()
 	targetAge := c.MaxAge / 2
@@ -68,73 +66,47 @@ func TraceReplaySweep(c Config) ([]*stats.Table, error) {
 
 		ops := fileOps
 		if ops == nil {
-			recorded, baseline, err := c.recordChurnTrace(kind, st.backend, dist, targetAge)
+			// Record the single-writer churn workload through a
+			// trace.Recorder; the recording store's converged
+			// fragments/object is the synthetic k=1 baseline.
+			var rec *trace.Recorder
+			record := func(s blob.Store) blob.Store { rec = trace.NewRecorder(s); return rec }
+			err := c.age(vclock.New(), c.spec(st.backend), dist, []float64{targetAge}, drive{wrap: record}, func(a arm) error {
+				ops = rec.Ops()
+				c.logf("tracereplay %s: recorded %d ops (synthetic baseline %.2f frags/obj)",
+					kind, len(ops), meanFrags(a.store))
+				return nil
+			})
 			if err != nil {
 				return nil, err
 			}
-			ops = recorded
-			c.logf("tracereplay %s: recorded %d ops (synthetic baseline %.2f frags/obj)",
-				kind, len(ops), baseline)
 		}
 
 		for _, k := range counts {
 			if k < 1 {
 				return nil, fmt.Errorf("tracereplay: stream count %d < 1", k)
 			}
-			mf, res, err := c.replayArm(ctx, kind, st.backend, k, ops)
+			spec := c.spec(st.backend)
+			spec.GroupCommitBatch, spec.GroupCommitDelay = k, 500*time.Microsecond
+			// Each partitioning replays on a fresh, empty store.
+			err := c.withStore(vclock.New(), spec, func(store blob.Store) error {
+				res, err := trace.Replay(context.Background(), store, trace.OpsSources(trace.Partition(ops, k)...)...)
+				if err != nil {
+					return fmt.Errorf("tracereplay %s k=%d: %w", kind, k, err)
+				}
+				mf := meanFrags(store)
+				fragSeries.Add(float64(k), mf)
+				tputSeries.Add(float64(k), res.WriteMBps)
+				c.logf("tracereplay %s k=%d: %.2f frags/obj, %.2f MB/s over %d ops (age %.2f)",
+					kind, k, mf, res.WriteMBps, res.Ops, res.StorageAge)
+				return nil
+			})
 			if err != nil {
 				return nil, err
 			}
-			fragSeries.Add(float64(k), mf)
-			tputSeries.Add(float64(k), res.WriteMBps)
-			c.logf("tracereplay %s k=%d: %.2f frags/obj, %.2f MB/s over %d ops (age %.2f)",
-				kind, k, mf, res.WriteMBps, res.Ops, res.StorageAge)
 		}
 	}
 	frags.Note("one recorded log, re-partitioned per arm: k=1 replays the recorded allocation order and must reproduce the synthetic single-writer baseline; k>1 routes each key's ops to one of k concurrent streams (per-key order preserved) — §6's interleaving driven by a real operation log. Compare with the synthetic `interleave` sweep.")
 	tput.Note("replay runs through the shared workload.Executor with group commit enabled (batches up to k), like the interleave sweep")
 	return []*stats.Table{frags, tput}, nil
-}
-
-// recordChurnTrace runs the single-writer churn workload through a
-// trace.Recorder on a fresh store and returns the recorded log plus the
-// recording store's converged fragments/object — the synthetic k=1
-// baseline the replay arms are compared against.
-func (c Config) recordChurnTrace(kind, backend string, dist workload.SizeDist, targetAge float64) ([]trace.Op, float64, error) {
-	store, err := c.build(vclock.New(), c.spec(backend))
-	if err != nil {
-		return nil, 0, err
-	}
-	rec := trace.NewRecorder(store)
-	runner := workload.NewRunner(rec, dist, c.Seed)
-	if _, err := runner.BulkLoad(c.Occupancy); err != nil {
-		return nil, 0, fmt.Errorf("tracereplay %s record load: %w", kind, err)
-	}
-	if _, err := runner.ChurnToAge(targetAge, workload.ChurnOptions{}); err != nil {
-		return nil, 0, fmt.Errorf("tracereplay %s record churn: %w", kind, err)
-	}
-	return rec.Ops(), meanFrags(store), nil
-}
-
-// replayArm replays ops partitioned into k streams against a fresh
-// group-committing store, always shutting the commit pipeline down so
-// no batcher goroutine outlives the arm.
-func (c Config) replayArm(ctx context.Context, kind, backend string, k int, ops []trace.Op) (
-	meanFragments float64, res trace.Result, err error) {
-	spec := c.spec(backend)
-	spec.GroupCommitBatch, spec.GroupCommitDelay = k, 500*time.Microsecond
-	store, err := c.build(vclock.New(), spec)
-	if err != nil {
-		return 0, res, err
-	}
-	defer func() {
-		if cerr := blob.CloseStore(store); err == nil {
-			err = cerr
-		}
-	}()
-	res, err = trace.Replay(ctx, store, trace.OpsSources(trace.Partition(ops, k)...)...)
-	if err != nil {
-		return 0, res, fmt.Errorf("tracereplay %s k=%d: %w", kind, k, err)
-	}
-	return meanFrags(store), res, nil
 }

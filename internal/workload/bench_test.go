@@ -15,11 +15,11 @@ import (
 
 // BenchmarkExecutorStreams measures the executor's raw (wall-clock)
 // speed as stream count scales — the k=16 → k=256 hot-path regime of
-// the raw-speed pass, and the companion to BenchmarkObsOverhead in the
-// CI bench smoke. Each arm bulk-loads a fresh store with k concurrent
-// streams, then churns to a fixed storage age; reported metrics are
-// wall-clock operations per second (the simulation's own speed, NOT
-// virtual-time storage throughput) plus ns and allocs per executed op.
+// the raw-speed pass, and the companion to BenchmarkObsOverhead. Each
+// arm bulk-loads a fresh store with k concurrent streams, then churns
+// to a fixed storage age; reported metrics are wall-clock operations
+// per second (the simulation's own speed, NOT virtual-time storage
+// throughput) plus ns and allocs per executed op.
 // Regressions here mean shared-state contention — the age tracker, the
 // commit pipeline, the striped locks, the virtual clock — not slower
 // simulated hardware.
