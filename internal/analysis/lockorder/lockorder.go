@@ -2,8 +2,8 @@
 // blob.KeyLocks stripe must never be held across a call that can reach
 // the group-commit force. The committer's Do blocks the caller until
 // its batch's one group force is issued, and the apply closures inside
-// that batch re-acquire key stripes (core's commitApply takes the
-// key's stripe lock). A caller entering Do while holding a stripe
+// that batch re-acquire key stripes (a core writer's commitApply and
+// the store's CompactObject take the key's stripe lock). A caller entering Do while holding a stripe
 // therefore deadlocks as soon as its batch contains a commit for a key
 // on the same stripe — a 1-in-stripes chance per batch that soak runs
 // hit and unit tests do not.

@@ -10,10 +10,10 @@
 // Scope: methods of types implementing blob.Store, blob.Reader, or
 // blob.Writer whose name belongs to the implemented interface, plus
 // any function whose results include one of those interface types
-// (constructors and forwarders like core.newWriter). Within scope a
-// return statement whose error operand is a direct errors.New(...) or
-// a fmt.Errorf(...) with no %w verb — or a local variable assigned
-// exactly once from such a call — is flagged.
+// (constructors and forwarders like core's store.newWriter). Within
+// scope a return statement whose error operand is a direct
+// errors.New(...) or a fmt.Errorf(...) with no %w verb — or a local
+// variable assigned exactly once from such a call — is flagged.
 package sentinelerr
 
 import (

@@ -61,7 +61,12 @@ type Reader interface {
 	// Reads outside [0, Size()] fail with ErrOutOfRange.
 	ReadAt(off, length int64) ([]byte, error)
 
-	// Close releases the handle. Reads after Close fail with ErrClosed.
+	// Close releases the handle; a second Close is a no-op. Stores
+	// recycle released handles, so what holds after Close is this: reads
+	// fail with ErrClosed until the same store issues another handle,
+	// and after that the handle may belong to another caller of that
+	// store (fragvet's poollifecycle flags such a use). A store never
+	// hands one of its handles to a different store's caller.
 	Close() error
 }
 
@@ -85,9 +90,12 @@ type Writer interface {
 	Write(p []byte) (int, error)
 
 	// Commit atomically publishes the new object version and releases the
-	// writer. After a successful Commit the writer is closed; after a
-	// failed Commit the writer stays open and Abort must be called to
-	// release the key.
+	// writer. After a failed Commit the writer stays open and Abort must
+	// be called to release the key. After a successful one, as after
+	// Abort, the release rules of Reader.Close hold: Append and Commit
+	// fail with ErrClosed and Abort is a no-op until the same store
+	// issues another handle, after which the writer may belong to
+	// another caller of that store.
 	Commit() error
 
 	// Abort discards the uncommitted bytes and releases the writer,

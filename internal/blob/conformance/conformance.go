@@ -47,6 +47,7 @@ func Run(t *testing.T, mk Factory) {
 		{"ConcurrentReaders", testConcurrentReaders},
 		{"ConcurrentWriters", testConcurrentWriters},
 		{"ConcurrentMixedChurn", testConcurrentMixedChurn},
+		{"HandlesStayWithTheirStore", testHandlesStayWithTheirStore},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) { tc.fn(t, mk) })
@@ -861,6 +862,74 @@ func testConcurrentMixedChurn(t *testing.T, mk Factory) {
 	for err := range errs {
 		t.Fatalf("unexpected error under churn: %v", err)
 	}
+}
+
+// testHandlesStayWithTheirStore pins that a released handle stays with
+// the store that issued it. Store A's closed reader and committed writer
+// keep failing with ErrClosed after a second store B opens a reader and
+// stages a writer of its own, and nothing done through them reaches B:
+// were handles recycled across stores, A's stale reader would read B's
+// object and A's stale writer would commit B's staged version.
+func testHandlesStayWithTheirStore(t *testing.T, mk Factory) {
+	ctx := context.Background()
+	opts := []blob.Option{blob.WithCapacity(64 * units.MB), blob.WithDiskMode(disk.DataMode)}
+	a, b := mk(opts...), mk(opts...)
+	old, staged := payload(64*units.KB), bytes.Repeat([]byte{0x5a}, 64<<10)
+	for _, s := range []blob.Store{a, b} {
+		if err := blob.Put(ctx, s, "k", int64(len(old)), old); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r, w := openOn(t, a, "k"), stageOn(t, a, "w", old)
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	rb, wb := openOn(t, b, "k"), stageOn(t, b, "k", staged)
+	defer rb.Close()
+	defer wb.Abort()
+	if _, err := r.ReadAll(); !errors.Is(err, blob.ErrClosed) {
+		t.Fatalf("A's closed reader after B's Open: ReadAll = %v, want ErrClosed", err)
+	}
+	if _, err := r.ReadAt(0, 1); !errors.Is(err, blob.ErrClosed) {
+		t.Fatalf("A's closed reader after B's Open: ReadAt = %v, want ErrClosed", err)
+	}
+	if err := w.Commit(); !errors.Is(err, blob.ErrClosed) {
+		t.Fatalf("A's committed writer after B's Replace: Commit = %v, want ErrClosed", err)
+	}
+	if got, err := rb.ReadAll(); err != nil || !bytes.Equal(got, old) {
+		t.Fatalf("B's reader after A's stale handles: err = %v, bytes unchanged = %v", err, bytes.Equal(got, old))
+	}
+	if _, got, err := blob.Get(ctx, b, "k"); err != nil || !bytes.Equal(got, old) {
+		t.Fatalf("B's object after A's stale handles: err = %v, unchanged = %v", err, bytes.Equal(got, old))
+	}
+}
+
+// openOn returns a reader of key on s.
+func openOn(t *testing.T, s blob.Store, key string) blob.Reader {
+	t.Helper()
+	r, err := s.Open(context.Background(), key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// stageOn returns a writer replacing key on s with data, every byte
+// appended and nothing committed.
+func stageOn(t *testing.T, s blob.Store, key string, data []byte) blob.Writer {
+	t.Helper()
+	w, err := s.Replace(context.Background(), key, int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(int64(len(data)), data); err != nil {
+		t.Fatal(err)
+	}
+	return w
 }
 
 // GroupCommitCeiling is the maxDelay the group-commit wait-rule tests

@@ -159,6 +159,12 @@ type Store struct {
 	// suppressed for keys mid-commit; reads fall back to the (always
 	// correctly pinned) inner store instead.
 	writing map[string]int
+
+	// hitReaders and missReaders recycle this cache's reader handles:
+	// Open is one per read op, so at hundreds of streams the two wrapper
+	// types dominate the cache layer's alloc profile. A closed handle
+	// goes back to the pool of the cache that issued it.
+	hitReaders, missReaders sync.Pool
 }
 
 // New wraps inner in a read cache. WithCapacity is required;
@@ -177,14 +183,17 @@ func New(inner blob.Store, options ...Option) (*Store, error) {
 	if opts.CapacityBytes <= 0 {
 		return nil, fmt.Errorf("%w: cache capacity %d must be positive", blob.ErrBadOption, opts.CapacityBytes)
 	}
-	return &Store{
+	s := &Store{
 		Store:    inner,
 		clock:    inner.Clock(),
 		opts:     opts,
 		entries:  make(map[string]*entry),
 		versions: make(map[string]uint64),
 		writing:  make(map[string]int),
-	}, nil
+	}
+	s.hitReaders.New = func() any { return new(hitReader) }
+	s.missReaders.New = func() any { return new(missReader) }
+	return s, nil
 }
 
 // Inner returns the wrapped store, for analysis tools and blob.As.
@@ -444,7 +453,7 @@ func (s *Store) Open(ctx context.Context, key string) (blob.Reader, error) {
 	s.mu.Lock()
 	if e, ok := s.entries[key]; ok && e.full {
 		s.touch(e)
-		r := hitReaderPool.Get().(*hitReader)
+		r := s.hitReaders.Get().(*hitReader)
 		*r = hitReader{s: s, ctx: ctx, key: key, size: e.size, data: e.data,
 			version: s.versions[key]}
 		s.mu.Unlock()
@@ -456,19 +465,10 @@ func (s *Store) Open(ctx context.Context, key string) (blob.Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := missReaderPool.Get().(*missReader)
+	r := s.missReaders.Get().(*missReader)
 	*r = missReader{s: s, ctx: ctx, key: key, r: inner, version: v}
 	return r, nil
 }
-
-// Reader handles are recycled: Open is one per read op, so at hundreds
-// of streams the two wrapper types dominate the cache layer's alloc
-// profile. First Close retires a handle; use-after-Close remains the
-// same misuse it always was.
-var (
-	hitReaderPool  = sync.Pool{New: func() any { return new(hitReader) }}
-	missReaderPool = sync.Pool{New: func() any { return new(missReader) }}
-)
 
 // hitReader serves one fully resident object version from memory. It
 // holds the entry's payload view from Open, so a concurrent eviction
@@ -543,7 +543,7 @@ func (r *hitReader) Close() error {
 	if !r.closed {
 		r.closed = true
 		r.data = nil // don't pin evicted payloads from the pool
-		hitReaderPool.Put(r)
+		r.s.hitReaders.Put(r)
 	}
 	return nil
 }
@@ -663,7 +663,7 @@ func (r *missReader) Close() error {
 	}
 	r.closed = true
 	inner := r.r
-	missReaderPool.Put(r)
+	r.s.missReaders.Put(r)
 	return inner.Close()
 }
 

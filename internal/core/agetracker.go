@@ -32,6 +32,7 @@ import (
 // concurrent executor streams instead shard it through StreamView,
 // which keeps a goroutine-local map and merges at phase end.
 type AgeTracker struct {
+	front // routes mutations, charging against sizes
 	store blob.Store
 
 	retiredBytes atomic.Int64 // bytes of object versions retired since baseline
@@ -44,6 +45,11 @@ type AgeTracker struct {
 	// retired twice.
 	mu    sync.Mutex
 	sizes map[string]trackedSize
+
+	// writers recycles the charging wrappers of this tracker and its
+	// StreamViews — one per mutation, so at high stream counts they
+	// alloc-churn like the handles they wrap.
+	writers sync.Pool
 }
 
 // trackedSize is one entry of AgeTracker.sizes.
@@ -56,7 +62,10 @@ type trackedSize struct {
 // ResetBaseline after bulk load so that age 0 corresponds to the freshly
 // loaded store, as in the paper's figures.
 func NewAgeTracker(store blob.Store) *AgeTracker {
-	return &AgeTracker{store: store, sizes: make(map[string]trackedSize)}
+	a := &AgeTracker{store: store, sizes: make(map[string]trackedSize)}
+	a.front = front{a: a, acct: a}
+	a.writers.New = func() any { return new(trackedWriter) }
+	return a
 }
 
 // Store returns the wrapped store.
@@ -82,15 +91,6 @@ func (a *AgeTracker) RetiredBytes() int64 { return a.retiredBytes.Load() }
 // ResetBaseline zeroes the retired-byte counter (end of bulk load).
 func (a *AgeTracker) ResetBaseline() { a.retiredBytes.Store(0) }
 
-// lookup returns the tracker's committed-size entry for key under the
-// mutex.
-func (a *AgeTracker) lookup(key string) (trackedSize, bool) {
-	a.mu.Lock()
-	e, ok := a.sizes[key]
-	a.mu.Unlock()
-	return e, ok
-}
-
 // charge applies one committed create/replace to the byte counters
 // given the previous version's size (if any).
 //
@@ -111,81 +111,72 @@ func (a *AgeTracker) chargeDelete(old int64) {
 	a.liveBytes.Add(-old)
 }
 
-// accountant is the commit-time charging seam of trackedWriter: the
-// tracker itself (shared map under the mutex) or one executor stream's
-// StreamView (goroutine-local map, merged at phase end).
+// accountant is the committed-size map a mutation charges against: the
+// tracker's own (shared, under the mutex) or one executor stream's
+// StreamView (goroutine-local, merged at phase end).
 type accountant interface {
-	commitWrite(key string, size, snapSize int64, snapOK bool)
+	// swap records next as key's entry and returns the previous one.
+	swap(key string, next trackedSize) (prev trackedSize, known bool)
 }
 
-// commitWrite records one committed create/replace. The old size comes
-// from the tracker's own committed-size map so interleaved streams to
-// the same key charge exactly once per retired version; the snapshot
-// taken at writer open only covers keys first written outside the
-// tracker.
-func (a *AgeTracker) commitWrite(key string, size, snapSize int64, snapOK bool) {
+// swap reads and writes the shared map in one critical section, so
+// interleaved streams to the same key charge exactly once per retired
+// version.
+func (a *AgeTracker) swap(key string, next trackedSize) (trackedSize, bool) {
 	a.mu.Lock()
-	var old int64
-	existed := false
-	if e, known := a.sizes[key]; known {
-		old, existed = e.size, e.live
-	} else {
-		old, existed = snapSize, snapOK
-	}
-	a.sizes[key] = trackedSize{size: size, live: true}
+	prev, known := a.sizes[key]
+	a.sizes[key] = next
 	a.mu.Unlock()
-	a.charge(size, old, existed)
+	return prev, known
+}
+
+// front is the mutation surface an AgeTracker and its StreamViews share:
+// both route to the tracker's store and byte counters, each charging
+// against its own size map.
+type front struct {
+	a    *AgeTracker
+	acct accountant
 }
 
 // CreateWriter starts a tracked streaming create; live bytes are charged
 // when the returned writer commits.
-func (a *AgeTracker) CreateWriter(ctx context.Context, key string, size int64) (blob.Writer, error) {
-	return createWriter(ctx, a.store, a, key, size)
+func (f front) CreateWriter(ctx context.Context, key string, size int64) (blob.Writer, error) {
+	return f.newWriter(ctx, key, size, false)
 }
 
 // ReplaceWriter starts a tracked streaming safe replace; the retired old
 // version and the new live bytes are charged when the returned writer
 // commits.
-func (a *AgeTracker) ReplaceWriter(ctx context.Context, key string, size int64) (blob.Writer, error) {
-	return replaceWriter(ctx, a.store, a, key, size)
+func (f front) ReplaceWriter(ctx context.Context, key string, size int64) (blob.Writer, error) {
+	return f.newWriter(ctx, key, size, true)
 }
 
-// trackedWriterPool recycles the charging wrappers — one per mutation,
-// so at high stream counts they alloc-churn like the handles they wrap.
-var trackedWriterPool = sync.Pool{New: func() any { return new(trackedWriter) }}
-
-func createWriter(ctx context.Context, store blob.Store, acct accountant, key string, size int64) (blob.Writer, error) {
-	w, err := store.Create(ctx, key, size)
+func (f front) newWriter(ctx context.Context, key string, size int64, replace bool) (blob.Writer, error) {
+	t := trackedWriter{f: f, key: key, size: size}
+	var err error
+	if replace {
+		// The stat models the application's metadata lookup before a
+		// safe write and snapshots the old size for keys the accountant
+		// has never routed (a store populated before the tracker attached).
+		if info, err := f.a.store.Stat(ctx, key); err == nil {
+			t.snapSize, t.snapOK = info.Size, true
+		}
+		t.Writer, err = f.a.store.Replace(ctx, key, size)
+	} else {
+		t.Writer, err = f.a.store.Create(ctx, key, size)
+	}
 	if err != nil {
 		return nil, err
 	}
-	t := trackedWriterPool.Get().(*trackedWriter)
-	*t = trackedWriter{Writer: w, acct: acct, key: key, size: size}
-	return t, nil
-}
-
-func replaceWriter(ctx context.Context, store blob.Store, acct accountant, key string, size int64) (blob.Writer, error) {
-	// The stat models the application's metadata lookup before a safe
-	// write and snapshots the old size for keys the accountant has never
-	// routed (a store populated before the tracker attached).
-	var snapSize int64
-	snapOK := false
-	if info, err := store.Stat(ctx, key); err == nil {
-		snapSize, snapOK = info.Size, true
-	}
-	w, err := store.Replace(ctx, key, size)
-	if err != nil {
-		return nil, err
-	}
-	t := trackedWriterPool.Get().(*trackedWriter)
-	*t = trackedWriter{Writer: w, acct: acct, key: key, size: size, snapSize: snapSize, snapOK: snapOK}
-	return t, nil
+	w := f.a.writers.Get().(*trackedWriter)
+	*w = t
+	return w, nil
 }
 
 // trackedWriter charges the storage-age counters at Commit time.
 type trackedWriter struct {
 	blob.Writer
-	acct     accountant
+	f        front
 	key      string
 	size     int64
 	snapSize int64
@@ -193,25 +184,32 @@ type trackedWriter struct {
 	charged  bool
 }
 
-// Commit commits the underlying writer, then charges the metric. A
-// successful commit retires the wrapper to the pool; the backend writer
-// reference stays behind so a misuse double-Commit still reaches the
-// backend's ErrClosed instead of a nil handle.
+// Commit commits the underlying writer, then charges the metric. The
+// old size comes from the accountant's committed-size map; the snapshot
+// taken at writer open only covers keys first written outside the
+// tracker. A successful commit retires the wrapper to its tracker's
+// pool; the backend writer reference stays behind so a misuse
+// double-Commit still reaches the backend's ErrClosed instead of a nil
+// handle.
 func (w *trackedWriter) Commit() error {
 	if err := w.Writer.Commit(); err != nil {
 		return err
 	}
 	if !w.charged {
-		w.acct.commitWrite(w.key, w.size, w.snapSize, w.snapOK)
+		old, existed := w.snapSize, w.snapOK
+		if prev, known := w.f.acct.swap(w.key, trackedSize{size: w.size, live: true}); known {
+			old, existed = prev.size, prev.live
+		}
+		w.f.a.charge(w.size, old, existed)
 		w.charged = true
-		trackedWriterPool.Put(w)
+		w.f.a.writers.Put(w)
 	}
 	return nil
 }
 
-// Put stores a new whole-buffer object through the tracker.
-func (a *AgeTracker) Put(ctx context.Context, key string, size int64, data []byte) error {
-	w, err := a.CreateWriter(ctx, key, size)
+// Put stores a new whole-buffer object, charging its bytes at commit.
+func (f front) Put(ctx context.Context, key string, size int64, data []byte) error {
+	w, err := f.CreateWriter(ctx, key, size)
 	if err != nil {
 		return err
 	}
@@ -220,8 +218,8 @@ func (a *AgeTracker) Put(ctx context.Context, key string, size int64, data []byt
 
 // Replace performs a whole-buffer safe replace, retiring the old
 // version's bytes at commit.
-func (a *AgeTracker) Replace(ctx context.Context, key string, size int64, data []byte) error {
-	w, err := a.ReplaceWriter(ctx, key, size)
+func (f front) Replace(ctx context.Context, key string, size int64, data []byte) error {
+	w, err := f.ReplaceWriter(ctx, key, size)
 	if err != nil {
 		return err
 	}
@@ -229,22 +227,19 @@ func (a *AgeTracker) Replace(ctx context.Context, key string, size int64, data [
 }
 
 // Delete removes an object, retiring its bytes.
-func (a *AgeTracker) Delete(ctx context.Context, key string) error {
-	info, err := a.store.Stat(ctx, key)
+func (f front) Delete(ctx context.Context, key string) error {
+	info, err := f.a.store.Stat(ctx, key)
 	if err != nil {
 		return err
 	}
-	if err := a.store.Delete(ctx, key); err != nil {
+	if err := f.a.store.Delete(ctx, key); err != nil {
 		return err
 	}
 	old := info.Size
-	a.mu.Lock()
-	if e, known := a.sizes[key]; known && e.live {
-		old = e.size
+	if prev, known := f.acct.swap(key, trackedSize{}); known && prev.live {
+		old = prev.size
 	}
-	a.sizes[key] = trackedSize{live: false}
-	a.mu.Unlock()
-	a.chargeDelete(old)
+	f.a.chargeDelete(old)
 	return nil
 }
 
@@ -263,88 +258,34 @@ func (a *AgeTracker) Delete(ctx context.Context, key string) error {
 // size — exactly the anomaly the shared map exists to prevent — so
 // cross-stream keys must stay on the plain tracker.
 func (a *AgeTracker) StreamView() *StreamView {
-	return &StreamView{a: a, local: make(map[string]trackedSize)}
+	v := &StreamView{local: make(map[string]trackedSize)}
+	v.front = front{a: a, acct: v}
+	return v
 }
 
 // StreamView is one stream's private AgeTracker frontend. Not safe for
 // concurrent use — it belongs to its stream's goroutine; Merge is
 // called after the stream is done.
 type StreamView struct {
-	a     *AgeTracker
+	front
 	local map[string]trackedSize
 }
 
 // Tracker returns the shared tracker behind the view.
 func (v *StreamView) Tracker() *AgeTracker { return v.a }
 
-// lookup consults the view's private map first and falls back to the
-// shared map for keys this stream has not touched this phase.
-func (v *StreamView) lookup(key string) (trackedSize, bool) {
-	if e, ok := v.local[key]; ok {
-		return e, true
+// swap consults the view's private map first and falls back to the
+// shared map for keys this stream has not touched this phase; the new
+// entry stays private until Merge.
+func (v *StreamView) swap(key string, next trackedSize) (trackedSize, bool) {
+	prev, known := v.local[key]
+	if !known {
+		v.a.mu.Lock()
+		prev, known = v.a.sizes[key]
+		v.a.mu.Unlock()
 	}
-	return v.a.lookup(key)
-}
-
-// commitWrite is the view-side accountant: identical charging rules,
-// private size map.
-func (v *StreamView) commitWrite(key string, size, snapSize int64, snapOK bool) {
-	var old int64
-	existed := false
-	if e, known := v.lookup(key); known {
-		old, existed = e.size, e.live
-	} else {
-		old, existed = snapSize, snapOK
-	}
-	v.local[key] = trackedSize{size: size, live: true}
-	v.a.charge(size, old, existed)
-}
-
-// CreateWriter starts a tracked streaming create charged to this view.
-func (v *StreamView) CreateWriter(ctx context.Context, key string, size int64) (blob.Writer, error) {
-	return createWriter(ctx, v.a.store, v, key, size)
-}
-
-// ReplaceWriter starts a tracked streaming safe replace charged to this
-// view.
-func (v *StreamView) ReplaceWriter(ctx context.Context, key string, size int64) (blob.Writer, error) {
-	return replaceWriter(ctx, v.a.store, v, key, size)
-}
-
-// Put stores a new whole-buffer object through the view.
-func (v *StreamView) Put(ctx context.Context, key string, size int64, data []byte) error {
-	w, err := v.CreateWriter(ctx, key, size)
-	if err != nil {
-		return err
-	}
-	return blob.WriteAll(w, size, data)
-}
-
-// Replace performs a whole-buffer safe replace through the view.
-func (v *StreamView) Replace(ctx context.Context, key string, size int64, data []byte) error {
-	w, err := v.ReplaceWriter(ctx, key, size)
-	if err != nil {
-		return err
-	}
-	return blob.WriteAll(w, size, data)
-}
-
-// Delete removes an object through the view, retiring its bytes.
-func (v *StreamView) Delete(ctx context.Context, key string) error {
-	info, err := v.a.store.Stat(ctx, key)
-	if err != nil {
-		return err
-	}
-	if err := v.a.store.Delete(ctx, key); err != nil {
-		return err
-	}
-	old := info.Size
-	if e, known := v.lookup(key); known && e.live {
-		old = e.size
-	}
-	v.local[key] = trackedSize{live: false}
-	v.a.chargeDelete(old)
-	return nil
+	v.local[key] = next
+	return prev, known
 }
 
 // Merge folds the view's committed-size entries into the shared map and

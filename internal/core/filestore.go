@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/blob"
 	"repro/internal/db"
@@ -33,18 +32,13 @@ import (
 // operations on the same key, and an internal mutex serializes access to
 // the single-threaded volume and metadata engines beneath.
 type FileStore struct {
+	store
 	vol    *fs.Volume
 	meta   *db.MetaTable
 	metaDB *db.Database
-	clock  *vclock.Clock
 	opts   blob.Options
 
-	locks     *blob.KeyLocks
-	committer *blob.GroupCommitter
-
-	mu        sync.Mutex // guards vol, meta, liveBytes, inflight, crashes
-	liveBytes int64
-	inflight  map[string]bool // keys with an uncommitted writer
+	// Guarded by mu.
 	crashes   map[string]bool // keys armed to crash at the next commit
 	packCrash bool            // next PackObjects crashes mid-pack
 }
@@ -72,59 +66,15 @@ func NewFileStore(clock *vclock.Clock, options ...blob.Option) (*FileStore, erro
 	metaLog := disk.New(disk.DefaultGeometry(256*units.MB), clock, disk.MetadataMode)
 	metaDB := db.Open(metaData, metaLog, db.Config{})
 	s := &FileStore{
-		vol:      vol,
-		meta:     metaDB.NewMetaTable("objects"),
-		metaDB:   metaDB,
-		clock:    clock,
-		opts:     opts,
-		locks:    blob.NewKeyLocks(),
-		inflight: make(map[string]bool),
-		crashes:  make(map[string]bool),
+		vol:     vol,
+		meta:    metaDB.NewMetaTable("objects"),
+		metaDB:  metaDB,
+		opts:    opts,
+		crashes: make(map[string]bool),
 	}
-	s.committer = blob.NewGroupCommitter(opts.GroupCommitBatch, opts.GroupCommitDelay,
-		s.beginGroup, s.endGroup)
-	s.committer.SetOpenWriters(s.openWriters)
-	if opts.CommitObserver != nil {
-		s.committer.SetObserver(clock, opts.CommitObserver)
-	}
+	s.init(s, clock, opts)
 	return s, nil
 }
-
-// beginGroup opens a batch on both engines: the volume defers MFT
-// writes and its log flush, the metadata database defers log forces.
-func (s *FileStore) beginGroup() {
-	s.mu.Lock()
-	s.vol.BeginBatch()
-	s.metaDB.BeginGroup()
-	s.mu.Unlock()
-}
-
-// endGroup issues the group force: coalesced MFT writes plus at most
-// one volume log flush, and one metadata-database log write.
-func (s *FileStore) endGroup() {
-	s.mu.Lock()
-	s.vol.EndBatch()
-	s.metaDB.EndGroup()
-	s.mu.Unlock()
-}
-
-// openWriters is the commit pipeline's sibling count: every writer
-// holding an uncommitted claim, whether or not its commit is queued.
-func (s *FileStore) openWriters() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.inflight)
-}
-
-// Close shuts down the group-commit pipeline. The store stays usable;
-// later commits apply synchronously.
-func (s *FileStore) Close() error {
-	s.committer.Close()
-	return nil
-}
-
-// CommitStats returns the group-commit pipeline counters.
-func (s *FileStore) CommitStats() blob.CommitStats { return s.committer.Stats() }
 
 // ArmCommitCrash makes key's next Commit crash after its data is
 // written and forced but before the atomic rename — the safe-write
@@ -135,6 +85,16 @@ func (s *FileStore) CommitStats() blob.CommitStats { return s.committer.Stats() 
 func (s *FileStore) ArmCommitCrash(key string) {
 	s.mu.Lock()
 	s.crashes[key] = true
+	s.mu.Unlock()
+}
+
+// ArmPackCrash makes the next PackObjects crash after the pack's data
+// and index are written but before any member is switched over —
+// the torn-rewrite window Recover must sweep. Pairs with
+// ArmCommitCrash for the safe-write path.
+func (s *FileStore) ArmPackCrash() {
+	s.mu.Lock()
+	s.packCrash = true
 	s.mu.Unlock()
 }
 
@@ -159,209 +119,140 @@ func (s *FileStore) Name() string { return "filesystem" }
 // Volume exposes the underlying filesystem for analysis tools.
 func (s *FileStore) Volume() *fs.Volume { return s.vol }
 
-// Clock implements blob.Store.
-func (s *FileStore) Clock() *vclock.Clock { return s.clock }
+// CapacityBytes implements blob.Store.
+func (s *FileStore) CapacityBytes() int64 { return s.vol.CapacityBytes() }
 
-// Open implements blob.Store.
-func (s *FileStore) Open(ctx context.Context, key string) (blob.Reader, error) {
+// PackObjects coalesces the given small objects into one pack extent,
+// returning the keys actually packed. Keys that are missing, busy with
+// an uncommitted writer, or already packed are skipped; fewer than two
+// eligible keys is a no-op. Like CompactObject, the pack rides the
+// group-commit pipeline and each member's relocation is a row update in
+// the metadata database.
+func (s *FileStore) PackObjects(ctx context.Context, keys []string) ([]string, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	s.locks.RLock(key)
-	defer s.locks.RUnlock(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var f *fs.File
-	if blob.Resumed(ctx) {
-		f, _ = s.vol.Lookup(key) // the open was paid for already
-	} else if s.meta.Lookup(key) {
-		var err error
-		if f, err = s.vol.Open(key); err != nil {
-			return nil, err
+	var packed []string
+	err := s.committer.Do(func() error {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		eligible := make([]string, 0, len(keys))
+		for _, k := range keys {
+			if s.inflight[k] || s.inflightTemp(k) {
+				continue
+			}
+			if f, ok := s.vol.Lookup(k); ok && !f.Packed() {
+				eligible = append(eligible, k)
+			}
 		}
-	}
-	if f == nil {
-		return nil, fmt.Errorf("%w: %s", blob.ErrNotFound, key)
-	}
-	r := fileReaderPool.Get().(*fileReader)
-	*r = fileReader{s: s, ctx: ctx, key: key, f: f, tag: f.Tag(), size: f.Size()}
-	return r, nil
+		var opts fs.PackOptions
+		if s.packCrash {
+			s.packCrash = false
+			opts.Crash = fs.CrashAfterWrite
+		}
+		rep, err := s.vol.PackFiles(eligible, opts)
+		if err != nil {
+			return err
+		}
+		for _, k := range rep.Packed {
+			if err := s.meta.Update(k); err != nil {
+				return err
+			}
+		}
+		packed = rep.Packed
+		return nil
+	})
+	return packed, err
 }
 
-// fileReader is a read handle over one committed file version. Handles
-// are pooled: Close retires the handle (it keeps returning ErrClosed
-// until the pool hands it to a new Open). The pinned version is the
-// (pointer, tag) pair — File structs are recycled by the volume, so the
-// pointer alone could be resurrected under the same key.
-type fileReader struct {
-	s      *FileStore
-	ctx    context.Context
-	key    string
-	f      *fs.File
-	tag    uint32
-	size   int64
-	closed bool
+// inflightTemp reports whether name is the temp file of an uncommitted
+// writer (callers hold s.mu).
+func (s *FileStore) inflightTemp(name string) bool {
+	if len(name) <= len(fs.TempSuffix) || name[len(name)-len(fs.TempSuffix):] != fs.TempSuffix {
+		return false
+	}
+	return s.inflight[name[:len(name)-len(fs.TempSuffix)]]
 }
 
-// fileReaderPool recycles read handles; at high stream counts the
-// per-read handle allocation was a top-ten allocation site.
-var fileReaderPool = sync.Pool{New: func() any { return new(fileReader) }}
+// --- engine ---
 
-// Size implements blob.Reader.
-func (r *fileReader) Size() int64 { return r.size }
-
-// validate returns the current file iff the handle is live and still
-// names the version opened. Callers hold r.s.mu.
-func (r *fileReader) validate() (*fs.File, error) {
-	if r.closed {
-		return nil, fmt.Errorf("%w: reader for %s", blob.ErrClosed, r.key)
+// open charges the metadata-row lookup and the file open, unless resumed.
+func (s *FileStore) open(key string, charged bool) (int64, uint32, error) {
+	if !charged {
+		return s.stat(key, false)
 	}
-	if err := r.ctx.Err(); err != nil {
-		return nil, err
+	if !s.meta.Lookup(key) {
+		return 0, 0, fmt.Errorf("%w: %s", blob.ErrNotFound, key)
 	}
-	cur, ok := r.s.vol.Lookup(r.key)
-	if !ok || cur != r.f || cur.Tag() != r.tag {
-		return nil, fmt.Errorf("%w: %s (version replaced or deleted)", blob.ErrNotFound, r.key)
-	}
-	return cur, nil
-}
-
-// ReadAll implements blob.Reader.
-func (r *fileReader) ReadAll() ([]byte, error) {
-	r.s.locks.RLock(r.key)
-	defer r.s.locks.RUnlock(r.key)
-	r.s.mu.Lock()
-	defer r.s.mu.Unlock()
-	f, err := r.validate()
+	f, err := s.vol.Open(key)
 	if err != nil {
-		return nil, err
+		return 0, 0, err
 	}
-	return f.ReadAll(), nil
+	return f.Size(), f.Tag(), nil
 }
 
-// ReadAt implements blob.Reader.
-func (r *fileReader) ReadAt(off, length int64) ([]byte, error) {
-	r.s.locks.RLock(r.key)
-	defer r.s.locks.RUnlock(r.key)
-	r.s.mu.Lock()
-	defer r.s.mu.Unlock()
-	f, err := r.validate()
-	if err != nil {
-		return nil, err
+// stat is free: the volume's in-memory file table.
+func (s *FileStore) stat(key string, _ bool) (int64, uint32, error) {
+	f, ok := s.vol.Lookup(key)
+	if !ok {
+		return 0, 0, fmt.Errorf("%w: %s", blob.ErrNotFound, key)
 	}
-	return f.ReadAt(off, length)
+	return f.Size(), f.Tag(), nil
 }
 
-// Close implements blob.Reader. The first Close retires the handle to
-// the pool; later Closes on the same handle are no-ops.
-func (r *fileReader) Close() error {
-	if !r.closed {
-		r.closed = true
-		fileReaderPool.Put(r)
-	}
-	return nil
+func (s *FileStore) exists(key string) bool {
+	_, ok := s.vol.Lookup(key)
+	return ok
 }
 
-// Create implements blob.Store.
-func (s *FileStore) Create(ctx context.Context, key string, size int64) (blob.Writer, error) {
-	return s.newWriter(ctx, key, size, false)
+// read compares owner tags, not File pointers: the volume recycles File
+// structs, but stamps a fresh tag on every create, relocation and pack.
+func (s *FileStore) read(key string, tag uint32, whole bool, off, length int64) ([]byte, bool, error) {
+	f, ok := s.vol.Lookup(key)
+	if !ok || f.Tag() != tag {
+		return nil, false, nil
+	}
+	if whole {
+		return f.ReadAll(), true, nil
+	}
+	data, err := f.ReadAt(off, length)
+	return data, true, err
 }
 
-// Replace implements blob.Store: a streaming safe write (§4).
-func (s *FileStore) Replace(ctx context.Context, key string, size int64) (blob.Writer, error) {
-	return s.newWriter(ctx, key, size, true)
-}
-
-func (s *FileStore) newWriter(ctx context.Context, key string, size int64, replace bool) (blob.Writer, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if size <= 0 {
-		return nil, fmt.Errorf("%w: write of %d bytes to %s", blob.ErrInvalidSize, size, key)
-	}
-	s.locks.Lock(key)
-	defer s.locks.Unlock(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.inflight[key] {
-		return nil, fmt.Errorf("%w: %s", blob.ErrBusy, key)
-	}
-	if _, exists := s.vol.Lookup(key); exists && !replace {
-		return nil, fmt.Errorf("%w: %s", blob.ErrAlreadyExists, key)
-	}
-	tmp := fs.TempName(key)
+// stage opens w's safe-write temp file.
+func (s *FileStore) stage(w *writer) error {
+	w.tmp = fs.TempName(w.key)
 	// A leftover temp from a previous crashed attempt is replaced.
 	// Committed objects always have a metadata row and temps never do,
 	// so a row under the temp name means a real object happens to be
 	// named like our scratch file — leave it alone (the Create below
 	// then fails instead of destroying it).
-	if _, ok := s.vol.Lookup(tmp); ok && !s.meta.Lookup(tmp) {
-		if err := s.vol.Delete(tmp); err != nil {
-			return nil, err
+	if _, ok := s.vol.Lookup(w.tmp); ok && !s.meta.Lookup(w.tmp) {
+		if err := s.vol.Delete(w.tmp); err != nil {
+			return err
 		}
 	}
-	f, err := s.vol.Create(tmp)
+	f, err := s.vol.Create(w.tmp)
 	if err != nil {
-		return nil, err
-	}
-	if s.opts.SizeHint {
-		if err := f.SetSizeHint(size); err != nil {
-			_ = s.vol.Delete(tmp)
-			return nil, err
-		}
-	}
-	f.ReservePayload(size)
-	s.inflight[key] = true
-	w := fileWriterPool.Get().(*fileWriter)
-	apply := w.apply
-	*w = fileWriter{s: s, ctx: ctx, key: key, tmp: tmp, f: f,
-		state: blob.NewStreamState(key, size), size: size, replace: replace}
-	if apply == nil {
-		// Bind the commit closure once per pooled instance; the method
-		// value pins w itself, so it stays correct across reuses and
-		// saves a closure allocation per commit.
-		apply = w.commitApply
-	}
-	w.apply = apply
-	return w, nil
-}
-
-// fileWriter streams one safe write: appends land in a temp file in
-// request-sized chunks; Commit closes (forcing the data) and atomically
-// renames over the permanent file. Writers are pooled: a successful
-// Commit or an Abort retires the handle (its stream state stays closed
-// until the pool hands it to a new Create/Replace).
-type fileWriter struct {
-	s       *FileStore
-	ctx     context.Context
-	key     string
-	tmp     string
-	f       *fs.File
-	state   blob.StreamState
-	size    int64 // declared total
-	replace bool
-	apply   func() error // cached commitApply method value
-}
-
-// fileWriterPool recycles write handles across safe writes.
-var fileWriterPool = sync.Pool{New: func() any { return new(fileWriter) }}
-
-// retire returns a finished (committed or aborted) writer to the pool.
-func (w *fileWriter) retire() {
-	apply := w.apply
-	*w = fileWriter{apply: apply}
-	w.state.Close()
-	fileWriterPool.Put(w)
-}
-
-// Append implements blob.Writer.
-func (w *fileWriter) Append(n int64, data []byte) error {
-	if err := w.state.BeginAppend(w.ctx, n, data); err != nil {
 		return err
 	}
-	// Each write request reaches the allocator separately — the paper's
-	// §5.3 request granularity, now owned by the store.
-	req := w.s.opts.WriteRequestSize
+	if s.opts.SizeHint {
+		if err := f.SetSizeHint(w.size); err != nil {
+			_ = s.vol.Delete(w.tmp)
+			return err
+		}
+	}
+	f.ReservePayload(w.size)
+	w.f = f
+	return nil
+}
+
+// write hands the temp file one write request at a time — the paper's
+// §5.3 request granularity, owned by the store — taking the key's
+// stripe and mu per request, so concurrent streams interleave at the
+// allocator request by request.
+func (s *FileStore) write(w *writer, n int64, data []byte) error {
+	req := s.opts.WriteRequestSize
 	if req <= 0 {
 		req = n
 	}
@@ -374,11 +265,11 @@ func (w *fileWriter) Append(n int64, data []byte) error {
 		if data != nil {
 			chunk = data[off : off+c]
 		}
-		w.s.locks.Lock(w.key)
-		w.s.mu.Lock()
+		s.locks.Lock(w.key)
+		s.mu.Lock()
 		err := w.f.Append(c, chunk)
-		w.s.mu.Unlock()
-		w.s.locks.Unlock(w.key)
+		s.mu.Unlock()
+		s.locks.Unlock(w.key)
 		if err != nil {
 			return err
 		}
@@ -387,207 +278,121 @@ func (w *fileWriter) Append(n int64, data []byte) error {
 	return nil
 }
 
-// Write implements io.Writer over Append.
-func (w *fileWriter) Write(p []byte) (int, error) {
-	if err := w.Append(int64(len(p)), p); err != nil {
+// publish closes the temp file (forcing the data) and renames it over
+// the permanent file.
+func (s *FileStore) publish(w *writer) (int64, error) {
+	// Close performs allocation under delayed allocation — the one step
+	// that can still run out of space.
+	if err := w.f.Close(); err != nil {
 		return 0, err
 	}
-	return len(p), nil
-}
-
-// Commit implements blob.Writer: the atomic publish point. The commit
-// rides the store's group-commit pipeline — with batching enabled it
-// waits in the commit queue and shares one metadata force with the rest
-// of its batch; the error that comes back is this writer's own.
-func (w *fileWriter) Commit() error {
-	if err := w.state.BeginCommit(w.ctx); err != nil {
-		return err
-	}
-	err := w.s.committer.Do(w.apply)
-	if err == nil {
-		// Only a fully successful commit retires the handle: after a
-		// failed apply the writer stays open for Abort.
-		w.retire()
-	}
-	return err
-}
-
-// commitApply performs the publish work of one safe-write commit, with
-// the per-commit metadata forces deferred to the surrounding batch.
-func (w *fileWriter) commitApply() error {
-	w.s.locks.Lock(w.key)
-	defer w.s.locks.Unlock(w.key)
-	w.s.mu.Lock()
-	defer w.s.mu.Unlock()
-	// Close forces the data (and performs allocation under delayed
-	// allocation — the one step that can still run out of space).
-	if err := w.f.Close(); err != nil {
-		return err
-	}
-	if w.s.crashes[w.key] {
+	if s.crashes[w.key] {
 		// Armed simulated crash at the CrashAfterWrite protocol point:
 		// data forced, rename never happens. The temp file and writer
 		// claim stay behind for Recover to sweep, exactly as if the
 		// process had died here.
-		delete(w.s.crashes, w.key)
-		return fmt.Errorf("%w after write of %s", blob.ErrCrashed, w.tmp)
+		delete(s.crashes, w.key)
+		return 0, fmt.Errorf("%w after write of %s", blob.ErrCrashed, w.tmp)
 	}
-	old, hadOld := w.s.vol.Lookup(w.key)
-	var oldSize int64
-	if hadOld {
-		oldSize = old.Size()
-	}
+	var old int64
+	prev, hadOld := s.vol.Lookup(w.key)
 	// Metadata first: the row mutation is the step that can fail (meta
 	// drive full), so it happens before anything becomes visible. On a
 	// failure the writer stays open and Abort discards the temp.
+	var err error
 	if hadOld {
-		if err := w.s.meta.Update(w.key); err != nil {
-			return err
-		}
+		old = prev.Size()
+		err = s.meta.Update(w.key)
 	} else {
-		if err := w.s.meta.Insert(w.key); err != nil {
-			return err
-		}
+		err = s.meta.Insert(w.key)
+	}
+	if err != nil {
+		return 0, err
 	}
 	// Atomic commit point (ReplaceFile/rename(2) semantics). Rename of
 	// a held temp cannot legitimately fail; roll the row back if it
 	// somehow does — the synchronization burden §3.1 calls out.
-	if err := w.s.vol.Rename(w.tmp, w.key); err != nil {
+	if err := s.vol.Rename(w.tmp, w.key); err != nil {
 		if !hadOld {
-			_ = w.s.meta.Delete(w.key)
+			_ = s.meta.Delete(w.key)
 		}
-		return err
+		return 0, err
 	}
-	if hadOld {
-		w.s.liveBytes -= oldSize
-	}
-	w.s.liveBytes += w.size
-	delete(w.s.inflight, w.key)
-	w.state.Close()
-	return nil
+	return old, nil
 }
 
-// Abort implements blob.Writer: the previous version is untouched.
-func (w *fileWriter) Abort() error {
-	if w.state.Closed() {
-		return nil
+func (s *FileStore) discard(w *writer) {
+	if _, ok := s.vol.Lookup(w.tmp); ok {
+		_ = s.vol.Delete(w.tmp)
 	}
-	w.s.locks.Lock(w.key)
-	defer w.s.locks.Unlock(w.key)
-	w.s.mu.Lock()
-	defer w.s.mu.Unlock()
-	if _, ok := w.s.vol.Lookup(w.tmp); ok {
-		_ = w.s.vol.Delete(w.tmp)
-	}
-	delete(w.s.inflight, w.key)
-	w.state.Close()
-	w.retire()
-	return nil
 }
 
-// Delete implements blob.Store.
-func (s *FileStore) Delete(ctx context.Context, key string) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	s.locks.Lock(key)
-	defer s.locks.Unlock(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
+func (s *FileStore) remove(key string) (int64, error) {
 	f, ok := s.vol.Lookup(key)
 	if !ok {
-		return fmt.Errorf("%w: %s", blob.ErrNotFound, key)
+		return 0, fmt.Errorf("%w: %s", blob.ErrNotFound, key)
 	}
 	size := f.Size()
 	if err := s.vol.Delete(key); err != nil {
-		return err
+		return 0, err
 	}
-	if err := s.meta.Delete(key); err != nil {
-		return err
-	}
-	s.liveBytes -= size
-	return nil
+	return size, s.meta.Delete(key)
 }
 
-// Stat implements blob.Store.
-func (s *FileStore) Stat(ctx context.Context, key string) (blob.Info, error) {
-	if err := ctx.Err(); err != nil {
-		return blob.Info{}, err
+// compact moves key's file into contiguous space; 0 bytes when it is
+// already contiguous, packed, or could not be placed.
+func (s *FileStore) compact(key string) (int64, error) {
+	if _, ok := s.vol.Lookup(key); !ok || s.inflightTemp(key) {
+		return 0, fmt.Errorf("%w: %s", blob.ErrNotFound, key)
 	}
-	s.locks.RLock(key)
-	defer s.locks.RUnlock(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f, ok := s.vol.Lookup(key)
+	n, ok := s.vol.CompactFile(key)
 	if !ok {
-		return blob.Info{}, fmt.Errorf("%w: %s", blob.ErrNotFound, key)
+		return 0, nil
 	}
-	return blob.Info{Key: key, Size: f.Size(), Version: uint64(f.Tag())}, nil
+	// The relocation is a row update in the metadata database — the
+	// isolation from physical location the paper's design buys.
+	if err := s.meta.Update(key); err != nil {
+		return 0, err
+	}
+	return n, nil
 }
 
-// Keys implements blob.Store.
-func (s *FileStore) Keys() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	names := s.vol.Names()
-	out := names[:0]
-	for _, n := range names {
-		if !s.inflightTemp(n) {
-			out = append(out, n)
+// beginGroup opens a batch on both engines: the volume defers MFT
+// writes and its log flush, the metadata database defers log forces.
+func (s *FileStore) beginGroup() {
+	s.vol.BeginBatch()
+	s.metaDB.BeginGroup()
+}
+
+// endGroup issues the group force: coalesced MFT writes plus at most
+// one volume log flush, and one metadata-database log write.
+func (s *FileStore) endGroup() {
+	s.vol.EndBatch()
+	s.metaDB.EndGroup()
+}
+
+func (s *FileStore) free() int64 { return s.vol.FreeBytes() }
+
+// eachFile visits every committed file, skipping in-flight temps.
+func (s *FileStore) eachFile(fn func(f *fs.File)) {
+	s.vol.EachFile(func(f *fs.File) {
+		if !s.inflightTemp(f.Name()) {
+			fn(f)
 		}
-	}
+	})
+}
+
+func (s *FileStore) keys() (out []string) {
+	s.eachFile(func(f *fs.File) { out = append(out, f.Name()) })
 	return out
 }
 
-// inflightTemp reports whether name is the temp file of an uncommitted
-// writer (callers hold s.mu).
-func (s *FileStore) inflightTemp(name string) bool {
-	if len(name) <= len(fs.TempSuffix) || name[len(name)-len(fs.TempSuffix):] != fs.TempSuffix {
-		return false
-	}
-	return s.inflight[name[:len(name)-len(fs.TempSuffix)]]
+func (s *FileStore) eachRuns(fn func(key string, bytes int64, runs []extent.Run)) {
+	s.eachFile(func(f *fs.File) { fn(f.Name(), f.Size(), f.Runs()) })
 }
 
-// ObjectCount implements blob.Store.
-func (s *FileStore) ObjectCount() int { return len(s.Keys()) }
-
-// LiveBytes implements blob.Store.
-func (s *FileStore) LiveBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.liveBytes
-}
-
-// FreeBytes implements blob.Store.
-func (s *FileStore) FreeBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.vol.FreeBytes()
-}
-
-// CapacityBytes implements blob.Store.
-func (s *FileStore) CapacityBytes() int64 { return s.vol.CapacityBytes() }
-
-// EachObjectRuns implements frag.Source.
-func (s *FileStore) EachObjectRuns(fn func(key string, bytes int64, runs []extent.Run)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.vol.EachFile(func(f *fs.File) {
-		if !s.inflightTemp(f.Name()) {
-			fn(f.Name(), f.Size(), f.Runs())
-		}
-	})
-}
-
-// EachObjectTag implements frag.TagSource.
-func (s *FileStore) EachObjectTag(fn func(key string, tag uint32)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.vol.EachFile(func(f *fs.File) {
-		if !s.inflightTemp(f.Name()) {
-			fn(f.Name(), f.Tag())
-		}
-	})
+func (s *FileStore) eachTag(fn func(key string, tag uint32)) {
+	s.eachFile(func(f *fs.File) { fn(f.Name(), f.Tag()) })
 }
 
 var _ blob.Store = (*FileStore)(nil)
