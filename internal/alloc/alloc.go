@@ -6,8 +6,8 @@
 //
 // Following the paper's borrowing from the malloc literature (Wilson et
 // al.), the package separates *policies* (which free run to pick) from the
-// *mechanism* (the offset- and size-indexed free-run trees in package
-// extent).
+// *mechanism* (package extent's free-run index: runs in offset order,
+// summarised by the longest run in each bucket).
 //
 // All policies allocate in clusters and may return multiple runs when a
 // request cannot be satisfied contiguously — that is exactly the file

@@ -2,10 +2,12 @@ package alloc
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/extent"
+	"repro/internal/units"
 )
 
 func total(runs []extent.Run) int64 { return extent.SumLen(runs) }
@@ -308,5 +310,78 @@ func TestQuickPolicyConservation(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunCacheAllocationBudget pins what the free-space index costs the
+// host per replace on an aged 8 GB volume: no allocation. Objects of
+// 256 KB–1 MB are written in 64 KB appends, each a tail-extending
+// AllocAppendScratch, into run lists the caller owns and reuses; the old
+// version is freed after the new one is written, and the log commits every
+// 8 replaces.
+func TestRunCacheAllocationBudget(t *testing.T) {
+	const (
+		cluster = 4 * units.KB
+		request = 64 * units.KB / cluster
+		objects = 12000 // about 92 % of the volume
+	)
+	rc := NewRunCache(8*units.GB/cluster, 0)
+	rng := rand.New(rand.NewSource(1))
+	write := func(dst []extent.Run) []extent.Run {
+		dst = dst[:0]
+		tail := int64(-1)
+		for n := (256 + rng.Int63n(769)) * units.KB / cluster; n > 0; n -= request {
+			runs, err := rc.AllocAppendScratch(min(n, request), tail)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range runs {
+				if k := len(dst); k > 0 && dst[k-1].End() == r.Start {
+					dst[k-1].Len += r.Len
+				} else {
+					dst = append(dst, r)
+				}
+			}
+			tail = dst[len(dst)-1].End() - 1
+		}
+		return dst
+	}
+	objs := make([][]extent.Run, objects)
+	for i := range objs {
+		objs[i] = write(make([]extent.Run, 0, 64))
+	}
+	spare := make([]extent.Run, 0, 64)
+	frags, replaces := 0, 0
+	replace := func() {
+		i := rng.Intn(objects)
+		spare = write(spare)
+		for _, r := range objs[i] {
+			rc.Free(r)
+		}
+		objs[i], spare = spare, objs[i]
+		frags += len(objs[i])
+		if replaces++; replaces%8 == 0 {
+			rc.CommitLog()
+		}
+	}
+	for i := 0; i < 6*objects; i++ { // age the volume; grow the run lists
+		replace()
+	}
+	const runs = 2000
+	frags = 0
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		replace()
+	}
+	runtime.ReadMemStats(&after)
+	allocs := float64(after.Mallocs-before.Mallocs) / runs
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("%.3f allocations, %.1f bytes per replace at %.1f fragments/object, %d free runs", allocs, bytes, float64(frags)/runs, rc.RunCount())
+	if float64(frags)/runs < 4 || rc.RunCount() < 500 {
+		t.Fatalf("volume not aged: %.1f fragments/object, %d free runs", float64(frags)/runs, rc.RunCount())
+	}
+	if allocs > 0.01 {
+		t.Errorf("a replace allocates %.3f objects (%.1f bytes); want none", allocs, bytes)
 	}
 }

@@ -183,8 +183,4 @@ func (rc *RunCache) LargestRun() (extent.Run, bool) { return rc.idx.LargestRun()
 // RunCount reports the number of cached free runs.
 func (rc *RunCache) RunCount() int { return rc.idx.RunCount() }
 
-// Index exposes the underlying free index for layout tooling. Callers must
-// not mutate it directly.
-func (rc *RunCache) Index() *extent.FreeIndex { return rc.idx }
-
 var _ Policy = (*RunCache)(nil)

@@ -1,11 +1,12 @@
 // Package btree implements a generic in-memory B-tree ordered map.
 //
-// It backs the free-extent indexes in package extent and the row and BLOB
-// trees in the database engine. The implementation is a classic B-tree with
-// configurable degree: every node except the root holds between degree-1 and
-// 2*degree-1 keys, and splits/merges keep the tree balanced. Keys are
-// ordered by a user-supplied comparison function so composite keys (such as
-// the (size, offset) pairs used by best-fit allocation) need no boxing.
+// No product package uses it: the extent free-space index and the database
+// engine each keep their own structures. Its one consumer is the benchmark's
+// btree.ns_per_op ladder rung, and the package goes when that rung does. The
+// implementation is a classic B-tree with configurable degree: every node
+// except the root holds between degree-1 and 2*degree-1 keys, and
+// splits/merges keep the tree balanced. Keys are ordered by a user-supplied
+// comparison function so composite keys need no boxing.
 package btree
 
 // Less reports whether a orders before b. It must define a strict weak

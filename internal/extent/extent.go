@@ -1,20 +1,25 @@
 // Package extent defines the contiguous-run abstraction used throughout the
-// storage stack and a free-space index with the two orderings every
-// allocation policy in the paper's discussion needs:
+// storage stack and the free-space index every allocation policy in the
+// paper's discussion runs on.
 //
-//   - by volume offset, with automatic neighbour coalescing on free — the
-//     structure a filesystem bitmap or run list provides, and
-//   - by (length, offset) — the structure behind best-fit, worst-fit and the
-//     NTFS run cache's "runs of contiguous free clusters ordered in
-//     decreasing size" (paper §2).
+// FreeIndex keeps a volume's free runs in offset order and coalesces
+// neighbours on free — the structure a filesystem bitmap or run list
+// provides. The runs sit in buckets of consecutive runs, and each bucket
+// knows its longest run, so the questions the policies ask are answered
+// from that summary rather than by a walk over every run: the lowest-offset
+// run that holds n clusters (first fit, and the NTFS run cache's
+// whole-request lookup), the largest run (worst fit, and the run cache's
+// fragmenting path over "runs of contiguous free clusters ordered in
+// decreasing size", paper §2), and the smallest sufficient run (best fit).
 //
 // All quantities are in clusters; the disk layer converts bytes to clusters.
 package extent
 
 import (
 	"fmt"
-
-	"repro/internal/btree"
+	"math"
+	"slices"
+	"sort"
 )
 
 // Run is a contiguous range of clusters [Start, Start+Len).
@@ -46,64 +51,49 @@ func SumLen(runs []Run) int64 {
 	return n
 }
 
-// sizeKey orders runs by length then offset so that best-fit (Ceiling) and
-// largest-first (Descend) are both single tree operations.
-type sizeKey struct {
-	len   int64
-	start int64
+// bucketSize is half a bucket's capacity: a bucket that grows past
+// 2*bucketSize runs splits into two, and a bucket that empties is dropped.
+const bucketSize = 64
+
+// bucket holds consecutive free runs in offset order and the length of the
+// longest of them.
+type bucket struct {
+	runs []Run
+	max  int64
 }
 
-// FreeIndex tracks the free runs of a volume. It maintains both orderings
-// and coalesces adjacent runs on Free. The zero value is not usable; create
-// one with NewFreeIndex.
+// FreeIndex tracks the free runs of a volume in offset order and coalesces
+// adjacent runs on Free. Taking part of a run, extending at a tail and
+// coalescing all shrink or grow a run in place. Create one with
+// NewFreeIndex.
 type FreeIndex struct {
-	byOffset *btree.Map[int64, int64]      // start -> len
-	bySize   *btree.Map[sizeKey, struct{}] // (len,start) -> {}
-	free     int64                         // total free clusters
+	buckets []bucket // in offset order, each holding 1..2*bucketSize runs
+	free    int64    // total free clusters
 }
 
 // NewFreeIndex returns an empty index.
-func NewFreeIndex() *FreeIndex {
-	return &FreeIndex{
-		byOffset: btree.New[int64, int64](func(a, b int64) bool { return a < b }),
-		bySize: btree.New[sizeKey, struct{}](func(a, b sizeKey) bool {
-			if a.len != b.len {
-				return a.len < b.len
-			}
-			return a.start < b.start
-		}),
-	}
-}
+func NewFreeIndex() *FreeIndex { return &FreeIndex{} }
 
 // FreeClusters returns the total number of free clusters tracked.
 func (f *FreeIndex) FreeClusters() int64 { return f.free }
 
 // RunCount returns the number of distinct free runs.
-func (f *FreeIndex) RunCount() int { return f.byOffset.Len() }
+func (f *FreeIndex) RunCount() int {
+	n := 0
+	for _, b := range f.buckets {
+		n += len(b.runs)
+	}
+	return n
+}
 
-// LargestRun returns the largest free run, or ok=false when empty.
+// LargestRun returns the largest free run (ties to the highest offset), or
+// ok=false when empty.
 func (f *FreeIndex) LargestRun() (Run, bool) {
-	k, _, ok := f.bySize.Max()
+	bi, ri, ok := f.largest()
 	if !ok {
 		return Run{}, false
 	}
-	return Run{Start: k.start, Len: k.len}, true
-}
-
-func (f *FreeIndex) insert(r Run) {
-	f.byOffset.Put(r.Start, r.Len)
-	f.bySize.Put(sizeKey{r.Len, r.Start}, struct{}{})
-	f.free += r.Len
-}
-
-func (f *FreeIndex) remove(r Run) {
-	if !f.byOffset.Delete(r.Start) {
-		panic(fmt.Sprintf("extent: remove of untracked run %v", r))
-	}
-	if !f.bySize.Delete(sizeKey{r.Len, r.Start}) {
-		panic(fmt.Sprintf("extent: size index missing run %v", r))
-	}
-	f.free -= r.Len
+	return f.at(bi, ri), true
 }
 
 // Free returns run r to the index, coalescing with adjacent free runs.
@@ -112,29 +102,36 @@ func (f *FreeIndex) Free(r Run) {
 	if r.Len <= 0 {
 		panic(fmt.Sprintf("extent: Free of empty run %v", r))
 	}
-	// Check and absorb the predecessor.
-	if ps, pl, ok := f.byOffset.Floor(r.Start); ok {
-		prev := Run{Start: ps, Len: pl}
-		if prev.Overlaps(r) {
+	bi, ri, hasPrev := f.floor(r.Start)
+	var prev, next Run
+	nbi, nri := 0, 0
+	if hasPrev {
+		if prev = f.at(bi, ri); prev.Overlaps(r) {
 			panic(fmt.Sprintf("extent: double free: %v overlaps free %v", r, prev))
 		}
-		if prev.End() == r.Start {
-			f.remove(prev)
-			r = Run{Start: prev.Start, Len: prev.Len + r.Len}
-		}
+		nbi, nri = f.next(bi, ri)
 	}
-	// Check and absorb the successor.
-	if ns, nl, ok := f.byOffset.Ceiling(r.Start + 1); ok {
-		next := Run{Start: ns, Len: nl}
-		if next.Overlaps(r) {
+	hasNext := nbi < len(f.buckets)
+	if hasNext {
+		if next = f.at(nbi, nri); next.Overlaps(r) {
 			panic(fmt.Sprintf("extent: double free: %v overlaps free %v", r, next))
 		}
-		if r.End() == next.Start {
-			f.remove(next)
-			r = Run{Start: r.Start, Len: r.Len + next.Len}
-		}
 	}
-	f.insert(r)
+	joinPrev := hasPrev && prev.End() == r.Start
+	joinNext := hasNext && r.End() == next.Start
+	switch {
+	case joinPrev && joinNext:
+		f.remove(nbi, nri)
+		f.set(bi, ri, Run{Start: prev.Start, Len: prev.Len + r.Len + next.Len})
+	case joinPrev:
+		f.set(bi, ri, Run{Start: prev.Start, Len: prev.Len + r.Len})
+	case joinNext:
+		f.set(nbi, nri, Run{Start: r.Start, Len: r.Len + next.Len})
+	case hasPrev:
+		f.insert(bi, ri+1, r)
+	default:
+		f.insert(0, 0, r)
+	}
 }
 
 // Reserve removes the specific run r from the free index, splitting a
@@ -143,123 +140,86 @@ func (f *FreeIndex) Reserve(r Run) bool {
 	if r.Len <= 0 {
 		return false
 	}
-	s, l, ok := f.byOffset.Floor(r.Start)
-	if !ok {
+	bi, ri, ok := f.floor(r.Start)
+	if !ok || r.End() > f.at(bi, ri).End() {
 		return false
 	}
-	host := Run{Start: s, Len: l}
-	if r.Start < host.Start || r.End() > host.End() {
-		return false
-	}
-	f.remove(host)
-	if host.Start < r.Start {
-		f.insert(Run{Start: host.Start, Len: r.Start - host.Start})
-	}
-	if r.End() < host.End() {
-		f.insert(Run{Start: r.End(), Len: host.End() - r.End()})
-	}
+	f.carve(bi, ri, r)
 	return true
 }
 
 // IsFree reports whether the entire run r is currently free.
 func (f *FreeIndex) IsFree(r Run) bool {
-	s, l, ok := f.byOffset.Floor(r.Start)
-	if !ok {
-		return false
-	}
-	host := Run{Start: s, Len: l}
-	return r.Start >= host.Start && r.End() <= host.End()
+	bi, ri, ok := f.floor(r.Start)
+	return ok && r.End() <= f.at(bi, ri).End()
 }
 
 // TakeFirstFit removes and returns the lowest-offset free run of at least n
 // clusters, trimmed to exactly n. ok=false if no run is large enough.
 func (f *FreeIndex) TakeFirstFit(n int64) (Run, bool) {
-	var got Run
-	found := false
-	f.byOffset.Ascend(func(start, length int64) bool {
-		if length >= n {
-			got = Run{Start: start, Len: length}
-			found = true
-			return false
-		}
-		return true
-	})
-	if !found {
-		return Run{}, false
-	}
-	f.takePrefix(got, n)
-	return Run{Start: got.Start, Len: n}, true
+	return f.TakeFirstFitBelow(n, math.MaxInt64)
 }
 
 // TakeFirstFitBelow removes and returns the lowest-offset free run of at
 // least n clusters that starts below limit, trimmed to exactly n.
 func (f *FreeIndex) TakeFirstFitBelow(n, limit int64) (Run, bool) {
-	var got Run
-	found := false
-	f.byOffset.Ascend(func(start, length int64) bool {
-		if start >= limit {
-			return false
-		}
-		if length >= n {
-			got = Run{Start: start, Len: length}
-			found = true
-			return false
-		}
-		return true
-	})
-	if !found {
+	bi, ri, ok := f.firstFit(n, limit, 0, 0)
+	if !ok {
 		return Run{}, false
 	}
-	f.takePrefix(got, n)
-	return Run{Start: got.Start, Len: n}, true
+	return f.take(bi, ri, n), true
 }
 
 // TakeBestFit removes and returns the smallest free run of at least n
 // clusters (ties to lowest offset), trimmed to exactly n.
 func (f *FreeIndex) TakeBestFit(n int64) (Run, bool) {
-	k, _, ok := f.bySize.Ceiling(sizeKey{len: n, start: -1 << 62})
-	if !ok {
+	bi, ri := -1, -1
+	best := int64(math.MaxInt64)
+scan:
+	for i := range f.buckets {
+		if f.buckets[i].max < n {
+			continue
+		}
+		for j, r := range f.buckets[i].runs {
+			if r.Len >= n && r.Len < best {
+				bi, ri, best = i, j, r.Len
+				if best == n {
+					break scan
+				}
+			}
+		}
+	}
+	if bi < 0 {
 		return Run{}, false
 	}
-	got := Run{Start: k.start, Len: k.len}
-	f.takePrefix(got, n)
-	return Run{Start: got.Start, Len: n}, true
+	return f.take(bi, ri, n), true
 }
 
 // TakeWorstFit removes and returns the prefix of the largest free run,
 // trimmed to exactly n clusters.
 func (f *FreeIndex) TakeWorstFit(n int64) (Run, bool) {
-	k, _, ok := f.bySize.Max()
-	if !ok || k.len < n {
+	bi, ri, ok := f.largest()
+	if !ok || f.at(bi, ri).Len < n {
 		return Run{}, false
 	}
-	got := Run{Start: k.start, Len: k.len}
-	f.takePrefix(got, n)
-	return Run{Start: got.Start, Len: n}, true
+	return f.take(bi, ri, n), true
 }
 
 // TakeNextFit behaves like first fit but starts scanning at cursor,
 // wrapping around. It returns the new cursor (end of the allocation).
 func (f *FreeIndex) TakeNextFit(n, cursor int64) (Run, int64, bool) {
-	var got Run
-	found := false
-	scan := func(start, length int64) bool {
-		if length >= n {
-			got = Run{Start: start, Len: length}
-			found = true
-			return false
+	bi, ri := 0, 0
+	if pb, pr, ok := f.floor(cursor - 1); ok {
+		bi, ri = f.next(pb, pr)
+	}
+	bi, ri, ok := f.firstFit(n, math.MaxInt64, bi, ri)
+	if !ok {
+		// Wrap: the runs from the cursor on have already failed.
+		if bi, ri, ok = f.firstFit(n, cursor, 0, 0); !ok {
+			return Run{}, cursor, false
 		}
-		return true
 	}
-	f.byOffset.AscendFrom(cursor, scan)
-	if !found {
-		f.byOffset.Ascend(scan)
-	}
-	if !found {
-		return Run{}, cursor, false
-	}
-	f.takePrefix(got, n)
-	r := Run{Start: got.Start, Len: n}
+	r := f.take(bi, ri, n)
 	return r, r.End(), true
 }
 
@@ -267,14 +227,11 @@ func (f *FreeIndex) TakeNextFit(n, cursor int64) (Run, int64, bool) {
 // length min(n, run length). Used by allocators that accept fragmentation:
 // callers loop until they have n clusters total.
 func (f *FreeIndex) TakeUpTo(n int64) (Run, bool) {
-	k, _, ok := f.bySize.Max()
+	bi, ri, ok := f.largest()
 	if !ok {
 		return Run{}, false
 	}
-	got := Run{Start: k.start, Len: k.len}
-	take := min(n, got.Len)
-	f.takePrefix(got, take)
-	return Run{Start: got.Start, Len: take}, true
+	return f.take(bi, ri, min(n, f.at(bi, ri).Len)), true
 }
 
 // TakeAt attempts to reserve exactly n clusters starting at cluster start.
@@ -290,83 +247,202 @@ func (f *FreeIndex) TakeAt(start, n int64) (Run, bool) {
 // ExtendAt reserves as many clusters as are free at start, up to n.
 // Returns ok=false if even one cluster at start is unavailable.
 func (f *FreeIndex) ExtendAt(start, n int64) (Run, bool) {
-	s, l, ok := f.byOffset.Floor(start)
-	if !ok {
+	bi, ri, ok := f.floor(start)
+	if !ok || !f.at(bi, ri).Contains(start) {
 		return Run{}, false
 	}
-	host := Run{Start: s, Len: l}
-	if !host.Contains(start) {
-		return Run{}, false
+	r := Run{Start: start, Len: min(n, f.at(bi, ri).End()-start)}
+	if r.Len <= 0 {
+		panic(fmt.Sprintf("extent: ExtendAt(%d, %d)", start, n))
 	}
-	avail := host.End() - start
-	take := min(n, avail)
-	r := Run{Start: start, Len: take}
-	if !f.Reserve(r) {
-		panic("extent: ExtendAt reserve failed after check")
-	}
+	f.carve(bi, ri, r)
 	return r, true
-}
-
-// takePrefix removes the first n clusters of tracked run got.
-func (f *FreeIndex) takePrefix(got Run, n int64) {
-	if n > got.Len {
-		panic(fmt.Sprintf("extent: takePrefix %d from %v", n, got))
-	}
-	f.remove(got)
-	if n < got.Len {
-		f.insert(Run{Start: got.Start + n, Len: got.Len - n})
-	}
 }
 
 // Runs returns all free runs in offset order. Intended for tools and tests.
 func (f *FreeIndex) Runs() []Run {
-	out := make([]Run, 0, f.byOffset.Len())
-	f.byOffset.Ascend(func(s, l int64) bool {
-		out = append(out, Run{Start: s, Len: l})
-		return true
-	})
+	out := make([]Run, 0, f.RunCount())
+	for _, b := range f.buckets {
+		out = append(out, b.runs...)
+	}
 	return out
 }
 
-// AscendSizeDesc visits free runs from largest to smallest (ties by higher
-// offset first, matching NTFS's "decreasing size and volume offset" cache
-// order) until fn returns false.
-func (f *FreeIndex) AscendSizeDesc(fn func(Run) bool) {
-	f.bySize.Descend(func(k sizeKey, _ struct{}) bool {
-		return fn(Run{Start: k.start, Len: k.len})
-	})
-}
-
-// CheckInvariants panics if the two indexes disagree, runs overlap, or
-// adjacent runs were left uncoalesced. Intended for tests.
+// CheckInvariants panics if runs are out of order, overlap or were left
+// uncoalesced, if a bucket's size or longest-run summary is wrong, or if
+// the free count disagrees with the runs. Intended for tests.
 func (f *FreeIndex) CheckInvariants() {
-	if f.byOffset.Len() != f.bySize.Len() {
-		panic("extent: index length mismatch")
+	var prev Run
+	count, total := 0, int64(0)
+	for i, b := range f.buckets {
+		if len(b.runs) == 0 || len(b.runs) > 2*bucketSize {
+			panic(fmt.Sprintf("extent: bucket %d holds %d runs, want 1..%d", i, len(b.runs), 2*bucketSize))
+		}
+		if m := maxLen(b.runs); m != b.max {
+			panic(fmt.Sprintf("extent: bucket %d records max %d, its longest run is %d", i, b.max, m))
+		}
+		for _, r := range b.runs {
+			if r.Len <= 0 {
+				panic(fmt.Sprintf("extent: empty run %v in index", r))
+			}
+			if count > 0 && r.Start < prev.End() {
+				panic(fmt.Sprintf("extent: overlapping or unordered free runs %v %v", prev, r))
+			}
+			if count > 0 && r.Start == prev.End() {
+				panic(fmt.Sprintf("extent: uncoalesced free runs %v %v", prev, r))
+			}
+			prev = r
+			count++
+			total += r.Len
+		}
 	}
-	var prev *Run
-	var total int64
-	f.byOffset.Ascend(func(s, l int64) bool {
-		r := Run{Start: s, Len: l}
-		if l <= 0 {
-			panic(fmt.Sprintf("extent: empty run %v in index", r))
-		}
-		if _, ok := f.bySize.Get(sizeKey{l, s}); !ok {
-			panic(fmt.Sprintf("extent: run %v missing from size index", r))
-		}
-		if prev != nil {
-			if prev.Overlaps(r) {
-				panic(fmt.Sprintf("extent: overlapping free runs %v %v", *prev, r))
-			}
-			if prev.End() == r.Start {
-				panic(fmt.Sprintf("extent: uncoalesced free runs %v %v", *prev, r))
-			}
-		}
-		rr := r
-		prev = &rr
-		total += l
-		return true
-	})
 	if total != f.free {
 		panic(fmt.Sprintf("extent: free count %d != sum %d", f.free, total))
 	}
+}
+
+// A position (bi, ri) names run ri of bucket bi; bi == len(f.buckets) is
+// past the last run.
+
+func (f *FreeIndex) at(bi, ri int) Run { return f.buckets[bi].runs[ri] }
+
+// floor returns the position of the last run starting at or before c;
+// ok=false when every run starts after c.
+func (f *FreeIndex) floor(c int64) (bi, ri int, ok bool) {
+	bi = sort.Search(len(f.buckets), func(i int) bool { return f.buckets[i].runs[0].Start > c }) - 1
+	if bi < 0 {
+		return 0, 0, false
+	}
+	runs := f.buckets[bi].runs
+	return bi, sort.Search(len(runs), func(i int) bool { return runs[i].Start > c }) - 1, true
+}
+
+// next returns the position after (bi, ri).
+func (f *FreeIndex) next(bi, ri int) (int, int) {
+	if ri+1 < len(f.buckets[bi].runs) {
+		return bi, ri + 1
+	}
+	return bi + 1, 0
+}
+
+// firstFit returns the position of the first run at or after (bi, ri) that
+// holds n clusters and starts below limit. It skips every bucket whose
+// longest run is shorter than n and scans only the bucket that has one.
+func (f *FreeIndex) firstFit(n, limit int64, bi, ri int) (int, int, bool) {
+	for ; bi < len(f.buckets) && f.buckets[bi].runs[0].Start < limit; bi, ri = bi+1, 0 {
+		b := &f.buckets[bi]
+		if b.max < n {
+			continue
+		}
+		for ; ri < len(b.runs) && b.runs[ri].Start < limit; ri++ {
+			if b.runs[ri].Len >= n {
+				return bi, ri, true
+			}
+		}
+	}
+	return 0, 0, false
+}
+
+// largest returns the position of the largest run, ties to the highest
+// offset; ok=false when the index is empty.
+func (f *FreeIndex) largest() (bi, ri int, ok bool) {
+	if len(f.buckets) == 0 {
+		return 0, 0, false
+	}
+	for i := range f.buckets {
+		if f.buckets[i].max >= f.buckets[bi].max {
+			bi = i
+		}
+	}
+	b := &f.buckets[bi]
+	ri = len(b.runs) - 1
+	for b.runs[ri].Len != b.max {
+		ri--
+	}
+	return bi, ri, true
+}
+
+// take removes the first n clusters of the run at (bi, ri) and returns
+// them.
+func (f *FreeIndex) take(bi, ri int, n int64) Run {
+	r := Run{Start: f.at(bi, ri).Start, Len: n}
+	f.carve(bi, ri, r)
+	return r
+}
+
+// carve removes r from the run at (bi, ri), which contains it. The run
+// shrinks in place; only a cut from its middle inserts a second run.
+func (f *FreeIndex) carve(bi, ri int, r Run) {
+	host := f.at(bi, ri)
+	switch {
+	case r == host:
+		f.remove(bi, ri)
+	case r.Start == host.Start:
+		f.set(bi, ri, Run{Start: r.End(), Len: host.End() - r.End()})
+	default:
+		f.set(bi, ri, Run{Start: host.Start, Len: r.Start - host.Start})
+		if r.End() < host.End() {
+			f.insert(bi, ri+1, Run{Start: r.End(), Len: host.End() - r.End()})
+		}
+	}
+}
+
+// set replaces the run at (bi, ri) with r, which keeps the offset order.
+func (f *FreeIndex) set(bi, ri int, r Run) {
+	b := &f.buckets[bi]
+	old := b.runs[ri]
+	b.runs[ri] = r
+	f.free += r.Len - old.Len
+	if r.Len >= b.max {
+		b.max = r.Len
+	} else if old.Len == b.max {
+		b.max = maxLen(b.runs)
+	}
+}
+
+// insert places r before position ri of bucket bi, splitting the bucket
+// when it outgrows 2*bucketSize runs.
+func (f *FreeIndex) insert(bi, ri int, r Run) {
+	f.free += r.Len
+	if len(f.buckets) == 0 {
+		f.buckets = append(f.buckets, bucket{runs: newRuns(r), max: r.Len})
+		return
+	}
+	b := &f.buckets[bi]
+	b.runs = slices.Insert(b.runs, ri, r)
+	b.max = max(b.max, r.Len)
+	if len(b.runs) > 2*bucketSize {
+		hi := bucket{runs: newRuns(b.runs[bucketSize:]...)}
+		b.runs = b.runs[:bucketSize]
+		b.max, hi.max = maxLen(b.runs), maxLen(hi.runs)
+		f.buckets = slices.Insert(f.buckets, bi+1, hi)
+	}
+}
+
+// remove deletes the run at (bi, ri), dropping its bucket if it empties.
+func (f *FreeIndex) remove(bi, ri int) {
+	b := &f.buckets[bi]
+	old := b.runs[ri]
+	b.runs = slices.Delete(b.runs, ri, ri+1)
+	f.free -= old.Len
+	switch {
+	case len(b.runs) == 0:
+		f.buckets = slices.Delete(f.buckets, bi, bi+1)
+	case old.Len == b.max:
+		b.max = maxLen(b.runs)
+	}
+}
+
+// newRuns returns a bucket's run slice holding runs, with room to grow to
+// the size at which it splits.
+func newRuns(runs ...Run) []Run {
+	return append(make([]Run, 0, 2*bucketSize+1), runs...)
+}
+
+func maxLen(runs []Run) int64 {
+	var m int64
+	for _, r := range runs {
+		m = max(m, r.Len)
+	}
+	return m
 }

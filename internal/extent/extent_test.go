@@ -178,21 +178,6 @@ func TestReserve(t *testing.T) {
 	f.CheckInvariants()
 }
 
-func TestAscendSizeDesc(t *testing.T) {
-	f := NewFreeIndex()
-	f.Free(Run{Start: 0, Len: 5})
-	f.Free(Run{Start: 10, Len: 20})
-	f.Free(Run{Start: 40, Len: 10})
-	var lens []int64
-	f.AscendSizeDesc(func(r Run) bool { lens = append(lens, r.Len); return true })
-	want := []int64{20, 10, 5}
-	for i := range want {
-		if lens[i] != want[i] {
-			t.Fatalf("size order %v, want %v", lens, want)
-		}
-	}
-}
-
 // Property: random alloc/free cycles conserve clusters exactly and never
 // produce overlapping or uncoalesced free runs.
 func TestQuickConservation(t *testing.T) {
