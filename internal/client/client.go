@@ -7,7 +7,7 @@
 // though every operation is one plain request and the server holds no
 // state for a handle.
 //
-// Three mechanisms carry the contract across:
+// Four mechanisms carry the contract across:
 //
 //   - Errors travel by name. Every failure response names its sentinel
 //     (wire.HeaderError); the client resolves it with blob.Sentinel and
@@ -34,6 +34,14 @@
 //     object is large (a metadata-only stream keeps only a count), and
 //     lands on the server as a whole-buffer write would.
 //
+//   - Requests travel on the caller's goroutine, one keep-alive HTTP/1.1
+//     connection per request in flight: the whole body is written before
+//     the response is read, and closing the response body returns the
+//     connection to the Store's idle list. A failure on a reused
+//     connection is retried once on a fresh one only where that cannot
+//     apply the request twice. A canceled context sets a past deadline on
+//     the connection, which is then closed.
+//
 // Writer exclusivity has two scopes. Within one Store, a key with an
 // open writer refuses a second with ErrBusy, as a local store does.
 // Across Stores it is the PUT's: the server locks a key only while a
@@ -45,18 +53,23 @@
 package client
 
 import (
+	"bufio"
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"net"
 	"net/http"
 	"net/url"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/blob"
 	"repro/internal/extent"
@@ -68,20 +81,30 @@ import (
 // Safe for concurrent use. Close releases idle connections.
 type Store struct {
 	base    string // service base URL, no trailing slash
-	hc      *http.Client
+	addr    string // host:port to dial
 	name    string
 	clock   *vclock.Clock
-	mu      sync.Mutex      // serializes clock ratcheting (advance-by-delta must not interleave) and guards writing
+	mu      sync.Mutex      // serializes clock ratcheting (advance-by-delta must not interleave) and guards writing, idle and closed
 	writing map[string]bool // keys with an open writer on this Store
+	idle    []*conn         // keep-alive connections no request holds
+	closed  bool            // Close was called: connections are not kept
 }
 
 // Dial connects to a network blob service and verifies it is alive
 // (one stats round trip, which also seeds the local virtual clock and
-// the store's reported name).
+// the store's reported name). The wire is plain HTTP/1.1, so baseURL
+// must be an http:// URL; anything else is blob.ErrBadOption.
 func Dial(baseURL string) (*Store, error) {
+	u, err := url.Parse(baseURL)
+	if err != nil || u.Scheme != "http" || u.Host == "" {
+		return nil, fmt.Errorf("client: dial %s: %w: want an http:// base URL", baseURL, blob.ErrBadOption)
+	}
+	if u.Port() == "" {
+		u.Host += ":80"
+	}
 	s := &Store{
 		base:    strings.TrimRight(baseURL, "/"),
-		hc:      &http.Client{Transport: &http.Transport{}},
+		addr:    u.Host,
 		clock:   vclock.New(),
 		writing: make(map[string]bool),
 	}
@@ -93,9 +116,15 @@ func Dial(baseURL string) (*Store, error) {
 	return s, nil
 }
 
-// Close releases the client's idle connections.
+// Close closes the idle connections. The Store stays usable, but from
+// now on closes each connection when its request is done.
 func (s *Store) Close() error {
-	s.hc.CloseIdleConnections()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, c := range s.idle {
+		c.Close()
+	}
+	s.idle, s.closed = nil, true
 	return nil
 }
 
@@ -114,52 +143,143 @@ func (s *Store) ratchet(h http.Header) {
 	s.mu.Unlock()
 }
 
-// sliceBody is a request body that reads the caller's slice in place.
-// The transport may still be reading it when Do returns (a server can
-// answer before it has read the request) and closes every body it was
-// given once done with it; do waits on sent for those Closes.
-type sliceBody struct {
-	*bytes.Reader
-	done func() // sent.Done, once: the transport may close a body twice
+// conn is one keep-alive connection, held by one request at a time. It
+// counts the bytes written to it since the request began.
+type conn struct {
+	net.Conn
+	br   *bufio.Reader
+	bw   *bufio.Writer
+	sent int64
 }
 
-func (b sliceBody) Close() error { b.done(); return nil }
+func (c *conn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	c.sent += int64(n)
+	return n, err
+}
+
+// ReadFrom keeps the socket's own ReadFrom under the bufio.Writer, so a
+// large body is not cut into buffer-sized writes.
+func (c *conn) ReadFrom(r io.Reader) (int64, error) {
+	n, err := io.Copy(c.Conn, r)
+	c.sent += n
+	return n, err
+}
+
+// conn returns an idle connection the server has not dropped (reused),
+// or, with fresh set or none idle, a newly dialed one.
+func (s *Store) conn(ctx context.Context, fresh bool) (c *conn, reused bool, err error) {
+	s.mu.Lock()
+	for n := len(s.idle); !fresh && n > 0; n-- {
+		c, s.idle = s.idle[n-1], s.idle[:n-1]
+		if c.idleOK() {
+			s.mu.Unlock()
+			return c, true, nil
+		}
+		c.Close()
+	}
+	s.mu.Unlock()
+	nc, err := new(net.Dialer).DialContext(ctx, "tcp", s.addr)
+	if err != nil {
+		return nil, false, err
+	}
+	c = &conn{Conn: nc, br: bufio.NewReader(nc)}
+	c.bw = bufio.NewWriter(c)
+	return c, false, nil
+}
+
+// roundTrip writes req with payload as its body, then reads the response
+// head. A failure on a reused connection is retried once on a fresh one
+// if nothing was written, or for a GET or HEAD if no response byte
+// arrived. A server may answer before it has read the whole body (a
+// create of an existing key): that answer is read once the write fails,
+// and the connection is not kept.
+func (s *Store) roundTrip(ctx context.Context, req *http.Request, payload []byte) (*http.Response, error) {
+	for fresh := false; ; fresh = true {
+		c, reused, err := s.conn(ctx, fresh)
+		if err != nil {
+			return nil, err
+		}
+		stop := func() bool { return true }
+		if ctx.Done() != nil {
+			stop = context.AfterFunc(ctx, func() { c.SetDeadline(time.Unix(1, 0)) })
+		}
+		c.sent = 0
+		if len(payload) > 0 {
+			req.Body, req.ContentLength = io.NopCloser(bytes.NewReader(payload)), int64(len(payload))
+		}
+		werr := req.Write(c.bw)
+		if werr == nil {
+			werr = c.bw.Flush()
+		}
+		_, perr := c.br.Peek(1) // nil once a response byte arrived
+		resp, err := http.ReadResponse(c.br, req)
+		if err == nil {
+			resp.Body = &body{Reader: resp.Body, s: s, c: c, stop: stop, keep: werr == nil && !resp.Close}
+			return resp, nil
+		}
+		stop()
+		c.Close()
+		if fresh || !reused || ctx.Err() != nil ||
+			c.sent > 0 && (perr == nil || req.Method != http.MethodGet && req.Method != http.MethodHead) {
+			return nil, cmp.Or(werr, err)
+		}
+	}
+}
+
+// body is a response body whose Close keeps its connection for the
+// Store's next request if the body ends within 256 KB more (net/http's
+// server bounds its drain of an unread request body so), the context did
+// not fire, and the Store is not closed.
+type body struct {
+	io.Reader
+	s    *Store
+	c    *conn       // nil once closed
+	stop func() bool // unregisters the cancellation hook: false if it fired
+	keep bool        // the exchange left the connection reusable
+}
+
+func (b *body) Close() error {
+	c, s := b.c, b.s
+	if c == nil {
+		return nil
+	}
+	b.c = nil
+	_, err := io.CopyN(io.Discard, b, 256<<10+1)
+	s.mu.Lock()
+	keep := b.stop() && b.keep && err == io.EOF && c.br.Buffered() == 0 && !s.closed
+	if keep {
+		s.idle = append(s.idle, c)
+	}
+	s.mu.Unlock()
+	if !keep {
+		c.Close()
+	}
+	return nil
+}
 
 // do performs one wire call: context pre-check, request, clock
 // ratchet, and typed error mapping. hdr is request headers as name,
 // value pairs. payload, when not empty, is sent as the request body
 // without being copied and is not referenced after do returns. On
-// success the caller owns the response body. On failure the sentinel
-// named by the response (or mapped from its status) is wrapped into the
-// returned error.
+// success the caller owns the response body and must Close it. On
+// failure the sentinel named by the response (or mapped from its status)
+// is wrapped into the returned error.
 func (s *Store) do(ctx context.Context, method, path string, payload []byte, hdr ...string) (*http.Response, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	req, err := http.NewRequestWithContext(ctx, method, s.base+path, nil)
+	req, err := http.NewRequest(method, s.base+path, nil)
 	if err != nil {
 		return nil, fmt.Errorf("client: %s %s: %w", method, path, err)
 	}
 	for i := 0; i+1 < len(hdr); i += 2 {
 		req.Header.Set(hdr[i], hdr[i+1])
 	}
-	if len(payload) > 0 {
-		var sent sync.WaitGroup
-		defer sent.Wait()
-		// GetBody lets the transport replay the request on a connection
-		// the server closed while idle, as the standard body types do.
-		req.GetBody = func() (io.ReadCloser, error) {
-			sent.Add(1)
-			return sliceBody{bytes.NewReader(payload), sync.OnceFunc(sent.Done)}, nil
-		}
-		req.Body, _ = req.GetBody()
-		req.ContentLength = int64(len(payload))
-	}
-	resp, err := s.hc.Do(req)
+	resp, err := s.roundTrip(ctx, req, payload)
 	if err != nil {
-		// A canceled/expired context surfaces wrapped in *url.Error;
-		// errors.Is still resolves it, but prefer the bare context error
-		// so messages match local-store behavior.
+		// Prefer the bare context error so messages match local-store
+		// behavior.
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, cerr
 		}
@@ -190,13 +310,6 @@ func (s *Store) doJSON(ctx context.Context, method, path string, v any) error {
 	}
 	defer resp.Body.Close()
 	return json.NewDecoder(resp.Body).Decode(v)
-}
-
-// drain consumes and closes a success body the caller doesn't need,
-// keeping the connection reusable.
-func drain(resp *http.Response) {
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
 }
 
 // --- blob.Store ------------------------------------------------------
@@ -272,7 +385,7 @@ func (s *Store) Delete(ctx context.Context, key string) error {
 	if err != nil {
 		return err
 	}
-	drain(resp)
+	resp.Body.Close()
 	return nil
 }
 
@@ -288,7 +401,7 @@ func (s *Store) head(ctx context.Context, key string, hdr ...string) (blob.Info,
 	if err != nil {
 		return blob.Info{}, err
 	}
-	drain(resp)
+	resp.Body.Close()
 	size, err := strconv.ParseInt(resp.Header.Get(wire.HeaderSize), 10, 64)
 	if err != nil {
 		return blob.Info{}, fmt.Errorf("client: stat %s: bad size header: %w", key, err)
@@ -368,9 +481,10 @@ func (s *Store) Fetch(ctx context.Context, key string) (int64, []byte, error) {
 }
 
 // FetchAt reads one byte range in one round trip via an HTTP Range
-// GET, riding the server's blob.Reader.ReadAt.
+// GET, riding the server's blob.Reader.ReadAt. A range that ends past
+// the object is ErrOutOfRange, as a local ReadAt's is.
 func (s *Store) FetchAt(ctx context.Context, key string, off, length int64) ([]byte, error) {
-	if off < 0 || length < 0 {
+	if off < 0 || length < 0 || length > math.MaxInt64-off {
 		return nil, fmt.Errorf("%w: range [%d, +%d)", blob.ErrOutOfRange, off, length)
 	}
 	return s.getRange(ctx, key, off, length)
@@ -387,12 +501,11 @@ func (s *Store) get(ctx context.Context, key string, hdr ...string) (int64, []by
 	defer resp.Body.Close()
 	size, _ := strconv.ParseInt(resp.Header.Get(wire.HeaderSize), 10, 64)
 	if resp.Header.Get(wire.HeaderMeta) == "1" {
-		drain(resp)
 		return size, nil, nil
 	}
 	data, err := wire.ReadBody(resp.Body, resp.ContentLength)
 	if err != nil {
-		return 0, nil, fmt.Errorf("client: get %s: %w", key, err)
+		return 0, nil, cmp.Or(ctx.Err(), fmt.Errorf("client: get %s: %w", key, err))
 	}
 	return size, data, nil
 }
@@ -412,7 +525,11 @@ func (s *Store) getRange(ctx context.Context, key string, off, length int64, hdr
 		return nil, nil
 	}
 	hdr = append(hdr, "Range", fmt.Sprintf("bytes=%d-%d", off, off+length-1))
-	_, data, err := s.get(ctx, key, hdr...)
+	size, data, err := s.get(ctx, key, hdr...)
+	if err == nil && off+length > size {
+		// The server clamps a range that ends past the object (RFC 9110).
+		return nil, fmt.Errorf("%w: [%d, +%d) of %d-byte object", blob.ErrOutOfRange, off, length, size)
+	}
 	return data, err
 }
 
@@ -434,7 +551,7 @@ func (s *Store) Upload(ctx context.Context, key string, size int64, data []byte,
 	if err != nil {
 		return err
 	}
-	drain(resp)
+	resp.Body.Close()
 	return nil
 }
 

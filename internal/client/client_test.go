@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net/http/httptest"
 	"runtime"
 	"slices"
@@ -183,6 +184,15 @@ func TestClientOneShotPaths(t *testing.T) {
 	if string(part) != "network" {
 		t.Fatalf("fetchAt = %q, want %q", part, "network")
 	}
+	// A range that ends past the object is out of range, as a local
+	// ReadAt's is: what the server sends for [20, +100) is its clamp to
+	// the last 7 bytes, and a range whose end overflows int64 would reach
+	// it as a malformed Range it ignores, answering with every byte.
+	for _, r := range [][2]int64{{20, 100}, {10, math.MaxInt64}} {
+		if got, err := c.FetchAt(ctx, "one", r[0], r[1]); !errors.Is(err, blob.ErrOutOfRange) {
+			t.Fatalf("FetchAt(%d, %d) = %q, %v; want ErrOutOfRange", r[0], r[1], got, err)
+		}
+	}
 	// Create mode refuses to clobber; replace mode is the safe overwrite.
 	if err := c.Upload(ctx, "one", 3, []byte("new"), false); !errors.Is(err, blob.ErrAlreadyExists) {
 		t.Fatalf("create-mode upload over live key = %v, want ErrAlreadyExists", err)
@@ -308,8 +318,8 @@ func TestRemoteHandlesHoldNoServerState(t *testing.T) {
 		}
 	}
 	// With handles open and no request in flight, no goroutine runs
-	// server code: no handle reaper, nothing per handle. (Idle connection
-	// goroutines sit in net/http.) A handler may still be unwinding from
+	// server code: no handle reaper, nothing per handle. (The server's idle
+	// connection goroutines sit in net/http.) A handler may still be unwinding from
 	// the last response, so the check retries briefly.
 	for i := 0; ; i++ {
 		buf := make([]byte, 1<<20)
@@ -463,9 +473,13 @@ func TestLoneCommitDoesNotWait(t *testing.T) {
 // TestUploadBufferIsCallersAfterReturn pins the no-copy request body: the
 // caller's slice is sent as it is, and is the caller's again once the
 // call returns — also when the server answers before it has read the
-// body (create of an existing key) and the transport is still writing.
-// The caller scribbles over its buffer right after every return; under
-// -race a transport still reading it is a reported data race.
+// body (create of an existing key). The body is written on the caller's
+// goroutine before the response is read, so that early answer arrives
+// only once the write fails, after net/http's server has lingered about
+// half a second on the unread body before closing; the call then returns
+// the answer's ErrAlreadyExists. The caller scribbles over its buffer
+// right after every return; under -race anything still reading it is a
+// reported data race.
 func TestUploadBufferIsCallersAfterReturn(t *testing.T) {
 	ctx := context.Background()
 	c := serve(t, fileInner)(blob.WithCapacity(64*units.MB), blob.WithDiskMode(disk.DataMode)).(*client.Store)

@@ -6,7 +6,7 @@ import (
 	"repro/internal/leakcheck"
 )
 
-// TestMain fails the binary if any goroutine survives the tests — the
-// client spawns per-host connection goroutines and every conformance
-// subtest stands up a live listener, so a missed Close shows up here.
+// TestMain fails the binary if any goroutine survives the tests. The
+// client starts none of its own, but every conformance subtest stands up
+// a live listener, so a missed server or store Close shows up here.
 func TestMain(m *testing.M) { leakcheck.Main(m) }
