@@ -23,7 +23,7 @@ import (
 	"math/rand"
 
 	"repro/internal/blob"
-	"repro/internal/core"
+	"repro/internal/compact"
 	"repro/internal/frag"
 	"repro/internal/stack"
 	"repro/internal/units"
@@ -116,12 +116,19 @@ func main() {
 	// A month in: defragment online and weigh the cost against the win.
 	before := frag.Analyze(store).MeanFragments()
 	t0 := store.Clock().Seconds()
-	fileStore, _ := blob.As[*core.FileStore](store)
-	repDefrag := fileStore.Volume().CompactPass(0)
+	defrag, err := compact.New(store, 1)
+	if err != nil {
+		log.Fatal(err)
+	}
+	// One pass rewrites up to its byte budget; repeat until a pass moves
+	// nothing, which it does once the store counts as healthy again.
+	for defrag.RunOnce(ctx).Rewrites > 0 {
+	}
+	st := defrag.Stats()
 	defragCost := store.Clock().Seconds() - t0
 	after := frag.Analyze(store).MeanFragments()
-	fmt.Printf("\ndefragmenter: %d files moved, %s rewritten, %.1f -> %.1f fragments/show, %.1f virtual seconds spent\n",
-		repDefrag.FilesMoved, units.FormatBytes(repDefrag.BytesMoved), before, after, defragCost)
+	fmt.Printf("\ndefragmenter: %d shows moved, %s rewritten, %.1f -> %.1f fragments/show, %.1f virtual seconds spent\n",
+		st.Rewrites, units.FormatBytes(st.RewriteBytes), before, after, defragCost)
 	fmt.Printf("post-defrag playback: %.1f MB/s\n", playbackMBps(20))
 	fmt.Println("\n§6: \"defragmentation may require additional application logic and imposes")
 	fmt.Println("read/write performance impacts that can outweigh its benefits.\"")

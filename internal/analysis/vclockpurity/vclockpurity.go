@@ -10,9 +10,9 @@
 //  1. Calls to wall-clock time functions (time.Now, time.Since,
 //     time.Sleep, time.After, time.Tick, time.NewTimer, time.NewTicker,
 //     time.AfterFunc, time.Until) are flagged in every internal/
-//     package. Genuine wall-clock sites — the compactor's duty-gate
-//     waits, report timestamps, the group-commit batcher's coalescing
-//     delay — carry a //fragvet:ignore vclockpurity <reason>.
+//     package. Genuine wall-clock sites — report timestamps, the
+//     group-commit batcher's coalescing delay — carry a
+//     //fragvet:ignore vclockpurity <reason>.
 //
 //  2. Functions named charge* are the convention for accounting a disk
 //     or memory cost; one that neither advances a vclock.Clock nor

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"testing"
-	"time"
 
 	"repro/internal/blob"
 	"repro/internal/cache"
@@ -101,11 +100,11 @@ func TestNewRejectsUnsupportedAndBadDuty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := compact.New(noRewrite{store}, compact.Config{DutyCycle: 0.5}); !errors.Is(err, compact.ErrUnsupported) {
+	if _, err := compact.New(noRewrite{store}, 0.5); !errors.Is(err, compact.ErrUnsupported) {
 		t.Fatalf("New(no-rewrite store) = %v, want ErrUnsupported", err)
 	}
 	for _, d := range []float64{-1, 2} {
-		if _, err := compact.New(store, compact.Config{DutyCycle: d}); !errors.Is(err, blob.ErrBadOption) {
+		if _, err := compact.New(store, d); !errors.Is(err, blob.ErrBadOption) {
 			t.Fatalf("New(duty %v) = %v, want ErrBadOption", d, err)
 		}
 	}
@@ -120,7 +119,7 @@ func TestRunOnceDefragmentsFileStore(t *testing.T) {
 	if before < 2 {
 		t.Fatalf("fixture not fragmented: mean %.2f", before)
 	}
-	c, err := compact.New(store, compact.Config{DutyCycle: 1, PackThreshold: 1})
+	c, err := compact.New(store, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +159,7 @@ func TestRunOncePacksSmallTail(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c, err := compact.New(store, compact.Config{DutyCycle: 1})
+	c, err := compact.New(store, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +214,7 @@ func TestRunOnceCompactsDBStore(t *testing.T) {
 	if before <= 1 {
 		t.Fatalf("fixture not fragmented: mean %.2f", before)
 	}
-	c, err := compact.New(store, compact.Config{DutyCycle: 1, PackThreshold: 1, TriggerFragments: 1.01})
+	c, err := compact.New(store, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,60 +231,80 @@ func TestRunOnceCompactsDBStore(t *testing.T) {
 	}
 }
 
-// TestDutyCycleBoundsBusyTime pins the gate: with foreground reads
-// advancing the shared clock, a background compactor at duty d never
-// runs more than d of the elapsed virtual time ahead by more than one
-// operation.
+// TestDutyCycleBoundsBusyTime pins the gate on one goroutine:
+// foreground reads advance the shared clock and alternate with CatchUp,
+// and after every step the compactor's busy time stays within duty ×
+// the virtual time elapsed since it was built, plus one op's cost.
 func TestDutyCycleBoundsBusyTime(t *testing.T) {
 	const duty = 0.1
 	ctx := context.Background()
 	store := newShatteredFS(t, 24, units.MB)
-	c, err := compact.New(store, compact.Config{DutyCycle: duty, PackThreshold: 1})
+	c, err := compact.New(store, duty)
 	if err != nil {
 		t.Fatal(err)
 	}
 	w := vclock.StartWatch(store.Clock())
-	c.Start()
-	// Foreground traffic: reads advance the clock and open idle windows.
-	// Keep going until the compactor has demonstrably worked (or a real
-	// deadline passes — the gate only sleeps 100µs at a time).
-	deadline := time.Now().Add(5 * time.Second)
-	for i := 0; c.Stats().Rewrites == 0 && time.Now().Before(deadline); i++ {
-		if _, _, err := blob.Get(ctx, store, fmt.Sprintf("obj-%02d", i%24)); err != nil && !errors.Is(err, blob.ErrNotFound) {
+	for i := 0; i < 400; i++ {
+		if _, _, err := blob.Get(ctx, store, fmt.Sprintf("obj-%02d", i%24)); err != nil {
 			t.Fatal(err)
 		}
-	}
-	for i := 0; i < 200; i++ {
-		if _, _, err := blob.Get(ctx, store, fmt.Sprintf("obj-%02d", i%24)); err != nil && !errors.Is(err, blob.ErrNotFound) {
-			t.Fatal(err)
+		c.CatchUp(ctx)
+		st := c.Stats()
+		// The gate admits an op while busy <= duty × elapsed, so it can
+		// overshoot by at most the op it admitted last; objects are
+		// uniform, so twice the mean per-op busy time bounds one op.
+		slack := 2 * st.BusySeconds / float64(st.Rewrites+st.SkippedBusy+1)
+		if elapsed := w.Seconds(); st.BusySeconds > duty*elapsed+slack {
+			t.Fatalf("step %d: busy %.4fs exceeds duty %.2f of elapsed %.4fs (+%.4fs slack)",
+				i, st.BusySeconds, duty, elapsed, slack)
 		}
 	}
-	c.Stop()
-	elapsed := w.Seconds()
+	// Fragmented objects remain, so the compactor also used its share:
+	// it trails duty × elapsed by less than one op.
 	st := c.Stats()
-	if st.Rewrites == 0 {
-		t.Fatalf("background compactor never ran: %v", st)
-	}
-	// The gate admits an op when busy <= duty*elapsed, so the overshoot
-	// is bounded by a single op's cost; objects are uniform, so twice the
-	// mean per-op busy time is a safe single-op bound.
 	slack := 2 * st.BusySeconds / float64(st.Rewrites+st.SkippedBusy+1)
-	if st.BusySeconds > duty*elapsed+slack {
-		t.Fatalf("busy %.4fs exceeds duty %.2f of elapsed %.4fs (+%.4fs slack)",
-			st.BusySeconds, duty, elapsed, slack)
+	if st.Rewrites == 0 || st.BusySeconds < duty*w.Seconds()-slack {
+		t.Fatalf("compactor fell behind its share: %v over %.4fs elapsed", st, w.Seconds())
 	}
 }
 
 func TestZeroDutyIsNoOp(t *testing.T) {
 	store := newShatteredFS(t, 4, units.MB)
-	c, err := compact.New(store, compact.Config{})
+	c, err := compact.New(store, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Start() // no-op: zero duty cycle
-	c.Stop()
+	c.CatchUp(context.Background())
 	if st := c.Stats(); st != (compact.Stats{}) {
 		t.Fatalf("zero-duty compactor did work: %v", st)
+	}
+}
+
+// TestCanceledContextDoesNoWork pins cancellation on both entry points:
+// under a done context CatchUp and RunOnce return without scanning or
+// rewriting anything, and the same compactor works again under a live
+// context.
+func TestCanceledContextDoesNoWork(t *testing.T) {
+	store := newShatteredFS(t, 12, 2*units.MB)
+	before := frag.Analyze(store).MeanFragments()
+	c, err := compact.New(store, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	c.CatchUp(ctx)
+	if st := c.RunOnce(ctx); st != (compact.Stats{}) {
+		t.Fatalf("RunOnce under a canceled context did work: %v", st)
+	}
+	if st := c.Stats(); st != (compact.Stats{}) {
+		t.Fatalf("canceled compactor did work: %v", st)
+	}
+	if after := frag.Analyze(store).MeanFragments(); after != before {
+		t.Fatalf("mean fragments %.2f -> %.2f under a canceled context", before, after)
+	}
+	if st := c.RunOnce(context.Background()); st.Rewrites == 0 {
+		t.Fatalf("RunOnce with a live context did no work: %v", st)
 	}
 }
 
@@ -317,7 +336,7 @@ func TestFleetPerShard(t *testing.T) {
 	}
 	before := frag.Analyze(s).MeanFragments()
 
-	fleet, err := compact.NewFleet(s, compact.Config{DutyCycle: 1, PackThreshold: 1})
+	fleet, err := compact.NewFleet(s, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +362,7 @@ func TestFleetUnwrapsCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fleet, err := compact.NewFleet(cached, compact.Config{DutyCycle: 1, PackThreshold: 1})
+	fleet, err := compact.NewFleet(cached, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,51 +374,5 @@ func TestFleetUnwrapsCache(t *testing.T) {
 	}
 	if _, _, err := blob.Get(ctx, cached, "obj-00"); err != nil {
 		t.Fatalf("read through cache after compaction: %v", err)
-	}
-}
-
-// TestBackgroundLoopHonorsContext pins the WithContext plumbing: the
-// background loop must carry the configured context, so canceling it
-// winds the loop down on its own — before the fix the loop minted
-// context.Background() and cancellation never reached background work.
-func TestBackgroundLoopHonorsContext(t *testing.T) {
-	store := newShatteredFS(t, 12, 2*units.MB)
-	c, err := compact.New(store, compact.Config{DutyCycle: 1, PackThreshold: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	c.WithContext(ctx).Start()
-	deadline := time.Now().Add(10 * time.Second)
-	for c.Stats().Scans == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if c.Stats().Scans == 0 {
-		t.Fatal("background loop never ran a cycle")
-	}
-
-	cancel()
-	// The loop must stop scanning without Stop being called. An
-	// uncancelable loop keeps rescanning every idle interval, so two
-	// well-separated equal samples prove it drained.
-	var s1, s2 int64
-	for time.Now().Before(deadline) {
-		s1 = c.Stats().Scans
-		time.Sleep(300 * time.Millisecond)
-		s2 = c.Stats().Scans
-		if s1 == s2 {
-			break
-		}
-	}
-	if s1 != s2 {
-		t.Fatalf("loop still scanning after cancel: %d -> %d scans", s1, s2)
-	}
-	c.Stop()
-
-	// Positive control: the same compactor still works through the
-	// synchronous entry point with a live context.
-	store.Volume().ShatterFiles(4)
-	if st := c.RunOnce(context.Background()); st.Rewrites == 0 {
-		t.Fatalf("RunOnce with a live context did no work: %+v", st)
 	}
 }

@@ -11,10 +11,10 @@ import (
 // deployment compacts shards independently — with rewrites executed
 // through the TOP of the store chain so cache invalidation and shard
 // routing hold. Over an unsharded store a Fleet degenerates to a single
-// compactor. Fleet implements workload.Background structurally, like
-// Compactor.
+// compactor. Like a Compactor, a Fleet is driven by one caller.
 type Fleet struct {
 	comps []*Compactor
+	duty  float64
 }
 
 // sharded is the structural shard-enumeration capability (shard.Store).
@@ -23,65 +23,51 @@ type sharded interface {
 	Shard(int) blob.Store
 }
 
-// NewFleet builds per-shard compactors for store. Wrapper layers are
-// seen through to find the shard fan-out (scans go straight to the
-// children), but every rewrite still executes through store itself.
-func NewFleet(store blob.Store, cfg Config) (*Fleet, error) {
+// NewFleet builds per-shard compactors for store at the given duty
+// cycle (see New). Wrapper layers are seen through to find the shard
+// fan-out (scans go straight to the children), but every rewrite still
+// executes through store itself.
+func NewFleet(store blob.Store, duty float64) (*Fleet, error) {
+	scopes := []blob.Store{store}
 	if sh, ok := blob.As[sharded](store); ok {
-		comps := make([]*Compactor, 0, sh.NumShards())
-		for i := 0; i < sh.NumShards(); i++ {
-			c, err := newScoped(store, sh.Shard(i), cfg)
-			if err != nil {
-				return nil, err
-			}
-			comps = append(comps, c)
+		scopes = make([]blob.Store, sh.NumShards())
+		for i := range scopes {
+			scopes[i] = sh.Shard(i)
 		}
-		return &Fleet{comps: comps}, nil
 	}
-	c, err := New(store, cfg)
-	if err != nil {
-		return nil, err
+	f := &Fleet{duty: duty}
+	for _, scan := range scopes {
+		c, err := newScoped(store, scan, duty)
+		if err != nil {
+			return nil, err
+		}
+		f.comps = append(f.comps, c)
 	}
-	return &Fleet{comps: []*Compactor{c}}, nil
+	return f, nil
 }
 
 // Size returns the number of per-shard compactors.
 func (f *Fleet) Size() int { return len(f.comps) }
 
-// Start launches every per-shard compactor.
-func (f *Fleet) Start() {
-	for _, c := range f.comps {
-		c.Start()
-	}
-}
-
-// Stop halts every per-shard compactor and blocks until all drain.
-func (f *Fleet) Stop() {
-	for _, c := range f.comps {
-		c.Stop()
-	}
-}
-
-// RunOnce runs one synchronous cycle on every per-shard compactor,
+// RunOnce runs one ungated cycle on every per-shard compactor,
 // returning the aggregated work of this pass.
 func (f *Fleet) RunOnce(ctx context.Context) Stats {
 	var total Stats
 	for _, c := range f.comps {
-		s := c.RunOnce(ctx)
-		total.add(s)
+		total.add(c.RunOnce(ctx))
 	}
 	return total
 }
 
-// CatchUp gives every per-shard compactor one synchronous duty-gated
-// work opportunity (see Compactor.CatchUp).
+// CatchUp gives every per-shard compactor one duty-gated work
+// opportunity (see Compactor.CatchUp).
 func (f *Fleet) CatchUp(ctx context.Context) {
 	for _, c := range f.comps {
 		c.CatchUp(ctx)
 	}
 }
 
-// Stats aggregates CompactStats across the fleet's compactors.
+// Stats aggregates the counters of the fleet's compactors.
 func (f *Fleet) Stats() Stats {
 	var total Stats
 	for _, c := range f.comps {

@@ -6,6 +6,6 @@ import (
 	"repro/internal/leakcheck"
 )
 
-// TestMain fails the package if any test leaves a goroutine running —
-// the compactor's background loop promises to drain on Stop.
+// TestMain fails the package if any test leaves a goroutine running:
+// the compactor starts none of its own.
 func TestMain(m *testing.M) { leakcheck.Main(m) }

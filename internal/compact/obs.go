@@ -9,9 +9,11 @@ import (
 // PublishMetrics writes the fleet's aggregate work into reg under the
 // given prefix ("compact" → "compact.rewrites", ...): counters for the
 // cumulative work (scans, rewrites, packs, busy/skip/error counts),
-// gauges for the byte totals and the realized duty cycle. Call at a
-// phase boundary — the compactor pushes nothing itself, so publishing
-// is a snapshot, consistent with the registry's phase-report model.
+// gauges for the byte totals and the duty cycle. A fleet over a sharded
+// store also publishes per-shard rewrite-byte and busy-time gauges
+// ("compact.shard0.rewrite_bytes", ...), the skew view. Call at a phase
+// boundary — the compactor pushes nothing itself, so publishing is a
+// snapshot, consistent with the registry's phase-report model.
 func (f *Fleet) PublishMetrics(reg *obs.Registry, prefix string) {
 	if reg == nil {
 		return
@@ -30,27 +32,13 @@ func (f *Fleet) PublishMetrics(reg *obs.Registry, prefix string) {
 	reg.Gauge(prefix + ".rewrite_bytes").Set(float64(s.RewriteBytes))
 	reg.Gauge(prefix + ".packed_bytes").Set(float64(s.PackedBytes))
 	reg.Gauge(prefix + ".busy_seconds").Set(s.BusySeconds)
-	var duty float64
-	for _, c := range f.comps {
-		duty += c.cfg.DutyCycle
-	}
-	if len(f.comps) > 0 {
-		duty /= float64(len(f.comps))
-	}
-	reg.Gauge(prefix + ".duty_cycle").Set(duty)
-}
-
-// PublishShardMetrics additionally publishes per-compactor (per-shard)
-// rewrite-byte gauges ("compact.shard0.rewrite_bytes", ...), the
-// skew view a fleet over a sharded store needs.
-func (f *Fleet) PublishShardMetrics(reg *obs.Registry, prefix string) {
-	if reg == nil || len(f.comps) < 2 {
+	reg.Gauge(prefix + ".duty_cycle").Set(f.duty)
+	if len(f.comps) < 2 {
 		return
 	}
 	for i, c := range f.comps {
-		s := c.Stats()
 		name := prefix + ".shard" + strconv.Itoa(i)
-		reg.Gauge(name + ".rewrite_bytes").Set(float64(s.RewriteBytes))
-		reg.Gauge(name + ".busy_seconds").Set(s.BusySeconds)
+		reg.Gauge(name + ".rewrite_bytes").Set(float64(c.stats.RewriteBytes))
+		reg.Gauge(name + ".busy_seconds").Set(c.stats.BusySeconds)
 	}
 }

@@ -74,18 +74,3 @@ func BenchmarkReadAllAged(b *testing.B) {
 		f.ReadAll()
 	}
 }
-
-// BenchmarkDefragment measures a defragmentation pass over a shattered
-// volume.
-func BenchmarkDefragment(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		v := benchVolume(512 * units.MB)
-		for j := 0; j < 20; j++ {
-			v.SafeWrite(fmt.Sprintf("o%d", j), 10*units.MB, nil, SafeWriteOptions{WriteRequestSize: 64 * units.KB})
-		}
-		v.ShatterFiles(16)
-		b.StartTimer()
-		v.CompactPass(0)
-	}
-}

@@ -9,63 +9,14 @@ import (
 // extRun builds an extent.Run (local shorthand).
 func extRun(start, length int64) extent.Run { return extent.Run{Start: start, Len: length} }
 
-// This file implements an online defragmenter analogous to the Windows
-// utility the paper mentions (§3.4: "The Windows defragmentation utility
-// supports on-line partial defragmentation"). The paper's conclusion warns
-// that defragmentation "imposes read/write performance impacts that can
-// outweigh its benefits" — the defragmenter charges full read+write disk
-// time for every file it moves, so the harness can quantify that tradeoff.
-
-// DefragReport summarises one defragmentation pass.
-type DefragReport struct {
-	FilesExamined   int
-	FilesMoved      int
-	FragmentsBefore int
-	FragmentsAfter  int
-	BytesMoved      int64
-}
-
-// CompactPass rewrites the worst-fragmented files into contiguous
-// space, most-fragmented first, until budgetBytes of data has been
-// moved (budgetBytes <= 0 means no limit). Files that cannot be placed
-// contiguously are left in place. Every move charges a full read of the
-// old layout and write of the new on the shared virtual clock — the
-// §3.4 cost the compactor's duty cycle meters out.
-func (v *Volume) CompactPass(budgetBytes int64) DefragReport {
-	var rep DefragReport
-	// Snapshot candidates; moving files mutates v.files' contents but not
-	// the key set.
-	files := make([]*File, 0, len(v.files))
-	for _, f := range v.files {
-		rep.FilesExamined++
-		rep.FragmentsBefore += f.Fragments()
-		if f.Fragments() > 1 {
-			files = append(files, f)
-		}
-	}
-	sort.Slice(files, func(i, j int) bool {
-		if files[i].Fragments() != files[j].Fragments() {
-			return files[i].Fragments() > files[j].Fragments()
-		}
-		return files[i].name < files[j].name
-	})
-	// Freed source extents must be reusable for subsequent moves.
-	v.FlushLog()
-	for _, f := range files {
-		if budgetBytes > 0 && rep.BytesMoved >= budgetBytes {
-			break
-		}
-		if v.moveContiguous(f) {
-			rep.FilesMoved++
-			rep.BytesMoved += f.size
-			v.FlushLog()
-		}
-	}
-	for _, f := range v.files {
-		rep.FragmentsAfter += f.Fragments()
-	}
-	return rep
-}
+// This file holds the per-file relocation the online compactor
+// (internal/compact) drives through the store's CompactObject, the
+// analogue of the Windows utility's on-line partial defragmentation the
+// paper mentions (§3.4). The paper's conclusion warns that
+// defragmentation "imposes read/write performance impacts that can
+// outweigh its benefits", so every move charges full read+write disk
+// time and the compactor's duty cycle meters it out. ShatterFiles, the
+// §5.3 fixture, does the opposite: it fragments every file on purpose.
 
 // CompactFile rewrites a single file into contiguous space, returning
 // the bytes moved. It is the per-object entry point the online

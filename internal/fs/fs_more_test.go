@@ -151,23 +151,6 @@ func TestRecoverFlushesLog(t *testing.T) {
 	}
 }
 
-func TestDefragmentBudget(t *testing.T) {
-	v := newVolume(32*units.MB, disk.MetadataMode)
-	for i := 0; i < 8; i++ {
-		f, _ := v.Create(fmt.Sprintf("f%d", i))
-		f.Append(1*units.MB, nil)
-		f.Close()
-	}
-	v.ShatterFiles(16)
-	rep := v.CompactPass(2 * units.MB) // budget covers ~2 files
-	if rep.FilesMoved > 3 {
-		t.Fatalf("budget ignored: moved %d files", rep.FilesMoved)
-	}
-	if rep.FilesExamined != 8 {
-		t.Fatalf("examined %d", rep.FilesExamined)
-	}
-}
-
 func TestVolumeStringer(t *testing.T) {
 	v := newVolume(64*units.MB, disk.MetadataMode)
 	if s := v.String(); s == "" {

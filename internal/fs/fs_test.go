@@ -372,9 +372,8 @@ func TestDefragment(t *testing.T) {
 		v.Delete(names[i])
 	}
 	v.FlushLog()
-	rep := v.CompactPass(0)
-	if rep.FilesMoved == 0 {
-		t.Fatal("defragmenter moved nothing")
+	if moved, ok := v.CompactFile("frag"); !ok || moved != 512*units.KB {
+		t.Fatalf("CompactFile moved %d bytes (ok=%v), want the whole file", moved, ok)
 	}
 	// Relocation publishes a fresh version; the old handle is dead.
 	if g.Fragments() != 0 {
@@ -387,8 +386,8 @@ func TestDefragment(t *testing.T) {
 	if g.Fragments() != 1 {
 		t.Fatalf("file still has %d fragments", g.Fragments())
 	}
-	if rep.FragmentsAfter >= rep.FragmentsBefore {
-		t.Fatalf("report: before=%d after=%d", rep.FragmentsBefore, rep.FragmentsAfter)
+	if _, ok := v.CompactFile("frag"); ok {
+		t.Fatal("a contiguous file was moved again")
 	}
 }
 

@@ -29,12 +29,13 @@ const compactionSteps = 8
 // CompactionSweep answers the question §3.4 raises but never measures:
 // does online defragmentation pay for itself? Each backend is aged to
 // MaxAge/2 so fragmentation is established, then churned to MaxAge with
-// an online compactor active at each duty cycle (0 = off). The churn
-// runs in increments: during each one the compactor rides along as a
-// background worker racing the live stream, and the idle window at the
-// increment boundary lets it catch up — synchronously but still duty
-// gated — to its share of the increment's virtual time. Rewrites charge
-// full read+write disk cost on the shared virtual clock, and the
+// an online compactor at each duty cycle (0 = off). The compactor is
+// built right before the measured churn, so its duty window opens there.
+// The churn runs in increments, and the idle window at each increment
+// boundary is one compactor step: Fleet.CatchUp works, duty gated, up to
+// its share of the virtual time elapsed so far. Nothing runs beside the
+// churn stream, so every row is reproducible at one seed. Rewrites
+// charge full read+write disk cost on the shared virtual clock, and the
 // measured span covers churn and catch-up alike, so the MB/s column
 // already contains the compaction tax that the fragments/object column
 // shows the benefit of.
@@ -65,28 +66,26 @@ func CompactionSweep(c Config) ([]*stats.Table, error) {
 			p := c.newProbe(fmt.Sprintf("compact %s duty=%g", kind, duty), clock, "")
 			// The obs layer wraps the whole chain, so compactor rewrites
 			// (which execute through the top) are timed as store.compact
-			// alongside the foreground ops they race.
+			// alongside the foreground ops.
 			err := c.age(clock, p.observe(c.spec(st.backend), "store"), dist, []float64{preAge}, drive{}, func(a arm) error {
 				before := meanFrags(a.store)
 				var fleet *compact.Fleet
-				var bg workload.Background
 				if duty > 0 {
 					var err error
-					if fleet, err = compact.NewFleet(a.store, compact.Config{DutyCycle: duty}); err != nil {
+					if fleet, err = compact.NewFleet(a.store, duty); err != nil {
 						return fmt.Errorf("compact %s duty %g: %w", kind, duty, err)
 					}
-					bg = fleet
 				}
 				// The latency ledger covers the measured churn only; the
 				// collector attaches after setup so op quantiles describe the
-				// compactor-contended phase.
+				// phase the compactor works in.
 				p.reset()
 				a.runner.WithCollector(p.collector())
 				w := vclock.StartWatch(clock)
 				var churnBytes int64
 				for i := 1; i <= compactionSteps; i++ {
 					age := preAge + (endAge-preAge)*float64(i)/compactionSteps
-					res, err := a.runner.ChurnToAge(age, workload.ChurnOptions{Background: bg})
+					res, err := a.runner.ChurnToAge(age, workload.ChurnOptions{})
 					if err != nil {
 						return fmt.Errorf("compact %s churn to %.2f: %w", kind, age, err)
 					}
@@ -101,7 +100,6 @@ func CompactionSweep(c Config) ([]*stats.Table, error) {
 				tputSeries.Add(duty, mbps)
 				if fleet != nil {
 					fleet.PublishMetrics(p.registry(), "compact")
-					fleet.PublishShardMetrics(p.registry(), "compact")
 					st := fleet.Stats()
 					frags.Note("%s duty %.2f: %d rewrites (%s), %.1f virtual s compactor-busy; frags %.2f → %.2f",
 						name, duty, st.Rewrites, units.FormatBytes(st.RewriteBytes), st.BusySeconds, before, f)

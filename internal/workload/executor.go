@@ -25,7 +25,9 @@ import (
 // The Executor owns the storage-age accounting: all mutations route
 // through one shared core.AgeTracker (storage age is a property of the
 // volume, not of any writer), and phase timing is read from the store's
-// virtual clock.
+// virtual clock. Nothing but the streams runs during a Run: store
+// maintenance such as online compaction is a step the caller takes
+// between runs (compact.Fleet.CatchUp), never a concurrent worker.
 type Executor struct {
 	ctx       context.Context
 	tracker   *core.AgeTracker
@@ -59,28 +61,6 @@ func (e *Executor) Tracker() *core.AgeTracker { return e.tracker }
 
 // Store returns the store under test.
 func (e *Executor) Store() blob.Store { return e.tracker.Store() }
-
-// Background is a store-maintenance worker that runs concurrently with
-// a phase's operation streams — the online compactor is the canonical
-// implementation. Start launches it; Stop blocks until it drains. Both
-// must be safe to call around an arbitrary phase.
-type Background interface {
-	Start()
-	Stop()
-}
-
-// RunWithBackground runs the streams with a background worker active
-// for the duration of the phase: bg starts before the first op and is
-// stopped (and drained) once the streams finish, so its work genuinely
-// interleaves with the k operation streams on the shared clock. A nil
-// bg degenerates to Run.
-func (e *Executor) RunWithBackground(streams []Stream, opts RunOptions, bg Background) (RunResult, error) {
-	if bg != nil {
-		bg.Start()
-		defer bg.Stop()
-	}
-	return e.Run(streams, opts)
-}
 
 // Stream pairs a Source with the RNG that drives it. RNGs are
 // caller-owned so they can persist across phases (the classic Runner

@@ -262,11 +262,6 @@ type ChurnOptions struct {
 	// fleet as a whole has room. The phase still fails if every key in
 	// a row is refused, so a genuinely full store cannot spin forever.
 	TolerateNoSpace bool
-
-	// Background, when non-nil, runs a maintenance worker (the online
-	// compactor) concurrently with the churn stream for the duration of
-	// the phase.
-	Background Background
 }
 
 // ChurnToAge safe-writes uniformly chosen objects — each stream from
@@ -298,8 +293,8 @@ func (r *Runner) ChurnToAge(target float64, opts ChurnOptions) (Result, error) {
 	}
 	// Skip time is idle time only for a lone stream (see
 	// RunOptions.TrackSkipTime).
-	rr, err := r.exec.RunWithBackground(specs,
-		RunOptions{TolerateNoSpace: opts.TolerateNoSpace, TrackSkipTime: len(specs) == 1}, opts.Background)
+	rr, err := r.exec.Run(specs,
+		RunOptions{TolerateNoSpace: opts.TolerateNoSpace, TrackSkipTime: len(specs) == 1})
 	res := r.writeResult(rr)
 	if err != nil {
 		return res, fmt.Errorf("churn: %w", err)
