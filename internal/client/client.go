@@ -35,9 +35,16 @@
 //     lands on the server as a whole-buffer write would.
 //
 //   - Requests travel on the caller's goroutine, one keep-alive HTTP/1.1
-//     connection per request in flight: the whole body is written before
-//     the response is read, and closing the response body returns the
-//     connection to the Store's idle list. A failure on a reused
+//     connection per request in flight, and the client writes and parses
+//     the HTTP/1.1 heads itself. A request is one writev: a head appended
+//     into the connection's scratch buffer, then the caller's payload. A
+//     response head is read line by line for its status, its body's
+//     framing and the X-Blob-* headers the client reads, with no header
+//     map. net/http is the test reference for both: the request heads
+//     must parse as the ones Request.Write sends, and a fuzz test holds
+//     the response parser to http.ReadResponse. The whole body is written
+//     before the response is read, and closing the response body returns
+//     the connection to the Store's idle list. A failure on a reused
 //     connection is retried once on a fresh one only where that cannot
 //     apply the request twice. A canceled context sets a past deadline on
 //     the connection, which is then closed.
@@ -54,7 +61,6 @@ package client
 
 import (
 	"bufio"
-	"bytes"
 	"cmp"
 	"context"
 	"encoding/json"
@@ -80,7 +86,6 @@ import (
 // Store is a blob.Store backed by a remote network blob service.
 // Safe for concurrent use. Close releases idle connections.
 type Store struct {
-	base    string // service base URL, no trailing slash
 	addr    string // host:port to dial
 	name    string
 	clock   *vclock.Clock
@@ -92,18 +97,19 @@ type Store struct {
 
 // Dial connects to a network blob service and verifies it is alive
 // (one stats round trip, which also seeds the local virtual clock and
-// the store's reported name). The wire is plain HTTP/1.1, so baseURL
-// must be an http:// URL; anything else is blob.ErrBadOption.
+// the store's reported name). The wire is plain HTTP/1.1 and every
+// request path is the wire's own, so baseURL must be http://host[:port]
+// with at most a "/" after it; anything else is blob.ErrBadOption.
 func Dial(baseURL string) (*Store, error) {
 	u, err := url.Parse(baseURL)
-	if err != nil || u.Scheme != "http" || u.Host == "" {
-		return nil, fmt.Errorf("client: dial %s: %w: want an http:// base URL", baseURL, blob.ErrBadOption)
+	if err != nil || u.Scheme != "http" || u.Host == "" || u.User != nil ||
+		u.Path != "" && u.Path != "/" || u.RawQuery != "" || u.ForceQuery || u.Fragment != "" {
+		return nil, fmt.Errorf("client: dial %s: %w: want an http://host[:port] base URL", baseURL, blob.ErrBadOption)
 	}
 	if u.Port() == "" {
 		u.Host += ":80"
 	}
 	s := &Store{
-		base:    strings.TrimRight(baseURL, "/"),
 		addr:    u.Host,
 		clock:   vclock.New(),
 		writing: make(map[string]bool),
@@ -128,14 +134,10 @@ func (s *Store) Close() error {
 	return nil
 }
 
-// ratchet advances the local clock to the server clock carried by a
-// response, never backwards — concurrent responses may arrive out of
-// order, and virtual time is monotonic.
-func (s *Store) ratchet(h http.Header) {
-	ns, err := strconv.ParseInt(h.Get(wire.HeaderClock), 10, 64)
-	if err != nil {
-		return
-	}
+// ratchet advances the local clock to the server clock ns carried by a
+// response (-1 when it carried none), never backwards — concurrent
+// responses may arrive out of order, and virtual time is monotonic.
+func (s *Store) ratchet(ns int64) {
 	s.mu.Lock()
 	if d := ns - s.clock.Now(); d > 0 {
 		s.clock.Advance(d)
@@ -143,27 +145,14 @@ func (s *Store) ratchet(h http.Header) {
 	s.mu.Unlock()
 }
 
-// conn is one keep-alive connection, held by one request at a time. It
-// counts the bytes written to it since the request began.
+// conn is one keep-alive connection, held by one request at a time.
 type conn struct {
 	net.Conn
 	br   *bufio.Reader
-	bw   *bufio.Writer
-	sent int64
-}
-
-func (c *conn) Write(p []byte) (int, error) {
-	n, err := c.Conn.Write(p)
-	c.sent += int64(n)
-	return n, err
-}
-
-// ReadFrom keeps the socket's own ReadFrom under the bufio.Writer, so a
-// large body is not cut into buffer-sized writes.
-func (c *conn) ReadFrom(r io.Reader) (int64, error) {
-	n, err := io.Copy(c.Conn, r)
-	c.sent += n
-	return n, err
+	peek peeker      // idleOK's
+	head []byte      // the request head, rewritten by each request
+	vec  [2][]byte   // head and payload of the request being sent
+	bufs net.Buffers // vec, consumed as it is written
 }
 
 // conn returns an idle connection the server has not dropped (reused),
@@ -183,56 +172,50 @@ func (s *Store) conn(ctx context.Context, fresh bool) (c *conn, reused bool, err
 	if err != nil {
 		return nil, false, err
 	}
-	c = &conn{Conn: nc, br: bufio.NewReader(nc)}
-	c.bw = bufio.NewWriter(c)
-	return c, false, nil
+	return &conn{Conn: nc, br: bufio.NewReader(nc)}, false, nil
 }
 
-// roundTrip writes req with payload as its body, then reads the response
-// head. A failure on a reused connection is retried once on a fresh one
-// if nothing was written, or for a GET or HEAD if no response byte
-// arrived. A server may answer before it has read the whole body (a
+// roundTrip sends one request with payload as its body, then reads the
+// response head. A failure on a reused connection is retried once on a
+// fresh one if nothing was written, or for a GET or HEAD if no response
+// byte arrived. A server may answer before it has read the whole body (a
 // create of an existing key): that answer is read once the write fails,
 // and the connection is not kept.
-func (s *Store) roundTrip(ctx context.Context, req *http.Request, payload []byte) (*http.Response, error) {
+func (s *Store) roundTrip(ctx context.Context, method, path string, payload []byte, hdr []string) (response, error) {
 	for fresh := false; ; fresh = true {
 		c, reused, err := s.conn(ctx, fresh)
 		if err != nil {
-			return nil, err
+			return response{}, err
 		}
 		stop := func() bool { return true }
 		if ctx.Done() != nil {
 			stop = context.AfterFunc(ctx, func() { c.SetDeadline(time.Unix(1, 0)) })
 		}
-		c.sent = 0
-		if len(payload) > 0 {
-			req.Body, req.ContentLength = io.NopCloser(bytes.NewReader(payload)), int64(len(payload))
-		}
-		werr := req.Write(c.bw)
-		if werr == nil {
-			werr = c.bw.Flush()
-		}
+		sent, werr := c.send(method, s.addr, path, payload, hdr)
 		_, perr := c.br.Peek(1) // nil once a response byte arrived
-		resp, err := http.ReadResponse(c.br, req)
+		resp, err := readResponse(c.br, method)
 		if err == nil {
-			resp.Body = &body{Reader: resp.Body, s: s, c: c, stop: stop, keep: werr == nil && !resp.Close}
+			resp.body = &body{s: s, c: c, stop: stop, keep: werr == nil && resp.keep}
+			resp.body.frame(c.br, &resp)
 			return resp, nil
 		}
 		stop()
 		c.Close()
 		if fresh || !reused || ctx.Err() != nil ||
-			c.sent > 0 && (perr == nil || req.Method != http.MethodGet && req.Method != http.MethodHead) {
-			return nil, cmp.Or(werr, err)
+			sent > 0 && (perr == nil || method != http.MethodGet && method != http.MethodHead) {
+			return response{}, cmp.Or(werr, err)
 		}
 	}
 }
 
 // body is a response body whose Close keeps its connection for the
 // Store's next request if the body ends within 256 KB more (net/http's
-// server bounds its drain of an unread request body so), the context did
-// not fire, and the Store is not closed.
+// server bounds its drain of an unread request body so) and not short of
+// its declared length, the context did not fire, and the Store is not
+// closed.
 type body struct {
 	io.Reader
+	lr   io.LimitedReader // the Reader of a body of declared length
 	s    *Store
 	c    *conn       // nil once closed
 	stop func() bool // unregisters the cancellation hook: false if it fired
@@ -245,9 +228,12 @@ func (b *body) Close() error {
 		return nil
 	}
 	b.c = nil
-	_, err := io.CopyN(io.Discard, b, 256<<10+1)
+	err := io.EOF // a declared length read to its end
+	if b.Reader != &b.lr || b.lr.N > 0 {
+		_, err = io.CopyN(io.Discard, b, 256<<10+1)
+	}
 	s.mu.Lock()
-	keep := b.stop() && b.keep && err == io.EOF && c.br.Buffered() == 0 && !s.closed
+	keep := b.stop() && b.keep && err == io.EOF && b.lr.N == 0 && c.br.Buffered() == 0 && !s.closed
 	if keep {
 		s.idle = append(s.idle, c)
 	}
@@ -265,39 +251,32 @@ func (b *body) Close() error {
 // success the caller owns the response body and must Close it. On
 // failure the sentinel named by the response (or mapped from its status)
 // is wrapped into the returned error.
-func (s *Store) do(ctx context.Context, method, path string, payload []byte, hdr ...string) (*http.Response, error) {
+func (s *Store) do(ctx context.Context, method, path string, payload []byte, hdr ...string) (response, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return response{}, err
 	}
-	req, err := http.NewRequest(method, s.base+path, nil)
-	if err != nil {
-		return nil, fmt.Errorf("client: %s %s: %w", method, path, err)
-	}
-	for i := 0; i+1 < len(hdr); i += 2 {
-		req.Header.Set(hdr[i], hdr[i+1])
-	}
-	resp, err := s.roundTrip(ctx, req, payload)
+	resp, err := s.roundTrip(ctx, method, path, payload, hdr)
 	if err != nil {
 		// Prefer the bare context error so messages match local-store
 		// behavior.
 		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
+			return response{}, cerr
 		}
-		return nil, fmt.Errorf("client: %s %s: %w", method, path, err)
+		return response{}, fmt.Errorf("client: %s %s: %w", method, path, err)
 	}
-	s.ratchet(resp.Header)
-	if resp.StatusCode >= 400 {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		resp.Body.Close()
-		sentinel := blob.Sentinel(resp.Header.Get(wire.HeaderError))
+	s.ratchet(resp.clock)
+	if resp.status >= 400 {
+		msg, _ := io.ReadAll(io.LimitReader(resp.body, 512))
+		resp.body.Close()
+		sentinel := blob.Sentinel(resp.errName)
 		if sentinel == nil {
-			sentinel = blob.StatusSentinel(resp.StatusCode)
+			sentinel = blob.StatusSentinel(resp.status)
 		}
 		if sentinel == nil {
-			return nil, fmt.Errorf("client: %s %s: http %d: %s",
-				method, path, resp.StatusCode, strings.TrimSpace(string(msg)))
+			return response{}, fmt.Errorf("client: %s %s: http %d: %s",
+				method, path, resp.status, strings.TrimSpace(string(msg)))
 		}
-		return nil, fmt.Errorf("%w (remote: %s)", sentinel, strings.TrimSpace(string(msg)))
+		return response{}, fmt.Errorf("%w (remote: %s)", sentinel, strings.TrimSpace(string(msg)))
 	}
 	return resp, nil
 }
@@ -308,8 +287,8 @@ func (s *Store) doJSON(ctx context.Context, method, path string, v any) error {
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	return json.NewDecoder(resp.Body).Decode(v)
+	defer resp.body.Close()
+	return json.NewDecoder(resp.body).Decode(v)
 }
 
 // --- blob.Store ------------------------------------------------------
@@ -385,7 +364,7 @@ func (s *Store) Delete(ctx context.Context, key string) error {
 	if err != nil {
 		return err
 	}
-	resp.Body.Close()
+	resp.body.Close()
 	return nil
 }
 
@@ -401,16 +380,11 @@ func (s *Store) head(ctx context.Context, key string, hdr ...string) (blob.Info,
 	if err != nil {
 		return blob.Info{}, err
 	}
-	resp.Body.Close()
-	size, err := strconv.ParseInt(resp.Header.Get(wire.HeaderSize), 10, 64)
-	if err != nil {
-		return blob.Info{}, fmt.Errorf("client: stat %s: bad size header: %w", key, err)
+	resp.body.Close()
+	if resp.size < 0 || resp.version < 0 {
+		return blob.Info{}, fmt.Errorf("client: stat %s: %w: no %s or %s", key, ErrBadResponse, wire.HeaderSize, wire.HeaderVersion)
 	}
-	version, err := strconv.ParseUint(resp.Header.Get(wire.HeaderVersion), 10, 64)
-	if err != nil {
-		return blob.Info{}, fmt.Errorf("client: stat %s: bad version header: %w", key, err)
-	}
-	return blob.Info{Key: key, Size: size, Version: version}, nil
+	return blob.Info{Key: key, Size: resp.size, Version: uint64(resp.version)}, nil
 }
 
 // stats fetches the remote accounting surface.
@@ -498,16 +472,18 @@ func (s *Store) get(ctx context.Context, key string, hdr ...string) (int64, []by
 	if err != nil {
 		return 0, nil, err
 	}
-	defer resp.Body.Close()
-	size, _ := strconv.ParseInt(resp.Header.Get(wire.HeaderSize), 10, 64)
-	if resp.Header.Get(wire.HeaderMeta) == "1" {
-		return size, nil, nil
+	defer resp.body.Close()
+	if resp.size < 0 {
+		return 0, nil, fmt.Errorf("client: get %s: %w: no %s", key, ErrBadResponse, wire.HeaderSize)
 	}
-	data, err := wire.ReadBody(resp.Body, resp.ContentLength)
+	if resp.meta {
+		return resp.size, nil, nil
+	}
+	data, err := wire.ReadBody(resp.body, resp.length)
 	if err != nil {
 		return 0, nil, cmp.Or(ctx.Err(), fmt.Errorf("client: get %s: %w", key, err))
 	}
-	return size, data, nil
+	return resp.size, data, nil
 }
 
 // getRange reads [off, off+length) of key; hdr may pin a version. HTTP
@@ -542,7 +518,7 @@ func (s *Store) Upload(ctx context.Context, key string, size int64, data []byte,
 	if replace {
 		mode = wire.ModeReplace
 	}
-	path := fmt.Sprintf("%s%s?mode=%s", wire.PathBlobs, escape(key), mode)
+	path := wire.PathBlobs + escape(key) + "?mode=" + mode
 	sizeHdr := wire.HeaderSize
 	if data == nil {
 		sizeHdr = wire.HeaderMetaBytes
@@ -551,18 +527,18 @@ func (s *Store) Upload(ctx context.Context, key string, size int64, data []byte,
 	if err != nil {
 		return err
 	}
-	resp.Body.Close()
+	resp.body.Close()
 	return nil
 }
 
 // escape makes a key safe as a URL path suffix while keeping slashes
 // (the server route uses a trailing wildcard).
 func escape(key string) string {
-	parts := strings.Split(key, "/")
-	for i, p := range parts {
-		parts[i] = url.PathEscape(p)
+	seg, rest, more := strings.Cut(key, "/")
+	if !more {
+		return url.PathEscape(seg)
 	}
-	return strings.Join(parts, "/")
+	return url.PathEscape(seg) + "/" + escape(rest)
 }
 
 // --- reader ----------------------------------------------------------

@@ -20,6 +20,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/disk"
 	"repro/internal/server"
+	"repro/internal/server/wire"
 )
 
 // countingListener counts the connections a test server accepts.
@@ -290,6 +291,41 @@ func TestShortBodyFailsAndRedials(t *testing.T) {
 	}
 }
 
+// noSize is a ResponseWriter that drops X-Blob-Size from its response.
+type noSize struct{ http.ResponseWriter }
+
+func (w noSize) WriteHeader(code int) {
+	w.Header().Del(wire.HeaderSize)
+	w.ResponseWriter.WriteHeader(code)
+}
+
+func (w noSize) Write(p []byte) (int, error) {
+	w.Header().Del(wire.HeaderSize)
+	return w.ResponseWriter.Write(p)
+}
+
+// TestReadWantsSizeHeader: a read or stat answered without X-Blob-Size
+// fails with ErrBadResponse. A GET once read the missing size as 0, so
+// Fetch reported an empty object and FetchAt a false ErrOutOfRange.
+func TestReadWantsSizeHeader(t *testing.T) {
+	ctx := context.Background()
+	c := newWireServer(t, dataInner(), func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) { h.ServeHTTP(noSize{rw}, r) })
+	}).c
+	if err := c.Upload(ctx, "k", 3, []byte("abc"), false); err != nil {
+		t.Fatal(err)
+	}
+	if size, _, err := c.Fetch(ctx, "k"); !errors.Is(err, client.ErrBadResponse) {
+		t.Fatalf("Fetch without a size header = %d, %v; want ErrBadResponse", size, err)
+	}
+	if _, err := c.FetchAt(ctx, "k", 0, 2); !errors.Is(err, client.ErrBadResponse) {
+		t.Fatalf("FetchAt without a size header = %v, want ErrBadResponse", err)
+	}
+	if _, err := c.Stat(ctx, "k"); !errors.Is(err, client.ErrBadResponse) {
+		t.Fatalf("Stat without a size header = %v, want ErrBadResponse", err)
+	}
+}
+
 // TestCloseLeavesNoConnection: Close closes every idle connection; the
 // Store still works afterwards and keeps none.
 func TestCloseLeavesNoConnection(t *testing.T) {
@@ -318,12 +354,25 @@ func TestCloseLeavesNoConnection(t *testing.T) {
 	waitFor(t, "the connection of a request after Close to close", func() bool { return w.open.Load() == 0 })
 }
 
-// TestDialWantsHTTP: the wire is plain HTTP/1.1, so any other base URL
-// is refused without a connection attempt.
+// TestDialWantsHTTP: the wire is plain HTTP/1.1 and its request paths
+// are its own, so a base URL that is not http://host[:port], with at
+// most a "/" after it, is refused without a connection attempt: a path,
+// query or fragment would once have been pasted in front of every
+// request path.
 func TestDialWantsHTTP(t *testing.T) {
-	for _, u := range []string{"https://127.0.0.1:1", "127.0.0.1:1", "unix:///tmp/sock", "http://"} {
+	for _, u := range []string{
+		"https://127.0.0.1:1", "127.0.0.1:1", "unix:///tmp/sock", "http://",
+		"http://127.0.0.1:1/v1", "http://127.0.0.1:1/?x=1", "http://127.0.0.1:1?", "http://127.0.0.1:1/#top",
+		"http://user:pw@127.0.0.1:1",
+	} {
 		if _, err := client.Dial(u); !errors.Is(err, blob.ErrBadOption) {
 			t.Fatalf("Dial(%q) = %v, want ErrBadOption", u, err)
 		}
 	}
+	w := newWireServer(t, dataInner(), nil)
+	c, err := client.Dial(w.ts.URL + "/")
+	if err != nil {
+		t.Fatalf("Dial with a trailing slash: %v", err)
+	}
+	c.Close()
 }

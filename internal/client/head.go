@@ -1,0 +1,197 @@
+package client
+
+import (
+	"bufio"
+	"bytes"
+	"errors"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httputil"
+	"strconv"
+	"strings"
+
+	"repro/internal/server/wire"
+)
+
+// ErrBadResponse is wrapped by the error of a response the client cannot
+// use: a malformed head, a head line longer than the connection's read
+// buffer, conflicting Content-Lengths or a transfer coding other than
+// chunked (the connection is then closed), or a success without a wire
+// header the call needs.
+var ErrBadResponse = errors.New("client: bad response")
+
+// send writes one request in one writev: the head, then payload, which
+// is not referenced after send returns. The head is what net/http's
+// Request.Write sends for the call less User-Agent: the request line with
+// path as given (already escaped), Host, the wire headers hdr (name,
+// value pairs) and, for a PUT or a body, Content-Length. It reports how
+// many bytes left.
+func (c *conn) send(method, host, path string, payload []byte, hdr []string) (int64, error) {
+	b := append(append(append(c.head[:0], method...), ' '), path...)
+	b = append(append(b, " HTTP/1.1\r\nHost: "...), host...)
+	for i := 0; i+1 < len(hdr); i += 2 {
+		b = append(append(append(append(b, "\r\n"...), hdr[i]...), ": "...), hdr[i+1]...)
+	}
+	if len(payload) > 0 || method == http.MethodPut {
+		b = strconv.AppendInt(append(b, "\r\nContent-Length: "...), int64(len(payload)), 10)
+	}
+	c.head = append(b, "\r\n\r\n"...)
+	c.bufs = append(c.vec[:0], c.head, payload)
+	n, err := c.bufs.WriteTo(c.Conn)
+	c.vec = [2][]byte{}
+	return n, err
+}
+
+// response is a parsed response head. A wire number is -1 when absent or
+// malformed; of a repeated wire header the first counts, as with
+// http.Header.Get.
+type response struct {
+	status               int
+	length               int64 // body bytes, -1 when chunked or ended by close
+	chunked, keep        bool  // keep: the connection may carry another request
+	clock, size, version int64
+	meta                 bool
+	errName              string
+	body                 *body
+}
+
+// readResponse reads the head of the response to a request of method. It
+// keeps the framing headers and the wire headers the client reads and
+// skips the rest, with no header map. The framing is net/http's: a
+// response to HEAD and a 1xx, 204 or 304 have no body, chunked overrides
+// Content-Length, and a body with neither ends at close. A chunked body's
+// trailer is left unread, so its connection is not kept. A head that
+// does not parse (HTTP/1.1 only, one line per field) is an error wrapping
+// ErrBadResponse; one cut short, io.ErrUnexpectedEOF.
+func readResponse(br *bufio.Reader, method string) (response, error) {
+	r := response{length: -1, clock: -1, size: -1, version: -1}
+	line, err := readLine(br)
+	if err == nil && (len(line) < 12 || string(line[:9]) != "HTTP/1.1 " || len(line) > 12 && line[12] != ' ' ||
+		bytes.ContainsFunc(line[9:12], func(d rune) bool { return d < '0' || d > '9' })) {
+		err = malformed("status line", line)
+	}
+	if err != nil {
+		return r, err
+	}
+	r.status, _ = strconv.Atoi(string(line[9:12]))
+	cl, closeTok, seen := int64(-1), false, 0 // seen: a bit per wire header met
+	first := func(bit int) bool { f := seen&bit == 0; seen |= bit; return f }
+	for {
+		if line, err = readLine(br); err != nil {
+			return r, err
+		}
+		if len(line) == 0 {
+			break
+		}
+		i := bytes.IndexByte(line, ':')
+		name, v := line[:max(i, 0)], bytes.Trim(line[i+1:], " \t")
+		if i <= 0 || bytes.ContainsFunc(name, notToken) || bytes.ContainsFunc(line[i+1:], isCTL) {
+			return r, malformed("header", line)
+		}
+		switch {
+		case named(name, "Content-Length"):
+			// No leading zero, so equal values are equal text, which is
+			// what net/http compares repeated ones by.
+			n, err := strconv.ParseUint(string(v), 10, 63)
+			if err != nil || len(v) > 1 && v[0] == '0' || cl >= 0 && int64(n) != cl {
+				return r, malformed("Content-Length", line)
+			}
+			cl = int64(n)
+		case named(name, "Transfer-Encoding"):
+			if r.chunked || !named(v, "chunked") {
+				return r, malformed("Transfer-Encoding", line)
+			}
+			r.chunked = true
+		case named(name, "Connection"):
+			for more := true; more; {
+				var tok []byte
+				tok, v, more = bytes.Cut(v, []byte(","))
+				closeTok = closeTok || named(bytes.Trim(tok, " \t"), "close")
+			}
+		case named(name, wire.HeaderClock) && first(1):
+			r.clock = decimal(v)
+		case named(name, wire.HeaderSize) && first(2):
+			r.size = decimal(v)
+		case named(name, wire.HeaderVersion) && first(4):
+			r.version = decimal(v)
+		case named(name, wire.HeaderMeta) && first(8):
+			r.meta = string(v) == "1"
+		case named(name, wire.HeaderError) && first(16):
+			r.errName = string(v)
+		}
+	}
+	r.keep = !closeTok
+	switch {
+	case method == http.MethodHead || r.status/100 == 1 || r.status == 204 || r.status == 304:
+		r.length, r.chunked = 0, false
+	case r.chunked || cl < 0:
+		r.keep = false
+	default:
+		r.length = cl
+	}
+	return r, nil
+}
+
+// readLine reads one head line without its LF or CRLF.
+func readLine(br *bufio.Reader) ([]byte, error) {
+	line, err := br.ReadSlice('\n')
+	switch err {
+	case nil:
+		return bytes.TrimSuffix(line[:len(line)-1], []byte("\r")), nil
+	case bufio.ErrBufferFull:
+		return nil, fmt.Errorf("%w: head line longer than %d bytes", ErrBadResponse, br.Size())
+	case io.EOF:
+		return nil, io.ErrUnexpectedEOF
+	}
+	return nil, err
+}
+
+func malformed(what string, line []byte) error {
+	return fmt.Errorf("%w: malformed %s %q", ErrBadResponse, what, line)
+}
+
+// named reports whether b is h in any case. h is letters and '-', and
+// |0x20 pairs each such byte only with its other case among the bytes
+// that are no control character, which are all b holds.
+func named(b []byte, h string) bool {
+	if len(b) != len(h) {
+		return false
+	}
+	for i := range b {
+		if b[i]|0x20 != h[i]|0x20 {
+			return false
+		}
+	}
+	return true
+}
+
+// decimal parses a wire header's number, -1 when it is none.
+func decimal(v []byte) int64 {
+	if n, err := strconv.ParseInt(string(v), 10, 64); err == nil {
+		return n
+	}
+	return -1
+}
+
+// notToken reports whether r may not be in a header name (RFC 9110 tchar).
+func notToken(r rune) bool {
+	return r >= 0x80 || !('a' <= r|0x20 && r|0x20 <= 'z' || '0' <= r && r <= '9' || strings.ContainsRune("!#$%&'*+-.^_`|~", r))
+}
+
+// isCTL reports whether r may not be in a header value: a control
+// character other than tab.
+func isCTL(r rune) bool { return r < 0x20 && r != '\t' || r == 0x7f }
+
+// frame points b at r's body on br.
+func (b *body) frame(br *bufio.Reader, r *response) {
+	switch {
+	case r.chunked:
+		b.Reader = httputil.NewChunkedReader(br)
+	case r.length >= 0:
+		b.lr = io.LimitedReader{R: br, N: r.length}
+		b.Reader = &b.lr
+	default:
+		b.Reader = br
+	}
+}
