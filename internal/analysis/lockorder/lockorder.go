@@ -1,17 +1,18 @@
 // Package lockorder enforces the stripe/force ordering invariant: a
 // blob.KeyLocks stripe must never be held across a call that can reach
 // the group-commit force. The committer's Do blocks the caller until
-// its batch's one group force is issued, and the apply closures inside
-// that batch re-acquire key stripes (a core writer's commitApply and
-// the store's CompactObject take the key's stripe lock). A caller entering Do while holding a stripe
-// therefore deadlocks as soon as its batch contains a commit for a key
-// on the same stripe — a 1-in-stripes chance per batch that soak runs
-// hit and unit tests do not.
+// its batch's one group force is issued, and the caller may lead the
+// batch, running other writers' apply closures on its own goroutine. An
+// apply closure that took a stripe the caller holds would deadlock as
+// soon as a batch paired two keys on one stripe — a 1-in-stripes chance
+// per batch that soak runs hit and unit tests do not. No apply closure
+// in the tree takes a stripe today (the core stores have none); the
+// check keeps a future one from meeting a caller that holds it.
 //
 // The analyzer tracks, per statement list, the region between a
 // KeyLocks Lock/RLock and its Unlock/RUnlock (a deferred Unlock holds
 // to function end). Inside a held region it flags calls that force:
-// GroupCommitter.Do/Close, blob.Writer.Commit (Commit rides the
+// GroupCommitter.Do, blob.Writer.Commit (Commit rides the
 // pipeline), and any same-package function that transitively makes
 // such a call (one intra-package fixpoint, so helpers don't hide the
 // force).
@@ -41,8 +42,7 @@ func run(pass *analysis.Pass) error {
 
 	// forces reports whether call directly reaches the pipeline.
 	forces := func(call *ast.CallExpr) bool {
-		if analysis.IsMethodOn(pass.TypesInfo, call, blobPkg, "GroupCommitter", "Do") ||
-			analysis.IsMethodOn(pass.TypesInfo, call, blobPkg, "GroupCommitter", "Close") {
+		if analysis.IsMethodOn(pass.TypesInfo, call, blobPkg, "GroupCommitter", "Do") {
 			return true
 		}
 		fn := analysis.Callee(pass.TypesInfo, call)

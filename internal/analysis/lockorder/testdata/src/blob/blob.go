@@ -13,7 +13,6 @@ func (*KeyLocks) RUnlock(key string) {}
 type GroupCommitter struct{}
 
 func (*GroupCommitter) Do(apply func() error) error { return nil }
-func (*GroupCommitter) Close() error                { return nil }
 
 type Writer interface {
 	Append(n int64, data []byte) error

@@ -11,7 +11,7 @@
 //     time.Sleep, time.After, time.Tick, time.NewTimer, time.NewTicker,
 //     time.AfterFunc, time.Until) are flagged in every internal/
 //     package. Genuine wall-clock sites — report timestamps, the
-//     group-commit batcher's coalescing delay — carry a
+//     group-commit leader's max-delay ceiling — carry a
 //     //fragvet:ignore vclockpurity <reason>.
 //
 //  2. Functions named charge* are the convention for accounting a disk

@@ -9,7 +9,7 @@
 // request-sized chunks (subsuming the old WriteRequestSize plumbing) and
 // read through Readers supporting whole-object and ranged reads. Every
 // failure wraps one of the sentinels in errors.go, stores are safe for
-// concurrent callers (per-key striped locking), and configuration uses
+// concurrent callers, and configuration uses
 // functional options (options.go) instead of per-backend option structs.
 package blob
 
@@ -105,13 +105,11 @@ type Writer interface {
 }
 
 // Store is the abstract large-object store both backends implement.
-// Implementations are safe for concurrent use: per-key striped locks
-// order operations touching the same key, at most one uncommitted
+// Implementations are safe for concurrent use: at most one uncommitted
 // Writer exists per key (a second Create/Replace fails with ErrBusy),
-// and a store-level mutex currently serializes access to the
-// single-threaded simulation engine underneath — the striping is the
-// correctness seam future sharded backends parallelize across, not a
-// parallelism guarantee today.
+// and a store-level mutex serializes access to the single-threaded
+// simulation engine underneath; a sharded store runs its children's
+// engines in parallel.
 //
 // All failures wrap the sentinel errors in errors.go; test with
 // errors.Is, never by matching message text.

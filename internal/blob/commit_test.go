@@ -2,6 +2,10 @@ package blob
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -42,9 +46,6 @@ func (h *hookCounter) end() {
 func TestSynchronousCommitter(t *testing.T) {
 	h := &hookCounter{}
 	gc := NewGroupCommitter(1, 0, h.begin, h.end)
-	if gc.Batching() {
-		t.Fatal("maxBatch=1 should not batch")
-	}
 	for i := 0; i < 5; i++ {
 		if err := gc.Do(func() error { return nil }); err != nil {
 			t.Fatal(err)
@@ -57,12 +58,11 @@ func TestSynchronousCommitter(t *testing.T) {
 	if st.Commits != 5 || st.Batches != 5 || st.MaxBatch != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
-	gc.Close() // no-op
 }
 
 // TestBatcherCoalescesConcurrentCommits pins the pipeline shape without
 // racing a timer: n writers are open before the first commit, so the
-// batcher holds its batch for exactly those siblings and closes it when
+// leader holds its batch for exactly those siblings and closes it when
 // the last one arrives — ONE batch, bracketed by one begin/end pair,
 // long before the multi-second ceiling — and every commit's own error
 // comes back to it.
@@ -71,10 +71,6 @@ func TestBatcherCoalescesConcurrentCommits(t *testing.T) {
 	const n = 8
 	const ceiling = 5 * time.Second
 	gc := NewGroupCommitter(n, ceiling, h.begin, h.end)
-	defer gc.Close()
-	if !gc.Batching() {
-		t.Fatal("pipeline should batch")
-	}
 	var open atomic.Int64
 	gc.SetOpenWriters(func() int { return int(open.Load()) })
 	open.Store(n) // every writer is open before anyone commits
@@ -141,12 +137,10 @@ func TestLoneCommitFlushesAtOnce(t *testing.T) {
 		if st := gc.Stats(); st.Commits != 3 || st.Batches != 3 {
 			t.Errorf("callback=%v: stats = %+v, want three batches of one", withCallback, st)
 		}
-		gc.Close()
 	}
 
 	const short = 20 * time.Millisecond
 	gc := NewGroupCommitter(8, short, func() {}, func() {})
-	defer gc.Close()
 	gc.SetOpenWriters(func() int { return 2 }) // this writer plus a stale claim
 	start := time.Now()
 	if err := gc.Do(func() error { return nil }); err != nil {
@@ -157,13 +151,13 @@ func TestLoneCommitFlushesAtOnce(t *testing.T) {
 	}
 }
 
-// TestCommitterCloseDrainsAndStaysUsable pins shutdown: Close waits for
-// queued commits, and later commits fall back to synchronous mode.
-func TestCommitterCloseDrainsAndStaysUsable(t *testing.T) {
-	h := &hookCounter{}
-	gc := NewGroupCommitter(4, time.Millisecond, h.begin, h.end)
+// TestCommitterRunsNoGoroutine pins that group commit is led by the
+// committing callers themselves: once a burst of concurrent commits has
+// returned, no goroutine is left running pipeline code.
+func TestCommitterRunsNoGoroutine(t *testing.T) {
+	gc := NewGroupCommitter(8, time.Millisecond, func() {}, func() {})
 	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
+	for i := 0; i < 32; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -173,60 +167,177 @@ func TestCommitterCloseDrainsAndStaysUsable(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	gc.Close()
-	gc.Close() // idempotent
-	if err := gc.Do(func() error { return nil }); err != nil {
+	// The burst's goroutines may still be unwinding; give them a moment.
+	var stacks []string
+	for try := 0; try < 100; try++ {
+		stacks = pipelineGoroutines()
+		if len(stacks) == 0 {
+			return
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	t.Fatalf("%d goroutine(s) still run pipeline code after every commit returned:\n\n%s",
+		len(stacks), strings.Join(stacks, "\n\n"))
+}
+
+// pipelineGoroutines returns the stacks of goroutines, other than the
+// test driver's, that have a frame in this package.
+func pipelineGoroutines() []string {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	var out []string
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "repro/internal/blob.") &&
+			!strings.Contains(g, "testing.tRunner") && !strings.Contains(g, "testing.(*M).Run") {
+			out = append(out, g)
+		}
+	}
+	return out
+}
+
+// TestLeaderFlushesWhatQueuedDuringItsForce pins the leader's flush
+// loop: commits that queue while the leader's bracket is open all ride
+// its next force — one bracket, even past maxBatch — and each follower
+// gets its own error back.
+func TestLeaderFlushesWhatQueuedDuringItsForce(t *testing.T) {
+	h := &hookCounter{}
+	gc := NewGroupCommitter(8, 0, h.begin, h.end)
+	entered, release := make(chan struct{}), make(chan struct{})
+	leaderDone := make(chan error, 1)
+	go func() {
+		leaderDone <- gc.Do(func() error {
+			close(entered)
+			<-release
+			return nil
+		})
+	}()
+	<-entered
+	const followers = 12
+	own := make([]error, followers)
+	got := make([]error, followers)
+	var wg sync.WaitGroup
+	for i := range own {
+		own[i] = fmt.Errorf("follower %d", i)
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = gc.Do(func() error { return own[i] })
+		}(i)
+	}
+	// The leader's commit is still counted: its apply has not returned.
+	for gc.queued.Load() != followers+1 {
+		runtime.Gosched()
+	}
+	close(release)
+	if err := <-leaderDone; err != nil {
 		t.Fatal(err)
 	}
-	if st := gc.Stats(); st.Commits != 9 {
-		t.Fatalf("commits = %d, want 9", st.Commits)
+	wg.Wait()
+	for i, err := range got {
+		if err != own[i] {
+			t.Errorf("follower %d got %v, want its own error", i, err)
+		}
+	}
+	if st := gc.Stats(); st.Commits != followers+1 || st.Batches != 2 || st.MaxBatch != followers {
+		t.Errorf("stats = %+v, want the leader's batch of 1 then one batch of %d", st, followers)
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.sawImproper || h.begins != 2 || h.ends != 2 {
+		t.Errorf("brackets: begins=%d ends=%d improper=%v, want 2", h.begins, h.ends, h.sawImproper)
 	}
 }
 
-// TestDoCloseRaceNeverStrands hammers Do against Close: every commit
-// must return (served by the batcher's final drain or applied inline),
-// never strand in the queue after the batcher exits.
-func TestDoCloseRaceNeverStrands(t *testing.T) {
-	for round := 0; round < 50; round++ {
-		gc := NewGroupCommitter(4, 0, func() {}, func() {})
-		const n = 16
+// TestDoNeverStrands runs seeded rounds of concurrent commits, some of
+// whose applies fail, with and without a maxDelay ceiling and with a
+// store-like open-writer count (a failed writer stays open until its
+// caller gives up on it). Every commit must return exactly its own
+// error, every apply must run exactly once inside one open bracket,
+// brackets must never overlap, and the counters must see every call.
+func TestDoNeverStrands(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for round := 0; round < 60; round++ {
+		delay := time.Duration(round%2) * time.Millisecond
+		h := &hookCounter{}
+		gc := NewGroupCommitter(2+rng.Intn(8), delay, h.begin, h.end)
+		var open atomic.Int64
+		gc.SetOpenWriters(func() int { return int(open.Load()) })
+		n := 1 + rng.Intn(24)
+		fail := make([]bool, n)
+		for i := range fail {
+			fail[i] = rng.Intn(4) == 0
+		}
+		applies := make([]atomic.Int32, n)
+		var outside atomic.Int32
 		var wg sync.WaitGroup
+		open.Store(int64(n))
 		for i := 0; i < n; i++ {
 			wg.Add(1)
-			go func() {
+			go func(i int) {
 				defer wg.Done()
-				if err := gc.Do(func() error { return nil }); err != nil {
-					t.Error(err)
+				own := fmt.Errorf("commit %d", i)
+				err := gc.Do(func() error {
+					applies[i].Add(1)
+					h.mu.Lock()
+					if h.openDepth != 1 {
+						outside.Add(1)
+					}
+					h.mu.Unlock()
+					if fail[i] {
+						return own
+					}
+					open.Add(-1)
+					return nil
+				})
+				if fail[i] {
+					open.Add(-1) // the caller aborts its failed writer
+					if err != own {
+						t.Errorf("round %d: failed commit %d got %v, want its own error", round, i, err)
+					}
+				} else if err != nil {
+					t.Errorf("round %d: commit %d got %v", round, i, err)
 				}
-			}()
+			}(i)
 		}
-		gc.Close()
 		done := make(chan struct{})
 		go func() { wg.Wait(); close(done) }()
 		select {
 		case <-done:
-		case <-time.After(5 * time.Second):
-			t.Fatalf("round %d: commits stranded after Close", round)
+		case <-time.After(10 * time.Second):
+			t.Fatalf("round %d: commits stranded", round)
 		}
-		if st := gc.Stats(); st.Commits != n {
+		for i := range applies {
+			if c := applies[i].Load(); c != 1 {
+				t.Fatalf("round %d: commit %d applied %d times", round, i, c)
+			}
+		}
+		if c := outside.Load(); c != 0 {
+			t.Fatalf("round %d: %d applies ran outside one open bracket", round, c)
+		}
+		if st := gc.Stats(); st.Commits != int64(n) {
 			t.Fatalf("round %d: %d commits recorded, want %d", round, st.Commits, n)
 		}
+		h.mu.Lock()
+		if h.sawImproper || h.begins != h.ends || int64(h.begins) != gc.Stats().Batches {
+			t.Fatalf("round %d: brackets begins=%d ends=%d batches=%d improper=%v",
+				round, h.begins, h.ends, gc.Stats().Batches, h.sawImproper)
+		}
+		h.mu.Unlock()
 	}
 }
 
-// TestIdleBatcherNoStaleTimerFlush is the regression test for the
-// batcher's maxDelay timer lifetime: the batcher reuses ONE timer
-// across batches, so a tick left armed (or fired and undrained) after
-// one batch could poison the next. It pins that (a) an idle pipeline
+// TestIdleLeaderNoStaleTimerFlush is the regression test for the
+// leader's maxDelay timer lifetime: every leader reuses the committer's
+// ONE timer, so a tick left armed (or fired and undrained) after one
+// batch could poison the next. It pins that (a) an idle pipeline
 // issues no flush at all — the timer only runs while a batch is being
 // gathered, so idling can never force a stale empty flush — and (b)
 // commits arriving after long idle gaps still form well-formed batches:
 // every flush carries at least one commit (Batches <= Commits) and
 // every commit is acknowledged exactly once.
-func TestIdleBatcherNoStaleTimerFlush(t *testing.T) {
+func TestIdleLeaderNoStaleTimerFlush(t *testing.T) {
 	h := &hookCounter{}
 	gc := NewGroupCommitter(4, time.Millisecond, h.begin, h.end)
-	defer gc.Close()
 	// A phantom sibling that never commits: every round's underfull
 	// batch is held open and closed by the timer firing, the path whose
 	// leftover tick this test is about.

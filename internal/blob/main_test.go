@@ -7,5 +7,5 @@ import (
 )
 
 // TestMain fails the package if any test leaves a goroutine running —
-// the group-commit pipeline promises to drain on Close.
+// the group-commit pipeline starts none.
 func TestMain(m *testing.M) { leakcheck.Main(m) }

@@ -44,10 +44,10 @@ type Options struct {
 	// commits synchronously (no pipeline); set via WithGroupCommit.
 	GroupCommitBatch int
 
-	// GroupCommitDelay is the longest the batcher holds an underfull
-	// batch open, and it does so only while other writers are open on
-	// the store; 0 coalesces only commits already queued. Set via
-	// WithGroupCommit.
+	// GroupCommitDelay is the longest a batch's leader holds an
+	// underfull batch open, and it does so only while other writers are
+	// open on the store; 0 coalesces only commits already queued. Set
+	// via WithGroupCommit.
 	GroupCommitDelay time.Duration
 
 	// CommitObserver receives the group-commit pipeline's queue-wait and
@@ -117,11 +117,12 @@ func WithoutOwnerMap() Option {
 	return func(o *Options) { o.NoOwnerMap = true }
 }
 
-// WithGroupCommit enables the asynchronous group-commit pipeline:
-// Writer.Commit enqueues onto the store's commit queue, a batcher
-// coalesces up to maxBatch pending commits, and the backend issues one
-// group force per batch instead of one per transaction — the classic
-// amortization of the per-operation costs §3.1's folklore blames.
+// WithGroupCommit enables the group-commit pipeline: Writer.Commit
+// queues on the store's committer, one committing writer leads the batch
+// (gathering up to maxBatch pending commits on its own goroutine), and
+// the backend issues one group force per batch instead of one per
+// transaction — the classic amortization of the per-operation costs
+// §3.1's folklore blames.
 // maxDelay is a ceiling, not a wait every batch pays: an underfull
 // batch is held open only while the store has other writers open that
 // have not committed yet, and closes when the last of them arrives or

@@ -11,12 +11,9 @@ const DefaultKeyStripes = 64
 
 // KeyLocks is a striped per-key reader/writer lock: keys hash onto a
 // fixed array of RWMutexes, giving per-key mutual exclusion without a
-// lock per live object. Both store backends order same-key operations
-// through the key's stripe. Today the stores also hold a store-level
-// mutex around every engine call (the simulation engines are
-// single-threaded), so the stripes buy ordering rather than
-// parallelism; they are the seam package shard parallelizes across,
-// where each shard owns its own engine.
+// lock per live object. The shard router orders same-key mutations
+// through the key's stripe across its child calls; the core stores need
+// none, as one store-level mutex already serializes every engine call.
 //
 // Locks are held for the duration of one store call, never across a
 // Reader's or Writer's lifetime, so callers cannot deadlock themselves

@@ -22,7 +22,6 @@ func build(t *testing.T, spec stack.Spec) conformance.Factory {
 		if err != nil {
 			panic(err)
 		}
-		t.Cleanup(func() { _ = blob.CloseStore(s) })
 		return s
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/blob"
 	"repro/internal/client"
 	"repro/internal/disk"
 	"repro/internal/server"
@@ -45,7 +44,6 @@ func BenchmarkServedOps(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer blob.CloseStore(st)
 			srv, err := server.New(st, server.Config{})
 			if err != nil {
 				b.Fatal(err)

@@ -459,7 +459,6 @@ func TestLoneCommitDoesNotWait(t *testing.T) {
 		if stack, err = cache.New(mixedShardInner(opts...), cache.WithCapacity(8*units.MB)); err != nil {
 			panic(err)
 		}
-		t.Cleanup(func() { _ = blob.CloseStore(stack) })
 		return stack
 	})(blob.WithCapacity(64*units.MB), blob.WithGroupCommit(8, conformance.GroupCommitCeiling)).(*client.Store)
 	for _, key := range []string{"a", "b", "c"} {

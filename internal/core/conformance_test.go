@@ -35,7 +35,7 @@ func TestDBStoreConformance(t *testing.T) {
 }
 
 // TestFileStoreGroupCommitConformance re-runs the whole contract suite
-// with the asynchronous group-commit pipeline enabled: batching may only
+// with the group-commit pipeline enabled: batching may only
 // move the force schedule, never the visible semantics.
 func TestFileStoreGroupCommitConformance(t *testing.T) {
 	conformance.Run(t, func(opts ...blob.Option) blob.Store {
@@ -44,7 +44,6 @@ func TestFileStoreGroupCommitConformance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { s.Close() })
 		return s
 	})
 }
@@ -57,7 +56,6 @@ func TestDBStoreGroupCommitConformance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { s.Close() })
 		return s
 	})
 }

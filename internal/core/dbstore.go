@@ -22,14 +22,14 @@ import (
 // exactly. Until Commit nothing is visible, matching the filesystem
 // backend's safe-write semantics.
 //
-// With blob.WithGroupCommit, Commit enqueues onto the store's commit
-// queue and a batcher coalesces pending transactions: the engine forces
-// its log ONCE per batch — one sequential write covering every record —
-// instead of once per transaction, the §3.1 amortization.
+// With blob.WithGroupCommit, concurrent commits are coalesced by
+// whichever committing writer leads the batch: the engine forces its log
+// ONCE per batch — one sequential write covering every record — instead
+// of once per transaction, the §3.1 amortization.
 //
-// The store is safe for concurrent callers: per-key striped locks order
-// operations on the same key, and an internal mutex serializes access to
-// the single-threaded engine beneath.
+// The store is safe for concurrent callers: one internal mutex
+// serializes access to the single-threaded engine beneath, and a key has
+// at most one uncommitted writer.
 type DBStore struct {
 	store
 	eng *db.Database

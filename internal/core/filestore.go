@@ -23,14 +23,14 @@ import (
 // the allocator in request-sized chunks, and Commit forces the data and
 // atomically renames over the permanent file — the paper's safe-write
 // protocol (§4) driven through a handle instead of one buffer. With
-// blob.WithGroupCommit, Commit enqueues onto the store's commit queue
-// and a batcher coalesces pending safe writes: each batch forces the
-// volume's metadata (coalesced MFT writes, one log flush) and the
-// metadata database's log once instead of per commit.
+// blob.WithGroupCommit, concurrent commits are coalesced by whichever
+// committing writer leads the batch: each batch forces the volume's
+// metadata (coalesced MFT writes, one log flush) and the metadata
+// database's log once instead of per commit.
 //
-// The store is safe for concurrent callers: per-key striped locks order
-// operations on the same key, and an internal mutex serializes access to
-// the single-threaded volume and metadata engines beneath.
+// The store is safe for concurrent callers: one internal mutex
+// serializes access to the single-threaded volume and metadata engines
+// beneath, and a key has at most one uncommitted writer.
 type FileStore struct {
 	store
 	vol    *fs.Volume
@@ -248,9 +248,9 @@ func (s *FileStore) stage(w *writer) error {
 }
 
 // write hands the temp file one write request at a time — the paper's
-// §5.3 request granularity, owned by the store — taking the key's
-// stripe and mu per request, so concurrent streams interleave at the
-// allocator request by request.
+// §5.3 request granularity, owned by the store — taking mu per
+// request, so concurrent streams interleave at the allocator request by
+// request.
 func (s *FileStore) write(w *writer, n int64, data []byte) error {
 	req := s.opts.WriteRequestSize
 	if req <= 0 {
@@ -265,11 +265,9 @@ func (s *FileStore) write(w *writer, n int64, data []byte) error {
 		if data != nil {
 			chunk = data[off : off+c]
 		}
-		s.locks.Lock(w.key)
 		s.mu.Lock()
 		err := w.f.Append(c, chunk)
 		s.mu.Unlock()
-		s.locks.Unlock(w.key)
 		if err != nil {
 			return err
 		}

@@ -34,14 +34,6 @@ func ceilingOpts(extra ...blob.Option) []blob.Option {
 		blob.WithGroupCommit(8, conformance.GroupCommitCeiling)}, extra...)...)
 }
 
-// pipelineStore is what both backends offer the wait-rule tests beyond
-// blob.Store.
-type pipelineStore interface {
-	blob.Store
-	CommitStats() blob.CommitStats
-	Close() error
-}
-
 // roundKeys names the writers of one CommitTogether round.
 func roundKeys(round, writers int) []string {
 	keys := make([]string, writers)
@@ -80,9 +72,6 @@ func TestGroupCommitBatchesUnderConcurrency(t *testing.T) {
 				t.Errorf("pipeline stats %+v, want %d commits in %d batches of %d",
 					cs, writers*rounds, rounds, writers)
 			}
-			if err := blob.CloseStore(s); err != nil {
-				t.Fatal(err)
-			}
 		})
 	}
 }
@@ -99,7 +88,6 @@ func TestGroupCommitReducesLogForces(t *testing.T) {
 	}
 	run := func(opts ...blob.Option) int64 {
 		s := mustDBStore(t, opts...)
-		defer s.Close()
 		drive(s)
 		return s.Engine().Stats().LogForces
 	}
@@ -116,7 +104,6 @@ func TestGroupCommitReducesLogForces(t *testing.T) {
 	// Filesystem counterpart: forced MFT writes per commit shrink too.
 	runFS := func(opts ...blob.Option) int64 {
 		s := mustFileStore(t, opts...)
-		defer s.Close()
 		drive(s)
 		return s.Volume().Stats().MetaWrites
 	}
@@ -133,9 +120,8 @@ func TestGroupCommitReducesLogForces(t *testing.T) {
 func TestLoneCommitDoesNotWait(t *testing.T) {
 	fsStore := mustFileStore(t, ceilingOpts()...)
 	dbStore := mustDBStore(t, ceilingOpts()...)
-	for _, s := range []pipelineStore{fsStore, dbStore} {
+	for _, s := range []blob.Store{fsStore, dbStore} {
 		t.Run(s.Name(), func(t *testing.T) {
-			defer s.Close()
 			for _, key := range []string{"a", "b", "c"} {
 				conformance.LoneCommitDoesNotWait(t, s, conformance.PutKey(s, key))
 			}
@@ -154,7 +140,6 @@ func TestLoneCommitAfterRecoverDoesNotWait(t *testing.T) {
 	ctx := context.Background()
 	t.Run("filesystem/Recover", func(t *testing.T) {
 		s := mustFileStore(t, ceilingOpts()...)
-		defer s.Close()
 		s.ArmCommitCrash("doomed")
 		w, err := s.Create(ctx, "doomed", 64*units.KB)
 		if err != nil {
@@ -171,9 +156,8 @@ func TestLoneCommitAfterRecoverDoesNotWait(t *testing.T) {
 	})
 	fsStore := mustFileStore(t, ceilingOpts()...)
 	dbStore := mustDBStore(t, ceilingOpts()...)
-	for _, s := range []pipelineStore{fsStore, dbStore} {
+	for _, s := range []blob.Store{fsStore, dbStore} {
 		t.Run(s.Name()+"/Abort", func(t *testing.T) {
-			defer s.Close()
 			w, err := s.Create(ctx, "abandoned", 64*units.KB)
 			if err != nil {
 				t.Fatal(err)
@@ -203,7 +187,6 @@ func TestLoneCommitAfterRecoverDoesNotWait(t *testing.T) {
 func TestGroupCommitErrorFansBackToOwner(t *testing.T) {
 	ctx := context.Background()
 	s := mustFileStore(t, groupOpts()...)
-	defer s.Close()
 
 	// A batch of one doomed writer among healthy ones: the doomed key's
 	// temp stream crashes mid-commit via the armed crash hook.
@@ -253,7 +236,6 @@ func TestCrashMidBatchRecovery(t *testing.T) {
 	ctx := context.Background()
 	const streams = 8
 	s := mustFileStore(t, groupOpts(blob.WithDiskMode(disk.DataMode))...)
-	defer s.Close()
 
 	oldBody := func(i int) []byte { return bytes.Repeat([]byte{byte(i + 1)}, 64*1024) }
 	newBody := func(i int) []byte { return bytes.Repeat([]byte{byte(i + 101)}, 64*1024) }

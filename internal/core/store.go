@@ -15,15 +15,13 @@ import (
 // version is staged and published — a temp file, a force and an atomic
 // rename on the filesystem (§4.1), one bulk-logged BLOB transaction in
 // the database (§4.2). store is everything else, written once: the
-// blob.Store frames with their typed-error ladder, per-key striped locks
-// under one engine mutex, the one-writer-per-key claims, live-byte
-// accounting, the group-commit pipeline and the pooled read and write
-// handles. FileStore and DBStore embed a store and implement engine.
+// blob.Store frames with their typed-error ladder, one engine mutex, the
+// one-writer-per-key claims, live-byte accounting, the group-commit
+// pipeline and the pooled read and write handles. FileStore and DBStore
+// embed a store and implement engine.
 //
-// Locking: engine methods run with mu held, and with the key's stripe
-// too when they name a key. The exceptions are write, which takes both
-// itself once per write request, and the group brackets and iteration
-// methods, which run under mu alone.
+// Locking: engine methods run with mu held. The exception is write,
+// which takes mu itself once per write request.
 
 // engine is what one backend does differently.
 type engine interface {
@@ -66,7 +64,6 @@ type engine interface {
 type store struct {
 	e         engine
 	clock     *vclock.Clock
-	locks     *blob.KeyLocks
 	committer *blob.GroupCommitter
 
 	mu        sync.Mutex // guards the engine, liveBytes and inflight
@@ -80,10 +77,9 @@ type store struct {
 	readers, writers sync.Pool
 }
 
-// init wires s to its engine and starts the commit pipeline.
+// init wires s to its engine and its commit pipeline.
 func (s *store) init(e engine, clock *vclock.Clock, opts blob.Options) {
 	s.e, s.clock = e, clock
-	s.locks = blob.NewKeyLocks()
 	s.inflight = make(map[string]bool)
 	s.readers.New = func() any { return new(reader) }
 	s.writers.New = func() any { return new(writer) }
@@ -102,13 +98,6 @@ func (s *store) init(e engine, clock *vclock.Clock, opts blob.Options) {
 	}
 }
 
-// Close shuts down the group-commit pipeline. The store stays usable;
-// later commits apply synchronously.
-func (s *store) Close() error {
-	s.committer.Close()
-	return nil
-}
-
 // CommitStats returns the group-commit pipeline counters.
 func (s *store) CommitStats() blob.CommitStats { return s.committer.Stats() }
 
@@ -120,8 +109,6 @@ func (s *store) Open(ctx context.Context, key string) (blob.Reader, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	s.locks.RLock(key)
-	defer s.locks.RUnlock(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	size, tag, err := s.e.open(key, !blob.Resumed(ctx))
@@ -163,8 +150,6 @@ func (r *reader) read(whole bool, off, length int64) ([]byte, error) {
 	if err := r.ctx.Err(); err != nil {
 		return nil, err
 	}
-	r.s.locks.RLock(r.key)
-	defer r.s.locks.RUnlock(r.key)
 	r.s.mu.Lock()
 	defer r.s.mu.Unlock()
 	data, live, err := r.s.e.read(r.key, r.tag, whole, off, length)
@@ -202,8 +187,6 @@ func (s *store) newWriter(ctx context.Context, key string, size int64, replace b
 	if size <= 0 {
 		return nil, fmt.Errorf("%w: write of %d bytes to %s", blob.ErrInvalidSize, size, key)
 	}
-	s.locks.Lock(key)
-	defer s.locks.Unlock(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.inflight[key] {
@@ -273,8 +256,8 @@ func (w *writer) Write(p []byte) (int, error) {
 
 // Commit implements blob.Writer: the atomic publish point. The commit
 // rides the store's group-commit pipeline — with batching enabled it
-// waits in the commit queue and shares one force with the rest of its
-// batch; the error that comes back is this writer's own.
+// shares one force with the rest of its batch, which it may lead; the
+// error that comes back is this writer's own.
 func (w *writer) Commit() error {
 	if err := w.state.BeginCommit(w.ctx); err != nil {
 		return err
@@ -290,8 +273,6 @@ func (w *writer) Commit() error {
 // per-commit forces deferred to the surrounding batch.
 func (w *writer) commitApply() error {
 	s := w.s
-	s.locks.Lock(w.key)
-	defer s.locks.Unlock(w.key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	old, err := s.e.publish(w)
@@ -310,8 +291,6 @@ func (w *writer) Abort() error {
 		return nil
 	}
 	s := w.s
-	s.locks.Lock(w.key)
-	defer s.locks.Unlock(w.key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.e.discard(w)
@@ -325,8 +304,6 @@ func (s *store) Delete(ctx context.Context, key string) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	s.locks.Lock(key)
-	defer s.locks.Unlock(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	size, err := s.e.remove(key)
@@ -342,8 +319,6 @@ func (s *store) Stat(ctx context.Context, key string) (blob.Info, error) {
 	if err := ctx.Err(); err != nil {
 		return blob.Info{}, err
 	}
-	s.locks.RLock(key)
-	defer s.locks.RUnlock(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	size, tag, err := s.e.stat(key, !blob.Resumed(ctx))
@@ -368,8 +343,6 @@ func (s *store) CompactObject(ctx context.Context, key string) (int64, error) {
 	}
 	var moved int64
 	err := s.committer.Do(func() error {
-		s.locks.Lock(key)
-		defer s.locks.Unlock(key)
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		if s.inflight[key] {

@@ -198,19 +198,6 @@ func (c Config) build(clock *vclock.Clock, spec stack.Spec) (blob.Store, error) 
 	return stack.Build(clock, spec)
 }
 
-// withStore is the driver's prologue: build spec on clock, hand the
-// store to use, and close it on every return path, so no commit
-// pipeline outlives the arm. An arm that measures an empty store (trace
-// replay) calls it directly; every other arm goes through age.
-func (c Config) withStore(clock *vclock.Clock, spec stack.Spec, use func(blob.Store) error) (err error) {
-	store, err := c.build(clock, spec)
-	if err != nil {
-		return err
-	}
-	defer func() { err = errors.Join(err, blob.CloseStore(store)) }()
-	return use(store)
-}
-
 // drive holds the extras a few arms age their store with; the zero
 // value is the paper's single-writer procedure.
 type drive struct {
@@ -238,32 +225,33 @@ type arm struct {
 // age is every arm's procedure (§4.3, §5.4): build spec on clock (each
 // arm gets a clock of its own — the paper ran the systems independently),
 // bulk-load dist to c.Occupancy, then for each of ages in turn churn to
-// it and call step; an age of 0 is the store right after the load. The
-// store is closed on every return path (withStore).
+// it and call step; an age of 0 is the store right after the load.
 func (c Config) age(clock *vclock.Clock, spec stack.Spec, dist workload.SizeDist, ages []float64, d drive,
 	step func(arm) error) error {
-	return c.withStore(clock, spec, func(store blob.Store) error {
-		under := store
-		if d.wrap != nil {
-			under = d.wrap(store)
-		}
-		runner := workload.NewRunner(under, dist, c.Seed).WithStreams(max(d.streams, 1)).WithCollector(d.col)
-		res, err := runner.BulkLoad(c.Occupancy)
-		if err != nil && !(d.tolerant && errors.Is(err, blob.ErrNoSpaceLeft)) {
-			return fmt.Errorf("%s: bulk load: %w", spec, err)
-		}
-		for _, age := range ages {
-			if age > 0 {
-				if res, err = runner.ChurnToAge(age, workload.ChurnOptions{TolerateNoSpace: d.tolerant}); err != nil {
-					return fmt.Errorf("%s: churn to %.1f: %w", spec, age, err)
-				}
+	store, err := c.build(clock, spec)
+	if err != nil {
+		return err
+	}
+	under := store
+	if d.wrap != nil {
+		under = d.wrap(store)
+	}
+	runner := workload.NewRunner(under, dist, c.Seed).WithStreams(max(d.streams, 1)).WithCollector(d.col)
+	res, err := runner.BulkLoad(c.Occupancy)
+	if err != nil && !(d.tolerant && errors.Is(err, blob.ErrNoSpaceLeft)) {
+		return fmt.Errorf("%s: bulk load: %w", spec, err)
+	}
+	for _, age := range ages {
+		if age > 0 {
+			if res, err = runner.ChurnToAge(age, workload.ChurnOptions{TolerateNoSpace: d.tolerant}); err != nil {
+				return fmt.Errorf("%s: churn to %.1f: %w", spec, age, err)
 			}
-			if err := step(arm{store, runner, age, res}); err != nil {
-				return err
-			}
 		}
-		return nil
-	})
+		if err := step(arm{store, runner, age, res}); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // sizeDist returns the object-size distribution of the Source-driven

@@ -6,6 +6,7 @@ import (
 	"repro/internal/leakcheck"
 )
 
-// TestMain fails the package if any test leaves a goroutine running:
-// every arm closes its store, group-commit batcher included.
+// TestMain fails the package if any test leaves a goroutine running.
+// An arm's stores start none (group commit is led by the committing
+// writers), so only an experiment's own streams could leak.
 func TestMain(m *testing.M) { leakcheck.Main(m) }

@@ -89,21 +89,19 @@ func TraceReplaySweep(c Config) ([]*stats.Table, error) {
 			spec := c.spec(st.backend)
 			spec.GroupCommitBatch, spec.GroupCommitDelay = k, 500*time.Microsecond
 			// Each partitioning replays on a fresh, empty store.
-			err := c.withStore(vclock.New(), spec, func(store blob.Store) error {
-				res, err := trace.Replay(context.Background(), store, trace.OpsSources(trace.Partition(ops, k)...)...)
-				if err != nil {
-					return fmt.Errorf("tracereplay %s k=%d: %w", kind, k, err)
-				}
-				mf := meanFrags(store)
-				fragSeries.Add(float64(k), mf)
-				tputSeries.Add(float64(k), res.WriteMBps)
-				c.logf("tracereplay %s k=%d: %.2f frags/obj, %.2f MB/s over %d ops (age %.2f)",
-					kind, k, mf, res.WriteMBps, res.Ops, res.StorageAge)
-				return nil
-			})
+			store, err := c.build(vclock.New(), spec)
 			if err != nil {
 				return nil, err
 			}
+			res, err := trace.Replay(context.Background(), store, trace.OpsSources(trace.Partition(ops, k)...)...)
+			if err != nil {
+				return nil, fmt.Errorf("tracereplay %s k=%d: %w", kind, k, err)
+			}
+			mf := meanFrags(store)
+			fragSeries.Add(float64(k), mf)
+			tputSeries.Add(float64(k), res.WriteMBps)
+			c.logf("tracereplay %s k=%d: %.2f frags/obj, %.2f MB/s over %d ops (age %.2f)",
+				kind, k, mf, res.WriteMBps, res.Ops, res.StorageAge)
 		}
 	}
 	frags.Note("one recorded log, re-partitioned per arm: k=1 replays the recorded allocation order and must reproduce the synthetic single-writer baseline; k>1 routes each key's ops to one of k concurrent streams (per-key order preserved) — §6's interleaving driven by a real operation log. Compare with the synthetic `interleave` sweep.")

@@ -1,9 +1,11 @@
 // Package leakcheck fails a test binary that exits with goroutines
 // still running — a dependency-free stand-in for go.uber.org/goleak.
-// The simulation's background machinery (group-commit pipelines,
-// compactor loops, executor streams) all promise to drain on
-// Stop/Close; a test that leaks one of those goroutines hides a missing
-// shutdown path that a soak run eventually pays for.
+// The stores start no goroutine (group commit is led by the committing
+// writers, the compactor is a step); the goroutines that do run —
+// executor streams, served connections, load-generator clients — all
+// promise to finish when their run or server ends, and a test that
+// leaks one hides a missing shutdown path that a soak run eventually
+// pays for.
 //
 // Wire it into a package's TestMain:
 //

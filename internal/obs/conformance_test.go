@@ -25,7 +25,6 @@ func wrapped(t *testing.T, spec stack.Spec, reg *obs.Registry, extra ...blob.Opt
 		if err != nil {
 			panic(err)
 		}
-		t.Cleanup(func() { _ = blob.CloseStore(s) })
 		return obs.Wrap(s, "store", reg)
 	}
 }

@@ -64,8 +64,8 @@ func mustVirtual(reg *Registry, who string) {
 }
 
 // Inner returns the wrapped store, so capability probes (blob.As: the
-// compactor fleet's shard fan-out discovery, CommitStatsOf, CloseStore)
-// can see through the obs layer.
+// compactor fleet's shard fan-out discovery, CommitStatsOf) can see
+// through the obs layer.
 func (s *Store) Inner() blob.Store { return s.Store }
 
 // Layer returns the observation layer name.

@@ -56,7 +56,8 @@ func (t *OpTrace) Duration() int64 { return t.End - t.Start }
 
 // addSpan appends one layer span. Called by obs.Store from the op's
 // own goroutine in the common case, but lock anyway: a group-commit
-// batcher applies commits from its own goroutine while the op waits.
+// leader applies its followers' commits from its own goroutine while
+// their ops wait.
 func (t *OpTrace) addSpan(s Span) {
 	t.mu.Lock()
 	t.Spans = append(t.Spans, s)

@@ -27,7 +27,6 @@ func shardedFactory(t *testing.T, n, gcBatch int, backends ...string) conformanc
 		if err != nil {
 			panic(err)
 		}
-		t.Cleanup(func() { _ = blob.CloseStore(s) })
 		return s
 	}
 }

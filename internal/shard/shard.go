@@ -5,8 +5,7 @@
 // or shrinking the shard set moves only ~1/N of the keyspace instead of
 // reshuffling every object, and each child keeps its own simulated
 // drives, allocator, and engine mutex: operations on keys owned by
-// different shards genuinely proceed in parallel, the parallelism the
-// per-key striped locks in package blob were built as a seam for.
+// different shards genuinely proceed in parallel.
 //
 // The paper's Figure 6 makes shard count a first-order performance
 // variable: fragmentation is governed by the size of the free pool a
@@ -14,11 +13,10 @@
 // that free pool by N. The aggregated Snapshot and the harness's "shard"
 // experiment measure exactly that trade.
 //
-// When children are built with blob.WithGroupCommit, each shard owns its
-// own commit queue and batcher: concurrent writers whose keys route to
-// different shards form batches — and issue group forces — on every
-// shard in parallel. CommitStats aggregates the fleet's amortization and
-// Close fans shutdown out the same way.
+// When children are built with blob.WithGroupCommit, each shard has its
+// own committer: concurrent writers whose keys route to different shards
+// form batches — and issue group forces — on every shard in parallel.
+// CommitStats aggregates the fleet's amortization.
 //
 // Every failure surfaces the shared sentinel vocabulary of package blob
 // unchanged — children already speak it, and the shard layer adds no
@@ -246,7 +244,7 @@ type shardWriter struct {
 func (w *shardWriter) Commit() error {
 	w.s.locks.Lock(w.key)
 	defer w.s.locks.Unlock(w.key)
-	//fragvet:ignore lockorder the stripe held here belongs to the shard router's own KeyLocks; the child's apply closures re-acquire the child store's stripes, a disjoint instance
+	//fragvet:ignore lockorder the stripe held here is the shard router's own KeyLocks; a child's apply closures take only that child's engine mutex, never a stripe
 	if err := w.Writer.Commit(); err != nil {
 		return err
 	}
@@ -388,10 +386,10 @@ func (s *Store) retiredBytes(i int) int64 {
 }
 
 // CommitStats aggregates the group-commit pipeline counters across every
-// child that exposes them. Each shard owns its own commit queue and
-// batcher, so under concurrent writers batches form — and group forces
-// issue — on every shard in parallel; the aggregate MeanBatch is the
-// fleet-wide amortization factor.
+// child that exposes them. Each shard has its own committer, so under
+// concurrent writers batches form — and group forces issue — on every
+// shard in parallel; the aggregate MeanBatch is the fleet-wide
+// amortization factor.
 func (s *Store) CommitStats() blob.CommitStats {
 	var out blob.CommitStats
 	for _, c := range s.children {
@@ -404,24 +402,6 @@ func (s *Store) CommitStats() blob.CommitStats {
 		}
 	}
 	return out
-}
-
-// Close shuts every child's commit pipeline down, fanned out in
-// parallel the same way the pipelines themselves run. Children without
-// a Close are no-ops; the store stays usable afterwards (commits turn
-// synchronous).
-func (s *Store) Close() error {
-	errs := make([]error, len(s.children))
-	var wg sync.WaitGroup
-	for i, c := range s.children {
-		wg.Add(1)
-		go func(i int, c blob.Store) {
-			defer wg.Done()
-			errs[i] = blob.CloseStore(c)
-		}(i, c)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
 }
 
 var _ blob.Store = (*Store)(nil)

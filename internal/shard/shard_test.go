@@ -394,10 +394,9 @@ func TestSameKeyChurnConservation(t *testing.T) {
 // whose children batch up to 8 with a multi-second ceiling, then commit
 // at once. Each child counts only ITS open writers, so every child that
 // received commits closes exactly one batch — when its last sibling
-// arrives, not when the timer runs out — the aggregated CommitStats
-// sees every commit, and Close shuts the whole fleet down in parallel.
+// arrives, not when the timer runs out — and the aggregated CommitStats
+// sees every commit.
 func TestShardGroupCommitFansOutPerChild(t *testing.T) {
-	ctx := context.Background()
 	s := mkSharded(t, 4, 64*units.MB, blob.WithGroupCommit(8, conformance.GroupCommitCeiling))
 	const writers = 8
 	keys := make([]string, writers)
@@ -430,20 +429,12 @@ func TestShardGroupCommitFansOutPerChild(t *testing.T) {
 	if cs.MeanBatch() <= 1 {
 		t.Errorf("fleet mean batch %.2f, want > 1 (max %d)", cs.MeanBatch(), cs.MaxBatch)
 	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// The fleet stays usable after Close (commits turn synchronous).
-	if err := blob.Put(ctx, s, "after-close", 512*units.KB, nil); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestLoneCommitDoesNotWait: a lone writer through the fleet lands on
 // one child, is alone there, and never sleeps on that child's timer.
 func TestLoneCommitDoesNotWait(t *testing.T) {
 	s := mkSharded(t, 4, 64*units.MB, blob.WithGroupCommit(8, conformance.GroupCommitCeiling))
-	defer s.Close()
 	for _, key := range []string{"a", "b", "c", "d", "e"} {
 		conformance.LoneCommitDoesNotWait(t, s, conformance.PutKey(s, key))
 	}

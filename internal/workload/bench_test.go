@@ -77,7 +77,6 @@ func runExecutorArm(b testing.TB, k int) (ops int64, wallNs int64) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer blob.CloseStore(store)
 	r := NewRunner(store, Constant{Size: 32 * units.KB}, 1).WithStreams(k)
 
 	start := time.Now()

@@ -25,7 +25,6 @@ func TestRunnerStreamsBulkLoadAndChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer store.Close()
 	r := NewRunner(store, Constant{Size: 1 * units.MB}, 1).WithStreams(4)
 
 	load, err := r.BulkLoad(0.5)

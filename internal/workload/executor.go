@@ -192,16 +192,22 @@ func (e *Executor) Run(streams []Stream, opts RunOptions) (RunResult, error) {
 		err = e.runStream(0, streams[0], opts, &res.Streams[0], e.tracker)
 	} else {
 		errs := make([]error, len(streams))
+		// The streams start together, once all exist: a stream that ran
+		// while its siblings were still being spawned could drain a
+		// shared budget (the bulk load's) alone, leaving k-1 idle streams.
+		start := make(chan struct{})
 		var wg sync.WaitGroup
 		for i := range streams {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
+				<-start
 				view := e.tracker.StreamView()
 				defer view.Merge()
 				errs[i] = e.runStream(i, streams[i], opts, &res.Streams[i], view)
 			}(i)
 		}
+		close(start)
 		wg.Wait()
 		err = errors.Join(errs...)
 	}

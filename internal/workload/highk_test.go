@@ -21,7 +21,6 @@ func TestExecutorStreamCountBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer store.Close()
 
 	ex := NewExecutor(store)
 	if _, err := ex.Run(nil, RunOptions{}); !errors.Is(err, blob.ErrBadOption) {
@@ -34,7 +33,7 @@ func TestExecutorStreamCountBounds(t *testing.T) {
 }
 
 // TestRunnerStreamsHighK drives 64 streams through the full pipeline
-// — per-stream AgeTracker views, the batcher pool, pooled reader/writer
+// — per-stream AgeTracker views, group-commit leaders and followers, pooled reader/writer
 // handles — at a size CI can afford under -race. The assertions are
 // deliberately coarse; the point of the test is the interleaving.
 func TestRunnerStreamsHighK(t *testing.T) {
@@ -45,7 +44,6 @@ func TestRunnerStreamsHighK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer store.Close()
 	r := NewRunner(store, Constant{Size: 256 * units.KB}, 1).WithStreams(k)
 
 	load, err := r.BulkLoad(0.4)
