@@ -14,11 +14,20 @@
 //	fragserve -backend db -mode data -groupcommit
 //	fragserve -backend file -shards 4 -cache 256M
 //	fragserve -maxinflight 128 -maxqueue 256 -queuetimeout 250ms
+//	fragserve -pprof 127.0.0.1:6060
 //
-// The server keeps no state between requests, so there is nothing to
-// reap or release: the process runs until SIGINT/SIGTERM, then the
-// listener drains in-flight requests and the exit code is 0. /metrics
-// and /report expose wall-clock latency live.
+// The front door is server.Server's own HTTP/1.1 loop (Serve), not
+// net/http's server: one goroutine per connection, which parses each
+// request head and runs its handler. The server keeps no state between
+// requests, so there is nothing to reap or release: the process runs
+// until SIGINT/SIGTERM, then Server.Shutdown closes the listener and the
+// idle connections, lets in-flight requests finish, and the exit code is
+// 0. /metrics and /report expose wall-clock latency live.
+//
+// -pprof ADDR serves net/http/pprof on a listener of its own (off by
+// default), so the shipped binary can be profiled as it runs:
+//
+//	go tool pprof -top http://127.0.0.1:6060/debug/pprof/profile?seconds=10
 package main
 
 import (
@@ -26,7 +35,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
+	_ "net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
@@ -53,9 +64,10 @@ func main() {
 		maxQueue     = flag.Int("maxqueue", 2*server.DefaultMaxInFlight, "admission: max queued operations beyond the in-flight limit")
 		queueTimeout = flag.Duration("queuetimeout", time.Second, "admission: max wall time an operation may queue (0 = wait forever)")
 		reqTimeout   = flag.Duration("reqtimeout", 30*time.Second, "per-request deadline (0 = none)")
+		pprofAddr    = flag.String("pprof", "", "serve net/http/pprof on this address (empty = off)")
 	)
 	flag.Parse()
-	if err := run(*addr, *backend, *shards, *capacity, *mode, *groupcommit, *cacheBytes, server.Config{
+	if err := run(*addr, *pprofAddr, *backend, *shards, *capacity, *mode, *groupcommit, *cacheBytes, server.Config{
 		MaxInFlight:    *maxInflight,
 		MaxQueue:       *maxQueue,
 		QueueTimeout:   *queueTimeout,
@@ -66,7 +78,7 @@ func main() {
 	}
 }
 
-func run(addr, backend string, shards int, capacity, mode string, groupcommit bool, cacheBytes string, cfg server.Config) error {
+func run(addr, pprofAddr, backend string, shards int, capacity, mode string, groupcommit bool, cacheBytes string, cfg server.Config) error {
 	spec, err := stackSpec(backend, shards, capacity, mode, groupcommit, cacheBytes)
 	if err != nil {
 		return err
@@ -80,12 +92,25 @@ func run(addr, backend string, shards int, capacity, mode string, groupcommit bo
 		return err
 	}
 
-	hs := &http.Server{Addr: addr, Handler: srv}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
+	if pprofAddr != "" {
+		pl, err := net.Listen("tcp", pprofAddr)
+		if err != nil {
+			ln.Close()
+			return err
+		}
+		defer pl.Close()
+		go http.Serve(pl, nil) // net/http/pprof registers on http.DefaultServeMux
+		fmt.Fprintf(os.Stderr, "fragserve: pprof on %s\n", pl.Addr())
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	errc := make(chan error, 1)
-	go func() { errc <- hs.ListenAndServe() }()
+	go func() { errc <- srv.Serve(ln) }()
 	fmt.Fprintf(os.Stderr, "fragserve: serving %s on %s\n", spec, addr)
 
 	select {
@@ -97,7 +122,7 @@ func run(addr, backend string, shards int, capacity, mode string, groupcommit bo
 	fmt.Fprintln(os.Stderr, "fragserve: shutting down")
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := hs.Shutdown(shutdownCtx); err != nil {
+	if err := srv.Shutdown(shutdownCtx); err != nil {
 		return err
 	}
 	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -48,9 +47,7 @@ func BenchmarkServedOps(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			ts := httptest.NewServer(srv)
-			defer ts.Close()
-			c, err := client.Dial(ts.URL)
+			c, err := client.Dial(serveOn(b, srv))
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -6,7 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"net/http/httptest"
+	"net"
+	"net/http"
 	"runtime"
 	"slices"
 	"strings"
@@ -65,30 +66,53 @@ func mixedShardInner(opts ...blob.Option) blob.Store {
 	return s
 }
 
+// serveOn runs srv.Serve, fragserve's front door, on a loopback
+// listener and returns its base URL. Cleanup shuts it down and waits for
+// Serve to return.
+func serveOn(tb testing.TB, srv *server.Server) string {
+	tb.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(ln) }()
+	tb.Cleanup(func() {
+		srv.Shutdown(context.Background())
+		if err := <-done; !errors.Is(err, http.ErrServerClosed) {
+			tb.Errorf("Serve = %v", err)
+		}
+	})
+	return "http://" + ln.Addr().String()
+}
+
 // serve wraps an inner-store factory so that every store the
-// conformance suite asks for is served by a real fragserve front-end
-// on a live TCP listener and accessed through a dialed client. Each
-// store gets its own server and listener; all of them are torn down
-// via t.Cleanup, and leakcheck verifies nothing survives.
+// conformance suite asks for is served by fragserve's front door
+// (server.Serve) on a live TCP listener and accessed through a dialed
+// client. Each store gets its own server and listener; all of them are
+// torn down via t.Cleanup, and leakcheck verifies nothing survives.
 func serve(t *testing.T, mk conformance.Factory) conformance.Factory {
 	t.Helper()
 	return func(opts ...blob.Option) blob.Store {
-		srv, err := server.New(mk(opts...), server.Config{})
-		if err != nil {
-			panic(err)
-		}
-		ts := httptest.NewServer(srv)
-		c, err := client.Dial(ts.URL)
-		if err != nil {
-			ts.Close()
-			panic(err)
-		}
-		t.Cleanup(func() {
-			c.Close()
-			ts.Close()
-		})
-		return c
+		return dialServed(t, mk(opts...), server.Config{})
 	}
+}
+
+// dialServed serves inner through server.Serve and dials it. It panics
+// rather than fail t, because the conformance suite calls its factory
+// from subtests.
+func dialServed(t *testing.T, inner blob.Store, cfg server.Config) *client.Store {
+	t.Helper()
+	srv, err := server.New(inner, cfg)
+	if err != nil {
+		panic(err)
+	}
+	c, err := client.Dial(serveOn(t, srv))
+	if err != nil {
+		panic(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
 }
 
 // TestClientConformance is the tentpole proof: the remote store passes
@@ -318,17 +342,24 @@ func TestRemoteHandlesHoldNoServerState(t *testing.T) {
 		}
 	}
 	// With handles open and no request in flight, no goroutine runs
-	// server code: no handle reaper, nothing per handle. (The server's idle
-	// connection goroutines sit in net/http.) A handler may still be unwinding from
-	// the last response, so the check retries briefly.
+	// server code: no handle reaper, nothing per handle. The server's
+	// accept loop waits in Serve and each idle connection's goroutine in
+	// conn.next. A handler may still be unwinding from the last response,
+	// so the check retries briefly.
 	for i := 0; ; i++ {
 		buf := make([]byte, 1<<20)
-		stacks := string(buf[:runtime.Stack(buf, true)])
-		if !strings.Contains(stacks, "repro/internal/server.") {
+		var running []string
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, "repro/internal/server.") &&
+				!strings.Contains(g, "server.(*Server).Serve(") && !strings.Contains(g, "server.(*conn).next(") {
+				running = append(running, g)
+			}
+		}
+		if len(running) == 0 {
 			break
 		}
 		if i == 100 {
-			t.Fatalf("server code runs between requests:\n%s", stacks)
+			t.Fatalf("server code runs between requests:\n%s", strings.Join(running, "\n\n"))
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -473,10 +504,9 @@ func TestLoneCommitDoesNotWait(t *testing.T) {
 // caller's slice is sent as it is, and is the caller's again once the
 // call returns — also when the server answers before it has read the
 // body (create of an existing key). The body is written on the caller's
-// goroutine before the response is read, so that early answer arrives
-// only once the write fails, after net/http's server has lingered about
-// half a second on the unread body before closing; the call then returns
-// the answer's ErrAlreadyExists. The caller scribbles over its buffer
+// goroutine before the response is read; the server drains the body it
+// refused, so the answer's ErrAlreadyExists arrives one round trip later
+// on a connection that stays usable. The caller scribbles over its buffer
 // right after every return; under -race anything still reading it is a
 // reported data race.
 func TestUploadBufferIsCallersAfterReturn(t *testing.T) {
@@ -520,5 +550,80 @@ func TestUploadBufferIsCallersAfterReturn(t *testing.T) {
 		if want := bytes.Repeat([]byte{byte(off/mb) + 20}, mb); !bytes.Equal(got[off:off+mb], want) {
 			t.Fatalf("append %d stored bytes the caller wrote after it returned", off/mb)
 		}
+	}
+}
+
+// gatedStat holds every Stat until gate closes, announcing it on
+// entered: a request that keeps the server's only admission slot.
+type gatedStat struct {
+	blob.Store
+	entered chan struct{}
+	gate    chan struct{}
+}
+
+func (g *gatedStat) Stat(ctx context.Context, key string) (blob.Info, error) {
+	select {
+	case <-g.gate:
+	default:
+		g.entered <- struct{}{}
+		<-g.gate
+	}
+	return g.Store.Stat(ctx, key)
+}
+
+// TestRefusedPutCostsARoundTrip: a 4 MB PUT the server refuses without
+// reading its body — a create of an existing key, a shed by a server
+// whose one admission slot is taken — returns its typed error within
+// 100 ms, and the Store's next request succeeds. The client writes the
+// whole body before it reads the answer; Serve drains what the handler
+// left unread and keeps the connection, where net/http's server lingered
+// about half a second on it and then reset the connection.
+func TestRefusedPutCostsARoundTrip(t *testing.T) {
+	ctx := context.Background()
+	const size = 4 << 20
+	buf := make([]byte, size)
+	inner := fileInner(blob.WithCapacity(64*units.MB), blob.WithDiskMode(disk.DataMode))
+	if err := blob.Put(ctx, inner, "k", size, buf); err != nil {
+		t.Fatal(err)
+	}
+	gated := &gatedStat{Store: inner, entered: make(chan struct{}, 1), gate: make(chan struct{})}
+	srv, err := server.New(gated, server.Config{MaxInFlight: 1, MaxQueue: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	url := serveOn(t, srv)
+	var c, holder *client.Store
+	for _, s := range []**client.Store{&c, &holder} {
+		if *s, err = client.Dial(url); err != nil {
+			t.Fatal(err)
+		}
+		defer (*s).Close()
+	}
+	refused := func(want error) {
+		t.Helper()
+		start := time.Now()
+		err := c.Upload(ctx, "k", size, buf, false)
+		if took := time.Since(start); !errors.Is(err, want) || took > 100*time.Millisecond {
+			t.Fatalf("refused 4 MB PUT = %v after %v, want %v within 100ms", err, took, want)
+		}
+	}
+	refused(blob.ErrAlreadyExists)
+	if err := c.Delete(ctx, "missing"); !errors.Is(err, blob.ErrNotFound) {
+		t.Fatalf("next request after a refused create: %v", err)
+	}
+
+	held := make(chan error, 1)
+	go func() {
+		_, err := holder.Stat(ctx, "k")
+		held <- err
+	}()
+	<-gated.entered
+	refused(blob.ErrOverloaded)
+	close(gated.gate)
+	if err := <-held; err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Stat(ctx, "k"); err != nil {
+		t.Fatalf("next request after a refused PUT: %v", err)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"net/http/httputil"
 	"strconv"
-	"strings"
 
 	"repro/internal/server/wire"
 )
@@ -86,11 +85,11 @@ func readResponse(br *bufio.Reader, method string) (response, error) {
 		}
 		i := bytes.IndexByte(line, ':')
 		name, v := line[:max(i, 0)], bytes.Trim(line[i+1:], " \t")
-		if i <= 0 || bytes.ContainsFunc(name, notToken) || bytes.ContainsFunc(line[i+1:], isCTL) {
+		if i <= 0 || bytes.ContainsFunc(name, wire.NotToken) || bytes.ContainsFunc(line[i+1:], wire.IsCTL) {
 			return r, malformed("header", line)
 		}
 		switch {
-		case named(name, "Content-Length"):
+		case wire.Named(name, "Content-Length"):
 			// No leading zero, so equal values are equal text, which is
 			// what net/http compares repeated ones by.
 			n, err := strconv.ParseUint(string(v), 10, 63)
@@ -98,26 +97,26 @@ func readResponse(br *bufio.Reader, method string) (response, error) {
 				return r, malformed("Content-Length", line)
 			}
 			cl = int64(n)
-		case named(name, "Transfer-Encoding"):
-			if r.chunked || !named(v, "chunked") {
+		case wire.Named(name, "Transfer-Encoding"):
+			if r.chunked || !wire.Named(v, "chunked") {
 				return r, malformed("Transfer-Encoding", line)
 			}
 			r.chunked = true
-		case named(name, "Connection"):
+		case wire.Named(name, "Connection"):
 			for more := true; more; {
 				var tok []byte
 				tok, v, more = bytes.Cut(v, []byte(","))
-				closeTok = closeTok || named(bytes.Trim(tok, " \t"), "close")
+				closeTok = closeTok || wire.Named(bytes.Trim(tok, " \t"), "close")
 			}
-		case named(name, wire.HeaderClock) && first(1):
+		case wire.Named(name, wire.HeaderClock) && first(1):
 			r.clock = decimal(v)
-		case named(name, wire.HeaderSize) && first(2):
+		case wire.Named(name, wire.HeaderSize) && first(2):
 			r.size = decimal(v)
-		case named(name, wire.HeaderVersion) && first(4):
+		case wire.Named(name, wire.HeaderVersion) && first(4):
 			r.version = decimal(v)
-		case named(name, wire.HeaderMeta) && first(8):
+		case wire.Named(name, wire.HeaderMeta) && first(8):
 			r.meta = string(v) == "1"
-		case named(name, wire.HeaderError) && first(16):
+		case wire.Named(name, wire.HeaderError) && first(16):
 			r.errName = string(v)
 		}
 	}
@@ -151,21 +150,6 @@ func malformed(what string, line []byte) error {
 	return fmt.Errorf("%w: malformed %s %q", ErrBadResponse, what, line)
 }
 
-// named reports whether b is h in any case. h is letters and '-', and
-// |0x20 pairs each such byte only with its other case among the bytes
-// that are no control character, which are all b holds.
-func named(b []byte, h string) bool {
-	if len(b) != len(h) {
-		return false
-	}
-	for i := range b {
-		if b[i]|0x20 != h[i]|0x20 {
-			return false
-		}
-	}
-	return true
-}
-
 // decimal parses a wire header's number, -1 when it is none.
 func decimal(v []byte) int64 {
 	if n, err := strconv.ParseInt(string(v), 10, 64); err == nil {
@@ -173,15 +157,6 @@ func decimal(v []byte) int64 {
 	}
 	return -1
 }
-
-// notToken reports whether r may not be in a header name (RFC 9110 tchar).
-func notToken(r rune) bool {
-	return r >= 0x80 || !('a' <= r|0x20 && r|0x20 <= 'z' || '0' <= r && r <= '9' || strings.ContainsRune("!#$%&'*+-.^_`|~", r))
-}
-
-// isCTL reports whether r may not be in a header value: a control
-// character other than tab.
-func isCTL(r rune) bool { return r < 0x20 && r != '\t' || r == 0x7f }
 
 // frame points b at r's body on br.
 func (b *body) frame(br *bufio.Reader, r *response) {

@@ -4,7 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http/httptest"
+	"net"
+	"net/http"
 	"testing"
 	"time"
 
@@ -19,8 +20,8 @@ import (
 	"repro/internal/workload"
 )
 
-// serveFile starts a fragserve front-end over a data-mode file store
-// and returns its base URL.
+// serveFile starts fragserve's front door (server.Serve) over a
+// data-mode file store and returns its base URL.
 func serveFile(t *testing.T, cfg server.Config) string {
 	t.Helper()
 	store, err := core.NewFileStore(vclock.New(),
@@ -32,12 +33,19 @@ func serveFile(t *testing.T, cfg server.Config) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(ln) }()
 	t.Cleanup(func() {
-		ts.Close()
-		srv.Close()
+		srv.Shutdown(context.Background())
+		if err := <-done; !errors.Is(err, http.ErrServerClosed) {
+			t.Errorf("Serve = %v", err)
+		}
 	})
-	return ts.URL
+	return "http://" + ln.Addr().String()
 }
 
 // TestLoadgenRampedRun is the acceptance pin: the generator sustains

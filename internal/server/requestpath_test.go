@@ -32,16 +32,27 @@ func (h *hookStore) Stat(ctx context.Context, key string) (blob.Info, error) {
 	return h.Store.Stat(ctx, key)
 }
 
-// hookServer serves a store holding object "a" behind hook.
-func hookServer(t *testing.T, cfg Config, hook func(ctx context.Context) error) (*httptest.Server, *http.Client) {
+// hookServer serves a store holding object "a" behind hook, through
+// Serve when own is set and through ServeHTTP under net/http when not,
+// and returns its base URL and a client for it.
+func hookServer(t *testing.T, cfg Config, own bool, hook func(ctx context.Context) error) (string, *http.Client) {
 	t.Helper()
 	inner := dataStore(t)
 	if err := blob.Put(context.Background(), inner, "a", 4*units.KB, make([]byte, 4*units.KB)); err != nil {
 		t.Fatal(err)
 	}
-	_, ts, client := newTestServer(t, &hookStore{Store: inner, hook: hook}, cfg)
-	return ts, client
+	srv, ts, client := newTestServer(t, &hookStore{Store: inner, hook: hook}, cfg)
+	if own {
+		return serveOn(t, srv), client
+	}
+	return ts.URL, client
 }
+
+// frontDoors are the two ways onto a Server, as test-name suffixes.
+var frontDoors = []struct {
+	suffix string
+	own    bool
+}{{"", false}, {" over Serve", true}}
 
 // TestRequestContextContract pins what a store sees of the request
 // context now that its deadline is armed only when waited on: polling
@@ -88,10 +99,10 @@ func TestRequestContextContract(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ts, client := hookServer(t, Config{RequestTimeout: timeout},
+			url, client := hookServer(t, Config{RequestTimeout: timeout}, false,
 				func(ctx context.Context) error { return tc.hook(t, ctx) })
 			before := obs.WallNow()
-			resp := doReq(t, client, "HEAD", ts.URL+wire.PathBlobs+"a", nil)
+			resp := doReq(t, client, "HEAD", url+wire.PathBlobs+"a", nil)
 			resp.Body.Close()
 			after := obs.WallNow()
 			if resp.StatusCode != tc.wantStatus || resp.Header.Get(wire.HeaderError) != tc.wantErr {
@@ -111,84 +122,89 @@ func TestRequestContextContract(t *testing.T) {
 	}
 
 	// A client that hangs up cancels the request: context.Canceled on Err
-	// and on Done, under a deadline that is far away.
-	for _, wait := range []string{"Err", "Done"} {
-		t.Run("client disconnect via "+wait, func(t *testing.T) {
-			entered := make(chan struct{})
-			seen := make(chan error, 1)
-			ts, client := hookServer(t, Config{RequestTimeout: time.Minute}, func(ctx context.Context) error {
-				close(entered)
-				if wait == "Err" {
-					for ctx.Err() == nil {
-						time.Sleep(time.Millisecond)
+	// and on Done, under a deadline that is far away. Under Serve, the
+	// connection is watched once Done is called or Err after watchAfter.
+	for _, door := range frontDoors {
+		for _, wait := range []string{"Err", "Done"} {
+			t.Run("client disconnect via "+wait+door.suffix, func(t *testing.T) {
+				entered := make(chan struct{})
+				seen := make(chan error, 1)
+				url, client := hookServer(t, Config{RequestTimeout: time.Minute}, door.own, func(ctx context.Context) error {
+					close(entered)
+					if wait == "Err" {
+						for ctx.Err() == nil {
+							time.Sleep(time.Millisecond)
+						}
+					} else {
+						<-ctx.Done()
 					}
-				} else {
-					<-ctx.Done()
+					seen <- ctx.Err()
+					return ctx.Err()
+				})
+				ctx, cancel := context.WithCancel(context.Background())
+				req, err := http.NewRequestWithContext(ctx, "HEAD", url+wire.PathBlobs+"a", nil)
+				if err != nil {
+					t.Fatal(err)
 				}
-				seen <- ctx.Err()
-				return ctx.Err()
+				go func() {
+					<-entered
+					cancel()
+				}()
+				if resp, err := client.Do(req); err == nil {
+					resp.Body.Close()
+					t.Fatal("cancelled request completed")
+				}
+				if err := <-seen; !errors.Is(err, context.Canceled) {
+					t.Fatalf("store saw %v, want context.Canceled", err)
+				}
 			})
-			ctx, cancel := context.WithCancel(context.Background())
-			req, err := http.NewRequestWithContext(ctx, "HEAD", ts.URL+wire.PathBlobs+"a", nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			go func() {
-				<-entered
-				cancel()
-			}()
-			if resp, err := client.Do(req); err == nil {
-				resp.Body.Close()
-				t.Fatal("cancelled request completed")
-			}
-			if err := <-seen; !errors.Is(err, context.Canceled) {
-				t.Fatalf("store saw %v, want context.Canceled", err)
-			}
-		})
+		}
 	}
 
 	// A queued admission still arms its QueueTimeout and ends 503.
-	t.Run("queued admission ends 503 at QueueTimeout", func(t *testing.T) {
-		entered, gate := make(chan struct{}, 1), make(chan struct{})
-		ts, client := hookServer(t, Config{
-			MaxInFlight: 1, MaxQueue: 1, QueueTimeout: timeout, RequestTimeout: time.Minute,
-		}, func(ctx context.Context) error {
-			entered <- struct{}{}
-			select {
-			case <-gate:
-				return nil
-			case <-ctx.Done():
-				return ctx.Err()
+	for _, door := range frontDoors {
+		t.Run("queued admission ends 503 at QueueTimeout"+door.suffix, func(t *testing.T) {
+			entered, gate := make(chan struct{}, 1), make(chan struct{})
+			url, client := hookServer(t, Config{
+				MaxInFlight: 1, MaxQueue: 1, QueueTimeout: timeout, RequestTimeout: time.Minute,
+			}, door.own, func(ctx context.Context) error {
+				entered <- struct{}{}
+				select {
+				case <-gate:
+					return nil
+				case <-ctx.Done():
+					return ctx.Err()
+				}
+			})
+			held := make(chan int, 1)
+			go func() {
+				resp, err := client.Head(url + wire.PathBlobs + "a")
+				if err != nil {
+					t.Error(err)
+					held <- 0
+					return
+				}
+				resp.Body.Close()
+				held <- resp.StatusCode
+			}()
+			<-entered
+			before := obs.WallNow()
+			resp := doReq(t, client, "HEAD", url+wire.PathBlobs+"a", nil)
+			resp.Body.Close()
+			waited := time.Duration(obs.WallNow() - before)
+			close(gate)
+			if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get(wire.HeaderError) != "unavailable" {
+				t.Fatalf("queued HEAD: status=%d err=%q, want 503 unavailable",
+					resp.StatusCode, resp.Header.Get(wire.HeaderError))
+			}
+			if waited < timeout {
+				t.Fatalf("503 after %v, before the %v queue timeout", waited, timeout)
+			}
+			if code := <-held; code != http.StatusOK {
+				t.Fatalf("slot holder: status=%d, want 200", code)
 			}
 		})
-		held := make(chan int, 1)
-		go func() {
-			resp, err := client.Head(ts.URL + wire.PathBlobs + "a")
-			if err != nil {
-				t.Error(err)
-				held <- 0
-				return
-			}
-			resp.Body.Close()
-			held <- resp.StatusCode
-		}()
-		<-entered
-		before := obs.WallNow()
-		resp := doReq(t, client, "HEAD", ts.URL+wire.PathBlobs+"a", nil)
-		resp.Body.Close()
-		waited := time.Duration(obs.WallNow() - before)
-		close(gate)
-		if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get(wire.HeaderError) != "unavailable" {
-			t.Fatalf("queued HEAD: status=%d err=%q, want 503 unavailable",
-				resp.StatusCode, resp.Header.Get(wire.HeaderError))
-		}
-		if waited < timeout {
-			t.Fatalf("503 after %v, before the %v queue timeout", waited, timeout)
-		}
-		if code := <-held; code != http.StatusOK {
-			t.Fatalf("slot holder: status=%d, want 200", code)
-		}
-	})
+	}
 }
 
 // TestRequestContextConcurrentErrDone races Err pollers against Done

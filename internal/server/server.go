@@ -22,6 +22,15 @@
 // and each pinned read re-opens under blob.Resume and pays only for the
 // read.
 //
+// There are two front doors onto one set of handlers. Serve (conn.go)
+// is the one fragserve ships: it speaks HTTP/1.1 itself, one goroutine
+// per connection, parsing each request head for the fields the routes
+// read (no header map) and sending each response head and body in one
+// writev. ServeHTTP mounts the same handlers as an http.Handler; it is
+// the test reference the differential tests hold Serve to. A handler
+// takes a parsed request and fills a response, so neither door has a
+// code path of its own for any operation.
+//
 // Every response carries the store's virtual clock in a header;
 // clients ratchet it into a local clock so virtual-time accounting
 // (the simulation's cost model) survives the network hop. Errors
@@ -29,11 +38,14 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -77,15 +89,20 @@ type Config struct {
 // takes.
 const DefaultMaxInFlight = 256
 
-// Server serves one blob.Store over HTTP. Create with New and mount as
-// an http.Handler. It starts no goroutine and holds nothing between
-// requests; the wrapped store's lifecycle belongs to the caller.
+// Server serves one blob.Store over HTTP/1.1. Create with New, then
+// either Serve a listener (and Shutdown when done) or mount it as an
+// http.Handler. It holds nothing between requests; the wrapped store's
+// lifecycle belongs to the caller.
 type Server struct {
 	store blob.Store
 	cfg   Config
 	reg   *obs.Registry
 	adm   *admission
-	mux   *http.ServeMux
+
+	closing atomic.Bool // Shutdown was called
+	mu      sync.Mutex  // guards lns and conns
+	lns     map[net.Listener]struct{}
+	conns   map[*conn]struct{}
 }
 
 // New builds a Server over store. The config's Registry must be
@@ -101,111 +118,263 @@ func New(store blob.Store, cfg Config) (*Server, error) {
 		cfg.MaxInFlight = DefaultMaxInFlight
 	}
 	cfg.MaxQueue = max(cfg.MaxQueue, 0)
-	s := &Server{
+	return &Server{
 		store: store,
 		cfg:   cfg,
 		reg:   cfg.Registry,
 		adm:   newAdmission(cfg.MaxInFlight, cfg.MaxQueue, cfg.QueueTimeout, cfg.Registry),
-		mux:   http.NewServeMux(),
+		lns:   make(map[net.Listener]struct{}),
+		conns: make(map[*conn]struct{}),
+	}, nil
+}
+
+// request is one parsed request: what the routes read, with no header
+// map. A wire header that was absent is "".
+type request struct {
+	method, path, mode string // path unescaped, mode the first mode query value
+	key                string // path after wire.PathBlobs
+	rng, version       string // Range, wire.HeaderVersion
+	open               bool   // wire.HeaderOpen is set
+	metaBytes, size    string // wire.HeaderMetaBytes, wire.HeaderSize
+	length             int64  // declared body length; -1 when chunked
+	body               io.Reader
+	ctx                context.Context
+	c                  *conn // Serve's connection; nil under ServeHTTP
+
+	// Serve's head parser only.
+	close, chunked, http10 bool   // close: no request may follow on the connection
+	expect                 bool   // Expect: 100-continue
+	left                   int    // what is left of the head's maxHead bytes
+	long                   []byte // a head line longer than the read buffer
+}
+
+// response is what a handler fills and a front door sends. A wire
+// number is sent only when it is not -1.
+type response struct {
+	status        int
+	contentType   string
+	contentRange  string
+	errName       string
+	clock         int64
+	size, version int64
+	meta          bool
+	body          []byte
+}
+
+const textPlain = "text/plain; charset=utf-8"
+
+func (w *response) reset() {
+	*w = response{status: http.StatusOK, clock: -1, size: -1, version: -1}
+}
+
+// text renders a plain-text body.
+func (w *response) text(status int, msg string) {
+	w.status, w.contentType, w.body = status, textPlain, []byte(msg)
+}
+
+// appendHeader appends the response's header fields, each led by CRLF.
+// A body is declared unless a HEAD response has none: the response to a
+// HEAD declares the body a GET would have had, as net/http's does.
+func (w *response) appendHeader(b []byte, head bool) []byte {
+	field := func(b []byte, name string) []byte { return append(append(append(b, "\r\n"...), name...), ": "...) }
+	if w.contentType != "" {
+		b = append(field(b, "Content-Type"), w.contentType...)
 	}
-	s.routes()
-	return s, nil
+	if w.contentRange != "" {
+		b = append(field(b, "Content-Range"), w.contentRange...)
+	}
+	if len(w.body) > 0 || !head {
+		b = strconv.AppendInt(field(b, "Content-Length"), int64(len(w.body)), 10)
+	}
+	if w.clock >= 0 {
+		b = strconv.AppendInt(field(b, wire.HeaderClock), w.clock, 10)
+	}
+	if w.size >= 0 {
+		b = strconv.AppendInt(field(b, wire.HeaderSize), w.size, 10)
+	}
+	if w.version >= 0 {
+		b = strconv.AppendInt(field(b, wire.HeaderVersion), w.version, 10)
+	}
+	if w.meta {
+		b = append(field(b, wire.HeaderMeta), '1')
+	}
+	if w.errName != "" {
+		b = append(field(b, wire.HeaderError), w.errName...)
+	}
+	return b
 }
 
-// routes wires the wire-contract URL layout to handlers. Every
-// store-touching route runs through op() for deadline, admission, and
-// metrics; the introspection routes bypass admission so a saturated
-// service can still be observed.
-func (s *Server) routes() {
-	m := s.mux
-	m.HandleFunc("GET "+wire.PathBlobs+"{key...}", s.op("get", s.handleGet))
-	m.HandleFunc("HEAD "+wire.PathBlobs+"{key...}", s.op("head", s.handleHead))
-	m.HandleFunc("PUT "+wire.PathBlobs+"{key...}", s.op("put", s.handlePut))
-	m.HandleFunc("DELETE "+wire.PathBlobs+"{key...}", s.op("delete", s.handleDelete))
-
-	m.HandleFunc("GET "+wire.PathKeys, s.op("keys", s.handleKeys))
-	m.HandleFunc("GET "+wire.PathStats, s.op("stats", s.handleStats))
-	m.HandleFunc("GET "+wire.PathLayout, s.op("layout", s.handleLayout))
-
-	m.HandleFunc("GET "+wire.PathMetrics, s.handleMetrics)
-	m.HandleFunc("GET "+wire.PathReport, s.handleReport)
-	m.HandleFunc("GET "+wire.PathHealthz, func(w http.ResponseWriter, r *http.Request) {
-		s.setClock(w.Header())
-		io.WriteString(w, "ok\n")
-	})
+// ServeHTTP implements http.Handler over the same handlers Serve runs.
+func (s *Server) ServeHTTP(hw http.ResponseWriter, hr *http.Request) {
+	h := hr.Header
+	r := request{
+		method: hr.Method, path: hr.URL.Path, mode: queryValue(hr.URL.RawQuery, "mode"),
+		rng: h.Get("Range"), version: h.Get(wire.HeaderVersion), open: h.Get(wire.HeaderOpen) != "",
+		metaBytes: h.Get(wire.HeaderMetaBytes), size: h.Get(wire.HeaderSize),
+		length: hr.ContentLength, body: hr.Body, ctx: hr.Context(),
+	}
+	var w response
+	s.serve(&r, &w)
+	out := hw.Header()
+	for _, f := range strings.Split(string(w.appendHeader(nil, r.method == http.MethodHead)), "\r\n")[1:] {
+		name, value, _ := strings.Cut(f, ": ")
+		out.Set(name, value)
+	}
+	hw.WriteHeader(w.status)
+	hw.Write(w.body)
 }
-
-// ServeHTTP implements http.Handler.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
 // Close does nothing: the server holds nothing to release. It stays
 // only because the bench module, edited once per re-baseline, calls it.
+// A served listener ends with Shutdown.
 func (s *Server) Close() error { return nil }
 
-// op wraps a handler with the request path's cross-cutting layers:
-// per-request deadline, admission control, wall-latency recording, and
-// typed error rendering. fn must write its success response last (all
-// store work first), so a failure can still set status and headers.
-func (s *Server) op(name string, fn func(http.ResponseWriter, *http.Request) error) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := obs.WallNow()
-		if s.cfg.RequestTimeout > 0 {
-			ctx := &reqCtx{Context: r.Context(), deadline: start + s.cfg.RequestTimeout.Nanoseconds()}
-			defer ctx.release()
-			r = r.WithContext(ctx)
-		}
-		err := func() error {
-			if err := s.adm.acquire(r.Context()); err != nil {
-				return err
-			}
-			defer s.adm.release()
-			return fn(w, r)
-		}()
-		if err != nil {
-			s.fail(w, name, err)
-			return
-		}
-		if s.reg != nil {
-			s.reg.Histogram("serve." + name).Observe(obs.WallNow() - start)
-		}
+// serve routes one request by method and path prefix and fills w.
+// Every store-touching route runs through op for deadline, admission
+// and metrics; the introspection routes bypass admission so a saturated
+// service can still be observed. Their GET routes answer HEAD too.
+func (s *Server) serve(r *request, w *response) {
+	w.reset()
+	route, method := r.path, r.method
+	if key, ok := strings.CutPrefix(r.path, wire.PathBlobs); ok {
+		r.key, route = key, wire.PathBlobs
+	} else if method == http.MethodHead {
+		method = http.MethodGet
+	}
+	switch method + " " + route {
+	case "GET " + wire.PathBlobs:
+		s.op("get", s.handleGet, r, w)
+	case "HEAD " + wire.PathBlobs:
+		s.op("head", s.handleHead, r, w)
+	case "PUT " + wire.PathBlobs:
+		s.op("put", s.handlePut, r, w)
+	case "DELETE " + wire.PathBlobs:
+		s.op("delete", s.handleDelete, r, w)
+	case "GET " + wire.PathKeys:
+		s.op("keys", s.handleKeys, r, w)
+	case "GET " + wire.PathStats:
+		s.op("stats", s.handleStats, r, w)
+	case "GET " + wire.PathLayout:
+		s.op("layout", s.handleLayout, r, w)
+	case "GET " + wire.PathMetrics:
+		s.handleMetrics(w)
+	case "GET " + wire.PathReport:
+		s.handleReport(w)
+	case "GET " + wire.PathHealthz:
+		w.clock = s.store.Clock().Now()
+		w.text(http.StatusOK, "ok\n")
+	default:
+		w.text(http.StatusNotFound, "404 page not found\n")
 	}
 }
 
-// reqCtx is a request's context under RequestTimeout: the request's own
-// plus a deadline that costs a clock read per Err and arms a timer only
-// at the first Done (a queued admission, a context.With* child, a store
-// that blocks). Err and Value then answer from the timer context, so a
-// child's cancel propagation finds it without starting a goroutine.
+// op wraps a handler with the request path's cross-cutting layers:
+// the request context (deadline, and under Serve the client's hang-up),
+// admission control, wall-latency recording, and typed error rendering.
+func (s *Server) op(name string, fn func(*request, *response) error, r *request, w *response) {
+	start := obs.WallNow()
+	if s.cfg.RequestTimeout > 0 || r.c != nil {
+		ctx := &reqCtx{Context: r.ctx, c: r.c, start: start}
+		if s.cfg.RequestTimeout > 0 {
+			ctx.deadline = start + s.cfg.RequestTimeout.Nanoseconds()
+		}
+		defer ctx.release()
+		r.ctx = ctx
+		if r.c != nil {
+			r.c.cur = ctx
+		}
+	}
+	err := func() error {
+		if err := s.adm.acquire(r.ctx); err != nil {
+			return err
+		}
+		defer s.adm.release()
+		return fn(r, w)
+	}()
+	if err != nil {
+		s.fail(w, name, err)
+		return
+	}
+	if s.reg != nil {
+		s.reg.Histogram("serve." + name).Observe(obs.WallNow() - start)
+	}
+}
+
+// reqCtx is a request's context: the front door's own plus a deadline
+// (RequestTimeout, when set) that costs a clock read per Err and arms a
+// timer only at the first Done (a queued admission, a context.With*
+// child, a store that blocks). Err and Value then answer from the timer
+// context, so a child's cancel propagation finds it without starting a
+// goroutine. Under Serve it also ends when the client hangs up, which
+// only a read on the connection can tell: the first Done, or an Err once
+// the request has run watchAfter, starts that read (conn.watch).
 type reqCtx struct {
-	context.Context       // the request's own
-	deadline        int64 // obs.WallNow() units
+	context.Context       // the front door's own
+	deadline        int64 // obs.WallNow() units; 0 when none
+	start           int64 // obs.WallNow() at arrival
+	c               *conn // Serve's connection; nil under ServeHTTP
 	armed           atomic.Pointer[armedCtx]
 }
+
+// watchAfter is how long a request polling Err runs before its
+// connection is watched for a hang-up: most requests end sooner and
+// never pay for the read.
+const watchAfter = int64(time.Millisecond)
 
 type armedCtx struct {
 	context.Context
 	cancel context.CancelFunc
 }
 
-func (c *reqCtx) Deadline() (time.Time, bool) { return time.Unix(0, c.deadline), true }
+func (c *reqCtx) Deadline() (time.Time, bool) {
+	if c.deadline == 0 {
+		return c.Context.Deadline()
+	}
+	return time.Unix(0, c.deadline), true
+}
 
 func (c *reqCtx) Err() error {
 	if a := c.armed.Load(); a != nil {
 		return a.Err()
 	}
-	if err := c.Context.Err(); err != nil || obs.WallNow() < c.deadline {
+	if err := c.Context.Err(); err != nil {
 		return err
 	}
-	return context.DeadlineExceeded
+	now := obs.WallNow()
+	if c.c != nil {
+		if c.c.hungUp.Load() {
+			return context.Canceled
+		}
+		if now-c.start >= watchAfter {
+			c.c.watch()
+		}
+	}
+	if c.deadline != 0 && now >= c.deadline {
+		return context.DeadlineExceeded
+	}
+	return nil
 }
 
 func (c *reqCtx) Done() <-chan struct{} {
 	a := c.armed.Load()
 	if a == nil {
-		ctx, cancel := context.WithDeadline(c.Context, time.Unix(0, c.deadline))
+		var ctx context.Context
+		var cancel context.CancelFunc
+		if c.deadline != 0 {
+			ctx, cancel = context.WithDeadline(c.Context, time.Unix(0, c.deadline))
+		} else {
+			ctx, cancel = context.WithCancel(c.Context)
+		}
 		if a = (&armedCtx{ctx, cancel}); !c.armed.CompareAndSwap(nil, a) {
 			cancel() // another goroutine armed first
 			a = c.armed.Load()
+		} else if c.c != nil {
+			// The watcher cancels what is armed once it sees a hang-up;
+			// one it saw before this was armed shows in hungUp.
+			c.c.watch()
+			if c.c.hungUp.Load() {
+				cancel()
+			}
 		}
 	}
 	return a.Done()
@@ -226,53 +395,39 @@ func (c *reqCtx) release() {
 
 // fail renders a typed failure: sentinel name in the error header,
 // mapped HTTP status, message body; plus an error counter.
-func (s *Server) fail(w http.ResponseWriter, op string, err error) {
+func (s *Server) fail(w *response, op string, err error) {
 	name := blob.ErrName(err)
 	if s.reg != nil {
 		s.reg.Counter("serve." + op + ".err." + name).Inc()
 	}
-	h := w.Header()
-	h.Set(wire.HeaderError, name)
-	s.setClock(h)
-	http.Error(w, err.Error(), blob.HTTPStatus(err))
-}
-
-// setClock stamps the store's virtual clock onto a response.
-func (s *Server) setClock(h http.Header) {
-	h.Set(wire.HeaderClock, strconv.FormatInt(s.store.Clock().Now(), 10))
+	w.reset()
+	w.errName, w.clock = name, s.store.Clock().Now()
+	w.text(blob.HTTPStatus(err), err.Error()+"\n")
 }
 
 // writeJSON renders a success JSON body.
-func (s *Server) writeJSON(w http.ResponseWriter, v any) error {
-	h := w.Header()
-	h.Set("Content-Type", "application/json")
-	s.setClock(h)
-	return json.NewEncoder(w).Encode(v)
+func (s *Server) writeJSON(w *response, v any) error {
+	body, err := json.Marshal(v)
+	if err != nil {
+		return err
+	}
+	w.contentType, w.clock, w.body = "application/json", s.store.Clock().Now(), append(body, '\n')
+	return nil
 }
 
 // writePayload renders read bytes: the object's full size in the size
 // header, the metadata marker when the store retains no payload, and
-// the (possibly empty) body.
-func (s *Server) writePayload(w http.ResponseWriter, status int, size int64, data []byte) error {
-	h := w.Header()
-	h.Set(wire.HeaderSize, strconv.FormatInt(size, 10))
-	if data == nil {
-		h.Set(wire.HeaderMeta, "1")
-	}
-	h.Set("Content-Type", "application/octet-stream")
-	// Declared, so the body travels unchunked and the client can read it
-	// into a buffer of the right size.
-	h.Set("Content-Length", strconv.Itoa(len(data)))
-	s.setClock(h)
-	w.WriteHeader(status)
-	_, err := w.Write(data)
-	return err
+// the (possibly empty) body, of declared length so the client can read
+// it into a buffer of the right size.
+func (s *Server) writePayload(w *response, status int, size int64, data []byte) error {
+	w.status, w.size, w.meta, w.body = status, size, data == nil, data
+	w.contentType, w.clock = "application/octet-stream", s.store.Clock().Now()
+	return nil
 }
 
 // writeEmpty renders a bodiless success.
-func (s *Server) writeEmpty(w http.ResponseWriter) error {
-	s.setClock(w.Header())
-	w.WriteHeader(http.StatusOK)
+func (s *Server) writeEmpty(w *response) error {
+	w.clock = s.store.Clock().Now()
 	return nil
 }
 
@@ -281,16 +436,16 @@ func (s *Server) writeEmpty(w http.ResponseWriter) error {
 // handleGet serves a whole object, or — with a Range header — a ranged
 // read riding blob.Reader.ReadAt, touching only the physical runs that
 // cover the range. The reader lives only for this request.
-func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) error {
-	rd, _, err := s.open(r, r.PathValue("key"))
+func (s *Server) handleGet(r *request, w *response) error {
+	rd, _, err := s.open(r)
 	if err != nil {
 		return err
 	}
 	defer rd.Close()
 	size := rd.Size()
 
-	if rng := r.Header.Get("Range"); rng != "" {
-		off, length, ok, err := parseRange(rng, size)
+	if r.rng != "" {
+		off, length, ok, err := parseRange(r.rng, size)
 		if err != nil {
 			return err
 		}
@@ -299,8 +454,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) error {
 			if err != nil {
 				return err
 			}
-			w.Header().Set("Content-Range",
-				fmt.Sprintf("bytes %d-%d/%d", off, off+length-1, size))
+			w.contentRange = fmt.Sprintf("bytes %d-%d/%d", off, off+length-1, size)
 			return s.writePayload(w, http.StatusPartialContent, size, data)
 		}
 	}
@@ -314,16 +468,15 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) error {
 // handleHead serves object metadata: size and version. It is also a
 // remote reader's open (wire.HeaderOpen), costing what Store.Open does,
 // and its empty read (pinned), costing what ReadAt(off, 0) does.
-func (s *Server) handleHead(w http.ResponseWriter, r *http.Request) error {
-	key := r.PathValue("key")
+func (s *Server) handleHead(r *request, w *response) error {
 	var info blob.Info
 	var err error
-	if r.Header.Get(wire.HeaderOpen) == "" && r.Header.Get(wire.HeaderVersion) == "" {
-		info, err = s.store.Stat(r.Context(), key)
+	if !r.open && r.version == "" {
+		info, err = s.store.Stat(r.ctx, r.key)
 	} else {
 		var rd blob.Reader
-		if rd, info, err = s.open(r, key); err == nil {
-			if r.Header.Get(wire.HeaderVersion) != "" {
+		if rd, info, err = s.open(r); err == nil {
+			if r.version != "" {
 				_, err = rd.ReadAt(0, 0)
 			}
 			rd.Close()
@@ -332,25 +485,20 @@ func (s *Server) handleHead(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	h := w.Header()
-	h.Set(wire.HeaderSize, strconv.FormatInt(info.Size, 10))
-	h.Set(wire.HeaderVersion, strconv.FormatUint(info.Version, 10))
-	s.setClock(h)
-	w.WriteHeader(http.StatusOK)
+	w.size, w.version, w.clock = info.Size, int64(info.Version), s.store.Clock().Now()
 	return nil
 }
 
-// open opens key for a GET or a reader's HEAD, and but for a plain GET
-// also stats it, free of charge (blob.Resume) after the Open. A request
-// pinned to a version (wire.HeaderVersion) continues a reader whose
-// opening HEAD paid for the open, so its Open is free too. It is served
-// only while the reader holds the pinned version: a key's versions only
-// grow (pinned ≤ opened ≤ stat'd), so a Stat after Open that reports
-// the pinned version proves it. A version that does not parse is
-// ErrBadOption, never an unpinned read.
-func (s *Server) open(r *http.Request, key string) (blob.Reader, blob.Info, error) {
-	ctx := r.Context()
-	v := r.Header.Get(wire.HeaderVersion)
+// open opens the key for a GET or a reader's HEAD, and but for a plain
+// GET also stats it, free of charge (blob.Resume) after the Open. A
+// request pinned to a version (wire.HeaderVersion) continues a reader
+// whose opening HEAD paid for the open, so its Open is free too. It is
+// served only while the reader holds the pinned version: a key's
+// versions only grow (pinned ≤ opened ≤ stat'd), so a Stat after Open
+// that reports the pinned version proves it. A version that does not
+// parse is ErrBadOption, never an unpinned read.
+func (s *Server) open(r *request) (blob.Reader, blob.Info, error) {
+	ctx, v := r.ctx, r.version
 	var pin uint64
 	if v != "" {
 		var err error
@@ -359,13 +507,13 @@ func (s *Server) open(r *http.Request, key string) (blob.Reader, blob.Info, erro
 		}
 		ctx = blob.Resume(ctx)
 	}
-	rd, err := s.store.Open(ctx, key)
-	if err != nil || (v == "" && r.Method == http.MethodGet) {
+	rd, err := s.store.Open(ctx, r.key)
+	if err != nil || (v == "" && r.method == http.MethodGet) {
 		return rd, blob.Info{}, err
 	}
-	info, err := s.store.Stat(blob.Resume(ctx), key)
+	info, err := s.store.Stat(blob.Resume(ctx), r.key)
 	if err == nil && v != "" && info.Version != pin {
-		err = fmt.Errorf("%w: %s (version %d replaced or deleted)", blob.ErrNotFound, key, pin)
+		err = fmt.Errorf("%w: %s (version %d replaced or deleted)", blob.ErrNotFound, r.key, pin)
 	}
 	if err == nil {
 		return rd, info, nil
@@ -380,10 +528,9 @@ func (s *Server) open(r *http.Request, key string) (blob.Reader, blob.Info, erro
 // mode=replace (the default) is the safe replace. A request with the
 // meta-bytes header performs a metadata-only write of that many
 // logical bytes.
-func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) error {
-	key := r.PathValue("key")
+func (s *Server) handlePut(r *request, w *response) error {
 	metaBytes := int64(-1)
-	if v := r.Header.Get(wire.HeaderMetaBytes); v != "" {
+	if v := r.metaBytes; v != "" {
 		n, err := strconv.ParseInt(v, 10, 64)
 		if err != nil {
 			return fmt.Errorf("%w: bad %s %q", blob.ErrInvalidSize, wire.HeaderMetaBytes, v)
@@ -392,8 +539,8 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) error {
 	}
 	size := metaBytes
 	if size < 0 {
-		size = r.ContentLength
-		if v := r.Header.Get(wire.HeaderSize); v != "" {
+		size = r.length
+		if v := r.size; v != "" {
 			n, err := strconv.ParseInt(v, 10, 64)
 			if err != nil {
 				return fmt.Errorf("%w: bad %s %q", blob.ErrInvalidSize, wire.HeaderSize, v)
@@ -408,13 +555,13 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) error {
 
 	var wr blob.Writer
 	var err error
-	switch mode := r.URL.Query().Get("mode"); mode {
+	switch r.mode {
 	case wire.ModeCreate:
-		wr, err = s.store.Create(r.Context(), key, size)
+		wr, err = s.store.Create(r.ctx, r.key, size)
 	case wire.ModeReplace, "":
-		wr, err = s.store.Replace(r.Context(), key, size)
+		wr, err = s.store.Replace(r.ctx, r.key, size)
 	default:
-		return fmt.Errorf("%w: unknown write mode %q", blob.ErrBadOption, mode)
+		return fmt.Errorf("%w: unknown write mode %q", blob.ErrBadOption, r.mode)
 	}
 	if err != nil {
 		return err
@@ -425,7 +572,7 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) error {
 			wr.Abort()
 			return err
 		}
-	} else if err := copyBody(wr, r.Body); err != nil {
+	} else if err := copyBody(wr, r.body); err != nil {
 		wr.Abort()
 		return err
 	}
@@ -473,8 +620,8 @@ func copyBody(w blob.Writer, body io.Reader) error {
 }
 
 // handleDelete removes an object.
-func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) error {
-	if err := s.store.Delete(r.Context(), r.PathValue("key")); err != nil {
+func (s *Server) handleDelete(r *request, w *response) error {
+	if err := s.store.Delete(r.ctx, r.key); err != nil {
 		return err
 	}
 	return s.writeEmpty(w)
@@ -482,7 +629,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) error {
 
 // --- introspection ---------------------------------------------------
 
-func (s *Server) handleKeys(w http.ResponseWriter, r *http.Request) error {
+func (s *Server) handleKeys(r *request, w *response) error {
 	keys := s.store.Keys()
 	if keys == nil {
 		keys = []string{}
@@ -490,7 +637,7 @@ func (s *Server) handleKeys(w http.ResponseWriter, r *http.Request) error {
 	return s.writeJSON(w, wire.KeysResponse{Keys: keys})
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) error {
+func (s *Server) handleStats(r *request, w *response) error {
 	return s.writeJSON(w, wire.StatsResponse{
 		Name:          s.store.Name(),
 		ObjectCount:   s.store.ObjectCount(),
@@ -504,7 +651,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) error {
 // handleLayout serializes every object's physical runs and owner tag —
 // the remote half of frag.Source/frag.TagSource, so fragmentation
 // analysis runs against a served store too.
-func (s *Server) handleLayout(w http.ResponseWriter, r *http.Request) error {
+func (s *Server) handleLayout(r *request, w *response) error {
 	objs := []wire.LayoutObject{}
 	idx := make(map[string]int)
 	s.store.EachObjectRuns(func(key string, bytes int64, runs []extent.Run) {
@@ -524,7 +671,7 @@ func (s *Server) handleLayout(w http.ResponseWriter, r *http.Request) error {
 // --- observability ---------------------------------------------------
 
 // handleMetrics serves the live wall-clock metrics as a PhaseReport.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleMetrics(w *response) {
 	var snap obs.Snapshot
 	if s.reg != nil {
 		snap = s.reg.Snapshot()
@@ -536,16 +683,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // handleReport serves a full schema-valid RunReport with one "serve"
 // experiment holding the live phase.
-func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleReport(w *response) {
 	rep := obs.NewRunReport()
 	e := rep.Experiment("serve", "network blob service", "")
 	if s.reg != nil {
 		e.AddPhase("live", s.reg.Snapshot())
 	}
-	h := w.Header()
-	h.Set("Content-Type", "application/json")
-	s.setClock(h)
-	rep.WriteJSON(w)
+	var b bytes.Buffer
+	rep.WriteJSON(&b)
+	w.contentType, w.clock, w.body = "application/json", s.store.Clock().Now(), b.Bytes()
 }
 
 // --- range parsing ---------------------------------------------------
@@ -591,4 +737,25 @@ func parseRange(h string, size int64) (off, length int64, ok bool, err error) {
 		end = min(end, size-1)
 	}
 	return start, end - start + 1, true, nil
+}
+
+// queryValue is url.Values.Get(name) of a raw query, without the map:
+// the first value of name among the pairs url.ParseQuery keeps (a pair
+// with a semicolon or a bad escape is dropped).
+func queryValue(query, name string) string {
+	for query != "" {
+		var pair string
+		pair, query, _ = strings.Cut(query, "&")
+		if strings.Contains(pair, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		if k, err := url.QueryUnescape(k); err != nil || k != name {
+			continue
+		}
+		if v, err := url.QueryUnescape(v); err == nil {
+			return v
+		}
+	}
+	return ""
 }

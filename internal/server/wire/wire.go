@@ -34,6 +34,7 @@ package wire
 
 import (
 	"io"
+	"strings"
 
 	"repro/internal/extent"
 )
@@ -141,3 +142,29 @@ func ReadBody(body io.Reader, declared int64) ([]byte, error) {
 	}
 	return data, nil
 }
+
+// Named reports whether the header name or token b is h in any case. h
+// is letters, digits and '-', and |0x20 pairs each such byte only with
+// itself or its other case among the bytes that are no control
+// character, which are all a parsed head line holds.
+func Named(b []byte, h string) bool {
+	if len(b) != len(h) {
+		return false
+	}
+	for i := range b {
+		if b[i]|0x20 != h[i]|0x20 {
+			return false
+		}
+	}
+	return true
+}
+
+// NotToken reports whether r may not be in a header name or a method
+// (RFC 9110 tchar).
+func NotToken(r rune) bool {
+	return r >= 0x80 || !('a' <= r|0x20 && r|0x20 <= 'z' || '0' <= r && r <= '9' || strings.ContainsRune("!#$%&'*+-.^_`|~", r))
+}
+
+// IsCTL reports whether r may not be in a header value: a control
+// character other than tab.
+func IsCTL(r rune) bool { return r < 0x20 && r != '\t' || r == 0x7f }
