@@ -51,7 +51,8 @@ func main() {
 	repo, err := stack.Build(vclock.New(), stack.Spec{
 		Backends: []string{engine},
 		Capacity: capBytes,
-		Options:  []blob.Option{blob.WithWriteRequestSize(64 * units.KB)},
+		// The data drive keeps the owner map the marker scan reads.
+		Options: []blob.Option{blob.WithWriteRequestSize(64 * units.KB), blob.WithOwnerMap()},
 	})
 	if err != nil {
 		fail(err)
@@ -134,18 +135,14 @@ func main() {
 
 	// Marker-scan cross-validation (the paper validated its marker tool
 	// against the NTFS defragmenter's reports).
-	if drive.HasOwnerMap() {
-		if src, ok := repo.(frag.TagSource); ok {
-			bad, err := frag.CrossValidate(drive, src)
-			if err != nil {
-				fail(err)
-			}
-			if len(bad) == 0 {
-				fmt.Println("\nmarker scan agrees with extent lists for every object")
-			} else {
-				fmt.Printf("\nmarker scan DISAGREES for %d objects: %v\n", len(bad), bad[:min(3, len(bad))])
-			}
-		}
+	bad, err := frag.CrossValidate(drive, repo)
+	if err != nil {
+		fail(err)
+	}
+	if len(bad) == 0 {
+		fmt.Println("\nmarker scan agrees with extent lists for every object")
+	} else {
+		fmt.Printf("\nmarker scan DISAGREES for %d objects: %v\n", len(bad), bad[:min(3, len(bad))])
 	}
 
 	// Free-run histogram from the drive's perspective: everything not

@@ -42,7 +42,6 @@ func main() {
 	store, err := stack.Build(vclock.New(), stack.Spec{
 		Backends: []string{stack.File},
 		Capacity: volumeSize,
-		Options:  []blob.Option{blob.WithoutOwnerMap()},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -13,7 +13,7 @@ func TestOptionsCompose(t *testing.T) {
 		WithWriteRequestSize(1<<16),
 		WithSizeHint(),
 		WithDelayedAllocation(),
-		WithoutOwnerMap(),
+		WithOwnerMap(),
 	)
 	if o.Capacity != 1<<30 || o.DiskMode != disk.DataMode {
 		t.Fatalf("capacity/mode: %+v", o)
@@ -21,7 +21,7 @@ func TestOptionsCompose(t *testing.T) {
 	if o.WriteRequestSize != 1<<16 || !o.SizeHint || !o.DelayedAllocation {
 		t.Fatalf("write path opts: %+v", o)
 	}
-	if !o.NoOwnerMap {
+	if !o.OwnerMap {
 		t.Fatalf("backend knobs: %+v", o)
 	}
 	if zero := NewOptions(); zero != (Options{}) {

@@ -35,9 +35,9 @@ type Options struct {
 	// commit, with the final size known (§3.4). Filesystem backend only.
 	DelayedAllocation bool
 
-	// NoOwnerMap skips the per-cluster owner map on the data drive (for
-	// very large simulated volumes); the marker scanner is unavailable.
-	NoOwnerMap bool
+	// OwnerMap keeps the per-cluster owner map on the data drive; only
+	// the marker scan reads it. Set via WithOwnerMap.
+	OwnerMap bool
 
 	// GroupCommitBatch is the largest number of commits the store's
 	// group-commit pipeline coalesces into one backend force. 0 or 1
@@ -112,9 +112,11 @@ func WithDelayedAllocation() Option {
 	return func(o *Options) { o.DelayedAllocation = true }
 }
 
-// WithoutOwnerMap skips the per-cluster owner map on the data drive.
-func WithoutOwnerMap() Option {
-	return func(o *Options) { o.NoOwnerMap = true }
+// WithOwnerMap keeps the per-cluster owner map (8 bytes per cluster) on
+// the data drive, and only there. Only the marker scan (frag.ScanMarkers,
+// frag.CrossValidate) reads it; a store without it works the same.
+func WithOwnerMap() Option {
+	return func(o *Options) { o.OwnerMap = true }
 }
 
 // WithGroupCommit enables the group-commit pipeline: Writer.Commit

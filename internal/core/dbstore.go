@@ -44,8 +44,8 @@ func NewDBStore(clock *vclock.Clock, options ...blob.Option) (*DBStore, error) {
 		return nil, fmt.Errorf("core: NewDBStore: %w", err)
 	}
 	var diskOpts []disk.Option
-	if opts.NoOwnerMap {
-		diskOpts = append(diskOpts, disk.WithoutOwnerMap())
+	if opts.OwnerMap {
+		diskOpts = append(diskOpts, disk.WithOwnerMap())
 	}
 	dataDrive := disk.New(disk.DefaultGeometry(opts.Capacity), clock, opts.DiskMode, diskOpts...)
 	// "SQL was given a dedicated log and data drive" (§4.1).

@@ -55,8 +55,8 @@ func NewFileStore(clock *vclock.Clock, options ...blob.Option) (*FileStore, erro
 		opts.WriteRequestSize = 64 * units.KB
 	}
 	var diskOpts []disk.Option
-	if opts.NoOwnerMap {
-		diskOpts = append(diskOpts, disk.WithoutOwnerMap())
+	if opts.OwnerMap {
+		diskOpts = append(diskOpts, disk.WithOwnerMap())
 	}
 	dataDrive := disk.New(disk.DefaultGeometry(opts.Capacity), clock, opts.DiskMode, diskOpts...)
 	vol := fs.Format(dataDrive, fs.Config{DelayedAllocation: opts.DelayedAllocation})
@@ -163,6 +163,14 @@ func (s *FileStore) PackObjects(ctx context.Context, keys []string) ([]string, e
 		return nil
 	})
 	return packed, err
+}
+
+// PackRuns implements frag.PackSource: the runs behind a pack's owner
+// tag, which every member of the pack carries.
+func (s *FileStore) PackRuns(tag uint32) ([]extent.Run, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.vol.PackRuns(tag)
 }
 
 // inflightTemp reports whether name is the temp file of an uncommitted

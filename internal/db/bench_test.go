@@ -12,7 +12,7 @@ import (
 
 func benchDB(capacity int64) *Database {
 	clock := vclock.New()
-	data := disk.New(disk.DefaultGeometry(capacity), clock, disk.MetadataMode, disk.WithoutOwnerMap())
+	data := disk.New(disk.DefaultGeometry(capacity), clock, disk.MetadataMode)
 	logd := disk.New(disk.DefaultGeometry(256*units.MB), clock, disk.MetadataMode)
 	return Open(data, logd, Config{})
 }

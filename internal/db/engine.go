@@ -190,6 +190,9 @@ func Open(dataDrive, logDrive *disk.Drive, cfg Config) *Database {
 // DataDrive returns the data drive.
 func (d *Database) DataDrive() *disk.Drive { return d.data }
 
+// LogDrive returns the log drive, nil when the log shares the data drive.
+func (d *Database) LogDrive() *disk.Drive { return d.log }
+
 // FreeBytes reports free space in the data file.
 func (d *Database) FreeBytes() int64 { return d.alloc.FreePages() * PageSize }
 

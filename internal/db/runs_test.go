@@ -12,9 +12,11 @@ import (
 	"repro/internal/vclock"
 )
 
+// newDBWith opens a metadata-mode database whose data drive keeps the
+// owner map, so the marker scan can check its books.
 func newDBWith(capacity int64, cfg Config) *Database {
 	clock := vclock.New()
-	data := disk.New(disk.DefaultGeometry(capacity), clock, disk.MetadataMode)
+	data := disk.New(disk.DefaultGeometry(capacity), clock, disk.MetadataMode, disk.WithOwnerMap())
 	logd := disk.New(disk.DefaultGeometry(64*units.MB), clock, disk.MetadataMode)
 	return Open(data, logd, cfg)
 }
@@ -240,7 +242,7 @@ func TestGetRangeCostsMatchPageListModel(t *testing.T) {
 // whole extents rejoin the deallocation cache they came from, the node's
 // extent its previous state.
 func TestCrashMidWriteRestoresAllocator(t *testing.T) {
-	d := newDB(64*units.MB, disk.MetadataMode)
+	d := newDBWith(64*units.MB, Config{})
 	// Fill the deallocation cache, so the transaction draws from it and
 	// its rollback refills it.
 	for _, key := range []string{"a", "b"} {
@@ -275,8 +277,8 @@ func TestCrashMidWriteRestoresAllocator(t *testing.T) {
 	if f, q, p := d.alloc.FreePages(), d.alloc.ReuseQueueLen(), d.alloc.PartialExtents(); f != free || q != queued || p != partial {
 		t.Fatalf("after the crash free/queued/partial = %d/%d/%d, before the transaction %d/%d/%d", f, q, p, free, queued, partial)
 	}
-	if scanned, _ := frag.ScanMarkers(d.DataDrive()); scanned[99] != 0 {
-		t.Fatalf("the rolled-back version still owns %d fragments on the drive", scanned[99])
+	if scanned, err := frag.ScanMarkers(d.DataDrive()); err != nil || scanned[99] != 0 {
+		t.Fatalf("the rolled-back version still owns %d fragments on the drive (%v)", scanned[99], err)
 	}
 	if frags, err := d.Fragments("b"); err != nil || frags == 0 {
 		t.Fatalf("old version after the crash: %d fragments, %v", frags, err)

@@ -15,8 +15,10 @@
 // 7200 rpm SATA, ST3400832AS).
 //
 // The drive can optionally retain payload bytes (DataMode) for integrity
-// tests, and an owner map tagging each cluster with the object that wrote
-// it, which feeds the marker-based fragmentation scanner in package frag.
+// tests. Under WithOwnerMap it also keeps an owner map tagging each
+// cluster with the object that wrote it: 8 bytes per cluster that only
+// the marker-based fragmentation scanner in package frag reads, so a
+// drive keeps it only when a caller asks.
 package disk
 
 import (
@@ -32,7 +34,8 @@ import (
 type Mode int
 
 const (
-	// MetadataMode tracks timing and the owner map but drops payloads.
+	// MetadataMode tracks timing (and the owner map, under WithOwnerMap)
+	// but drops payloads.
 	MetadataMode Mode = iota
 	// DataMode additionally retains payload bytes per cluster so reads
 	// return exactly what was written. Use only with small volumes.
@@ -100,28 +103,28 @@ type Drive struct {
 
 	// owner[i] and seq[i] tag cluster i with the object that last wrote
 	// it and that cluster's index within the object's byte stream. Tag 0
-	// means unowned/metadata.
+	// means unowned/metadata. Both are nil unless WithOwnerMap was given.
 	owner []uint32
 	seq   []uint32
 
 	data map[int64][]byte // cluster -> payload, DataMode only
-
-	noOwnerMap bool // set by WithoutOwnerMap before allocation
 }
 
 // Option customises drive construction.
 type Option func(*Drive)
 
-// WithoutOwnerMap skips allocating the owner map (8 bytes per cluster) —
-// required for very large simulated volumes (the paper's 400 GB runs),
-// at the cost of the marker-based fragmentation scanner.
-func WithoutOwnerMap() Option {
-	return func(d *Drive) { d.noOwnerMap = true }
+// WithOwnerMap allocates the owner map (8 bytes per cluster) that
+// frag.ScanMarkers reads. Only the marker scan needs it; without it
+// WriteRun and ClearOwner touch no per-cluster state.
+func WithOwnerMap() Option {
+	return func(d *Drive) {
+		d.owner = make([]uint32, d.geo.Clusters)
+		d.seq = make([]uint32, d.geo.Clusters)
+	}
 }
 
-// New creates a drive with the given geometry. By default the owner map
-// is allocated (8 bytes/cluster); pass WithoutOwnerMap for very large
-// volumes.
+// New creates a drive with the given geometry. The owner map is
+// allocated only under WithOwnerMap.
 func New(geo Geometry, clock *vclock.Clock, mode Mode, opts ...Option) *Drive {
 	if geo.Clusters <= 0 || geo.ClusterSize <= 0 {
 		panic(fmt.Sprintf("disk: bad geometry %+v", geo))
@@ -134,21 +137,10 @@ func New(geo Geometry, clock *vclock.Clock, mode Mode, opts ...Option) *Drive {
 	for _, o := range opts {
 		o(d)
 	}
-	if !d.noOwnerMap {
-		d.owner = make([]uint32, geo.Clusters)
-		d.seq = make([]uint32, geo.Clusters)
-	}
 	if mode == DataMode {
 		d.data = make(map[int64][]byte)
 	}
 	return d
-}
-
-// DisableOwnerMap releases the owner map for metadata-only runs at very
-// large volume sizes. The frag marker scanner cannot be used afterwards.
-func (d *Drive) DisableOwnerMap() {
-	d.owner = nil
-	d.seq = nil
 }
 
 // Geometry returns the drive geometry.
@@ -288,8 +280,9 @@ func (d *Drive) ReadRun(r extent.Run) []byte {
 	return out
 }
 
-// ClearOwner untags a run (after deletion). No time is charged: deallocation
-// is a metadata operation whose cost the filesystem/database layer models.
+// ClearOwner untags a run (after deletion); without an owner map it only
+// checks the run. No time is charged: deallocation is a metadata
+// operation whose cost the filesystem/database layer models.
 func (d *Drive) ClearOwner(r extent.Run) {
 	d.checkRun(r)
 	if d.owner == nil {
@@ -299,7 +292,8 @@ func (d *Drive) ClearOwner(r extent.Run) {
 	clear(d.seq[r.Start:r.End()])
 }
 
-// Owner returns the tag and sequence recorded for cluster c.
+// Owner returns the tag and sequence recorded for cluster c; 0, 0
+// without an owner map.
 func (d *Drive) Owner(c int64) (tag uint32, seq uint32) {
 	if d.owner == nil || c < 0 || c >= d.geo.Clusters {
 		return 0, 0

@@ -47,16 +47,17 @@ func TestSeekLongerThanTransferForSmallRandomIO(t *testing.T) {
 	}
 }
 
-func TestWithoutOwnerMapOption(t *testing.T) {
-	d := New(DefaultGeometry(1*units.GB), vclock.New(), MetadataMode, WithoutOwnerMap())
+func TestNoOwnerMapByDefault(t *testing.T) {
+	d := New(DefaultGeometry(1*units.GB), vclock.New(), MetadataMode)
 	if d.HasOwnerMap() {
-		t.Fatal("owner map allocated despite option")
+		t.Fatal("owner map allocated without WithOwnerMap")
 	}
-	// Writes must still work (and not panic).
+	// Writes and clears must still work (and not panic).
 	d.WriteRun(extent.Run{Start: 0, Len: 4}, 9, 0, nil)
 	if tag, _ := d.Owner(0); tag != 0 {
-		t.Fatalf("Owner on disabled map returned %d", tag)
+		t.Fatalf("Owner without a map returned %d", tag)
 	}
+	d.ClearOwner(extent.Run{Start: 0, Len: 4})
 }
 
 func TestHeadPositionCarriesAcrossRequests(t *testing.T) {
@@ -101,7 +102,7 @@ func TestDataModeOverwrite(t *testing.T) {
 }
 
 func TestGeometryStringer(t *testing.T) {
-	d := New(DefaultGeometry(40*units.GB), vclock.New(), MetadataMode, WithoutOwnerMap())
+	d := New(DefaultGeometry(40*units.GB), vclock.New(), MetadataMode)
 	if s := d.String(); s == "" {
 		t.Fatal("empty String")
 	}

@@ -9,8 +9,8 @@ import (
 	"repro/internal/vclock"
 )
 
-func testDrive(capacity int64, mode Mode) *Drive {
-	return New(DefaultGeometry(capacity), vclock.New(), mode)
+func testDrive(capacity int64, mode Mode, opts ...Option) *Drive {
+	return New(DefaultGeometry(capacity), vclock.New(), mode, opts...)
 }
 
 func TestSequentialNoSeek(t *testing.T) {
@@ -115,7 +115,10 @@ func TestDataModeRoundTrip(t *testing.T) {
 }
 
 func TestOwnerMap(t *testing.T) {
-	d := testDrive(1*units.GB, MetadataMode)
+	d := testDrive(1*units.GB, MetadataMode, WithOwnerMap())
+	if !d.HasOwnerMap() {
+		t.Fatal("WithOwnerMap drive reports no owner map")
+	}
 	d.WriteRun(extent.Run{Start: 5, Len: 4}, 42, 100, nil)
 	tag, seq := d.Owner(6)
 	if tag != 42 || seq != 101 {
@@ -125,9 +128,8 @@ func TestOwnerMap(t *testing.T) {
 	if tag, _ := d.Owner(6); tag != 0 {
 		t.Fatalf("owner not cleared: %d", tag)
 	}
-	d.DisableOwnerMap()
-	if d.HasOwnerMap() {
-		t.Fatal("owner map still reported after disable")
+	if testDrive(1*units.GB, MetadataMode).HasOwnerMap() {
+		t.Fatal("owner map reported without WithOwnerMap")
 	}
 }
 
@@ -135,7 +137,7 @@ func TestOwnerMap(t *testing.T) {
 // cluster of the run and on no neighbour, and deallocation charges no
 // time and counts as no request.
 func TestClearOwnerClearsExactlyTheRun(t *testing.T) {
-	d := testDrive(1*units.GB, MetadataMode)
+	d := testDrive(1*units.GB, MetadataMode, WithOwnerMap())
 	d.WriteRun(extent.Run{Start: 4, Len: 8}, 7, 50, nil)
 	now, stats := d.Clock().Now(), d.Stats()
 	d.ClearOwner(extent.Run{Start: 6, Len: 3})

@@ -107,7 +107,7 @@ func Analyze(src Source) Report {
 // sequence is not physically adjacent to the previous one.
 func ScanMarkers(d *disk.Drive) (map[uint32]int, error) {
 	if !d.HasOwnerMap() {
-		return nil, fmt.Errorf("frag: drive has no owner map")
+		return nil, fmt.Errorf("frag: drive has no owner map (build it with disk.WithOwnerMap or blob.WithOwnerMap)")
 	}
 	type marker struct {
 		seq     uint32
@@ -144,9 +144,21 @@ type TagSource interface {
 	EachObjectTag(fn func(key string, tag uint32))
 }
 
+// PackSource is a TagSource in which several objects can share one
+// owner tag, a pack. The scan sees a pack's clusters as one object, so
+// PackRuns returns the runs carrying the pack's tag in the order they
+// were written; false when tag is no pack's.
+type PackSource interface {
+	TagSource
+	PackRuns(tag uint32) ([]extent.Run, bool)
+}
+
 // CrossValidate compares the marker-scan fragment counts with the extent
 // list analysis and returns the keys that disagree (empty means the two
 // measurements match, the property the paper established for its tool).
+// A pack's tag is compared once, against the pack's own runs, and named
+// by its members; a tag several keys share that the source cannot list
+// as a pack is reported, never skipped.
 func CrossValidate(d *disk.Drive, src TagSource) ([]string, error) {
 	scanned, err := ScanMarkers(d)
 	if err != nil {
@@ -156,12 +168,32 @@ func CrossValidate(d *disk.Drive, src TagSource) ([]string, error) {
 	src.EachObjectRuns(func(key string, _ int64, runs []extent.Run) {
 		fromRuns[key] = CountRunFragments(runs)
 	})
-	var bad []string
+	keys := make(map[uint32][]string)
 	src.EachObjectTag(func(key string, tag uint32) {
-		if got, want := scanned[tag], fromRuns[key]; got != want {
-			bad = append(bad, fmt.Sprintf("%s: scan=%d runs=%d", key, got, want))
-		}
+		keys[tag] = append(keys[tag], key)
 	})
+	packs, _ := src.(PackSource)
+	var bad []string
+	for tag, ks := range keys {
+		sort.Strings(ks)
+		var runs []extent.Run
+		isPack := false
+		if packs != nil {
+			runs, isPack = packs.PackRuns(tag)
+		}
+		switch {
+		case isPack:
+			if got, want := scanned[tag], CountRunFragments(runs); got != want {
+				bad = append(bad, fmt.Sprintf("pack %d %v: scan=%d runs=%d", tag, ks, got, want))
+			}
+		case len(ks) > 1:
+			bad = append(bad, fmt.Sprintf("tag %d %v: shared, but the source lists no pack runs for it", tag, ks))
+		default:
+			if got, want := scanned[tag], fromRuns[ks[0]]; got != want {
+				bad = append(bad, fmt.Sprintf("%s: scan=%d runs=%d", ks[0], got, want))
+			}
+		}
+	}
 	sort.Strings(bad)
 	return bad, nil
 }

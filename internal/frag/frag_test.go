@@ -4,9 +4,12 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/blob"
+	"repro/internal/blob/conformance"
 	"repro/internal/core"
 	"repro/internal/disk"
 	"repro/internal/extent"
@@ -64,7 +67,7 @@ func TestAnalyze(t *testing.T) {
 }
 
 func TestScanMarkers(t *testing.T) {
-	d := disk.New(disk.DefaultGeometry(64*units.MB), vclock.New(), disk.MetadataMode)
+	d := disk.New(disk.DefaultGeometry(64*units.MB), vclock.New(), disk.MetadataMode, disk.WithOwnerMap())
 	// Object 7: two fragments; object 9: contiguous.
 	d.WriteRun(extent.Run{Start: 10, Len: 4}, 7, 0, nil)
 	d.WriteRun(extent.Run{Start: 50, Len: 4}, 7, 4, nil)
@@ -76,15 +79,15 @@ func TestScanMarkers(t *testing.T) {
 	if got[7] != 2 || got[9] != 1 {
 		t.Fatalf("scan: %v", got)
 	}
-	d.DisableOwnerMap()
-	if _, err := ScanMarkers(d); err == nil {
-		t.Fatal("scan without owner map succeeded")
+	plain := disk.New(disk.DefaultGeometry(64*units.MB), vclock.New(), disk.MetadataMode)
+	if _, err := ScanMarkers(plain); err == nil {
+		t.Fatal("scan of a drive built without WithOwnerMap succeeded")
 	}
 }
 
 func TestScanDetectsLogicalReordering(t *testing.T) {
 	// Physically adjacent but logically out of order counts as fragmented.
-	d := disk.New(disk.DefaultGeometry(64*units.MB), vclock.New(), disk.MetadataMode)
+	d := disk.New(disk.DefaultGeometry(64*units.MB), vclock.New(), disk.MetadataMode, disk.WithOwnerMap())
 	d.WriteRun(extent.Run{Start: 10, Len: 4}, 3, 4, nil) // second half first
 	d.WriteRun(extent.Run{Start: 14, Len: 4}, 3, 0, nil)
 	got, _ := ScanMarkers(d)
@@ -93,49 +96,207 @@ func TestScanDetectsLogicalReordering(t *testing.T) {
 	}
 }
 
+var _ PackSource = (*core.FileStore)(nil)
+
+// TestCrossValidateAgainstEngines: the paper validated its marker tool
+// against the NTFS defragmenter's reports; we validate the scanner
+// against engine extent lists on both backends, with group commit off
+// and on, after the states the markers must survive — replaces,
+// deletes, CompactObject and (filesystem) PackObjects, including a pack
+// some members left — and then plant a fault the scan must name.
 func TestCrossValidateAgainstEngines(t *testing.T) {
-	// The paper validated its marker tool against the NTFS defragmenter's
-	// reports; we validate the scanner against engine extent lists on
-	// both backends after real churn.
-	ctx := context.Background()
-	fsStore, err := core.NewFileStore(vclock.New(), blob.WithCapacity(64*units.MB), blob.WithDiskMode(disk.MetadataMode))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dbStore, err := core.NewDBStore(vclock.New(), blob.WithCapacity(64*units.MB), blob.WithDiskMode(disk.MetadataMode))
-	if err != nil {
-		t.Fatal(err)
-	}
-	stores := []blob.Store{fsStore, dbStore}
-	for _, s := range stores {
-		t.Run(s.Name(), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(4))
-			for i := 0; i < 12; i++ {
-				if err := blob.Put(ctx, s, fmt.Sprintf("o%d", i), int64(rng.Intn(8)+1)*128*units.KB, nil); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for op := 0; op < 60; op++ {
-				key := fmt.Sprintf("o%d", rng.Intn(12))
-				if err := blob.Replace(ctx, s, key, int64(rng.Intn(8)+1)*128*units.KB, nil); err != nil {
-					t.Fatal(err)
-				}
-			}
-			var drive *disk.Drive
-			switch st := s.(type) {
-			case *core.FileStore:
-				drive = st.Volume().Drive()
-			case *core.DBStore:
-				drive = st.Engine().DataDrive()
-			}
-			bad, err := CrossValidate(drive, s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(bad) > 0 {
-				t.Fatalf("marker scan disagrees with extent lists: %v", bad)
+	for _, backend := range []string{"filesystem", "database"} {
+		t.Run(backend, func(t *testing.T) {
+			for _, batch := range []int{1, 8} {
+				t.Run(fmt.Sprintf("groupcommit=%d", batch), func(t *testing.T) {
+					opts := []blob.Option{
+						blob.WithCapacity(64 * units.MB), blob.WithDiskMode(disk.MetadataMode),
+						blob.WithOwnerMap(), blob.WithGroupCommit(batch, 0),
+					}
+					var s blob.Store
+					var drive *disk.Drive
+					if backend == "filesystem" {
+						st, err := core.NewFileStore(vclock.New(), opts...)
+						if err != nil {
+							t.Fatal(err)
+						}
+						s, drive = st, st.Volume().Drive()
+					} else {
+						st, err := core.NewDBStore(vclock.New(), opts...)
+						if err != nil {
+							t.Fatal(err)
+						}
+						s, drive = st, st.Engine().DataDrive()
+					}
+					checkAgree := func(when string) {
+						t.Helper()
+						bad, err := CrossValidate(drive, s)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if len(bad) > 0 {
+							t.Fatalf("after %s, marker scan disagrees with extent lists: %v", when, bad)
+						}
+					}
+					crossValidateChurn(t, s, checkAgree)
+					plantFault(t, drive, s)
+				})
 			}
 		})
+	}
+}
+
+// crossValidateChurn loads 20 large and 20 small objects in batches of
+// four committed together, then replaces, deletes, compacts and packs,
+// checking the scan against the extent lists after each step.
+func crossValidateChurn(t *testing.T, s blob.Store, checkAgree func(string)) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(4))
+	large := func() int64 { return int64(rng.Intn(8)+1) * 128 * units.KB }
+	small := func() int64 { return int64(rng.Intn(15)+1) * 3 * units.KB }
+	var larges, smalls []string
+	for i := 0; i < 40; i += 4 {
+		keys := []string{fmt.Sprintf("o%d", i), fmt.Sprintf("o%d", i+1), fmt.Sprintf("o%d", i+2), fmt.Sprintf("o%d", i+3)}
+		if i < 20 {
+			conformance.CommitTogether(t, s, keys, large())
+			larges = append(larges, keys...)
+		} else {
+			conformance.CommitTogether(t, s, keys, small())
+			smalls = append(smalls, keys...)
+		}
+	}
+	for op := 0; op < 60; op++ {
+		key, size := larges[rng.Intn(len(larges))], large()
+		if rng.Intn(2) == 0 {
+			key, size = smalls[rng.Intn(len(smalls))], small()
+		}
+		if err := blob.Replace(ctx, s, key, size, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkAgree("replaces")
+	for _, key := range larges[:4] {
+		if err := s.Delete(ctx, key); err != nil {
+			t.Fatal(err)
+		}
+	}
+	larges = larges[4:]
+	checkAgree("deletes")
+	var moved int64
+	for _, key := range append(append([]string(nil), larges...), smalls...) {
+		n, err := s.(blob.Rewriter).CompactObject(ctx, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		moved += n
+	}
+	if moved == 0 {
+		t.Fatal("CompactObject moved nothing: the relocation path went unexercised")
+	}
+	checkAgree("CompactObject")
+	pk, ok := s.(blob.Packer)
+	if !ok {
+		return
+	}
+	for _, group := range [][]string{smalls[:10], smalls[10:]} {
+		if packed, err := pk.PackObjects(ctx, group); err != nil || len(packed) != len(group) {
+			t.Fatalf("PackObjects(%v) packed %v, %v", group, packed, err)
+		}
+	}
+	checkAgree("PackObjects")
+	// One pack loses a member to a delete and one to a replace; the other
+	// keeps a single member, which still carries the whole pack's tag.
+	if err := s.Delete(ctx, smalls[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := blob.Replace(ctx, s, smalls[1], small(), nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range smalls[10:19] {
+		if err := s.Delete(ctx, key); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkAgree("pack members leave")
+}
+
+// plantFault re-tags the middle cluster of the largest object's first
+// run with a tag no object carries, and on a store with packs the
+// middle cluster of a pack's first run too; CrossValidate must name
+// that object and that pack, and nothing else.
+func plantFault(t *testing.T, drive *disk.Drive, s blob.Store) {
+	var victim string
+	var at extent.Run
+	var most int64
+	s.EachObjectRuns(func(key string, bytes int64, runs []extent.Run) {
+		if bytes > most || bytes == most && key < victim {
+			victim, most, at = key, bytes, runs[0]
+		}
+	})
+	if at.Len < 3 {
+		t.Fatalf("largest object %s has a first run of %d clusters, too short to plant a fault in", victim, at.Len)
+	}
+	drive.WriteRun(extent.Run{Start: at.Start + 1, Len: 1}, 1<<31, 0, nil)
+	want := []string{victim + ": "}
+	if ps, ok := s.(PackSource); ok {
+		tags := make(map[uint32]bool)
+		s.EachObjectTag(func(_ string, tag uint32) { tags[tag] = true })
+		var pack uint32
+		for tag := range tags {
+			if runs, ok := ps.PackRuns(tag); ok && runs[0].Len >= 3 && (pack == 0 || tag < pack) {
+				pack = tag
+			}
+		}
+		if pack == 0 {
+			t.Fatal("no pack with a run of three clusters to plant a fault in")
+		}
+		runs, _ := ps.PackRuns(pack)
+		drive.WriteRun(extent.Run{Start: runs[0].Start + 1, Len: 1}, 1<<31, 0, nil)
+		want = append(want, fmt.Sprintf("pack %d ", pack))
+		sort.Strings(want)
+	}
+	bad, err := CrossValidate(drive, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(bad) != len(want) {
+		t.Fatalf("planted faults named by %q, CrossValidate reported %v", want, bad)
+	}
+	for i := range want {
+		if !strings.HasPrefix(bad[i], want[i]) {
+			t.Fatalf("planted faults named by %q, CrossValidate reported %v", want, bad)
+		}
+	}
+}
+
+type fakeTagSource struct {
+	fakeSource
+	tags map[string]uint32
+}
+
+func (f fakeTagSource) EachObjectTag(fn func(string, uint32)) {
+	for k, tag := range f.tags {
+		fn(k, tag)
+	}
+}
+
+// TestCrossValidateReportsUnlistedSharedTag: a tag two keys share is
+// compared against nothing when the source cannot list it as a pack, so
+// it is reported, not skipped.
+func TestCrossValidateReportsUnlistedSharedTag(t *testing.T) {
+	d := disk.New(disk.DefaultGeometry(64*units.MB), vclock.New(), disk.MetadataMode, disk.WithOwnerMap())
+	d.WriteRun(extent.Run{Start: 10, Len: 2}, 5, 0, nil)
+	d.WriteRun(extent.Run{Start: 40, Len: 4}, 6, 0, nil)
+	src := fakeTagSource{
+		fakeSource: fakeSource{"a": {{Start: 10, Len: 1}}, "b": {{Start: 11, Len: 1}}, "c": {{Start: 40, Len: 4}}},
+		tags:       map[string]uint32{"a": 5, "b": 5, "c": 6},
+	}
+	bad, err := CrossValidate(d, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(bad) != 1 || !strings.HasPrefix(bad[0], "tag 5 [a b]: shared") {
+		t.Fatalf("CrossValidate = %v, want the shared tag 5 reported", bad)
 	}
 }
 

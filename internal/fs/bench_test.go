@@ -11,7 +11,7 @@ import (
 )
 
 func benchVolume(capacity int64) *Volume {
-	d := disk.New(disk.DefaultGeometry(capacity), vclock.New(), disk.MetadataMode, disk.WithoutOwnerMap())
+	d := disk.New(disk.DefaultGeometry(capacity), vclock.New(), disk.MetadataMode)
 	return Format(d, Config{})
 }
 

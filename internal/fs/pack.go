@@ -271,6 +271,16 @@ func (p *Pack) freeOrphan() {
 	}
 }
 
+// PackRuns returns the runs carrying a live pack's tag in the order
+// PackFiles wrote them, data then index; false when tag names no pack.
+func (v *Volume) PackRuns(tag uint32) ([]extent.Run, bool) {
+	p, ok := v.packs[tag]
+	if !ok {
+		return nil, false
+	}
+	return append(append([]extent.Run(nil), p.runs...), p.indexRuns...), true
+}
+
 // PackCount returns the number of live packs.
 func (v *Volume) PackCount() int { return len(v.packs) }
 

@@ -98,7 +98,7 @@ func InterleavedAppend(c Config) ([]*stats.Table, error) {
 	const objSize = 10 * units.MB
 	const req = 64 * units.KB
 	for _, k := range []int{1, 2, 4, 8, 16} {
-		drive := disk.New(disk.DefaultGeometry(c.VolumeBytes), vclock.New(), disk.MetadataMode, disk.WithoutOwnerMap())
+		drive := disk.New(disk.DefaultGeometry(c.VolumeBytes), vclock.New(), disk.MetadataMode)
 		vol := fs.Format(drive, fs.Config{})
 		files := make([]*fs.File, k)
 		for i := range files {

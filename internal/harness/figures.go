@@ -17,7 +17,7 @@ import (
 // the paper's Table 1 hardware description.
 func Table1(c Config) ([]*stats.Table, error) {
 	t := stats.NewTable("Table 1: Configuration of the (simulated) test system", "", "")
-	d := disk.New(disk.DefaultGeometry(c.VolumeBytes), vclock.New(), disk.MetadataMode, disk.WithoutOwnerMap())
+	d := disk.New(disk.DefaultGeometry(c.VolumeBytes), vclock.New(), disk.MetadataMode)
 	geo := d.Geometry()
 	t.Note("%s", d.String())
 	t.Note("paper hardware: Tyan S2882, 1.8GHz Opteron 244, 2GB ECC, 4x Seagate 400GB ST3400832AS 7200rpm SATA")

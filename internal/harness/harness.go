@@ -181,15 +181,15 @@ var systems = []struct{ kind, name, backend string }{
 
 // spec describes one volume of the given backend at experiment scale:
 // metadata-only drives and the 64 KB write requests the paper's tests
-// fixed (§5.3). Volumes of 8 GB and up drop the disk owner map, which
-// only frag.CrossValidate reads. Experiments adjust the returned Spec
-// for their arm.
+// fixed (§5.3). No volume keeps the disk owner map: experiments read
+// extent lists, never the marker scan. Experiments adjust the returned
+// Spec for their arm.
 func (c Config) spec(backend string) stack.Spec {
-	opts := []blob.Option{blob.WithWriteRequestSize(64 * units.KB)}
-	if c.VolumeBytes >= 8*units.GB {
-		opts = append(opts, blob.WithoutOwnerMap())
+	return stack.Spec{
+		Backends: []string{backend},
+		Capacity: c.VolumeBytes,
+		Options:  []blob.Option{blob.WithWriteRequestSize(64 * units.KB)},
 	}
-	return stack.Spec{Backends: []string{backend}, Capacity: c.VolumeBytes, Options: opts}
 }
 
 // build assembles spec on clock, naming the stack in the progress log.

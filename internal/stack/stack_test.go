@@ -83,7 +83,7 @@ func TestSpecString(t *testing.T) {
 		}, "file+db:64M|meta|obs:store"},
 		{stack.Spec{
 			Backends: []string{stack.File}, Capacity: units.GB,
-			Options: []blob.Option{blob.WithWriteRequestSize(16 * units.KB), blob.WithSizeHint(), blob.WithoutOwnerMap()},
+			Options: []blob.Option{blob.WithWriteRequestSize(16 * units.KB), blob.WithSizeHint()},
 		}, "file:1G|meta|wreq:16K|hint"},
 		{stack.Spec{
 			Backends: []string{stack.File}, Capacity: units.GB,
