@@ -38,11 +38,11 @@
 //     connection per request in flight, and the client writes and parses
 //     the HTTP/1.1 heads itself. A request is one writev: a head appended
 //     into the connection's scratch buffer, then the caller's payload. A
-//     response head is read line by line for its status, its body's
-//     framing and the X-Blob-* headers the client reads, with no header
-//     map. net/http is the test reference for both: the request heads
-//     must parse as the ones Request.Write sends, and a fuzz test holds
-//     the response parser to http.ReadResponse. The whole body is written
+//     response head is read by wire.Head, the server's scanner, for its
+//     status, framing and X-Blob-* headers, with no header map. net/http
+//     is the test reference for both: request heads must parse as the
+//     ones Request.Write sends, and a fuzz test holds the response
+//     parser to http.ReadResponse. The whole body is written
 //     before the response is read, and closing the response body returns
 //     the connection to the Store's idle list. A failure on a reused
 //     connection is retried once on a fresh one only where that cannot
@@ -148,7 +148,7 @@ func (s *Store) ratchet(ns int64) {
 // conn is one keep-alive connection, held by one request at a time.
 type conn struct {
 	net.Conn
-	br   *bufio.Reader
+	in   wire.Head   // reads response heads off the connection, through in.R
 	peek peeker      // idleOK's
 	head []byte      // the request head, rewritten by each request
 	vec  [2][]byte   // head and payload of the request being sent
@@ -172,7 +172,7 @@ func (s *Store) conn(ctx context.Context, fresh bool) (c *conn, reused bool, err
 	if err != nil {
 		return nil, false, err
 	}
-	return &conn{Conn: nc, br: bufio.NewReader(nc)}, false, nil
+	return &conn{Conn: nc, in: wire.Head{R: bufio.NewReader(nc), Bad: ErrBadResponse, TooLarge: errHeadTooLarge}}, false, nil
 }
 
 // roundTrip sends one request with payload as its body, then reads the
@@ -192,11 +192,11 @@ func (s *Store) roundTrip(ctx context.Context, method, path string, payload []by
 			stop = context.AfterFunc(ctx, func() { c.SetDeadline(time.Unix(1, 0)) })
 		}
 		sent, werr := c.send(method, s.addr, path, payload, hdr)
-		_, perr := c.br.Peek(1) // nil once a response byte arrived
-		resp, err := readResponse(c.br, method)
+		_, perr := c.in.R.Peek(1) // nil once a response byte arrived
+		resp, err := readResponse(&c.in, method)
 		if err == nil {
 			resp.body = &body{s: s, c: c, stop: stop, keep: werr == nil && resp.keep}
-			resp.body.frame(c.br, &resp)
+			resp.body.frame(c.in.R, &resp)
 			return resp, nil
 		}
 		stop()
@@ -233,7 +233,7 @@ func (b *body) Close() error {
 		_, err = io.CopyN(io.Discard, b, 256<<10+1)
 	}
 	s.mu.Lock()
-	keep := b.stop() && b.keep && err == io.EOF && b.lr.N == 0 && c.br.Buffered() == 0 && !s.closed
+	keep := b.stop() && b.keep && err == io.EOF && b.lr.N == 0 && c.in.R.Buffered() == 0 && !s.closed
 	if keep {
 		s.idle = append(s.idle, c)
 	}

@@ -14,11 +14,13 @@ import (
 )
 
 // ErrBadResponse is wrapped by the error of a response the client cannot
-// use: a malformed head, a head line longer than the connection's read
-// buffer, conflicting Content-Lengths or a transfer coding other than
-// chunked (the connection is then closed), or a success without a wire
-// header the call needs.
+// use: a malformed head, a head longer than wire.MaxHead bytes,
+// conflicting Content-Lengths or a transfer coding other than chunked
+// (the connection is then closed), or a success without a wire header
+// the call needs.
 var ErrBadResponse = errors.New("client: bad response")
+
+var errHeadTooLarge = fmt.Errorf("%w: head longer than %d bytes", ErrBadResponse, wire.MaxHead)
 
 // send writes one request in one writev: the head, then payload, which
 // is not referenced after send returns. The head is what net/http's
@@ -55,99 +57,51 @@ type response struct {
 	body                 *body
 }
 
-// readResponse reads the head of the response to a request of method. It
-// keeps the framing headers and the wire headers the client reads and
-// skips the rest, with no header map. The framing is net/http's: a
-// response to HEAD and a 1xx, 204 or 304 have no body, chunked overrides
-// Content-Length, and a body with neither ends at close. A chunked body's
-// trailer is left unread, so its connection is not kept. A head that
-// does not parse (HTTP/1.1 only, one line per field) is an error wrapping
-// ErrBadResponse; one cut short, io.ErrUnexpectedEOF.
-func readResponse(br *bufio.Reader, method string) (response, error) {
+// readResponse reads the head of the response to a request of method
+// from h, keeping the status, h's framing and the wire headers the client
+// reads. The framing is net/http's: a response to HEAD and a 1xx, 204 or
+// 304 have no body, chunked overrides Content-Length, and a body with
+// neither ends at close. A chunked body's trailer is left unread, so its
+// connection is not kept. A head h or the status line (HTTP/1.1 only)
+// refuses is an error wrapping ErrBadResponse; one cut short,
+// io.ErrUnexpectedEOF.
+func readResponse(h *wire.Head, method string) (response, error) {
 	r := response{length: -1, clock: -1, size: -1, version: -1}
-	line, err := readLine(br)
-	if err == nil && (len(line) < 12 || string(line[:9]) != "HTTP/1.1 " || len(line) > 12 && line[12] != ' ' ||
+	line, err := h.Start()
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	} else if err == nil && (len(line) < 12 || string(line[:9]) != "HTTP/1.1 " || len(line) > 12 && line[12] != ' ' ||
 		bytes.ContainsFunc(line[9:12], func(d rune) bool { return d < '0' || d > '9' })) {
-		err = malformed("status line", line)
+		err = h.Malformed("status line", line)
 	}
 	if err != nil {
 		return r, err
 	}
 	r.status, _ = strconv.Atoi(string(line[9:12]))
-	cl, closeTok, seen := int64(-1), false, 0 // seen: a bit per wire header met
-	first := func(bit int) bool { f := seen&bit == 0; seen |= bit; return f }
-	for {
-		if line, err = readLine(br); err != nil {
-			return r, err
-		}
-		if len(line) == 0 {
-			break
-		}
-		i := bytes.IndexByte(line, ':')
-		name, v := line[:max(i, 0)], bytes.Trim(line[i+1:], " \t")
-		if i <= 0 || bytes.ContainsFunc(name, wire.NotToken) || bytes.ContainsFunc(line[i+1:], wire.IsCTL) {
-			return r, malformed("header", line)
-		}
-		switch {
-		case wire.Named(name, "Content-Length"):
-			// No leading zero, so equal values are equal text, which is
-			// what net/http compares repeated ones by.
-			n, err := strconv.ParseUint(string(v), 10, 63)
-			if err != nil || len(v) > 1 && v[0] == '0' || cl >= 0 && int64(n) != cl {
-				return r, malformed("Content-Length", line)
-			}
-			cl = int64(n)
-		case wire.Named(name, "Transfer-Encoding"):
-			if r.chunked || !wire.Named(v, "chunked") {
-				return r, malformed("Transfer-Encoding", line)
-			}
-			r.chunked = true
-		case wire.Named(name, "Connection"):
-			for more := true; more; {
-				var tok []byte
-				tok, v, more = bytes.Cut(v, []byte(","))
-				closeTok = closeTok || wire.Named(bytes.Trim(tok, " \t"), "close")
-			}
-		case wire.Named(name, wire.HeaderClock) && first(1):
+	for h.Next() {
+		switch name, v := h.Name, h.Value; {
+		case wire.Named(name, wire.HeaderClock) && h.First(1):
 			r.clock = decimal(v)
-		case wire.Named(name, wire.HeaderSize) && first(2):
+		case wire.Named(name, wire.HeaderSize) && h.First(2):
 			r.size = decimal(v)
-		case wire.Named(name, wire.HeaderVersion) && first(4):
+		case wire.Named(name, wire.HeaderVersion) && h.First(4):
 			r.version = decimal(v)
-		case wire.Named(name, wire.HeaderMeta) && first(8):
+		case wire.Named(name, wire.HeaderMeta) && h.First(8):
 			r.meta = string(v) == "1"
-		case wire.Named(name, wire.HeaderError) && first(16):
+		case wire.Named(name, wire.HeaderError) && h.First(16):
 			r.errName = string(v)
 		}
 	}
-	r.keep = !closeTok
+	r.chunked, r.keep = h.Chunked, !h.Close
 	switch {
 	case method == http.MethodHead || r.status/100 == 1 || r.status == 204 || r.status == 304:
 		r.length, r.chunked = 0, false
-	case r.chunked || cl < 0:
+	case r.chunked || h.Length < 0:
 		r.keep = false
 	default:
-		r.length = cl
+		r.length = h.Length
 	}
-	return r, nil
-}
-
-// readLine reads one head line without its LF or CRLF.
-func readLine(br *bufio.Reader) ([]byte, error) {
-	line, err := br.ReadSlice('\n')
-	switch err {
-	case nil:
-		return bytes.TrimSuffix(line[:len(line)-1], []byte("\r")), nil
-	case bufio.ErrBufferFull:
-		return nil, fmt.Errorf("%w: head line longer than %d bytes", ErrBadResponse, br.Size())
-	case io.EOF:
-		return nil, io.ErrUnexpectedEOF
-	}
-	return nil, err
-}
-
-func malformed(what string, line []byte) error {
-	return fmt.Errorf("%w: malformed %s %q", ErrBadResponse, what, line)
+	return r, h.Err
 }
 
 // decimal parses a wire header's number, -1 when it is none.

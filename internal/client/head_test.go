@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/server/wire"
@@ -22,14 +23,19 @@ import (
 // readResponse refuses is an error wrapping ErrBadResponse, or
 // io.ErrUnexpectedEOF when it is cut short. readResponse is stricter
 // than net/http (HTTP/1.1 only, one line per field, no space before a
-// colon, no leading zero in Content-Length), so it may refuse what
-// ReadResponse accepts; a head it accepts and ReadResponse refuses must
-// fall in a class of readResponseOnly.
+// colon, no leading zero in Content-Length, no head past wire.MaxHead
+// bytes), so it may refuse what ReadResponse accepts; a head it accepts
+// and ReadResponse refuses must fall in a class of readResponseOnly. The
+// field rules are wire.Head's, which FuzzRequestHead (internal/server)
+// drives through the server's end too.
 //
 // The seed corpus in testdata/fuzz/FuzzResponseHead holds responses
 // captured from internal/server for each route (a metadata GET, a 206
 // range, HEAD, PUT, 404/409/429 with X-Blob-Error, a chunked /v1/keys, a
-// GET sent with Connection: close), then truncated and hostile variants.
+// GET sent with Connection: close), then truncated and hostile variants:
+// long-line, a 5 KB field line past the read buffer that is read as
+// net/http reads it, and too-large and too-large-line, heads past
+// wire.MaxHead that are refused.
 func FuzzResponseHead(f *testing.F) {
 	f.Fuzz(func(t *testing.T, head bool, data []byte) {
 		method := http.MethodGet
@@ -37,7 +43,8 @@ func FuzzResponseHead(f *testing.F) {
 			method = http.MethodHead
 		}
 		br := bufio.NewReader(bytes.NewReader(data))
-		got, err := readResponse(br, method)
+		in := wire.Head{R: br, Bad: ErrBadResponse, TooLarge: errHeadTooLarge}
+		got, err := readResponse(&in, method)
 		ref, rerr := http.ReadResponse(bufio.NewReader(bytes.NewReader(data)), &http.Request{Method: method})
 		if err != nil {
 			if !errors.Is(err, ErrBadResponse) && err != io.ErrUnexpectedEOF {
@@ -87,6 +94,28 @@ func FuzzResponseHead(f *testing.F) {
 			t.Fatalf("%s %q: body %q, net/http %q", method, data, mine, theirs)
 		}
 	})
+}
+
+// TestResponseHeadBudget: a response head line longer than the
+// connection's read buffer is read like any other, as net/http reads it,
+// and a head past wire.MaxHead bytes, in one line or many, is refused
+// with ErrBadResponse.
+func TestResponseHeadBudget(t *testing.T) {
+	pad := func(n int) string { return "X-Pad: " + strings.Repeat("p", n) + "\r\n" }
+	for _, tc := range []struct {
+		name, head string
+		ok         bool
+	}{
+		{"line past the buffer", "HTTP/1.1 200 OK\r\n" + pad(5000) + "X-Blob-Size: 7\r\nContent-Length: 0\r\n\r\n", true},
+		{"line past MaxHead", "HTTP/1.1 200 OK\r\n" + pad(wire.MaxHead) + "Content-Length: 0\r\n\r\n", false},
+		{"block past MaxHead", "HTTP/1.1 200 OK\r\n" + strings.Repeat(pad(1000), 70) + "Content-Length: 0\r\n\r\n", false},
+	} {
+		in := wire.Head{R: bufio.NewReader(strings.NewReader(tc.head)), Bad: ErrBadResponse, TooLarge: errHeadTooLarge}
+		got, err := readResponse(&in, http.MethodGet)
+		if tc.ok && (err != nil || got.size != 7 || got.length != 0) || !tc.ok && !errors.Is(err, ErrBadResponse) {
+			t.Errorf("%s: size %d length %d, %v", tc.name, got.size, got.length, err)
+		}
+	}
 }
 
 // number is how readResponse reads a wire header's number.

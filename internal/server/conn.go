@@ -21,10 +21,7 @@ import (
 	"repro/internal/server/wire"
 )
 
-const (
-	maxHead  = 64 << 10 // bytes of a request head; past it, 431 and a close
-	maxDrain = 16 << 20 // body bytes a refused request may leave to be read and dropped
-)
+const maxDrain = 16 << 20 // body bytes a refused request may leave to be read and dropped
 
 var errHeadTooLarge = errors.New("server: request head too large")
 
@@ -51,7 +48,7 @@ func (s *Server) Serve(ln net.Listener) error {
 			return err
 		}
 		c := &conn{s: s, nc: nc, watched: make(chan struct{}, 1)}
-		c.br = bufio.NewReader(c)
+		c.in = wire.Head{R: bufio.NewReader(c), Bad: blob.ErrBadOption, TooLarge: errHeadTooLarge}
 		s.conns[c] = struct{}{}
 		s.mu.Unlock()
 		go c.serve()
@@ -95,8 +92,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 type conn struct {
 	s    *Server
 	nc   net.Conn
-	br   *bufio.Reader // reads through conn.Read
-	idle atomic.Bool   // waiting for a request; Shutdown closes it then
+	in   wire.Head   // reads request heads off in.R, which reads through conn.Read
+	idle atomic.Bool // waiting for a request; Shutdown closes it then
 	req  request
 	resp response
 	body body
@@ -118,7 +115,7 @@ type conn struct {
 	stashed  bool
 }
 
-// Read feeds br: a byte the watcher read, then the connection.
+// Read feeds in.R: a byte the watcher read, then the connection.
 func (c *conn) Read(p []byte) (int, error) {
 	if c.stashed && len(p) > 0 {
 		c.stashed, p[0] = false, c.stash[0]
@@ -143,7 +140,7 @@ func (c *conn) next() bool {
 	if c.s.closing.Load() {
 		return false
 	}
-	_, err := c.br.Peek(1)
+	_, err := c.in.R.Peek(1)
 	return c.idle.CompareAndSwap(true, false) && err == nil
 }
 
@@ -152,8 +149,8 @@ func (c *conn) next() bool {
 // 400 (431 when too large) and the connection closed.
 func (c *conn) serveOne() bool {
 	r, w, b := &c.req, &c.resp, &c.body
-	*r = request{ctx: context.Background(), c: c, body: b, long: r.long}
-	if err := readRequest(c.br, r); err != nil {
+	*r = request{ctx: context.Background(), c: c, body: b}
+	if err := readRequest(&c.in, r); err != nil {
 		if err == errHeadTooLarge {
 			w.reset()
 			w.text(http.StatusRequestHeaderFieldsTooLarge, err.Error()+"\n")
@@ -166,17 +163,17 @@ func (c *conn) serveOne() bool {
 		c.write(r, w, false)
 		return false
 	}
-	*b = body{c: c, lr: io.LimitedReader{R: c.br, N: r.length}, done: r.length == 0}
+	*b = body{c: c, lr: io.LimitedReader{R: c.in.R, N: r.length}, done: r.length == 0}
 	b.expect = r.expect && !b.done
 	if r.chunked {
-		b.chunked = httputil.NewChunkedReader(c.br)
+		b.chunked = httputil.NewChunkedReader(c.in.R)
 	}
 	if b.done {
 		c.watching.Store(1)
 	}
 	c.s.serve(r, w)
 	keep := !r.close && !c.s.closing.Load() && b.drain()
-	if c.watching.Swap(0) == 2 { // end the watcher before br reads again
+	if c.watching.Swap(0) == 2 { // end the watcher before in.R reads again
 		c.nc.SetReadDeadline(time.Unix(1, 0))
 		<-c.watched
 		c.nc.SetReadDeadline(time.Time{})
@@ -243,8 +240,8 @@ func (c *conn) watchHangUp() {
 // chunked.
 type body struct {
 	c       *conn
-	lr      io.LimitedReader // a declared length's remainder, on br
-	chunked io.Reader        // the chunked body on br; nil for a declared length
+	lr      io.LimitedReader // a declared length's remainder, on in.R
+	chunked io.Reader        // the chunked body on in.R; nil for a declared length
 	done    bool             // read to its end, a chunked body's trailer included
 	expect  bool             // 100 Continue is owed before the first read
 }
@@ -265,7 +262,7 @@ func (b *body) Read(p []byte) (n int, err error) {
 		}
 		b.done = b.lr.N == 0
 	} else if n, err = b.chunked.Read(p); err == io.EOF {
-		err = b.c.req.skipTrailer(b.c.br)
+		err = skipTrailer(&b.c.in)
 		b.done = err == nil
 	}
 	if b.done {
@@ -286,17 +283,14 @@ func (b *body) drain() bool {
 	return b.done
 }
 
-// readRequest parses one request head from br into r, keeping what the
-// routes read, with no header map. It is stricter than http.ReadRequest,
-// its test reference: HTTP/1.1 or 1.0 only, an origin-form target, one
-// line per field, no space before a colon, no leading zero in
-// Content-Length, and no transfer coding but chunked (and none in
-// HTTP/1.0). A head it refuses is an error wrapping blob.ErrBadOption,
-// or errHeadTooLarge; one that ends first, io.EOF before its first byte
-// and io.ErrUnexpectedEOF after.
-func readRequest(br *bufio.Reader, r *request) error {
-	r.left = maxHead
-	line, err := r.line(br)
+// readRequest parses one request head from h into r, keeping what the
+// routes read. It is stricter than http.ReadRequest, its test reference:
+// HTTP/1.1 or 1.0 only, an origin-form target, h's field rules, and no
+// transfer coding in HTTP/1.0. A head it refuses is an error wrapping
+// blob.ErrBadOption, or errHeadTooLarge; one that ends first, io.EOF
+// before its first byte and io.ErrUnexpectedEOF after.
+func readRequest(h *wire.Head, r *request) error {
+	line, err := h.Start()
 	if err != nil {
 		return err
 	}
@@ -307,7 +301,7 @@ func readRequest(br *bufio.Reader, r *request) error {
 	if !ok1 || !ok2 || len(method) == 0 || bytes.ContainsFunc(method, wire.NotToken) ||
 		!r.http10 && string(proto) != "HTTP/1.1" || len(rawPath) == 0 || rawPath[0] != '/' ||
 		bytes.ContainsFunc(target, func(b rune) bool { return b < 0x20 || b == 0x7f }) {
-		return malformed("request line", line)
+		return h.Malformed("request line", line)
 	}
 	for _, m := range [...]string{http.MethodGet, http.MethodHead, http.MethodPut, http.MethodDelete} {
 		if string(method) == m {
@@ -318,104 +312,43 @@ func readRequest(br *bufio.Reader, r *request) error {
 		r.method = string(method)
 	}
 	if r.path, err = url.PathUnescape(string(rawPath)); err != nil {
-		return malformed("request target", line)
+		return h.Malformed("request target", line)
 	}
 	r.mode = queryValue(string(query), "mode")
 
-	cl, hosts, keepAlive, seen := int64(-1), 0, false, 0 // seen: a bit per wire header met
-	first := func(bit int) bool { f := seen&bit == 0; seen |= bit; return f }
-	for {
-		if line, err = r.line(br); err != nil || len(line) == 0 {
-			break
-		}
-		i := bytes.IndexByte(line, ':')
-		name, v := line[:max(i, 0)], bytes.Trim(line[i+1:], " \t")
-		if i <= 0 || bytes.ContainsFunc(name, wire.NotToken) || bytes.ContainsFunc(line[i+1:], wire.IsCTL) {
-			return malformed("header", line)
-		}
-		switch {
-		case wire.Named(name, "Content-Length"):
-			n, err := strconv.ParseUint(string(v), 10, 63)
-			if err != nil || len(v) > 1 && v[0] == '0' || cl >= 0 && int64(n) != cl {
-				return malformed("Content-Length", line)
-			}
-			cl = int64(n)
-		case wire.Named(name, "Transfer-Encoding"):
-			if r.chunked || r.http10 || !wire.Named(v, "chunked") {
-				return malformed("Transfer-Encoding", line)
-			}
-			r.chunked = true
-		case wire.Named(name, "Connection"):
-			for more := true; more; {
-				var tok []byte
-				tok, v, more = bytes.Cut(v, []byte(","))
-				tok = bytes.Trim(tok, " \t")
-				r.close = r.close || wire.Named(tok, "close")
-				keepAlive = keepAlive || wire.Named(tok, "keep-alive")
-			}
-		case wire.Named(name, "Host"):
-			if hosts++; hosts > 1 {
-				return malformed("Host", line)
-			}
+	for h.Next() {
+		switch name, v := h.Name, h.Value; {
+		case wire.Named(name, "Host") && !h.First(1):
+			return h.Malformed("Host", v)
 		case wire.Named(name, "Expect"):
 			r.expect = !r.http10 && wire.Named(v, "100-continue")
-		case wire.Named(name, "Range") && first(1):
+		case wire.Named(name, "Range") && h.First(2):
 			r.rng = string(v)
-		case wire.Named(name, wire.HeaderVersion) && first(2):
+		case wire.Named(name, wire.HeaderVersion) && h.First(4):
 			r.version = string(v)
-		case wire.Named(name, wire.HeaderOpen) && first(4):
+		case wire.Named(name, wire.HeaderOpen) && h.First(8):
 			r.open = len(v) > 0
-		case wire.Named(name, wire.HeaderMetaBytes) && first(8):
+		case wire.Named(name, wire.HeaderMetaBytes) && h.First(16):
 			r.metaBytes = string(v)
-		case wire.Named(name, wire.HeaderSize) && first(16):
+		case wire.Named(name, wire.HeaderSize) && h.First(32):
 			r.size = string(v)
 		}
 	}
-	r.close = r.close || r.http10 && !keepAlive
-	if r.length = max(cl, 0); r.chunked {
+	if h.Err == nil && h.Chunked && r.http10 {
+		return fmt.Errorf("%w: Transfer-Encoding in an HTTP/1.0 request", blob.ErrBadOption)
+	}
+	r.chunked, r.close = h.Chunked, h.Close || r.http10 && !h.KeepAlive
+	if r.length = max(h.Length, 0); r.chunked {
 		r.length = -1
 	}
-	return err
+	return h.Err
 }
 
-// line reads one head line without its LF or CRLF and charges it to
-// what is left of the head's maxHead bytes. A line longer than br's
-// buffer is gathered in r.long.
-func (r *request) line(br *bufio.Reader) ([]byte, error) {
-	first := r.left == maxHead
-	line, err := br.ReadSlice('\n')
-	if err == bufio.ErrBufferFull {
-		r.long = append(r.long[:0], line...)
-		for err == bufio.ErrBufferFull && len(r.long) <= r.left {
-			line, err = br.ReadSlice('\n')
-			r.long = append(r.long, line...)
-		}
-		line = r.long
-	}
-	if r.left -= len(line); r.left < 0 {
-		return nil, errHeadTooLarge
-	}
-	switch {
-	case err == nil:
-		return bytes.TrimSuffix(line[:len(line)-1], []byte("\r")), nil
-	case err == io.EOF && first && len(line) == 0:
-		return nil, io.EOF
-	case err == io.EOF:
-		return nil, io.ErrUnexpectedEOF
-	}
-	return nil, err
-}
-
-// skipTrailer reads a chunked body's trailer section, to its empty line,
-// on what is left of the head's maxHead bytes.
-func (r *request) skipTrailer(br *bufio.Reader) error {
+// skipTrailer reads a chunked body's trailer section on what the head left.
+func skipTrailer(h *wire.Head) error {
 	for {
-		if line, err := r.line(br); err != nil || len(line) == 0 {
+		if line, err := h.Line(); err != nil || len(line) == 0 {
 			return err
 		}
 	}
-}
-
-func malformed(what string, line []byte) error {
-	return fmt.Errorf("%w: malformed request %s %q", blob.ErrBadOption, what, line[:min(len(line), 80)])
 }

@@ -73,8 +73,9 @@ func serveOn(t testing.TB, srv *Server) string {
 func FuzzRequestHead(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		br := bufio.NewReader(bytes.NewReader(data))
-		var r request
-		err := readRequest(br, &r)
+		c := &conn{in: wire.Head{R: br, Bad: blob.ErrBadOption, TooLarge: errHeadTooLarge}}
+		r := &c.req
+		err := readRequest(&c.in, r)
 		ref, rerr := http.ReadRequest(bufio.NewReader(bytes.NewReader(data)))
 		if err != nil {
 			if !errors.Is(err, blob.ErrBadOption) && err != errHeadTooLarge && err != io.EOF && err != io.ErrUnexpectedEOF {
@@ -111,7 +112,6 @@ func FuzzRequestHead(f *testing.F) {
 				t.Fatalf("%q: %s %v, net/http %v", data, c.name, c.got, c.want)
 			}
 		}
-		c := &conn{br: br, req: r}
 		b := &body{c: c, lr: io.LimitedReader{R: br, N: r.length}, done: r.length == 0}
 		if r.chunked {
 			b.chunked = httputil.NewChunkedReader(br)
@@ -275,6 +275,8 @@ func TestFrontDoorsAgree(t *testing.T) {
 		{"GET", "/v1/blobs/ghost", "", ""},
 		{"PUT", "/v1/blobs/m", "X-Blob-Meta-Bytes: 65536\r\n", ""},
 		{"PUT", "/v1/blobs/m", "X-Blob-Meta-Bytes: lots\r\n", ""},
+		{"PUT", "/v1/blobs/m", "X-Blob-Meta-Bytes: -7\r\n", "hello"},
+		{"PUT", "/v1/blobs/m", "X-Blob-Meta-Bytes: 5\r\n", "hello"},
 		{"PUT", "/v1/blobs/m?mode=bogus", "", "abc"},
 		{"PUT", "/v1/blobs/c", "X-Blob-Size: 5\r\nTransfer-Encoding: chunked\r\n", chunked([]byte("hello"))},
 		{"PUT", "/v1/blobs/c", "Transfer-Encoding: chunked\r\n", chunked([]byte("hello"))},
@@ -473,7 +475,7 @@ func BenchmarkServeConn(b *testing.B) {
 	}
 }
 
-// TestServeRefusesBadHeads: a head line or a header block past maxHead
+// TestServeRefusesBadHeads: a head line or a header block past wire.MaxHead
 // is answered 431, a head the parser refuses 400 with a typed error, and
 // each response is well formed and followed by a closed connection.
 func TestServeRefusesBadHeads(t *testing.T) {
@@ -483,7 +485,7 @@ func TestServeRefusesBadHeads(t *testing.T) {
 		status     int
 		errName    string
 	}{
-		{"long line", "GET /v1/blobs/" + strings.Repeat("k", maxHead) + " HTTP/1.1\r\n\r\n", 431, ""},
+		{"long line", "GET /v1/blobs/" + strings.Repeat("k", wire.MaxHead) + " HTTP/1.1\r\n\r\n", 431, ""},
 		{"large block", "GET /v1/stats HTTP/1.1\r\n" + strings.Repeat("X-Pad: "+strings.Repeat("p", 1000)+"\r\n", 70) + "\r\n", 431, ""},
 		{"obs-fold", "GET /v1/stats HTTP/1.1\r\nX-Blob-Version: 1\r\n 2\r\n\r\n", 400, "badoption"},
 		{"bad version", "GET /v1/stats HTTP/2.0\r\n\r\n", 400, "badoption"},
@@ -512,6 +514,99 @@ func TestServeRefusesBadHeads(t *testing.T) {
 				t.Fatalf("connection still open after the response: %d, %v", n, err)
 			}
 		})
+	}
+}
+
+// servePut sends one raw PUT head and body to url over a connection of
+// its own, half-closes it when cut is set (the client hangs up mid-body),
+// and returns the response's status and X-Blob-Error.
+func servePut(t *testing.T, url, target, hdr, body string, cut bool) (int, string) {
+	t.Helper()
+	nc, err := net.Dial("tcp", strings.TrimPrefix(url, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	if _, err := io.WriteString(nc, "PUT "+target+" HTTP/1.1\r\nHost: x\r\n"+hdr+"\r\n"+body); err != nil {
+		t.Fatal(err)
+	}
+	if cut {
+		if err := nc.(*net.TCPConn).CloseWrite(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(nc), &http.Request{Method: "PUT"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode, resp.Header.Get(wire.HeaderError)
+}
+
+// TestMetaBytesPutRefusesABody: a metadata-only PUT declares its bytes in
+// X-Blob-Meta-Bytes and carries no body. A negative count is refused
+// badsize, a body (declared or chunked) badoption, and neither refusal
+// leaves an object behind.
+func TestMetaBytesPutRefusesABody(t *testing.T) {
+	store := dataStore(t)
+	srv, err := New(store, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	url := serveOn(t, srv)
+	for _, tc := range []struct {
+		hdr, body, errName string
+	}{
+		{"X-Blob-Meta-Bytes: -7\r\nContent-Length: 5\r\n", "hello", "badsize"},
+		{"X-Blob-Meta-Bytes: -7\r\nContent-Length: 0\r\n", "", "badsize"},
+		{"X-Blob-Meta-Bytes: 5\r\nContent-Length: 5\r\n", "hello", "badoption"},
+		{"X-Blob-Meta-Bytes: 5\r\nTransfer-Encoding: chunked\r\n", "5\r\nhello\r\n0\r\n\r\n", "badoption"},
+	} {
+		status, errName := servePut(t, url, "/v1/blobs/m", tc.hdr, tc.body, false)
+		if status != http.StatusBadRequest || errName != tc.errName {
+			t.Errorf("%q: %d %q, want 400 %q", tc.hdr, status, errName, tc.errName)
+		}
+		if _, err := store.Stat(context.Background(), "m"); !errors.Is(err, blob.ErrNotFound) {
+			t.Fatalf("%q: Stat after the refusal = %v, want ErrNotFound", tc.hdr, err)
+		}
+	}
+}
+
+// TestTruncatedPutLeavesOldVersion: a PUT that declares 10 body bytes,
+// sends 3 and half-closes is answered 400 badsize, and the store keeps
+// what it had: a replaced key its version and bytes, a created one
+// nothing.
+func TestTruncatedPutLeavesOldVersion(t *testing.T) {
+	ctx := context.Background()
+	store := dataStore(t)
+	srv, err := New(store, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	url := serveOn(t, srv)
+	old := []byte("original bytes")
+	if err := blob.Put(ctx, store, "a", int64(len(old)), old); err != nil {
+		t.Fatal(err)
+	}
+	before, err := store.Stat(ctx, "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, target := range []string{"/v1/blobs/a?mode=replace", "/v1/blobs/b?mode=create"} {
+		status, errName := servePut(t, url, target, "Content-Length: 10\r\n", "abc", true)
+		if status != http.StatusBadRequest || errName != "badsize" {
+			t.Errorf("%s cut short: %d %q, want 400 badsize", target, status, errName)
+		}
+	}
+	after, err := store.Stat(ctx, "a")
+	if err != nil || after.Version != before.Version {
+		t.Fatalf("replaced key after a cut PUT: %+v, %v; want version %d", after, err, before.Version)
+	}
+	if _, data, err := blob.Get(ctx, store, "a"); err != nil || !bytes.Equal(data, old) {
+		t.Fatalf("replaced key after a cut PUT reads %q, %v; want %q", data, err, old)
+	}
+	if _, err := store.Stat(ctx, "b"); !errors.Is(err, blob.ErrNotFound) {
+		t.Fatalf("created key after a cut PUT: Stat = %v, want ErrNotFound", err)
 	}
 }
 

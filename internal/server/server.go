@@ -137,15 +137,14 @@ type request struct {
 	open               bool   // wire.HeaderOpen is set
 	metaBytes, size    string // wire.HeaderMetaBytes, wire.HeaderSize
 	length             int64  // declared body length; -1 when chunked
+	chunked            bool   // Transfer-Encoding: chunked
 	body               io.Reader
 	ctx                context.Context
 	c                  *conn // Serve's connection; nil under ServeHTTP
 
 	// Serve's head parser only.
-	close, chunked, http10 bool   // close: no request may follow on the connection
-	expect                 bool   // Expect: 100-continue
-	left                   int    // what is left of the head's maxHead bytes
-	long                   []byte // a head line longer than the read buffer
+	close, http10 bool // close: no request may follow on the connection
+	expect        bool // Expect: 100-continue
 }
 
 // response is what a handler fills and a front door sends. A wire
@@ -211,7 +210,7 @@ func (s *Server) ServeHTTP(hw http.ResponseWriter, hr *http.Request) {
 		method: hr.Method, path: hr.URL.Path, mode: queryValue(hr.URL.RawQuery, "mode"),
 		rng: h.Get("Range"), version: h.Get(wire.HeaderVersion), open: h.Get(wire.HeaderOpen) != "",
 		metaBytes: h.Get(wire.HeaderMetaBytes), size: h.Get(wire.HeaderSize),
-		length: hr.ContentLength, body: hr.Body, ctx: hr.Context(),
+		length: hr.ContentLength, chunked: len(hr.TransferEncoding) > 0, body: hr.Body, ctx: hr.Context(),
 	}
 	var w response
 	s.serve(&r, &w)
@@ -532,8 +531,11 @@ func (s *Server) handlePut(r *request, w *response) error {
 	metaBytes := int64(-1)
 	if v := r.metaBytes; v != "" {
 		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
+		if err != nil || n < 0 {
 			return fmt.Errorf("%w: bad %s %q", blob.ErrInvalidSize, wire.HeaderMetaBytes, v)
+		}
+		if r.length > 0 || r.chunked {
+			return fmt.Errorf("%w: a %s PUT with a body", blob.ErrBadOption, wire.HeaderMetaBytes)
 		}
 		metaBytes = n
 	}

@@ -1,9 +1,11 @@
 // Package wire defines the HTTP wire contract shared by the network
 // blob service (internal/server) and its remote-store client
-// (internal/client): header names, URL layout, and the JSON bodies of
-// the non-payload endpoints. Keeping it in one place means the two
-// sides cannot drift — both import these constants instead of
-// spelling strings.
+// (internal/client): header names, URL layout, the JSON bodies of the
+// non-payload endpoints, and Head, the one HTTP/1.1 head scanner both
+// read heads with (the MaxHead budget, the field rules and the framing
+// fields). Keeping it in one place means the two sides cannot drift —
+// both import these constants instead of spelling strings, and neither
+// has a header-field loop of its own.
 //
 // The protocol is plain HTTP/1.1, one request per store operation and
 // no handle state on the server:
@@ -33,7 +35,11 @@
 package wire
 
 import (
+	"bufio"
+	"bytes"
+	"fmt"
 	"io"
+	"strconv"
 	"strings"
 
 	"repro/internal/extent"
@@ -63,7 +69,8 @@ const (
 
 	// HeaderMetaBytes on a PUT request declares n logical bytes with no
 	// payload (a metadata-only write: Writer.Append(n, nil) server-side).
-	// Mutually exclusive with a request body.
+	// Mutually exclusive with a request body: a PUT with both is refused
+	// with ErrBadOption, a negative n with ErrInvalidSize.
 	HeaderMetaBytes = "X-Blob-Meta-Bytes"
 
 	// HeaderVersion carries an object's version (blob.Info.Version, in
@@ -165,6 +172,116 @@ func NotToken(r rune) bool {
 	return r >= 0x80 || !('a' <= r|0x20 && r|0x20 <= 'z' || '0' <= r && r <= '9' || strings.ContainsRune("!#$%&'*+-.^_`|~", r))
 }
 
-// IsCTL reports whether r may not be in a header value: a control
+// isCTL reports whether r may not be in a header value: a control
 // character other than tab.
-func IsCTL(r rune) bool { return r < 0x20 && r != '\t' || r == 0x7f }
+func isCTL(r rune) bool { return r < 0x20 && r != '\t' || r == 0x7f }
+
+// MaxHead is the most bytes a message head may take at either end: its
+// start line and fields, then a chunked body's trailer on what is left.
+const MaxHead = 64 << 10
+
+// Head reads the HTTP/1.1 message heads of one connection from R with no
+// header map: Start reads a head's start line, each Next a field, whose
+// name must be a token and value hold no control character but tab. Next
+// applies the framing fields itself, Content-Length (no leading zero, so
+// equal values are equal text, as net/http compares repeats), chunked
+// Transfer-Encoding once, and Connection, and stops at every other.
+type Head struct {
+	R             *bufio.Reader
+	Bad, TooLarge error // Bad is wrapped by a malformed head's error; TooLarge refuses one past MaxHead bytes
+
+	Length                    int64  // Content-Length; -1 when absent
+	Chunked, Close, KeepAlive bool   // Transfer-Encoding: chunked; Connection's tokens
+	Name, Value               []byte // the field Next stopped at; Value trimmed of blanks
+	Err                       error  // what ended Next early; nil at the head's end
+
+	left int    // what is left of the head's MaxHead bytes
+	long []byte // a line longer than R's buffer
+	seen uint   // First's bits
+}
+
+// Start begins the next head and returns its start line.
+func (h *Head) Start() ([]byte, error) {
+	h.Length, h.Chunked, h.Close, h.KeepAlive, h.Err, h.left, h.seen = -1, false, false, false, nil, MaxHead, 0
+	return h.Line()
+}
+
+// Line reads one head line without its LF or CRLF and charges it to
+// what is left of the head's MaxHead bytes. When the bytes end first it
+// returns io.EOF before the head's first byte, io.ErrUnexpectedEOF after.
+func (h *Head) Line() ([]byte, error) {
+	line, err := h.R.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		h.long = append(h.long[:0], line...)
+		for err == bufio.ErrBufferFull && len(h.long) <= h.left {
+			line, err = h.R.ReadSlice('\n')
+			h.long = append(h.long, line...)
+		}
+		line = h.long
+	}
+	if h.left -= len(line); h.left < 0 {
+		return nil, h.TooLarge
+	}
+	switch {
+	case err == nil:
+		return bytes.TrimSuffix(line[:len(line)-1], []byte("\r")), nil
+	case err == io.EOF && h.left == MaxHead:
+		return nil, io.EOF
+	case err == io.EOF:
+		return nil, io.ErrUnexpectedEOF
+	}
+	return nil, err
+}
+
+// Next reads fields up to one that is not a framing field and leaves it
+// in Name and Value. It returns false at the head's end or on an error,
+// which it leaves in Err.
+func (h *Head) Next() bool {
+	for h.Err == nil {
+		line, err := h.Line()
+		if h.Err = err; err != nil || len(line) == 0 {
+			return false
+		}
+		i := bytes.IndexByte(line, ':')
+		name, v := line[:max(i, 0)], bytes.Trim(line[i+1:], " \t")
+		switch {
+		case i <= 0 || bytes.ContainsFunc(name, NotToken) || bytes.ContainsFunc(line[i+1:], isCTL):
+			h.Err = h.Malformed("header", line)
+		case Named(name, "Content-Length"):
+			n, err := strconv.ParseUint(string(v), 10, 63)
+			if err != nil || len(v) > 1 && v[0] == '0' || h.Length >= 0 && int64(n) != h.Length {
+				h.Err = h.Malformed("Content-Length", line)
+			}
+			h.Length = int64(n)
+		case Named(name, "Transfer-Encoding"):
+			if h.Chunked || !Named(v, "chunked") {
+				h.Err = h.Malformed("Transfer-Encoding", line)
+			}
+			h.Chunked = true
+		case Named(name, "Connection"):
+			for tok := range bytes.SplitSeq(v, []byte(",")) {
+				tok = bytes.Trim(tok, " \t")
+				h.Close = h.Close || Named(tok, "close")
+				h.KeepAlive = h.KeepAlive || Named(tok, "keep-alive")
+			}
+		default:
+			h.Name, h.Value = name, v
+			return true
+		}
+	}
+	return false
+}
+
+// First reports whether this is the head's first field the caller marks
+// with bit: of a repeated field the first counts, as with http.Header.Get.
+func (h *Head) First(bit uint) bool {
+	f := h.seen&bit == 0
+	h.seen |= bit
+	return f
+}
+
+// Malformed returns the error that refuses the head for what, quoting
+// line.
+func (h *Head) Malformed(what string, line []byte) error {
+	return fmt.Errorf("%w: malformed %s %q", h.Bad, what, line[:min(len(line), 80)])
+}
