@@ -1,7 +1,7 @@
 // Command fragvet is the repo's custom static-analysis suite: a
 // multichecker over the simulation's own invariants (virtual-clock
-// purity, sentinel-error discipline, pooled-handle lifecycles, stripe
-// vs group-commit ordering, and context threading).
+// purity, sentinel-error discipline, pooled-handle lifecycles, and
+// context threading).
 //
 // It runs two ways:
 //
@@ -24,7 +24,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/ctxflow"
-	"repro/internal/analysis/lockorder"
 	"repro/internal/analysis/poollifecycle"
 	"repro/internal/analysis/sentinelerr"
 	"repro/internal/analysis/vclockpurity"
@@ -35,7 +34,6 @@ func analyzers() []*analysis.Analyzer {
 		vclockpurity.Analyzer,
 		sentinelerr.Analyzer,
 		poollifecycle.Analyzer,
-		lockorder.Analyzer,
 		ctxflow.Analyzer,
 	}
 }

@@ -11,8 +11,6 @@
 //     sentinel vocabulary in blob/errors.go;
 //   - poollifecycle: pooled Reader/Writer handles are closed exactly
 //     once and never used after Close/Commit/Abort;
-//   - lockorder: no KeyLocks stripe is held across a call that can
-//     reach the group-commit force;
 //   - ctxflow: operations thread their context.Context instead of
 //     minting context.Background() mid-chain.
 //

@@ -1,11 +1,10 @@
 // Package poollifecycle enforces the recycled-handle contract from the
 // high-k executor work: blob.Reader and blob.Writer handles are pooled
 // (each core store recycles its one reader and one writer type through
-// per-store pools, as cache.Store does its readers and core.AgeTracker
-// its charging writers), so a leaked handle is not just a GC'd struct —
-// a leaked reader never returns to the pool and a leaked writer holds
-// the key's in-flight claim forever, turning every later Create/Replace
-// of that key into ErrBusy. Use after Close is worse: once the same
+// per-store pools, as cache.Store does its readers), so a leaked handle
+// is not just a GC'd struct — a leaked reader never returns to the pool
+// and a leaked writer holds the key's in-flight claim forever, turning
+// every later Create/Replace of that key into ErrBusy. Use after Close is worse: once the same
 // store's next Open or Create has taken the struct from the pool, the
 // stale handle reads or commits another caller's object.
 //

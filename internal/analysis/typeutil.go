@@ -50,19 +50,6 @@ func BlobInterface(blobPkg *types.Package, name string) *types.Interface {
 	return iface
 }
 
-// BlobNamed returns the named (non-interface) type from the blob
-// package — KeyLocks, GroupCommitter — or nil.
-func BlobNamed(blobPkg *types.Package, name string) types.Type {
-	if blobPkg == nil {
-		return nil
-	}
-	obj := blobPkg.Scope().Lookup(name)
-	if obj == nil {
-		return nil
-	}
-	return obj.Type()
-}
-
 // Implements reports whether t (or *t) satisfies iface.
 func Implements(t types.Type, iface *types.Interface) bool {
 	if t == nil || iface == nil {
@@ -90,43 +77,6 @@ func Callee(info *types.Info, call *ast.CallExpr) *types.Func {
 		return fn
 	}
 	return nil
-}
-
-// ReceiverType returns the (possibly pointer) receiver type of a
-// method call's receiver expression, or nil when the call is not a
-// selector-based method call.
-func ReceiverType(info *types.Info, call *ast.CallExpr) types.Type {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return nil
-	}
-	tv, ok := info.Types[sel.X]
-	if !ok {
-		return nil
-	}
-	return tv.Type
-}
-
-// IsMethodOn reports whether call invokes a method named name on a
-// value whose type is (or points to) the named type typeName from the
-// blob package.
-func IsMethodOn(info *types.Info, call *ast.CallExpr, blobPkg *types.Package, typeName, name string) bool {
-	fn := Callee(info, call)
-	if fn == nil || fn.Name() != name {
-		return false
-	}
-	recv := ReceiverType(info, call)
-	if recv == nil {
-		return false
-	}
-	want := BlobNamed(blobPkg, typeName)
-	if want == nil {
-		return false
-	}
-	if ptr, ok := recv.(*types.Pointer); ok {
-		recv = ptr.Elem()
-	}
-	return types.Identical(recv, want)
 }
 
 // InternalSimPackage reports whether path names a package inside the

@@ -28,39 +28,3 @@ func TestOptionsCompose(t *testing.T) {
 		t.Fatalf("no options must yield the zero value: %+v", zero)
 	}
 }
-
-func TestKeyLocksStableStripes(t *testing.T) {
-	kl := NewKeyLocks()
-	// The same key must always land on the same stripe.
-	for _, key := range []string{"", "a", "obj-00000001", "album-003/img-0001.jpg"} {
-		if kl.stripe(key) != kl.stripe(key) {
-			t.Fatalf("key %q hashed to different stripes", key)
-		}
-	}
-	// Many keys must spread over more than one stripe.
-	seen := map[*paddedRWMutex]bool{}
-	for _, key := range []string{"a", "b", "c", "d", "e", "f", "g", "h", "i", "j"} {
-		seen[kl.stripe(key)] = true
-	}
-	if len(seen) < 2 {
-		t.Fatal("ten keys collapsed onto one stripe")
-	}
-}
-
-func TestKeyLocksExcludeSameKey(t *testing.T) {
-	kl := NewKeyLocks()
-	kl.Lock("k")
-	acquired := make(chan struct{})
-	go func() {
-		kl.Lock("k")
-		close(acquired)
-		kl.Unlock("k")
-	}()
-	select {
-	case <-acquired:
-		t.Fatal("second Lock of the same key succeeded while held")
-	default:
-	}
-	kl.Unlock("k")
-	<-acquired
-}

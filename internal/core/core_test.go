@@ -189,79 +189,47 @@ func TestAgeTracker(t *testing.T) {
 	}
 }
 
-// TestAgeTrackerChargesAtCommit pins the streaming-writer accounting
-// rule: retired/live bytes move when a stream COMMITS, not when the
-// writer is handed out, and never for aborted streams.
+// TestAgeTrackerChargesAtCommit pins the accounting rule: a write
+// counts once it commits, and a write the store refuses — an object
+// that does not fit, a create of a live key — counts nothing.
 func TestAgeTrackerChargesAtCommit(t *testing.T) {
 	ctx := context.Background()
-	eachStore(t, 128*units.MB, disk.MetadataMode, func(t *testing.T, s blob.Store) {
+	eachStore(t, 16*units.MB, disk.MetadataMode, func(t *testing.T, s blob.Store) {
 		tr := NewAgeTracker(s)
+		check := func(what string, retired, live int64) {
+			t.Helper()
+			if tr.RetiredBytes() != retired || tr.LiveBytes() != live {
+				t.Fatalf("%s: retired=%d live=%d, want %d and %d",
+					what, tr.RetiredBytes(), tr.LiveBytes(), retired, live)
+			}
+		}
 		if err := tr.Put(ctx, "a", 1*units.MB, nil); err != nil {
 			t.Fatal(err)
 		}
-
-		// An in-flight replace stream charges nothing...
-		w, err := tr.ReplaceWriter(ctx, "a", 2*units.MB)
-		if err != nil {
+		check("put", 0, 1*units.MB)
+		if err := tr.Replace(ctx, "a", 2*units.MB, nil); err != nil {
 			t.Fatal(err)
 		}
-		if err := w.Append(1*units.MB, nil); err != nil {
+		check("replace", 1*units.MB, 2*units.MB)
+		if err := tr.Replace(ctx, "a", 64*units.MB, nil); !errors.Is(err, blob.ErrNoSpaceLeft) {
+			t.Fatalf("oversized replace = %v, want ErrNoSpaceLeft", err)
+		}
+		check("refused replace", 1*units.MB, 2*units.MB)
+		if err := tr.Put(ctx, "a", 1*units.MB, nil); !errors.Is(err, blob.ErrAlreadyExists) {
+			t.Fatalf("put of a live key = %v, want ErrAlreadyExists", err)
+		}
+		check("refused put", 1*units.MB, 2*units.MB)
+		if err := tr.Put(ctx, "b", 1*units.MB, nil); err != nil {
 			t.Fatal(err)
 		}
-		if tr.RetiredBytes() != 0 || tr.LiveBytes() != 1*units.MB {
-			t.Fatalf("buffer hand-off charged: retired=%d live=%d", tr.RetiredBytes(), tr.LiveBytes())
-		}
-		// ...until Commit, which retires the old version and swaps the
-		// live count to the new size.
-		if err := w.Append(1*units.MB, nil); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Commit(); err != nil {
-			t.Fatal(err)
-		}
-		if tr.RetiredBytes() != 1*units.MB || tr.LiveBytes() != 2*units.MB {
-			t.Fatalf("commit charge wrong: retired=%d live=%d", tr.RetiredBytes(), tr.LiveBytes())
-		}
-
-		// An aborted stream charges nothing at all.
-		w2, err := tr.ReplaceWriter(ctx, "a", 4*units.MB)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := w2.Append(1*units.MB, nil); err != nil {
-			t.Fatal(err)
-		}
-		if err := w2.Abort(); err != nil {
-			t.Fatal(err)
-		}
-		if tr.RetiredBytes() != 1*units.MB || tr.LiveBytes() != 2*units.MB {
-			t.Fatalf("abort charged: retired=%d live=%d", tr.RetiredBytes(), tr.LiveBytes())
-		}
-
-		// A tracked create charges live bytes at commit only.
-		w3, err := tr.CreateWriter(ctx, "b", 1*units.MB)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := w3.Append(1*units.MB, nil); err != nil {
-			t.Fatal(err)
-		}
-		if tr.LiveBytes() != 2*units.MB {
-			t.Fatalf("create charged before commit: live=%d", tr.LiveBytes())
-		}
-		if err := w3.Commit(); err != nil {
-			t.Fatal(err)
-		}
-		if tr.LiveBytes() != 3*units.MB {
-			t.Fatalf("create commit charge wrong: live=%d", tr.LiveBytes())
-		}
+		check("second put", 1*units.MB, 3*units.MB)
 	})
 }
 
-// TestAgeTrackerDeleteDuringReplaceStream pins that a tracked Delete
-// interleaved with an open ReplaceWriter retires the old version
-// exactly once: the delete invalidates the snapshot the writer took at
-// open, so the commit charges only the create.
+// TestAgeTrackerDeleteDuringReplaceStream pins that a delete landing
+// between a replace stream's open and its commit retires the old
+// version exactly once: the commit then publishes over nothing and
+// retires 0.
 func TestAgeTrackerDeleteDuringReplaceStream(t *testing.T) {
 	ctx := context.Background()
 	eachStore(t, 128*units.MB, disk.MetadataMode, func(t *testing.T, s blob.Store) {
@@ -269,7 +237,7 @@ func TestAgeTrackerDeleteDuringReplaceStream(t *testing.T) {
 		if err := tr.Put(ctx, "a", 1*units.MB, nil); err != nil {
 			t.Fatal(err)
 		}
-		w, err := tr.ReplaceWriter(ctx, "a", 2*units.MB)
+		w, err := s.Replace(ctx, "a", 2*units.MB)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -282,11 +250,11 @@ func TestAgeTrackerDeleteDuringReplaceStream(t *testing.T) {
 		if err := w.Commit(); err != nil {
 			t.Fatal(err)
 		}
-		if tr.RetiredBytes() != 1*units.MB {
-			t.Fatalf("old version retired twice: retired=%d, want %d", tr.RetiredBytes(), 1*units.MB)
+		if got := retiredBytes(t, s); got != 1*units.MB {
+			t.Fatalf("old version retired twice: retired=%d, want %d", got, 1*units.MB)
 		}
-		if tr.LiveBytes() != 2*units.MB || tr.LiveBytes() != s.LiveBytes() {
-			t.Fatalf("live drifted: tracker=%d store=%d", tr.LiveBytes(), s.LiveBytes())
+		if s.LiveBytes() != 2*units.MB {
+			t.Fatalf("live = %d, want %d", s.LiveBytes(), 2*units.MB)
 		}
 	})
 }

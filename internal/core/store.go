@@ -16,9 +16,9 @@ import (
 // rename on the filesystem (§4.1), one bulk-logged BLOB transaction in
 // the database (§4.2). store is everything else, written once: the
 // blob.Store frames with their typed-error ladder, one engine mutex, the
-// one-writer-per-key claims, live-byte accounting, the group-commit
-// pipeline and the pooled read and write handles. FileStore and DBStore
-// embed a store and implement engine.
+// one-writer-per-key claims, live- and retired-byte accounting, the
+// group-commit pipeline and the pooled read and write handles. FileStore
+// and DBStore embed a store and implement engine.
 //
 // Locking: engine methods run with mu held. The exception is write,
 // which takes mu itself once per write request.
@@ -66,8 +66,9 @@ type store struct {
 	clock     *vclock.Clock
 	committer *blob.GroupCommitter
 
-	mu        sync.Mutex // guards the engine, liveBytes and inflight
+	mu        sync.Mutex // guards the engine, the byte counts and inflight
 	liveBytes int64
+	retired   int64           // bytes of versions replaced or deleted
 	inflight  map[string]bool // keys with an uncommitted writer
 
 	// readers and writers recycle this store's handles; at high stream
@@ -280,6 +281,7 @@ func (w *writer) commitApply() error {
 		return err
 	}
 	s.liveBytes += w.size - old
+	s.retired += old
 	delete(s.inflight, w.key)
 	w.state.Close()
 	return nil
@@ -311,6 +313,7 @@ func (s *store) Delete(ctx context.Context, key string) error {
 		return err
 	}
 	s.liveBytes -= size
+	s.retired += size
 	return nil
 }
 
@@ -370,6 +373,16 @@ func (s *store) LiveBytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.liveBytes
+}
+
+// RetiredBytes returns the bytes of every version a commit replaced or
+// a delete removed since the store was built. A relocation — a
+// compaction rewrite or a pack — retires nothing: the version stays
+// live.
+func (s *store) RetiredBytes() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.retired
 }
 
 // FreeBytes implements blob.Store.

@@ -124,13 +124,13 @@ func CompactionSweep(c Config) ([]*stats.Table, error) {
 	}
 	tput.Note("Duty cycle bounds the compactor's share of virtual time; its rewrites charge full read+write cost on the shared clock.")
 	for _, t := range latTables {
-		t.Note("store.compact is one compactor rewrite (full read+write through the chain); foreground op quantiles include virtual time the compactor charged while they were in flight")
+		t.Note("store.compact is one compactor rewrite (full read+write through the chain); the compactor runs between churn increments, so foreground op quantiles hold none of its time")
 	}
 	return append([]*stats.Table{frags, tput}, latTables...), nil
 }
 
 // compactionLatencyMetrics are the histograms the compact sweep
-// prints: foreground op latencies under compactor contention plus the
+// prints: foreground op latencies between compactor steps plus the
 // per-rewrite cost of the compactor itself.
 var compactionLatencyMetrics = []string{
 	"op.create", "op.replace", "op.delete", "op.read", "store.compact",

@@ -369,7 +369,7 @@ var experimentDigests = map[string]string{
 	"wreq":        "1b1df376bb2195b17b20720e41633268986039561e8c55868c541be2e8890f58",
 	"ileave":      "a973032bed397d9000b9137a4d45281ca54d7d0794b9f48511aedac9bed6b3cf",
 	"policy":      "ddbc154fcc8974996244c93424cfd6f8478739931a6a9e2138c483d6ee0fe8a1",
-	"shard":       "720c41c850dd4715ca5a616756d8d6e3333730a99174b38fd7d01327eefe9774",
+	"shard":       "436f5feb4570e875603495fced279bb94c6962fc9610f2b6a527f162b8f71d6d",
 	"interleave":  "2e9286019dbd3c4702c8330afd224c04c9c8a3c265546d2679dc7002bfdb193a",
 	"readcache":   "d7131e957c606892201912845ce3b86d21c0958af1c0454c9f866598140fcac9",
 	"tracereplay": "8daa3a92c276f658406e113b574c4927404f77a1bd8a4ad9c88eb37c4401f625",

@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/blob"
 	"repro/internal/extent"
@@ -52,31 +51,15 @@ var (
 )
 
 // Store implements blob.Store over N child stores. It is safe for
-// concurrent use when its children are: reads go straight to the owning
-// child, while mutations additionally take a shard-level striped key
-// lock for the span of the child call plus the layer's own accounting,
-// so the per-shard retired-byte ledger stays exact under same-key
-// races (shard locks always nest outside child locks, never inside).
+// concurrent use when its children are: every call goes straight to
+// the child that owns the key, and each child orders same-key calls
+// under its own engine mutex. The router keeps no per-key state; a
+// shard's retired bytes are counted by the child itself.
 type Store struct {
 	children []blob.Store
 	ids      []string // stable rendezvous identities, "shard-<i>"
 	clock    *vclock.Clock
 	name     string
-	locks    *blob.KeyLocks
-
-	mu      sync.Mutex
-	retired []int64 // bytes of object versions retired, per shard
-	// sizes is the store's own view of each routed key's last committed
-	// size (or a dead entry once deleted). As in core.AgeTracker, dead
-	// entries invalidate the old-size snapshot an in-flight replace took
-	// before a delete, so a version is never retired twice.
-	sizes map[string]sizeEntry
-}
-
-// sizeEntry is one record of Store.sizes.
-type sizeEntry struct {
-	size int64
-	live bool
 }
 
 // New composes children into one sharded store. All children must share
@@ -104,13 +87,10 @@ func New(children ...blob.Store) (*Store, error) {
 	}
 	sort.Strings(kinds)
 	return &Store{
-		locks:    blob.NewKeyLocks(),
 		children: children,
 		ids:      ids,
 		clock:    children[0].Clock(),
 		name:     fmt.Sprintf("sharded-%d(%s)", len(children), strings.Join(kinds, "+")),
-		retired:  make([]int64, len(children)),
-		sizes:    make(map[string]sizeEntry),
 	}, nil
 }
 
@@ -191,118 +171,23 @@ func (s *Store) Create(ctx context.Context, key string, size int64) (blob.Writer
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	idx := s.ShardFor(key)
-	w, err := s.children[idx].Create(ctx, key, size)
-	if err != nil {
-		return nil, err
-	}
-	return &shardWriter{Writer: w, s: s, idx: idx, key: key, size: size}, nil
+	return s.owner(key).Create(ctx, key, size)
 }
 
-// Replace implements blob.Store. The retired old version is charged to
-// the owning shard's counter when the stream commits.
+// Replace implements blob.Store: a safe replace on the owning shard.
 func (s *Store) Replace(ctx context.Context, key string, size int64) (blob.Writer, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	idx := s.ShardFor(key)
-	child := s.children[idx]
-	// The shard lock keeps the old-size snapshot coherent with the
-	// stream open (a delete cannot slip between them).
-	s.locks.Lock(key)
-	defer s.locks.Unlock(key)
-	var oldSize int64
-	oldOK := false
-	if info, err := child.Stat(ctx, key); err == nil {
-		oldSize, oldOK = info.Size, true
-	}
-	w, err := child.Replace(ctx, key, size)
-	if err != nil {
-		return nil, err
-	}
-	return &shardWriter{Writer: w, s: s, idx: idx, key: key, size: size,
-		oldSize: oldSize, oldOK: oldOK}, nil
+	return s.owner(key).Replace(ctx, key, size)
 }
 
-// shardWriter charges per-shard retired and committed-size accounting
-// when a stream commits. All stream semantics live in the child's
-// writer.
-type shardWriter struct {
-	blob.Writer
-	s       *Store
-	idx     int
-	key     string
-	size    int64 // declared new size
-	oldSize int64 // size snapshot taken at Replace, for untracked keys
-	oldOK   bool
-	charged bool
-}
-
-// Commit commits the child stream, then retires the replaced version on
-// the owning shard's counter. The shard lock makes publish and
-// accounting one atomic step against same-key deletes and replaces.
-func (w *shardWriter) Commit() error {
-	w.s.locks.Lock(w.key)
-	defer w.s.locks.Unlock(w.key)
-	//fragvet:ignore lockorder the stripe held here is the shard router's own KeyLocks; a child's apply closures take only that child's engine mutex, never a stripe
-	if err := w.Writer.Commit(); err != nil {
-		return err
-	}
-	if !w.charged {
-		w.s.commitWrite(w.idx, w.key, w.size, w.oldSize, w.oldOK)
-		w.charged = true
-	}
-	return nil
-}
-
-// commitWrite records one committed create/replace on shard idx. The
-// old size comes from the store's own committed-size map when the key
-// has been routed before; the snapshot only covers keys first written
-// behind the shard layer's back (directly on a child).
-func (s *Store) commitWrite(idx int, key string, size, snapSize int64, snapOK bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var old int64
-	existed := false
-	if e, known := s.sizes[key]; known {
-		old, existed = e.size, e.live
-	} else {
-		old, existed = snapSize, snapOK
-	}
-	if existed {
-		s.retired[idx] += old
-	}
-	s.sizes[key] = sizeEntry{size: size, live: true}
-}
-
-// Delete implements blob.Store, retiring the object's bytes on its
-// shard's counter.
+// Delete implements blob.Store.
 func (s *Store) Delete(ctx context.Context, key string) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	idx := s.ShardFor(key)
-	child := s.children[idx]
-	// The shard lock makes stat, delete, and accounting one atomic step
-	// against same-key commits.
-	s.locks.Lock(key)
-	defer s.locks.Unlock(key)
-	info, err := child.Stat(ctx, key)
-	if err != nil {
-		return err
-	}
-	if err := child.Delete(ctx, key); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	old := info.Size
-	if e, known := s.sizes[key]; known && e.live {
-		old = e.size
-	}
-	s.retired[idx] += old
-	s.sizes[key] = sizeEntry{live: false}
-	s.mu.Unlock()
-	return nil
+	return s.owner(key).Delete(ctx, key)
 }
 
 // Stat implements blob.Store.
@@ -376,13 +261,6 @@ func (s *Store) EachObjectTag(fn func(key string, tag uint32)) {
 	for _, c := range s.children {
 		c.EachObjectTag(fn)
 	}
-}
-
-// retiredBytes returns shard i's retired-byte counter.
-func (s *Store) retiredBytes(i int) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.retired[i]
 }
 
 // CommitStats aggregates the group-commit pipeline counters across every

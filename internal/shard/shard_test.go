@@ -258,6 +258,50 @@ func TestSnapshotAccounting(t *testing.T) {
 	}
 }
 
+// TestSnapshotRetiredIsChildrenSum pins where a fleet's retired bytes
+// come from: each shard's figure is its child's own counter, read
+// through the child's wrapper chain, and the fleet's is their sum.
+func TestSnapshotRetiredIsChildrenSum(t *testing.T) {
+	ctx := context.Background()
+	s := mkSharded(t, 4, 64*units.MB)
+	var want int64
+	for i := 0; i < 32; i++ {
+		key := fmt.Sprintf("obj-%03d", i)
+		size := int64(i+1) * 16 * units.KB
+		if err := blob.Put(ctx, s, key, size, nil); err != nil {
+			t.Fatal(err)
+		}
+		if i%2 == 0 {
+			if err := blob.Replace(ctx, s, key, 64*units.KB, nil); err != nil {
+				t.Fatal(err)
+			}
+			want += size
+			size = 64 * units.KB
+		}
+		if i%3 == 0 {
+			if err := s.Delete(ctx, key); err != nil {
+				t.Fatal(err)
+			}
+			want += size
+		}
+	}
+	snap := s.Snapshot()
+	var sum int64
+	for i, si := range snap.Shards {
+		child, ok := blob.As[*core.FileStore](s.Shard(i))
+		if !ok {
+			t.Fatalf("shard %d is not a core store", i)
+		}
+		if si.RetiredBytes != child.RetiredBytes() {
+			t.Fatalf("shard %d retired %d, child counted %d", i, si.RetiredBytes, child.RetiredBytes())
+		}
+		sum += child.RetiredBytes()
+	}
+	if snap.RetiredBytes != sum || sum != want {
+		t.Fatalf("fleet retired %d, children sum %d, want %d", snap.RetiredBytes, sum, want)
+	}
+}
+
 // TestErrorPassThrough pins that child failures surface the blob
 // sentinels unchanged through the shard layer.
 func TestErrorPassThrough(t *testing.T) {
@@ -339,9 +383,9 @@ func TestParallelAcrossShards(t *testing.T) {
 // TestSameKeyChurnConservation hammers a small key set with concurrent
 // replaces, deletes, and recreates, then checks byte conservation:
 // every committed version's bytes end up either live or retired,
-// exactly once. This is the invariant the shard-level key locks defend
-// — without them a same-key delete/commit race double-retires or loses
-// versions.
+// exactly once. Each child counts its retired bytes under the engine
+// mutex that orders the same-key commits and deletes, so no race can
+// double-retire or lose a version.
 func TestSameKeyChurnConservation(t *testing.T) {
 	ctx := context.Background()
 	s := mkSharded(t, 4, 64*units.MB)

@@ -19,8 +19,8 @@ type ShardInfo struct {
 	Backend string
 
 	// Objects and LiveBytes count the shard's live population;
-	// RetiredBytes the object versions replaced or deleted through the
-	// sharded store since construction.
+	// RetiredBytes the object versions the child replaced or deleted
+	// since it was built (0 for a child that does not count them).
 	Objects      int
 	LiveBytes    int64
 	RetiredBytes int64
@@ -99,7 +99,7 @@ func (s *Store) Snapshot() Snapshot {
 				Backend:       c.Name(),
 				Objects:       c.ObjectCount(),
 				LiveBytes:     c.LiveBytes(),
-				RetiredBytes:  s.retiredBytes(i),
+				RetiredBytes:  retiredBytes(c),
 				FreeBytes:     c.FreeBytes(),
 				CapacityBytes: c.CapacityBytes(),
 				MeanFragments: rep.MeanFragments(),
@@ -124,4 +124,14 @@ func (s *Store) Snapshot() Snapshot {
 	}
 	snap.LiveImbalance = stats.Summarize(liveByShard).CV()
 	return snap
+}
+
+// retiredBytes reads a child's retired-byte count through its wrapper
+// chain: the core stores count it where versions die.
+func retiredBytes(c blob.Store) int64 {
+	r, ok := blob.As[interface{ RetiredBytes() int64 }](c)
+	if !ok {
+		return 0
+	}
+	return r.RetiredBytes()
 }

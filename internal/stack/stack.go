@@ -38,7 +38,7 @@ type Spec struct {
 	Backends []string
 	// Shards is the size of the fleet behind the shard layer. 0 builds
 	// a single volume with no shard layer; 1 is a fleet of one, which
-	// still pays the layer's routing and per-replace size lookup.
+	// still pays the layer's routing.
 	Shards int
 	// Capacity is each volume's data capacity in bytes (not the
 	// fleet's). Options may carry a blob.WithCapacity instead.

@@ -20,9 +20,8 @@ import (
 // to a fixed storage age; reported metrics are wall-clock operations
 // per second (the simulation's own speed, NOT virtual-time storage
 // throughput) plus ns and allocs per executed op.
-// Regressions here mean shared-state contention — the age tracker, the
-// commit pipeline, the striped locks, the virtual clock — not slower
-// simulated hardware.
+// Regressions here mean shared-state contention — the store mutex, the
+// commit pipeline, the virtual clock — not slower simulated hardware.
 func BenchmarkExecutorStreams(b *testing.B) {
 	for _, k := range []int{1, 16, 256} {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {

@@ -151,14 +151,6 @@ func (r RunResult) Total() Counts {
 // fleet.
 const MaxStreams = 4096
 
-// trackerOps is what execOp needs from the storage-age accounting: the
-// shared tracker itself (k=1, inline) or one stream's private view.
-type trackerOps interface {
-	Put(ctx context.Context, key string, size int64, data []byte) error
-	Replace(ctx context.Context, key string, size int64, data []byte) error
-	Delete(ctx context.Context, key string) error
-}
-
 // Run drives every stream to exhaustion (or error) concurrently and
 // returns the per-stream accounting. A failing stream does not cancel
 // its siblings — they run to their own completion, as k independent
@@ -168,12 +160,9 @@ type trackerOps interface {
 // A stream count outside [1, MaxStreams] is refused with an error
 // wrapping blob.ErrBadOption.
 //
-// With k > 1 each stream charges the tracker through its own
-// core.StreamView (goroutine-local committed-size map, shared atomic
-// byte counters), merged back into the tracker when the phase ends —
-// including on error, so partial accounting stays visible. One stream
-// runs inline against the plain tracker: a k=1 phase is byte-for-byte
-// the classic sequential workload.
+// Every stream charges the one shared tracker, which keeps no per-key
+// state. One stream runs inline: a k=1 phase is byte-for-byte the
+// classic sequential workload.
 func (e *Executor) Run(streams []Stream, opts RunOptions) (RunResult, error) {
 	if len(streams) < 1 {
 		return RunResult{}, fmt.Errorf("workload: %d streams (want at least 1): %w",
@@ -189,7 +178,7 @@ func (e *Executor) Run(streams []Stream, opts RunOptions) (RunResult, error) {
 	if len(streams) == 1 {
 		// One stream runs inline: no goroutine between the caller and
 		// the classic sequential workload.
-		err = e.runStream(0, streams[0], opts, &res.Streams[0], e.tracker)
+		err = e.runStream(0, streams[0], opts, &res.Streams[0])
 	} else {
 		errs := make([]error, len(streams))
 		// The streams start together, once all exist: a stream that ran
@@ -202,9 +191,7 @@ func (e *Executor) Run(streams []Stream, opts RunOptions) (RunResult, error) {
 			go func(i int) {
 				defer wg.Done()
 				<-start
-				view := e.tracker.StreamView()
-				defer view.Merge()
-				errs[i] = e.runStream(i, streams[i], opts, &res.Streams[i], view)
+				errs[i] = e.runStream(i, streams[i], opts, &res.Streams[i])
 			}(i)
 		}
 		close(start)
@@ -216,7 +203,7 @@ func (e *Executor) Run(streams []Stream, opts RunOptions) (RunResult, error) {
 }
 
 // runStream drains one source, executing each op against the store.
-func (e *Executor) runStream(id int, st Stream, opts RunOptions, c *Counts, acct trackerOps) error {
+func (e *Executor) runStream(id int, st Stream, opts RunOptions, c *Counts) error {
 	src := st.Source
 	obs, observes := src.(SourceObserver)
 	consecutiveSkips := 0
@@ -238,7 +225,7 @@ func (e *Executor) runStream(id int, st Stream, opts RunOptions, c *Counts, acct
 			opWatch = vclock.StartWatch(e.Store().Clock())
 		}
 		opCtx, tr := e.collector.StartOp(e.ctx, id, op.Kind.String(), op.Key)
-		err := e.execOp(opCtx, op, c, acct)
+		err := e.execOp(opCtx, op, c)
 		e.collector.FinishOp(tr, err)
 		if observes {
 			obs.Observe(op, err)
@@ -265,25 +252,24 @@ func (e *Executor) runStream(id int, st Stream, opts RunOptions, c *Counts, acct
 
 // execOp executes one op, charging c only on success. ctx carries the
 // op's trace (when a collector is installed) so obs-wrapped layers of
-// the store chain can attribute their spans to it. Mutations charge
-// storage age through acct — the stream's tracker view under
-// concurrency, the shared tracker when running inline.
-func (e *Executor) execOp(ctx context.Context, op Op, c *Counts, acct trackerOps) error {
+// the store chain can attribute their spans to it. Mutations go
+// through the shared tracker.
+func (e *Executor) execOp(ctx context.Context, op Op, c *Counts) error {
 	switch op.Kind {
 	case OpCreate:
-		if err := acct.Put(ctx, op.Key, op.Size, nil); err != nil {
+		if err := e.tracker.Put(ctx, op.Key, op.Size, nil); err != nil {
 			return err
 		}
 		c.Creates++
 		c.BytesWritten += op.Size
 	case OpReplace:
-		if err := acct.Replace(ctx, op.Key, op.Size, nil); err != nil {
+		if err := e.tracker.Replace(ctx, op.Key, op.Size, nil); err != nil {
 			return err
 		}
 		c.Replaces++
 		c.BytesWritten += op.Size
 	case OpDelete:
-		if err := acct.Delete(ctx, op.Key); err != nil {
+		if err := e.tracker.Delete(ctx, op.Key); err != nil {
 			return err
 		}
 		c.Deletes++

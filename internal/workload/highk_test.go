@@ -2,6 +2,9 @@ package workload
 
 import (
 	"errors"
+	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -33,8 +36,8 @@ func TestExecutorStreamCountBounds(t *testing.T) {
 }
 
 // TestRunnerStreamsHighK drives 64 streams through the full pipeline
-// — per-stream AgeTracker views, group-commit leaders and followers, pooled reader/writer
-// handles — at a size CI can afford under -race. The assertions are
+// — one shared AgeTracker, group-commit leaders and followers, pooled
+// reader/writer handles — at a size CI can afford under -race. The assertions are
 // deliberately coarse; the point of the test is the interleaving.
 func TestRunnerStreamsHighK(t *testing.T) {
 	const k = 64
@@ -66,5 +69,67 @@ func TestRunnerStreamsHighK(t *testing.T) {
 	cs, ok := blob.CommitStatsOf(store)
 	if !ok || cs.Commits == 0 {
 		t.Fatalf("commit pipeline unused: %+v (ok=%v)", cs, ok)
+	}
+}
+
+// TestConcurrentStreamsAgeMatchesSequential runs 256 executor streams
+// over disjoint keyspaces — a load phase, ResetBaseline, then replaces
+// and deletes — and checks that the shared tracker ends with the same
+// retired bytes, live bytes and Age, to the last bit, as the same
+// streams run one after another. Under -race it also checks that the
+// tracker's counting needs no lock of its own.
+func TestConcurrentStreamsAgeMatchesSequential(t *testing.T) {
+	const streams, objects = 256, 4
+	phase := func(stream int, load bool) []Op {
+		var ops []Op
+		for j := 0; j < objects; j++ {
+			key := fmt.Sprintf("s%03d/obj%03d", stream, j)
+			size := 4*units.KB + int64(512*j)
+			if load {
+				ops = append(ops, Op{Kind: OpCreate, Key: key, Size: size})
+				continue
+			}
+			ops = append(ops, Op{Kind: OpReplace, Key: key, Size: size + 256})
+			if j%3 == 0 {
+				ops = append(ops, Op{Kind: OpDelete, Key: key})
+			}
+		}
+		return ops
+	}
+	run := func(concurrent bool) *core.AgeTracker {
+		ex := NewExecutor(newFS(512 * units.MB))
+		for _, load := range []bool{true, false} {
+			var all []Stream
+			for i := 0; i < streams; i++ {
+				all = append(all, Stream{Source: &sliceSource{ops: phase(i, load), i: new(int)},
+					RNG: rand.New(rand.NewSource(int64(i)))})
+			}
+			if !concurrent {
+				for _, st := range all {
+					if _, err := ex.Run([]Stream{st}, RunOptions{}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			} else if _, err := ex.Run(all, RunOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			if load {
+				ex.Tracker().ResetBaseline()
+			}
+		}
+		return ex.Tracker()
+	}
+	seq, conc := run(false), run(true)
+	if seq.RetiredBytes() == 0 {
+		t.Fatal("the sequential run retired nothing")
+	}
+	if seq.RetiredBytes() != conc.RetiredBytes() {
+		t.Fatalf("retired bytes: sequential %d, concurrent %d", seq.RetiredBytes(), conc.RetiredBytes())
+	}
+	if seq.LiveBytes() != conc.LiveBytes() {
+		t.Fatalf("live bytes: sequential %d, concurrent %d", seq.LiveBytes(), conc.LiveBytes())
+	}
+	if math.Float64bits(seq.Age()) != math.Float64bits(conc.Age()) {
+		t.Fatalf("age: sequential %v, concurrent %v", seq.Age(), conc.Age())
 	}
 }

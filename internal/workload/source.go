@@ -180,7 +180,8 @@ type ChurnSource struct {
 	Dist SizeDist
 	// TargetAge stops the stream once Age() reaches it.
 	TargetAge float64
-	// Age reports the current storage age (normally AgeTracker.Age).
+	// Age reports the current storage age (normally AgeTracker.Age,
+	// which reads the store's live byte count on every poll).
 	Age func() float64
 	// ReadsPerWrite interleaves this many whole-object reads per
 	// SUCCESSFUL safe write; a skipped or failed write interleaves none,
