@@ -58,7 +58,7 @@ type Reader interface {
 	// ReadAt reads length bytes starting at off, touching only the
 	// physical runs that cover the range — an io.ReaderAt-style ranged
 	// read. Payload rules match ReadAll, the view contract included.
-	// Reads outside [0, Size()] fail with ErrOutOfRange.
+	// Reads outside [0, Size()] fail with ErrOutOfRange, live or not.
 	ReadAt(off, length int64) ([]byte, error)
 
 	// Close releases the handle; a second Close is a no-op. Stores

@@ -487,13 +487,19 @@ type hitReader struct {
 // Size implements blob.Reader.
 func (r *hitReader) Size() int64 { return r.size }
 
-// validate checks handle liveness and version pinning before a read.
-func (r *hitReader) validate() error {
+// validate checks handle liveness, the range [off, +length) of a
+// ranged read, and version pinning before a read.
+func (r *hitReader) validate(ranged bool, off, length int64) error {
 	if r.closed {
 		return fmt.Errorf("%w: reader for %s", blob.ErrClosed, r.key)
 	}
 	if err := r.ctx.Err(); err != nil {
 		return err
+	}
+	if ranged {
+		if err := checkRange(r.key, r.size, off, length); err != nil {
+			return err
+		}
 	}
 	r.s.mu.Lock()
 	live := r.s.versions[r.key] == r.version
@@ -509,7 +515,7 @@ func (r *hitReader) validate() error {
 
 // ReadAll implements blob.Reader at memory speed.
 func (r *hitReader) ReadAll() ([]byte, error) {
-	if err := r.validate(); err != nil {
+	if err := r.validate(false, 0, 0); err != nil {
 		return nil, err
 	}
 	r.s.mu.Lock()
@@ -521,10 +527,7 @@ func (r *hitReader) ReadAll() ([]byte, error) {
 
 // ReadAt implements blob.Reader at memory speed.
 func (r *hitReader) ReadAt(off, length int64) ([]byte, error) {
-	if err := r.validate(); err != nil {
-		return nil, err
-	}
-	if err := checkRange(r.key, r.size, off, length); err != nil {
+	if err := r.validate(true, off, length); err != nil {
 		return nil, err
 	}
 	if length == 0 {
@@ -638,7 +641,7 @@ func (r *missReader) ReadAt(off, length int64) ([]byte, error) {
 		return nil, err
 	}
 	if length == 0 {
-		return nil, nil
+		return r.r.ReadAt(off, 0) // empty, unless the version is gone
 	}
 	if data, ok := r.fromCache(off, length); ok {
 		r.s.chargeMemory(length)

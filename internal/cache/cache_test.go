@@ -12,6 +12,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/disk"
+	"repro/internal/stack"
 	"repro/internal/units"
 	"repro/internal/vclock"
 )
@@ -245,9 +246,12 @@ func mkStores(t *testing.T) map[string]*cache.Store {
 	t.Helper()
 	out := make(map[string]*cache.Store)
 	for name, spec := range inners {
-		spec.Mode, spec.CacheBytes = disk.DataMode, 32*units.MB
-		s := build(t, spec)(blob.WithCapacity(256 * units.MB))
-		out[name], _ = blob.As[*cache.Store](s)
+		spec.Capacity, spec.Mode, spec.CacheBytes = 256*units.MB, disk.DataMode, 32*units.MB
+		s, err := stack.Build(vclock.New(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[name] = s.(*cache.Store)
 	}
 	return out
 }

@@ -1,7 +1,7 @@
 // Package client implements blob.Store over the network blob
 // service's wire protocol (internal/server, internal/server/wire): a
-// remote store that is contract-identical to a local one. The
-// cross-backend conformance suite runs end-to-end through a real
+// remote store that is contract-identical to a local one. The store
+// contract (internal/blob/conformance) runs end-to-end through a real
 // listener — version-pinned readers, exclusive writers, streaming
 // appends, typed sentinels, and context deadlines all survive the hop,
 // though every operation is one plain request and the server holds no

@@ -18,53 +18,34 @@ import (
 	"repro/internal/blob/conformance"
 	"repro/internal/cache"
 	"repro/internal/client"
-	"repro/internal/core"
 	"repro/internal/disk"
 	"repro/internal/extent"
 	"repro/internal/server"
-	"repro/internal/shard"
+	"repro/internal/stack"
 	"repro/internal/units"
 	"repro/internal/vclock"
 )
 
-func fileInner(opts ...blob.Option) blob.Store {
-	s, err := core.NewFileStore(vclock.New(), opts...)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
-func dbInner(opts ...blob.Option) blob.Store {
-	s, err := core.NewDBStore(vclock.New(), opts...)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
-// mixedShardInner builds a 4-shard mixed fleet (2 filesystem + 2
-// database children on one clock).
-func mixedShardInner(opts ...blob.Option) blob.Store {
-	clock := vclock.New()
-	children := make([]blob.Store, 4)
-	for i := range children {
-		var err error
-		if i%2 == 0 {
-			children[i], err = core.NewFileStore(clock, opts...)
-		} else {
-			children[i], err = core.NewDBStore(clock, opts...)
-		}
+// built returns a factory of the stack spec describes, built through
+// stack.Build with the caller's options.
+func built(spec stack.Spec) conformance.Factory {
+	return func(opts ...blob.Option) blob.Store {
+		spec.Options = opts
+		s, err := stack.Build(vclock.New(), spec)
 		if err != nil {
 			panic(err)
 		}
+		return s
 	}
-	s, err := shard.New(children...)
-	if err != nil {
-		panic(err)
-	}
-	return s
 }
+
+// The stacks the tests serve: both single-volume backends and a 4-shard
+// mixed fleet (2 filesystem + 2 database children on one clock).
+var (
+	fileInner       = built(stack.Spec{Backends: []string{stack.File}})
+	dbInner         = built(stack.Spec{Backends: []string{stack.DB}})
+	mixedShardInner = built(stack.Spec{Backends: []string{stack.File, stack.DB, stack.File, stack.DB}, Shards: 4})
+)
 
 // serveOn runs srv.Serve, fragserve's front door, on a loopback
 // listener and returns its base URL. Cleanup shuts it down and waits for
@@ -86,8 +67,8 @@ func serveOn(tb testing.TB, srv *server.Server) string {
 	return "http://" + ln.Addr().String()
 }
 
-// serve wraps an inner-store factory so that every store the
-// conformance suite asks for is served by fragserve's front door
+// serve wraps an inner-store factory so that every store a test asks
+// for is served by fragserve's front door
 // (server.Serve) on a live TCP listener and accessed through a dialed
 // client. Each store gets its own server and listener; all of them are
 // torn down via t.Cleanup, and leakcheck verifies nothing survives.
@@ -99,8 +80,7 @@ func serve(t *testing.T, mk conformance.Factory) conformance.Factory {
 }
 
 // dialServed serves inner through server.Serve and dials it. It panics
-// rather than fail t, because the conformance suite calls its factory
-// from subtests.
+// rather than fail t, because a factory may be called from subtests.
 func dialServed(t *testing.T, inner blob.Store, cfg server.Config) *client.Store {
 	t.Helper()
 	srv, err := server.New(inner, cfg)
@@ -113,27 +93,6 @@ func dialServed(t *testing.T, inner blob.Store, cfg server.Config) *client.Store
 	}
 	t.Cleanup(func() { c.Close() })
 	return c
-}
-
-// TestClientConformance is the tentpole proof: the remote store passes
-// the exact cross-backend contract suite — typed sentinels, version
-// pinning, exclusive writers, streaming appends, safe replace, context
-// cancellation and deadlines — end to end through a real HTTP listener,
-// against both single-volume backends and a 4-shard mixed fleet.
-func TestClientConformance(t *testing.T) {
-	inners := []struct {
-		name string
-		mk   conformance.Factory
-	}{
-		{"Filesystem", fileInner},
-		{"Database", dbInner},
-		{"Sharded4Mixed", mixedShardInner},
-	}
-	for _, in := range inners {
-		t.Run(in.name, func(t *testing.T) {
-			conformance.Run(t, serve(t, in.mk))
-		})
-	}
 }
 
 // TestClientClockRatchet pins the virtual-time bridge: the client's

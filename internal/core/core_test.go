@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/blob"
@@ -285,27 +286,68 @@ func TestAgeIndependentOfVolumeSize(t *testing.T) {
 	}
 }
 
-// TestTempLookalikeKeySurvives pins that a committed object whose key
-// happens to match the safe-write temp-file convention is never
-// mistaken for a crashed stream's leftover and destroyed.
+// TestTempLookalikeKeySurvives pins that a key named like a safe-write
+// temp file is an ordinary key on both backends: a committed "a.tmp~"
+// leaves "a" free to create, "b.tmp~" is absent while "b" is written
+// and deleting it leaves b's writer alone, and Recover keeps a
+// committed "c.tmp~".
 func TestTempLookalikeKeySurvives(t *testing.T) {
 	ctx := context.Background()
-	s := mustFileStore(t, blob.WithCapacity(64*units.MB), blob.WithDiskMode(disk.MetadataMode))
-	if err := blob.Put(ctx, s, "a.tmp~", 1*units.MB, nil); err != nil {
-		t.Fatal(err)
-	}
-	// Writing to "a" would use "a.tmp~" as its scratch name; the name is
-	// taken by a real object, so the writer must fail instead of
-	// deleting it.
-	if err := blob.Put(ctx, s, "a", 1*units.MB, nil); err == nil {
-		t.Fatal("Create of a succeeded despite its temp name being a live object")
-	}
-	if info, err := s.Stat(ctx, "a.tmp~"); err != nil || info.Size != 1*units.MB {
-		t.Fatalf("temp-lookalike object damaged: %+v, %v", info, err)
-	}
-	if s.LiveBytes() != 1*units.MB || s.ObjectCount() != 1 {
-		t.Fatalf("accounting damaged: live=%d count=%d", s.LiveBytes(), s.ObjectCount())
-	}
+	const size = 4 * units.KB
+	eachStore(t, 64*units.MB, disk.MetadataMode, func(t *testing.T, s blob.Store) {
+		for _, key := range []string{"a.tmp~", "a", "c.tmp~"} {
+			if err := blob.Put(ctx, s, key, size, nil); err != nil {
+				t.Fatalf("Put %s: %v", key, err)
+			}
+		}
+		if err := blob.Replace(ctx, s, "a", size, nil); err != nil {
+			t.Fatalf("Replace a beside a committed a.tmp~: %v", err)
+		}
+
+		w, err := s.Create(ctx, "b", 2*size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Append(size, nil); err != nil {
+			t.Fatal(err)
+		}
+		if info, err := s.Stat(ctx, "b.tmp~"); !errors.Is(err, blob.ErrNotFound) {
+			t.Fatalf("Stat b.tmp~ while b is written = %+v, %v; want ErrNotFound", info, err)
+		}
+		if err := s.Delete(ctx, "b.tmp~"); !errors.Is(err, blob.ErrNotFound) {
+			t.Fatalf("Delete b.tmp~ = %v, want ErrNotFound", err)
+		}
+		if err := w.Append(size, nil); err != nil {
+			t.Fatalf("b's writer after Delete b.tmp~: %v", err)
+		}
+		if err := w.Commit(); err != nil {
+			t.Fatal(err)
+		}
+
+		if rec, ok := blob.As[interface{ Recover() int }](s); ok {
+			if n := rec.Recover(); n != 0 {
+				t.Fatalf("Recover swept %d files with no writer open", n)
+			}
+		}
+		want := []string{"a", "a.tmp~", "b", "c.tmp~"}
+		if keys := s.Keys(); !slices.Equal(slices.Sorted(slices.Values(keys)), want) {
+			t.Fatalf("Keys = %v, want %v", keys, want)
+		}
+		if s.ObjectCount() != len(want) || s.LiveBytes() != 5*size {
+			t.Fatalf("count=%d live=%d, want %d and %d", s.ObjectCount(), s.LiveBytes(), len(want), 5*size)
+		}
+		if err := blob.Put(ctx, s, "c.tmp~", size, nil); !errors.Is(err, blob.ErrAlreadyExists) {
+			t.Fatalf("Put c.tmp~ again = %v, want ErrAlreadyExists", err)
+		}
+		for _, key := range want {
+			if err := s.Delete(ctx, key); err != nil {
+				t.Fatalf("Delete %s: %v", key, err)
+			}
+		}
+		if s.ObjectCount() != 0 || s.LiveBytes() != 0 {
+			t.Fatalf("count=%d live=%d after deleting every key", s.ObjectCount(), s.LiveBytes())
+		}
+	})
 }
 
 func TestSafeReplaceNeverLosesOldVersionOnFailure(t *testing.T) {

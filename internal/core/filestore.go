@@ -138,11 +138,11 @@ func (s *FileStore) PackObjects(ctx context.Context, keys []string) ([]string, e
 		defer s.mu.Unlock()
 		eligible := make([]string, 0, len(keys))
 		for _, k := range keys {
-			if s.inflight[k] || s.inflightTemp(k) {
+			if s.inflight[k] {
 				continue
 			}
-			if f, ok := s.vol.Lookup(k); ok && !f.Packed() {
-				eligible = append(eligible, k)
+			if f, ok := s.vol.Lookup(fs.FileName(k)); ok && !f.Packed() {
+				eligible = append(eligible, f.Name())
 			}
 		}
 		var opts fs.PackOptions
@@ -154,8 +154,9 @@ func (s *FileStore) PackObjects(ctx context.Context, keys []string) ([]string, e
 		if err != nil {
 			return err
 		}
-		for _, k := range rep.Packed {
-			if err := s.meta.Update(k); err != nil {
+		for i, name := range rep.Packed {
+			rep.Packed[i] = fs.KeyOf(name)
+			if err := s.meta.Update(rep.Packed[i]); err != nil {
 				return err
 			}
 		}
@@ -173,15 +174,6 @@ func (s *FileStore) PackRuns(tag uint32) ([]extent.Run, bool) {
 	return s.vol.PackRuns(tag)
 }
 
-// inflightTemp reports whether name is the temp file of an uncommitted
-// writer (callers hold s.mu).
-func (s *FileStore) inflightTemp(name string) bool {
-	if len(name) <= len(fs.TempSuffix) || name[len(name)-len(fs.TempSuffix):] != fs.TempSuffix {
-		return false
-	}
-	return s.inflight[name[:len(name)-len(fs.TempSuffix)]]
-}
-
 // --- engine ---
 
 // open charges the metadata-row lookup and the file open, unless resumed.
@@ -192,7 +184,7 @@ func (s *FileStore) open(key string, charged bool) (int64, uint32, error) {
 	if !s.meta.Lookup(key) {
 		return 0, 0, fmt.Errorf("%w: %s", blob.ErrNotFound, key)
 	}
-	f, err := s.vol.Open(key)
+	f, err := s.vol.Open(fs.FileName(key))
 	if err != nil {
 		return 0, 0, err
 	}
@@ -201,7 +193,7 @@ func (s *FileStore) open(key string, charged bool) (int64, uint32, error) {
 
 // stat is free: the volume's in-memory file table.
 func (s *FileStore) stat(key string, _ bool) (int64, uint32, error) {
-	f, ok := s.vol.Lookup(key)
+	f, ok := s.vol.Lookup(fs.FileName(key))
 	if !ok {
 		return 0, 0, fmt.Errorf("%w: %s", blob.ErrNotFound, key)
 	}
@@ -209,14 +201,14 @@ func (s *FileStore) stat(key string, _ bool) (int64, uint32, error) {
 }
 
 func (s *FileStore) exists(key string) bool {
-	_, ok := s.vol.Lookup(key)
+	_, ok := s.vol.Lookup(fs.FileName(key))
 	return ok
 }
 
 // read compares owner tags, not File pointers: the volume recycles File
 // structs, but stamps a fresh tag on every create, relocation and pack.
 func (s *FileStore) read(key string, tag uint32, whole bool, off, length int64) ([]byte, bool, error) {
-	f, ok := s.vol.Lookup(key)
+	f, ok := s.vol.Lookup(fs.FileName(key))
 	if !ok || f.Tag() != tag {
 		return nil, false, nil
 	}
@@ -229,13 +221,10 @@ func (s *FileStore) read(key string, tag uint32, whole bool, off, length int64) 
 
 // stage opens w's safe-write temp file.
 func (s *FileStore) stage(w *writer) error {
-	w.tmp = fs.TempName(w.key)
-	// A leftover temp from a previous crashed attempt is replaced.
-	// Committed objects always have a metadata row and temps never do,
-	// so a row under the temp name means a real object happens to be
-	// named like our scratch file — leave it alone (the Create below
-	// then fails instead of destroying it).
-	if _, ok := s.vol.Lookup(w.tmp); ok && !s.meta.Lookup(w.tmp) {
+	w.tmp = fs.TempName(fs.FileName(w.key))
+	// A leftover temp from a previous crashed attempt is replaced; no
+	// key's file can carry a temp name.
+	if _, ok := s.vol.Lookup(w.tmp); ok {
 		if err := s.vol.Delete(w.tmp); err != nil {
 			return err
 		}
@@ -301,7 +290,8 @@ func (s *FileStore) publish(w *writer) (int64, error) {
 		return 0, fmt.Errorf("%w after write of %s", blob.ErrCrashed, w.tmp)
 	}
 	var old int64
-	prev, hadOld := s.vol.Lookup(w.key)
+	name := fs.FileName(w.key)
+	prev, hadOld := s.vol.Lookup(name)
 	// Metadata first: the row mutation is the step that can fail (meta
 	// drive full), so it happens before anything becomes visible. On a
 	// failure the writer stays open and Abort discards the temp.
@@ -318,7 +308,7 @@ func (s *FileStore) publish(w *writer) (int64, error) {
 	// Atomic commit point (ReplaceFile/rename(2) semantics). Rename of
 	// a held temp cannot legitimately fail; roll the row back if it
 	// somehow does — the synchronization burden §3.1 calls out.
-	if err := s.vol.Rename(w.tmp, w.key); err != nil {
+	if err := s.vol.Rename(w.tmp, name); err != nil {
 		if !hadOld {
 			_ = s.meta.Delete(w.key)
 		}
@@ -334,12 +324,12 @@ func (s *FileStore) discard(w *writer) {
 }
 
 func (s *FileStore) remove(key string) (int64, error) {
-	f, ok := s.vol.Lookup(key)
+	f, ok := s.vol.Lookup(fs.FileName(key))
 	if !ok {
 		return 0, fmt.Errorf("%w: %s", blob.ErrNotFound, key)
 	}
 	size := f.Size()
-	if err := s.vol.Delete(key); err != nil {
+	if err := s.vol.Delete(f.Name()); err != nil {
 		return 0, err
 	}
 	return size, s.meta.Delete(key)
@@ -348,10 +338,11 @@ func (s *FileStore) remove(key string) (int64, error) {
 // compact moves key's file into contiguous space; 0 bytes when it is
 // already contiguous, packed, or could not be placed.
 func (s *FileStore) compact(key string) (int64, error) {
-	if _, ok := s.vol.Lookup(key); !ok || s.inflightTemp(key) {
+	name := fs.FileName(key)
+	if _, ok := s.vol.Lookup(name); !ok {
 		return 0, fmt.Errorf("%w: %s", blob.ErrNotFound, key)
 	}
-	n, ok := s.vol.CompactFile(key)
+	n, ok := s.vol.CompactFile(name)
 	if !ok {
 		return 0, nil
 	}
@@ -379,26 +370,26 @@ func (s *FileStore) endGroup() {
 
 func (s *FileStore) free() int64 { return s.vol.FreeBytes() }
 
-// eachFile visits every committed file, skipping in-flight temps.
-func (s *FileStore) eachFile(fn func(f *fs.File)) {
+// eachFile visits every committed file with its key, skipping temps.
+func (s *FileStore) eachFile(fn func(key string, f *fs.File)) {
 	s.vol.EachFile(func(f *fs.File) {
-		if !s.inflightTemp(f.Name()) {
-			fn(f)
+		if !fs.IsTemp(f.Name()) {
+			fn(fs.KeyOf(f.Name()), f)
 		}
 	})
 }
 
 func (s *FileStore) keys() (out []string) {
-	s.eachFile(func(f *fs.File) { out = append(out, f.Name()) })
+	s.eachFile(func(key string, _ *fs.File) { out = append(out, key) })
 	return out
 }
 
 func (s *FileStore) eachRuns(fn func(key string, bytes int64, runs []extent.Run)) {
-	s.eachFile(func(f *fs.File) { fn(f.Name(), f.Size(), f.Runs()) })
+	s.eachFile(func(key string, f *fs.File) { fn(key, f.Size(), f.Runs()) })
 }
 
 func (s *FileStore) eachTag(fn func(key string, tag uint32)) {
-	s.eachFile(func(f *fs.File) { fn(f.Name(), f.Tag()) })
+	s.eachFile(func(key string, f *fs.File) { fn(key, f.Tag()) })
 }
 
 var _ blob.Store = (*FileStore)(nil)

@@ -7,66 +7,11 @@ import (
 	"testing"
 
 	"repro/internal/blob"
-	"repro/internal/blob/conformance"
 	"repro/internal/core"
 	"repro/internal/disk"
 	"repro/internal/units"
 	"repro/internal/vclock"
 )
-
-// packingStore aggressively packs the whole keyspace after every
-// successful commit — a hostile maintenance schedule that the public
-// store contract must survive unchanged.
-type packingStore struct {
-	*core.FileStore
-}
-
-func (s *packingStore) Create(ctx context.Context, key string, size int64) (blob.Writer, error) {
-	w, err := s.FileStore.Create(ctx, key, size)
-	if err != nil {
-		return nil, err
-	}
-	return &packingWriter{Writer: w, s: s, ctx: ctx}, nil
-}
-
-func (s *packingStore) Replace(ctx context.Context, key string, size int64) (blob.Writer, error) {
-	w, err := s.FileStore.Replace(ctx, key, size)
-	if err != nil {
-		return nil, err
-	}
-	return &packingWriter{Writer: w, s: s, ctx: ctx}, nil
-}
-
-type packingWriter struct {
-	blob.Writer
-	s   *packingStore
-	ctx context.Context
-}
-
-func (w *packingWriter) Commit() error {
-	if err := w.Writer.Commit(); err != nil {
-		return err
-	}
-	// Best effort, like a background compactor riding the commit stream:
-	// pack errors (no space, busy keys) must not surface to the writer.
-	w.s.PackObjects(w.ctx, w.s.Keys())
-	return nil
-}
-
-// TestFileStorePackingConformance re-runs the whole contract suite with
-// every commit followed by a pack attempt over the full keyspace.
-// Packing is a relocation, so this drill pins that pack files preserve
-// payloads, sizes, typed errors, and reader version-pinning under the
-// exact semantics the unpacked store promises.
-func TestFileStorePackingConformance(t *testing.T) {
-	conformance.Run(t, func(opts ...blob.Option) blob.Store {
-		s, err := core.NewFileStore(vclock.New(), opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return &packingStore{FileStore: s}
-	})
-}
 
 // TestPackCrashRecovery pins the crash-mid-pack story at the store
 // level: an armed crash tears the pack after its clusters are written

@@ -151,6 +151,12 @@ func (r *reader) read(whole bool, off, length int64) ([]byte, error) {
 	if err := r.ctx.Err(); err != nil {
 		return nil, err
 	}
+	// The bounds are the pinned version's: checked before liveness, as
+	// a remote reader, which knows only the size, checks them. length >
+	// size-off rather than off+length > size: the sum can overflow.
+	if !whole && (off < 0 || length < 0 || off > r.size || length > r.size-off) {
+		return nil, fmt.Errorf("%w: [%d,+%d) of %s (size %d)", blob.ErrOutOfRange, off, length, r.key, r.size)
+	}
 	r.s.mu.Lock()
 	defer r.s.mu.Unlock()
 	data, live, err := r.s.e.read(r.key, r.tag, whole, off, length)

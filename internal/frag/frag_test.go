@@ -1,4 +1,4 @@
-package frag
+package frag_test
 
 import (
 	"context"
@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/disk"
 	"repro/internal/extent"
+	"repro/internal/frag"
 	"repro/internal/units"
 	"repro/internal/vclock"
 )
@@ -30,7 +31,7 @@ func TestCountRunFragments(t *testing.T) {
 		{[]extent.Run{{Start: 0, Len: 1}, {Start: 2, Len: 1}, {Start: 4, Len: 1}}, 3},
 	}
 	for i, c := range cases {
-		if got := CountRunFragments(c.runs); got != c.want {
+		if got := frag.CountRunFragments(c.runs); got != c.want {
 			t.Errorf("case %d: got %d, want %d", i, got, c.want)
 		}
 	}
@@ -50,7 +51,7 @@ func TestAnalyze(t *testing.T) {
 		"b": {{Start: 100, Len: 8}, {Start: 200, Len: 8}},
 		"c": {{Start: 300, Len: 4}, {Start: 400, Len: 4}, {Start: 500, Len: 8}},
 	}
-	rep := Analyze(src)
+	rep := frag.Analyze(src)
 	if rep.Objects != 3 || rep.TotalFragments != 6 || rep.MaxFragments != 3 {
 		t.Fatalf("report: %+v", rep)
 	}
@@ -72,7 +73,7 @@ func TestScanMarkers(t *testing.T) {
 	d.WriteRun(extent.Run{Start: 10, Len: 4}, 7, 0, nil)
 	d.WriteRun(extent.Run{Start: 50, Len: 4}, 7, 4, nil)
 	d.WriteRun(extent.Run{Start: 100, Len: 8}, 9, 0, nil)
-	got, err := ScanMarkers(d)
+	got, err := frag.ScanMarkers(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestScanMarkers(t *testing.T) {
 		t.Fatalf("scan: %v", got)
 	}
 	plain := disk.New(disk.DefaultGeometry(64*units.MB), vclock.New(), disk.MetadataMode)
-	if _, err := ScanMarkers(plain); err == nil {
+	if _, err := frag.ScanMarkers(plain); err == nil {
 		t.Fatal("scan of a drive built without WithOwnerMap succeeded")
 	}
 }
@@ -90,13 +91,13 @@ func TestScanDetectsLogicalReordering(t *testing.T) {
 	d := disk.New(disk.DefaultGeometry(64*units.MB), vclock.New(), disk.MetadataMode, disk.WithOwnerMap())
 	d.WriteRun(extent.Run{Start: 10, Len: 4}, 3, 4, nil) // second half first
 	d.WriteRun(extent.Run{Start: 14, Len: 4}, 3, 0, nil)
-	got, _ := ScanMarkers(d)
+	got, _ := frag.ScanMarkers(d)
 	if got[3] != 2 {
 		t.Fatalf("reordered object scanned as %d fragments, want 2", got[3])
 	}
 }
 
-var _ PackSource = (*core.FileStore)(nil)
+var _ frag.PackSource = (*core.FileStore)(nil)
 
 // TestCrossValidateAgainstEngines: the paper validated its marker tool
 // against the NTFS defragmenter's reports; we validate the scanner
@@ -130,7 +131,7 @@ func TestCrossValidateAgainstEngines(t *testing.T) {
 					}
 					checkAgree := func(when string) {
 						t.Helper()
-						bad, err := CrossValidate(drive, s)
+						bad, err := frag.CrossValidate(drive, s)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -238,7 +239,7 @@ func plantFault(t *testing.T, drive *disk.Drive, s blob.Store) {
 	}
 	drive.WriteRun(extent.Run{Start: at.Start + 1, Len: 1}, 1<<31, 0, nil)
 	want := []string{victim + ": "}
-	if ps, ok := s.(PackSource); ok {
+	if ps, ok := s.(frag.PackSource); ok {
 		tags := make(map[uint32]bool)
 		s.EachObjectTag(func(_ string, tag uint32) { tags[tag] = true })
 		var pack uint32
@@ -255,7 +256,7 @@ func plantFault(t *testing.T, drive *disk.Drive, s blob.Store) {
 		want = append(want, fmt.Sprintf("pack %d ", pack))
 		sort.Strings(want)
 	}
-	bad, err := CrossValidate(drive, s)
+	bad, err := frag.CrossValidate(drive, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +292,7 @@ func TestCrossValidateReportsUnlistedSharedTag(t *testing.T) {
 		fakeSource: fakeSource{"a": {{Start: 10, Len: 1}}, "b": {{Start: 11, Len: 1}}, "c": {{Start: 40, Len: 4}}},
 		tags:       map[string]uint32{"a": 5, "b": 5, "c": 6},
 	}
-	bad, err := CrossValidate(d, src)
+	bad, err := frag.CrossValidate(d, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,11 +308,11 @@ func TestRunLengthHistogram(t *testing.T) {
 		{Start: 30, Len: 8},  // bucket 3 (8-15)
 		{Start: 50, Len: 15}, // bucket 3
 	}
-	h := RunLengthHistogram(runs)
+	h := frag.RunLengthHistogram(runs)
 	if h[0] != 2 || h[1] != 1 || h[3] != 2 {
 		t.Fatalf("histogram: %v", h)
 	}
-	if len(RunLengthHistogram(nil)) != 0 {
+	if len(frag.RunLengthHistogram(nil)) != 0 {
 		t.Fatal("nil runs should give empty histogram")
 	}
 }

@@ -211,7 +211,7 @@ func TestBatchDefersAndCoalescesMetadataForces(t *testing.T) {
 	v.BeginBatch()
 	for i := 0; i < 3; i++ {
 		name := fmt.Sprintf("o%d", i)
-		f, err := v.Create(tempName(name))
+		f, err := v.Create(TempName(name))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,7 +221,7 @@ func TestBatchDefersAndCoalescesMetadataForces(t *testing.T) {
 		if err := f.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if err := v.Rename(tempName(name), name); err != nil {
+		if err := v.Rename(TempName(name), name); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -247,10 +247,10 @@ func TestBatchDefersAndCoalescesMetadataForces(t *testing.T) {
 	base2 := v2.Stats()
 	for i := 0; i < 3; i++ {
 		name := fmt.Sprintf("o%d", i)
-		f, _ := v2.Create(tempName(name))
+		f, _ := v2.Create(TempName(name))
 		_ = f.Append(256*units.KB, nil)
 		_ = f.Close()
-		_ = v2.Rename(tempName(name), name)
+		_ = v2.Rename(TempName(name), name)
 	}
 	unbatched := v2.Stats().MetaWrites - base2.MetaWrites
 	if forced >= unbatched {

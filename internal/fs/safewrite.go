@@ -2,6 +2,7 @@ package fs
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/blob"
 )
@@ -45,12 +46,23 @@ var ErrCrashed = blob.ErrCrashed
 const TempSuffix = ".tmp~"
 
 // TempName returns the temporary-file name a safe write of name uses.
-// Store layers above the volume use the same convention so crashed
-// streams are recovered uniformly.
 func TempName(name string) string { return name + TempSuffix }
 
-// tempName is the historical internal spelling.
-func tempName(name string) string { return TempName(name) }
+// IsTemp is the one rule for what a temp file is.
+func IsTemp(name string) bool { return strings.HasSuffix(name, TempSuffix) }
+
+// FileName maps an object key onto its file's name: a key ending in '~'
+// gets one more, so no key's file is a temp ("…p~") and no key's temp
+// is another key's file.
+func FileName(key string) string {
+	if strings.HasSuffix(key, "~") {
+		return key + "~"
+	}
+	return key
+}
+
+// KeyOf inverts FileName for a file that is not a temp.
+func KeyOf(name string) string { return strings.TrimSuffix(name, "~") }
 
 // SafeWriteOptions controls a safe write.
 type SafeWriteOptions struct {
@@ -76,7 +88,7 @@ func (v *Volume) SafeWrite(name string, size int64, data []byte, opts SafeWriteO
 	if data != nil && int64(len(data)) != size {
 		return fmt.Errorf("%w: data length %d != size %d", blob.ErrInvalidSize, len(data), size)
 	}
-	tmp := tempName(name)
+	tmp := TempName(name)
 	// A leftover temp from a previous crashed attempt is replaced.
 	if _, ok := v.files[tmp]; ok {
 		if err := v.Delete(tmp); err != nil {
@@ -138,7 +150,7 @@ func (v *Volume) SafeWrite(name string, size int64, data []byte, opts SafeWriteO
 func (v *Volume) Recover() int {
 	var orphans []string
 	for name := range v.files {
-		if len(name) > len(TempSuffix) && name[len(name)-len(TempSuffix):] == TempSuffix {
+		if IsTemp(name) {
 			orphans = append(orphans, name)
 		}
 	}

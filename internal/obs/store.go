@@ -14,7 +14,7 @@ import (
 // Registry and attaching layer spans to any OpTrace the context
 // carries. It is semantics-transparent: every call forwards to the
 // wrapped store unchanged (sentinels, version pinning, context
-// cancellation all pass through), and the conformance suite runs
+// cancellation all pass through), and the store contract runs
 // obs-wrapped to prove it.
 //
 // Because the wrapper composes anywhere in the chain, the same logical

@@ -16,8 +16,8 @@
 // reports an object's version (blob.Info.Version) and a GET or HEAD
 // that names one is served only while it is live, so a remote reader
 // stays pinned to the version it opened, and a remote writer is one PUT
-// at Commit (see internal/client, where the cross-backend conformance
-// suite passes end-to-end over a live listener). A remote reader costs
+// at Commit (the store contract passes end-to-end over a live
+// listener: internal/stack's client rows). A remote reader costs
 // the store what a local one does: its opening HEAD pays for an Open,
 // and each pinned read re-opens under blob.Resume and pays only for the
 // read.

@@ -27,7 +27,8 @@ func (s *Store) CompactObject(ctx context.Context, key string) (int64, error) {
 
 // PackObjects splits the keys by owning shard and forwards each group,
 // so members of one pack always share a child volume. Children without
-// the pack capability are skipped; the packed keys are concatenated.
+// the pack capability, or whose wrapper reports errors.ErrUnsupported,
+// are skipped; the packed keys are concatenated.
 func (s *Store) PackObjects(ctx context.Context, keys []string) ([]string, error) {
 	groups := make(map[int][]string)
 	for _, k := range keys {
@@ -42,7 +43,7 @@ func (s *Store) PackObjects(ctx context.Context, keys []string) ([]string, error
 		}
 		p, err := pk.PackObjects(ctx, group)
 		packed = append(packed, p...)
-		if err != nil {
+		if err != nil && !errors.Is(err, errors.ErrUnsupported) {
 			return packed, err
 		}
 	}

@@ -1,17 +1,25 @@
 package stack_test
 
 import (
+	"context"
 	"errors"
+	"fmt"
+	"math/rand/v2"
+	"net"
+	"net/http"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/blob"
 	"repro/internal/blob/conformance"
 	"repro/internal/cache"
+	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/disk"
 	"repro/internal/leakcheck"
 	"repro/internal/obs"
+	"repro/internal/server"
 	"repro/internal/shard"
 	"repro/internal/stack"
 	"repro/internal/units"
@@ -19,28 +27,55 @@ import (
 )
 
 // TestMain fails the package if a test leaves a goroutine running; a
-// built stack starts none.
+// built stack starts none, and every served row's server and client
+// are shut down by the test that built them.
 func TestMain(m *testing.M) { leakcheck.Main(m) }
 
-// TestConformanceMatrix runs the blob.Store contract suite over every
-// shape Build composes: each base fleet with and without group commit,
-// a read cache (smaller than the suite's working sets, so evictions
-// happen) and an obs layer recording into a registry. The suite's own
-// per-test options (capacity, disk mode) ride in Spec.Options.
-func TestConformanceMatrix(t *testing.T) {
-	bases := []stack.Spec{
-		{Backends: []string{stack.File}},
-		{Backends: []string{stack.DB}},
-		{Backends: []string{stack.File}, Shards: 4},
-		{Backends: []string{stack.File, stack.DB, stack.File, stack.DB}, Shards: 4},
+// row is one stack shape the store contract is pinned over: a Spec, and
+// what goes on top of the built stack — nothing, an obs layer, or the
+// network hop.
+type row struct {
+	name string
+	spec stack.Spec
+	top  func(t *testing.T, s blob.Store) blob.Store
+}
+
+// factory builds row r's stacks for one test; the contract's options
+// (capacity, disk mode) ride in Spec.Options ahead of the row's own.
+func (r row) factory(t *testing.T) conformance.Factory {
+	return func(opts ...blob.Option) blob.Store {
+		spec := r.spec
+		spec.Options = append(append([]blob.Option(nil), opts...), r.spec.Options...)
+		s, err := stack.Build(vclock.New(), spec)
+		if err != nil {
+			panic(err)
+		}
+		if r.top != nil {
+			s = r.top(t, s)
+		}
+		return s
 	}
-	for _, base := range bases {
-		// Bit 0 adds group commit, bit 1 the cache, bit 2 the obs layer:
-		// every layer is seen alone, absent, and with the other two.
+}
+
+// rows is every stack the contract runs over, each once.
+func rows() []row {
+	var out []row
+	add := func(spec stack.Spec, suffix string, top func(*testing.T, blob.Store) blob.Store) {
+		out = append(out, row{spec.String() + suffix, spec, top})
+	}
+	file, db, mixed4 := []string{stack.File}, []string{stack.DB}, []string{stack.File, stack.DB, stack.File, stack.DB}
+	gc := func(s stack.Spec) stack.Spec {
+		s.GroupCommitBatch, s.GroupCommitDelay = 8, 200*time.Microsecond
+		return s
+	}
+	// Each base fleet with every layer Build adds seen alone, absent and
+	// with the other two: bit 0 is group commit, bit 1 a cache smaller
+	// than the working sets, bit 2 an obs layer per volume.
+	for _, base := range []stack.Spec{{Backends: file}, {Backends: db}, {Backends: file, Shards: 4}, {Backends: mixed4, Shards: 4}} {
 		for _, layers := range []int{0, 1, 2, 4, 7} {
 			spec := base
 			if layers&1 != 0 {
-				spec.GroupCommitBatch, spec.GroupCommitDelay = 8, 200*time.Microsecond
+				spec = gc(spec)
 			}
 			if layers&2 != 0 {
 				spec.CacheBytes = 8 * units.MB
@@ -48,20 +83,104 @@ func TestConformanceMatrix(t *testing.T) {
 			if layers&4 != 0 {
 				spec.ObsLayer, spec.Registry = "store", obs.NewRegistry()
 			}
-			t.Run(spec.String(), func(t *testing.T) {
-				t.Parallel()
-				conformance.Run(t, func(opts ...blob.Option) blob.Store {
-					spec := spec
-					spec.Options = opts
-					s, err := stack.Build(vclock.New(), spec)
-					if err != nil {
-						panic(err)
-					}
-					return s
-				})
-			})
+			add(spec, "", nil)
 		}
 	}
+	// Fleets of one and of sixteen; a mixed fleet of one is a file one.
+	mixed16 := slices.Repeat([]string{stack.File, stack.DB}, 8)
+	for _, fleet := range []stack.Spec{{Backends: file, Shards: 1}, {Backends: db, Shards: 1},
+		{Backends: file, Shards: 16}, {Backends: db, Shards: 16}, {Backends: mixed16, Shards: 16}} {
+		add(fleet, "", nil)
+	}
+	// Cache budgets from one small object to more than the store holds.
+	for _, budget := range []int64{64 * units.KB, 2 * units.MB, units.GB} {
+		add(stack.Spec{Backends: file, CacheBytes: budget}, "", nil)
+	}
+	// An obs layer above the shard fan-out, the one place Build puts
+	// none: recording, disabled, and watching a group-commit pipeline;
+	// then one above a volume that has its own.
+	fleet := stack.Spec{Backends: mixed4, Shards: 4}
+	wrap := func(reg *obs.Registry) func(*testing.T, blob.Store) blob.Store {
+		return func(_ *testing.T, s blob.Store) blob.Store { return obs.Wrap(s, "store", reg) }
+	}
+	add(fleet, "|obs-top", wrap(obs.NewRegistry()))
+	add(fleet, "|obs-top:nil", wrap(nil))
+	reg := obs.NewRegistry()
+	observed := gc(fleet)
+	observed.Options = []blob.Option{blob.WithCommitObserver(obs.NewCommitObserver(reg, "store"))}
+	add(observed, "|obs-top:observer", wrap(reg))
+	reg = obs.NewRegistry()
+	add(stack.Spec{Backends: file, ObsLayer: "disk", Registry: reg}, "|obs-top", wrap(reg))
+	// The network hop: a client of fragserve's front door on loopback.
+	for _, spec := range []stack.Spec{{Backends: file}, {Backends: db}, {Backends: mixed4, Shards: 4}} {
+		add(spec, "|client", served)
+	}
+	return out
+}
+
+// served serves s through server.Serve on a loopback listener and
+// returns a client of it; t's cleanup closes both.
+func served(t *testing.T, s blob.Store) blob.Store {
+	srv, err := server.New(s, server.Config{})
+	if err != nil {
+		panic(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		panic(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(ln) }()
+	c, err := client.Dial("http://" + ln.Addr().String())
+	if err != nil {
+		panic(err)
+	}
+	t.Cleanup(func() {
+		c.Close()
+		srv.Shutdown(context.Background())
+		if err := <-done; !errors.Is(err, http.ErrServerClosed) {
+			t.Errorf("Serve = %v", err)
+		}
+	})
+	return c
+}
+
+// TestConformanceMatrix runs the contract cases the model cannot
+// express — contexts, deadlines, concurrency, handles across stores,
+// the cost of a ranged read — over every row.
+func TestConformanceMatrix(t *testing.T) {
+	for _, r := range rows() {
+		t.Run(r.name, func(t *testing.T) {
+			t.Parallel()
+			conformance.Run(t, r.factory(t))
+		})
+	}
+}
+
+// TestStoreOps runs the same seeded op sequences on every row, each
+// checked against conformance.Model.
+func TestStoreOps(t *testing.T) {
+	const sequences = 200
+	for _, r := range rows() {
+		t.Run(r.name, func(t *testing.T) {
+			t.Parallel()
+			for seed := range uint64(sequences) {
+				ops := randomOps(seed)
+				t.Run(fmt.Sprint(seed), func(t *testing.T) { conformance.RunOps(t, r.factory(t), ops) })
+			}
+		})
+	}
+}
+
+// FuzzStoreOps runs each input on every row. Its seed corpus holds one
+// sequence for each hand-written case the model replaced.
+func FuzzStoreOps(f *testing.F) {
+	rs := rows()
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		for _, r := range rs {
+			t.Run(r.name, func(t *testing.T) { conformance.RunOps(t, r.factory(t), ops) })
+		}
+	})
 }
 
 func TestSpecString(t *testing.T) {
@@ -159,4 +278,48 @@ func TestBuildRejectsBadSpecs(t *testing.T) {
 	if _, err := stack.Build(vclock.New(), ok); err != nil {
 		t.Fatalf("the unbroken spec must build: %v", err)
 	}
+}
+
+// randomOps draws a sequence for conformance.RunOps from seed, in the
+// encoding RunOps documents. Uniform bytes seldom finish a write, so it
+// draws scripts: a write to a slot that mostly appends the rest of its
+// stream, commits and releases the slot; a read that mostly opens the
+// key written last; or a single op, such as a read through a slot
+// opened long ago.
+func randomOps(seed uint64) []byte {
+	rng := rand.New(rand.NewPCG(seed, 0))
+	any := func() byte { return byte(rng.Uint32()) }
+	pick := func(b ...byte) byte { return b[rng.IntN(len(b))] }
+	var out []byte
+	var key byte
+	for range conformance.MaxOps {
+		slot := any()
+		switch p := rng.IntN(100); {
+		case p < 45: // a write: rest, or half then rest, data or nil; or a bad append
+			key = any()
+			out = append(out, any()%2, key, any(), slot)
+			mode := pick(0, 4)
+			for _, kind := range [][]byte{{0}, {0}, {1, 0}, {1, 4}, {2}, {3}, {8}, {0, 4}}[rng.IntN(8)] {
+				out = append(out, 2, slot, kind^mode)
+			}
+			out = append(out, pick(3, 3, 3, 4, 5), slot, pick(4, 4, 6), slot)
+		case p < 70: // a read: Open, then ReadAll or ReadAt, then maybe Close
+			out = append(out, 7, pick(key, key, any()), slot)
+			for range 1 + rng.IntN(3) {
+				out = append(out, pick(8, 9, 9), slot, any(), any())
+			}
+			out = append(out, pick(10, 6), slot)
+		case p < 78: // a later read through any slot, often of a dead version
+			out = append(out, pick(8, 9, 9), any(), any(), any())
+		case p < 85:
+			out = append(out, 5, pick(key, any())) // Delete
+		case p < 92:
+			out = append(out, 6, any()) // Stat
+		case p < 96: // an oversized write or a CompactObject
+			out = append(out, 11+any()%2, any())
+		default: // PackObjects, a compactor pass or Recover
+			out = append(out, 13+any()%3)
+		}
+	}
+	return out
 }
