@@ -22,7 +22,9 @@
 // requests, so there is nothing to reap or release: the process runs
 // until SIGINT/SIGTERM, then Server.Shutdown closes the listener and the
 // idle connections, lets in-flight requests finish, and the exit code is
-// 0. /metrics and /report expose wall-clock latency live.
+// 0. The binary sets no server.Config.Registry, so nothing records
+// latency: /metrics answers with an empty "live" phase and /report with
+// a run report whose "serve" experiment holds no phase.
 //
 // -pprof ADDR serves net/http/pprof on a listener of its own (off by
 // default), so the shipped binary can be profiled as it runs:

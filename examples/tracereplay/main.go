@@ -2,9 +2,14 @@
 // disk in the v2 trace format, then replay the SAME log two ways — as
 // one sequential stream (k=1, reproducing the recorded layout exactly)
 // and as 8 concurrent writer streams through the shared
-// workload.Executor — and print what interleaving alone does to
-// fragmentation. This is the §6 measurement driven by a recorded log
+// workload.Executor. This is the §6 measurement driven by a recorded log
 // instead of synthetic churn.
+//
+// The example prints only what its seed fixes, so its test can pin the
+// output. The k=8 layout is not among it: which stream appends next is
+// up to the Go scheduler, and the k=8 fragments/object land above the
+// k=1 figure on some runs and below it on others (README, "Operation
+// streams").
 //
 // Run with:
 //
@@ -56,7 +61,12 @@ func main() {
 
 	// 2. Persist: the log round-trips through the line-oriented trace
 	// format — the artifact you would ship from a production system.
-	path := filepath.Join(os.TempDir(), "tracereplay-example.trace")
+	dir, err := os.MkdirTemp("", "tracereplay")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	path := filepath.Join(dir, "churn.trace")
 	f, err := os.Create(path)
 	if err != nil {
 		log.Fatal(err)
@@ -67,8 +77,11 @@ func main() {
 	if err := f.Close(); err != nil {
 		log.Fatal(err)
 	}
-	fi, _ := os.Stat(path)
-	fmt.Printf("wrote %s (%s)\n\n", path, units.FormatBytes(fi.Size()))
+	fi, err := os.Stat(path)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("wrote the log (%s)\n\n", units.FormatBytes(fi.Size()))
 
 	// 3. Replay sequentially, STREAMING the log from disk — the Source
 	// never materializes it. One stream preserves the recorded
@@ -84,23 +97,16 @@ func main() {
 		log.Fatal(err)
 	}
 	soloFrags := frag.Analyze(solo).MeanFragments()
-	fmt.Printf("replay k=1: %d ops, %.2f MB/s write, %.2f frags/obj (recorded run had %.2f)\n",
-		res.Ops, res.WriteMBps, soloFrags, originFrags)
+	fmt.Printf("replay k=1: %d ops, %.2f frags/obj (recorded run had %.2f)\n",
+		res.Ops, soloFrags, originFrags)
 
 	// 4. Replay the SAME log as 8 concurrent writer streams: Partition
 	// routes each key's ops to one stream (per-key order survives), the
 	// Executor interleaves the streams' appends in allocation order.
-	inter := newStore()
-	res, err = trace.Replay(ctx, inter, trace.OpsSources(trace.Partition(ops, 8)...)...)
+	res, err = trace.Replay(ctx, newStore(), trace.OpsSources(trace.Partition(ops, 8)...)...)
 	if err != nil {
 		log.Fatal(err)
 	}
-	interFrags := frag.Analyze(inter).MeanFragments()
-	fmt.Printf("replay k=8: %d ops, %.2f MB/s write, %.2f frags/obj\n\n",
-		res.Ops, res.WriteMBps, interFrags)
-
-	fmt.Printf("interleaving delta on the same log: %+.2f frags/obj (%+.0f%%)\n",
-		interFrags-soloFrags, 100*(interFrags-soloFrags)/soloFrags)
+	fmt.Printf("replay k=8: %d ops\n", res.Ops)
 	fmt.Println("\nrun `go run ./cmd/fragbench -streams 1,4,16 tracereplay` for the full sweep")
-	_ = os.Remove(path)
 }

@@ -77,11 +77,11 @@ func NewFileStore(clock *vclock.Clock, options ...blob.Option) (*FileStore, erro
 }
 
 // ArmCommitCrash makes key's next Commit crash after its data is
-// written and forced but before the atomic rename — the safe-write
-// protocol's CrashAfterWrite point — returning an error wrapping
-// blob.ErrCrashed and leaving the temp file and writer claim behind,
-// as a process death would. Call Recover afterwards, as a restarted
-// application would. Intended for crash-recovery drills and tests.
+// written and forced but before the atomic rename, returning an error
+// wrapping blob.ErrCrashed and leaving the temp file and writer claim
+// behind, as a process death would. Call Recover afterwards, as a
+// restarted application would. Intended for crash-recovery drills and
+// tests.
 func (s *FileStore) ArmCommitCrash(key string) {
 	s.mu.Lock()
 	s.crashes[key] = true
@@ -145,11 +145,8 @@ func (s *FileStore) PackObjects(ctx context.Context, keys []string) ([]string, e
 				eligible = append(eligible, f.Name())
 			}
 		}
-		var opts fs.PackOptions
-		if s.packCrash {
-			s.packCrash = false
-			opts.Crash = fs.CrashAfterWrite
-		}
+		opts := fs.PackOptions{Crash: s.packCrash}
+		s.packCrash = false
 		rep, err := s.vol.PackFiles(eligible, opts)
 		if err != nil {
 			return err
@@ -282,8 +279,8 @@ func (s *FileStore) publish(w *writer) (int64, error) {
 		return 0, err
 	}
 	if s.crashes[w.key] {
-		// Armed simulated crash at the CrashAfterWrite protocol point:
-		// data forced, rename never happens. The temp file and writer
+		// Armed simulated crash between write and rename: data
+		// forced, rename never happens. The temp file and writer
 		// claim stay behind for Recover to sweep, exactly as if the
 		// process had died here.
 		delete(s.crashes, w.key)

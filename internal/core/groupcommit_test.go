@@ -228,7 +228,7 @@ func TestGroupCommitErrorFansBackToOwner(t *testing.T) {
 
 // TestCrashMidBatchRecovery is the concurrent-stream crash drill: 8
 // streams replace their objects through the group-commit pipeline, one
-// stream crashes at the safe-write CrashAfterWrite point mid-batch, and
+// stream crashes between its safe write's write and rename mid-batch, and
 // after Recover the crashed key still serves its OLD bytes while every
 // other stream's NEW version survives — the safe-write durability
 // contract under batching.

@@ -15,24 +15,19 @@ func benchVolume(capacity int64) *Volume {
 	return Format(d, Config{})
 }
 
-// BenchmarkSafeWriteChurn measures the full safe-write protocol under
-// steady replacement churn.
+// BenchmarkSafeWriteChurn measures the volume's steps of a safe write
+// (replaceFile) under steady replacement churn.
 func BenchmarkSafeWriteChurn(b *testing.B) {
 	v := benchVolume(1 * units.GB)
 	const n = 100
-	opts := SafeWriteOptions{WriteRequestSize: 64 * units.KB}
 	for i := 0; i < n; i++ {
-		if err := v.SafeWrite(fmt.Sprintf("o%d", i), 1*units.MB, nil, opts); err != nil {
-			b.Fatal(err)
-		}
+		replaceFile(b, v, fmt.Sprintf("o%d", i), 1*units.MB)
 	}
 	rng := rand.New(rand.NewSource(1))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := v.SafeWrite(fmt.Sprintf("o%d", rng.Intn(n)), 1*units.MB, nil, opts); err != nil {
-			b.Fatal(err)
-		}
+		replaceFile(b, v, fmt.Sprintf("o%d", rng.Intn(n)), 1*units.MB)
 	}
 }
 
@@ -57,13 +52,12 @@ func BenchmarkAppend64K(b *testing.B) {
 func BenchmarkReadAllAged(b *testing.B) {
 	v := benchVolume(1 * units.GB)
 	const n = 100
-	opts := SafeWriteOptions{WriteRequestSize: 64 * units.KB}
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < n; i++ {
-		v.SafeWrite(fmt.Sprintf("o%d", i), 1*units.MB, nil, opts)
+		replaceFile(b, v, fmt.Sprintf("o%d", i), 1*units.MB)
 	}
 	for i := 0; i < 4*n; i++ {
-		v.SafeWrite(fmt.Sprintf("o%d", rng.Intn(n)), 1*units.MB, nil, opts)
+		replaceFile(b, v, fmt.Sprintf("o%d", rng.Intn(n)), 1*units.MB)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -384,15 +384,6 @@ func (v *Volume) Rename(oldName, newName string) error {
 	return nil
 }
 
-// Names returns all live file names in arbitrary order.
-func (v *Volume) Names() []string {
-	out := make([]string, 0, len(v.files))
-	for n := range v.files {
-		out = append(out, n)
-	}
-	return out
-}
-
 // EachFile calls fn for every live file.
 func (v *Volume) EachFile(fn func(*File)) {
 	for _, f := range v.files {

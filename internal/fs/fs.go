@@ -10,7 +10,9 @@
 //   - aggressive contiguous extension when sequential appends are
 //     detected (§5.4);
 //   - freed space quarantined until the transactional log commits (§2);
-//   - safe writes: write temp file, force, atomically replace (§4);
+//   - the steps of a safe write — a temp file forced on Close, then an
+//     atomic Rename over the old version (§4) — which core.FileStore
+//     runs, and Recover's sweep of the temps a crash leaves;
 //   - an MFT-style metadata zone, so opens and creates move the head;
 //   - optional delayed allocation and size hints — the interface changes
 //     the paper proposes (§5.4, §6) — plus an online defragmenter like

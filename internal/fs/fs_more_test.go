@@ -139,7 +139,7 @@ func TestMetadataZoneNotUsedForData(t *testing.T) {
 
 func TestRecoverFlushesLog(t *testing.T) {
 	v := newVolume(64*units.MB, disk.MetadataMode)
-	v.SafeWrite("a", 1*units.MB, nil, SafeWriteOptions{})
+	replaceFile(t, v, "a", 1*units.MB)
 	free := v.FreeBytes()
 	v.Delete("a")
 	if v.FreeBytes() != free {
@@ -155,16 +155,6 @@ func TestVolumeStringer(t *testing.T) {
 	v := newVolume(64*units.MB, disk.MetadataMode)
 	if s := v.String(); s == "" {
 		t.Fatal("empty String()")
-	}
-}
-
-func TestSafeWriteZeroSizeRejected(t *testing.T) {
-	v := newVolume(64*units.MB, disk.MetadataMode)
-	if err := v.SafeWrite("a", 0, nil, SafeWriteOptions{}); err == nil {
-		t.Fatal("zero-size safe write succeeded")
-	}
-	if err := v.SafeWrite("a", 100, []byte{1, 2}, SafeWriteOptions{}); err == nil {
-		t.Fatal("mismatched data length accepted")
 	}
 }
 

@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/blob"
 	"repro/internal/disk"
@@ -25,6 +23,25 @@ func fillBytes(n int64, seed byte) []byte {
 		b[i] = byte(int(seed) + i%97)
 	}
 	return b
+}
+
+// replaceFile writes size bytes to name the way core.FileStore does: a
+// temp file appended in 64 KB requests, closed, renamed over name.
+func replaceFile(tb testing.TB, v *Volume, name string, size int64) {
+	tb.Helper()
+	f, err := v.Create(TempName(name))
+	for off := int64(0); err == nil && off < size; off += 64 * units.KB {
+		err = f.Append(min(64*units.KB, size-off), nil)
+	}
+	if err == nil {
+		err = f.Close()
+	}
+	if err == nil {
+		err = v.Rename(TempName(name), name)
+	}
+	if err != nil {
+		tb.Fatal(err)
+	}
 }
 
 func TestCreateAppendRead(t *testing.T) {
@@ -180,83 +197,6 @@ func TestRenameReplacesTarget(t *testing.T) {
 	}
 	if _, err := v.Open("b"); !errors.Is(err, ErrNotExist) {
 		t.Fatal("old name still present")
-	}
-}
-
-func TestSafeWriteBasic(t *testing.T) {
-	v := newVolume(64*units.MB, disk.DataMode)
-	data1 := fillBytes(256*units.KB, 1)
-	if err := v.SafeWrite("obj", int64(len(data1)), data1, SafeWriteOptions{WriteRequestSize: 64 * units.KB}); err != nil {
-		t.Fatal(err)
-	}
-	data2 := fillBytes(256*units.KB, 2)
-	if err := v.SafeWrite("obj", int64(len(data2)), data2, SafeWriteOptions{WriteRequestSize: 64 * units.KB}); err != nil {
-		t.Fatal(err)
-	}
-	f, err := v.Open("obj")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := f.ReadAll(); !bytes.Equal(got, data2) {
-		t.Fatal("safe write did not replace contents")
-	}
-	if v.FileCount() != 1 {
-		t.Fatalf("FileCount = %d, want 1 (no temp leak)", v.FileCount())
-	}
-}
-
-func TestSafeWriteCrashPreservesOldVersion(t *testing.T) {
-	for _, cp := range []CrashPoint{CrashAfterCreate, CrashAfterWrite} {
-		v := newVolume(64*units.MB, disk.DataMode)
-		old := fillBytes(128*units.KB, 9)
-		if err := v.SafeWrite("obj", int64(len(old)), old, SafeWriteOptions{}); err != nil {
-			t.Fatal(err)
-		}
-		newData := fillBytes(128*units.KB, 10)
-		err := v.SafeWrite("obj", int64(len(newData)), newData, SafeWriteOptions{Crash: cp})
-		if !errors.Is(err, ErrCrashed) {
-			t.Fatalf("crash point %d: err = %v", cp, err)
-		}
-		v.Recover()
-		f, err := v.Open("obj")
-		if err != nil {
-			t.Fatalf("crash point %d: old version lost: %v", cp, err)
-		}
-		if got := f.ReadAll(); !bytes.Equal(got, old) {
-			t.Fatalf("crash point %d: old contents corrupted", cp)
-		}
-		if v.FileCount() != 1 {
-			t.Fatalf("crash point %d: temp file leaked", cp)
-		}
-	}
-}
-
-func TestSafeWriteCrashAfterRenameKeepsNewVersion(t *testing.T) {
-	v := newVolume(64*units.MB, disk.DataMode)
-	old := fillBytes(64*units.KB, 1)
-	v.SafeWrite("obj", int64(len(old)), old, SafeWriteOptions{})
-	newData := fillBytes(64*units.KB, 2)
-	err := v.SafeWrite("obj", int64(len(newData)), newData, SafeWriteOptions{Crash: CrashAfterRename})
-	if !errors.Is(err, ErrCrashed) {
-		t.Fatal(err)
-	}
-	v.Recover()
-	f, _ := v.Open("obj")
-	if got := f.ReadAll(); !bytes.Equal(got, newData) {
-		t.Fatal("new version lost after its commit point")
-	}
-}
-
-func TestSafeWriteRetryAfterCrash(t *testing.T) {
-	v := newVolume(64*units.MB, disk.MetadataMode)
-	v.SafeWrite("obj", 64*units.KB, nil, SafeWriteOptions{})
-	// Crash leaves a temp file; a retry without Recover must still work.
-	v.SafeWrite("obj", 64*units.KB, nil, SafeWriteOptions{Crash: CrashAfterWrite})
-	if err := v.SafeWrite("obj", 64*units.KB, nil, SafeWriteOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if v.FileCount() != 1 {
-		t.Fatalf("FileCount = %d", v.FileCount())
 	}
 }
 
@@ -422,7 +362,7 @@ func TestOutOfSpace(t *testing.T) {
 func TestSafeWriteChargesTime(t *testing.T) {
 	v := newVolume(64*units.MB, disk.MetadataMode)
 	before := v.Drive().Clock().Now()
-	v.SafeWrite("obj", 1*units.MB, nil, SafeWriteOptions{WriteRequestSize: 64 * units.KB})
+	replaceFile(t, v, "obj", 1*units.MB)
 	if v.Drive().Clock().Now() == before {
 		t.Fatal("safe write advanced no virtual time")
 	}
@@ -430,55 +370,11 @@ func TestSafeWriteChargesTime(t *testing.T) {
 
 func TestStatsCounters(t *testing.T) {
 	v := newVolume(64*units.MB, disk.MetadataMode)
-	v.SafeWrite("a", 64*units.KB, nil, SafeWriteOptions{})
+	replaceFile(t, v, "a", 64*units.KB)
 	v.Open("a")
 	v.Delete("a")
 	s := v.Stats()
 	if s.Creates == 0 || s.Opens == 0 || s.Deletes == 0 {
 		t.Fatalf("counters not recorded: %+v", s)
-	}
-}
-
-// Property: random safe writes and deletes never corrupt contents and
-// never lose clusters.
-func TestQuickSafeWriteIntegrity(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		v := newVolume(32*units.MB, disk.DataMode)
-		contents := map[string][]byte{}
-		for op := 0; op < 60; op++ {
-			name := fmt.Sprintf("o%d", rng.Intn(8))
-			switch rng.Intn(3) {
-			case 0, 1:
-				size := int64(rng.Intn(4)+1) * 32 * units.KB
-				data := make([]byte, size)
-				rng.Read(data)
-				err := v.SafeWrite(name, size, data, SafeWriteOptions{WriteRequestSize: 64 * units.KB})
-				if err != nil {
-					return false
-				}
-				contents[name] = data
-			case 2:
-				if _, ok := contents[name]; ok {
-					if v.Delete(name) != nil {
-						return false
-					}
-					delete(contents, name)
-				}
-			}
-		}
-		for name, want := range contents {
-			f, err := v.Open(name)
-			if err != nil {
-				return false
-			}
-			if !bytes.Equal(f.ReadAll(), want) {
-				return false
-			}
-		}
-		return v.FileCount() == len(contents)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
 	}
 }

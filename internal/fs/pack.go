@@ -52,7 +52,7 @@ type PackOptions struct {
 	// Crash injects a failure after the pack's data and index are
 	// written but before any member is switched over — the torn-rewrite
 	// window Recover must clean up.
-	Crash CrashPoint
+	Crash bool
 }
 
 // PackReport summarises one PackFiles call.
@@ -142,7 +142,7 @@ func (v *Volume) PackFiles(names []string, opts PackOptions) (PackReport, error)
 	rep.IndexClusters = indexClusters
 	rep.Fragments = len(p.runs)
 
-	if opts.Crash == CrashAfterWrite {
+	if opts.Crash {
 		// The pack hit disk but no member points at it: an orphan pack,
 		// swept by Recover exactly like an orphan temp file.
 		v.orphanPacks = append(v.orphanPacks, p)

@@ -176,7 +176,7 @@ func TestPackCrashRecovery(t *testing.T) {
 	v.FlushLog()
 	free := v.FreeBytes()
 
-	_, err := v.PackFiles(names, PackOptions{Crash: CrashAfterWrite})
+	_, err := v.PackFiles(names, PackOptions{Crash: true})
 	if !errors.Is(err, ErrCrashed) {
 		t.Fatalf("crash-armed pack err = %v, want ErrCrashed", err)
 	}

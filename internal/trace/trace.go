@@ -42,39 +42,11 @@ import (
 	"repro/internal/workload"
 )
 
-// Kind enumerates trace event types.
-type Kind int
-
-const (
-	// Put creates a new object.
-	Put Kind = iota
-	// Replace safe-writes an existing (or new) object.
-	Replace
-	// Delete removes an object.
-	Delete
-	// Get reads a whole object.
-	Get
-	// GetRange reads the byte range [Off, Off+Len) of an object — what
-	// the cache layer's ranged reads actually issue.
-	GetRange
-)
-
-var kindNames = [...]string{"put", "replace", "delete", "get", "getrange"}
-
-func (k Kind) String() string {
-	if int(k) < len(kindNames) {
-		return kindNames[k]
-	}
-	return fmt.Sprintf("Kind(%d)", int(k))
-}
-
-// Op is one trace event.
+// Op is one trace event: the executor's typed op plus the v2 stream
+// tag. A whole-object read (Len 0) is a "get" line, a ranged read a
+// "getrange"; creates are "put" lines.
 type Op struct {
-	Kind Kind
-	Key  string
-	Size int64 // bytes; meaningful for Put and Replace
-	// Off and Len bound a GetRange read.
-	Off, Len int64
+	workload.Op
 	// Stream tags the op with the writer stream that issued it (the v2
 	// trace format's optional trailing column). 0 means untagged.
 	Stream int
@@ -83,13 +55,17 @@ type Op struct {
 // Format renders the op in trace format.
 func (o Op) Format() string {
 	var s string
-	switch o.Kind {
-	case Put, Replace:
-		s = fmt.Sprintf("%s %s %d", o.Kind, o.Key, o.Size)
-	case GetRange:
-		s = fmt.Sprintf("%s %s %d %d", o.Kind, o.Key, o.Off, o.Len)
+	switch {
+	case o.Kind == workload.OpCreate:
+		s = fmt.Sprintf("put %s %d", o.Key, o.Size)
+	case o.Kind == workload.OpReplace:
+		s = fmt.Sprintf("replace %s %d", o.Key, o.Size)
+	case o.Kind == workload.OpDelete:
+		s = "delete " + o.Key
+	case o.Len > 0:
+		s = fmt.Sprintf("getrange %s %d %d", o.Key, o.Off, o.Len)
 	default:
-		s = fmt.Sprintf("%s %s", o.Kind, o.Key)
+		s = "get " + o.Key
 	}
 	if o.Stream > 0 {
 		s += " " + strconv.Itoa(o.Stream)
@@ -97,23 +73,7 @@ func (o Op) Format() string {
 	return s
 }
 
-// workloadOp converts the trace event into the executor's typed op.
-func (o Op) workloadOp() workload.Op {
-	switch o.Kind {
-	case Put:
-		return workload.Op{Kind: workload.OpCreate, Key: o.Key, Size: o.Size}
-	case Replace:
-		return workload.Op{Kind: workload.OpReplace, Key: o.Key, Size: o.Size}
-	case Delete:
-		return workload.Op{Kind: workload.OpDelete, Key: o.Key}
-	case GetRange:
-		return workload.Op{Kind: workload.OpRead, Key: o.Key, Off: o.Off, Len: o.Len}
-	default:
-		return workload.Op{Kind: workload.OpRead, Key: o.Key}
-	}
-}
-
-// parseStream interprets the optional trailing stream column: fields
+// parseStream interprets the optional trailing stream column: rest
 // holds the tokens after an op's fixed arguments (none or one).
 func parseStream(line string, rest []string) (int, error) {
 	switch len(rest) {
@@ -149,22 +109,18 @@ func ParseOp(line string) (Op, bool, error) {
 		if err != nil || size <= 0 {
 			return Op{}, false, fmt.Errorf("trace: bad size in %q", line)
 		}
-		op = Op{Key: fields[1], Size: size}
-		if fields[0] == "put" {
-			op.Kind = Put
-		} else {
-			op.Kind = Replace
+		op.Kind, op.Key, op.Size = workload.OpCreate, fields[1], size
+		if fields[0] == "replace" {
+			op.Kind = workload.OpReplace
 		}
 		rest = fields[3:]
 	case "delete", "get":
 		if len(fields) < 2 {
 			return Op{}, false, fmt.Errorf("trace: %q needs a key", line)
 		}
-		op = Op{Key: fields[1]}
+		op.Kind, op.Key = workload.OpRead, fields[1]
 		if fields[0] == "delete" {
-			op.Kind = Delete
-		} else {
-			op.Kind = Get
+			op.Kind = workload.OpDelete
 		}
 		rest = fields[2:]
 	case "getrange":
@@ -179,7 +135,7 @@ func ParseOp(line string) (Op, bool, error) {
 		if err != nil || length <= 0 {
 			return Op{}, false, fmt.Errorf("trace: bad length in %q", line)
 		}
-		op = Op{Kind: GetRange, Key: fields[1], Off: off, Len: length}
+		op.Kind, op.Key, op.Off, op.Len = workload.OpRead, fields[1], off, length
 		rest = fields[4:]
 	default:
 		return Op{}, false, fmt.Errorf("trace: unknown op %q", fields[0])
@@ -203,24 +159,15 @@ func Write(w io.Writer, ops []Op) error {
 	return bw.Flush()
 }
 
-// Read parses a whole trace into memory. For logs too large to
-// materialize, stream them with NewSource instead.
+// Read parses a whole trace into memory by draining NewSource. For logs
+// too large to materialize, replay the Source instead.
 func Read(r io.Reader) ([]Op, error) {
+	src := NewSource(r)
 	var ops []Op
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024), 1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		op, ok, err := ParseOp(sc.Text())
-		if err != nil {
-			return nil, fmt.Errorf("line %d: %w", lineNo, err)
-		}
-		if ok {
-			ops = append(ops, op)
-		}
+	for op, ok := src.next(); ok; op, ok = src.next() {
+		ops = append(ops, op)
 	}
-	if err := sc.Err(); err != nil {
+	if err := src.Err(); err != nil {
 		return nil, err
 	}
 	return ops, nil
@@ -232,10 +179,9 @@ func Read(r io.Reader) ([]Op, error) {
 // whole log; parse and I/O failures end the stream and surface through
 // Err, like bufio.Scanner.
 type Source struct {
-	name string
-	next func() (Op, bool, error)
-	// keep emits only matching ops; nil keeps everything.
-	keep func(Op) bool
+	sc   *bufio.Scanner // nil for an in-memory source
+	line int            // lines scanned so far
+	ops  []Op           // what is left of an in-memory source
 	err  error
 }
 
@@ -243,24 +189,7 @@ type Source struct {
 func NewSource(r io.Reader) *Source {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024), 1024*1024)
-	lineNo := 0
-	return &Source{
-		name: "trace",
-		next: func() (Op, bool, error) {
-			for sc.Scan() {
-				lineNo++
-				op, ok, err := ParseOp(sc.Text())
-				if err != nil {
-					return Op{}, false, fmt.Errorf("line %d: %w", lineNo, err)
-				}
-				if !ok {
-					continue
-				}
-				return op, true, nil
-			}
-			return Op{}, false, sc.Err()
-		},
-	}
+	return &Source{sc: sc}
 }
 
 // OpsSources returns one in-memory Source per op slice: a whole log for
@@ -268,35 +197,40 @@ func NewSource(r io.Reader) *Source {
 // one.
 func OpsSources(streams ...[]Op) []*Source {
 	out := make([]*Source, len(streams))
-	for n, ops := range streams {
-		i := 0
-		out[n] = &Source{
-			name: "trace",
-			next: func() (Op, bool, error) {
-				if i >= len(ops) {
-					return Op{}, false, nil
-				}
-				op := ops[i]
-				i++
-				return op, true, nil
-			},
-		}
+	for i, ops := range streams {
+		out[i] = &Source{ops: ops}
 	}
 	return out
 }
 
-// OnlyStream restricts the source to ops tagged with the given stream
-// id (v2 traces), so k Sources over k readers of the same log replay a
-// multi-stream recording with its original partitioning in constant
-// memory. Returns the source for chaining.
-func (s *Source) OnlyStream(id int) *Source {
-	s.keep = func(op Op) bool { return op.Stream == id }
-	s.name = fmt.Sprintf("trace stream %d", id)
-	return s
+// next returns the source's next op; ok=false ends the stream, with
+// any failure left in s.err. It is the one loop that parses a trace.
+func (s *Source) next() (Op, bool) {
+	if s.sc == nil {
+		if len(s.ops) == 0 {
+			return Op{}, false
+		}
+		op := s.ops[0]
+		s.ops = s.ops[1:]
+		return op, true
+	}
+	for s.err == nil && s.sc.Scan() {
+		s.line++
+		op, ok, err := ParseOp(s.sc.Text())
+		if err != nil {
+			s.err = fmt.Errorf("line %d: %w", s.line, err)
+		} else if ok {
+			return op, true
+		}
+	}
+	if s.err == nil {
+		s.err = s.sc.Err()
+	}
+	return Op{}, false
 }
 
 // Name implements workload.Source.
-func (s *Source) Name() string { return s.name }
+func (s *Source) Name() string { return "trace" }
 
 // Err reports the parse or I/O failure that ended the stream, if any.
 func (s *Source) Err() error { return s.err }
@@ -304,23 +238,8 @@ func (s *Source) Err() error { return s.err }
 // Next implements workload.Source. Trace replay consumes no randomness:
 // the op sequence is the trace itself.
 func (s *Source) Next(*rand.Rand) (workload.Op, bool) {
-	if s.err != nil {
-		return workload.Op{}, false
-	}
-	for {
-		op, ok, err := s.next()
-		if err != nil {
-			s.err = err
-			return workload.Op{}, false
-		}
-		if !ok {
-			return workload.Op{}, false
-		}
-		if s.keep != nil && !s.keep(op) {
-			continue
-		}
-		return op.workloadOp(), true
-	}
+	op, ok := s.next()
+	return op.Op, ok
 }
 
 var _ workload.Source = (*Source)(nil)
@@ -406,7 +325,7 @@ func (r *Recorder) Create(ctx context.Context, key string, size int64) (blob.Wri
 	if err != nil {
 		return nil, err
 	}
-	return &recordingWriter{Writer: w, rec: r, op: Op{Kind: Put, Key: key, Size: size}}, nil
+	return &recordingWriter{Writer: w, rec: r, op: Op{Op: workload.Op{Kind: workload.OpCreate, Key: key, Size: size}}}, nil
 }
 
 // Replace implements blob.Store; the replace is recorded at commit.
@@ -415,7 +334,7 @@ func (r *Recorder) Replace(ctx context.Context, key string, size int64) (blob.Wr
 	if err != nil {
 		return nil, err
 	}
-	return &recordingWriter{Writer: w, rec: r, op: Op{Kind: Replace, Key: key, Size: size}}, nil
+	return &recordingWriter{Writer: w, rec: r, op: Op{Op: workload.Op{Kind: workload.OpReplace, Key: key, Size: size}}}, nil
 }
 
 // Delete implements blob.Store.
@@ -423,7 +342,7 @@ func (r *Recorder) Delete(ctx context.Context, key string) error {
 	if err := r.Store.Delete(ctx, key); err != nil {
 		return err
 	}
-	r.record(Op{Kind: Delete, Key: key})
+	r.record(Op{Op: workload.Op{Kind: workload.OpDelete, Key: key}})
 	return nil
 }
 
@@ -451,7 +370,7 @@ func (r *recordingReader) ReadAll() ([]byte, error) {
 	if err != nil {
 		return data, err
 	}
-	r.rec.record(Op{Kind: Get, Key: r.key})
+	r.rec.record(Op{Op: workload.Op{Kind: workload.OpRead, Key: r.key}})
 	return data, nil
 }
 
@@ -463,7 +382,7 @@ func (r *recordingReader) ReadAt(off, length int64) ([]byte, error) {
 	if err != nil {
 		return data, err
 	}
-	r.rec.record(Op{Kind: GetRange, Key: r.key, Off: off, Len: length})
+	r.rec.record(Op{Op: workload.Op{Kind: workload.OpRead, Key: r.key, Off: off, Len: length}})
 	return data, nil
 }
 
@@ -560,19 +479,19 @@ func Analyze(ops []Op) (Analysis, error) {
 	for i, op := range ops {
 		a.Ops++
 		switch op.Kind {
-		case Put:
+		case workload.OpCreate:
 			if _, ok := live[op.Key]; ok {
 				return a, fmt.Errorf("trace: op %d puts existing key %s", i, op.Key)
 			}
 			live[op.Key] = op.Size
 			a.Puts++
-		case Replace:
+		case workload.OpReplace:
 			if old, ok := live[op.Key]; ok {
 				a.RetiredBytes += old
 			}
 			live[op.Key] = op.Size
 			a.Replaces++
-		case Delete:
+		case workload.OpDelete:
 			old, ok := live[op.Key]
 			if !ok {
 				return a, fmt.Errorf("trace: op %d deletes missing key %s", i, op.Key)
@@ -580,17 +499,16 @@ func Analyze(ops []Op) (Analysis, error) {
 			a.RetiredBytes += old
 			delete(live, op.Key)
 			a.Deletes++
-		case Get:
-			if _, ok := live[op.Key]; !ok {
-				return a, fmt.Errorf("trace: op %d reads missing key %s", i, op.Key)
-			}
-			a.Gets++
-		case GetRange:
+		case workload.OpRead:
 			size, ok := live[op.Key]
 			if !ok {
 				return a, fmt.Errorf("trace: op %d reads missing key %s", i, op.Key)
 			}
-			if op.Off < 0 || op.Len <= 0 || op.Off+op.Len > size {
+			if op.Len == 0 {
+				a.Gets++
+				break
+			}
+			if op.Off < 0 || op.Len < 0 || op.Off+op.Len > size {
 				return a, fmt.Errorf("trace: op %d range [%d,%d) outside %s (%d bytes)",
 					i, op.Off, op.Off+op.Len, op.Key, size)
 			}

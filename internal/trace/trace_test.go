@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -34,15 +35,39 @@ func newDBr(capacity int64) blob.Store {
 	return s
 }
 
+// parse reads a hand-written trace, one op per line.
+func parse(t *testing.T, lines ...string) []Op {
+	t.Helper()
+	ops, err := Read(strings.NewReader(strings.Join(lines, "\n")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ops
+}
+
 func TestParseAndFormatRoundTrip(t *testing.T) {
-	ops := []Op{
-		{Kind: Put, Key: "a", Size: 1024},
-		{Kind: Replace, Key: "a", Size: 2048},
-		{Kind: Get, Key: "a"},
-		{Kind: GetRange, Key: "a", Off: 512, Len: 1024},
-		{Kind: Put, Key: "b", Size: 4096, Stream: 3},
-		{Kind: GetRange, Key: "b", Off: 0, Len: 100, Stream: 12},
-		{Kind: Delete, Key: "a"},
+	cases := []struct {
+		line string
+		op   Op
+	}{
+		{"put a 1024", Op{Op: workload.Op{Kind: workload.OpCreate, Key: "a", Size: 1024}}},
+		{"replace a 2048", Op{Op: workload.Op{Kind: workload.OpReplace, Key: "a", Size: 2048}}},
+		{"get a", Op{Op: workload.Op{Kind: workload.OpRead, Key: "a"}}},
+		{"getrange a 512 1024", Op{Op: workload.Op{Kind: workload.OpRead, Key: "a", Off: 512, Len: 1024}}},
+		{"put b 4096 3", Op{Op: workload.Op{Kind: workload.OpCreate, Key: "b", Size: 4096}, Stream: 3}},
+		{"getrange b 0 100 12", Op{Op: workload.Op{Kind: workload.OpRead, Key: "b", Len: 100}, Stream: 12}},
+		{"delete a", Op{Op: workload.Op{Kind: workload.OpDelete, Key: "a"}}},
+	}
+	var ops []Op
+	for _, c := range cases {
+		got, ok, err := ParseOp(c.line)
+		if err != nil || !ok || got != c.op {
+			t.Fatalf("ParseOp(%q) = %#v, %v, %v; want %#v", c.line, got, ok, err, c.op)
+		}
+		if f := c.op.Format(); f != c.line {
+			t.Fatalf("Format(%#v) = %q, want %q", c.op, f, c.line)
+		}
+		ops = append(ops, c.op)
 	}
 	var buf bytes.Buffer
 	if err := Write(&buf, ops); err != nil {
@@ -57,7 +82,7 @@ func TestParseAndFormatRoundTrip(t *testing.T) {
 	}
 	for i := range ops {
 		if got[i] != ops[i] {
-			t.Fatalf("op %d: %+v != %+v", i, got[i], ops[i])
+			t.Fatalf("op %d: %#v != %#v", i, got[i], ops[i])
 		}
 	}
 }
@@ -110,11 +135,11 @@ func TestRecorderCapturesWorkload(t *testing.T) {
 	var puts, replaces, gets int
 	for _, op := range ops {
 		switch op.Kind {
-		case Put:
+		case workload.OpCreate:
 			puts++
-		case Replace:
+		case workload.OpReplace:
 			replaces++
-		case Get:
+		case workload.OpRead:
 			gets++
 		}
 	}
@@ -191,9 +216,10 @@ func TestAnalyzeMatchesExecution(t *testing.T) {
 
 func TestAnalyzeRejectsBrokenTraces(t *testing.T) {
 	cases := [][]Op{
-		{{Kind: Put, Key: "a", Size: 10}, {Kind: Put, Key: "a", Size: 10}},
-		{{Kind: Delete, Key: "ghost"}},
-		{{Kind: Get, Key: "ghost"}},
+		parse(t, "put a 10", "put a 10"),
+		parse(t, "delete ghost"),
+		parse(t, "get ghost"),
+		parse(t, "put a 10", "getrange a 5 6"),
 	}
 	for i, ops := range cases {
 		if _, err := Analyze(ops); err == nil {
@@ -204,7 +230,7 @@ func TestAnalyzeRejectsBrokenTraces(t *testing.T) {
 
 func TestReplayFailsCleanlyOnBadTrace(t *testing.T) {
 	repo := newFS(64 * units.MB)
-	_, err := Replay(context.Background(), repo, OpsSources([]Op{{Kind: Delete, Key: "ghost"}})...)
+	_, err := Replay(context.Background(), repo, OpsSources(parse(t, "delete ghost"))...)
 	if err == nil {
 		t.Fatal("replay of broken trace succeeded")
 	}
@@ -215,11 +241,11 @@ func TestReplayGroupedDeletePattern(t *testing.T) {
 	var ops []Op
 	for album := 0; album < 3; album++ {
 		for p := 0; p < 10; p++ {
-			ops = append(ops, Op{Kind: Put, Key: key(album, p), Size: 256 * units.KB})
+			ops = append(ops, Op{Op: workload.Op{Kind: workload.OpCreate, Key: key(album, p), Size: 256 * units.KB}})
 		}
 	}
 	for p := 0; p < 10; p++ {
-		ops = append(ops, Op{Kind: Delete, Key: key(1, p)})
+		ops = append(ops, Op{Op: workload.Op{Kind: workload.OpDelete, Key: key(1, p)}})
 	}
 	repo := newFS(64 * units.MB)
 	res, err := Replay(context.Background(), repo, OpsSources(ops)...)
@@ -265,9 +291,9 @@ func TestRecorderCapturesRangedReads(t *testing.T) {
 	if len(ops) != 2 {
 		t.Fatalf("recorded %d ops, want put+getrange", len(ops))
 	}
-	want := Op{Kind: GetRange, Key: "obj", Off: 128 * units.KB, Len: 256 * units.KB}
+	want := Op{Op: workload.Op{Kind: workload.OpRead, Key: "obj", Off: 128 * units.KB, Len: 256 * units.KB}}
 	if ops[1] != want {
-		t.Fatalf("recorded %+v, want %+v", ops[1], want)
+		t.Fatalf("recorded %#v, want %#v", ops[1], want)
 	}
 
 	a, err := Analyze(ops)
@@ -342,11 +368,10 @@ func TestRecordReplayDeterminism(t *testing.T) {
 func TestPartition(t *testing.T) {
 	var ops []Op
 	for i := 0; i < 8; i++ {
-		k := fmt.Sprintf("k%d", i)
-		ops = append(ops,
-			Op{Kind: Put, Key: k, Size: 100},
-			Op{Kind: Replace, Key: k, Size: 200},
-			Op{Kind: Delete, Key: k})
+		ops = append(ops, parse(t,
+			fmt.Sprintf("put k%d 100", i),
+			fmt.Sprintf("replace k%d 200", i),
+			fmt.Sprintf("delete k%d", i))...)
 	}
 	if got := Partition(ops, 1); len(got) != 1 || len(got[0]) != len(ops) {
 		t.Fatalf("k=1 partition reshaped the trace")
@@ -366,15 +391,15 @@ func TestPartition(t *testing.T) {
 			// Ops for one key appear in put < replace < delete order, and
 			// never split across streams.
 			switch op.Kind {
-			case Put:
+			case workload.OpCreate:
 				if perKey[op.Key] != 0 {
 					t.Fatalf("put out of order for %s", op.Key)
 				}
-			case Replace:
+			case workload.OpReplace:
 				if perKey[op.Key] != 1 {
 					t.Fatalf("replace out of order for %s", op.Key)
 				}
-			case Delete:
+			case workload.OpDelete:
 				if perKey[op.Key] != 2 {
 					t.Fatalf("delete out of order for %s", op.Key)
 				}
@@ -392,34 +417,28 @@ func TestPartition(t *testing.T) {
 	}
 
 	// A fully tagged trace routes by id, not hash.
-	tagged := []Op{
-		{Kind: Put, Key: "x", Size: 10, Stream: 1},
-		{Kind: Put, Key: "y", Size: 10, Stream: 2},
-	}
+	tagged := parse(t, "put x 10 1", "put y 10 2")
 	byTag := Partition(tagged, 2)
 	if len(byTag[1]) != 1 || byTag[1][0].Key != "x" {
-		t.Fatalf("stream 1 ops routed to %+v", byTag)
+		t.Fatalf("stream 1 ops routed to %#v", byTag)
 	}
 	if len(byTag[0]) != 1 || byTag[0][0].Key != "y" {
-		t.Fatalf("stream 2 (mod 2 = 0) ops routed to %+v", byTag)
+		t.Fatalf("stream 2 (mod 2 = 0) ops routed to %#v", byTag)
 	}
 
 	// A MIXED trace (some ops tagged, some not) must fall back to
 	// per-key hash routing for every op: otherwise a tagged put and an
 	// untagged delete of the same key could land on different concurrent
 	// streams and replay out of order.
-	mixed := []Op{
-		{Kind: Put, Key: "a", Size: 10, Stream: 2},
-		{Kind: Delete, Key: "a"},
-	}
+	mixed := parse(t, "put a 10 2", "delete a")
 	for k := 2; k <= 5; k++ {
 		parts := Partition(mixed, k)
 		for _, s := range parts {
 			if len(s) == 1 {
 				t.Fatalf("k=%d: mixed-tag ops for one key split across streams", k)
 			}
-			if len(s) == 2 && (s[0].Kind != Put || s[1].Kind != Delete) {
-				t.Fatalf("k=%d: per-key order lost: %+v", k, s)
+			if len(s) == 2 && (s[0].Kind != workload.OpCreate || s[1].Kind != workload.OpDelete) {
+				t.Fatalf("k=%d: per-key order lost: %#v", k, s)
 			}
 		}
 	}
@@ -486,26 +505,53 @@ func TestSourceStreamsWithoutMaterializing(t *testing.T) {
 	}
 }
 
-// TestSourceOnlyStream pins the v2 per-stream filter: k Sources over k
-// readings of one tagged log replay only their own stream's ops.
-func TestSourceOnlyStream(t *testing.T) {
-	log := "put a 1024 1\nput b 1024 2\nreplace a 2048 1\nget b 2\n"
-	src := NewSource(strings.NewReader(log)).OnlyStream(1)
-	var kinds []workload.OpKind
-	for {
-		op, ok := src.Next(nil)
+// FuzzParseOp holds the v2 line parser to its contract: no input
+// panics; a line it refuses is blank, a comment or an error; a line it
+// accepts names a valid op (positive size, offset ≥ 0, positive range
+// length, stream id ≥ 0) and formats back to the same fields, numbers
+// compared as numbers, so a zero or negative stream id, a trailing
+// field or a number with junk in it cannot slip through; and Format of
+// that op parses back to the same op. The seed corpus in
+// testdata/fuzz/FuzzParseOp holds one line of each kind, with and
+// without a stream tag, and the malformed lines of TestParseErrors.
+func FuzzParseOp(f *testing.F) {
+	f.Fuzz(func(t *testing.T, line string) {
+		op, ok, err := ParseOp(line)
 		if !ok {
-			break
+			trimmed := strings.TrimSpace(line)
+			if err == nil && trimmed != "" && !strings.HasPrefix(trimmed, "#") {
+				t.Fatalf("ParseOp(%q) refused the line without an error", line)
+			}
+			return
 		}
-		if op.Key != "a" {
-			t.Fatalf("stream 1 saw key %s", op.Key)
+		if err != nil {
+			t.Fatalf("ParseOp(%q) accepted the line with error %v", line, err)
 		}
-		kinds = append(kinds, op.Kind)
-	}
-	if src.Err() != nil {
-		t.Fatal(src.Err())
-	}
-	if len(kinds) != 2 || kinds[0] != workload.OpCreate || kinds[1] != workload.OpReplace {
-		t.Fatalf("stream 1 ops: %v", kinds)
-	}
+		valid := op.Key != "" && op.Stream >= 0
+		switch op.Kind {
+		case workload.OpCreate, workload.OpReplace:
+			valid = valid && op.Size > 0
+		case workload.OpRead:
+			valid = valid && op.Off >= 0 && op.Len >= 0 && (op.Len > 0 || op.Off == 0)
+		case workload.OpDelete:
+		default:
+			valid = false
+		}
+		if !valid {
+			t.Fatalf("ParseOp(%q) accepted an invalid op %#v", line, op)
+		}
+		in, out := strings.Fields(line), strings.Fields(op.Format())
+		same := len(in) == len(out) && in[0] == out[0] && in[1] == out[1]
+		for i := 2; same && i < len(in); i++ {
+			n, err := strconv.ParseInt(in[i], 10, 64)
+			same = err == nil && strconv.FormatInt(n, 10) == out[i]
+		}
+		if !same {
+			t.Fatalf("ParseOp(%q) = %#v, which formats as %q", line, op, op.Format())
+		}
+		back, ok, err := ParseOp(op.Format())
+		if !ok || err != nil || back != op {
+			t.Fatalf("Format(%#v) = %q re-parses to %#v, %v, %v", op, op.Format(), back, ok, err)
+		}
+	})
 }
