@@ -376,9 +376,13 @@ func TestSafeReplaceNeverLosesOldVersionOnFailure(t *testing.T) {
 
 // TestDataModePayloadMovesOnce pins what a payload byte costs in memory
 // on a data-mode FileStore. A whole-object read allocates no payload: the
-// result is a view of the file's bytes. A write allocates the payload
-// once, at the declared size — while storeData grew its buffer request by
-// request a 384 KB write allocated about 2.3 times its size.
+// result is a view of the file's bytes. A write whose first append
+// carries at least half the object allocates the payload once, at the
+// declared size, however the appends are cut (fragserve appends 256 KB
+// at a time) — while storeData grew its buffer request by request a
+// 384 KB write allocated about 2.3 times its size. A writer that
+// declares far more than it sends holds twice what it sent, not what it
+// declared.
 func TestDataModePayloadMovesOnce(t *testing.T) {
 	ctx := context.Background()
 	const size = 384 * units.KB
@@ -409,12 +413,35 @@ func TestDataModePayloadMovesOnce(t *testing.T) {
 		t.Errorf("whole-object read of %d bytes allocates %d bytes in %.0f allocations", size, b, n)
 	}
 
-	b, _ = perRun(func() {
-		if err := blob.Replace(ctx, s, "obj", size, data); err != nil {
+	// write replaces obj with a declared-byte writer that appends sent
+	// bytes in appends of at most chunk, then commits or aborts.
+	write := func(declared, sent, chunk int64) {
+		w, err := s.Replace(ctx, "obj", declared)
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if b > size+16*units.KB {
-		t.Errorf("write of %d bytes allocates %d bytes, want one payload", size, b)
+		for off := int64(0); off < sent; off += chunk {
+			if err := w.Append(min(chunk, sent-off), data[:min(chunk, sent-off)]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if sent < declared {
+			err = w.Abort()
+		} else {
+			err = w.Commit()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct{ size, chunk int64 }{
+		{size, size}, {size, 256 * units.KB}, {size, size / 2}, {128 * units.KB, 256 * units.KB},
+	} {
+		if b, _ = perRun(func() { write(c.size, c.size, c.chunk) }); b > c.size+16*units.KB {
+			t.Errorf("write of %d bytes in %d-byte appends allocates %d bytes, want one payload", c.size, c.chunk, b)
+		}
+	}
+	if b, _ = perRun(func() { write(48*units.MB, 1, 1) }); b > 16*units.KB {
+		t.Errorf("a 48 MB writer that appends one byte allocates %d bytes", b)
 	}
 }

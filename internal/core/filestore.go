@@ -236,7 +236,6 @@ func (s *FileStore) stage(w *writer) error {
 			return err
 		}
 	}
-	f.ReservePayload(w.size)
 	w.f = f
 	return nil
 }
@@ -244,6 +243,8 @@ func (s *FileStore) stage(w *writer) error {
 // write hands the temp file one write request at a time — the paper's
 // §5.3 request granularity, owned by the store — taking mu per
 // request, so concurrent streams interleave at the allocator request by
+// request. The retained payload buffer is sized once per writer Append,
+// with the first request: by the bytes of the whole append, not of one
 // request.
 func (s *FileStore) write(w *writer, n int64, data []byte) error {
 	req := s.opts.WriteRequestSize
@@ -260,6 +261,9 @@ func (s *FileStore) write(w *writer, n int64, data []byte) error {
 			chunk = data[off : off+c]
 		}
 		s.mu.Lock()
+		if off == 0 && data != nil {
+			w.f.ReservePayload(n, w.size)
+		}
 		err := w.f.Append(c, chunk)
 		s.mu.Unlock()
 		if err != nil {

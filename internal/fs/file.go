@@ -33,9 +33,8 @@ type File struct {
 
 	// data holds the file's contents when the drive retains payloads.
 	// Bytes below len(data) are never written again: reads hand out
-	// views of this array. payloadCap is what ReservePayload asked for.
-	data       []byte
-	payloadCap int64
+	// views of this array.
+	data []byte
 
 	// Packed files carry no runs of their own: their bytes live at
 	// [packOff, packOff+size) inside pack's shared data region.
@@ -136,11 +135,24 @@ func (f *File) SetSizeHint(size int64) error {
 	return nil
 }
 
-// ReservePayload declares how many payload bytes the appends will carry,
-// so a data-mode drive allocates the retained buffer once, at that size.
-// Memory only: unlike SetSizeHint the allocator never sees it, so the
-// on-disk layout is the same with and without it.
-func (f *File) ReservePayload(size int64) { f.payloadCap = size }
+// ReservePayload makes room in a data-mode file's retained buffer for
+// the n payload bytes a writer is about to append, growing it to at most
+// declared bytes: the first reservation is min(declared, 2n), a later
+// one at least doubles the buffer. Memory follows the bytes that have
+// arrived, not the size a client merely declared, and a writer whose
+// first append carries half the object or more fills one buffer with no
+// regrowth copy. Memory only: unlike SetSizeHint the allocator never
+// sees it, so the on-disk layout is the same with and without it.
+func (f *File) ReservePayload(n, declared int64) {
+	held := int64(len(f.data))
+	if f.vol.drive.Mode() != disk.DataMode || held+n <= int64(cap(f.data)) {
+		return
+	}
+	size := min(declared, 2*max(int64(cap(f.data)), n))
+	grown := make([]byte, held, max(size, held+n))
+	copy(grown, f.data)
+	f.data = grown
+}
 
 // Append writes len(dataOrNil) bytes — or n bytes when data is nil — to
 // the end of the file. Each call is one write request: without delayed
@@ -392,15 +404,11 @@ func (v *Volume) EachFile(fn func(*File)) {
 }
 
 // storeData appends payload bytes to the file's retained contents — the
-// one copy a payload byte gets on its way in — allocating the reserved
-// capacity first (at most the volume's, whatever a remote client declared).
+// one copy a payload byte gets on its way in, into the buffer
+// ReservePayload sized.
 func (f *File) storeData(data []byte) {
 	if data == nil || f.vol.drive.Mode() != disk.DataMode {
 		return
-	}
-	if f.data == nil {
-		reserve := min(f.payloadCap, f.vol.CapacityBytes())
-		f.data = make([]byte, 0, max(reserve, int64(len(data))))
 	}
 	f.data = append(f.data, data...)
 }

@@ -9,19 +9,26 @@ write reads the result files of alternating parent/change runs of the
 benchmark (bench/out/result-<workload>.json, one per run) kept under RUNS
 as RUNS/<side>/<workload>-<n>/result-<workload>.json, where side is
 parent or change and n numbers the pairs: the parent and change runs with
-the same n form a pair. For each workload it records the seeds, and for
-each end-to-end metric of BENCHMARK.json the parent and change medians
+the same n form a pair. One traced run (--trace 1) per side may sit
+beside them as RUNS/<side>/<workload>-trace/result-<workload>-trace.json.
+For each workload it records the seeds, and for each end-to-end metric
+of BENCHMARK.json the parent and change medians
 with their [q1, q3] (statistics.quantiles, n=4, the exclusive method the
 benchmark's spread uses) and the number of pairs the change won (ties win
 for neither side). Every run is kept too: its side, pair, seed, failed
 and attempted op counts, host info, median host_speed over its rounds (0
-when the result has none) and metric values. The file is BENCH_<pr>.json
-at the repository root. Its commit is null: the change is measured
+when the result has none) and metric values. When both sides of a
+workload have a traced run, its per_layer block holds, for each
+per-layer metric of BENCHMARK.json, the value of the parent's and of the
+change's traced run, and each traced run's seed and op counts; no bound
+applies to it, as it attributes and does not gate. The file is
+BENCH_<pr>.json at the repository root. Its commit is null: the change is measured
 before it is committed, and the commit that adds the file is the one
 measured.
 
 --check validates every BENCH_*.json at the repository root against
-that schema and exits non-zero on the first problem.
+that schema, the per_layer block where a workload has one, and exits
+non-zero on the first problem.
 """
 import argparse
 import glob
@@ -59,25 +66,47 @@ def won(parent, change, better):
 
 
 def load_runs(runs_dir):
-    """Map workload -> pair number -> side -> result, from RUNS."""
-    found = {}
+    """Map workload -> pair number -> side -> result, and workload -> side
+    -> traced result, from RUNS."""
+    found, traced = {}, {}
     for side in SIDES:
         for path in sorted(glob.glob(os.path.join(runs_dir, side, "*", "result-*.json"))):
-            m = re.fullmatch(r"(.+)-(\d+)", os.path.basename(os.path.dirname(path)))
+            m = re.fullmatch(r"(.+)-(\d+|trace)", os.path.basename(os.path.dirname(path)))
             if not m:
-                fail(f"{path}: run directory is not <workload>-<n>")
+                fail(f"{path}: run directory is not <workload>-<n> or <workload>-trace")
             with open(path) as f:
                 res = json.load(f)
-            if res.get("workload") != m.group(1):
-                fail(f"{path}: holds workload {res.get('workload')!r}, not {m.group(1)!r}")
-            found.setdefault(m.group(1), {}).setdefault(int(m.group(2)), {})[side] = res
-    return found
+            if res.get("workload") != m.group(1) or res.get("trace") != (m.group(2) == "trace"):
+                fail(f"{path}: holds workload {res.get('workload')!r} traced={res.get('trace')}, not {m.group(0)!r}")
+            if m.group(2) == "trace":
+                traced.setdefault(m.group(1), {})[side] = res
+            else:
+                found.setdefault(m.group(1), {}).setdefault(int(m.group(2)), {})[side] = res
+    return found, traced
+
+
+def per_layer(spec, sides):
+    """The per_layer block of one workload from its traced runs."""
+    return {
+        "runs": {s: {k: sides[s][k] for k in ("seed", "attempted", "failed", "correct")} for s in SIDES},
+        "metrics": {
+            m["name"]: {
+                "unit": m["unit"],
+                "better": m["better"],
+                **{s: sides[s]["metrics"][m["name"]]["value"] for s in SIDES},
+            }
+            for m in spec["per_layer"]
+        },
+    }
 
 
 def write(args):
     spec = contract()
     workloads = []
-    for name, pairs in sorted(load_runs(args.runs).items()):
+    found, traced = load_runs(args.runs)
+    if set(traced) - set(found):
+        fail(f"traced runs of {sorted(set(traced) - set(found))} have no pairs")
+    for name, pairs in sorted(found.items()):
         if name not in {w["name"] for w in spec["workloads"]}:
             fail(f"workload {name!r} is not in BENCHMARK.json")
         complete = {n: p for n, p in sorted(pairs.items()) if len(p) == 2}
@@ -115,6 +144,11 @@ def write(args):
             "metrics": metrics,
             "runs": runs,
         })
+        sides = traced.get(name, {})
+        if sides:
+            if len(sides) != len(SIDES):
+                fail(f"{name}: a traced run only on {sorted(sides)}")
+            workloads[-1]["per_layer"] = per_layer(spec, sides)
     if not workloads:
         fail(f"no runs under {args.runs}")
     doc = {
@@ -174,6 +208,25 @@ def check_file(path):
                     bad(f"{where}: {e['name']} {side} lacks median/q1/q3")
             if not 0 <= got.get("pairs_won", -1) <= w["pairs"]:
                 bad(f"{where}: {e['name']} pairs_won {got.get('pairs_won')} outside [0, {w['pairs']}]")
+        if "per_layer" in w:
+            check_per_layer(spec, w["per_layer"], lambda msg: bad(f"{where}: per_layer: {msg}"))
+
+
+def check_per_layer(spec, block, bad):
+    runs = block.get("runs", {})
+    for side in SIDES:
+        r = runs.get(side)
+        if not isinstance(r, dict) or not all(isinstance(r.get(k), int) for k in ("seed", "attempted", "failed")):
+            bad(f"malformed {side} run {str(r)[:120]}")
+    got = block.get("metrics", {})
+    if set(got) != {m["name"] for m in spec["per_layer"]}:
+        bad(f"metrics {sorted(set(got) ^ {m['name'] for m in spec['per_layer']})} differ from BENCHMARK.json's")
+    for m in spec["per_layer"]:
+        g = got[m["name"]]
+        if (g.get("unit"), g.get("better")) != (m["unit"], m["better"]):
+            bad(f"{m['name']} unit/better {g.get('unit')!r}/{g.get('better')!r}")
+        if not all(isinstance(g.get(side), (int, float)) for side in SIDES):
+            bad(f"{m['name']} lacks a parent or change value")
 
 
 def main():
