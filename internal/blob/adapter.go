@@ -1,6 +1,9 @@
 package blob
 
-import "context"
+import (
+	"context"
+	"errors"
+)
 
 // BufferAdapter bridges whole-buffer call sites onto the streaming API:
 // each method opens the appropriate streaming handle, moves the entire
@@ -32,18 +35,26 @@ func Replace(ctx context.Context, s Store, key string, size int64, data []byte) 
 }
 
 // Get reads a whole object, returning its size and — when the backing
-// drive retains payloads — its contents.
+// drive retains payloads — its contents. A version that dies between
+// the Open and the read (a replace, delete or relocation committed in
+// between) does not fail the get: it opens again, so a get of a key
+// that stays live succeeds under any churn. An Open that fails ends it.
 func Get(ctx context.Context, s Store, key string) (int64, []byte, error) {
-	r, err := s.Open(ctx, key)
-	if err != nil {
-		return 0, nil, err
+	for {
+		r, err := s.Open(ctx, key)
+		if err != nil {
+			return 0, nil, err
+		}
+		data, err := r.ReadAll()
+		size := r.Size()
+		r.Close()
+		switch {
+		case err == nil:
+			return size, data, nil
+		case !errors.Is(err, ErrNotFound):
+			return 0, nil, err
+		}
 	}
-	defer r.Close()
-	data, err := r.ReadAll()
-	if err != nil {
-		return 0, nil, err
-	}
-	return r.Size(), data, nil
 }
 
 // WriteAll appends one whole buffer to w and commits, aborting the

@@ -61,7 +61,7 @@ func TestAsWalksInner(t *testing.T) {
 		}
 	}
 	// The first layer that implements T wins, so a layer that changes a
-	// capability (cache's invalidating CompactObject) shadows the engine's.
+	// capability (obs's timed CompactObject) shadows the engine's.
 	if got, ok := As[interface{ Inner() Store }](layer{layer{e}}); !ok || got != any(layer{layer{e}}) {
 		t.Errorf("As returned %v, want the outermost implementer", got)
 	}

@@ -14,13 +14,21 @@
 // a miss reads through the wrapped store at full disk cost and fills
 // the cache.
 //
-// Writes are write-through with invalidation: Create/Replace/Delete go
-// straight to the wrapped store, and a successful Commit or Delete
-// drops the cached entry (no write-allocate), so the cache can never
-// serve a dead version. The Reader version-pinning contract of
-// internal/blob is preserved exactly: a Reader opened through the cache
-// fails with blob.ErrNotFound once its version is replaced or deleted,
-// whether it was serving from memory or from the store beneath.
+// The store names each version itself (blob.Info.Version), and the
+// cache keeps no version of its own: every entry is tagged with the
+// store's version of the bytes it holds, and every Reader is pinned to
+// the version a free Stat reported at Open. Before a read it serves
+// from memory, the Reader checks with another free Stat that its
+// version is still live, so the blob.Reader pinning contract holds
+// exactly: a Reader opened through the cache fails with
+// blob.ErrNotFound once its version is replaced, deleted, packed or
+// relocated, whether that write went through the cache or beneath it.
+//
+// Writes are write-through: Create/Replace/Delete go straight to the
+// wrapped store (no write-allocate), and a successful Commit or Delete
+// drops the key's entry, so a dead version's bytes leave the budget at
+// once. That drop governs residency only; correctness rests on the
+// Stats.
 package cache
 
 import (
@@ -68,8 +76,9 @@ type Stats struct {
 	Misses int64
 	// Evictions is the number of entries evicted for capacity.
 	Evictions int64
-	// Invalidations is the number of entries dropped by a commit or
-	// delete through the cache.
+	// Invalidations is the number of entries dropped because their
+	// version died: by a commit or delete through the cache, or at an
+	// Open that found a newer version (or none) in the store beneath.
 	Invalidations int64
 	// ResidentBytes is the logical bytes currently cached.
 	ResidentBytes int64
@@ -101,7 +110,8 @@ type crange struct {
 	data        []byte // nil under metadata-only simulation
 }
 
-// entry is one cached object version. A full entry serves any read;
+// entry is one cached object version, tagged with the store's
+// Info.Version for the bytes it holds. A full entry serves any read;
 // a partial entry serves ranged reads covered by one cached range.
 // Payloads are the read-only views the wrapped store returned (see
 // blob.Reader), kept and served as they are: in data mode a resident
@@ -111,6 +121,7 @@ type crange struct {
 // same residency and eviction behaviour as data mode.
 type entry struct {
 	key        string
+	version    uint64
 	size       int64
 	full       bool
 	data       []byte // full-object payload; nil in metadata mode
@@ -121,13 +132,14 @@ type entry struct {
 
 // Store implements blob.Store over a wrapped inner store plus an LRU
 // object cache. Safe for concurrent use when the inner store is; one
-// mutex guards the cache index, LRU list, versions, and stats, and is
-// never held across inner-store calls.
+// mutex guards the cache index, LRU list and stats, and is never held
+// across inner-store calls.
 type Store struct {
 	// Store is the wrapped store. It is embedded so the introspection
 	// methods the cache does not change (Stat, Keys, LiveBytes, ...)
-	// forward by promotion; capabilities it does not change are reached
-	// through Inner by blob.As.
+	// forward by promotion; capabilities it does not change — the
+	// compactor's Rewriter and Packer among them — are reached through
+	// Inner by blob.As.
 	blob.Store
 	clock *vclock.Clock
 	opts  Options
@@ -138,40 +150,18 @@ type Store struct {
 	tail     *entry // least recently used
 	resident int64
 	stats    Stats
-	// versions counts committed mutations per key routed through the
-	// cache. Readers and fills are tagged with the version observed at
-	// Open: a bumped version means the object was replaced or deleted,
-	// so pinned readers fail ErrNotFound and stale fills are dropped.
-	// (Eviction does NOT bump a version — an evicted entry's version is
-	// still live underneath, only no longer resident.) Entries are
-	// never pruned, even on Delete: removal would reset a key's counter
-	// and reintroduce the ABA the counter exists to prevent, so the map
-	// grows with lifetime key cardinality — one uint64 per distinct key
-	// ever mutated, a deliberate trade of memory for an unconditionally
-	// safe pinning check.
-	versions map[string]uint64
-	// writing counts keys with a cacheWriter commit in flight. Between
-	// the inner store publishing a new version and this layer bumping
-	// the version counter, a racing reader could open the NEW version
-	// while still observing the OLD version number — and a fill would
-	// then install new bytes under the old tag, which a reader pinned
-	// to the old version would happily serve. Fills are therefore
-	// suppressed for keys mid-commit; reads fall back to the (always
-	// correctly pinned) inner store instead.
-	writing map[string]int
 
-	// hitReaders and missReaders recycle this cache's reader handles:
-	// Open is one per read op, so at hundreds of streams the two wrapper
-	// types dominate the cache layer's alloc profile. A closed handle
-	// goes back to the pool of the cache that issued it.
-	hitReaders, missReaders sync.Pool
+	// readers recycles this cache's reader handles: Open is one per read
+	// op, so at hundreds of streams the handle dominates the cache
+	// layer's alloc profile. A closed handle goes back to the pool of the
+	// cache that issued it.
+	readers sync.Pool
 }
 
 // New wraps inner in a read cache. WithCapacity is required;
 // misconfiguration fails with an error wrapping blob.ErrBadOption.
-// Mutations must be routed through the returned Store — a write issued
-// directly to inner bypasses invalidation and may leave the cache
-// serving the dead version.
+// Writes may go through the returned Store or straight to inner: the
+// cache serves bytes only at the version the store reports live.
 func New(inner blob.Store, options ...Option) (*Store, error) {
 	if inner == nil {
 		return nil, fmt.Errorf("%w: cache requires a wrapped store", blob.ErrBadOption)
@@ -184,15 +174,12 @@ func New(inner blob.Store, options ...Option) (*Store, error) {
 		return nil, fmt.Errorf("%w: cache capacity %d must be positive", blob.ErrBadOption, opts.CapacityBytes)
 	}
 	s := &Store{
-		Store:    inner,
-		clock:    inner.Clock(),
-		opts:     opts,
-		entries:  make(map[string]*entry),
-		versions: make(map[string]uint64),
-		writing:  make(map[string]int),
+		Store:   inner,
+		clock:   inner.Clock(),
+		opts:    opts,
+		entries: make(map[string]*entry),
 	}
-	s.hitReaders.New = func() any { return new(hitReader) }
-	s.missReaders.New = func() any { return new(missReader) }
+	s.readers.New = func() any { return new(reader) }
 	return s, nil
 }
 
@@ -284,11 +271,12 @@ func (s *Store) evictFor() {
 	}
 }
 
-// invalidate drops key's entry and bumps its version — a commit or
-// delete made the cached bytes a dead version.
+// invalidate drops key's entry after a commit or delete through the
+// cache: the version it held is dead, so its bytes leave the budget at
+// once. Only residency rests on it; a reader never serves a dead
+// version from memory, because it asks the store first.
 func (s *Store) invalidate(key string) {
 	s.mu.Lock()
-	s.versions[key]++
 	if e, ok := s.entries[key]; ok {
 		s.drop(e)
 		s.stats.Invalidations++
@@ -296,85 +284,49 @@ func (s *Store) invalidate(key string) {
 	s.mu.Unlock()
 }
 
-// beginWrite marks a commit in flight for key; fills are suppressed
-// until the matching endWrite.
-func (s *Store) beginWrite(key string) {
-	s.mu.Lock()
-	s.writing[key]++
-	s.mu.Unlock()
-}
-
-// endWrite clears key's in-flight mark and, when the commit published,
-// invalidates atomically in the same critical section — no window where
-// fills are re-enabled but the version is still old.
-func (s *Store) endWrite(key string, published bool) {
-	s.mu.Lock()
-	if s.writing[key]--; s.writing[key] <= 0 {
-		delete(s.writing, key)
-	}
-	if published {
-		s.versions[key]++
-		if e, ok := s.entries[key]; ok {
-			s.drop(e)
-			s.stats.Invalidations++
-		}
-	}
-	s.mu.Unlock()
-}
-
-// fillFull installs a whole-object entry read at version v, unless the
-// version moved on (replace/delete raced the fill — the stale data is
-// discarded), the object exceeds the whole budget, or an entry for a
-// newer read already exists.
-func (s *Store) fillFull(key string, v uint64, size int64, data []byte) {
-	if size > s.opts.CapacityBytes {
-		return
-	}
+// fill counts a read-through and, for a reader that may fill, keeps what
+// it read: the whole object, or one more range of a partial entry. A
+// read larger than the whole budget, or of a version other than the
+// resident entry's, is not kept.
+func (s *Store) fill(r *reader, whole bool, off, length int64, data []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.versions[key] != v || s.writing[key] > 0 {
+	s.stats.Misses++
+	if !r.cached || length > s.opts.CapacityBytes {
 		return
 	}
-	if e, ok := s.entries[key]; ok {
-		if e.full {
-			return
+	e, ok := s.entries[r.key]
+	switch {
+	case ok && (e.version != r.version || e.full):
+		return
+	case whole:
+		if ok {
+			s.drop(e) // promote: the full object supersedes cached ranges
 		}
-		s.drop(e) // promote: the full object supersedes cached ranges
-	}
-	e := &entry{key: key, size: size, full: true, data: data, bytes: size}
-	s.entries[key] = e
-	s.pushFront(e)
-	s.resident += size
-	s.evictFor()
-}
-
-// fillRange records one ranged read at version v on key's (possibly
-// new) partial entry. Overlapping or adjacent cached ranges are merged
-// into one contiguous range, so sliding-window reads cannot charge the
-// same bytes against the budget more than once.
-func (s *Store) fillRange(key string, v uint64, size, off, length int64, data []byte) {
-	if length > s.opts.CapacityBytes {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.versions[key] != v || s.writing[key] > 0 {
-		return
-	}
-	e, ok := s.entries[key]
-	if ok && e.full {
-		return // whole object already resident
-	}
-	if !ok {
-		e = &entry{key: key, size: size}
-		s.entries[key] = e
+		e = &entry{key: r.key, version: r.version, size: r.size, full: true, data: data, bytes: r.size}
+		s.entries[r.key] = e
 		s.pushFront(e)
-	} else {
+		s.resident += r.size
+		s.evictFor()
+	case !ok:
+		e = &entry{key: r.key, version: r.version, size: r.size}
+		s.entries[r.key] = e
+		s.pushFront(e)
+		s.fillRange(e, off, length, data)
+	default:
 		// The object is being actively read even though this range
 		// missed; keep its recency fresh so striding ranged reads do
 		// not drift a hot entry to the eviction tail.
 		s.touch(e)
+		s.fillRange(e, off, length, data)
 	}
+}
+
+// fillRange records one ranged read on partial entry e. Overlapping or
+// adjacent cached ranges are merged into one contiguous range, so
+// sliding-window reads cannot charge the same bytes against the budget
+// more than once. Callers hold s.mu.
+func (s *Store) fillRange(e *entry, off, length int64, data []byte) {
 	if covers(e, off, length) != nil {
 		return
 	}
@@ -442,256 +394,187 @@ func checkRange(key string, size, off, length int64) error {
 // "cache(sharded-4(database+filesystem))".
 func (s *Store) Name() string { return "cache(" + s.Store.Name() + ")" }
 
-// Open implements blob.Store. A fully resident object opens a pure
-// memory handle — no store access at all; anything else opens the
-// wrapped store's Reader (which pins the version natively) and serves
-// covered reads from memory, filling the cache on misses.
+// Open implements blob.Store. The reader is pinned to the version a
+// free Stat (blob.Resume) reports. A full entry at that version opens a
+// memory handle with no other store access. Anything else opens the
+// wrapped store's Reader and stats again: the reader may serve from and
+// fill the cache only if the two Stats agree, since versions only grow
+// and so equal Stats prove the inner reader holds that version (the
+// server's open-then-stat rule). Otherwise it only reads through.
 func (s *Store) Open(ctx context.Context, key string) (blob.Reader, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	rctx := blob.Resume(ctx)
+	info, statErr := s.Store.Stat(rctx, key)
+	var data []byte
 	s.mu.Lock()
-	if e, ok := s.entries[key]; ok && e.full {
+	e, ok := s.entries[key]
+	if ok && (statErr != nil || e.version < info.Version) {
+		// Its version died: written beneath the cache, or kept by a fill
+		// that raced the commit through it.
+		s.drop(e)
+		s.stats.Invalidations++
+		ok = false
+	}
+	cached := ok && e.full && e.version == info.Version
+	if cached {
 		s.touch(e)
-		r := s.hitReaders.Get().(*hitReader)
-		*r = hitReader{s: s, ctx: ctx, key: key, size: e.size, data: e.data,
-			version: s.versions[key]}
-		s.mu.Unlock()
-		return r, nil
+		data = e.data
 	}
-	v := s.versions[key]
 	s.mu.Unlock()
-	inner, err := s.Store.Open(ctx, key)
-	if err != nil {
-		return nil, err
+	var inner blob.Reader
+	if !cached {
+		var err error
+		if inner, err = s.Store.Open(ctx, key); err != nil {
+			return nil, err
+		}
+		after, err := s.Store.Stat(rctx, key)
+		cached = statErr == nil && err == nil && after.Version == info.Version
+		info.Size = inner.Size()
 	}
-	r := s.missReaders.Get().(*missReader)
-	*r = missReader{s: s, ctx: ctx, key: key, r: inner, version: v}
+	r := s.readers.Get().(*reader)
+	*r = reader{s: s, ctx: rctx, key: key, size: info.Size, version: info.Version,
+		inner: inner, data: data, cached: cached}
 	return r, nil
 }
 
-// hitReader serves one fully resident object version from memory. It
-// holds the entry's payload view from Open, so a concurrent eviction
-// cannot affect it; version pinning is enforced against the cache's
-// version counter, which every commit and delete through the cache bumps.
-type hitReader struct {
+// reader is a handle pinned to one version of an object: the store's
+// Info.Version at Open. inner is the wrapped store's reader, nil when the
+// whole object was resident at Open; data then holds that entry's view,
+// so a later eviction cannot affect the reader. Reads the cache covers
+// at the pinned version are served from memory once a free Stat shows
+// the version still live; the rest read through the inner reader, which
+// pins natively, and fill the cache. ctx is the caller's, under
+// blob.Resume, so the liveness Stats are free.
+type reader struct {
 	s       *Store
 	ctx     context.Context
 	key     string
 	size    int64
+	version uint64
+	inner   blob.Reader
 	data    []byte
-	version uint64
+	cached  bool // holds version, so may serve from and fill the cache
 	closed  bool
 }
 
 // Size implements blob.Reader.
-func (r *hitReader) Size() int64 { return r.size }
-
-// validate checks handle liveness, the range [off, +length) of a
-// ranged read, and version pinning before a read.
-func (r *hitReader) validate(ranged bool, off, length int64) error {
-	if r.closed {
-		return fmt.Errorf("%w: reader for %s", blob.ErrClosed, r.key)
-	}
-	if err := r.ctx.Err(); err != nil {
-		return err
-	}
-	if ranged {
-		if err := checkRange(r.key, r.size, off, length); err != nil {
-			return err
-		}
-	}
-	r.s.mu.Lock()
-	live := r.s.versions[r.key] == r.version
-	if e, ok := r.s.entries[r.key]; ok && live {
-		r.s.touch(e)
-	}
-	r.s.mu.Unlock()
-	if !live {
-		return fmt.Errorf("%w: %s (version replaced or deleted)", blob.ErrNotFound, r.key)
-	}
-	return nil
-}
-
-// ReadAll implements blob.Reader at memory speed.
-func (r *hitReader) ReadAll() ([]byte, error) {
-	if err := r.validate(false, 0, 0); err != nil {
-		return nil, err
-	}
-	r.s.mu.Lock()
-	r.s.stats.Hits++
-	r.s.mu.Unlock()
-	r.s.chargeMemory(r.size)
-	return view(r.data, 0, int64(len(r.data))), nil
-}
-
-// ReadAt implements blob.Reader at memory speed.
-func (r *hitReader) ReadAt(off, length int64) ([]byte, error) {
-	if err := r.validate(true, off, length); err != nil {
-		return nil, err
-	}
-	if length == 0 {
-		return nil, nil
-	}
-	r.s.mu.Lock()
-	r.s.stats.Hits++
-	r.s.mu.Unlock()
-	r.s.chargeMemory(length)
-	return view(r.data, off, length), nil
-}
-
-// Close implements blob.Reader. The first Close retires the handle to
-// the pool.
-func (r *hitReader) Close() error {
-	if !r.closed {
-		r.closed = true
-		r.data = nil // don't pin evicted payloads from the pool
-		r.s.hitReaders.Put(r)
-	}
-	return nil
-}
-
-// missReader wraps the inner store's Reader for an object that was not
-// fully resident at Open. Reads covered by cached ranges (or a full
-// entry another reader filled meanwhile) are served from memory; the
-// rest read through at disk cost and fill the cache. The inner Reader
-// enforces version pinning for read-through; the version tag gates
-// fills and memory serves.
-type missReader struct {
-	s       *Store
-	ctx     context.Context
-	key     string
-	r       blob.Reader
-	version uint64
-	closed  bool
-}
-
-// Size implements blob.Reader.
-func (r *missReader) Size() int64 { return r.r.Size() }
-
-// fromCache returns a view of the resident bytes covering
-// [off, off+length) at the pinned version, or ok=false to read through.
-// length < 0 requests the whole object. Entry buffers are immutable once
-// installed, so the view outlives the mutex that guards the lookup.
-func (r *missReader) fromCache(off, length int64) (data []byte, ok bool) {
-	r.s.mu.Lock()
-	defer r.s.mu.Unlock()
-	if r.s.versions[r.key] != r.version {
-		return nil, false
-	}
-	e, present := r.s.entries[r.key]
-	if !present {
-		return nil, false
-	}
-	whole := length < 0
-	if whole {
-		off, length = 0, e.size
-	}
-	if e.full {
-		r.s.touch(e)
-		r.s.stats.Hits++
-		return view(e.data, off, length), true
-	}
-	if whole {
-		return nil, false
-	}
-	if cr := covers(e, off, length); cr != nil {
-		r.s.touch(e)
-		r.s.stats.Hits++
-		return view(cr.data, off-cr.off, length), true
-	}
-	return nil, false
-}
+func (r *reader) Size() int64 { return r.size }
 
 // ReadAll implements blob.Reader: memory speed when fully resident,
 // read-through plus fill otherwise.
-func (r *missReader) ReadAll() ([]byte, error) {
-	if r.closed {
-		return nil, fmt.Errorf("%w: reader for %s", blob.ErrClosed, r.key)
-	}
-	if err := r.ctx.Err(); err != nil {
-		return nil, err
-	}
-	if data, ok := r.fromCache(0, -1); ok {
-		r.s.chargeMemory(r.r.Size())
-		return data, nil
-	}
-	data, err := r.r.ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	r.s.mu.Lock()
-	r.s.stats.Misses++
-	r.s.mu.Unlock()
-	r.s.fillFull(r.key, r.version, r.r.Size(), data)
-	return data, nil
-}
+func (r *reader) ReadAll() ([]byte, error) { return r.read(true, 0, r.size) }
 
 // ReadAt implements blob.Reader: a cached covering range serves at
 // memory speed; otherwise the inner store charges only the physical
 // runs covering the range, and the range joins the cache.
-func (r *missReader) ReadAt(off, length int64) ([]byte, error) {
+func (r *reader) ReadAt(off, length int64) ([]byte, error) { return r.read(false, off, length) }
+
+func (r *reader) read(whole bool, off, length int64) ([]byte, error) {
 	if r.closed {
 		return nil, fmt.Errorf("%w: reader for %s", blob.ErrClosed, r.key)
 	}
 	if err := r.ctx.Err(); err != nil {
 		return nil, err
 	}
-	if err := checkRange(r.key, r.r.Size(), off, length); err != nil {
-		return nil, err
+	if !whole {
+		if err := checkRange(r.key, r.size, off, length); err != nil {
+			return nil, err
+		}
 	}
-	if length == 0 {
-		return r.r.ReadAt(off, 0) // empty, unless the version is gone
+	if r.cached {
+		if info, err := r.s.Store.Stat(r.ctx, r.key); err != nil || info.Version != r.version {
+			return nil, fmt.Errorf("%w: %s (version replaced or deleted)", blob.ErrNotFound, r.key)
+		}
+		if length == 0 && !whole {
+			return nil, nil
+		}
+		if data, ok := r.fromCache(whole, off, length); ok {
+			r.s.chargeMemory(length)
+			return data, nil
+		}
 	}
-	if data, ok := r.fromCache(off, length); ok {
-		r.s.chargeMemory(length)
-		return data, nil
+	var data []byte
+	var err error
+	if whole {
+		data, err = r.inner.ReadAll()
+	} else {
+		data, err = r.inner.ReadAt(off, length)
 	}
-	data, err := r.r.ReadAt(off, length)
-	if err != nil {
-		return nil, err
+	if err != nil || length == 0 {
+		return data, err
 	}
-	r.s.mu.Lock()
-	r.s.stats.Misses++
-	r.s.mu.Unlock()
-	r.s.fillRange(r.key, r.version, r.r.Size(), off, length, data)
+	r.s.fill(r, whole, off, length, data)
 	return data, nil
+}
+
+// fromCache returns a view of the resident bytes covering
+// [off, off+length) at the pinned version and counts the hit, or
+// ok=false to read through. Entry buffers are immutable once installed,
+// so the view outlives the mutex that guards the lookup.
+func (r *reader) fromCache(whole bool, off, length int64) (data []byte, ok bool) {
+	r.s.mu.Lock()
+	defer r.s.mu.Unlock()
+	e, present := r.s.entries[r.key]
+	present = present && e.version == r.version
+	switch {
+	case r.inner == nil:
+		data = view(r.data, off, length)
+	case !present:
+		return nil, false
+	case e.full:
+		data = view(e.data, off, length)
+	case whole:
+		return nil, false
+	default:
+		cr := covers(e, off, length)
+		if cr == nil {
+			return nil, false
+		}
+		data = view(cr.data, off-cr.off, length)
+	}
+	if present {
+		r.s.touch(e)
+	}
+	r.s.stats.Hits++
+	return data, true
 }
 
 // Close implements blob.Reader. The first Close retires the handle to
 // the pool after closing the inner reader.
-func (r *missReader) Close() error {
+func (r *reader) Close() error {
 	if r.closed {
-		return r.r.Close()
+		return nil
 	}
 	r.closed = true
-	inner := r.r
-	r.s.missReaders.Put(r)
+	inner := r.inner
+	r.inner, r.data = nil, nil // don't pin payloads from the pool
+	r.s.readers.Put(r)
+	if inner == nil {
+		return nil
+	}
 	return inner.Close()
 }
 
-// cacheWriter wraps an inner Writer to invalidate the cached entry when
-// the new version becomes visible. Commit blocks until the inner store
-// reports the version durable — through the group-commit pipeline when
-// one is enabled, and through the shard layer's accounting when the
-// inner store is sharded — so invalidation happens strictly after
-// publish and before the writer's caller proceeds.
+// cacheWriter wraps an inner Writer to drop the cached entry once the
+// new version is visible. Commit blocks until the inner store reports
+// the version durable, so the drop follows the publish and precedes the
+// writer's caller proceeding.
 type cacheWriter struct {
 	blob.Writer
 	s   *Store
 	key string
 }
 
-// Commit implements blob.Writer: write-through invalidation. The
-// in-flight mark brackets the inner commit so no racing reader can
-// fill the cache with the new version's bytes under the old version
-// number; endWrite then invalidates in the same critical section that
-// clears the mark.
+// Commit implements blob.Writer: write-through, then the dead version's
+// entry leaves the cache.
 func (w *cacheWriter) Commit() error {
-	w.s.beginWrite(w.key)
-	err := w.Writer.Commit()
-	w.s.endWrite(w.key, err == nil)
-	return err
+	if err := w.Writer.Commit(); err != nil {
+		return err
+	}
+	w.s.invalidate(w.key)
+	return nil
 }
 
 // Create implements blob.Store.

@@ -14,7 +14,8 @@
 //
 // The compactor needs no engine-specific hooks: it drives the
 // blob.Rewriter and blob.Packer capabilities, which core.FileStore,
-// core.DBStore, shard.Store, and cache.Store all implement. Every
+// core.DBStore and shard.Store implement and blob.As finds beneath
+// wrapper layers such as cache.Store. Every
 // rewrite publishes a fresh object version, so readers pinned to the
 // old layout fail with a typed error rather than observing a torn
 // rewrite.
@@ -128,7 +129,7 @@ func New(store blob.Store, duty float64) (*Compactor, error) {
 // newScoped builds a compactor that selects candidates from scan but
 // executes rewrites through store — the shape a shard Fleet uses so
 // per-child scans stay cheap while rewrites flow through the top of the
-// store chain (cache invalidation, shard routing).
+// store chain (shard routing).
 func newScoped(store blob.Store, scan frag.Source, duty float64) (*Compactor, error) {
 	rw, ok := blob.As[blob.Rewriter](store)
 	if !ok {

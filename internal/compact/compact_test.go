@@ -353,8 +353,8 @@ func TestFleetPerShard(t *testing.T) {
 }
 
 // TestFleetUnwrapsCache pins the layering rule: the fleet finds the
-// shard fan-out beneath a cache, but rewrites still execute through the
-// cache so its entries observe the relocation.
+// shard fan-out and the rewriter beneath a cache, and a read through
+// the cache after the relocation still succeeds.
 func TestFleetUnwrapsCache(t *testing.T) {
 	ctx := context.Background()
 	inner := newShatteredFS(t, 8, units.MB)

@@ -9,8 +9,10 @@ import (
 // Fleet runs one Compactor per shard of a sharded store — each child
 // gets its own scan scope and duty-cycle account, mirroring how a real
 // deployment compacts shards independently — with rewrites executed
-// through the TOP of the store chain so cache invalidation and shard
-// routing hold. Over an unsharded store a Fleet degenerates to a single
+// through the TOP of the store chain, so they reach the first Rewriter
+// blob.As finds there and shard routing holds. A cache above needs no
+// hook: its readers check the store's version before serving from
+// memory. Over an unsharded store a Fleet degenerates to a single
 // compactor. Like a Compactor, a Fleet is driven by one caller.
 type Fleet struct {
 	comps []*Compactor

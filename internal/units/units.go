@@ -7,6 +7,7 @@ package units
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -45,7 +46,8 @@ func trim(f float64) string {
 }
 
 // ParseBytes parses strings such as "256K", "10M", "1.5G", "400GB" or a
-// plain integer number of bytes.
+// plain integer number of bytes. A negative, non-finite or int64-overflowing
+// size is an error.
 func ParseBytes(s string) (int64, error) {
 	orig := s
 	s = strings.TrimSpace(strings.ToUpper(s))
@@ -71,7 +73,12 @@ func ParseBytes(s string) (int64, error) {
 	if f < 0 {
 		return 0, fmt.Errorf("units: negative size %q", orig)
 	}
-	return int64(f * float64(mult)), nil
+	// Also refuses NaN and +Inf; 2^63 itself overflows int64.
+	n := f * float64(mult)
+	if !(n < math.MaxInt64) {
+		return 0, fmt.Errorf("units: size %q is not a finite int64 byte count", orig)
+	}
+	return int64(n), nil
 }
 
 // CeilDiv returns ceil(a/b) for positive b.

@@ -48,7 +48,7 @@ func TestParseBytes(t *testing.T) {
 			t.Errorf("ParseBytes(%q) = %d,%v; want %d", c.in, got, err, c.want)
 		}
 	}
-	for _, bad := range []string{"", "x", "-1M", "K"} {
+	for _, bad := range []string{"", "x", "-1M", "K", "inf", "NaN", "1e30", "20000000000G"} {
 		if _, err := ParseBytes(bad); err == nil {
 			t.Errorf("ParseBytes(%q) succeeded, want error", bad)
 		}
