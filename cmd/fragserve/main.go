@@ -18,13 +18,19 @@
 //
 // The front door is server.Server's own HTTP/1.1 loop (Serve), not
 // net/http's server: one goroutine per connection, which parses each
-// request head and runs its handler. The server keeps no state between
-// requests, so there is nothing to reap or release: the process runs
+// request head and runs its handler. The server holds no store handle
+// between requests, so there is nothing to reap or release: the process runs
 // until SIGINT/SIGTERM, then Server.Shutdown closes the listener and the
 // idle connections, lets in-flight requests finish, and the exit code is
-// 0. The binary sets no server.Config.Registry, so nothing records
-// latency: /metrics answers with an empty "live" phase and /report with
-// a run report whose "serve" experiment holds no phase.
+// 0.
+//
+// The server always records, into a wall-clock registry of its own:
+// /metrics answers with its "live" phase and /report with a run report
+// whose "serve" experiment holds it. The phase carries a serve.<op>
+// wall-time histogram per store-touching route (get, head, put, delete,
+// keys, stats, layout) that has succeeded, a serve.<op>.err.<name>
+// counter per failure sentinel, the admission.shed and
+// admission.timeout counters and the admission.inflight gauge.
 //
 // In data mode the heap is almost all retained payload, so fragserve
 // runs Go's collector at a GC percent of 50 (gcPercent), not the default

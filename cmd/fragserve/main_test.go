@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -11,13 +12,16 @@ import (
 	"runtime"
 	"runtime/debug"
 	"runtime/metrics"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
 
 	"repro/internal/blob"
 	"repro/internal/leakcheck"
+	"repro/internal/obs"
 	"repro/internal/server"
+	"repro/internal/server/wire"
 	"repro/internal/stack"
 	"repro/internal/units"
 	"repro/internal/vclock"
@@ -37,9 +41,11 @@ func freeAddr(t *testing.T) string {
 }
 
 // TestSIGTERMShutsDownCleanly: run serves the store and, with -pprof,
-// the profiler on a listener of its own; SIGTERM then goes through
-// Server.Shutdown and run returns nil, which is the exit code 0 a
-// benchmark's stop requires, leaving no goroutine behind (leakcheck).
+// the profiler on a listener of its own, and records with no setting:
+// after one PUT and one GET, /metrics holds serve.put and serve.get in
+// wall time. SIGTERM then goes through Server.Shutdown and run returns
+// nil, which is the exit code 0 a benchmark's stop requires, leaving no
+// goroutine behind (leakcheck).
 func TestSIGTERMShutsDownCleanly(t *testing.T) {
 	addr, pprofAddr := freeAddr(t), freeAddr(t)
 	done := make(chan error, 1)
@@ -62,6 +68,38 @@ func TestSIGTERMShutsDownCleanly(t *testing.T) {
 	}
 	if code := get("http://" + pprofAddr + "/debug/pprof/cmdline"); code != http.StatusOK {
 		t.Fatalf("pprof cmdline = %d", code)
+	}
+	req, err := http.NewRequest(http.MethodPut, "http://"+addr+wire.PathBlobs+"k", strings.NewReader("hello"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := hc.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("PUT = %d", resp.StatusCode)
+	}
+	if code := get("http://" + addr + wire.PathBlobs + "k"); code != http.StatusOK {
+		t.Fatalf("GET = %d", code)
+	}
+	if resp, err = hc.Get("http://" + addr + wire.PathMetrics); err != nil {
+		t.Fatal(err)
+	}
+	var live obs.PhaseReport
+	err = json.NewDecoder(resp.Body).Decode(&live)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if live.TimeUnit != obs.UnitWall {
+		t.Errorf("/metrics time_unit = %q, want %q", live.TimeUnit, obs.UnitWall)
+	}
+	for _, name := range []string{"serve.put", "serve.get"} {
+		if h := live.Histograms[name]; h == nil || h.Count != 1 {
+			t.Errorf("/metrics %s = %+v, want count 1", name, h)
+		}
 	}
 	if err := syscall.Kill(syscall.Getpid(), syscall.SIGTERM); err != nil {
 		t.Fatal(err)

@@ -3,13 +3,13 @@
 // purity, sentinel-error discipline, pooled-handle lifecycles, and
 // context threading).
 //
-// It runs two ways:
+// It runs one way, driven by cmd/go:
 //
-//	fragvet [packages]               standalone; defaults to ./...
-//	go vet -vettool=$(which fragvet) ./...   driven by cmd/go
+//	go vet -vettool=$(command -v fragvet) ./...
 //
-// Findings print as file:line:col: message (analyzer) and the exit
-// status is 2, matching go vet. Suppress a finding with an inline
+// Run any other way it prints that usage line and exits 2. Findings
+// print as file:line:col: message (analyzer) and the exit status is 2,
+// matching go vet. Suppress a finding with an inline
 // directive on (or directly above) the flagged line:
 //
 //	//fragvet:ignore <analyzer> <reason>
@@ -40,39 +40,9 @@ func analyzers() []*analysis.Analyzer {
 
 func main() {
 	args := os.Args[1:]
-	if analysis.IsVetInvocation(args) {
-		os.Exit(analysis.Vet(args, analyzers()))
+	if !analysis.IsVetInvocation(args) {
+		fmt.Fprintln(os.Stderr, "usage: go vet -vettool=$(command -v fragvet) ./...")
+		os.Exit(2)
 	}
-	os.Exit(standalone(args))
-}
-
-// standalone loads the requested packages itself (via `go list
-// -export`) and runs the full suite, for use outside go vet.
-func standalone(patterns []string) int {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	wd, err := os.Getwd()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fragvet: %v\n", err)
-		return 1
-	}
-	pkgs, err := analysis.Load(wd, patterns)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fragvet: %v\n", err)
-		return 1
-	}
-	code := 0
-	for _, pkg := range pkgs {
-		diags, err := analysis.Run(pkg, analyzers())
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fragvet: %v\n", err)
-			return 1
-		}
-		for _, d := range diags {
-			fmt.Fprintf(os.Stderr, "%s: %s (%s)\n", pkg.Fset.Position(d.Pos), d.Message, d.Analyzer)
-			code = 2
-		}
-	}
-	return code
+	os.Exit(analysis.Vet(args, analyzers()))
 }

@@ -14,8 +14,8 @@
 //   - ctxflow: operations thread their context.Context instead of
 //     minting context.Background() mid-chain.
 //
-// cmd/fragvet drives the suite either standalone (fragvet ./...) or as
-// a `go vet -vettool` backend. Suppressions are inline comments of the
+// cmd/fragvet drives the suite as a `go vet -vettool` backend
+// (unitchecker.go). Suppressions are inline comments of the
 // form
 //
 //	//fragvet:ignore <analyzer> <reason>

@@ -67,7 +67,7 @@ func CompactionSweep(c Config) ([]*stats.Table, error) {
 			// The obs layer wraps the whole chain, so compactor rewrites
 			// (which execute through the top) are timed as store.compact
 			// alongside the foreground ops.
-			err := c.age(clock, p.observe(c.spec(st.backend), "store"), dist, []float64{preAge}, drive{}, func(a arm) error {
+			err := c.age(clock, p.observe(c.spec(st.backend)), dist, []float64{preAge}, drive{}, func(a arm) error {
 				before := meanFrags(a.store)
 				var fleet *compact.Fleet
 				if duty > 0 {

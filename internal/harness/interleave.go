@@ -70,7 +70,7 @@ func InterleaveSweep(c Config) ([]*stats.Table, error) {
 			}
 			clock := vclock.New()
 			p := c.newProbe(fmt.Sprintf("interleave %s k=%d", kind, k), clock, "")
-			spec := p.observe(c.spec(st.backend), "store")
+			spec := p.observe(c.spec(st.backend))
 			spec.GroupCommitBatch, spec.GroupCommitDelay = k, 500*time.Microsecond
 			if p != nil {
 				spec.Options = append(spec.Options, blob.WithCommitObserver(obs.NewCommitObserver(p.registry(), "store")))

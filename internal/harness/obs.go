@@ -69,11 +69,11 @@ func (p *probe) wrap(store blob.Store, layer string) blob.Store {
 	return obs.Wrap(store, layer, p.reg)
 }
 
-// observe returns spec with its volumes instrumented as the named obs
-// layer; a nil probe returns spec unchanged.
-func (p *probe) observe(spec stack.Spec, layer string) stack.Spec {
+// observe returns spec with its volumes instrumented as obs layer
+// "store"; a nil probe returns spec unchanged.
+func (p *probe) observe(spec stack.Spec) stack.Spec {
 	if p != nil {
-		spec.ObsLayer, spec.Registry = layer, p.reg
+		spec.Obs = p.reg
 	}
 	return spec
 }

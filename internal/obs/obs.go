@@ -31,7 +31,6 @@ package obs
 
 import (
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -245,16 +244,4 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Histograms[name] = h.Snapshot()
 	}
 	return s
-}
-
-// HistogramNames returns the registry's histogram names, sorted.
-func (r *Registry) HistogramNames() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.hists))
-	for name := range r.hists {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -68,13 +68,6 @@ func mustVirtual(reg *Registry, who string) {
 // through the obs layer.
 func (s *Store) Inner() blob.Store { return s.Store }
 
-// Layer returns the observation layer name.
-func (s *Store) Layer() string { return s.layer }
-
-// Registry returns the registry this layer records into (nil when
-// disabled).
-func (s *Store) Registry() *Registry { return s.reg }
-
 // enabled reports whether this layer records anything at all.
 func (s *Store) enabled(ctx context.Context) bool {
 	return s.reg != nil || opFromContext(ctx) != nil

@@ -32,16 +32,21 @@ type admission struct {
 	pending atomic.Int64  // running + queued
 	limit   int64         // MaxInFlight + MaxQueue
 	timeout time.Duration // max queue wait; 0 = wait as long as the caller's ctx allows
-	reg     *obs.Registry // wall registry for shed/timeout counters; may be nil
+
+	shed, timedOut *obs.Counter // admission.shed, admission.timeout
+	inflight       *obs.Gauge   // admission.inflight
 }
 
-// newAdmission builds the controller; maxInFlight must be positive.
+// newAdmission builds the controller, recording into reg;
+// maxInFlight must be positive.
 func newAdmission(maxInFlight, maxQueue int, timeout time.Duration, reg *obs.Registry) *admission {
 	return &admission{
-		slots:   make(chan struct{}, maxInFlight),
-		limit:   int64(maxInFlight + maxQueue),
-		timeout: timeout,
-		reg:     reg,
+		slots:    make(chan struct{}, maxInFlight),
+		limit:    int64(maxInFlight + maxQueue),
+		timeout:  timeout,
+		shed:     reg.Counter("admission.shed"),
+		timedOut: reg.Counter("admission.timeout"),
+		inflight: reg.Gauge("admission.inflight"),
 	}
 }
 
@@ -57,12 +62,12 @@ func (a *admission) acquire(ctx context.Context) error {
 	}
 	if a.pending.Add(1) > a.limit {
 		a.pending.Add(-1)
-		a.count("admission.shed")
+		a.shed.Inc()
 		return blob.ErrOverloaded
 	}
 	select {
 	case a.slots <- struct{}{}: // a free slot arms no QueueTimeout timer
-		a.gauge()
+		a.inflight.Set(float64(len(a.slots)))
 		return nil
 	default:
 	}
@@ -74,7 +79,7 @@ func (a *admission) acquire(ctx context.Context) error {
 	}
 	select {
 	case a.slots <- struct{}{}:
-		a.gauge()
+		a.inflight.Set(float64(len(a.slots)))
 		return nil
 	case <-wait.Done():
 		a.pending.Add(-1)
@@ -83,7 +88,7 @@ func (a *admission) acquire(ctx context.Context) error {
 			// a service condition.
 			return err
 		}
-		a.count("admission.timeout")
+		a.timedOut.Inc()
 		return blob.ErrUnavailable
 	}
 }
@@ -92,19 +97,5 @@ func (a *admission) acquire(ctx context.Context) error {
 func (a *admission) release() {
 	<-a.slots
 	a.pending.Add(-1)
-	a.gauge()
-}
-
-// count bumps an admission counter when metrics are on.
-func (a *admission) count(name string) {
-	if a.reg != nil {
-		a.reg.Counter(name).Inc()
-	}
-}
-
-// gauge publishes the current in-flight level.
-func (a *admission) gauge() {
-	if a.reg != nil {
-		a.reg.Gauge("admission.inflight").Set(float64(len(a.slots)))
-	}
+	a.inflight.Set(float64(len(a.slots)))
 }

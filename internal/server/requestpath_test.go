@@ -272,7 +272,7 @@ func TestAcquireWithDoneContextTakesNoSlot(t *testing.T) {
 	if err := full.acquire(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("dead context at a full queue: %v, want context.Canceled", err)
 	}
-	if n := full.reg.Snapshot().Counters["admission.shed"]; n != 0 {
+	if n := full.shed.Value(); n != 0 {
 		t.Fatalf("admission.shed = %d, want 0", n)
 	}
 }

@@ -6,9 +6,10 @@
 // every store-touching request first passes the bounded
 // in-flight/queue admission controller (admission.go), runs under a
 // per-request context deadline, and records its wall-clock latency
-// into a UnitWall obs.Registry — the tail-latency SLO view, reported
-// through the same histogram/report pipeline the simulation uses for
-// virtual time (the time_unit tag keeps the two apart).
+// into the server's own UnitWall obs.Registry — the tail-latency SLO
+// view, served on /metrics and /report through the same
+// histogram/report pipeline the simulation uses for virtual time (the
+// time_unit tag keeps the two apart). Recording is always on.
 //
 // Every operation is one request (GET/HEAD/PUT/DELETE on /v1/blobs/)
 // mapped to one whole store operation; the server holds no handle
@@ -58,7 +59,9 @@ import (
 	"repro/internal/server/wire"
 )
 
-// Config tunes one Server.
+// Config tunes one Server's admission control and request deadline.
+// Metrics are not a setting: every Server records into a wall-unit
+// registry of its own, served on /metrics and /report.
 type Config struct {
 	// MaxInFlight bounds concurrently executing store operations.
 	// Zero or negative takes DefaultMaxInFlight.
@@ -77,12 +80,6 @@ type Config struct {
 	// RequestTimeout is the per-request context deadline applied to
 	// every store-touching request. Zero applies none.
 	RequestTimeout time.Duration
-
-	// Registry receives the service's wall-clock metrics: "serve.<op>"
-	// latency histograms, "serve.<op>.err.<name>" counters, and
-	// admission counters. Must be a wall-unit registry
-	// (obs.NewWallRegistry); nil disables metrics.
-	Registry *obs.Registry
 }
 
 // DefaultMaxInFlight is the in-flight limit a zero Config.MaxInFlight
@@ -91,12 +88,13 @@ const DefaultMaxInFlight = 256
 
 // Server serves one blob.Store over HTTP/1.1. Create with New, then
 // either Serve a listener (and Shutdown when done) or mount it as an
-// http.Handler. It holds nothing between requests; the wrapped store's
-// lifecycle belongs to the caller.
+// http.Handler. It holds no store handle between requests, only its
+// metrics; the wrapped store's lifecycle belongs to the caller.
 type Server struct {
 	store blob.Store
 	cfg   Config
-	reg   *obs.Registry
+	reg   *obs.Registry          // wall-unit: every serve.* and admission.* metric
+	lat   [numOps]*obs.Histogram // serve.<op>, resolved once
 	adm   *admission
 
 	closing atomic.Bool // Shutdown was called
@@ -105,28 +103,44 @@ type Server struct {
 	conns   map[*conn]struct{}
 }
 
-// New builds a Server over store. The config's Registry must be
-// wall-unit: the server measures real round-trip time, and recording
-// it into a virtual-time registry would silently mix units (the exact
-// confusion the time_unit tag exists to prevent).
+// New builds a Server over store, recording into a wall-unit registry
+// of its own. It never fails; the error result stays only because the
+// bench module, edited once per re-baseline, takes it.
 func New(store blob.Store, cfg Config) (*Server, error) {
-	if cfg.Registry != nil && cfg.Registry.Unit() != obs.UnitWall {
-		return nil, fmt.Errorf("%w: server registry must be wall-unit (obs.NewWallRegistry), got %s",
-			blob.ErrBadOption, cfg.Registry.Unit())
-	}
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = DefaultMaxInFlight
 	}
 	cfg.MaxQueue = max(cfg.MaxQueue, 0)
-	return &Server{
+	reg := obs.NewWallRegistry()
+	s := &Server{
 		store: store,
 		cfg:   cfg,
-		reg:   cfg.Registry,
-		adm:   newAdmission(cfg.MaxInFlight, cfg.MaxQueue, cfg.QueueTimeout, cfg.Registry),
+		reg:   reg,
+		adm:   newAdmission(cfg.MaxInFlight, cfg.MaxQueue, cfg.QueueTimeout, reg),
 		lns:   make(map[net.Listener]struct{}),
 		conns: make(map[*conn]struct{}),
-	}, nil
+	}
+	for o, name := range opNames {
+		s.lat[o] = reg.Histogram("serve." + name)
+	}
+	return s, nil
 }
+
+// op is a store-touching route, timed into serve.<name>.
+type op int
+
+const (
+	opGet op = iota
+	opHead
+	opPut
+	opDelete
+	opKeys
+	opStats
+	opLayout
+	numOps
+)
+
+var opNames = [numOps]string{"get", "head", "put", "delete", "keys", "stats", "layout"}
 
 // request is one parsed request: what the routes read, with no header
 // map. A wire header that was absent is "".
@@ -242,19 +256,19 @@ func (s *Server) serve(r *request, w *response) {
 	}
 	switch method + " " + route {
 	case "GET " + wire.PathBlobs:
-		s.op("get", s.handleGet, r, w)
+		s.op(opGet, s.handleGet, r, w)
 	case "HEAD " + wire.PathBlobs:
-		s.op("head", s.handleHead, r, w)
+		s.op(opHead, s.handleHead, r, w)
 	case "PUT " + wire.PathBlobs:
-		s.op("put", s.handlePut, r, w)
+		s.op(opPut, s.handlePut, r, w)
 	case "DELETE " + wire.PathBlobs:
-		s.op("delete", s.handleDelete, r, w)
+		s.op(opDelete, s.handleDelete, r, w)
 	case "GET " + wire.PathKeys:
-		s.op("keys", s.handleKeys, r, w)
+		s.op(opKeys, s.handleKeys, r, w)
 	case "GET " + wire.PathStats:
-		s.op("stats", s.handleStats, r, w)
+		s.op(opStats, s.handleStats, r, w)
 	case "GET " + wire.PathLayout:
-		s.op("layout", s.handleLayout, r, w)
+		s.op(opLayout, s.handleLayout, r, w)
 	case "GET " + wire.PathMetrics:
 		s.handleMetrics(w)
 	case "GET " + wire.PathReport:
@@ -270,7 +284,7 @@ func (s *Server) serve(r *request, w *response) {
 // op wraps a handler with the request path's cross-cutting layers:
 // the request context (deadline, and under Serve the client's hang-up),
 // admission control, wall-latency recording, and typed error rendering.
-func (s *Server) op(name string, fn func(*request, *response) error, r *request, w *response) {
+func (s *Server) op(o op, fn func(*request, *response) error, r *request, w *response) {
 	start := obs.WallNow()
 	if s.cfg.RequestTimeout > 0 || r.c != nil {
 		ctx := &reqCtx{Context: r.ctx, c: r.c, start: start}
@@ -291,12 +305,10 @@ func (s *Server) op(name string, fn func(*request, *response) error, r *request,
 		return fn(r, w)
 	}()
 	if err != nil {
-		s.fail(w, name, err)
+		s.fail(w, opNames[o], err)
 		return
 	}
-	if s.reg != nil {
-		s.reg.Histogram("serve." + name).Observe(obs.WallNow() - start)
-	}
+	s.lat[o].Observe(obs.WallNow() - start)
 }
 
 // reqCtx is a request's context: the front door's own plus a deadline
@@ -394,11 +406,9 @@ func (c *reqCtx) release() {
 
 // fail renders a typed failure: sentinel name in the error header,
 // mapped HTTP status, message body; plus an error counter.
-func (s *Server) fail(w *response, op string, err error) {
+func (s *Server) fail(w *response, opName string, err error) {
 	name := blob.ErrName(err)
-	if s.reg != nil {
-		s.reg.Counter("serve." + op + ".err." + name).Inc()
-	}
+	s.reg.Counter("serve." + opName + ".err." + name).Inc()
 	w.reset()
 	w.errName, w.clock = name, s.store.Clock().Now()
 	w.text(blob.HTTPStatus(err), err.Error()+"\n")
@@ -674,23 +684,14 @@ func (s *Server) handleLayout(r *request, w *response) error {
 
 // handleMetrics serves the live wall-clock metrics as a PhaseReport.
 func (s *Server) handleMetrics(w *response) {
-	var snap obs.Snapshot
-	if s.reg != nil {
-		snap = s.reg.Snapshot()
-	} else {
-		snap.Unit = obs.UnitWall
-	}
-	s.writeJSON(w, obs.PhaseFromSnapshot("live", snap))
+	s.writeJSON(w, obs.PhaseFromSnapshot("live", s.reg.Snapshot()))
 }
 
 // handleReport serves a full schema-valid RunReport with one "serve"
 // experiment holding the live phase.
 func (s *Server) handleReport(w *response) {
 	rep := obs.NewRunReport()
-	e := rep.Experiment("serve", "network blob service", "")
-	if s.reg != nil {
-		e.AddPhase("live", s.reg.Snapshot())
-	}
+	rep.Experiment("serve", "network blob service", "").AddPhase("live", s.reg.Snapshot())
 	var b bytes.Buffer
 	rep.WriteJSON(&b)
 	w.contentType, w.clock, w.body = "application/json", s.store.Clock().Now(), b.Bytes()

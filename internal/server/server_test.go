@@ -76,7 +76,7 @@ func doReq(t *testing.T, client *http.Client, method, url string, body []byte) *
 // HEAD stats, DELETE removes, and every error is typed by header and
 // status.
 func TestFrontDoorRoundTrip(t *testing.T) {
-	_, ts, client := newTestServer(t, dataStore(t), Config{Registry: obs.NewWallRegistry()})
+	srv, ts, client := newTestServer(t, dataStore(t), Config{})
 	data := make([]byte, 300*units.KB)
 	for i := range data {
 		data[i] = byte(i % 251)
@@ -134,6 +134,20 @@ func TestFrontDoorRoundTrip(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("GET after delete = %d", resp.StatusCode)
+	}
+
+	// The server's own registry timed each success and counted each
+	// typed failure by op and sentinel.
+	snap := srv.reg.Snapshot()
+	for name, want := range map[string]int64{"serve.put": 1, "serve.get": 1, "serve.head": 1, "serve.delete": 1} {
+		if got := snap.Histograms[name].Count; got != want {
+			t.Errorf("%s count = %d, want %d", name, got, want)
+		}
+	}
+	for name, want := range map[string]int64{"serve.put.err.exists": 1, "serve.get.err.notfound": 2} {
+		if got := snap.Counters[name]; got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
 	}
 }
 
@@ -220,12 +234,10 @@ func TestAdmissionSaturation(t *testing.T) {
 		t.Fatal(err)
 	}
 	gate := make(chan struct{})
-	reg := obs.NewWallRegistry()
-	_, ts, client := newTestServer(t, &gateStore{Store: inner, gate: gate}, Config{
+	srv, ts, client := newTestServer(t, &gateStore{Store: inner, gate: gate}, Config{
 		MaxInFlight:  1,
 		MaxQueue:     2,
 		QueueTimeout: 200 * time.Millisecond,
-		Registry:     reg,
 	})
 
 	const N = 10
@@ -276,7 +288,7 @@ func TestAdmissionSaturation(t *testing.T) {
 	if hdrs["overloaded"] != 7 || hdrs["unavailable"] != 2 {
 		t.Fatalf("error headers = %v, want 7 overloaded + 2 unavailable", hdrs)
 	}
-	snap := reg.Snapshot()
+	snap := srv.reg.Snapshot()
 	if snap.Counters["admission.shed"] != 7 || snap.Counters["admission.timeout"] != 2 {
 		t.Fatalf("admission counters = shed:%d timeout:%d, want 7/2",
 			snap.Counters["admission.shed"], snap.Counters["admission.timeout"])
@@ -432,7 +444,7 @@ func TestVersionedReads(t *testing.T) {
 // wall-unit PhaseReport with serve histograms, /report is a
 // schema-valid RunReport.
 func TestMetricsAndReport(t *testing.T) {
-	_, ts, client := newTestServer(t, dataStore(t), Config{Registry: obs.NewWallRegistry()})
+	_, ts, client := newTestServer(t, dataStore(t), Config{})
 	resp := doReq(t, client, "PUT", ts.URL+wire.PathBlobs+"a", make([]byte, 32*units.KB))
 	resp.Body.Close()
 	resp = doReq(t, client, "GET", ts.URL+wire.PathBlobs+"a", nil)
@@ -585,16 +597,5 @@ func TestMetadataModePut(t *testing.T) {
 	}
 	if resp.Header.Get(wire.HeaderSize) != strconv.FormatInt(512*units.KB, 10) {
 		t.Fatalf("meta GET size = %q", resp.Header.Get(wire.HeaderSize))
-	}
-}
-
-// TestWallRegistryRequired pins the unit guard at the server boundary.
-func TestWallRegistryRequired(t *testing.T) {
-	_, err := New(dataStore(t), Config{Registry: obs.NewRegistry()})
-	if err == nil {
-		t.Fatal("virtual-unit registry accepted, want ErrBadOption")
-	}
-	if _, err := New(dataStore(t), Config{Registry: obs.NewWallRegistry()}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/blob/conformance"
 	"repro/internal/core"
 	"repro/internal/disk"
+	"repro/internal/obs"
 	"repro/internal/shard"
 	"repro/internal/stack"
 	"repro/internal/units"
@@ -493,7 +494,7 @@ func TestLoneCommitDoesNotWait(t *testing.T) {
 func TestPackSkipsChildrenThatCannotPack(t *testing.T) {
 	ctx := context.Background()
 	s, err := stack.Build(vclock.New(), stack.Spec{Backends: []string{stack.File, stack.DB, stack.File, stack.DB},
-		Shards: 4, Capacity: 64 * units.MB, ObsLayer: "store"})
+		Shards: 4, Capacity: 64 * units.MB, Obs: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,11 +50,9 @@ type Spec struct {
 	// (blob.WithGroupCommit).
 	GroupCommitBatch int
 	GroupCommitDelay time.Duration
-	// ObsLayer, when set, wraps every volume in an obs.Store of that
-	// layer name recording into Registry; a nil Registry attaches trace
-	// spans only.
-	ObsLayer string
-	Registry *obs.Registry
+	// Obs, when set, wraps every volume in an obs.Store of layer
+	// "store" recording into it.
+	Obs *obs.Registry
 	// CacheBytes above 0 puts a read cache of that budget on top.
 	CacheBytes int64
 	// Options are passed to every volume after the options the fields
@@ -80,8 +78,8 @@ func (s Spec) String() string {
 	if s.GroupCommitBatch > 1 {
 		d += fmt.Sprintf("|gc:%d,%s", s.GroupCommitBatch, s.GroupCommitDelay)
 	}
-	if s.ObsLayer != "" {
-		d += "|obs:" + s.ObsLayer
+	if s.Obs != nil {
+		d += "|obs"
 	}
 	if s.CacheBytes > 0 {
 		d += "|cache:" + units.FormatBytes(s.CacheBytes)
@@ -139,8 +137,8 @@ func Build(clock *vclock.Clock, s Spec) (blob.Store, error) {
 		if err != nil {
 			return nil, err
 		}
-		if s.ObsLayer != "" {
-			volumes[i] = obs.Wrap(volumes[i], s.ObsLayer, s.Registry)
+		if s.Obs != nil {
+			volumes[i] = obs.Wrap(volumes[i], "store", s.Obs)
 		}
 	}
 	top := volumes[0]

@@ -81,7 +81,7 @@ func rows() []row {
 				spec.CacheBytes = 8 * units.MB
 			}
 			if layers&4 != 0 {
-				spec.ObsLayer, spec.Registry = "store", obs.NewRegistry()
+				spec.Obs = obs.NewRegistry()
 			}
 			add(spec, "", nil)
 		}
@@ -100,17 +100,17 @@ func rows() []row {
 	// none: recording, disabled, and watching a group-commit pipeline;
 	// then one above a volume that has its own.
 	fleet := stack.Spec{Backends: mixed4, Shards: 4}
-	wrap := func(reg *obs.Registry) func(*testing.T, blob.Store) blob.Store {
-		return func(_ *testing.T, s blob.Store) blob.Store { return obs.Wrap(s, "store", reg) }
+	wrap := func(layer string, reg *obs.Registry) func(*testing.T, blob.Store) blob.Store {
+		return func(_ *testing.T, s blob.Store) blob.Store { return obs.Wrap(s, layer, reg) }
 	}
-	add(fleet, "|obs-top", wrap(obs.NewRegistry()))
-	add(fleet, "|obs-top:nil", wrap(nil))
+	add(fleet, "|obs-top", wrap("store", obs.NewRegistry()))
+	add(fleet, "|obs-top:nil", wrap("store", nil))
 	reg := obs.NewRegistry()
 	observed := gc(fleet)
 	observed.Options = []blob.Option{blob.WithCommitObserver(obs.NewCommitObserver(reg, "store"))}
-	add(observed, "|obs-top:observer", wrap(reg))
+	add(observed, "|obs-top:observer", wrap("store", reg))
 	reg = obs.NewRegistry()
-	add(stack.Spec{Backends: file, ObsLayer: "disk", Registry: reg}, "|obs-top", wrap(reg))
+	add(stack.Spec{Backends: file, Obs: reg}, "|obs-top", wrap("top", reg))
 	// The network hop: a client of fragserve's front door on loopback.
 	for _, spec := range []stack.Spec{{Backends: file}, {Backends: db}, {Backends: mixed4, Shards: 4}} {
 		add(spec, "|client", served)
@@ -198,8 +198,8 @@ func TestSpecString(t *testing.T) {
 		}, "file:4G*4|data|gc:8,200µs|cache:32M"},
 		{stack.Spec{
 			Backends: []string{stack.File, stack.DB}, Shards: 2, Capacity: 64 * units.MB,
-			ObsLayer: "store", Registry: obs.NewRegistry(),
-		}, "file+db:64M|meta|obs:store"},
+			Obs: obs.NewRegistry(),
+		}, "file+db:64M|meta|obs"},
 		{stack.Spec{
 			Backends: []string{stack.File}, Capacity: units.GB,
 			Options: []blob.Option{blob.WithWriteRequestSize(16 * units.KB), blob.WithSizeHint()},
@@ -224,7 +224,7 @@ func TestSpecString(t *testing.T) {
 func TestBuildLayers(t *testing.T) {
 	s, err := stack.Build(vclock.New(), stack.Spec{
 		Backends: []string{stack.File, stack.DB}, Shards: 2, Capacity: 64 * units.MB,
-		ObsLayer: "store", Registry: obs.NewRegistry(), CacheBytes: units.MB,
+		Obs: obs.NewRegistry(), CacheBytes: units.MB,
 	})
 	if err != nil {
 		t.Fatal(err)
