@@ -482,6 +482,28 @@ func TestMetricsAndReport(t *testing.T) {
 	}
 }
 
+// TestMetricsCarryAdmissionBeforeAnyShed pins that a fresh server's
+// /metrics already names its admission counters and gauge, at zero: a
+// scrape taken before the first overload shows the controller is there
+// and has shed nothing, rather than omitting the series.
+func TestMetricsCarryAdmissionBeforeAnyShed(t *testing.T) {
+	_, ts, client := newTestServer(t, dataStore(t), Config{})
+	resp := doReq(t, client, "GET", ts.URL+wire.PathMetrics, nil)
+	var phase obs.PhaseReport
+	if err := json.NewDecoder(resp.Body).Decode(&phase); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	for _, name := range []string{"admission.shed", "admission.timeout"} {
+		if n, ok := phase.Counters[name]; !ok || n != 0 {
+			t.Errorf("counter %s = %d (present %v), want 0 and present", name, n, ok)
+		}
+	}
+	if v, ok := phase.Gauges["admission.inflight"]; !ok || v != 0 {
+		t.Errorf("gauge admission.inflight = %g (present %v), want 0 and present", v, ok)
+	}
+}
+
 // TestIngestLayoutIgnoresBodySegmentation pins that how a PUT body
 // arrives does not choose the allocator's request sizes: delivered whole,
 // in 1000-byte segments or a byte at a time, the same objects end up in

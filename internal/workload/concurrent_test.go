@@ -64,6 +64,22 @@ func TestRunnerStreamsBulkLoadAndChurn(t *testing.T) {
 	}
 }
 
+// TestBulkLoadGivesEveryStreamAnObject loads 4 streams into a budget of
+// exactly 4 objects: each stream must load one, however the scheduler
+// runs them. Left to race for the budget, a stream whose goroutine ran
+// first could take several and leave a sibling with none.
+func TestBulkLoadGivesEveryStreamAnObject(t *testing.T) {
+	r := NewRunner(newFS(64*units.MB), Constant{Size: 1 * units.MB}, 1).WithStreams(4)
+	if _, err := r.BulkLoadBytes(4 * units.MB); err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range r.streams {
+		if len(s.keys) != 1 {
+			t.Fatalf("stream %d loaded %v, want one object", i, s.keys)
+		}
+	}
+}
+
 // TestRunnerStreamsContextCancel pins that a cancelled context stops
 // every stream with a typed error.
 func TestRunnerStreamsContextCancel(t *testing.T) {

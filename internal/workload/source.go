@@ -144,6 +144,23 @@ type LoadSource struct {
 	// OnCreate, when non-nil, observes each key whose create COMMITTED —
 	// the caller's live-key bookkeeping.
 	OnCreate func(key string)
+
+	// primed holds the outcome of a claim made by prime; Next returns it
+	// before drawing again.
+	primed  bool
+	first   Op
+	firstOK bool
+}
+
+// prime draws and claims the source's first op now, ahead of the phase.
+// Runner.BulkLoadBytes primes its load streams in stream order before
+// any starts, so each of k streams holds a share of a budget of k or
+// more objects whatever the Go scheduler does: left to race, a stream
+// whose goroutine first ran after its siblings had drained the budget
+// sat the whole load out.
+func (s *LoadSource) prime(rng *rand.Rand) {
+	s.first, s.firstOK = s.Next(rng)
+	s.primed = true
 }
 
 // Name implements Source.
@@ -151,6 +168,10 @@ func (s *LoadSource) Name() string { return "load" }
 
 // Next implements Source.
 func (s *LoadSource) Next(rng *rand.Rand) (Op, bool) {
+	if s.primed {
+		s.primed = false
+		return s.first, s.firstOK
+	}
 	size := units.RoundUp(s.Dist.Sample(rng), 4*units.KB)
 	if !s.Budget.Claim(size) {
 		return Op{}, false

@@ -38,6 +38,50 @@ func TestByteBudget(t *testing.T) {
 	}
 }
 
+// countingDist is a constant size that counts its draws.
+type countingDist struct {
+	Constant
+	draws int
+}
+
+func (d *countingDist) Sample(rng *rand.Rand) int64 {
+	d.draws++
+	return d.Constant.Sample(rng)
+}
+
+// TestPrimedLoadSourceKeepsItsClaim pins prime: a primed source holds its
+// first object whatever its siblings claim afterwards, and a prime that
+// found no room ends the source without a second draw.
+func TestPrimedLoadSourceKeepsItsClaim(t *testing.T) {
+	budget := NewByteBudget(2 * units.MB)
+	rng := rand.New(rand.NewSource(1))
+	srcs := make([]*LoadSource, 3)
+	dists := make([]*countingDist, 3)
+	for i := range srcs {
+		dists[i] = &countingDist{Constant: Constant{Size: 1 * units.MB}}
+		srcs[i] = &LoadSource{Dist: dists[i], Budget: budget,
+			Key: func() string { return string(rune('a' + i)) }}
+		srcs[i].prime(rng)
+	}
+	drain := func(src *LoadSource) (n int) {
+		for {
+			if _, ok := src.Next(rng); !ok {
+				return n
+			}
+			n++
+		}
+	}
+	// The last source drains first, as a goroutine that ran alone would:
+	// the budget is spent, yet the first two still hold their claims.
+	got := []int{drain(srcs[2]), drain(srcs[1]), drain(srcs[0])}
+	if got[0] != 0 || got[1] != 1 || got[2] != 1 {
+		t.Fatalf("ops per source (third, second, first) = %v, want [0 1 1]", got)
+	}
+	if d := dists[2].draws; d != 1 {
+		t.Fatalf("source primed on a spent budget drew %d sizes, want 1", d)
+	}
+}
+
 // TestLoadSourceStopsAtBudget pins the bulk-load Source: creates flow
 // until the first size that no longer fits, keys are generated only for
 // emitted ops, and OnCreate fires only for ops observed successful.

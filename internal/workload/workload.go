@@ -221,24 +221,25 @@ func (r *Runner) BulkLoad(occupancy float64) (Result, error) {
 
 // BulkLoadBytes puts fresh objects until live bytes reach targetBytes.
 // Several streams race for the one byte budget, so their appends
-// interleave from the very first load. On a sharded store an unlucky
-// shard can fill early; the resulting ErrNoSpaceLeft is returned
-// (wrapped) for the caller to tolerate, with the other streams' work
-// intact.
+// interleave from the very first load. Each stream claims its first
+// object, in stream order, before any starts, so every stream loads
+// while the budget holds an object per stream. On a sharded store an
+// unlucky shard can fill early; the resulting ErrNoSpaceLeft is
+// returned (wrapped) for the caller to tolerate, with the other
+// streams' work intact.
 func (r *Runner) BulkLoadBytes(targetBytes int64) (Result, error) {
 	budget := NewByteBudget(targetBytes)
 	budget.Reserve(r.Repo().LiveBytes())
 	specs := make([]Stream, len(r.streams))
 	for i, s := range r.streams {
-		specs[i] = Stream{
-			Source: &LoadSource{
-				Dist:     r.dist,
-				Budget:   budget,
-				Key:      s.key,
-				OnCreate: func(key string) { s.keys = append(s.keys, key) },
-			},
-			RNG: s.rng,
+		src := &LoadSource{
+			Dist:     r.dist,
+			Budget:   budget,
+			Key:      s.key,
+			OnCreate: func(key string) { s.keys = append(s.keys, key) },
 		}
+		src.prime(s.rng)
+		specs[i] = Stream{Source: src, RNG: s.rng}
 	}
 	rr, err := r.exec.Run(specs, RunOptions{})
 	r.Tracker().ResetBaseline()
