@@ -176,10 +176,6 @@ func (rc *RunCache) takeOuterBand(n int64) (extent.Run, bool) {
 	return rc.idx.TakeFirstFitBelow(n, rc.outerBand)
 }
 
-// LargestRun exposes the biggest cached run (for the defragmenter and
-// tests).
-func (rc *RunCache) LargestRun() (extent.Run, bool) { return rc.idx.LargestRun() }
-
 // RunCount reports the number of cached free runs.
 func (rc *RunCache) RunCount() int { return rc.idx.RunCount() }
 

@@ -30,9 +30,3 @@ func As[T any](s Store) (T, bool) {
 type Rewriter interface {
 	CompactObject(ctx context.Context, key string) (int64, error)
 }
-
-// Packer is the small-object coalescing capability: pack the given keys
-// into one shared extent, returning the keys actually packed.
-type Packer interface {
-	PackObjects(ctx context.Context, keys []string) ([]string, error)
-}

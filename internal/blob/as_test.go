@@ -65,8 +65,8 @@ func TestAsWalksInner(t *testing.T) {
 	if got, ok := As[interface{ Inner() Store }](layer{layer{e}}); !ok || got != any(layer{layer{e}}) {
 		t.Errorf("As returned %v, want the outermost implementer", got)
 	}
-	if _, ok := As[Packer](layer{e}); ok {
-		t.Error("As[Packer] found a capability no layer has")
+	if _, ok := As[CommitObserver](layer{e}); ok {
+		t.Error("As[CommitObserver] found a capability no layer has")
 	}
 }
 

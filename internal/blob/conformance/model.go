@@ -174,7 +174,7 @@ func (m *Model) Compact(key string) error {
 }
 
 // Relocate gives key's live version a new version with the same bytes:
-// a compaction or pack moved it, and readers of the old one are stale.
+// a compaction moved it, and readers of the old one are stale.
 func (m *Model) Relocate(key string) error {
 	o := m.objs[key]
 	if o == nil || m.writing(key) {

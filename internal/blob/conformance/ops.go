@@ -145,8 +145,8 @@ func (d *opRun) expectEqual(what string, got, want any) {
 // half of it, one byte over or nothing; nil data for kind&4; a short
 // buffer for kind&8), Commit or Abort (slot), Delete or Stat (key), Open
 // (key, slot), ReadAll or ReadAt (slot, offset, length), Close (slot),
-// an oversized write (key), CompactObject (key), and with no argument
-// PackObjects over Keys, a compactor pass, or Recover.
+// an oversized write (key), CompactObject (key, two opcodes), and with
+// no argument a compactor pass or Recover.
 func (d *opRun) step(i int) {
 	d.t.Helper()
 	ctx := context.Background()
@@ -252,25 +252,12 @@ func (d *opRun) step(i int) {
 			w.Abort()
 		}
 		d.expect(err, blob.ErrNoSpaceLeft)
-	case 12:
+	case 12, 13:
 		key := d.key()
 		if rw, ok := blob.As[blob.Rewriter](d.s); ok {
 			d.note("CompactObject %q", key)
 			n, err := rw.CompactObject(ctx, key)
 			if d.expect(err, d.m.Compact(key)); n > 0 {
-				d.relocate(key)
-			}
-		}
-	case 13:
-		if pk, ok := blob.As[blob.Packer](d.s); ok {
-			d.note("PackObjects(Keys())")
-			// A wrapper over a store that cannot pack says so with
-			// ErrUnsupported; a fleet may have packed some shards first.
-			packed, err := pk.PackObjects(ctx, d.s.Keys())
-			if !errors.Is(err, errors.ErrUnsupported) {
-				d.expect(err, nil)
-			}
-			for _, key := range packed {
 				d.relocate(key)
 			}
 		}

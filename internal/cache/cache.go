@@ -21,7 +21,7 @@
 // from memory, the Reader checks with another free Stat that its
 // version is still live, so the blob.Reader pinning contract holds
 // exactly: a Reader opened through the cache fails with
-// blob.ErrNotFound once its version is replaced, deleted, packed or
+// blob.ErrNotFound once its version is replaced, deleted or
 // relocated, whether that write went through the cache or beneath it.
 //
 // Writes are write-through: Create/Replace/Delete go straight to the
@@ -138,8 +138,8 @@ type Store struct {
 	// Store is the wrapped store. It is embedded so the introspection
 	// methods the cache does not change (Stat, Keys, LiveBytes, ...)
 	// forward by promotion; capabilities it does not change — the
-	// compactor's Rewriter and Packer among them — are reached through
-	// Inner by blob.As.
+	// compactor's Rewriter among them — are reached through Inner by
+	// blob.As.
 	blob.Store
 	clock *vclock.Clock
 	opts  Options

@@ -4,21 +4,20 @@
 // never measures the tradeoff; this package makes it measurable. A
 // Compactor works in the idle windows of live traffic over any
 // blob.Store-backed engine: it watches per-store fragmentation (the
-// same Snapshot statistic the shard layer aggregates), rewrites the
-// worst-fragmented objects, and coalesces the small-object tail into
-// pack files — all metered by a duty cycle on the shared virtual clock,
-// so the rewrite traffic's cost is charged against the same throughput
-// numbers it is trying to improve. The caller drives it as a step of
-// the simulation (CatchUp between churn increments), so a run at one
-// seed is reproducible whatever the duty cycle.
+// same Snapshot statistic the shard layer aggregates) and rewrites the
+// worst-fragmented objects into contiguous space, metered by a duty
+// cycle on the shared virtual clock, so the rewrite traffic's cost is
+// charged against the same throughput numbers it is trying to improve.
+// The caller drives it as a step of the simulation (CatchUp between
+// churn increments), so a run at one seed is reproducible whatever the
+// duty cycle.
 //
 // The compactor needs no engine-specific hooks: it drives the
-// blob.Rewriter and blob.Packer capabilities, which core.FileStore,
-// core.DBStore and shard.Store implement and blob.As finds beneath
-// wrapper layers such as cache.Store. Every
-// rewrite publishes a fresh object version, so readers pinned to the
-// old layout fail with a typed error rather than observing a torn
-// rewrite.
+// blob.Rewriter capability, which core.FileStore, core.DBStore and
+// shard.Store implement and blob.As finds beneath wrapper layers such
+// as cache.Store. Every rewrite publishes a fresh object version, so
+// readers pinned to the old layout fail with a typed error rather than
+// observing a torn rewrite.
 package compact
 
 import (
@@ -48,19 +47,13 @@ const (
 	// rewrite candidate: anything discontiguous.
 	minFragments = 2
 	// triggerFragments is the mean fragments/object below which the
-	// store is considered healthy and the rewrite stage idles — the "hot
+	// store is considered healthy and the compactor idles — the "hot
 	// fragmentation" detector.
 	triggerFragments = 1.2
-	// packThreshold marks objects of at most this many bytes as
-	// small-object-tail pack candidates. Packing only runs against stores
-	// with the Packer capability.
-	packThreshold = 256 * units.KB
-	// packBatch is the most members per pack attempt.
-	packBatch = 64
 )
 
-// Stats counts one compactor's work. All rewrite and pack disk traffic
-// is charged on the store's shared virtual clock; BusySeconds is the
+// Stats counts one compactor's work. All rewrite disk traffic is
+// charged on the store's shared virtual clock; BusySeconds is the
 // compactor's slice of it — the numerator of the duty-cycle gate.
 type Stats struct {
 	// Scans counts candidate-selection passes.
@@ -68,14 +61,9 @@ type Stats struct {
 	// Rewrites counts objects rewritten; RewriteBytes their bytes.
 	Rewrites     int64
 	RewriteBytes int64
-	// Packs counts pack extents built; PackedObjects and PackedBytes
-	// the members coalesced into them.
-	Packs         int64
-	PackedObjects int64
-	PackedBytes   int64
 	// SkippedBusy counts rewrites refused because a writer held the key.
 	SkippedBusy int64
-	// Errors counts rewrite or pack failures other than busy/not-found.
+	// Errors counts rewrite failures other than busy/not-found.
 	Errors int64
 	// BusySeconds is virtual time consumed by the compactor's own ops.
 	BusySeconds float64
@@ -85,18 +73,14 @@ func (s *Stats) add(o Stats) {
 	s.Scans += o.Scans
 	s.Rewrites += o.Rewrites
 	s.RewriteBytes += o.RewriteBytes
-	s.Packs += o.Packs
-	s.PackedObjects += o.PackedObjects
-	s.PackedBytes += o.PackedBytes
 	s.SkippedBusy += o.SkippedBusy
 	s.Errors += o.Errors
 	s.BusySeconds += o.BusySeconds
 }
 
 func (s Stats) String() string {
-	return fmt.Sprintf("%d scans, %d rewrites (%s), %d packs (%d objects, %s), %.2fs busy",
-		s.Scans, s.Rewrites, units.FormatBytes(s.RewriteBytes),
-		s.Packs, s.PackedObjects, units.FormatBytes(s.PackedBytes), s.BusySeconds)
+	return fmt.Sprintf("%d scans, %d rewrites (%s), %.2fs busy",
+		s.Scans, s.Rewrites, units.FormatBytes(s.RewriteBytes), s.BusySeconds)
 }
 
 // Compactor is one compaction worker. It runs no goroutine of its own:
@@ -106,15 +90,13 @@ func (s Stats) String() string {
 // compactor's own work.
 type Compactor struct {
 	exec  blob.Rewriter
-	pack  blob.Packer // nil when the store cannot pack
 	scan  frag.Source // candidate-selection scope (a shard child in a Fleet)
 	clock *vclock.Clock
 	duty  float64
 
-	stats     Stats
-	busyNs    int64
-	startNs   int64 // the duty window opens when the compactor is built
-	packTried map[string]bool
+	stats   Stats
+	busyNs  int64
+	startNs int64 // the duty window opens when the compactor is built
 }
 
 // New builds a compactor over store at the given duty cycle: the
@@ -138,16 +120,13 @@ func newScoped(store blob.Store, scan frag.Source, duty float64) (*Compactor, er
 	if err := ValidateDuty(duty); err != nil {
 		return nil, err
 	}
-	c := &Compactor{
-		exec:      rw,
-		scan:      scan,
-		clock:     store.Clock(),
-		duty:      duty,
-		startNs:   store.Clock().Now(),
-		packTried: make(map[string]bool),
-	}
-	c.pack, _ = blob.As[blob.Packer](store)
-	return c, nil
+	return &Compactor{
+		exec:    rw,
+		scan:    scan,
+		clock:   store.Clock(),
+		duty:    duty,
+		startNs: store.Clock().Now(),
+	}, nil
 }
 
 // Stats returns the compactor's cumulative counters.
@@ -170,7 +149,7 @@ func (c *Compactor) CatchUp(ctx context.Context) {
 		return
 	}
 	for c.gateOpen() {
-		if s := c.cycle(ctx, true); s.Rewrites+s.Packs == 0 {
+		if s := c.cycle(ctx, true); s.Rewrites == 0 {
 			return
 		}
 	}
@@ -191,63 +170,21 @@ func (c *Compactor) charge(s *Stats, w vclock.Stopwatch) {
 	s.BusySeconds += float64(ns) / 1e9
 }
 
-// cycle runs one scan plus the work it uncovers: a pack attempt over
-// the small-object tail, then worst-first rewrites up to cycleBudget.
-// When gated, the duty gate is consulted before every operation and a
-// closed gate abandons the cycle; a done ctx abandons it too. It
-// returns the cycle's work, which it also adds to the compactor's
-// counters.
+// cycle runs one scan plus the work it uncovers: worst-first rewrites
+// up to cycleBudget. When gated, the duty gate is consulted before
+// every rewrite and a closed gate abandons the cycle; a done ctx
+// abandons it too. It returns the cycle's work, which it also adds to
+// the compactor's counters.
 func (c *Compactor) cycle(ctx context.Context, gated bool) (s Stats) {
 	if ctx.Err() != nil {
 		return s
 	}
 	defer func() { c.stats.add(s) }()
-	admit := func() bool { return ctx.Err() == nil && (!gated || c.gateOpen()) }
 	rep := frag.Analyze(c.scan)
 	s.Scans++
 
-	// Pack stage: coalesce the small-object tail. Keys already tried
-	// (packed or refused) are skipped until they churn back as fresh
-	// versions — the store itself filters repacks.
-	if c.pack != nil {
-		var smalls []string
-		for _, o := range rep.PerObject {
-			if o.Bytes > 0 && o.Bytes <= packThreshold && !c.packTried[o.Key] {
-				smalls = append(smalls, o.Key)
-				if len(smalls) >= packBatch {
-					break
-				}
-			}
-		}
-		if len(smalls) >= 2 {
-			if !admit() {
-				return s
-			}
-			w := vclock.StartWatch(c.clock)
-			packed, err := c.pack.PackObjects(ctx, smalls)
-			c.charge(&s, w)
-			for _, k := range smalls {
-				c.packTried[k] = true
-			}
-			if err != nil {
-				s.Errors++
-			} else if len(packed) > 0 {
-				s.Packs++
-				s.PackedObjects += int64(len(packed))
-				for _, k := range packed {
-					for _, o := range rep.PerObject {
-						if o.Key == k {
-							s.PackedBytes += o.Bytes
-							break
-						}
-					}
-				}
-			}
-		}
-	}
-
-	// Rewrite stage: only when fragmentation is hot, worst-first, under
-	// the per-cycle byte budget.
+	// Rewrite only when fragmentation is hot, worst-first, under the
+	// per-cycle byte budget.
 	if rep.MeanFragments() < triggerFragments {
 		return s
 	}
@@ -264,7 +201,7 @@ func (c *Compactor) cycle(ctx context.Context, gated bool) (s Stats) {
 		return cands[i].Key < cands[j].Key
 	})
 	for _, o := range cands {
-		if s.RewriteBytes >= cycleBudget || !admit() {
+		if s.RewriteBytes >= cycleBudget || ctx.Err() != nil || gated && !c.gateOpen() {
 			break
 		}
 		w := vclock.StartWatch(c.clock)

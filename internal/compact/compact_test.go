@@ -141,48 +141,6 @@ func TestRunOnceDefragmentsFileStore(t *testing.T) {
 	}
 }
 
-// TestRunOncePacksSmallTail pins the pack stage: a tail of small
-// objects is coalesced into a pack extent and stays readable.
-func TestRunOncePacksSmallTail(t *testing.T) {
-	ctx := context.Background()
-	store, err := core.NewFileStore(vclock.New(),
-		blob.WithCapacity(128*units.MB), blob.WithDiskMode(disk.DataMode))
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := make([]byte, 100*units.KB)
-	for i := range data {
-		data[i] = byte(i % 251)
-	}
-	for i := 0; i < 6; i++ {
-		if err := blob.Put(ctx, store, fmt.Sprintf("small-%d", i), int64(len(data)), data); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c, err := compact.New(store, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := c.RunOnce(ctx)
-	if st.Packs != 1 || st.PackedObjects != 6 {
-		t.Fatalf("pack stage did %d packs / %d objects, want 1 / 6: %v", st.Packs, st.PackedObjects, st)
-	}
-	if st.PackedBytes != 6*int64(len(data)) {
-		t.Fatalf("packed bytes = %d, want %d", st.PackedBytes, 6*len(data))
-	}
-	if store.Volume().PackCount() != 1 {
-		t.Fatalf("volume pack count = %d, want 1", store.Volume().PackCount())
-	}
-	if _, got, err := blob.Get(ctx, store, "small-3"); err != nil || string(got) != string(data) {
-		t.Fatalf("packed object unreadable: %v", err)
-	}
-	// A second cycle does not thrash: the tail is already packed.
-	st = c.RunOnce(ctx)
-	if st.Packs != 0 {
-		t.Fatalf("repack on second cycle: %v", st)
-	}
-}
-
 // TestRunOnceCompactsDBStore drives the database backend's rewrite path:
 // delete-then-overwrite churn leaves objects spanning scattered holes,
 // and compaction re-appends them contiguously through the log.

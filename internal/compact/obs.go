@@ -8,7 +8,7 @@ import (
 
 // PublishMetrics writes the fleet's aggregate work into reg under the
 // given prefix ("compact" → "compact.rewrites", ...): counters for the
-// cumulative work (scans, rewrites, packs, busy/skip/error counts),
+// cumulative work (scans, rewrites, busy/skip/error counts),
 // gauges for the byte totals and the duty cycle. A fleet over a sharded
 // store also publishes per-shard rewrite-byte and busy-time gauges
 // ("compact.shard0.rewrite_bytes", ...), the skew view. Call at a phase
@@ -25,12 +25,9 @@ func (f *Fleet) PublishMetrics(reg *obs.Registry, prefix string) {
 	}
 	set("scans", s.Scans)
 	set("rewrites", s.Rewrites)
-	set("packs", s.Packs)
-	set("packed_objects", s.PackedObjects)
 	set("skipped_busy", s.SkippedBusy)
 	set("errors", s.Errors)
 	reg.Gauge(prefix + ".rewrite_bytes").Set(float64(s.RewriteBytes))
-	reg.Gauge(prefix + ".packed_bytes").Set(float64(s.PackedBytes))
 	reg.Gauge(prefix + ".busy_seconds").Set(s.BusySeconds)
 	reg.Gauge(prefix + ".duty_cycle").Set(f.duty)
 	if len(f.comps) < 2 {

@@ -213,13 +213,6 @@ func TestRetiredBytesCountedWhereVersionsDie(t *testing.T) {
 			t.Fatal("compaction moved nothing: the test did not fragment an object")
 		}
 		check("compaction", retired)
-		if fs, ok := s.(*FileStore); ok {
-			packed, err := fs.PackObjects(ctx, fs.Keys())
-			if err != nil || len(packed) == 0 {
-				t.Fatalf("pack = %v, %v", packed, err)
-			}
-			check("pack", retired)
-		}
 		if s.LiveBytes() != live {
 			t.Fatalf("relocation moved live bytes: %d, want %d", s.LiveBytes(), live)
 		}

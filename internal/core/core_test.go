@@ -445,3 +445,44 @@ func TestDataModePayloadMovesOnce(t *testing.T) {
 		t.Errorf("a 48 MB writer that appends one byte allocates %d bytes", b)
 	}
 }
+
+// TestCompactObjectInvalidatesPinnedReader pins the store-level version
+// discipline: a reader opened before a compaction rewrite fails typed
+// instead of reading the relocated clusters.
+func TestCompactObjectInvalidatesPinnedReader(t *testing.T) {
+	ctx := context.Background()
+	s := mustFileStore(t, blob.WithCapacity(128*units.MB), blob.WithDiskMode(disk.MetadataMode))
+	if err := blob.Put(ctx, s, "a", units.MB, nil); err != nil {
+		t.Fatal(err)
+	}
+	s.Volume().ShatterFiles(4)
+
+	r, err := s.Open(ctx, "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	n, err := s.CompactObject(ctx, "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != units.MB {
+		t.Fatalf("compaction moved %d bytes, want %d", n, units.MB)
+	}
+	if _, err := r.ReadAll(); !errors.Is(err, blob.ErrNotFound) {
+		t.Fatalf("pinned reader survived relocation: err = %v, want ErrNotFound", err)
+	}
+	// A fresh open sees the contiguous rewrite.
+	if _, _, err := blob.Get(ctx, s, "a"); err != nil {
+		t.Fatalf("post-compaction read: %v", err)
+	}
+	// An already-contiguous object is a no-op, not an error.
+	if n, err := s.CompactObject(ctx, "a"); err != nil || n != 0 {
+		t.Fatalf("second compaction = %d, %v; want 0, nil", n, err)
+	}
+	// Missing keys fail typed.
+	if _, err := s.CompactObject(ctx, "missing"); !errors.Is(err, blob.ErrNotFound) {
+		t.Fatalf("compacting missing key = %v, want ErrNotFound", err)
+	}
+}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/blob"
@@ -39,8 +38,7 @@ type FileStore struct {
 	opts   blob.Options
 
 	// Guarded by mu.
-	crashes   map[string]bool // keys armed to crash at the next commit
-	packCrash bool            // next PackObjects crashes mid-pack
+	crashes map[string]bool // keys armed to crash at the next commit
 }
 
 // NewFileStore builds a file-backed store on a fresh simulated drive
@@ -88,20 +86,9 @@ func (s *FileStore) ArmCommitCrash(key string) {
 	s.mu.Unlock()
 }
 
-// ArmPackCrash makes the next PackObjects crash after the pack's data
-// and index are written but before any member is switched over —
-// the torn-rewrite window Recover must sweep. Pairs with
-// ArmCommitCrash for the safe-write path.
-func (s *FileStore) ArmPackCrash() {
-	s.mu.Lock()
-	s.packCrash = true
-	s.mu.Unlock()
-}
-
 // Recover models post-crash restart: orphaned safe-write temp files are
-// swept, orphan packs from a crash mid-pack have their clusters freed,
-// the volume log is flushed, and all writer claims are released (a
-// crash kills every in-flight stream). It returns the number of temp
+// swept, the volume log is flushed, and all writer claims are released
+// (a crash kills every in-flight stream). It returns the number of temp
 // files removed.
 func (s *FileStore) Recover() int {
 	s.mu.Lock()
@@ -109,7 +96,6 @@ func (s *FileStore) Recover() int {
 	n := s.vol.Recover()
 	clear(s.inflight)
 	clear(s.crashes)
-	s.packCrash = false
 	return n
 }
 
@@ -121,55 +107,6 @@ func (s *FileStore) Volume() *fs.Volume { return s.vol }
 
 // CapacityBytes implements blob.Store.
 func (s *FileStore) CapacityBytes() int64 { return s.vol.CapacityBytes() }
-
-// PackObjects coalesces the given small objects into one pack extent,
-// returning the keys actually packed. Keys that are missing, busy with
-// an uncommitted writer, or already packed are skipped; fewer than two
-// eligible keys is a no-op. Like CompactObject, the pack rides the
-// group-commit pipeline and each member's relocation is a row update in
-// the metadata database.
-func (s *FileStore) PackObjects(ctx context.Context, keys []string) ([]string, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	var packed []string
-	err := s.committer.Do(func() error {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		eligible := make([]string, 0, len(keys))
-		for _, k := range keys {
-			if s.inflight[k] {
-				continue
-			}
-			if f, ok := s.vol.Lookup(fs.FileName(k)); ok && !f.Packed() {
-				eligible = append(eligible, f.Name())
-			}
-		}
-		opts := fs.PackOptions{Crash: s.packCrash}
-		s.packCrash = false
-		rep, err := s.vol.PackFiles(eligible, opts)
-		if err != nil {
-			return err
-		}
-		for i, name := range rep.Packed {
-			rep.Packed[i] = fs.KeyOf(name)
-			if err := s.meta.Update(rep.Packed[i]); err != nil {
-				return err
-			}
-		}
-		packed = rep.Packed
-		return nil
-	})
-	return packed, err
-}
-
-// PackRuns implements frag.PackSource: the runs behind a pack's owner
-// tag, which every member of the pack carries.
-func (s *FileStore) PackRuns(tag uint32) ([]extent.Run, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.vol.PackRuns(tag)
-}
 
 // --- engine ---
 
@@ -203,7 +140,7 @@ func (s *FileStore) exists(key string) bool {
 }
 
 // read compares owner tags, not File pointers: the volume recycles File
-// structs, but stamps a fresh tag on every create, relocation and pack.
+// structs, but stamps a fresh tag on every create and relocation.
 func (s *FileStore) read(key string, tag uint32, whole bool, off, length int64) ([]byte, bool, error) {
 	f, ok := s.vol.Lookup(fs.FileName(key))
 	if !ok || f.Tag() != tag {
@@ -337,7 +274,7 @@ func (s *FileStore) remove(key string) (int64, error) {
 }
 
 // compact moves key's file into contiguous space; 0 bytes when it is
-// already contiguous, packed, or could not be placed.
+// already contiguous or could not be placed.
 func (s *FileStore) compact(key string) (int64, error) {
 	name := fs.FileName(key)
 	if _, ok := s.vol.Lookup(name); !ok {

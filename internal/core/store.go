@@ -383,8 +383,7 @@ func (s *store) LiveBytes() int64 {
 
 // RetiredBytes returns the bytes of every version a commit replaced or
 // a delete removed since the store was built. A relocation — a
-// compaction rewrite or a pack — retires nothing: the version stays
-// live.
+// compaction rewrite — retires nothing: the version stays live.
 func (s *store) RetiredBytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()

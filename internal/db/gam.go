@@ -283,19 +283,6 @@ func (a *Allocator) PartialExtents() int { return a.partials }
 // deallocation cache.
 func (a *Allocator) ReuseQueueLen() int { return len(a.reuse) - a.reuseHead }
 
-// ResetReuse drains the deallocation cache back into the GAM bitmap and
-// rewinds the scan cursor — the state a freshly created filegroup starts
-// from. Used by table rebuilds.
-func (a *Allocator) ResetReuse() {
-	for _, e := range a.reuse[a.reuseHead:] {
-		a.gam.set(e)
-	}
-	a.reuse = a.reuse[:0]
-	a.reuseHead = 0
-	a.cursor = 0
-	a.mixed = -1
-}
-
 // CheckInvariants panics when the masks disagree with the bitmaps, the
 // deallocation cache or the free-page count. Intended for tests.
 func (a *Allocator) CheckInvariants() {

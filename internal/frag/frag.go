@@ -144,21 +144,11 @@ type TagSource interface {
 	EachObjectTag(fn func(key string, tag uint32))
 }
 
-// PackSource is a TagSource in which several objects can share one
-// owner tag, a pack. The scan sees a pack's clusters as one object, so
-// PackRuns returns the runs carrying the pack's tag in the order they
-// were written; false when tag is no pack's.
-type PackSource interface {
-	TagSource
-	PackRuns(tag uint32) ([]extent.Run, bool)
-}
-
 // CrossValidate compares the marker-scan fragment counts with the extent
 // list analysis and returns the keys that disagree (empty means the two
 // measurements match, the property the paper established for its tool).
-// A pack's tag is compared once, against the pack's own runs, and named
-// by its members; a tag several keys share that the source cannot list
-// as a pack is reported, never skipped.
+// Every live object carries a tag of its own, so a tag several keys
+// share is reported, never skipped.
 func CrossValidate(d *disk.Drive, src TagSource) ([]string, error) {
 	scanned, err := ScanMarkers(d)
 	if err != nil {
@@ -172,26 +162,13 @@ func CrossValidate(d *disk.Drive, src TagSource) ([]string, error) {
 	src.EachObjectTag(func(key string, tag uint32) {
 		keys[tag] = append(keys[tag], key)
 	})
-	packs, _ := src.(PackSource)
 	var bad []string
 	for tag, ks := range keys {
-		sort.Strings(ks)
-		var runs []extent.Run
-		isPack := false
-		if packs != nil {
-			runs, isPack = packs.PackRuns(tag)
-		}
-		switch {
-		case isPack:
-			if got, want := scanned[tag], CountRunFragments(runs); got != want {
-				bad = append(bad, fmt.Sprintf("pack %d %v: scan=%d runs=%d", tag, ks, got, want))
-			}
-		case len(ks) > 1:
-			bad = append(bad, fmt.Sprintf("tag %d %v: shared, but the source lists no pack runs for it", tag, ks))
-		default:
-			if got, want := scanned[tag], fromRuns[ks[0]]; got != want {
-				bad = append(bad, fmt.Sprintf("%s: scan=%d runs=%d", ks[0], got, want))
-			}
+		if len(ks) > 1 {
+			sort.Strings(ks)
+			bad = append(bad, fmt.Sprintf("tag %d %v: shared by several objects", tag, ks))
+		} else if got, want := scanned[tag], fromRuns[ks[0]]; got != want {
+			bad = append(bad, fmt.Sprintf("%s: scan=%d runs=%d", ks[0], got, want))
 		}
 	}
 	sort.Strings(bad)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 	"testing"
 
@@ -97,14 +96,11 @@ func TestScanDetectsLogicalReordering(t *testing.T) {
 	}
 }
 
-var _ frag.PackSource = (*core.FileStore)(nil)
-
 // TestCrossValidateAgainstEngines: the paper validated its marker tool
 // against the NTFS defragmenter's reports; we validate the scanner
 // against engine extent lists on both backends, with group commit off
 // and on, after the states the markers must survive — replaces,
-// deletes, CompactObject and (filesystem) PackObjects, including a pack
-// some members left — and then plant a fault the scan must name.
+// deletes and CompactObject — and then plant a fault the scan must name.
 func TestCrossValidateAgainstEngines(t *testing.T) {
 	for _, backend := range []string{"filesystem", "database"} {
 		t.Run(backend, func(t *testing.T) {
@@ -148,7 +144,7 @@ func TestCrossValidateAgainstEngines(t *testing.T) {
 }
 
 // crossValidateChurn loads 20 large and 20 small objects in batches of
-// four committed together, then replaces, deletes, compacts and packs,
+// four committed together, then replaces, deletes and compacts,
 // checking the scan against the extent lists after each step.
 func crossValidateChurn(t *testing.T, s blob.Store, checkAgree func(string)) {
 	ctx := context.Background()
@@ -195,36 +191,11 @@ func crossValidateChurn(t *testing.T, s blob.Store, checkAgree func(string)) {
 		t.Fatal("CompactObject moved nothing: the relocation path went unexercised")
 	}
 	checkAgree("CompactObject")
-	pk, ok := s.(blob.Packer)
-	if !ok {
-		return
-	}
-	for _, group := range [][]string{smalls[:10], smalls[10:]} {
-		if packed, err := pk.PackObjects(ctx, group); err != nil || len(packed) != len(group) {
-			t.Fatalf("PackObjects(%v) packed %v, %v", group, packed, err)
-		}
-	}
-	checkAgree("PackObjects")
-	// One pack loses a member to a delete and one to a replace; the other
-	// keeps a single member, which still carries the whole pack's tag.
-	if err := s.Delete(ctx, smalls[0]); err != nil {
-		t.Fatal(err)
-	}
-	if err := blob.Replace(ctx, s, smalls[1], small(), nil); err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range smalls[10:19] {
-		if err := s.Delete(ctx, key); err != nil {
-			t.Fatal(err)
-		}
-	}
-	checkAgree("pack members leave")
 }
 
 // plantFault re-tags the middle cluster of the largest object's first
-// run with a tag no object carries, and on a store with packs the
-// middle cluster of a pack's first run too; CrossValidate must name
-// that object and that pack, and nothing else.
+// run with a tag no object carries; CrossValidate must name that object
+// and nothing else.
 func plantFault(t *testing.T, drive *disk.Drive, s blob.Store) {
 	var victim string
 	var at extent.Run
@@ -238,35 +209,12 @@ func plantFault(t *testing.T, drive *disk.Drive, s blob.Store) {
 		t.Fatalf("largest object %s has a first run of %d clusters, too short to plant a fault in", victim, at.Len)
 	}
 	drive.WriteRun(extent.Run{Start: at.Start + 1, Len: 1}, 1<<31, 0, nil)
-	want := []string{victim + ": "}
-	if ps, ok := s.(frag.PackSource); ok {
-		tags := make(map[uint32]bool)
-		s.EachObjectTag(func(_ string, tag uint32) { tags[tag] = true })
-		var pack uint32
-		for tag := range tags {
-			if runs, ok := ps.PackRuns(tag); ok && runs[0].Len >= 3 && (pack == 0 || tag < pack) {
-				pack = tag
-			}
-		}
-		if pack == 0 {
-			t.Fatal("no pack with a run of three clusters to plant a fault in")
-		}
-		runs, _ := ps.PackRuns(pack)
-		drive.WriteRun(extent.Run{Start: runs[0].Start + 1, Len: 1}, 1<<31, 0, nil)
-		want = append(want, fmt.Sprintf("pack %d ", pack))
-		sort.Strings(want)
-	}
 	bad, err := frag.CrossValidate(drive, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(bad) != len(want) {
-		t.Fatalf("planted faults named by %q, CrossValidate reported %v", want, bad)
-	}
-	for i := range want {
-		if !strings.HasPrefix(bad[i], want[i]) {
-			t.Fatalf("planted faults named by %q, CrossValidate reported %v", want, bad)
-		}
+	if len(bad) != 1 || !strings.HasPrefix(bad[0], victim+": ") {
+		t.Fatalf("planted fault in %s, CrossValidate reported %v", victim, bad)
 	}
 }
 
@@ -281,9 +229,8 @@ func (f fakeTagSource) EachObjectTag(fn func(string, uint32)) {
 	}
 }
 
-// TestCrossValidateReportsUnlistedSharedTag: a tag two keys share is
-// compared against nothing when the source cannot list it as a pack, so
-// it is reported, not skipped.
+// TestCrossValidateReportsUnlistedSharedTag: every live object owns its
+// tag, so a tag two keys share is reported, not skipped.
 func TestCrossValidateReportsUnlistedSharedTag(t *testing.T) {
 	d := disk.New(disk.DefaultGeometry(64*units.MB), vclock.New(), disk.MetadataMode, disk.WithOwnerMap())
 	d.WriteRun(extent.Run{Start: 10, Len: 2}, 5, 0, nil)

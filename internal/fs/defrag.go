@@ -20,13 +20,13 @@ func extRun(start, length int64) extent.Run { return extent.Run{Start: start, Le
 
 // CompactFile rewrites a single file into contiguous space, returning
 // the bytes moved. It is the per-object entry point the online
-// compactor drives: already-contiguous, packed, or open files are left
+// compactor drives: already-contiguous or open files are left
 // alone (moved == 0). When the allocator cannot produce a contiguous
 // run but freed space sits quarantined in the log, the log is flushed
 // and the move retried once.
 func (v *Volume) CompactFile(name string) (moved int64, ok bool) {
 	f, exists := v.files[name]
-	if !exists || f.pack != nil || f.open || f.Fragments() <= 1 {
+	if !exists || f.open || f.Fragments() <= 1 {
 		return 0, false
 	}
 	if !v.moveContiguous(f) {
@@ -47,7 +47,7 @@ func (v *Volume) CompactFile(name string) (moved int64, ok bool) {
 // pinned to the old location fail instead of reading relocated clusters.
 func (v *Volume) moveContiguous(f *File) bool {
 	need := f.allocated
-	if need == 0 || f.pack != nil {
+	if need == 0 {
 		return false
 	}
 	runs, err := v.rc.Alloc(need)

@@ -11,7 +11,7 @@ import (
 
 // File is a named stream of bytes stored as a list of cluster runs, like
 // an NTFS non-resident attribute. A File handle stays valid until the file
-// is deleted, replaced, or relocated (compacted or packed) — relocation
+// is deleted, replaced, or relocated by compaction — relocation
 // publishes a fresh File so stale handles cannot read moved clusters.
 type File struct {
 	vol  *Volume
@@ -35,11 +35,6 @@ type File struct {
 	// Bytes below len(data) are never written again: reads hand out
 	// views of this array.
 	data []byte
-
-	// Packed files carry no runs of their own: their bytes live at
-	// [packOff, packOff+size) inside pack's shared data region.
-	pack    *Pack
-	packOff int64
 }
 
 // Name returns the file's name.
@@ -48,12 +43,8 @@ func (f *File) Name() string { return f.name }
 // Size returns the logical file size in bytes, including buffered bytes.
 func (f *File) Size() int64 { return f.size + f.buffered }
 
-// Runs returns a copy of the file's extent list. For a packed file the
-// list is the slice of the pack's data region covering its bytes.
+// Runs returns a copy of the file's extent list.
 func (f *File) Runs() []extent.Run {
-	if f.pack != nil {
-		return f.pack.runsOf(f.packOff, f.size)
-	}
 	out := make([]extent.Run, len(f.runs))
 	copy(out, f.runs)
 	return out
@@ -62,9 +53,6 @@ func (f *File) Runs() []extent.Run {
 // Fragments returns the number of discontiguous extents storing the file.
 // A contiguous file has 1 fragment (paper, Figure 2 caption).
 func (f *File) Fragments() int {
-	if f.pack != nil {
-		return len(f.pack.runsOf(f.packOff, f.size))
-	}
 	return len(f.runs)
 }
 
@@ -270,9 +258,6 @@ func (v *Volume) Lookup(name string) (*File, bool) {
 // core cost mechanism. When the drive retains payloads the result is a
 // read-only view of the file's contents (see view); otherwise nil.
 func (f *File) ReadAll() []byte {
-	if f.pack != nil {
-		f.pack.readRange(f.packOff, f.size)
-	}
 	for _, r := range f.runs {
 		f.vol.drive.ChargeRead(r)
 	}
@@ -302,10 +287,6 @@ func (f *File) ReadAt(off, length int64) ([]byte, error) {
 	if length == 0 {
 		return nil, nil
 	}
-	if f.pack != nil {
-		f.pack.readRange(f.packOff+off, length)
-		return f.view(off, length), nil
-	}
 	cs := f.vol.ClusterSize()
 	firstC := off / cs
 	lastC := (off + length - 1) / cs
@@ -331,11 +312,6 @@ func (v *Volume) Delete(name string) error {
 		return fmt.Errorf("%w: %s", ErrNotExist, name)
 	}
 	v.drive.ChargeCPU(v.cfg.DeleteCPUUs)
-	if f.pack != nil {
-		// Packed members share clusters; the pack frees them only when
-		// its last member dies.
-		f.pack.remove(f)
-	}
 	for _, r := range f.runs {
 		v.rc.Free(r)
 		v.drive.ClearOwner(r)
@@ -355,8 +331,6 @@ func (v *Volume) Delete(name string) error {
 	f.size = 0
 	f.buffered = 0
 	f.sizeHint = 0
-	f.pack = nil
-	f.packOff = 0
 	if len(v.filePool) < maxFilePool {
 		v.filePool = append(v.filePool, f)
 	}
@@ -381,10 +355,6 @@ func (v *Volume) Rename(oldName, newName string) error {
 		}
 	}
 	delete(v.files, oldName)
-	if f.pack != nil {
-		delete(f.pack.members, oldName)
-		f.pack.members[newName] = f
-	}
 	f.name = newName
 	v.files[newName] = f
 	v.metadataWrite(f.tag)

@@ -103,11 +103,6 @@ type Volume struct {
 	files   map[string]*File
 	nextTag uint32
 
-	// packs holds the live pack extents by tag; orphanPacks holds packs
-	// written but never committed (crash mid-pack), swept by Recover.
-	packs       map[uint32]*Pack
-	orphanPacks []*Pack
-
 	metaStart int64 // first cluster of the MFT zone
 	metaLen   int64 // clusters in the MFT zone
 
@@ -175,7 +170,6 @@ func Format(drive *disk.Drive, cfg Config) *Volume {
 		drive:   drive,
 		rc:      alloc.NewRunCache(clusters, cfg.BandFrac),
 		files:   make(map[string]*File),
-		packs:   make(map[uint32]*Pack),
 		nextTag: 1,
 	}
 	// Reserve the MFT zone. On an empty volume this carves the lowest
@@ -208,9 +202,6 @@ func (v *Volume) TotalFreeBytes() int64 { return v.rc.TotalFree() * v.ClusterSiz
 func (v *Volume) CapacityBytes() int64 {
 	return (v.drive.Geometry().Clusters - v.metaLen) * v.ClusterSize()
 }
-
-// FileCount returns the number of live files.
-func (v *Volume) FileCount() int { return len(v.files) }
 
 // mftCluster deterministically places a file record inside the MFT zone.
 func (v *Volume) mftCluster(tag uint32) int64 {

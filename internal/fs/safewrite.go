@@ -42,10 +42,9 @@ func FileName(key string) string {
 // KeyOf inverts FileName for a file that is not a temp.
 func KeyOf(name string) string { return strings.TrimSuffix(name, "~") }
 
-// Recover cleans up after a crash: orphaned temp files are deleted,
-// orphan packs (written but never committed to any member) have their
-// clusters freed, and the log is flushed, mirroring NTFS log replay at
-// mount. It returns the number of temp files removed.
+// Recover cleans up after a crash: orphaned temp files are deleted and
+// the log is flushed, mirroring NTFS log replay at mount. It returns the
+// number of temp files removed.
 func (v *Volume) Recover() int {
 	var orphans []string
 	for name := range v.files {
@@ -56,10 +55,6 @@ func (v *Volume) Recover() int {
 	for _, name := range orphans {
 		_ = v.Delete(name)
 	}
-	for _, p := range v.orphanPacks {
-		p.freeOrphan()
-	}
-	v.orphanPacks = nil
 	v.FlushLog()
 	return len(orphans)
 }

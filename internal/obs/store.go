@@ -179,22 +179,6 @@ func (s *Store) CompactObject(ctx context.Context, key string) (int64, error) {
 	return n, err
 }
 
-// PackObjects forwards a pack attempt, timed as "<layer>.pack".
-func (s *Store) PackObjects(ctx context.Context, keys []string) ([]string, error) {
-	pk, ok := blob.As[blob.Packer](s.Store)
-	if !ok {
-		return nil, fmt.Errorf("%w: %s cannot pack objects", errors.ErrUnsupported, s.Store.Name())
-	}
-	if !s.enabled(ctx) {
-		return pk.PackObjects(ctx, keys)
-	}
-	op := opFromContext(ctx)
-	start := s.clock.Now()
-	packed, err := pk.PackObjects(ctx, keys)
-	s.observe(op, "pack", start, err)
-	return packed, err
-}
-
 var _ blob.Store = (*Store)(nil)
 
 // obsReader times reads at the wrapping layer. It carries the OpTrace

@@ -12,9 +12,7 @@ import (
 	"repro/internal/blob/conformance"
 	"repro/internal/core"
 	"repro/internal/disk"
-	"repro/internal/obs"
 	"repro/internal/shard"
-	"repro/internal/stack"
 	"repro/internal/units"
 	"repro/internal/vclock"
 )
@@ -483,34 +481,5 @@ func TestLoneCommitDoesNotWait(t *testing.T) {
 	s := mkSharded(t, 4, 64*units.MB, blob.WithGroupCommit(8, conformance.GroupCommitCeiling))
 	for _, key := range []string{"a", "b", "c", "d", "e"} {
 		conformance.LoneCommitDoesNotWait(t, s, conformance.PutKey(s, key))
-	}
-}
-
-// TestPackSkipsChildrenThatCannotPack: over a mixed fleet with an obs
-// layer on each volume, the database children answer PackObjects with
-// errors.ErrUnsupported. The fleet skips them, as it skips a child with
-// no Packer, and packs every filesystem child's group, whatever order
-// it visits the children in.
-func TestPackSkipsChildrenThatCannotPack(t *testing.T) {
-	ctx := context.Background()
-	s, err := stack.Build(vclock.New(), stack.Spec{Backends: []string{stack.File, stack.DB, stack.File, stack.DB},
-		Shards: 4, Capacity: 64 * units.MB, Obs: obs.NewRegistry()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fleet := s.(*shard.Store)
-	var onFiles []string
-	for i := range 32 {
-		key := fmt.Sprintf("small-%02d", i)
-		if err := blob.Put(ctx, s, key, 4*units.KB, nil); err != nil {
-			t.Fatal(err)
-		}
-		if fleet.ShardFor(key)%2 == 0 {
-			onFiles = append(onFiles, key)
-		}
-	}
-	packed, err := fleet.PackObjects(ctx, s.Keys())
-	if err != nil || len(packed) != len(onFiles) {
-		t.Fatalf("PackObjects = %d keys, %v; want the %d keys on filesystem shards and no error", len(packed), err, len(onFiles))
 	}
 }

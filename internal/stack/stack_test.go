@@ -295,7 +295,7 @@ func randomOps(seed uint64) []byte {
 	for range conformance.MaxOps {
 		slot := any()
 		switch p := rng.IntN(100); {
-		case p < 45: // a write: rest, or half then rest, data or nil; or a bad append
+		case p < 40: // a write: rest, or half then rest, data or nil; or a bad append
 			key = any()
 			out = append(out, any()%2, key, any(), slot)
 			mode := pick(0, 4)
@@ -303,6 +303,13 @@ func randomOps(seed uint64) []byte {
 				out = append(out, 2, slot, kind^mode)
 			}
 			out = append(out, pick(3, 3, 3, 4, 5), slot, pick(4, 4, 6), slot)
+		case p < 45: // two 130 or 300 KB writes taking turns, so the first one
+			// fragments, then a CompactObject of it between two Stats
+			key = any()
+			other := any()
+			out = append(out, 1, key, pick(5, 6), slot, 1, any(), pick(5, 6), other,
+				2, slot, 1, 2, other, 1, 2, slot, 0, 2, other, 0, 3, slot, 3, other,
+				6, key, 12, key, 6, key)
 		case p < 70: // a read: Open, then ReadAll or ReadAt, then maybe Close
 			out = append(out, 7, pick(key, key, any()), slot)
 			for range 1 + rng.IntN(3) {
@@ -315,10 +322,10 @@ func randomOps(seed uint64) []byte {
 			out = append(out, 5, pick(key, any())) // Delete
 		case p < 92:
 			out = append(out, 6, any()) // Stat
-		case p < 96: // an oversized write or a CompactObject
-			out = append(out, 11+any()%2, any())
-		default: // PackObjects, a compactor pass or Recover
-			out = append(out, 13+any()%3)
+		case p < 96: // an oversized write or a CompactObject (two opcodes)
+			out = append(out, 11+any()%3, any())
+		default: // a compactor pass or Recover
+			out = append(out, 14+any()%2)
 		}
 	}
 	return out

@@ -38,7 +38,7 @@ var (
 	ErrNoSamples = errors.New("workload: read measurement needs samples > 0")
 
 	// ErrBadDist reports an invalid size- or popularity-distribution
-	// parameterization (NewZipf, NewZipfPopularity, ParseDist).
+	// parameterization (NewZipfPopularity, ParseDist).
 	ErrBadDist = errors.New("workload: invalid distribution")
 )
 

@@ -4,150 +4,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-
-	"repro/internal/units"
 )
-
-// Zipf draws object sizes from a truncated Zipf-like distribution over
-// [Min, Max]: small objects common, large objects rare. The paper's §4.3
-// declined to pick a "realistic" distribution ("any distribution we chose
-// would be based on speculation"); this one is provided as an extension
-// for users who want heavy-tailed workloads, with the same interface as
-// the paper's constant and uniform distributions.
-//
-// Construct through NewZipf, which validates the parameters. The zero
-// value's field defaults (Min 4 KB, S 1.5, Max clamped up to Min) are
-// kept for direct literal use, but a literal with Max < Min or Min <= 0
-// is silently reshaped rather than rejected — exactly the quiet
-// fallback NewZipf exists to refuse.
-type Zipf struct {
-	Min, Max int64
-	// S is the Zipf exponent (> 1); 0 takes 1.5.
-	S float64
-}
-
-// NewZipf builds a validated size distribution: 0 < min <= max and
-// exponent s > 1 (or s == 0 for the 1.5 default). Violations are
-// refused with an error wrapping ErrBadDist instead of the zero
-// value's silent fallbacks.
-func NewZipf(min, max int64, s float64) (Zipf, error) {
-	if min <= 0 {
-		return Zipf{}, fmt.Errorf("%w: zipf min %d must be positive", ErrBadDist, min)
-	}
-	if max < min {
-		return Zipf{}, fmt.Errorf("%w: zipf max %s below min %s",
-			ErrBadDist, units.FormatBytes(max), units.FormatBytes(min))
-	}
-	if s != 0 && (s <= 1 || math.IsNaN(s) || math.IsInf(s, 0)) {
-		return Zipf{}, fmt.Errorf("%w: zipf exponent %v must be > 1 (0 takes 1.5)", ErrBadDist, s)
-	}
-	return Zipf{Min: min, Max: max, S: s}, nil
-}
-
-// Name implements SizeDist.
-func (z Zipf) Name() string {
-	return fmt.Sprintf("zipf %s..%s", units.FormatBytes(z.Min), units.FormatBytes(z.Max))
-}
-
-// Mean implements SizeDist. It is the exact expectation of the sampler
-// below: bucket weights times each bucket's own mean (uniform within
-// [b, 2b) clamped to the distribution's upper bound).
-func (z Zipf) Mean() int64 {
-	buckets, weights := z.buckets()
-	hi := z.upperBound(buckets)
-	var total, wsum float64
-	for i, b := range buckets {
-		total += bucketMean(b, hi) * weights[i]
-		wsum += weights[i]
-	}
-	if wsum == 0 {
-		// Unreachable for NewZipf-validated parameters: buckets() always
-		// yields at least one bucket of positive weight.
-		return z.Min
-	}
-	return int64(total / wsum)
-}
-
-// bucketMean returns the expectation of one bucket's sample: uniform on
-// [b, 2b) with every value above hi collapsed onto hi.
-func bucketMean(b, hi int64) float64 {
-	if hi <= b {
-		return float64(hi)
-	}
-	if hi >= 2*b-1 {
-		// Whole bucket in range: mean of uniform [b, 2b).
-		return float64(b) + float64(b-1)/2
-	}
-	// Values b..hi-1 kept (each probability 1/b), the rest clamp to hi.
-	kept := float64(hi - b)
-	span := float64(b)
-	meanKept := (float64(b) + float64(hi-1)) / 2
-	return meanKept*(kept/span) + float64(hi)*(1-kept/span)
-}
-
-// upperBound returns the sampler's effective maximum value.
-func (z Zipf) upperBound(buckets []int64) int64 {
-	hi := buckets[len(buckets)-1] * 2
-	if z.Max > 0 && z.Max < hi {
-		hi = z.Max
-	}
-	return hi
-}
-
-// buckets returns geometric size buckets spanning [Min, Max] and their
-// Zipf weights.
-func (z Zipf) buckets() ([]int64, []float64) {
-	s := z.S
-	if s == 0 {
-		s = 1.5
-	}
-	lo := z.Min
-	if lo <= 0 {
-		lo = 4 * units.KB
-	}
-	hi := max(z.Max, lo)
-	var buckets []int64
-	var weights []float64
-	rank := 1.0
-	for b := lo; b <= hi; b *= 2 {
-		buckets = append(buckets, b)
-		weights = append(weights, 1.0/math.Pow(rank, s))
-		rank++
-	}
-	return buckets, weights
-}
-
-// Sample implements SizeDist: pick a bucket by Zipf weight, then a size
-// uniformly within the bucket.
-func (z Zipf) Sample(rng *rand.Rand) int64 {
-	buckets, weights := z.buckets()
-	var wsum float64
-	for _, w := range weights {
-		wsum += w
-	}
-	hi := z.upperBound(buckets)
-	x := rng.Float64() * wsum
-	for i, w := range weights {
-		if x < w || i == len(buckets)-1 {
-			b := buckets[i]
-			span := b // bucket covers [b, 2b)
-			v := b + rng.Int63n(span)
-			if v > hi {
-				v = hi
-			}
-			return v
-		}
-		x -= w
-	}
-	return buckets[0]
-}
-
-var _ SizeDist = Zipf{}
 
 // ZipfPopularity is a rank-based Zipf read mix over the live object
 // population: object rank k is read with probability proportional to
-// (1+k)^-S, concentrating reads on a stable hot set. It is the
-// Popularity counterpart of the Zipf size distribution above, for the
+// (1+k)^-S, concentrating reads on a stable hot set. It serves the
 // read-cache experiments: with a memory cache over the store, a Zipf
 // read mix is the regime where hot objects never touch the fragmented
 // layout.

@@ -5,119 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"repro/internal/units"
 )
-
-func TestZipfBounds(t *testing.T) {
-	z := Zipf{Min: 64 * units.KB, Max: 16 * units.MB}
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 5000; i++ {
-		s := z.Sample(rng)
-		if s < z.Min || s > z.Max {
-			t.Fatalf("sample %d outside [%d,%d]", s, z.Min, z.Max)
-		}
-	}
-}
-
-func TestZipfSkew(t *testing.T) {
-	z := Zipf{Min: 64 * units.KB, Max: 16 * units.MB}
-	rng := rand.New(rand.NewSource(2))
-	small, large := 0, 0
-	for i := 0; i < 10000; i++ {
-		s := z.Sample(rng)
-		if s < 256*units.KB {
-			small++
-		}
-		if s > 8*units.MB {
-			large++
-		}
-	}
-	if small <= large {
-		t.Fatalf("zipf not skewed toward small: %d small vs %d large", small, large)
-	}
-	if small < 3*large {
-		t.Fatalf("skew too weak: %d small vs %d large", small, large)
-	}
-}
-
-// TestZipfMeanSampleAgreement pins Mean() to the sampler it describes:
-// across parameterizations, the empirical mean of Sample() must match
-// the declared Mean() closely (Mean is computed as the sampler's exact
-// expectation, so the tolerance only covers sampling noise).
-func TestZipfMeanSampleAgreement(t *testing.T) {
-	cases := []struct {
-		name string
-		min  int64
-		max  int64
-		s    float64
-	}{
-		{"default-exponent", 64 * units.KB, 16 * units.MB, 0},
-		{"mild-skew", 64 * units.KB, 16 * units.MB, 1.1},
-		{"heavy-skew", 4 * units.KB, 64 * units.MB, 3},
-		{"single-bucket", 256 * units.KB, 256 * units.KB, 1.5},
-		{"narrow", units.MB, 3 * units.MB, 2},
-	}
-	for i, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			z, err := NewZipf(tc.min, tc.max, tc.s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(int64(3 + i)))
-			var sum float64
-			const n = 100000
-			for j := 0; j < n; j++ {
-				s := z.Sample(rng)
-				if s < z.Min || s > z.Max {
-					t.Fatalf("sample %d outside [%d,%d]", s, z.Min, z.Max)
-				}
-				sum += float64(s)
-			}
-			sampleMean := sum / n
-			declared := float64(z.Mean())
-			// Tolerance covers sampling noise only; heavy-tailed cases
-			// put real variance in the rare large buckets.
-			if ratio := sampleMean / declared; ratio < 0.93 || ratio > 1.07 {
-				t.Fatalf("sample mean %.0f vs declared %.0f (ratio %.3f)", sampleMean, declared, ratio)
-			}
-		})
-	}
-}
-
-// TestNewZipfValidation pins the constructor's typed rejections: the
-// zero value's silent fallbacks (Mean() returning Min, the S=0 magic,
-// missing Min<=Max / Min>0 checks) must not survive the validated path.
-func TestNewZipfValidation(t *testing.T) {
-	cases := []struct {
-		name string
-		min  int64
-		max  int64
-		s    float64
-	}{
-		{"zero-min", 0, units.MB, 1.5},
-		{"negative-min", -4096, units.MB, 1.5},
-		{"max-below-min", units.MB, 64 * units.KB, 1.5},
-		{"exponent-at-one", 64 * units.KB, units.MB, 1},
-		{"exponent-below-one", 64 * units.KB, units.MB, 0.5},
-		{"negative-exponent", 64 * units.KB, units.MB, -2},
-		{"nan-exponent", 64 * units.KB, units.MB, math.NaN()},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if _, err := NewZipf(tc.min, tc.max, tc.s); !errors.Is(err, ErrBadDist) {
-				t.Fatalf("NewZipf(%d, %d, %v) = %v, want ErrBadDist", tc.min, tc.max, tc.s, err)
-			}
-		})
-	}
-	z, err := NewZipf(64*units.KB, 16*units.MB, 0) // 0 keeps the 1.5 default
-	if err != nil {
-		t.Fatal(err)
-	}
-	if z.Mean() <= 0 {
-		t.Fatalf("validated Mean = %d", z.Mean())
-	}
-}
 
 // TestZipfPopularity pins the read mix: validated construction, picks
 // in range, deterministic under a fixed seed, and skewed toward the
@@ -162,31 +50,6 @@ func TestZipfPopularity(t *testing.T) {
 	}
 	if pop.Pick(rng, 1) != 0 || pop.Pick(rng, 0) != 0 {
 		t.Fatal("degenerate populations must pick index 0")
-	}
-}
-
-func TestZipfDefaults(t *testing.T) {
-	z := Zipf{} // all defaults
-	rng := rand.New(rand.NewSource(4))
-	s := z.Sample(rng)
-	if s <= 0 {
-		t.Fatalf("default sample %d", s)
-	}
-	if z.Name() == "" {
-		t.Fatal("empty name")
-	}
-}
-
-func TestZipfDrivesWorkload(t *testing.T) {
-	r := NewRunner(newFS(256*units.MB), Zipf{Min: 64 * units.KB, Max: 4 * units.MB}, 5)
-	if _, err := r.BulkLoad(0.4); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.ChurnToAge(1, ChurnOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if r.Tracker().Age() < 1 {
-		t.Fatalf("age %.2f", r.Tracker().Age())
 	}
 }
 
