@@ -1,8 +1,10 @@
 package fs
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/disk"
@@ -265,5 +267,137 @@ func TestBatchNests(t *testing.T) {
 	v.EndBatch()
 	if got := v.Stats().MetaWrites - base; got != 1 {
 		t.Fatalf("outer EndBatch forced %d writes, want 1", got)
+	}
+}
+
+// TestSmallFilesOwnTheirClusters pins the one file layout at the sizes
+// a sub-cluster or single-extent object takes: each file keeps its own
+// tag and one run no other file shares, reads back byte for byte, keeps
+// runs and payload across a rename, and returns every cluster it held
+// once it is deleted and the log flushes.
+func TestSmallFilesOwnTheirClusters(t *testing.T) {
+	for _, size := range []int64{1200, 4*units.KB - 1, 4 * units.KB, 64 * units.KB, 256 * units.KB} {
+		t.Run(fmt.Sprintf("%dB", size), func(t *testing.T) {
+			v := newVolume(64*units.MB, disk.DataMode)
+			v.FlushLog()
+			free := v.FreeBytes()
+			const n = 4
+			owner := map[int64]string{}
+			tags := map[uint32]bool{}
+			for i := 0; i < n; i++ {
+				name := fmt.Sprintf("s%d", i)
+				f, err := v.Create(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := f.Append(size, fillBytes(size, byte(i+1))); err != nil {
+					t.Fatal(err)
+				}
+				if err := f.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if f.Fragments() != 1 {
+					t.Fatalf("%s has %d fragments, want 1", name, f.Fragments())
+				}
+				if tags[f.Tag()] {
+					t.Fatalf("%s reuses live tag %d", name, f.Tag())
+				}
+				tags[f.Tag()] = true
+				for _, r := range f.Runs() {
+					for c := r.Start; c < r.Start+r.Len; c++ {
+						if other, taken := owner[c]; taken {
+							t.Fatalf("%s and %s share cluster %d", other, name, c)
+						}
+						owner[c] = name
+					}
+				}
+			}
+			f, err := v.Open("s0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs := append([]extent.Run(nil), f.Runs()...)
+			if err := v.Rename("s0", "moved"); err != nil {
+				t.Fatal(err)
+			}
+			g, err := v.Open("moved")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(g.Runs(), runs) {
+				t.Fatalf("rename moved the file: runs %v, want %v", g.Runs(), runs)
+			}
+			for i, name := range []string{"moved", "s1", "s2", "s3"} {
+				f, err := v.Open(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := fillBytes(size, byte(i+1))
+				if !bytes.Equal(f.ReadAll(), want) {
+					t.Fatalf("%s ReadAll mismatch", name)
+				}
+				got, err := f.ReadAt(size/3, size/2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want[size/3:size/3+size/2]) {
+					t.Fatalf("%s ReadAt mismatch", name)
+				}
+				if err := v.Delete(name); err != nil {
+					t.Fatal(err)
+				}
+			}
+			v.FlushLog()
+			if got := v.FreeBytes(); got != free {
+				t.Fatalf("free bytes = %d after deleting every file, want %d", got, free)
+			}
+		})
+	}
+}
+
+// TestRecoverReclaimsTornWrite pins crash recovery on the one layout: a
+// safe write that never reached its rename leaves a temp file holding
+// clusters; Recover deletes it, returns its space, and leaves the live
+// file it would have replaced intact.
+func TestRecoverReclaimsTornWrite(t *testing.T) {
+	v := newVolume(64*units.MB, disk.DataMode)
+	f, err := v.Create("obj")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fillBytes(2000, 7)
+	if err := f.Append(int64(len(want)), want); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	v.FlushLog()
+	free := v.FreeBytes()
+	torn, err := v.Create(TempName("obj"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := torn.Append(3000, fillBytes(3000, 9)); err != nil {
+		t.Fatal(err)
+	}
+	if v.FreeBytes() >= free {
+		t.Fatal("torn write consumed no space")
+	}
+	if got := v.Recover(); got != 1 {
+		t.Fatalf("Recover removed %d temps, want 1", got)
+	}
+	if got := v.FreeBytes(); got != free {
+		t.Fatalf("free bytes = %d after recovery, want %d", got, free)
+	}
+	if _, err := v.Open(TempName("obj")); !errors.Is(err, ErrNotExist) {
+		t.Fatalf("temp survived Recover: err = %v", err)
+	}
+	g, err := v.Open("obj")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(g.ReadAll(), want) {
+		t.Fatal("live file changed across Recover")
 	}
 }

@@ -253,34 +253,63 @@ func TestZipfReadSource(t *testing.T) {
 	}
 }
 
-// TestParseDist covers the fragbench -dist grammar.
+// TestParseDist covers the fragbench -dist grammar: a bare size or
+// constant:SIZE, and uniform:MIN-MAX. Only those two shapes parse; a
+// spec naming any other distribution (the Zipf size distribution
+// included) is refused with ErrBadDist, as are empty, zero, negative
+// and inverted sizes.
 func TestParseDist(t *testing.T) {
-	d, err := ParseDist("uniform:5M-15M")
-	if err != nil {
-		t.Fatal(err)
-	}
-	u, ok := d.(Uniform)
-	if !ok || u.Min != 5*units.MB || u.Max != 15*units.MB {
-		t.Fatalf("parsed %+v", d)
-	}
-	d, err = ParseDist("constant:10M")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c, ok := d.(Constant); !ok || c.Size != 10*units.MB {
-		t.Fatalf("parsed %+v", d)
-	}
-	d, err = ParseDist("512K")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c, ok := d.(Constant); !ok || c.Size != 512*units.KB {
-		t.Fatalf("parsed %+v", d)
-	}
-	for _, bad := range []string{"", "uniform:", "uniform:5M", "uniform:15M-5M",
-		"zipfian:1M-2M", "constant:-4K", "constant:x"} {
-		if _, err := ParseDist(bad); !errors.Is(err, ErrBadDist) {
-			t.Errorf("ParseDist(%q) = %v, want ErrBadDist", bad, err)
-		}
+	for _, tc := range []struct {
+		name, spec string
+		want       SizeDist // nil: the spec must be refused
+	}{
+		{"uniform", "uniform:5M-15M", Uniform{Min: 5 * units.MB, Max: 15 * units.MB}},
+		{"uniform-degenerate", "uniform:5M-5M", Uniform{Min: 5 * units.MB, Max: 5 * units.MB}},
+		{"uniform-mixed-units", "uniform:512K-2M", Uniform{Min: 512 * units.KB, Max: 2 * units.MB}},
+		{"constant", "constant:10M", Constant{Size: 10 * units.MB}},
+		{"constant-bytes", "constant:4096", Constant{Size: 4096}},
+		{"bare-size", "512K", Constant{Size: 512 * units.KB}},
+		{"bare-size-suffix", "1GB", Constant{Size: units.GB}},
+		{"empty", "", nil},
+		{"uniform-empty", "uniform:", nil},
+		{"uniform-one-bound", "uniform:5M", nil},
+		{"uniform-inverted", "uniform:15M-5M", nil},
+		{"uniform-zero-min", "uniform:0-1M", nil},
+		{"uniform-bad-max", "uniform:1M-x", nil},
+		{"uniform-bad-min", "uniform:x-1M", nil},
+		{"zipf-sizes", "zipf:256K-64M", nil},
+		{"unknown-name", "zipfian:1M-2M", nil},
+		{"constant-negative", "constant:-4K", nil},
+		{"constant-zero", "constant:0", nil},
+		{"constant-sub-byte", "constant:0.5", nil},
+		{"constant-garbage", "constant:x", nil},
+		{"bare-zero", "0", nil},
+		{"bare-negative", "-1M", nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d, err := ParseDist(tc.spec)
+			if tc.want == nil {
+				if !errors.Is(err, ErrBadDist) {
+					t.Fatalf("ParseDist(%q) = %v, %v; want ErrBadDist", tc.spec, d, err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("ParseDist(%q): %v", tc.spec, err)
+			}
+			if d != tc.want {
+				t.Fatalf("ParseDist(%q) = %#v, want %#v", tc.spec, d, tc.want)
+			}
+			lo, hi := d.Mean(), d.Mean()
+			if u, ok := d.(Uniform); ok {
+				lo, hi = u.Min, u.Max
+			}
+			rng := rand.New(rand.NewSource(3))
+			for i := 0; i < 200; i++ {
+				if n := d.Sample(rng); n < lo || n > hi {
+					t.Fatalf("%s sampled %d outside [%d, %d]", d.Name(), n, lo, hi)
+				}
+			}
+		})
 	}
 }

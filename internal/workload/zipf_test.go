@@ -2,6 +2,7 @@ package workload
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -50,6 +51,47 @@ func TestZipfPopularity(t *testing.T) {
 	}
 	if pop.Pick(rng, 1) != 0 || pop.Pick(rng, 0) != 0 {
 		t.Fatal("degenerate populations must pick index 0")
+	}
+}
+
+// TestNewZipfPopularityValidation pins the constructor's domain: an
+// exponent must be finite and > 1, and a refused one wraps ErrBadDist.
+// An accepted one keeps its exponent and names it in reports.
+func TestNewZipfPopularityValidation(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		s    float64
+		ok   bool
+	}{
+		{"exponent-at-one", 1, false},
+		{"exponent-below-one", 0.3, false},
+		{"zero-exponent", 0, false},
+		{"negative-exponent", -1, false},
+		{"nan-exponent", math.NaN(), false},
+		{"positive-infinity", math.Inf(1), false},
+		{"negative-infinity", math.Inf(-1), false},
+		{"just-above-one", 1.01, true},
+		{"default-exponent", 1.2, true},
+		{"steep-exponent", 3, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pop, err := NewZipfPopularity(tc.s)
+			if !tc.ok {
+				if !errors.Is(err, ErrBadDist) {
+					t.Fatalf("NewZipfPopularity(%v) = %+v, %v; want ErrBadDist", tc.s, pop, err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("NewZipfPopularity(%v): %v", tc.s, err)
+			}
+			if pop.S != tc.s {
+				t.Fatalf("exponent = %v, want %v", pop.S, tc.s)
+			}
+			if want := fmt.Sprintf("zipf(s=%.2f)", tc.s); pop.Name() != want {
+				t.Fatalf("Name() = %q, want %q", pop.Name(), want)
+			}
+		})
 	}
 }
 
