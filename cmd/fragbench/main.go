@@ -177,7 +177,7 @@ func main() {
 		}
 	}
 	if *optrace != "" {
-		cfg.Tracer = obs.NewTracer(0)
+		cfg.Tracer = obs.NewTracer()
 	}
 	// writeOutputs flushes the run report and op trace; called on the
 	// normal exit path and before bailing on a failed experiment, so a

@@ -57,9 +57,6 @@ func (rc *RunCache) FreeClusters() int64 { return rc.idx.FreeClusters() }
 // PendingClusters reports clusters freed but awaiting log commit.
 func (rc *RunCache) PendingClusters() int64 { return rc.pendingClusters }
 
-// TotalFree reports free plus pending clusters.
-func (rc *RunCache) TotalFree() int64 { return rc.idx.FreeClusters() + rc.pendingClusters }
-
 // Free quarantines r until the next CommitLog.
 func (rc *RunCache) Free(r extent.Run) {
 	rc.pending = append(rc.pending, r)

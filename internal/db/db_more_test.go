@@ -70,25 +70,29 @@ func TestPutFailureLeavesNoTrace(t *testing.T) {
 }
 
 func TestReplaceUnderPressureUsesGhostFlush(t *testing.T) {
-	// With a tiny ghost horizon the engine can reclaim just-replaced
-	// space quickly; repeated replacement near capacity must keep
-	// working once the ghost horizon passes.
-	clock := vclock.New()
-	data := disk.New(disk.DefaultGeometry(64*units.MB), clock, disk.MetadataMode)
-	logd := disk.New(disk.DefaultGeometry(64*units.MB), clock, disk.MetadataMode)
-	d := Open(data, logd, Config{GhostHorizon: 1})
+	// A replaced version stays ghosted for ghostHorizon operations, so
+	// on a 64 MB volume back-to-back 20 MB replaces run out of space;
+	// once padding ops push the ghosts past the horizon, the space must
+	// come back and replacement near capacity keep working.
+	d := newDB(64*units.MB, disk.MetadataMode)
 	if err := d.Put("a", 20*units.MB, nil); err != nil {
 		t.Fatal(err)
 	}
-	// Several small ops to age the ghost queue between big replaces.
+	failed, recovered := 0, 0
 	for i := 0; i < 20; i++ {
 		key := fmt.Sprintf("pad%d", i%3)
 		_ = d.Replace(key, 64*units.KB, nil)
 		if err := d.Replace("a", 20*units.MB, nil); err != nil {
-			// Acceptable mid-horizon, but after padding ops the space
-			// must come back.
-			continue
+			if !errors.Is(err, ErrNoSpace) {
+				t.Fatal(err)
+			}
+			failed++
+		} else if failed > 0 {
+			recovered++
 		}
+	}
+	if failed == 0 || recovered == 0 {
+		t.Fatalf("%d replaces ran out of space, %d succeeded after one did; want both > 0", failed, recovered)
 	}
 	if _, err := d.Stat("a"); err != nil {
 		t.Fatal("object lost under pressure")
@@ -151,15 +155,20 @@ func TestRowPageAllocationCadence(t *testing.T) {
 	}
 }
 
+// TestOpenWithoutLogDrivePanics: the log always has a drive of its own,
+// as the paper gave SQL Server (§4.1).
+func TestOpenWithoutLogDrivePanics(t *testing.T) {
+	data := disk.New(disk.DefaultGeometry(64*units.MB), vclock.New(), disk.MetadataMode)
+	mustPanic(t, "Open with no log drive", func() { Open(data, nil, Config{}) })
+}
+
 func TestGhostHorizonExactness(t *testing.T) {
-	clock := vclock.New()
-	data := disk.New(disk.DefaultGeometry(64*units.MB), clock, disk.MetadataMode)
-	d := Open(data, nil, Config{GhostHorizon: 3})
+	d := newDB(64*units.MB, disk.MetadataMode)
 	d.Put("victim", 1*units.MB, nil)
 	free0 := d.FreeBytes()
 	d.Delete("victim")
-	// The pages must stay ghosted for exactly GhostHorizon further ops.
-	for i := 0; i < 3; i++ {
+	// The pages must stay ghosted for exactly ghostHorizon further ops.
+	for i := 0; i < ghostHorizon; i++ {
 		if d.FreeBytes() > free0 {
 			t.Fatalf("ghosts released after only %d ops", i)
 		}
@@ -168,18 +177,6 @@ func TestGhostHorizonExactness(t *testing.T) {
 	d.Put("trigger", 8*units.KB, nil)
 	if d.FreeBytes() <= free0 {
 		t.Fatal("ghosts never released")
-	}
-}
-
-func TestColocatedLogFallsBackToDataDrive(t *testing.T) {
-	clock := vclock.New()
-	data := disk.New(disk.DefaultGeometry(64*units.MB), clock, disk.MetadataMode)
-	d := Open(data, nil, Config{}) // nil log drive
-	if err := d.Put("a", 256*units.KB, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.Get("a"); err != nil {
-		t.Fatal(err)
 	}
 }
 

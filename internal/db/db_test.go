@@ -288,23 +288,6 @@ func TestStatsCounters(t *testing.T) {
 	}
 }
 
-func TestFullLoggingCostsMore(t *testing.T) {
-	run := func(full bool) float64 {
-		clock := vclock.New()
-		data := disk.New(disk.DefaultGeometry(128*units.MB), clock, disk.MetadataMode)
-		logd := disk.New(disk.DefaultGeometry(64*units.MB), clock, disk.MetadataMode)
-		d := Open(data, logd, Config{FullLogging: full})
-		w := vclock.StartWatch(clock)
-		for i := 0; i < 20; i++ {
-			d.Put(fmt.Sprintf("o%d", i), 1*units.MB, nil)
-		}
-		return w.Seconds()
-	}
-	if run(true) <= run(false) {
-		t.Fatal("full logging not slower than bulk-logged")
-	}
-}
-
 func TestAllocatorUnit(t *testing.T) {
 	a := NewAllocator(16)
 	runs, ok := a.AllocPages(20)

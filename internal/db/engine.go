@@ -19,47 +19,32 @@ var (
 	ErrCrashed  = blob.ErrCrashed
 )
 
-// Config describes a database instance. Zero-value fields take defaults.
+// DefaultWriteRequestSize is the client write-request size a zero
+// Config.WriteRequestSize takes: the paper's tests used 64 KB requests
+// (§5.3).
+const DefaultWriteRequestSize = 64 * units.KB
+
+// The engine's fixed costs. ghostHorizon is the number of committed
+// operations after which a deleted object's pages rejoin the free pool
+// (SQL Server's deferred ghost cleanup). The host CPU charges are in
+// microseconds: pageCPUUs per page on the BLOB read/write path — the
+// §3.1 folklore that "database client interfaces are not designed for
+// large objects" — and rowCPUUs per operation for the B-tree descent and
+// row handling. bufferPoolPages is the metadata cache's capacity.
+const (
+	ghostHorizon    = 8
+	pageCPUUs       = 100
+	rowCPUUs        = 500
+	bufferPoolPages = 4096
+)
+
+// Config describes a database instance. The zero value is SQL Server as
+// the paper ran it: bulk-logged, with 64 KB write requests (§4.1, §5.3).
 type Config struct {
-	// GhostHorizon is the number of committed operations after which a
-	// deleted object's pages rejoin the free pool (SQL Server's deferred
-	// ghost cleanup). 0 takes the default; use 1 for near-immediate
-	// reclamation.
-	GhostHorizon int
-
-	// Host CPU charges, microseconds. PageCPUUs is the per-page
-	// processing cost on the BLOB read/write path — the §3.1 folklore
-	// that "database client interfaces are not designed for large
-	// objects"; RowCPUUs is the B-tree descent and row handling cost
-	// per operation.
-	PageCPUUs float64
-	RowCPUUs  float64
-
-	// BufferPoolPages is the metadata cache capacity in pages.
-	BufferPoolPages int
-
-	// FullLogging writes BLOB payload bytes through the transaction log
-	// as well (ordinary full recovery mode). The paper ran bulk-logged
-	// (§4: "This avoids the log write"); enable this for the logging-
-	// mode ablation bench.
-	FullLogging bool
-
 	// WriteRequestSize is the client write-request size in bytes; each
-	// request is one allocation. The paper's tests used 64 KB requests
-	// (§5.3). 0 takes the default; negative means one request per
-	// object.
+	// request is one allocation. 0 takes DefaultWriteRequestSize;
+	// negative means one request per object.
 	WriteRequestSize int64
-}
-
-// DefaultConfig returns the configuration used by the benchmark harness.
-func DefaultConfig() Config {
-	return Config{
-		GhostHorizon:     8,
-		PageCPUUs:        100,
-		RowCPUUs:         500,
-		BufferPoolPages:  4096,
-		WriteRequestSize: 64 * units.KB,
-	}
 }
 
 // layout is where one version of an out-of-row BLOB lives: the leaf level
@@ -143,24 +128,13 @@ type Database struct {
 }
 
 // Open creates a database on dataDrive with its transaction log on
-// logDrive (which may be nil to co-locate the log on the data drive,
-// though the paper gave SQL Server dedicated drives, §4.1).
+// logDrive: the paper gave SQL Server dedicated drives (§4.1).
 func Open(dataDrive, logDrive *disk.Drive, cfg Config) *Database {
-	def := DefaultConfig()
-	if cfg.GhostHorizon == 0 {
-		cfg.GhostHorizon = def.GhostHorizon
-	}
-	if cfg.PageCPUUs == 0 {
-		cfg.PageCPUUs = def.PageCPUUs
-	}
-	if cfg.RowCPUUs == 0 {
-		cfg.RowCPUUs = def.RowCPUUs
-	}
-	if cfg.BufferPoolPages == 0 {
-		cfg.BufferPoolPages = def.BufferPoolPages
+	if logDrive == nil {
+		panic("db: no log drive")
 	}
 	if cfg.WriteRequestSize == 0 {
-		cfg.WriteRequestSize = def.WriteRequestSize
+		cfg.WriteRequestSize = DefaultWriteRequestSize
 	}
 	cs := dataDrive.Geometry().ClusterSize
 	cpp := PageSize / cs
@@ -179,7 +153,7 @@ func Open(dataDrive, logDrive *disk.Drive, cfg Config) *Database {
 		log:             logDrive,
 		alloc:           NewAllocator(extents),
 		rows:            make(map[string]*row),
-		pool:            newBufferPool(cfg.BufferPoolPages),
+		pool:            newBufferPool(bufferPoolPages),
 		clustersPerPage: cpp,
 		dataStart:       systemClusters,
 		nextTag:         1,
@@ -190,7 +164,7 @@ func Open(dataDrive, logDrive *disk.Drive, cfg Config) *Database {
 // DataDrive returns the data drive.
 func (d *Database) DataDrive() *disk.Drive { return d.data }
 
-// LogDrive returns the log drive, nil when the log shares the data drive.
+// LogDrive returns the log drive.
 func (d *Database) LogDrive() *disk.Drive { return d.log }
 
 // FreeBytes reports free space in the data file.
@@ -226,16 +200,11 @@ func (d *Database) logAppend(n int64) {
 // forceLog charges one sequential log write of n bytes on the log
 // device — a forced flush.
 func (d *Database) forceLog(n int64) {
-	drive := d.log
-	if drive == nil {
-		drive = d.data
-	}
-	cs := drive.Geometry().ClusterSize
-	clusters := units.CeilDiv(n, cs)
-	if d.logHead+clusters >= drive.Geometry().Clusters {
+	clusters := units.CeilDiv(n, d.log.Geometry().ClusterSize)
+	if d.logHead+clusters >= d.log.Geometry().Clusters {
 		d.logHead = 0
 	}
-	drive.WriteRun(extent.Run{Start: d.logHead, Len: clusters}, 0, 0, nil)
+	d.log.WriteRun(extent.Run{Start: d.logHead, Len: clusters}, 0, 0, nil)
 	d.logHead += clusters
 	d.statLogForces++
 }
@@ -304,7 +273,7 @@ func (d *Database) commit(t *txn, freed layout, logBytes int64) {
 // ghostCleanup frees pages whose horizon has passed — SQL Server's
 // background ghost/deferred-drop task.
 func (d *Database) ghostCleanup() {
-	cut := d.opSeq - int64(d.cfg.GhostHorizon)
+	cut := d.opSeq - ghostHorizon
 	i := 0
 	for ; i < len(d.ghosts) && d.ghosts[i].seq < cut; i++ {
 		d.free(d.ghosts[i].layout)
@@ -337,7 +306,7 @@ func (d *Database) freeRuns(runs []PageRun) {
 // FlushGhosts immediately reclaims all deferred pages (checkpoint).
 func (d *Database) FlushGhosts() {
 	cut := d.opSeq
-	d.opSeq += int64(d.cfg.GhostHorizon) + 1
+	d.opSeq += ghostHorizon + 1
 	d.ghostCleanup()
 	d.opSeq = cut
 }
@@ -361,10 +330,7 @@ func (d *Database) writeChunk(t *txn, tag uint32, chunk int64, seq *int64) error
 		t.allocated = appendRun(t.allocated, r)
 	}
 	t.pages += pageCount
-	d.data.ChargeCPU(d.cfg.PageCPUUs * float64(pageCount))
-	if d.cfg.FullLogging {
-		d.logAppend(pageCount * PageSize)
-	}
+	d.data.ChargeCPU(pageCPUUs * float64(pageCount))
 	return nil
 }
 
@@ -388,7 +354,7 @@ func (d *Database) growBlobTree(t *txn) error {
 // rowInsertCosts charges the clustered-index insert: CPU plus a new row
 // page from the shared pool every RowsPerPage inserts.
 func (d *Database) rowInsertCosts() error {
-	d.data.ChargeCPU(d.cfg.RowCPUUs)
+	d.data.ChargeCPU(rowCPUUs)
 	if d.rowPageSlots == 0 {
 		runs, ok := d.alloc.AllocPages(1)
 		if !ok {
@@ -522,7 +488,7 @@ func (d *Database) GetRange(key string, off, length int64) ([]byte, error) {
 	if off < 0 || length < 0 || length > r.size-off {
 		return nil, fmt.Errorf("%w: [%d,+%d) beyond size %d of %s", blob.ErrOutOfRange, off, length, r.size, key)
 	}
-	d.data.ChargeCPU(d.cfg.RowCPUUs)
+	d.data.ChargeCPU(rowCPUUs)
 	if length == 0 {
 		return nil, nil
 	}
@@ -553,7 +519,7 @@ func (d *Database) GetRange(key string, off, length int64) ([]byte, error) {
 		}
 		pos += pr.Len
 	}
-	d.data.ChargeCPU(d.cfg.PageCPUUs * float64(lastP-firstP+1))
+	d.data.ChargeCPU(pageCPUUs * float64(lastP-firstP+1))
 	d.statGets++
 	if off+length <= int64(len(r.data)) {
 		return r.data[off : off+length : off+length], nil
@@ -569,7 +535,7 @@ func (d *Database) Has(key string) bool {
 	if _, ok := d.rows[key]; !ok {
 		return false
 	}
-	d.data.ChargeCPU(d.cfg.RowCPUUs)
+	d.data.ChargeCPU(rowCPUUs)
 	return true
 }
 
@@ -587,7 +553,7 @@ func (d *Database) Stat(key string) (int64, error) {
 	if !ok {
 		return 0, fmt.Errorf("%w: %s", ErrNotFound, key)
 	}
-	d.data.ChargeCPU(d.cfg.RowCPUUs)
+	d.data.ChargeCPU(rowCPUUs)
 	return r.size, nil
 }
 
@@ -599,7 +565,7 @@ func (d *Database) Delete(key string) error {
 		return fmt.Errorf("%w: %s", ErrNotFound, key)
 	}
 	t := d.begin(key)
-	d.data.ChargeCPU(d.cfg.RowCPUUs)
+	d.data.ChargeCPU(rowCPUUs)
 	delete(d.rows, key)
 	d.statDeletes++
 	d.commit(t, r.layout, 128)
@@ -623,7 +589,7 @@ func (d *Database) Compact(key string) (int64, error) {
 		return 0, nil
 	}
 	// Read the old layout: row lookup, tree nodes, then the data runs.
-	d.data.ChargeCPU(d.cfg.RowCPUUs)
+	d.data.ChargeCPU(rowCPUUs)
 	for _, p := range r.nodes {
 		if !d.pool.Access(p) {
 			d.data.ChargeRead(d.clusterRun(PageRun{Start: p, Len: 1}))
@@ -632,7 +598,7 @@ func (d *Database) Compact(key string) (int64, error) {
 	for _, pr := range r.runs {
 		d.data.ChargeRead(d.clusterRun(pr))
 	}
-	d.data.ChargeCPU(d.cfg.PageCPUUs * float64(r.pages))
+	d.data.ChargeCPU(pageCPUUs * float64(r.pages))
 
 	t := d.begin(key)
 	tag := d.nextTag

@@ -5,19 +5,21 @@ import (
 	"math/bits"
 )
 
-// Allocator is the GAM/PFS analog: a bitmap of extents plus a free-page
-// mask per extent. The allocation policy is a roving-cursor (next-fit)
-// scan: like a real engine, the GAM scan resumes where the previous one
-// left off rather than rescanning from the start of the file, filling
-// partially used extents encountered ahead of the cursor before
-// dedicating fresh ones.
+// Allocator is the GAM/PFS analog: a free-page mask per extent, the
+// first never-used extent, and a deallocation cache. Fresh extents go out
+// in address order. Nothing returns an extent to the GAM: an extent whose
+// last page is freed joins the deallocation cache, and wholly-free
+// extents are handed out from that cache, FIFO, before any fresh one.
+// Partly used extents feed page-granular allocations, and are raided
+// lowest first only under space pressure, once no wholly-free extent is
+// left.
 //
-// Next-fit is the behaviour the paper's SQL Server curves imply: the
-// roving cursor steadily splits free regions at unaligned offsets, so
-// free runs decay in size and fragments/object climbs without an
-// asymptote (Figures 2 and 5), in contrast to NTFS's coalescing
-// largest-run-first cache. The classic malloc literature the paper cites
-// (§3.2) documents the same policy/fragmentation relationship.
+// FIFO reuse is the behaviour the paper's SQL Server curves imply: freed
+// space is reused in deallocation order, not address order, so it never
+// re-coalesces, and fragments/object climbs without an asymptote
+// (Figures 2 and 5), in contrast to NTFS's coalescing largest-run-first
+// cache. The classic malloc literature the paper cites (§3.2) documents
+// the same policy/fragmentation relationship.
 //
 // The policy is extent- and page-granular; the bookkeeping is not. As in
 // the engine modelled, the PFS is a flat byte per extent, allocations
@@ -27,21 +29,19 @@ type Allocator struct {
 	extents int64
 
 	// pfs[e] is extent e's free-page mask: 0xFF while the extent is
-	// wholly free — GAM bit set, or queued in the deallocation cache —
+	// wholly free — never used, or queued in the deallocation cache —
 	// and 0 when every page is in use. A free of a page whose bit is
 	// already set is a double free, whichever of the three states the
 	// extent is in.
 	pfs []uint8
-	// gam has bit e set when extent e is wholly free and not queued in
-	// the deallocation cache (the GAM bit).
-	gam bitmap
+	// fresh is the first never-used extent: every extent at or above it
+	// is GAM-free, every one below it has been handed out.
+	fresh int64
 	// partial has bit e set when extent e is partly used (0 < pfs[e] <
-	// 0xFF), so the space-pressure scan is the GAM's word scan;
-	// partials counts the set bits.
+	// 0xFF), so the space-pressure scan is a word scan; partials counts
+	// the set bits.
 	partial  bitmap
 	partials int
-	// cursor is the extent where the next scan begins.
-	cursor int64
 	// mixed is the extent currently feeding page-granular allocations
 	// (the mixed-extent pool); -1 when none.
 	mixed int64
@@ -53,8 +53,8 @@ type Allocator struct {
 	scratch []PageRun
 
 	// reuse is the deallocation cache: extents whose last page was freed,
-	// in completion order. New allocations consume it FIFO before falling
-	// back to the GAM scan. Real engines keep such caches so fresh
+	// in completion order. New allocations consume it FIFO before taking
+	// a fresh extent. Real engines keep such caches so fresh
 	// allocations do not pay a bitmap scan; the consequence — freed space
 	// is reused in deallocation order, not address order, so it never
 	// re-coalesces — is the compounding scatter behind the paper's
@@ -89,14 +89,6 @@ func (b bitmap) next(from int64) int64 {
 	return w*64 + int64(bits.TrailingZeros64(word))
 }
 
-// nextWrapped is next(from), wrapping around to the start once.
-func (b bitmap) nextWrapped(from int64) int64 {
-	if i := b.next(from); i != -1 {
-		return i
-	}
-	return b.next(0)
-}
-
 // NewAllocator creates an allocator over the given number of extents,
 // all initially free.
 func NewAllocator(extents int64) *Allocator {
@@ -106,14 +98,12 @@ func NewAllocator(extents int64) *Allocator {
 	a := &Allocator{
 		extents:   extents,
 		pfs:       make([]uint8, extents),
-		gam:       make(bitmap, (extents+63)/64),
 		partial:   make(bitmap, (extents+63)/64),
 		mixed:     -1,
 		freePages: extents * PagesPerExtent,
 	}
-	for i := int64(0); i < extents; i++ {
+	for i := range a.pfs {
 		a.pfs[i] = 0xFF
-		a.gam.set(i)
 	}
 	return a
 }
@@ -125,9 +115,9 @@ func (a *Allocator) FreePages() int64 { return a.freePages }
 func (a *Allocator) Extents() int64 { return a.extents }
 
 // takeFreeExtent claims the next wholly-free extent: the head of the
-// deallocation cache when one exists, otherwise the first GAM extent at
-// or after the cursor (wrapping once); -1 when none exists. The claimed
-// extent's mask still reads 0xFF; the caller records what it takes.
+// deallocation cache when one exists, otherwise the first never-used
+// extent; -1 when none exists. The claimed extent's mask still reads
+// 0xFF; the caller records what it takes.
 func (a *Allocator) takeFreeExtent() int64 {
 	if a.reuseHead < len(a.reuse) {
 		e := a.reuse[a.reuseHead]
@@ -138,12 +128,11 @@ func (a *Allocator) takeFreeExtent() int64 {
 		}
 		return e
 	}
-	e := a.gam.nextWrapped(a.cursor)
-	if e != -1 {
-		a.gam.clear(e)
-		a.cursor = (e + 1) % a.extents
+	if a.fresh == a.extents {
+		return -1
 	}
-	return e
+	a.fresh++
+	return a.fresh - 1
 }
 
 // setMask records extent e's free-page mask, keeping the partial bitmap
@@ -190,10 +179,10 @@ func (a *Allocator) allocPages(out []PageRun, n int64) []PageRun {
 	for n > 0 {
 		e := a.mixed
 		if e < 0 || !a.partial.get(e) {
-			// Refill the pool from the deallocation cache / GAM scan;
-			// under space pressure raid the nearest partial extent.
+			// Refill the pool from the deallocation cache or a fresh
+			// extent; under space pressure raid the lowest partial one.
 			if e = a.takeFreeExtent(); e == -1 {
-				if e = a.partial.nextWrapped(a.cursor); e == -1 {
+				if e = a.partial.next(0); e == -1 {
 					panic("db: free-page accounting out of sync")
 				}
 			}
@@ -212,7 +201,7 @@ func (a *Allocator) allocPages(out []PageRun, n int64) []PageRun {
 
 // AllocRequest allocates n pages as one client write request, with SQL
 // Server's granularity split: the extent-aligned bulk of the request
-// takes whole uniform extents (lowest GAM bit first) while the tail —
+// takes whole uniform extents (deallocation cache first) while the tail —
 // and any shortfall when no whole extents remain — is filled page-
 // granular from partial extents. This is why the size of client write
 // requests shapes long-term fragmentation (§5.3: the systems converge to
@@ -283,8 +272,9 @@ func (a *Allocator) PartialExtents() int { return a.partials }
 // deallocation cache.
 func (a *Allocator) ReuseQueueLen() int { return len(a.reuse) - a.reuseHead }
 
-// CheckInvariants panics when the masks disagree with the bitmaps, the
-// deallocation cache or the free-page count. Intended for tests.
+// CheckInvariants panics when the masks disagree with the GAM, the
+// partial bitmap, the deallocation cache or the free-page count.
+// Intended for tests.
 func (a *Allocator) CheckInvariants() {
 	queued := make(map[int64]bool)
 	for _, e := range a.reuse[a.reuseHead:] {
@@ -292,7 +282,7 @@ func (a *Allocator) CheckInvariants() {
 			panic(fmt.Sprintf("db: extent %d queued twice", e))
 		}
 		queued[e] = true
-		if a.gam.get(e) {
+		if e >= a.fresh {
 			panic(fmt.Sprintf("db: extent %d both queued and GAM-free", e))
 		}
 	}
@@ -300,8 +290,8 @@ func (a *Allocator) CheckInvariants() {
 	partials := 0
 	for e := int64(0); e < a.extents; e++ {
 		mask := a.pfs[e]
-		if wholly := a.gam.get(e) || queued[e]; wholly != (mask == 0xFF) {
-			panic(fmt.Sprintf("db: extent %d has mask %08b, GAM bit %v, queued %v", e, mask, a.gam.get(e), queued[e]))
+		if wholly := e >= a.fresh || queued[e]; wholly != (mask == 0xFF) {
+			panic(fmt.Sprintf("db: extent %d has mask %08b, GAM-free %v, queued %v", e, mask, e >= a.fresh, queued[e]))
 		}
 		if is := mask != 0 && mask != 0xFF; is != a.partial.get(e) {
 			panic(fmt.Sprintf("db: extent %d has mask %08b, partial bit %v", e, mask, a.partial.get(e)))

@@ -94,6 +94,49 @@ func TestFreeRunsMasksPartialExtents(t *testing.T) {
 	a.CheckInvariants()
 }
 
+// TestFreshExtentsGoOutInAddressOrder: the deallocation cache is drained
+// first, then never-used extents go out in address order from where the
+// last one left off, until none is left.
+func TestFreshExtentsGoOutInAddressOrder(t *testing.T) {
+	a := NewAllocator(8)
+	if _, ok := a.AllocRequest(3 * PagesPerExtent); !ok { // extents 0-2
+		t.Fatal("alloc failed")
+	}
+	a.FreeRuns([]PageRun{{Start: PagesPerExtent, Len: PagesPerExtent}}) // extent 1 queued
+	runs, _ := a.AllocRequest(3 * PagesPerExtent)                       // queued 1, then fresh 3 and 4
+	if want := []PageRun{{8, 8}, {24, 16}}; !slices.Equal(runs, want) {
+		t.Fatalf("got %v, want %v", runs, want)
+	}
+	runs, _ = a.AllocRequest(3 * PagesPerExtent) // fresh 5-7
+	if want := []PageRun{{40, 24}}; !slices.Equal(runs, want) {
+		t.Fatalf("got %v, want %v", runs, want)
+	}
+	if _, ok := a.AllocRequest(1); ok {
+		t.Fatal("allocation succeeded on a full volume")
+	}
+	a.CheckInvariants()
+}
+
+// TestSpacePressureRaidsLowestPartialExtent: with no wholly-free extent
+// left, page allocations drain the lowest partly used extent first, then
+// the next.
+func TestSpacePressureRaidsLowestPartialExtent(t *testing.T) {
+	a := NewAllocator(4)
+	if _, ok := a.AllocRequest(4 * PagesPerExtent); !ok {
+		t.Fatal("alloc failed")
+	}
+	// Free pages in extent 3, then in extent 1.
+	a.FreeRuns([]PageRun{{Start: 3*PagesPerExtent + 2, Len: 3}, {Start: PagesPerExtent + 5, Len: 2}})
+	runs, ok := a.AllocPages(4)
+	if want := []PageRun{{13, 2}, {26, 2}}; !ok || !slices.Equal(runs, want) {
+		t.Fatalf("got %v %v, want %v", runs, ok, want)
+	}
+	if a.PartialExtents() != 1 || a.FreePages() != 1 {
+		t.Fatalf("partial %d, free %d; want 1 and 1", a.PartialExtents(), a.FreePages())
+	}
+	a.CheckInvariants()
+}
+
 // refAllocator is the allocator as it was before its books went
 // run-granular, kept as the differential oracle: a page at a time, the
 // PFS a map with an entry per partly used extent.

@@ -2,8 +2,9 @@
 // SQL-Server-analog storage engine with the mechanisms the paper
 // identifies on the database side:
 //
-//   - 8 KB pages grouped into 64 KB extents, allocated through GAM-style
-//     bitmaps scanned lowest-offset-first;
+//   - 8 KB pages grouped into 64 KB extents: fresh extents are handed
+//     out in address order, freed ones come back FIFO through a
+//     deallocation cache;
 //   - out-of-row BLOB storage (§4.2) as an Exodus-style fragment tree
 //     (§2), so BLOB data pages do not decluster row data;
 //   - bulk-logged transactions (§4): BLOB pages are written to the data
@@ -23,6 +24,14 @@
 // never page lists, and the allocator's PFS is a byte per extent as in
 // the engine modelled — what an operation costs the host follows the
 // number of fragments, not the number of 8 KB pages.
+//
+// The paper ran SQL Server bulk-logged with a dedicated log drive (§4.1,
+// Table 1), so Open always takes a log drive and Config has one setting,
+// WriteRequestSize, which §5.3 varies (DefaultWriteRequestSize, 64 KB,
+// when zero). The rest are constants: a dropped version's pages rejoin
+// the free pool 8 committed operations later; each BLOB page read or
+// written charges 100 µs of host CPU and each row operation 500 µs; the
+// buffer pool holds 4096 metadata pages.
 package db
 
 import (

@@ -46,8 +46,7 @@ func modelPages(size, request int64) (data, nodes int64) {
 func TestRunsAgreeWithMarkerScan(t *testing.T) {
 	for _, request := range []int64{64 * units.KB, 20 * units.KB, -1} {
 		t.Run(fmt.Sprintf("request=%d", request), func(t *testing.T) {
-			const horizon = 4
-			d := newDBWith(64*units.MB, Config{WriteRequestSize: request, GhostHorizon: horizon})
+			d := newDBWith(64*units.MB, Config{WriteRequestSize: request})
 			rng := rand.New(rand.NewSource(request))
 			type ghost struct{ seq, pages int64 }
 			var ghosts []ghost
@@ -60,7 +59,7 @@ func TestRunsAgreeWithMarkerScan(t *testing.T) {
 					ghosts = append(ghosts, ghost{opSeq, freed})
 				}
 				opSeq++
-				for len(ghosts) > 0 && ghosts[0].seq < opSeq-horizon {
+				for len(ghosts) > 0 && ghosts[0].seq < opSeq-ghostHorizon {
 					ghosts = ghosts[1:]
 				}
 			}
@@ -144,7 +143,7 @@ func TestRunsAgreeWithMarkerScan(t *testing.T) {
 // TestGetRangeCostsMatchPageListModel reads ranges of a fragmented object
 // on one database and replays what the page-list engine charged for the
 // same range — one request per contiguous run of the touched pages,
-// PageCPUUs per touched page — on the drive of an identical twin. The
+// pageCPUUs per touched page — on the drive of an identical twin. The
 // two drives must count the same requests, bytes and seeks and their
 // clocks advance by the same amount.
 func TestGetRangeCostsMatchPageListModel(t *testing.T) {
@@ -180,7 +179,7 @@ func TestGetRangeCostsMatchPageListModel(t *testing.T) {
 				t.Fatalf("victim holds %d pages in runs, counts %d, model %d", len(pages), r.pages, dp)
 			}
 			model := func(off, length int64) int {
-				twin.data.ChargeCPU(twin.cfg.RowCPUUs)
+				twin.data.ChargeCPU(rowCPUUs)
 				for _, p := range r.nodes {
 					if !twin.pool.Access(p) {
 						twin.data.ChargeRead(twin.clusterRun(PageRun{Start: p, Len: 1}))
@@ -194,7 +193,7 @@ func TestGetRangeCostsMatchPageListModel(t *testing.T) {
 				for _, pr := range touched {
 					twin.data.ChargeRead(twin.clusterRun(pr))
 				}
-				twin.data.ChargeCPU(twin.cfg.PageCPUUs * float64(lastP-firstP+1))
+				twin.data.ChargeCPU(pageCPUUs * float64(lastP-firstP+1))
 				return len(touched)
 			}
 			seam := r.runs[0].Len * PageSize // first byte of the second run

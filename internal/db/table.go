@@ -34,7 +34,7 @@ func (mt *MetaTable) Insert(key string) error {
 
 // Lookup charges a row read and reports whether the key exists.
 func (mt *MetaTable) Lookup(key string) bool {
-	mt.d.data.ChargeCPU(mt.d.cfg.RowCPUUs)
+	mt.d.data.ChargeCPU(rowCPUUs)
 	_, ok := mt.keys[key]
 	return ok
 }
@@ -44,7 +44,7 @@ func (mt *MetaTable) Update(key string) error {
 	if _, ok := mt.keys[key]; !ok {
 		return fmt.Errorf("%w: %s.%s", ErrNotFound, mt.name, key)
 	}
-	mt.d.data.ChargeCPU(mt.d.cfg.RowCPUUs)
+	mt.d.data.ChargeCPU(rowCPUUs)
 	mt.d.logAppend(128)
 	return nil
 }
@@ -54,7 +54,7 @@ func (mt *MetaTable) Delete(key string) error {
 	if _, ok := mt.keys[key]; !ok {
 		return fmt.Errorf("%w: %s.%s", ErrNotFound, mt.name, key)
 	}
-	mt.d.data.ChargeCPU(mt.d.cfg.RowCPUUs)
+	mt.d.data.ChargeCPU(rowCPUUs)
 	mt.d.logAppend(128)
 	delete(mt.keys, key)
 	return nil

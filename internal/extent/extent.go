@@ -37,9 +37,6 @@ func (r Run) Contains(c int64) bool { return c >= r.Start && c < r.End() }
 // Overlaps reports whether two runs share any cluster.
 func (r Run) Overlaps(o Run) bool { return r.Start < o.End() && o.Start < r.End() }
 
-// Adjacent reports whether o begins exactly where r ends or vice versa.
-func (r Run) Adjacent(o Run) bool { return r.End() == o.Start || o.End() == r.Start }
-
 func (r Run) String() string { return fmt.Sprintf("[%d,+%d)", r.Start, r.Len) }
 
 // SumLen returns the total cluster count of runs.
@@ -84,16 +81,6 @@ func (f *FreeIndex) RunCount() int {
 		n += len(b.runs)
 	}
 	return n
-}
-
-// LargestRun returns the largest free run (ties to the highest offset), or
-// ok=false when empty.
-func (f *FreeIndex) LargestRun() (Run, bool) {
-	bi, ri, ok := f.largest()
-	if !ok {
-		return Run{}, false
-	}
-	return f.at(bi, ri), true
 }
 
 // Free returns run r to the index, coalescing with adjacent free runs.
@@ -146,12 +133,6 @@ func (f *FreeIndex) Reserve(r Run) bool {
 	}
 	f.carve(bi, ri, r)
 	return true
-}
-
-// IsFree reports whether the entire run r is currently free.
-func (f *FreeIndex) IsFree(r Run) bool {
-	bi, ri, ok := f.floor(r.Start)
-	return ok && r.End() <= f.at(bi, ri).End()
 }
 
 // TakeFirstFit removes and returns the lowest-offset free run of at least n
@@ -232,16 +213,6 @@ func (f *FreeIndex) TakeUpTo(n int64) (Run, bool) {
 		return Run{}, false
 	}
 	return f.take(bi, ri, min(n, f.at(bi, ri).Len)), true
-}
-
-// TakeAt attempts to reserve exactly n clusters starting at cluster start.
-// Used for sequential tail extension (NTFS's contiguous-append behaviour).
-func (f *FreeIndex) TakeAt(start, n int64) (Run, bool) {
-	r := Run{Start: start, Len: n}
-	if !f.Reserve(r) {
-		return Run{}, false
-	}
-	return r, true
 }
 
 // ExtendAt reserves as many clusters as are free at start, up to n.

@@ -2,6 +2,7 @@ package extent
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -17,12 +18,6 @@ func TestRunBasics(t *testing.T) {
 	if !r.Overlaps(Run{Start: 14, Len: 1}) || r.Overlaps(Run{Start: 15, Len: 1}) {
 		t.Fatal("Overlaps wrong")
 	}
-	if !r.Adjacent(Run{Start: 15, Len: 3}) || !r.Adjacent(Run{Start: 7, Len: 3}) {
-		t.Fatal("Adjacent wrong")
-	}
-	if r.Adjacent(Run{Start: 16, Len: 3}) {
-		t.Fatal("non-adjacent reported adjacent")
-	}
 }
 
 func TestFreeCoalesce(t *testing.T) {
@@ -37,9 +32,8 @@ func TestFreeCoalesce(t *testing.T) {
 	if f.RunCount() != 1 {
 		t.Fatalf("RunCount after merge = %d, want 1", f.RunCount())
 	}
-	r, ok := f.LargestRun()
-	if !ok || r != (Run{Start: 0, Len: 30}) {
-		t.Fatalf("LargestRun = %v", r)
+	if runs := f.Runs(); runs[0] != (Run{Start: 0, Len: 30}) {
+		t.Fatalf("Runs = %v", runs)
 	}
 	if f.FreeClusters() != 30 {
 		t.Fatalf("FreeClusters = %d", f.FreeClusters())
@@ -68,8 +62,8 @@ func TestTakeFirstFit(t *testing.T) {
 		t.Fatalf("TakeFirstFit(3) = %v,%v; want [50,+3)", r, ok)
 	}
 	// Remainder of the split run must still be free.
-	if !f.IsFree(Run{Start: 53, Len: 5}) {
-		t.Fatal("split remainder not free")
+	if runs := f.Runs(); !slices.Equal(runs, []Run{{0, 2}, {53, 5}, {100, 4}}) {
+		t.Fatalf("split remainder not free: %v", runs)
 	}
 	if _, ok := f.TakeFirstFit(100); ok {
 		t.Fatal("oversized TakeFirstFit succeeded")
@@ -136,21 +130,14 @@ func TestTakeUpTo(t *testing.T) {
 	f.CheckInvariants()
 }
 
-func TestTakeAtAndExtendAt(t *testing.T) {
+func TestExtendAt(t *testing.T) {
 	f := NewFreeIndex()
 	f.Free(Run{Start: 10, Len: 10})
-	if _, ok := f.TakeAt(5, 3); ok {
-		t.Fatal("TakeAt outside free space succeeded")
-	}
-	r, ok := f.TakeAt(12, 3)
-	if !ok || r != (Run{Start: 12, Len: 3}) {
-		t.Fatalf("TakeAt = %v", r)
+	if !f.Reserve(Run{Start: 12, Len: 3}) {
+		t.Fatal("Reserve failed")
 	}
 	// [10,12) and [15,20) remain.
-	if f.RunCount() != 2 || f.FreeClusters() != 7 {
-		t.Fatalf("after TakeAt: runs=%d free=%d", f.RunCount(), f.FreeClusters())
-	}
-	r, ok = f.ExtendAt(15, 100)
+	r, ok := f.ExtendAt(15, 100)
 	if !ok || r != (Run{Start: 15, Len: 5}) {
 		t.Fatalf("ExtendAt = %v", r)
 	}
@@ -166,11 +153,8 @@ func TestReserve(t *testing.T) {
 	if !f.Reserve(Run{Start: 40, Len: 20}) {
 		t.Fatal("Reserve failed")
 	}
-	if f.IsFree(Run{Start: 40, Len: 1}) {
-		t.Fatal("reserved space still free")
-	}
-	if !f.IsFree(Run{Start: 0, Len: 40}) || !f.IsFree(Run{Start: 60, Len: 40}) {
-		t.Fatal("split remainders not free")
+	if runs := f.Runs(); !slices.Equal(runs, []Run{{0, 40}, {60, 40}}) {
+		t.Fatalf("after Reserve: free runs %v, want the split remainders", runs)
 	}
 	if f.Reserve(Run{Start: 30, Len: 20}) {
 		t.Fatal("Reserve spanning used space succeeded")

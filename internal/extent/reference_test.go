@@ -71,15 +71,6 @@ func (x *refIndex) Reserve(r Run) bool {
 	return false
 }
 
-func (x *refIndex) IsFree(r Run) bool {
-	for _, h := range x.runs {
-		if h.Start <= r.Start && r.End() <= h.End() {
-			return true
-		}
-	}
-	return false
-}
-
 func (x *refIndex) TakeFirstFitBelow(n, limit int64) (Run, bool) {
 	for i, h := range x.runs {
 		if h.Start < limit && h.Len >= n {
@@ -117,13 +108,6 @@ func (x *refIndex) largest() int {
 		}
 	}
 	return big
-}
-
-func (x *refIndex) LargestRun() (Run, bool) {
-	if i := x.largest(); i >= 0 {
-		return x.runs[i], true
-	}
-	return Run{}, false
 }
 
 func (x *refIndex) TakeWorstFit(n int64) (Run, bool) {
@@ -168,9 +152,9 @@ func (x *refIndex) ExtendAt(start, n int64) (Run, bool) {
 
 // TestFreeIndexMatchesReference drives FreeIndex and refIndex with the same
 // seeded op sequences — every Take variant, TakeFirstFitBelow with a random
-// limit, Reserve and TakeAt inside and across free runs, ExtendAt at held
-// tails, frees of whole and partial held runs, and double frees — and
-// requires identical results, counts and largest run after every op. The
+// limit, Reserve inside and across free runs, ExtendAt at held tails,
+// frees of whole and partial held runs, and double frees — and requires
+// identical results and counts after every op. The
 // op mix swings between taking and freeing so the run count rises past a
 // bucket's capacity and falls back, which splits buckets and empties them.
 func TestFreeIndexMatchesReference(t *testing.T) {
@@ -258,15 +242,10 @@ func TestFreeIndexMatchesReference(t *testing.T) {
 					want, wantOK = ref.TakeUpTo(n)
 				case 6:
 					r := somewhere()
-					if rng.Intn(2) == 0 {
-						desc = fmt.Sprintf("TakeAt(%d, %d)", r.Start, r.Len)
-						got, gotOK = fi.TakeAt(r.Start, r.Len)
-					} else {
-						desc = fmt.Sprintf("Reserve(%v)", r)
-						got, gotOK = r, fi.Reserve(r)
-						if !gotOK {
-							got = Run{}
-						}
+					desc = fmt.Sprintf("Reserve(%v)", r)
+					got, gotOK = r, fi.Reserve(r)
+					if !gotOK {
+						got = Run{}
 					}
 					if wantOK = ref.Reserve(r); wantOK {
 						want = r
@@ -321,14 +300,9 @@ func TestFreeIndexMatchesReference(t *testing.T) {
 				t.Fatalf("seed %d op %d %s: got %v %v, reference %v %v", seed, op, desc, got, gotOK, want, wantOK)
 			}
 			fi.CheckInvariants()
-			gotBig, gotBigOK := fi.LargestRun()
-			wantBig, wantBigOK := ref.LargestRun()
-			if fi.FreeClusters() != ref.free() || fi.RunCount() != len(ref.runs) || gotBig != wantBig || gotBigOK != wantBigOK {
-				t.Fatalf("seed %d after op %d %s: free %d/%d runs %d/%d largest %v/%v (index/reference)", seed, op, desc,
-					fi.FreeClusters(), ref.free(), fi.RunCount(), len(ref.runs), gotBig, wantBig)
-			}
-			if r := somewhere(); fi.IsFree(r) != ref.IsFree(r) {
-				t.Fatalf("seed %d after op %d %s: IsFree(%v) = %v, reference %v", seed, op, desc, r, fi.IsFree(r), ref.IsFree(r))
+			if fi.FreeClusters() != ref.free() || fi.RunCount() != len(ref.runs) {
+				t.Fatalf("seed %d after op %d %s: free %d/%d runs %d/%d (index/reference)", seed, op, desc,
+					fi.FreeClusters(), ref.free(), fi.RunCount(), len(ref.runs))
 			}
 			switch {
 			case len(fi.buckets) > buckets:

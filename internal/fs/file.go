@@ -91,7 +91,7 @@ func (v *Volume) Create(name string) (*File, error) {
 	if _, ok := v.files[name]; ok {
 		return nil, fmt.Errorf("%w: %s", ErrExist, name)
 	}
-	v.drive.ChargeCPU(v.cfg.CreateCPUUs)
+	v.drive.ChargeCPU(createCPUUs)
 	var f *File
 	if n := len(v.filePool); n > 0 {
 		f = v.filePool[n-1]
@@ -242,7 +242,7 @@ func (v *Volume) Open(name string) (*File, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotExist, name)
 	}
-	v.drive.ChargeCPU(v.cfg.OpenCPUUs)
+	v.drive.ChargeCPU(openCPUUs)
 	v.metadataRead(f.tag)
 	v.statOpens++
 	return f, nil
@@ -311,7 +311,7 @@ func (v *Volume) Delete(name string) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNotExist, name)
 	}
-	v.drive.ChargeCPU(v.cfg.DeleteCPUUs)
+	v.drive.ChargeCPU(deleteCPUUs)
 	for _, r := range f.runs {
 		v.rc.Free(r)
 		v.drive.ClearOwner(r)
@@ -348,7 +348,7 @@ func (v *Volume) Rename(oldName, newName string) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNotExist, oldName)
 	}
-	v.drive.ChargeCPU(v.cfg.RenameCPUUs)
+	v.drive.ChargeCPU(renameCPUUs)
 	if _, exists := v.files[newName]; exists {
 		if err := v.Delete(newName); err != nil {
 			return err

@@ -3,7 +3,7 @@
 // its fragmentation results:
 //
 //   - extent-based files whose space comes from a run cache ordered by
-//     decreasing size and offset, with outer-band preference (§2);
+//     decreasing size and offset (§2);
 //   - space allocated per append request, before the final file size is
 //     known — the root cause of the paper's surprising constant-size
 //     fragmentation result (§5.4);
@@ -17,6 +17,13 @@
 //   - optional delayed allocation and size hints — the interface changes
 //     the paper proposes (§5.4, §6) — plus an online defragmenter like
 //     the Windows utility (§3.4).
+//
+// The paper measured NTFS with its defaults (§4.1, Table 1), so a volume
+// has one setting, DelayedAllocation, which §3.4 and §6 vary. The rest
+// are constants: the log commits every LogFlushOps (16) metadata
+// operations; the MFT zone takes 1% of the volume and file data has no
+// outer band; an open charges 12 ms of host CPU, a create 3 ms, a
+// delete or rename 1 ms.
 //
 // All byte-level bookkeeping is deterministic and driven by the shared
 // virtual clock through the disk model.
@@ -43,54 +50,31 @@ var (
 	ErrClosed   = blob.ErrClosed
 )
 
-// Config describes a volume. Zero-value fields take defaults from
-// DefaultConfig.
+// LogFlushOps is the number of metadata operations (deletes, renames)
+// between transactional log commits. Freed space becomes reusable only
+// at a commit.
+const LogFlushOps = 16
+
+// The volume's fixed geometry and per-operation host CPU charges. NTFS
+// "uses a 'banded' allocation strategy for metadata, but not for file
+// contents" (§2), so file data gets no outer band; the MFT zone takes
+// metadataFrac of the volume instead. The CPU charges, in microseconds,
+// model the folklore costs in §3.1: "file opens are CPU expensive".
+const (
+	metadataFrac = 0.01
+	openCPUUs    = 12000 // SMB/UNC-path open cost, per §4.1's networked structure
+	createCPUUs  = 3000
+	deleteCPUUs  = 1000
+	renameCPUUs  = 1000
+)
+
+// Config describes a volume. The zero value is NTFS with its defaults,
+// the configuration the paper measured (§4.1).
 type Config struct {
-	// Capacity is the volume size in bytes.
-	Capacity int64
-
-	// BandFrac is the fraction of the volume treated as a preferred
-	// outer allocation band for file data. NTFS "uses a 'banded'
-	// allocation strategy for metadata, but not for file contents" (§2),
-	// so the default is 0 (no data banding); the MFT zone is reserved
-	// separately via MetadataFrac.
-	BandFrac float64
-
-	// MetadataFrac is the fraction of the volume reserved for the MFT
-	// zone (file records).
-	MetadataFrac float64
-
-	// LogFlushOps is the number of metadata operations (deletes,
-	// renames) between transactional log commits. Freed space becomes
-	// reusable only at a commit.
-	LogFlushOps int
-
 	// DelayedAllocation buffers appended bytes in memory and allocates
 	// space only when the file is closed, with the final size known —
 	// the XFS/realloc behaviour from §3.4.
 	DelayedAllocation bool
-
-	// Per-operation host CPU charges, microseconds. These model the
-	// folklore costs in §3.1: "file opens are CPU expensive".
-	OpenCPUUs   float64
-	CreateCPUUs float64
-	DeleteCPUUs float64
-	RenameCPUUs float64
-}
-
-// DefaultConfig returns the configuration used across the benchmark
-// harness for a volume of the given byte capacity.
-func DefaultConfig(capacity int64) Config {
-	return Config{
-		Capacity:     capacity,
-		BandFrac:     0,
-		MetadataFrac: 0.01,
-		LogFlushOps:  16,
-		OpenCPUUs:    12000, // SMB/UNC-path open cost, per §4.1's networked structure
-		CreateCPUUs:  3000,
-		DeleteCPUUs:  1000,
-		RenameCPUUs:  1000,
-	}
 }
 
 // Volume is a mounted filesystem on a simulated drive. Not safe for
@@ -138,43 +122,17 @@ type Volume struct {
 
 // Format creates a fresh volume on the drive.
 func Format(drive *disk.Drive, cfg Config) *Volume {
-	def := DefaultConfig(drive.Capacity())
-	if cfg.Capacity == 0 {
-		cfg.Capacity = def.Capacity
-	}
-	if cfg.BandFrac == 0 {
-		cfg.BandFrac = def.BandFrac
-	}
-	if cfg.MetadataFrac == 0 {
-		cfg.MetadataFrac = def.MetadataFrac
-	}
-	if cfg.LogFlushOps == 0 {
-		cfg.LogFlushOps = def.LogFlushOps
-	}
-	if cfg.OpenCPUUs == 0 {
-		cfg.OpenCPUUs = def.OpenCPUUs
-	}
-	if cfg.CreateCPUUs == 0 {
-		cfg.CreateCPUUs = def.CreateCPUUs
-	}
-	if cfg.DeleteCPUUs == 0 {
-		cfg.DeleteCPUUs = def.DeleteCPUUs
-	}
-	if cfg.RenameCPUUs == 0 {
-		cfg.RenameCPUUs = def.RenameCPUUs
-	}
-
 	clusters := drive.Geometry().Clusters
 	v := &Volume{
 		cfg:     cfg,
 		drive:   drive,
-		rc:      alloc.NewRunCache(clusters, cfg.BandFrac),
+		rc:      alloc.NewRunCache(clusters, 0),
 		files:   make(map[string]*File),
 		nextTag: 1,
 	}
 	// Reserve the MFT zone. On an empty volume this carves the lowest
 	// clusters, matching NTFS placing the MFT ahead of early file data.
-	v.metaLen = int64(float64(clusters) * cfg.MetadataFrac)
+	v.metaLen = int64(float64(clusters) * metadataFrac)
 	if v.metaLen < 1 {
 		v.metaLen = 1
 	}
@@ -194,9 +152,6 @@ func (v *Volume) ClusterSize() int64 { return v.drive.Geometry().ClusterSize }
 
 // FreeBytes reports immediately allocatable space.
 func (v *Volume) FreeBytes() int64 { return v.rc.FreeClusters() * v.ClusterSize() }
-
-// TotalFreeBytes reports allocatable plus log-quarantined space.
-func (v *Volume) TotalFreeBytes() int64 { return v.rc.TotalFree() * v.ClusterSize() }
 
 // CapacityBytes reports the data capacity (volume minus metadata zone).
 func (v *Volume) CapacityBytes() int64 {
@@ -237,7 +192,7 @@ func (v *Volume) noteMetadataOp() {
 	if v.batchDepth > 0 {
 		return
 	}
-	if v.opsSinceFlush >= v.cfg.LogFlushOps {
+	if v.opsSinceFlush >= LogFlushOps {
 		v.FlushLog()
 	}
 }
@@ -292,7 +247,7 @@ func (v *Volume) EndBatch() {
 		}
 		v.pendingMeta = v.pendingMeta[:0]
 	}
-	if v.opsSinceFlush >= v.cfg.LogFlushOps {
+	if v.opsSinceFlush >= LogFlushOps {
 		v.FlushLog()
 	}
 }

@@ -116,14 +116,27 @@ func TestReadAllCountsOneRequestPerFragment(t *testing.T) {
 
 func TestLogFlushCadence(t *testing.T) {
 	d := disk.New(disk.DefaultGeometry(64*units.MB), vclock.New(), disk.MetadataMode)
-	v := Format(d, Config{LogFlushOps: 4})
-	for i := 0; i < 12; i++ { // create+close = 2 metadata ops each
+	v := Format(d, Config{})
+	for i := 0; i < 2*LogFlushOps; i++ { // create+close = 2 metadata ops each
 		f, _ := v.Create(fmt.Sprintf("f%d", i))
 		f.Append(4*units.KB, nil)
 		f.Close()
 	}
-	if got := v.Stats().LogFlushes; got < 4 {
-		t.Fatalf("expected >= 4 log flushes, got %d", got)
+	if got := v.Stats().LogFlushes; got != 4 {
+		t.Fatalf("%d metadata ops made %d log flushes, want 4", 4*LogFlushOps, got)
+	}
+}
+
+// TestMetadataZoneTakesOnePercent: Format reserves the lowest 1% of the
+// volume's clusters for the MFT zone, and CapacityBytes leaves it out.
+func TestMetadataZoneTakesOnePercent(t *testing.T) {
+	v := newVolume(64*units.MB, disk.MetadataMode)
+	clusters := v.Drive().Geometry().Clusters
+	if want := clusters / 100; v.metaStart != 0 || v.metaLen != want {
+		t.Fatalf("MFT zone [%d,+%d), want [0,+%d)", v.metaStart, v.metaLen, want)
+	}
+	if got, want := v.CapacityBytes(), (clusters-clusters/100)*v.ClusterSize(); got != want {
+		t.Fatalf("CapacityBytes = %d, want %d", got, want)
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 
 func newVolume(capacity int64, mode disk.Mode) *Volume {
 	d := disk.New(disk.DefaultGeometry(capacity), vclock.New(), mode)
-	return Format(d, Config{Capacity: capacity})
+	return Format(d, Config{})
 }
 
 func fillBytes(n int64, seed byte) []byte {
@@ -101,8 +101,8 @@ func TestDeleteFreesSpaceAfterLogFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Space is quarantined until the log flush.
-	if v.TotalFreeBytes() != before {
-		t.Fatalf("TotalFree = %d, want %d", v.TotalFreeBytes(), before)
+	if got := v.FreeBytes() + v.Stats().PendingBytes; got != before {
+		t.Fatalf("free + pending = %d, want %d", got, before)
 	}
 	v.FlushLog()
 	if v.FreeBytes() != before {

@@ -23,9 +23,9 @@ func Table1(c Config) ([]*stats.Table, error) {
 	t.Note("paper hardware: Tyan S2882, 1.8GHz Opteron 244, 2GB ECC, 4x Seagate 400GB ST3400832AS 7200rpm SATA")
 	t.Note("cluster size %s, outer-band streaming %.0f MB/s, inner %.0f MB/s",
 		units.FormatBytes(geo.ClusterSize), d.SequentialBandwidthMBps(0), d.SequentialBandwidthMBps(geo.Clusters-1))
-	t.Note("filesystem analog: NTFS-style run cache, %d-op log flush, safe writes (ReplaceFile)", fs.DefaultConfig(c.VolumeBytes).LogFlushOps)
+	t.Note("filesystem analog: NTFS-style run cache, %d-op log flush, safe writes (ReplaceFile)", fs.LogFlushOps)
 	t.Note("database analog: %s pages, %s extents, bulk-logged, dedicated log drive, %s write requests",
-		units.FormatBytes(db.PageSize), units.FormatBytes(db.ExtentSize), units.FormatBytes(db.DefaultConfig().WriteRequestSize))
+		units.FormatBytes(db.PageSize), units.FormatBytes(db.ExtentSize), units.FormatBytes(db.DefaultWriteRequestSize))
 	t.Note("workload: get/put with safe-write updates; storage age = replaced bytes / live bytes (§4.4)")
 	return []*stats.Table{t}, nil
 }

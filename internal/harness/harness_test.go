@@ -45,6 +45,15 @@ func findSeries(t *testing.T, tb *stats.Table, name string) *stats.Series {
 	return nil
 }
 
+// lastPoint returns the final point of s.
+func lastPoint(t *testing.T, s *stats.Series) stats.Point {
+	t.Helper()
+	if len(s.Points) == 0 {
+		t.Fatalf("series %q is empty", s.Name)
+	}
+	return s.Points[len(s.Points)-1]
+}
+
 func TestExperimentRegistry(t *testing.T) {
 	if len(Experiments) != 17 {
 		t.Fatalf("expected 17 experiments, have %d", len(Experiments))
@@ -128,7 +137,7 @@ func TestFigure3Convergence(t *testing.T) {
 	}
 	for _, name := range []string{"Database", "Filesystem"} {
 		s := findSeries(t, tables[0], name)
-		last, _ := s.Last()
+		last := lastPoint(t, s)
 		if last.Y < 1.5 || last.Y > 4.5 {
 			t.Errorf("%s converged to %.2f fragments/object, want ~2-4 (ceiling 4 = one per 64KB)", name, last.Y)
 		}
@@ -208,7 +217,7 @@ func TestPathologicalRecovery(t *testing.T) {
 	}
 	s := tables[0].Series[0]
 	first := s.Points[0].Y
-	last, _ := s.Last()
+	last := lastPoint(t, s)
 	if first < 10 {
 		t.Fatalf("shatter too weak: started at %.1f fragments/object", first)
 	}
@@ -230,9 +239,9 @@ func TestSizeHintAblation(t *testing.T) {
 	stock := findSeries(t, tables[0], "No hint (stock)")
 	hint := findSeries(t, tables[0], "Size hint")
 	delayed := findSeries(t, tables[0], "Delayed allocation")
-	sLast, _ := stock.Last()
-	hLast, _ := hint.Last()
-	dLast, _ := delayed.Last()
+	sLast := lastPoint(t, stock)
+	hLast := lastPoint(t, hint)
+	dLast := lastPoint(t, delayed)
 	if hLast.Y >= sLast.Y || dLast.Y >= sLast.Y {
 		t.Errorf("hints did not help: stock=%.2f hint=%.2f delayed=%.2f", sLast.Y, hLast.Y, dLast.Y)
 	}
@@ -272,12 +281,12 @@ func TestPolicyComparison(t *testing.T) {
 	buddy := findSeries(t, tables[0], "buddy")
 	rc := findSeries(t, tables[0], "ntfs-run-cache")
 	bf := findSeries(t, tables[0], "best-fit")
-	bLast, _ := buddy.Last()
+	bLast := lastPoint(t, buddy)
 	if bLast.Y != 1 {
 		t.Errorf("buddy fragmented externally: %.2f", bLast.Y)
 	}
-	rcLast, _ := rc.Last()
-	bfLast, _ := bf.Last()
+	rcLast := lastPoint(t, rc)
+	bfLast := lastPoint(t, bf)
 	if rcLast.Y <= bfLast.Y {
 		t.Errorf("run cache with deferred reuse (%.2f) should fragment more than idealized best-fit (%.2f)", rcLast.Y, bfLast.Y)
 	}
@@ -316,7 +325,7 @@ func TestFigure5BothDistributionsFragment(t *testing.T) {
 	}
 	for _, tb := range tables {
 		for _, s := range tb.Series {
-			last, _ := s.Last()
+			last := lastPoint(t, s)
 			if last.Y <= 1.05 {
 				t.Errorf("%s / %s shows no fragmentation (%.2f) — the §5.4 surprise is missing", tb.Title, s.Name, last.Y)
 			}
@@ -344,8 +353,8 @@ func TestFigure6Occupancy(t *testing.T) {
 	full := tables[2]
 	loose := findSeries(t, full, "90.0% full - 1G")
 	tight := findSeries(t, full, "97.5% full - 1G")
-	lLast, _ := loose.Last()
-	tLast, _ := tight.Last()
+	lLast := lastPoint(t, loose)
+	tLast := lastPoint(t, tight)
 	if tLast.Y < lLast.Y {
 		t.Errorf("97.5%% full (%.2f) should fragment at least as much as 90%% (%.2f)", tLast.Y, lLast.Y)
 	}

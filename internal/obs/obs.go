@@ -87,6 +87,17 @@ type Gauge struct {
 // Set replaces the gauge's value.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
+// SetMax raises the gauge to v when v is larger: a high-water mark that
+// concurrent writers can only raise.
+func (g *Gauge) SetMax(v float64) {
+	for {
+		old := g.bits.Load()
+		if math.Float64frombits(old) >= v || g.bits.CompareAndSwap(old, math.Float64bits(v)) {
+			return
+		}
+	}
+}
+
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 

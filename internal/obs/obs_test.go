@@ -33,6 +33,12 @@ func TestRegistryHandles(t *testing.T) {
 	if s.Gauges["a.level"] != 0.25 {
 		t.Fatalf("gauge = %g", s.Gauges["a.level"])
 	}
+	if g.SetMax(0.1); g.Value() != 0.25 {
+		t.Fatalf("SetMax(0.1) lowered the gauge to %g", g.Value())
+	}
+	if g.SetMax(0.5); g.Value() != 0.5 {
+		t.Fatalf("SetMax(0.5) left the gauge at %g", g.Value())
+	}
 	if s.Histograms["a.lat"].Count != 1 {
 		t.Fatalf("hist count = %d", s.Histograms["a.lat"].Count)
 	}

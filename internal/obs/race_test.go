@@ -111,3 +111,25 @@ func TestConcurrentRegistryCreation(t *testing.T) {
 		t.Fatalf("lost updates: %d / %d", counters[0].Value(), hists[0].Count())
 	}
 }
+
+// TestGaugeSetMaxConcurrent: a high-water mark raised from several
+// goroutines at once ends at the largest value any of them offered,
+// whatever order their compare-and-swaps land in.
+func TestGaugeSetMaxConcurrent(t *testing.T) {
+	const writers, perWriter = 8, 1000
+	var g Gauge
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				g.SetMax(float64(i*writers + w))
+			}
+		}(w)
+	}
+	wg.Wait()
+	if got, want := g.Value(), float64(writers*perWriter-1); got != want {
+		t.Fatalf("peak = %g, want %g", got, want)
+	}
+}

@@ -99,19 +99,15 @@ type Tracer struct {
 	slowCap int
 }
 
-// DefaultTracerCap is the default ring capacity.
-const DefaultTracerCap = 4096
+// ringCap is the ring's capacity: the most recent ops a tracer keeps.
+const ringCap = 4096
 
 // defaultSlowCap is how many slowest ops survive ring wrap-around.
 const defaultSlowCap = 64
 
-// NewTracer returns a tracer with the given ring capacity (≤ 0 takes
-// DefaultTracerCap).
-func NewTracer(capacity int) *Tracer {
-	if capacity <= 0 {
-		capacity = DefaultTracerCap
-	}
-	return &Tracer{ring: make([]*OpTrace, capacity), slowCap: defaultSlowCap}
+// NewTracer returns a tracer whose ring keeps the last 4096 ops.
+func NewTracer() *Tracer {
+	return &Tracer{ring: make([]*OpTrace, ringCap), slowCap: defaultSlowCap}
 }
 
 // Add records one completed op.

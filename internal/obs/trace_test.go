@@ -21,17 +21,21 @@ func mkOp(stream int, kind string, start, end int64) *OpTrace {
 // a wrapped ring keeps the most recent ops, while the slow set keeps
 // the highest-latency ops from anywhere in the run.
 func TestTracerRingAndSlowest(t *testing.T) {
-	tr := NewTracer(8)
+	tr := NewTracer()
 	tr.slowCap = 4
 	// One early outlier, then a long tail of fast ops that wraps the
-	// ring many times.
+	// ring several times.
 	outlier := mkOp(0, "replace", 0, 1_000_000)
 	tr.Add(outlier)
-	for i := int64(1); i <= 100; i++ {
+	for i := int64(1); i <= 3*ringCap; i++ {
 		tr.Add(mkOp(0, "read", i*10, i*10+5))
 	}
 	ops := tr.Ops()
-	// Ring holds the last 8; slow set holds the outlier plus 3 others.
+	// Ring holds the last ringCap; slow set holds the outlier plus 3
+	// others.
+	if len(ops) != ringCap+4 {
+		t.Fatalf("Ops = %d, want the ring's %d plus the slow set's 4", len(ops), ringCap)
+	}
 	seen := false
 	for _, op := range ops {
 		if op == outlier {
@@ -63,7 +67,7 @@ func TestTracerRingAndSlowest(t *testing.T) {
 // TestTracerPartialRing covers the unwrapped ring: fewer ops than
 // capacity must all be returned.
 func TestTracerPartialRing(t *testing.T) {
-	tr := NewTracer(16)
+	tr := NewTracer()
 	for i := int64(0); i < 5; i++ {
 		tr.Add(mkOp(0, "read", i, i+1))
 	}
@@ -75,7 +79,7 @@ func TestTracerPartialRing(t *testing.T) {
 // TestWriteJSONL checks one well-formed JSON object per line with the
 // span detail intact.
 func TestWriteJSONL(t *testing.T) {
-	tr := NewTracer(4)
+	tr := NewTracer()
 	op := mkOp(2, "read", 100, 900)
 	op.Phase = "test phase"
 	op.addSpan(Span{Layer: "disk", Op: "readall", Start: 150, Dur: 700})
@@ -108,7 +112,7 @@ func TestWriteJSONL(t *testing.T) {
 // metadata per phase, an "X" slice per op and per span, timestamps in
 // virtual microseconds.
 func TestWriteChromeTrace(t *testing.T) {
-	tr := NewTracer(4)
+	tr := NewTracer()
 	a := mkOp(1, "read", 2000, 5000)
 	a.Phase = "phase A"
 	a.addSpan(Span{Layer: "disk", Op: "readall", Start: 2500, Dur: 2000})
@@ -180,7 +184,7 @@ func TestWriteChromeTrace(t *testing.T) {
 func TestCollectorLifecycle(t *testing.T) {
 	clock := vclock.New()
 	reg := NewRegistry()
-	tr := NewTracer(8)
+	tr := NewTracer()
 	c := &Collector{Registry: reg, Tracer: tr, Clock: clock, Phase: "p", MissLayer: "disk"}
 
 	// A read that recorded a disk read span: miss.

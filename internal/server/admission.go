@@ -34,7 +34,9 @@ type admission struct {
 	timeout time.Duration // max queue wait; 0 = wait as long as the caller's ctx allows
 
 	shed, timedOut *obs.Counter // admission.shed, admission.timeout
-	inflight       *obs.Gauge   // admission.inflight
+	// inflight is the level the last acquire or release left, so it
+	// reads 0 once a load has drained; peak is its high-water mark.
+	inflight, peak *obs.Gauge // admission.inflight, admission.inflight_peak
 }
 
 // newAdmission builds the controller, recording into reg;
@@ -47,6 +49,7 @@ func newAdmission(maxInFlight, maxQueue int, timeout time.Duration, reg *obs.Reg
 		shed:     reg.Counter("admission.shed"),
 		timedOut: reg.Counter("admission.timeout"),
 		inflight: reg.Gauge("admission.inflight"),
+		peak:     reg.Gauge("admission.inflight_peak"),
 	}
 }
 
@@ -67,7 +70,7 @@ func (a *admission) acquire(ctx context.Context) error {
 	}
 	select {
 	case a.slots <- struct{}{}: // a free slot arms no QueueTimeout timer
-		a.inflight.Set(float64(len(a.slots)))
+		a.admitted()
 		return nil
 	default:
 	}
@@ -79,7 +82,7 @@ func (a *admission) acquire(ctx context.Context) error {
 	}
 	select {
 	case a.slots <- struct{}{}:
-		a.inflight.Set(float64(len(a.slots)))
+		a.admitted()
 		return nil
 	case <-wait.Done():
 		a.pending.Add(-1)
@@ -91,6 +94,13 @@ func (a *admission) acquire(ctx context.Context) error {
 		a.timedOut.Inc()
 		return blob.ErrUnavailable
 	}
+}
+
+// admitted records the in-flight level after an acquire took a slot.
+func (a *admission) admitted() {
+	n := float64(len(a.slots))
+	a.inflight.Set(n)
+	a.peak.SetMax(n)
 }
 
 // release returns one slot and retires the op from the pending count.

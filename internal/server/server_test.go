@@ -208,13 +208,17 @@ func TestRangeRequests(t *testing.T) {
 
 // gateStore blocks Open until the gate closes — the deterministic
 // saturation fixture: an admitted op holds its admission slot as long
-// as the test wants.
+// as the test wants. An Open first sends on entered, when it is set.
 type gateStore struct {
 	blob.Store
-	gate chan struct{}
+	gate    chan struct{}
+	entered chan struct{}
 }
 
 func (g *gateStore) Open(ctx context.Context, key string) (blob.Reader, error) {
+	if g.entered != nil {
+		g.entered <- struct{}{}
+	}
 	select {
 	case <-g.gate:
 	case <-ctx.Done():
@@ -292,6 +296,48 @@ func TestAdmissionSaturation(t *testing.T) {
 	if snap.Counters["admission.shed"] != 7 || snap.Counters["admission.timeout"] != 2 {
 		t.Fatalf("admission counters = shed:%d timeout:%d, want 7/2",
 			snap.Counters["admission.shed"], snap.Counters["admission.timeout"])
+	}
+}
+
+// TestAdmissionInflightPeak pins the in-flight gauges: N reads held in a
+// gated store at once leave admission.inflight_peak at N, and once they
+// finish admission.inflight is back to 0 while the peak stays — so a
+// /report read after a load still shows how busy it was.
+func TestAdmissionInflightPeak(t *testing.T) {
+	inner := dataStore(t)
+	if err := blob.Put(context.Background(), inner, "a", 64*units.KB, make([]byte, 64*units.KB)); err != nil {
+		t.Fatal(err)
+	}
+	const N = 4
+	gate, entered := make(chan struct{}), make(chan struct{})
+	srv, ts, client := newTestServer(t, &gateStore{Store: inner, gate: gate, entered: entered}, Config{MaxInFlight: 2 * N})
+	var wg sync.WaitGroup
+	for i := 0; i < N; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := client.Get(ts.URL + wire.PathBlobs + "a")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("status %d, want 200", resp.StatusCode)
+			}
+		}()
+	}
+	for i := 0; i < N; i++ {
+		<-entered
+	}
+	close(gate)
+	wg.Wait()
+	ts.Close() // returns once every handler, and its release, has run
+	gauges := srv.reg.Snapshot().Gauges
+	if gauges["admission.inflight_peak"] != N || gauges["admission.inflight"] != 0 {
+		t.Fatalf("admission.inflight_peak = %g, admission.inflight = %g; want %d and 0",
+			gauges["admission.inflight_peak"], gauges["admission.inflight"], N)
 	}
 }
 
@@ -499,8 +545,10 @@ func TestMetricsCarryAdmissionBeforeAnyShed(t *testing.T) {
 			t.Errorf("counter %s = %d (present %v), want 0 and present", name, n, ok)
 		}
 	}
-	if v, ok := phase.Gauges["admission.inflight"]; !ok || v != 0 {
-		t.Errorf("gauge admission.inflight = %g (present %v), want 0 and present", v, ok)
+	for _, name := range []string{"admission.inflight", "admission.inflight_peak"} {
+		if v, ok := phase.Gauges[name]; !ok || v != 0 {
+			t.Errorf("gauge %s = %g (present %v), want 0 and present", name, v, ok)
+		}
 	}
 }
 

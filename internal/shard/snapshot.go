@@ -122,7 +122,7 @@ func (s *Store) Snapshot() Snapshot {
 	if snap.Objects > 0 {
 		snap.MeanFragments = totalFragments / float64(snap.Objects)
 	}
-	snap.LiveImbalance = stats.Summarize(liveByShard).CV()
+	snap.LiveImbalance = stats.CV(liveByShard)
 	return snap
 }
 

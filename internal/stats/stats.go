@@ -10,98 +10,27 @@ import (
 	"strings"
 )
 
-// Summary describes a sample of float64 observations. Quantiles are
-// interpolated (see Percentile), so tail fields like P999 stay
-// meaningful on the modest sample sizes the harness works with instead
-// of snapping to the sample maximum.
-type Summary struct {
-	N    int
-	Mean float64
-	Min  float64
-	Max  float64
-	P50  float64
-	P90  float64
-	P95  float64
-	P99  float64
-	P999 float64
-	Std  float64
-}
-
-// Summarize computes a Summary of xs. An empty input yields a zero value.
-func Summarize(xs []float64) Summary {
+// CV returns the coefficient of variation of xs (standard deviation
+// over mean) — the scale-free spread used to report shard imbalance.
+// Zero when xs is empty or its mean is zero.
+func CV(xs []float64) float64 {
 	if len(xs) == 0 {
-		return Summary{}
+		return 0
 	}
-	s := Summary{N: len(xs), Min: xs[0], Max: xs[0]}
 	var sum, sumSq float64
 	for _, x := range xs {
 		sum += x
 		sumSq += x * x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
 	}
-	s.Mean = sum / float64(len(xs))
-	variance := sumSq/float64(len(xs)) - s.Mean*s.Mean
-	if variance > 0 {
-		s.Std = math.Sqrt(variance)
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	s.P50 = percentile(sorted, 0.50)
-	s.P90 = percentile(sorted, 0.90)
-	s.P95 = percentile(sorted, 0.95)
-	s.P99 = percentile(sorted, 0.99)
-	s.P999 = percentile(sorted, 0.999)
-	return s
-}
-
-// Percentile returns the interpolated p-quantile (p in [0,1]) of xs,
-// sorting a copy. NaN-free input assumed; empty input returns 0.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
+	mean := sum / float64(len(xs))
+	if mean == 0 {
 		return 0
 	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return percentile(sorted, p)
-}
-
-// CV returns the coefficient of variation (Std/Mean) — the scale-free
-// spread used to report shard imbalance. Zero when the mean is zero.
-func (s Summary) CV() float64 {
-	if s.Mean == 0 {
-		return 0
+	var std float64
+	if variance := sumSq/float64(len(xs)) - mean*mean; variance > 0 {
+		std = math.Sqrt(variance)
 	}
-	return s.Std / s.Mean
-}
-
-// percentile reads the p-quantile from sorted data by linear
-// interpolation at rank p*(n-1) (the "exclusive" method NumPy and Go's
-// own benchstat use): the quantile moves continuously with p instead
-// of jumping between order statistics, which keeps small-sample tail
-// quantiles (P99 of 40 reads) from silently equaling the maximum.
-func percentile(sorted []float64, p float64) float64 {
-	n := len(sorted)
-	if n == 0 {
-		return 0
-	}
-	if p <= 0 || n == 1 {
-		return sorted[0]
-	}
-	if p >= 1 {
-		return sorted[n-1]
-	}
-	rank := p * float64(n-1)
-	lo := int(rank)
-	frac := rank - float64(lo)
-	if lo+1 >= n {
-		return sorted[n-1]
-	}
-	return sorted[lo] + frac*(sorted[lo+1]-sorted[lo])
+	return std / mean
 }
 
 // Point is one (x, y) observation of a series.
@@ -127,14 +56,6 @@ func (s *Series) YAt(x float64) (float64, bool) {
 		}
 	}
 	return 0, false
-}
-
-// Last returns the final point of the series.
-func (s *Series) Last() (Point, bool) {
-	if len(s.Points) == 0 {
-		return Point{}, false
-	}
-	return s.Points[len(s.Points)-1], true
 }
 
 // Table renders labelled rows of figures, in the style of the paper's

@@ -4,101 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 )
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5})
-	if s.N != 5 || s.Mean != 3 || s.Min != 1 || s.Max != 5 {
-		t.Fatalf("summary: %+v", s)
-	}
-	if s.P50 != 3 {
-		t.Fatalf("p50 = %g", s.P50)
-	}
-	// Interpolated rank 0.95*(5-1) = 3.8 → 4 + 0.8*(5-4).
-	if math.Abs(s.P95-4.8) > 1e-9 {
-		t.Fatalf("p95 = %g, want 4.8", s.P95)
-	}
-	want := math.Sqrt(2)
-	if math.Abs(s.Std-want) > 1e-9 {
-		t.Fatalf("std = %g, want %g", s.Std, want)
-	}
-	if Summarize(nil) != (Summary{}) {
-		t.Fatal("empty summary not zero")
-	}
-}
-
-// TestQuantilesKnownSamples pins every Summary quantile on known
-// samples via the interpolated rank p*(n-1).
-func TestQuantilesKnownSamples(t *testing.T) {
-	cases := []struct {
-		name string
-		xs   []float64
-		p50  float64
-		p90  float64
-		p95  float64
-		p99  float64
-		p999 float64
-	}{
-		// 0..100: rank p*100 lands exactly on the value 100p.
-		{"0..100", seq(0, 100), 50, 90, 95, 99, 99.9},
-		// Two points: pure interpolation between them.
-		{"pair", []float64{0, 10}, 5, 9, 9.5, 9.9, 9.99},
-		// Single point: every quantile is that point.
-		{"single", []float64{7}, 7, 7, 7, 7, 7},
-		// Constant data: interpolation between equal values.
-		{"constant", []float64{4, 4, 4, 4}, 4, 4, 4, 4, 4},
-	}
-	for _, tc := range cases {
-		s := Summarize(tc.xs)
-		got := []float64{s.P50, s.P90, s.P95, s.P99, s.P999}
-		want := []float64{tc.p50, tc.p90, tc.p95, tc.p99, tc.p999}
-		for i, g := range got {
-			if math.Abs(g-want[i]) > 1e-9 {
-				t.Errorf("%s: quantile %d = %g, want %g", tc.name, i, g, want[i])
-			}
-		}
-	}
-	// Percentile endpoints clamp.
-	if Percentile([]float64{3, 1, 2}, 0) != 1 || Percentile([]float64{3, 1, 2}, 1) != 3 {
-		t.Fatal("Percentile endpoints should clamp to min/max")
-	}
-	if Percentile(nil, 0.5) != 0 {
-		t.Fatal("empty Percentile should be 0")
-	}
-}
-
-// seq returns lo..hi inclusive, deliberately unsorted at the ends to
-// exercise the sort inside Summarize.
-func seq(lo, hi int) []float64 {
-	out := make([]float64, 0, hi-lo+1)
-	for i := hi; i >= lo; i-- {
-		out = append(out, float64(i))
-	}
-	return out
-}
-
-func TestQuickSummaryBounds(t *testing.T) {
-	f := func(xs []float64) bool {
-		for i, x := range xs {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				x = 0
-			}
-			// Keep magnitudes in a range where sum-of-squares cannot
-			// overflow; throughput/fragment values are always modest.
-			xs[i] = math.Mod(x, 1e6)
-		}
-		s := Summarize(xs)
-		if len(xs) == 0 {
-			return s == Summary{}
-		}
-		return s.Min <= s.Mean+1e-9 && s.Mean <= s.Max+1e-9 &&
-			s.Min <= s.P50 && s.P50 <= s.Max && s.N == len(xs)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestSeries(t *testing.T) {
 	var s Series
@@ -109,10 +15,6 @@ func TestSeries(t *testing.T) {
 	}
 	if _, ok := s.YAt(1); ok {
 		t.Fatal("YAt(1) should miss")
-	}
-	p, ok := s.Last()
-	if !ok || p.X != 2 {
-		t.Fatalf("Last = %+v", p)
 	}
 }
 
@@ -171,17 +73,21 @@ func TestXValuesSortedUnion(t *testing.T) {
 	}
 }
 
-func TestSummaryCV(t *testing.T) {
-	if cv := Summarize(nil).CV(); cv != 0 {
+func TestCV(t *testing.T) {
+	if cv := CV(nil); cv != 0 {
 		t.Fatalf("empty CV = %f", cv)
 	}
-	if cv := Summarize([]float64{5, 5, 5, 5}).CV(); cv != 0 {
+	if cv := CV([]float64{5, 5, 5, 5}); cv != 0 {
 		t.Fatalf("constant CV = %f", cv)
 	}
 	// Mean 10, Std 5 -> CV 0.5 (scale-free: doubling the data keeps it).
-	a := Summarize([]float64{5, 15}).CV()
-	b := Summarize([]float64{10, 30}).CV()
+	a := CV([]float64{5, 15})
+	b := CV([]float64{10, 30})
 	if a < 0.49 || a > 0.51 || a != b {
 		t.Fatalf("CV = %f / %f, want ~0.5 and scale-free", a, b)
+	}
+	// Population standard deviation: 1..5 has mean 3 and std sqrt(2).
+	if cv, want := CV([]float64{1, 2, 3, 4, 5}), math.Sqrt(2)/3; math.Abs(cv-want) > 1e-9 {
+		t.Fatalf("CV(1..5) = %g, want %g", cv, want)
 	}
 }

@@ -85,15 +85,14 @@ type RunOptions struct {
 	// replace while the fleet has room. Streams still fail once
 	// Stream.SkipLimit consecutive writes are refused, so a genuinely
 	// full store cannot spin forever.
+	//
+	// A run of one stream also charges the virtual time burned by each
+	// skipped write to Counts.SkippedSeconds (a refused safe write still
+	// pays for the allocation attempt and its rollback), so refused
+	// writes stay out of throughput means. With k concurrent streams a
+	// skipped op's interval overlaps other streams' useful work, so there
+	// is no idle time to subtract.
 	TolerateNoSpace bool
-	// TrackSkipTime charges the virtual time burned by each skipped
-	// write to Counts.SkippedSeconds (a refused safe write still pays
-	// for the allocation attempt and its rollback). Single-stream phases
-	// use it to keep refused writes out of throughput means; with k
-	// concurrent streams a skipped op's interval overlaps other streams'
-	// useful work, so there is no idle time to subtract and the option
-	// stays off.
-	TrackSkipTime bool
 }
 
 // Counts is the raw per-stream operation accounting of one run.
@@ -107,8 +106,8 @@ type Counts struct {
 	// BytesRead is payload bytes returned by reads (a ranged read counts
 	// its range length).
 	BytesRead int64
-	// SkippedSeconds is virtual time consumed by skipped writes, when
-	// RunOptions.TrackSkipTime is set.
+	// SkippedSeconds is virtual time consumed by skipped writes in a
+	// one-stream run under TolerateNoSpace.
 	SkippedSeconds float64
 }
 
@@ -178,7 +177,7 @@ func (e *Executor) Run(streams []Stream, opts RunOptions) (RunResult, error) {
 	if len(streams) == 1 {
 		// One stream runs inline: no goroutine between the caller and
 		// the classic sequential workload.
-		err = e.runStream(0, streams[0], opts, &res.Streams[0])
+		err = e.runStream(0, streams[0], opts.TolerateNoSpace, true, &res.Streams[0])
 	} else {
 		errs := make([]error, len(streams))
 		// The streams start together, once all exist: a stream that ran
@@ -191,7 +190,7 @@ func (e *Executor) Run(streams []Stream, opts RunOptions) (RunResult, error) {
 			go func(i int) {
 				defer wg.Done()
 				<-start
-				errs[i] = e.runStream(i, streams[i], opts, &res.Streams[i])
+				errs[i] = e.runStream(i, streams[i], opts.TolerateNoSpace, false, &res.Streams[i])
 			}(i)
 		}
 		close(start)
@@ -203,7 +202,10 @@ func (e *Executor) Run(streams []Stream, opts RunOptions) (RunResult, error) {
 }
 
 // runStream drains one source, executing each op against the store.
-func (e *Executor) runStream(id int, st Stream, opts RunOptions, c *Counts) error {
+// Under tolerate, a refused write is skipped, and its virtual time is
+// charged to c.SkippedSeconds when the stream runs alone.
+func (e *Executor) runStream(id int, st Stream, tolerate, alone bool, c *Counts) error {
+	trackSkips := tolerate && alone
 	src := st.Source
 	obs, observes := src.(SourceObserver)
 	consecutiveSkips := 0
@@ -221,7 +223,7 @@ func (e *Executor) runStream(id int, st Stream, opts RunOptions, c *Counts) erro
 			return nil
 		}
 		var opWatch vclock.Stopwatch
-		if opts.TrackSkipTime {
+		if trackSkips {
 			opWatch = vclock.StartWatch(e.Store().Clock())
 		}
 		opCtx, tr := e.collector.StartOp(e.ctx, id, op.Kind.String(), op.Key)
@@ -231,10 +233,10 @@ func (e *Executor) runStream(id int, st Stream, opts RunOptions, c *Counts) erro
 			obs.Observe(op, err)
 		}
 		if err != nil {
-			if opts.TolerateNoSpace && (op.Kind == OpCreate || op.Kind == OpReplace) &&
+			if tolerate && (op.Kind == OpCreate || op.Kind == OpReplace) &&
 				errors.Is(err, blob.ErrNoSpaceLeft) {
 				c.Skipped++
-				if opts.TrackSkipTime {
+				if trackSkips {
 					c.SkippedSeconds += opWatch.Seconds()
 				}
 				consecutiveSkips++

@@ -29,10 +29,11 @@ func TestExecutorMixedSources(t *testing.T) {
 		TargetAge: 1,
 		Age:       exec.Tracker().Age,
 	}
-	reads, err := NewZipfReadSource(r.Keys(), 30, 1.3)
+	pop, err := NewZipfPopularity(1.3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	reads := &ReadSource{Keys: r.Keys(), Samples: 30, Popularity: pop}
 	rr, err := exec.Run([]Stream{
 		{Source: churn, RNG: rand.New(rand.NewSource(2))},
 		{Source: reads, RNG: rand.New(rand.NewSource(3))},
@@ -164,11 +165,48 @@ func TestExecutorSkipLimit(t *testing.T) {
 	i := 0
 	src := &sliceSource{ops: ops, i: &i}
 	rr, err := exec.Run([]Stream{{Source: src, RNG: rand.New(rand.NewSource(1)), SkipLimit: 3}},
-		RunOptions{TolerateNoSpace: true, TrackSkipTime: true})
+		RunOptions{TolerateNoSpace: true})
 	if !errors.Is(err, blob.ErrNoSpaceLeft) {
 		t.Fatalf("err = %v, want ErrNoSpaceLeft", err)
 	}
 	if got := rr.Streams[0].Skipped; got != 4 {
 		t.Fatalf("skipped %d before aborting, want SkipLimit+1 = 4", got)
+	}
+}
+
+// TestSkipTimeChargedOnlyToALoneStream pins where a refused write's
+// virtual time goes under TolerateNoSpace: a run of one stream charges
+// it to SkippedSeconds; in a run of two, each stream's refusals overlap
+// the other's work, so none is charged. Without TolerateNoSpace the
+// refusal fails the run.
+func TestSkipTimeChargedOnlyToALoneStream(t *testing.T) {
+	run := func(streams int, opts RunOptions) (RunResult, error) {
+		exec := NewExecutor(newFS(32 * units.MB))
+		specs := make([]Stream, streams)
+		for s := range specs {
+			// Writes that can never fit: every one is refused.
+			ops := []Op{{Kind: OpReplace, Key: fmt.Sprintf("big%d", s), Size: 64 * units.MB}}
+			specs[s] = Stream{Source: &sliceSource{ops: ops, i: new(int)}, RNG: rand.New(rand.NewSource(int64(s)))}
+		}
+		return exec.Run(specs, opts)
+	}
+	tolerate := RunOptions{TolerateNoSpace: true}
+	alone, err := run(1, tolerate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := alone.Total(); c.Skipped != 1 || c.SkippedSeconds <= 0 || c.SkippedSeconds > alone.Seconds {
+		t.Fatalf("one stream: skipped %d, SkippedSeconds %g of %g; want 1 skip charged inside the run",
+			c.Skipped, c.SkippedSeconds, alone.Seconds)
+	}
+	pair, err := run(2, tolerate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := pair.Total(); c.Skipped != 2 || c.SkippedSeconds != 0 {
+		t.Fatalf("two streams: skipped %d, SkippedSeconds %g; want 2 skips and none charged", c.Skipped, c.SkippedSeconds)
+	}
+	if _, err := run(1, RunOptions{}); !errors.Is(err, blob.ErrNoSpaceLeft) {
+		t.Fatalf("refused write without TolerateNoSpace: err = %v, want ErrNoSpaceLeft", err)
 	}
 }

@@ -257,17 +257,6 @@ type ReadSource struct {
 	err     error
 }
 
-// NewZipfReadSource returns a ReadSource with a validated Zipf(s)
-// popularity mix: rank 0 hottest, reads concentrated on a stable hot
-// set — the regime the read-cache layer exists for.
-func NewZipfReadSource(keys []string, samples int, s float64) (*ReadSource, error) {
-	pop, err := NewZipfPopularity(s)
-	if err != nil {
-		return nil, err
-	}
-	return &ReadSource{Keys: keys, Samples: samples, Popularity: pop}, nil
-}
-
 // Name implements Source.
 func (s *ReadSource) Name() string {
 	if s.Popularity != nil {

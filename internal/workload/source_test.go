@@ -223,36 +223,6 @@ func TestReadSourceBadPopularity(t *testing.T) {
 	}
 }
 
-// TestZipfReadSource pins the named adapter: validated construction and
-// hot-set concentration.
-func TestZipfReadSource(t *testing.T) {
-	if _, err := NewZipfReadSource([]string{"a"}, 10, 0.5); !errors.Is(err, ErrBadDist) {
-		t.Fatalf("s=0.5 accepted: %v", err)
-	}
-	keys := make([]string, 100)
-	for i := range keys {
-		keys[i] = string(rune('a' + i%26))
-	}
-	src, err := NewZipfReadSource(keys, 200, 1.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(7))
-	first := 0
-	for i := 0; i < 200; i++ {
-		op, ok := src.Next(rng)
-		if !ok {
-			t.Fatalf("exhausted at %d", i)
-		}
-		if op.Key == keys[0] {
-			first++
-		}
-	}
-	if first < 40 {
-		t.Fatalf("zipf s=1.5 read rank 0 only %d/200 times", first)
-	}
-}
-
 // TestParseDist covers the fragbench -dist grammar: a bare size or
 // constant:SIZE, and uniform:MIN-MAX. Only those two shapes parse; a
 // spec naming any other distribution (the Zipf size distribution

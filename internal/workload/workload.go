@@ -292,10 +292,7 @@ func (r *Runner) ChurnToAge(target float64, opts ChurnOptions) (Result, error) {
 	if loaded == 0 {
 		return Result{}, fmt.Errorf("workload: churn before bulk load")
 	}
-	// Skip time is idle time only for a lone stream (see
-	// RunOptions.TrackSkipTime).
-	rr, err := r.exec.Run(specs,
-		RunOptions{TolerateNoSpace: opts.TolerateNoSpace, TrackSkipTime: len(specs) == 1})
+	rr, err := r.exec.Run(specs, RunOptions{TolerateNoSpace: opts.TolerateNoSpace})
 	res := r.writeResult(rr)
 	if err != nil {
 		return res, fmt.Errorf("churn: %w", err)
