@@ -313,73 +313,99 @@ func TestQuickPolicyConservation(t *testing.T) {
 	}
 }
 
+// agedVolume is an 8 GB run-cache volume of objects of 256 KB–1 MB, each
+// written in 64 KB appends, every one a tail-extending AllocAppendScratch,
+// into a run list the volume owns and reuses. A replace writes a random
+// object's new version before it frees the old one, and the log commits
+// every commitEvery replaces.
+type agedVolume struct {
+	rc          *RunCache
+	rng         *rand.Rand
+	objs        [][]extent.Run
+	spare       []extent.Run
+	commitEvery int
+	replaces    int
+	requests    int // allocation requests made
+	frags       int // fragments of the versions written by replace
+}
+
+const (
+	agedCluster = 4 * units.KB
+	agedRequest = 64 * units.KB / agedCluster
+)
+
+// newAgedVolume writes objects objects to a fresh volume, then ages it
+// with ages*objects replaces.
+func newAgedVolume(tb testing.TB, objects, ages, commitEvery int) *agedVolume {
+	v := &agedVolume{
+		rc:          NewRunCache(8*units.GB/agedCluster, 0),
+		rng:         rand.New(rand.NewSource(1)),
+		objs:        make([][]extent.Run, objects),
+		spare:       make([]extent.Run, 0, 64),
+		commitEvery: commitEvery,
+	}
+	for i := range v.objs {
+		v.objs[i] = v.write(tb, make([]extent.Run, 0, 64))
+	}
+	for i := 0; i < ages*objects; i++ {
+		v.replace(tb)
+	}
+	return v
+}
+
+// write allocates one object into dst[:0], merging runs that abut.
+func (v *agedVolume) write(tb testing.TB, dst []extent.Run) []extent.Run {
+	dst = dst[:0]
+	tail := int64(-1)
+	for n := (256 + v.rng.Int63n(769)) * units.KB / agedCluster; n > 0; n -= agedRequest {
+		runs, err := v.rc.AllocAppendScratch(min(n, agedRequest), tail)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		v.requests++
+		for _, r := range runs {
+			if k := len(dst); k > 0 && dst[k-1].End() == r.Start {
+				dst[k-1].Len += r.Len
+			} else {
+				dst = append(dst, r)
+			}
+		}
+		tail = dst[len(dst)-1].End() - 1
+	}
+	return dst
+}
+
+func (v *agedVolume) replace(tb testing.TB) {
+	i := v.rng.Intn(len(v.objs))
+	v.spare = v.write(tb, v.spare)
+	for _, r := range v.objs[i] {
+		v.rc.Free(r)
+	}
+	v.objs[i], v.spare = v.spare, v.objs[i]
+	v.frags += len(v.objs[i])
+	if v.replaces++; v.replaces%v.commitEvery == 0 {
+		v.rc.CommitLog()
+	}
+}
+
 // TestRunCacheAllocationBudget pins what the free-space index costs the
-// host per replace on an aged 8 GB volume: no allocation. Objects of
-// 256 KB–1 MB are written in 64 KB appends, each a tail-extending
-// AllocAppendScratch, into run lists the caller owns and reuses; the old
-// version is freed after the new one is written, and the log commits every
-// 8 replaces.
+// host per replace on an aged 8 GB volume, about 92 % full: no allocation.
 func TestRunCacheAllocationBudget(t *testing.T) {
-	const (
-		cluster = 4 * units.KB
-		request = 64 * units.KB / cluster
-		objects = 12000 // about 92 % of the volume
-	)
-	rc := NewRunCache(8*units.GB/cluster, 0)
-	rng := rand.New(rand.NewSource(1))
-	write := func(dst []extent.Run) []extent.Run {
-		dst = dst[:0]
-		tail := int64(-1)
-		for n := (256 + rng.Int63n(769)) * units.KB / cluster; n > 0; n -= request {
-			runs, err := rc.AllocAppendScratch(min(n, request), tail)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, r := range runs {
-				if k := len(dst); k > 0 && dst[k-1].End() == r.Start {
-					dst[k-1].Len += r.Len
-				} else {
-					dst = append(dst, r)
-				}
-			}
-			tail = dst[len(dst)-1].End() - 1
-		}
-		return dst
-	}
-	objs := make([][]extent.Run, objects)
-	for i := range objs {
-		objs[i] = write(make([]extent.Run, 0, 64))
-	}
-	spare := make([]extent.Run, 0, 64)
-	frags, replaces := 0, 0
-	replace := func() {
-		i := rng.Intn(objects)
-		spare = write(spare)
-		for _, r := range objs[i] {
-			rc.Free(r)
-		}
-		objs[i], spare = spare, objs[i]
-		frags += len(objs[i])
-		if replaces++; replaces%8 == 0 {
-			rc.CommitLog()
-		}
-	}
-	for i := 0; i < 6*objects; i++ { // age the volume; grow the run lists
-		replace()
-	}
+	v := newAgedVolume(t, 12000, 6, 8)
 	const runs = 2000
-	frags = 0
+	v.frags = 0
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
-		replace()
+		v.replace(t)
 	}
 	runtime.ReadMemStats(&after)
 	allocs := float64(after.Mallocs-before.Mallocs) / runs
 	bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
-	t.Logf("%.3f allocations, %.1f bytes per replace at %.1f fragments/object, %d free runs", allocs, bytes, float64(frags)/runs, rc.RunCount())
-	if float64(frags)/runs < 4 || rc.RunCount() < 500 {
-		t.Fatalf("volume not aged: %.1f fragments/object, %d free runs", float64(frags)/runs, rc.RunCount())
+	frags := float64(v.frags) / runs
+	t.Logf("%.3f allocations, %.1f bytes per replace at %.1f fragments/object, %d free runs", allocs, bytes, frags, v.rc.RunCount())
+	if frags < 4 || v.rc.RunCount() < 500 {
+		t.Fatalf("volume not aged: %.1f fragments/object, %d free runs", frags, v.rc.RunCount())
 	}
 	if allocs > 0.01 {
 		t.Errorf("a replace allocates %.3f objects (%.1f bytes); want none", allocs, bytes)

@@ -55,3 +55,23 @@ func BenchmarkTailExtension(b *testing.B) {
 		tail = runs[len(runs)-1].End() - 1
 	}
 }
+
+// BenchmarkAgedAppend times the allocator traffic of the filesystem's
+// write path on a volume a third full and aged until it holds about as
+// many free runs as the sim_fs_aged benchmark's volume (800–1,000): an op
+// replaces an object of 256 KB–1 MB written in tail-extending 64 KB
+// requests, frees the old version's runs and commits the log every 16
+// replaces, as fs.Volume.FlushLog does every LogFlushOps metadata
+// operations.
+func BenchmarkAgedAppend(b *testing.B) {
+	v := newAgedVolume(b, 4000, 15, 16)
+	requests := v.requests
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v.replace(b)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(v.requests-requests), "ns/request")
+	b.ReportMetric(float64(v.rc.RunCount()), "free-runs")
+}

@@ -5,7 +5,13 @@ import (
 	"time"
 
 	"repro/internal/disk"
+	"repro/internal/units"
 )
+
+// DefaultWriteRequestSize is the append request size a zero
+// Options.WriteRequestSize takes on both backends: the paper's tests
+// wrote in 64 KB requests (§5.3).
+const DefaultWriteRequestSize = 64 * units.KB
 
 // Options collects the backend-independent store configuration both
 // implementations consume. The zero value is usable except for Capacity,
@@ -22,8 +28,9 @@ type Options struct {
 
 	// WriteRequestSize is the append request size in bytes: a Writer's
 	// appends reach the backend allocator in chunks of this size, the
-	// granularity the paper's tests fixed at 64 KB (§5.3). 0 takes 64 KB;
-	// negative flushes each append as a single request.
+	// granularity the paper's tests fixed at 64 KB (§5.3). 0 takes
+	// DefaultWriteRequestSize; negative flushes each append as a single
+	// request.
 	WriteRequestSize int64
 
 	// SizeHint passes the declared object size to the allocator before

@@ -50,7 +50,7 @@ func NewFileStore(clock *vclock.Clock, options ...blob.Option) (*FileStore, erro
 		return nil, fmt.Errorf("core: NewFileStore: %w", err)
 	}
 	if opts.WriteRequestSize == 0 {
-		opts.WriteRequestSize = 64 * units.KB
+		opts.WriteRequestSize = blob.DefaultWriteRequestSize
 	}
 	var diskOpts []disk.Option
 	if opts.OwnerMap {

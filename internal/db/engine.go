@@ -19,11 +19,6 @@ var (
 	ErrCrashed  = blob.ErrCrashed
 )
 
-// DefaultWriteRequestSize is the client write-request size a zero
-// Config.WriteRequestSize takes: the paper's tests used 64 KB requests
-// (§5.3).
-const DefaultWriteRequestSize = 64 * units.KB
-
 // The engine's fixed costs. ghostHorizon is the number of committed
 // operations after which a deleted object's pages rejoin the free pool
 // (SQL Server's deferred ghost cleanup). The host CPU charges are in
@@ -42,7 +37,7 @@ const (
 // the paper ran it: bulk-logged, with 64 KB write requests (§4.1, §5.3).
 type Config struct {
 	// WriteRequestSize is the client write-request size in bytes; each
-	// request is one allocation. 0 takes DefaultWriteRequestSize;
+	// request is one allocation. 0 takes blob.DefaultWriteRequestSize;
 	// negative means one request per object.
 	WriteRequestSize int64
 }
@@ -134,7 +129,7 @@ func Open(dataDrive, logDrive *disk.Drive, cfg Config) *Database {
 		panic("db: no log drive")
 	}
 	if cfg.WriteRequestSize == 0 {
-		cfg.WriteRequestSize = DefaultWriteRequestSize
+		cfg.WriteRequestSize = blob.DefaultWriteRequestSize
 	}
 	cs := dataDrive.Geometry().ClusterSize
 	cpp := PageSize / cs

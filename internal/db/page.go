@@ -27,7 +27,7 @@
 //
 // The paper ran SQL Server bulk-logged with a dedicated log drive (§4.1,
 // Table 1), so Open always takes a log drive and Config has one setting,
-// WriteRequestSize, which §5.3 varies (DefaultWriteRequestSize, 64 KB,
+// WriteRequestSize, which §5.3 varies (blob.DefaultWriteRequestSize, 64 KB,
 // when zero). The rest are constants: a dropped version's pages rejoin
 // the free pool 8 committed operations later; each BLOB page read or
 // written charges 100 µs of host CPU and each row operation 500 µs; the

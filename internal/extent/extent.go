@@ -5,12 +5,15 @@
 // FreeIndex keeps a volume's free runs in offset order and coalesces
 // neighbours on free — the structure a filesystem bitmap or run list
 // provides. The runs sit in buckets of consecutive runs, and each bucket
-// knows its longest run, so the questions the policies ask are answered
+// bounds its longest run, so the questions the policies ask are answered
 // from that summary rather than by a walk over every run: the lowest-offset
 // run that holds n clusters (first fit, and the NTFS run cache's
 // whole-request lookup), the largest run (worst fit, and the run cache's
 // fragmenting path over "runs of contiguous free clusters ordered in
 // decreasing size", paper §2), and the smallest sufficient run (best fit).
+// The bound is made exact only when a query needs it, and the index
+// remembers the run it last found or cut, so an append whose next request
+// starts where the last one ended finds its run without a search.
 //
 // All quantities are in clusters; the disk layer converts bytes to clusters.
 package extent
@@ -19,7 +22,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 )
 
 // Run is a contiguous range of clusters [Start, Start+Len).
@@ -52,12 +54,22 @@ func SumLen(runs []Run) int64 {
 // 2*bucketSize runs splits into two, and a bucket that empties is dropped.
 const bucketSize = 64
 
-// bucket holds consecutive free runs in offset order and the length of the
-// longest of them.
+// hintSteps is how many runs floor steps forward from its hint before it
+// falls back to a search.
+const hintSteps = 4
+
+// bucket holds consecutive free runs in offset order and a bound on the
+// length of the longest of them. The bound is never below the longest run,
+// and it is exact unless stale: shrinking or removing the longest run only
+// marks it stale, and the queries that must know tighten it.
 type bucket struct {
-	runs []Run
-	max  int64
+	runs  []Run
+	max   int64
+	stale bool
 }
+
+// tighten makes the bucket's bound exact.
+func (b *bucket) tighten() { b.max, b.stale = maxLen(b.runs), false }
 
 // FreeIndex tracks the free runs of a volume in offset order and coalesces
 // adjacent runs on Free. Taking part of a run, extending at a tail and
@@ -66,6 +78,9 @@ type bucket struct {
 type FreeIndex struct {
 	buckets []bucket // in offset order, each holding 1..2*bucketSize runs
 	free    int64    // total free clusters
+	// hintB, hintR is the position floor last returned or carve last cut.
+	// Any change may move the runs under it, so floor checks it before use.
+	hintB, hintR int
 }
 
 // NewFreeIndex returns an empty index.
@@ -158,10 +173,13 @@ func (f *FreeIndex) TakeBestFit(n int64) (Run, bool) {
 	best := int64(math.MaxInt64)
 scan:
 	for i := range f.buckets {
-		if f.buckets[i].max < n {
+		b := &f.buckets[i]
+		if b.max < n {
 			continue
 		}
-		for j, r := range f.buckets[i].runs {
+		var longest int64
+		for j, r := range b.runs {
+			longest = max(longest, r.Len)
 			if r.Len >= n && r.Len < best {
 				bi, ri, best = i, j, r.Len
 				if best == n {
@@ -169,6 +187,7 @@ scan:
 				}
 			}
 		}
+		b.max, b.stale = longest, false
 	}
 	if bi < 0 {
 		return Run{}, false
@@ -240,8 +259,9 @@ func (f *FreeIndex) Runs() []Run {
 }
 
 // CheckInvariants panics if runs are out of order, overlap or were left
-// uncoalesced, if a bucket's size or longest-run summary is wrong, or if
-// the free count disagrees with the runs. Intended for tests.
+// uncoalesced, if a bucket's size is wrong or its bound is below its
+// longest run or, unless stale, above it, or if the free count disagrees
+// with the runs. Intended for tests.
 func (f *FreeIndex) CheckInvariants() {
 	var prev Run
 	count, total := 0, int64(0)
@@ -249,8 +269,8 @@ func (f *FreeIndex) CheckInvariants() {
 		if len(b.runs) == 0 || len(b.runs) > 2*bucketSize {
 			panic(fmt.Sprintf("extent: bucket %d holds %d runs, want 1..%d", i, len(b.runs), 2*bucketSize))
 		}
-		if m := maxLen(b.runs); m != b.max {
-			panic(fmt.Sprintf("extent: bucket %d records max %d, its longest run is %d", i, b.max, m))
+		if m := maxLen(b.runs); b.max < m || b.max > m && !b.stale {
+			panic(fmt.Sprintf("extent: bucket %d records max %d (stale %t), its longest run is %d", i, b.max, b.stale, m))
 		}
 		for _, r := range b.runs {
 			if r.Len <= 0 {
@@ -278,14 +298,45 @@ func (f *FreeIndex) CheckInvariants() {
 func (f *FreeIndex) at(bi, ri int) Run { return f.buckets[bi].runs[ri] }
 
 // floor returns the position of the last run starting at or before c;
-// ok=false when every run starts after c.
+// ok=false when every run starts after c. It tries the hint and the few
+// runs after it first, and searches only when none of them is the one.
 func (f *FreeIndex) floor(c int64) (bi, ri int, ok bool) {
-	bi = sort.Search(len(f.buckets), func(i int) bool { return f.buckets[i].runs[0].Start > c }) - 1
-	if bi < 0 {
+	bi, ri = f.hintB, f.hintR
+	if bi < len(f.buckets) && ri < len(f.buckets[bi].runs) && f.at(bi, ri).Start <= c {
+		for range hintSteps {
+			nbi, nri := f.next(bi, ri)
+			if nbi == len(f.buckets) || f.at(nbi, nri).Start > c {
+				f.hintB, f.hintR = bi, ri
+				return bi, ri, true
+			}
+			bi, ri = nbi, nri
+		}
+	}
+	// Binary search for the last bucket, then the last run in it, that
+	// starts at or before c.
+	lo, hi := 0, len(f.buckets)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); f.buckets[m].runs[0].Start <= c {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo == 0 {
 		return 0, 0, false
 	}
+	bi = lo - 1
 	runs := f.buckets[bi].runs
-	return bi, sort.Search(len(runs), func(i int) bool { return runs[i].Start > c }) - 1, true
+	lo, hi = 1, len(runs)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); runs[m].Start <= c {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	f.hintB, f.hintR = bi, lo-1
+	return bi, lo - 1, true
 }
 
 // next returns the position after (bi, ri).
@@ -298,32 +349,47 @@ func (f *FreeIndex) next(bi, ri int) (int, int) {
 
 // firstFit returns the position of the first run at or after (bi, ri) that
 // holds n clusters and starts below limit. It skips every bucket whose
-// longest run is shorter than n and scans only the bucket that has one.
+// bound is below n and scans only the buckets it admits. A bucket scanned
+// whole without a fit had a stale bound, which the scan makes exact.
 func (f *FreeIndex) firstFit(n, limit int64, bi, ri int) (int, int, bool) {
 	for ; bi < len(f.buckets) && f.buckets[bi].runs[0].Start < limit; bi, ri = bi+1, 0 {
 		b := &f.buckets[bi]
 		if b.max < n {
 			continue
 		}
-		for ; ri < len(b.runs) && b.runs[ri].Start < limit; ri++ {
-			if b.runs[ri].Len >= n {
-				return bi, ri, true
+		var longest int64
+		j := ri
+		for ; j < len(b.runs) && b.runs[j].Start < limit; j++ {
+			if b.runs[j].Len >= n {
+				return bi, j, true
 			}
+			longest = max(longest, b.runs[j].Len)
+		}
+		if ri == 0 && j == len(b.runs) {
+			b.max, b.stale = longest, false
 		}
 	}
 	return 0, 0, false
 }
 
 // largest returns the position of the largest run, ties to the highest
-// offset; ok=false when the index is empty.
+// offset; ok=false when the index is empty. Walking from the highest
+// offset down, it tightens only the stale buckets whose bound beats the
+// longest run seen so far.
 func (f *FreeIndex) largest() (bi, ri int, ok bool) {
-	if len(f.buckets) == 0 {
-		return 0, 0, false
-	}
-	for i := range f.buckets {
-		if f.buckets[i].max >= f.buckets[bi].max {
-			bi = i
+	bi = -1
+	var longest int64
+	for i := len(f.buckets) - 1; i >= 0; i-- {
+		b := &f.buckets[i]
+		if b.max > longest && b.stale {
+			b.tighten()
 		}
+		if b.max > longest {
+			bi, longest = i, b.max
+		}
+	}
+	if bi < 0 {
+		return 0, 0, false
 	}
 	b := &f.buckets[bi]
 	ri = len(b.runs) - 1
@@ -345,6 +411,7 @@ func (f *FreeIndex) take(bi, ri int, n int64) Run {
 // shrinks in place; only a cut from its middle inserts a second run.
 func (f *FreeIndex) carve(bi, ri int, r Run) {
 	host := f.at(bi, ri)
+	f.hintB, f.hintR = bi, ri
 	switch {
 	case r == host:
 		f.remove(bi, ri)
@@ -365,9 +432,9 @@ func (f *FreeIndex) set(bi, ri int, r Run) {
 	b.runs[ri] = r
 	f.free += r.Len - old.Len
 	if r.Len >= b.max {
-		b.max = r.Len
+		b.max, b.stale = r.Len, false
 	} else if old.Len == b.max {
-		b.max = maxLen(b.runs)
+		b.stale = true
 	}
 }
 
@@ -381,11 +448,14 @@ func (f *FreeIndex) insert(bi, ri int, r Run) {
 	}
 	b := &f.buckets[bi]
 	b.runs = slices.Insert(b.runs, ri, r)
-	b.max = max(b.max, r.Len)
+	if r.Len >= b.max {
+		b.max, b.stale = r.Len, false
+	}
 	if len(b.runs) > 2*bucketSize {
 		hi := bucket{runs: newRuns(b.runs[bucketSize:]...)}
+		hi.tighten()
 		b.runs = b.runs[:bucketSize]
-		b.max, hi.max = maxLen(b.runs), maxLen(hi.runs)
+		b.tighten()
 		f.buckets = slices.Insert(f.buckets, bi+1, hi)
 	}
 }
@@ -400,7 +470,7 @@ func (f *FreeIndex) remove(bi, ri int) {
 	case len(b.runs) == 0:
 		f.buckets = slices.Delete(f.buckets, bi, bi+1)
 	case old.Len == b.max:
-		b.max = maxLen(b.runs)
+		b.stale = true
 	}
 }
 

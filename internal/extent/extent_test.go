@@ -214,3 +214,63 @@ func TestQuickConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFirstFitTightensStaleBound pins when a bucket's bound goes stale and
+// when it is made exact: shrinking the longest run only marks the bucket,
+// and a first-fit query that scans the whole bucket without a fit records
+// its true longest run, so the next query skips it unscanned.
+func TestFirstFitTightensStaleBound(t *testing.T) {
+	f := NewFreeIndex()
+	for i := int64(0); i < 2*bucketSize+2; i++ {
+		r := Run{Start: i * 100, Len: 1 + i%3}
+		switch i {
+		case 10:
+			r.Len = 50
+		case 100:
+			r.Len = 60
+		}
+		f.Free(r)
+	}
+	if len(f.buckets) != 2 {
+		t.Fatalf("%d buckets, want 2", len(f.buckets))
+	}
+	bound := func(bi int) (int64, bool) { return f.buckets[bi].max, f.buckets[bi].stale }
+	if r, ok := f.TakeFirstFit(40); !ok || r != (Run{Start: 1000, Len: 40}) {
+		t.Fatalf("TakeFirstFit(40) = %v, %v", r, ok)
+	}
+	if m, stale := bound(0); m != 50 || !stale {
+		t.Fatalf("after shrinking the longest run, bucket 0 bound %d stale %t; want 50 stale", m, stale)
+	}
+	f.CheckInvariants()
+	if r, ok := f.TakeFirstFit(20); !ok || r != (Run{Start: 10000, Len: 20}) {
+		t.Fatalf("TakeFirstFit(20) = %v, %v", r, ok)
+	}
+	if m, stale := bound(0); m != 10 || stale {
+		t.Fatalf("after a scan without a fit, bucket 0 bound %d stale %t; want exact 10", m, stale)
+	}
+	if m, stale := bound(1); m != 60 || !stale {
+		t.Fatalf("bucket 1 bound %d stale %t; want 60 stale", m, stale)
+	}
+	f.CheckInvariants()
+	if r, ok := f.TakeWorstFit(1); !ok || r != (Run{Start: 10020, Len: 1}) {
+		t.Fatalf("TakeWorstFit(1) = %v, %v", r, ok)
+	}
+	f.CheckInvariants()
+}
+
+// TestCheckInvariantsBound pins what CheckInvariants accepts of a bucket's
+// bound: above its longest run only when marked stale, never below it.
+func TestCheckInvariantsBound(t *testing.T) {
+	f := NewFreeIndex()
+	f.Free(Run{Start: 0, Len: 10})
+	f.Free(Run{Start: 20, Len: 5})
+	for _, c := range []struct {
+		max       int64
+		stale, ok bool
+	}{{10, false, true}, {10, true, true}, {12, true, true}, {12, false, false}, {9, true, false}, {9, false, false}} {
+		f.buckets[0].max, f.buckets[0].stale = c.max, c.stale
+		if ok := !mustPanic(f.CheckInvariants); ok != c.ok {
+			t.Errorf("bound %d stale %t over a longest run of 10: accepted %t, want %t", c.max, c.stale, ok, c.ok)
+		}
+	}
+}

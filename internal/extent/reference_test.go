@@ -150,13 +150,46 @@ func (x *refIndex) ExtendAt(start, n int64) (Run, bool) {
 	return Run{}, false
 }
 
+// hinted returns the run at the hinted position, if it names one.
+func hinted(f *FreeIndex) (Run, bool) {
+	if f.hintB >= len(f.buckets) || f.hintR >= len(f.buckets[f.hintB].runs) {
+		return Run{}, false
+	}
+	return f.at(f.hintB, f.hintR), true
+}
+
+// hintPath names the way FreeIndex.floor finds the last run at or before
+// c: "hint hit" when that run lies within hintSteps runs from the hinted
+// position onward, so floor needs no search, else "hint miss".
+func hintPath(f *FreeIndex, c int64) string {
+	if _, ok := hinted(f); !ok {
+		return "hint miss"
+	}
+	h := f.hintR
+	for _, b := range f.buckets[:f.hintB] {
+		h += len(b.runs)
+	}
+	runs := f.Runs()
+	floor := len(runs) - 1
+	for floor >= 0 && runs[floor].Start > c {
+		floor--
+	}
+	if floor >= h && floor-h < hintSteps {
+		return "hint hit"
+	}
+	return "hint miss"
+}
+
 // TestFreeIndexMatchesReference drives FreeIndex and refIndex with the same
 // seeded op sequences — every Take variant, TakeFirstFitBelow with a random
-// limit, Reserve inside and across free runs, ExtendAt at held tails,
-// frees of whole and partial held runs, and double frees — and requires
-// identical results and counts after every op. The
-// op mix swings between taking and freeing so the run count rises past a
-// bucket's capacity and falls back, which splits buckets and empties them.
+// limit, Reserve inside and across free runs, ExtendAt at held tails and in
+// chains at the end of the run just taken (an append), frees of whole and
+// partial held runs, often beside the hinted run, and double frees — and
+// requires identical results and counts after every op. Half the takes
+// made while some bucket's bound is stale are the queries that must
+// tighten it. The op mix swings between taking and freeing so the run
+// count rises past a bucket's capacity and falls back, which splits
+// buckets and empties them.
 func TestFreeIndexMatchesReference(t *testing.T) {
 	paths := map[string]int{}
 	for seed := int64(1); seed <= 40; seed++ {
@@ -167,6 +200,8 @@ func TestFreeIndexMatchesReference(t *testing.T) {
 		ref.Free(Run{Start: 0, Len: volume})
 		var held []Run
 		var cursor int64
+		var last Run // the run the previous op took, if lastOK
+		var lastOK bool
 		// Lengths from a narrow range, so runs tie on length often and
 		// every tie rule decides some outcome.
 		size := func() int64 {
@@ -189,12 +224,30 @@ func TestFreeIndexMatchesReference(t *testing.T) {
 			}
 			return Run{Start: rng.Int63n(volume), Len: size()}
 		}
+		// extend runs ExtendAt(start, n) on both indexes.
+		extend := func(start int64) (desc string, got, want Run, gotOK, wantOK bool) {
+			n := size() * 4
+			paths[hintPath(fi, start)]++
+			got, gotOK = fi.ExtendAt(start, n)
+			want, wantOK = ref.ExtendAt(start, n)
+			return fmt.Sprintf("ExtendAt(%d, %d)", start, n), got, want, gotOK, wantOK
+		}
 		// 2,000 mixed ops, then frees until nothing is held.
 		for op := 0; op < 2000 || len(held) > 0; op++ {
 			var desc string
 			var got, want Run
 			var gotOK, wantOK bool
 			buckets := len(fi.buckets)
+			type bound struct {
+				max   int64
+				stale bool
+			}
+			bounds := make([]bound, len(fi.buckets))
+			stale := false
+			for i, b := range fi.buckets {
+				bounds[i] = bound{b.max, b.stale}
+				stale = stale || b.stale
+			}
 			taking := 75
 			if op/500%2 == 1 {
 				taking = 25
@@ -202,10 +255,18 @@ func TestFreeIndexMatchesReference(t *testing.T) {
 			if op == 2000 && !slices.Equal(fi.Runs(), ref.runs) {
 				t.Fatalf("seed %d: runs differ after the mixed ops:\n%v\n%v", seed, fi.Runs(), ref.runs)
 			}
+			appending := op < 2000 && lastOK && rng.Intn(3) == 0
 			switch k := rng.Intn(100); {
+			case appending:
+				// The next request of an append starts where the last ended.
+				desc, got, want, gotOK, wantOK = extend(last.End())
 			case op < 2000 && (k < taking || len(held) == 0):
 				n := size()
-				switch rng.Intn(7) {
+				kind := rng.Intn(7)
+				if stale && rng.Intn(2) == 0 {
+					kind = 2 + rng.Intn(4) // best, worst, next fit or up-to
+				}
+				switch kind {
 				case 0:
 					desc = fmt.Sprintf("TakeFirstFit(%d)", n)
 					got, gotOK = fi.TakeFirstFit(n)
@@ -228,6 +289,7 @@ func TestFreeIndexMatchesReference(t *testing.T) {
 						cursor = rng.Int63n(volume)
 					}
 					desc = fmt.Sprintf("TakeNextFit(%d, %d)", n, cursor)
+					paths[hintPath(fi, cursor-1)]++
 					var gotCur, wantCur int64
 					got, gotCur, gotOK = fi.TakeNextFit(n, cursor)
 					want, wantCur, wantOK = ref.TakeNextFit(n, cursor)
@@ -243,6 +305,7 @@ func TestFreeIndexMatchesReference(t *testing.T) {
 				case 6:
 					r := somewhere()
 					desc = fmt.Sprintf("Reserve(%v)", r)
+					paths[hintPath(fi, r.Start)]++
 					got, gotOK = r, fi.Reserve(r)
 					if !gotOK {
 						got = Run{}
@@ -257,13 +320,16 @@ func TestFreeIndexMatchesReference(t *testing.T) {
 				if rng.Intn(4) == 0 {
 					start = rng.Int63n(volume)
 				}
-				n := size() * 4
-				desc = fmt.Sprintf("ExtendAt(%d, %d)", start, n)
-				got, gotOK = fi.ExtendAt(start, n)
-				want, wantOK = ref.ExtendAt(start, n)
+				desc, got, want, gotOK, wantOK = extend(start)
 			case op >= 2000 || k < 98:
 				// Free a held run, or a piece of one; the rest stays held.
+				// Half the time it is one beside the hinted run, if any is.
 				j := rng.Intn(len(held))
+				if h, ok := hinted(fi); ok && rng.Intn(2) == 0 {
+					if i := slices.IndexFunc(held, func(r Run) bool { return r.End() == h.Start || r.Start == h.End() }); i >= 0 {
+						j = i
+					}
+				}
 				h := held[j]
 				r := h
 				if rng.Intn(2) == 0 {
@@ -278,6 +344,7 @@ func TestFreeIndexMatchesReference(t *testing.T) {
 					held = append(held, Run{Start: r.End(), Len: h.End() - r.End()})
 				}
 				desc = fmt.Sprintf("Free(%v)", r)
+				paths[hintPath(fi, r.Start)]++
 				fi.Free(r)
 				if !ref.Free(r) {
 					t.Fatalf("seed %d op %d: reference rejects %s of a held run", seed, op, desc)
@@ -296,6 +363,7 @@ func TestFreeIndexMatchesReference(t *testing.T) {
 			if gotOK {
 				held = append(held, got)
 			}
+			last, lastOK = got, gotOK
 			if got != want || gotOK != wantOK {
 				t.Fatalf("seed %d op %d %s: got %v %v, reference %v %v", seed, op, desc, got, gotOK, want, wantOK)
 			}
@@ -309,6 +377,13 @@ func TestFreeIndexMatchesReference(t *testing.T) {
 				paths["bucket split"]++
 			case len(fi.buckets) < buckets:
 				paths["empty bucket dropped"]++
+			default:
+				// Only a query lowers a stale bound to an exact one.
+				for i, b := range fi.buckets {
+					if bounds[i].stale && !b.stale && b.max < bounds[i].max {
+						paths["stale bound tightened"]++
+					}
+				}
 			}
 		}
 		if runs := fi.Runs(); len(runs) != 1 || runs[0] != (Run{Start: 0, Len: volume}) {
@@ -317,7 +392,7 @@ func TestFreeIndexMatchesReference(t *testing.T) {
 	}
 	t.Logf("paths: %v", paths)
 	for _, p := range []string{"bucket split", "empty bucket dropped", "coalesce both sides", "next-fit wrap",
-		"below miss at the limit", "mid-run split", "double free"} {
+		"below miss at the limit", "mid-run split", "double free", "hint hit", "hint miss", "stale bound tightened"} {
 		if paths[p] < 80 {
 			t.Errorf("%s ran %d times, want at least 80", p, paths[p])
 		}

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 
+	"repro/internal/blob"
 	"repro/internal/db"
 	"repro/internal/disk"
 	"repro/internal/fs"
@@ -25,7 +26,7 @@ func Table1(c Config) ([]*stats.Table, error) {
 		units.FormatBytes(geo.ClusterSize), d.SequentialBandwidthMBps(0), d.SequentialBandwidthMBps(geo.Clusters-1))
 	t.Note("filesystem analog: NTFS-style run cache, %d-op log flush, safe writes (ReplaceFile)", fs.LogFlushOps)
 	t.Note("database analog: %s pages, %s extents, bulk-logged, dedicated log drive, %s write requests",
-		units.FormatBytes(db.PageSize), units.FormatBytes(db.ExtentSize), units.FormatBytes(db.DefaultWriteRequestSize))
+		units.FormatBytes(db.PageSize), units.FormatBytes(db.ExtentSize), units.FormatBytes(blob.DefaultWriteRequestSize))
 	t.Note("workload: get/put with safe-write updates; storage age = replaced bytes / live bytes (§4.4)")
 	return []*stats.Table{t}, nil
 }

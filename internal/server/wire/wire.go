@@ -130,24 +130,45 @@ type LayoutObject struct {
 	Tag   uint32       `json:"tag"`
 }
 
-// maxSizedBody bounds the buffer ReadBody allocates on a peer's say-so
-// before any byte has arrived.
-const maxSizedBody = 1 << 30
+// maxSizedBody bounds the declared length ReadBody reads into a buffer
+// of its own sizing, and firstBody the buffer it allocates before any
+// byte has arrived.
+const (
+	maxSizedBody = 1 << 30
+	firstBody    = 1 << 20
+)
 
 // ReadBody reads a payload body whose length the peer declared
-// (Content-Length; negative when absent) into a buffer of exactly that
-// size, where io.ReadAll would grow one by doubling and copy the
-// payload several times over. An undeclared or implausibly large length
-// falls back to io.ReadAll, which allocates only as bytes arrive.
+// (Content-Length; negative when absent). A declared length up to
+// firstBody gets a buffer of exactly that size, so the payload moves
+// once, where io.ReadAll would grow one by doubling and copy it several
+// times over. A longer declaration is believed only as far as bytes
+// arrive: the buffer starts at firstBody and doubles, up to the declared
+// size, each time it fills, so a peer that declares more than it sends
+// costs memory for what it sent. An undeclared or implausibly large
+// length falls back to io.ReadAll. A body shorter than declared is
+// io.ErrUnexpectedEOF, or io.EOF if not one byte came.
 func ReadBody(body io.Reader, declared int64) ([]byte, error) {
 	if declared < 0 || declared > maxSizedBody {
 		return io.ReadAll(body)
 	}
-	data := make([]byte, declared)
-	if _, err := io.ReadFull(body, data); err != nil {
-		return nil, err
+	data := make([]byte, min(declared, firstBody))
+	n := 0
+	for {
+		m, err := io.ReadFull(body, data[n:])
+		if n += m; err == io.EOF && n > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return nil, err
+		}
+		if int64(n) == declared {
+			return data, nil
+		}
+		grown := make([]byte, min(2*int64(n), declared))
+		copy(grown, data)
+		data = grown
 	}
-	return data, nil
 }
 
 // Named reports whether the header name or token b is h in any case. h

@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"net"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -30,6 +32,43 @@ func TestReadBody(t *testing.T) {
 	}
 	if data, err := ReadBody(bytes.NewReader(nil), 0); err != nil || data == nil || len(data) != 0 {
 		t.Fatalf("empty body = (%v, %v), want an empty non-nil payload", data, err)
+	}
+}
+
+// TestReadBodyGrowsToTheDeclaredLength pins the read of a body declared
+// longer than ReadBody's first buffer: it arrives whole in a buffer of
+// exactly the declared size, and a body cut short on a buffer boundary is
+// still io.ErrUnexpectedEOF.
+func TestReadBodyGrowsToTheDeclaredLength(t *testing.T) {
+	payload := bytes.Repeat([]byte("0123456789abcdef"), (3*firstBody+12345)/16)
+	data, err := ReadBody(bytes.NewReader(payload), int64(len(payload)))
+	if err != nil || !bytes.Equal(data, payload) || cap(data) != len(payload) {
+		t.Fatalf("declared read: %d bytes (cap %d), err %v", len(data), cap(data), err)
+	}
+	if _, err := ReadBody(bytes.NewReader(payload[:2*firstBody]), int64(len(payload))); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("body cut at a buffer boundary = %v, want io.ErrUnexpectedEOF", err)
+	}
+}
+
+// TestLyingContentLengthAllocatesWhatArrived: a peer that declares 1 GiB,
+// sends one byte and hangs up costs the reader its first buffer, not the
+// declared gigabyte, and the short body is a typed error.
+func TestLyingContentLengthAllocatesWhatArrived(t *testing.T) {
+	client, server := net.Pipe()
+	defer client.Close()
+	go func() {
+		server.Write([]byte{'x'})
+		server.Close()
+	}()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	data, err := ReadBody(client, 1<<30)
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+		t.Errorf("reading a 1-byte body declared 1 GiB allocated %d MB", grew>>20)
+	}
+	if data != nil || !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("ReadBody = %d bytes, %v; want io.ErrUnexpectedEOF", len(data), err)
 	}
 }
 

@@ -14,8 +14,13 @@ beside them as RUNS/<side>/<workload>-trace/result-<workload>-trace.json.
 For each workload it records the seeds, and for each end-to-end metric
 of BENCHMARK.json the parent and change medians
 with their [q1, q3] (statistics.quantiles, n=4, the exclusive method the
-benchmark's spread uses) and the number of pairs the change won (ties win
-for neither side). Every run is kept too: its side, pair, seed, failed
+benchmark's spread uses), the number of pairs the change won (ties win
+for neither side) and the paired ratio, change over parent pair by pair,
+as median and [q1, q3]. For a sim workload each wall-clock metric also
+gets ratio_normalised, the paired ratio of values put at host_speed: a
+run's rate divided by its host_speed and its times multiplied by it.
+The served workloads get none, as that scaling widens their spread.
+Every run is kept too: its side, pair, seed, failed
 and attempted op counts, host info, median host_speed over its rounds (0
 when the result has none) and metric values. When both sides of a
 workload have a traced run, its per_layer block holds, for each
@@ -27,8 +32,9 @@ before it is committed, and the commit that adds the file is the one
 measured.
 
 --check validates every BENCH_*.json at the repository root against
-that schema, the per_layer block where a workload has one, and exits
-non-zero on the first problem.
+its schema, the per_layer block where a workload has one, and exits
+non-zero on the first problem. Files of the first schema predate the
+ratios and carry none.
 """
 import argparse
 import glob
@@ -38,7 +44,9 @@ import re
 import statistics
 import sys
 
-SCHEMA = "bench-trajectory/v1"
+SCHEMA = "bench-trajectory/v2"
+# OLD_SCHEMA is the schema of files written before the paired ratios.
+OLD_SCHEMA = "bench-trajectory/v1"
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
 
@@ -57,6 +65,24 @@ def summary(xs):
     """Median and [q1, q3] of xs; the quartiles of one value are itself."""
     q = statistics.quantiles(xs, n=4) if len(xs) > 1 else [xs[0]] * 3
     return {"median": statistics.median(xs), "q1": q[0], "q3": q[2]}
+
+
+def wall_scale(unit):
+    """How host_speed puts a wall-clock metric of this unit at reference
+    speed: -1 divides (a rate), 1 multiplies (a time), 0 leaves it (not a
+    wall-clock value: sizes, counts and virtual-time rates)."""
+    return {"1/s": -1, "s": 1, "us": 1}.get(unit, 0)
+
+
+def is_sim(workload):
+    return workload.startswith("sim_")
+
+
+def paired_ratio(parent, change):
+    """Median and [q1, q3] of change/parent over the pairs."""
+    if not all(parent):
+        fail("a parent run reads 0: no paired ratio")
+    return summary([c / p for p, c in zip(parent, change)])
 
 
 def won(parent, change, better):
@@ -127,6 +153,7 @@ def write(args):
                     "metrics": {k: v["value"] for k, v in sorted(res["metrics"].items())},
                 })
         metrics = {}
+        speeds = {s: [r["host_speed"] for r in runs if r["side"] == s] for s in SIDES}
         for m in spec["end_to_end"]:
             vals = {s: [p[s]["metrics"][m["name"]]["value"] for p in complete.values()] for s in SIDES}
             metrics[m["name"]] = {
@@ -136,7 +163,14 @@ def write(args):
                 "parent": summary(vals["parent"]),
                 "change": summary(vals["change"]),
                 "pairs_won": sum(won(a, b, m["better"]) for a, b in zip(vals["parent"], vals["change"])),
+                "ratio": paired_ratio(vals["parent"], vals["change"]),
             }
+            scale = wall_scale(m["unit"])
+            if is_sim(name) and scale:
+                if not all(speeds["parent"] + speeds["change"]):
+                    fail(f"{name}: a run has no host_speed to normalise by")
+                norm = {s: [v * h**scale for v, h in zip(vals[s], speeds[s])] for s in SIDES}
+                metrics[m["name"]]["ratio_normalised"] = paired_ratio(norm["parent"], norm["change"])
         workloads.append({
             "workload": name,
             "seeds": sorted({r["seed"] for r in runs}),
@@ -173,8 +207,9 @@ def check_file(path):
 
     with open(path) as f:
         doc = json.load(f)
-    if doc.get("schema") != SCHEMA:
+    if doc.get("schema") not in (SCHEMA, OLD_SCHEMA):
         bad(f"schema {doc.get('schema')!r}, want {SCHEMA!r}")
+    ratios = doc["schema"] == SCHEMA
     m = re.fullmatch(r"BENCH_(\d+)\.json", os.path.basename(path))
     if not m or doc.get("pr") != int(m.group(1)):
         bad(f"pr {doc.get('pr')!r} does not match the file name")
@@ -208,6 +243,15 @@ def check_file(path):
                     bad(f"{where}: {e['name']} {side} lacks median/q1/q3")
             if not 0 <= got.get("pairs_won", -1) <= w["pairs"]:
                 bad(f"{where}: {e['name']} pairs_won {got.get('pairs_won')} outside [0, {w['pairs']}]")
+            want = {"ratio"} if ratios else set()
+            if ratios and is_sim(where) and wall_scale(e["unit"]):
+                want.add("ratio_normalised")
+            if want != {k for k in ("ratio", "ratio_normalised") if k in got}:
+                bad(f"{where}: {e['name']} has ratios {sorted(k for k in got if k.startswith('ratio'))}, want {sorted(want)}")
+            for k in want:
+                r = got[k]
+                if not all(isinstance(r.get(q), (int, float)) and r[q] > 0 for q in ("median", "q1", "q3")):
+                    bad(f"{where}: {e['name']} {k} lacks a positive median/q1/q3")
         if "per_layer" in w:
             check_per_layer(spec, w["per_layer"], lambda msg: bad(f"{where}: per_layer: {msg}"))
 
