@@ -52,7 +52,7 @@ func main() {
 		Backends: []string{engine},
 		Capacity: capBytes,
 		// The data drive keeps the owner map the marker scan reads.
-		Options: []blob.Option{blob.WithWriteRequestSize(64 * units.KB), blob.WithOwnerMap()},
+		Options: []blob.Option{blob.WithOwnerMap()},
 	})
 	if err != nil {
 		fail(err)

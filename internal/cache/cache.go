@@ -11,8 +11,10 @@
 // measurable with hit-rate-aware virtual-time accounting — a hit
 // advances the store's virtual clock at memory speed (bytes over
 // DefaultMemoryMBps) instead of paying per-fragment disk seeks, while
-// a miss reads through the wrapped store at full disk cost and fills
-// the cache.
+// a miss reads through the wrapped store at full disk cost. A cache
+// entry is always one whole object version: a whole read that misses
+// fills the cache, while a ranged read is served from memory only when
+// its object is resident and otherwise reads through, keeping nothing.
 //
 // The store names each version itself (blob.Info.Version), and the
 // cache keeps no version of its own: every entry is tagged with the
@@ -52,10 +54,6 @@ type Options struct {
 // above the simulated drives' streaming rate, so an all-hit phase runs
 // at memory speed without driving virtual elapsed time to exactly zero.
 const DefaultMemoryMBps = 12800.0
-
-// maxRanges caps how many discontiguous ranged reads one partial entry
-// retains before further range fills are dropped.
-const maxRanges = 32
 
 // Option configures a Store at construction.
 type Option func(*Options)
@@ -104,28 +102,18 @@ func view(b []byte, off, n int64) []byte {
 	return b[off : off+n : off+n]
 }
 
-// crange is one cached ranged read of a partial entry.
-type crange struct {
-	off, length int64
-	data        []byte // nil under metadata-only simulation
-}
-
-// entry is one cached object version, tagged with the store's
-// Info.Version for the bytes it holds. A full entry serves any read;
-// a partial entry serves ranged reads covered by one cached range.
-// Payloads are the read-only views the wrapped store returned (see
-// blob.Reader), kept and served as they are: in data mode a resident
+// entry is one whole cached object version, tagged with the store's
+// Info.Version for the bytes it holds; it serves any read of that
+// version. The payload is the read-only view the wrapped store returned
+// (see blob.Reader), kept and served as it is: in data mode a resident
 // entry shares the store's bytes instead of holding a second copy.
-// bytes is the logical resident footprint charged against capacity —
-// logical, not len(data), so metadata-only simulation exercises the
-// same residency and eviction behaviour as data mode.
+// bytes is the object's size, the logical footprint charged against
+// capacity — logical, not len(data), so metadata-only simulation
+// exercises the same residency and eviction behaviour as data mode.
 type entry struct {
 	key        string
 	version    uint64
-	size       int64
-	full       bool
-	data       []byte // full-object payload; nil in metadata mode
-	ranges     []crange
+	data       []byte // nil in metadata mode
 	bytes      int64
 	prev, next *entry
 }
@@ -284,101 +272,21 @@ func (s *Store) invalidate(key string) {
 	s.mu.Unlock()
 }
 
-// fill counts a read-through and, for a reader that may fill, keeps what
-// it read: the whole object, or one more range of a partial entry. A
-// read larger than the whole budget, or of a version other than the
-// resident entry's, is not kept.
-func (s *Store) fill(r *reader, whole bool, off, length int64, data []byte) {
+// fill counts a read-through and, for a whole read by a reader that may
+// fill, keeps the object. An object larger than the whole budget, or a
+// key already resident, is not kept; a ranged read keeps nothing.
+func (s *Store) fill(r *reader, whole bool, data []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.stats.Misses++
-	if !r.cached || length > s.opts.CapacityBytes {
+	if _, ok := s.entries[r.key]; ok || !whole || !r.cached || r.size > s.opts.CapacityBytes {
 		return
 	}
-	e, ok := s.entries[r.key]
-	switch {
-	case ok && (e.version != r.version || e.full):
-		return
-	case whole:
-		if ok {
-			s.drop(e) // promote: the full object supersedes cached ranges
-		}
-		e = &entry{key: r.key, version: r.version, size: r.size, full: true, data: data, bytes: r.size}
-		s.entries[r.key] = e
-		s.pushFront(e)
-		s.resident += r.size
-		s.evictFor()
-	case !ok:
-		e = &entry{key: r.key, version: r.version, size: r.size}
-		s.entries[r.key] = e
-		s.pushFront(e)
-		s.fillRange(e, off, length, data)
-	default:
-		// The object is being actively read even though this range
-		// missed; keep its recency fresh so striding ranged reads do
-		// not drift a hot entry to the eviction tail.
-		s.touch(e)
-		s.fillRange(e, off, length, data)
-	}
-}
-
-// fillRange records one ranged read on partial entry e. Overlapping or
-// adjacent cached ranges are merged into one contiguous range, so
-// sliding-window reads cannot charge the same bytes against the budget
-// more than once. Callers hold s.mu.
-func (s *Store) fillRange(e *entry, off, length int64, data []byte) {
-	if covers(e, off, length) != nil {
-		return
-	}
-	// Coalesce: collect every cached range overlapping or abutting the
-	// new one, widen to their union, and splice the payloads together.
-	lo, hi := off, off+length
-	keep := e.ranges[:0]
-	var absorbed []crange
-	for _, r := range e.ranges {
-		if r.off <= hi && lo <= r.off+r.length {
-			absorbed = append(absorbed, r)
-			lo = min(lo, r.off)
-			hi = max(hi, r.off+r.length)
-		} else {
-			keep = append(keep, r)
-		}
-	}
-	if len(keep) >= maxRanges {
-		e.ranges = append(keep, absorbed...) // full: restore, skip the fill
-		return
-	}
-	// A range that absorbs nothing keeps the view it was handed; a
-	// merged one builds its own buffer, immutable once installed.
-	buf := data
-	if data != nil && len(absorbed) > 0 {
-		buf = make([]byte, hi-lo)
-		for _, r := range absorbed {
-			copy(buf[r.off-lo:], r.data)
-		}
-		copy(buf[off-lo:], data)
-	}
-	var freed int64
-	for _, r := range absorbed {
-		freed += r.length
-	}
-	e.ranges = append(keep, crange{off: lo, length: hi - lo, data: buf})
-	delta := (hi - lo) - freed
-	e.bytes += delta
-	s.resident += delta
+	e := &entry{key: r.key, version: r.version, data: data, bytes: r.size}
+	s.entries[r.key] = e
+	s.pushFront(e)
+	s.resident += r.size
 	s.evictFor()
-}
-
-// covers returns the cached range of a partial entry that covers
-// [off, off+length), or nil. Full entries are handled by the callers.
-func covers(e *entry, off, length int64) *crange {
-	for i := range e.ranges {
-		r := &e.ranges[i]
-		if r.off <= off && off-r.off <= r.length-length {
-			return r
-		}
-	}
-	return nil
 }
 
 // checkRange validates a ranged read against an object size, mirroring
@@ -395,7 +303,7 @@ func checkRange(key string, size, off, length int64) error {
 func (s *Store) Name() string { return "cache(" + s.Store.Name() + ")" }
 
 // Open implements blob.Store. The reader is pinned to the version a
-// free Stat (blob.Resume) reports. A full entry at that version opens a
+// free Stat (blob.Resume) reports. An entry at that version opens a
 // memory handle with no other store access. Anything else opens the
 // wrapped store's Reader and stats again: the reader may serve from and
 // fill the cache only if the two Stats agree, since versions only grow
@@ -417,7 +325,7 @@ func (s *Store) Open(ctx context.Context, key string) (blob.Reader, error) {
 		s.stats.Invalidations++
 		ok = false
 	}
-	cached := ok && e.full && e.version == info.Version
+	cached := ok && e.version == info.Version
 	if cached {
 		s.touch(e)
 		data = e.data
@@ -441,12 +349,12 @@ func (s *Store) Open(ctx context.Context, key string) (blob.Reader, error) {
 
 // reader is a handle pinned to one version of an object: the store's
 // Info.Version at Open. inner is the wrapped store's reader, nil when the
-// whole object was resident at Open; data then holds that entry's view,
-// so a later eviction cannot affect the reader. Reads the cache covers
-// at the pinned version are served from memory once a free Stat shows
-// the version still live; the rest read through the inner reader, which
-// pins natively, and fill the cache. ctx is the caller's, under
-// blob.Resume, so the liveness Stats are free.
+// object was resident at Open; data then holds that entry's view, so a
+// later eviction cannot affect the reader. While the object is resident
+// at the pinned version, reads are served from memory once a free Stat
+// shows the version still live; the rest read through the inner reader,
+// which pins natively, and a whole read-through fills the cache. ctx is
+// the caller's, under blob.Resume, so the liveness Stats are free.
 type reader struct {
 	s       *Store
 	ctx     context.Context
@@ -466,9 +374,9 @@ func (r *reader) Size() int64 { return r.size }
 // read-through plus fill otherwise.
 func (r *reader) ReadAll() ([]byte, error) { return r.read(true, 0, r.size) }
 
-// ReadAt implements blob.Reader: a cached covering range serves at
-// memory speed; otherwise the inner store charges only the physical
-// runs covering the range, and the range joins the cache.
+// ReadAt implements blob.Reader: memory speed when the object is
+// resident; otherwise the inner store charges only the physical runs
+// covering the range, and the cache keeps nothing.
 func (r *reader) ReadAt(off, length int64) ([]byte, error) { return r.read(false, off, length) }
 
 func (r *reader) read(whole bool, off, length int64) ([]byte, error) {
@@ -490,7 +398,7 @@ func (r *reader) read(whole bool, off, length int64) ([]byte, error) {
 		if length == 0 && !whole {
 			return nil, nil
 		}
-		if data, ok := r.fromCache(whole, off, length); ok {
+		if data, ok := r.fromCache(off, length); ok {
 			r.s.chargeMemory(length)
 			return data, nil
 		}
@@ -505,40 +413,29 @@ func (r *reader) read(whole bool, off, length int64) ([]byte, error) {
 	if err != nil || length == 0 {
 		return data, err
 	}
-	r.s.fill(r, whole, off, length, data)
+	r.s.fill(r, whole, data)
 	return data, nil
 }
 
-// fromCache returns a view of the resident bytes covering
-// [off, off+length) at the pinned version and counts the hit, or
-// ok=false to read through. Entry buffers are immutable once installed,
-// so the view outlives the mutex that guards the lookup.
-func (r *reader) fromCache(whole bool, off, length int64) (data []byte, ok bool) {
+// fromCache returns a view of [off, off+length) of the object at the
+// pinned version and counts the hit, or ok=false to read through: a
+// memory handle serves its own view, any other reader the resident
+// entry's. Entry buffers are immutable once installed, so the view
+// outlives the mutex that guards the lookup.
+func (r *reader) fromCache(off, length int64) (data []byte, ok bool) {
 	r.s.mu.Lock()
 	defer r.s.mu.Unlock()
-	e, present := r.s.entries[r.key]
-	present = present && e.version == r.version
-	switch {
-	case r.inner == nil:
-		data = view(r.data, off, length)
-	case !present:
-		return nil, false
-	case e.full:
-		data = view(e.data, off, length)
-	case whole:
-		return nil, false
-	default:
-		cr := covers(e, off, length)
-		if cr == nil {
-			return nil, false
-		}
-		data = view(cr.data, off-cr.off, length)
-	}
-	if present {
+	data = r.data
+	if e, present := r.s.entries[r.key]; present && e.version == r.version {
 		r.s.touch(e)
+		if r.inner != nil {
+			data = e.data
+		}
+	} else if r.inner != nil {
+		return nil, false
 	}
 	r.s.stats.Hits++
-	return data, true
+	return view(data, off, length), true
 }
 
 // Close implements blob.Reader. The first Close retires the handle to

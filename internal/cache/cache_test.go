@@ -93,50 +93,97 @@ func TestHitServedAtMemorySpeed(t *testing.T) {
 	}
 }
 
-// TestRangedReadCaching pins the ranged-read path: a cached range
-// serves repeat reads of the covered span from memory while uncovered
-// spans still read through.
+// TestRangedReadCaching pins the ranged-read path under whole-object
+// entries: a ranged read is served from memory only when its object is
+// resident; otherwise it reads through at disk cost and keeps nothing.
 func TestRangedReadCaching(t *testing.T) {
 	ctx := context.Background()
-	c := newCachedFS(t, 64*units.MB)
-	data := make([]byte, units.MB)
+	const size = units.MB
+	data := make([]byte, size)
 	for i := range data {
 		data[i] = byte(i % 151)
 	}
-	if err := blob.Put(ctx, c, "a", int64(len(data)), data); err != nil {
-		t.Fatal(err)
+	// setup returns a cache holding data under "a", resident if warm, and
+	// a reader open on it.
+	setup := func(t *testing.T, warm bool) (*cache.Store, blob.Reader) {
+		t.Helper()
+		c := newCachedFS(t, 64*units.MB)
+		if err := blob.Put(ctx, c, "a", size, data); err != nil {
+			t.Fatal(err)
+		}
+		if warm {
+			if _, _, err := blob.Get(ctx, c, "a"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r, err := c.Open(ctx, "a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { r.Close() })
+		return c, r
 	}
-	r, err := c.Open(ctx, "a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
+	// memSec is what serving n bytes from memory costs.
+	memSec := func(n int64) float64 { return float64(n) / (cache.DefaultMemoryMBps * float64(units.MB)) }
+	const off, n = 128 * units.KB, 64 * units.KB
 
-	if _, err := r.ReadAt(128*units.KB, 64*units.KB); err != nil {
-		t.Fatal(err)
-	}
-	// A sub-span of the cached range is a memory hit.
-	w := vclock.StartWatch(c.Clock())
-	got, err := r.ReadAt(144*units.KB, 16*units.KB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hitSec := w.Seconds()
-	if !bytes.Equal(got, data[144*units.KB:160*units.KB]) {
-		t.Fatal("cached range served wrong bytes")
-	}
-	// An uncovered span reads through at disk cost.
-	w = vclock.StartWatch(c.Clock())
-	if _, err := r.ReadAt(512*units.KB, 16*units.KB); err != nil {
-		t.Fatal(err)
-	}
-	if missSec := w.Seconds(); missSec <= hitSec*10 {
-		t.Fatalf("uncovered range not at disk cost: hit %.9fs vs miss %.9fs", hitSec, missSec)
-	}
-	st := c.CacheStats()
-	if st.Hits != 1 || st.Misses != 2 {
-		t.Fatalf("stats = %+v, want 1 hit / 2 misses", st)
-	}
+	t.Run("ResidentIsAHit", func(t *testing.T) {
+		c, r := setup(t, true)
+		w := vclock.StartWatch(c.Clock())
+		got, err := r.ReadAt(off, n)
+		if err != nil || !bytes.Equal(got, data[off:off+n]) {
+			t.Fatalf("ReadAt: err %v, right bytes %v", err, err == nil && bytes.Equal(got, data[off:off+n]))
+		}
+		if sec := w.Seconds(); sec <= 0 || sec > 2*memSec(n) {
+			t.Fatalf("ranged hit charged %.9fs, want memory speed %.9fs", sec, memSec(n))
+		}
+		if st := c.CacheStats(); st.Hits != 1 || st.Misses != 1 || st.ResidentBytes != size {
+			t.Fatalf("stats = %+v, want 1 hit, the warming miss, the object resident", st)
+		}
+	})
+
+	t.Run("MissReadsThroughAndKeepsNothing", func(t *testing.T) {
+		c, r := setup(t, false)
+		for i := int64(1); i <= 2; i++ {
+			w := vclock.StartWatch(c.Clock())
+			got, err := r.ReadAt(off, n)
+			if err != nil || !bytes.Equal(got, data[off:off+n]) {
+				t.Fatalf("ReadAt %d: err %v", i, err)
+			}
+			if sec := w.Seconds(); sec <= 10*memSec(n) {
+				t.Fatalf("ReadAt %d charged %.9fs, want disk cost above %.9fs", i, sec, 10*memSec(n))
+			}
+			if st := c.CacheStats(); st.Hits != 0 || st.Misses != i || st.ResidentBytes != 0 {
+				t.Fatalf("after ReadAt %d: stats = %+v, want %d misses and nothing resident", i, st, i)
+			}
+		}
+		// A whole read still fills.
+		if _, _, err := blob.Get(ctx, c, "a"); err != nil {
+			t.Fatal(err)
+		}
+		if st := c.CacheStats(); st.Misses != 3 || st.ResidentBytes != size {
+			t.Fatalf("after a whole read: stats = %+v, want 3 misses and the object resident", st)
+		}
+	})
+
+	t.Run("OutOfRangeIsNoHit", func(t *testing.T) {
+		c, r := setup(t, true)
+		for _, rg := range [][2]int64{{-1, 1}, {0, -1}, {size, 1}, {size + 1, 0}, {0, size + 1}, {1, size}} {
+			if got, err := r.ReadAt(rg[0], rg[1]); !errors.Is(err, blob.ErrOutOfRange) {
+				t.Errorf("ReadAt(%d, %d) = %d bytes, %v; want ErrOutOfRange", rg[0], rg[1], len(got), err)
+			}
+		}
+		if st := c.CacheStats(); st.Hits != 0 || st.Misses != 1 {
+			t.Fatalf("stats = %+v, want no hit and only the warming miss", st)
+		}
+	})
+
+	t.Run("EmptyRangeAtSize", func(t *testing.T) {
+		_, r := setup(t, true)
+		if got, err := r.ReadAt(size, 0); got != nil || err != nil {
+			t.Fatalf("ReadAt(Size(), 0) = %v, %v; want nil, nil", got, err)
+		}
+	})
 }
 
 // TestEvictionUnderCapacity pins LRU eviction: a budget of two objects
@@ -467,93 +514,6 @@ func TestReadsShareTheStoresBytes(t *testing.T) {
 	// AllocsPerRun makes one warm-up call on top of runs.
 	if perRead := int64(after.TotalAlloc-before.TotalAlloc) / (runs + 1); perRead > 4*units.KB {
 		t.Errorf("cached read of a %d-byte object allocates %d bytes", len(data), perRead)
-	}
-}
-
-// TestLoneRangeKeepsItsView pins fillRange's no-copy path: a ranged miss
-// that absorbs no cached neighbour is kept as the view the store handed
-// over, while a merge of two ranges builds the cache's own buffer.
-func TestLoneRangeKeepsItsView(t *testing.T) {
-	ctx := context.Background()
-	c := newCachedFS(t, 64*units.MB)
-	data := make([]byte, units.MB)
-	for i := range data {
-		data[i] = byte(i % 199)
-	}
-	if err := blob.Put(ctx, c, "a", int64(len(data)), data); err != nil {
-		t.Fatal(err)
-	}
-	r, err := c.Open(ctx, "a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	readAt := func(off, n int64) []byte {
-		t.Helper()
-		got, err := r.ReadAt(off, n)
-		if err != nil || !bytes.Equal(got, data[off:off+n]) || cap(got) != len(got) {
-			t.Fatalf("ReadAt(%d,%d): err %v, len %d cap %d", off, n, err, len(got), cap(got))
-		}
-		return got
-	}
-	miss := readAt(0, 64*units.KB)
-	if hit := readAt(0, 64*units.KB); &hit[0] != &miss[0] {
-		t.Fatal("a lone cached range was copied on fill")
-	}
-	readAt(64*units.KB, 64*units.KB) // abuts the first: the two merge
-	if merged := readAt(0, 128*units.KB); &merged[0] == &miss[0] {
-		t.Fatal("merged range aliases the first range's view")
-	}
-	if !bytes.Equal(miss, data[:64*units.KB]) {
-		t.Fatal("merging rewrote an installed range")
-	}
-	if st := c.CacheStats(); st.ResidentBytes != 128*units.KB {
-		t.Fatalf("resident %d, want the merged 128K", st.ResidentBytes)
-	}
-}
-
-// TestRangeMergeNoDoubleCharge pins coalescing: sliding-window ranged
-// reads over one object merge into one contiguous cached range, so
-// resident bytes equal the distinct bytes held, never the sum of
-// overlapping requests.
-func TestRangeMergeNoDoubleCharge(t *testing.T) {
-	ctx := context.Background()
-	c := newCachedFS(t, 64*units.MB)
-	data := make([]byte, units.MB)
-	for i := range data {
-		data[i] = byte(i % 199)
-	}
-	if err := blob.Put(ctx, c, "a", int64(len(data)), data); err != nil {
-		t.Fatal(err)
-	}
-	r, err := c.Open(ctx, "a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	for _, off := range []int64{0, 50, 100} { // overlapping 100K windows
-		got, err := r.ReadAt(off*units.KB, 100*units.KB)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, data[off*units.KB:off*units.KB+100*units.KB]) {
-			t.Fatalf("window at %dK served wrong bytes", off)
-		}
-	}
-	if st := c.CacheStats(); st.ResidentBytes != 200*units.KB {
-		t.Fatalf("resident = %d after merged windows, want %d", st.ResidentBytes, 200*units.KB)
-	}
-	// The merged range now serves any sub-span, with the right bytes.
-	w := vclock.StartWatch(c.Clock())
-	got, err := r.ReadAt(25*units.KB, 150*units.KB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data[25*units.KB:175*units.KB]) {
-		t.Fatal("merged range served wrong bytes")
-	}
-	if w.Seconds() > 1e-4 {
-		t.Fatalf("read inside the merged range not at memory speed: %.6fs", w.Seconds())
 	}
 }
 

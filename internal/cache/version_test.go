@@ -159,8 +159,9 @@ func (s *replaceOnOpen) Open(ctx context.Context, key string) (blob.Reader, erro
 }
 
 // TestOpenRacingACommitReadsItsVersion: a reader whose inner Open lands
-// on a newer version than the Stat before it reads that version, never
-// the resident entry's bytes of the version it first saw.
+// on a newer version than the Stat before it reads that version whole
+// and keeps nothing, since the two Stats disagree on which version its
+// bytes are; a later read fills at the live version.
 func TestOpenRacingACommitReadsItsVersion(t *testing.T) {
 	ctx := context.Background()
 	const size = 256 * units.KB
@@ -177,28 +178,28 @@ func TestOpenRacingACommitReadsItsVersion(t *testing.T) {
 	if err := blob.Put(ctx, c, "a", size, old); err != nil {
 		t.Fatal(err)
 	}
-	// A partial entry at the old version.
+
+	inner.key, inner.next = "a", fresh
 	r, err := c.Open(ctx, "a")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.ReadAt(0, 64*units.KB); err != nil {
-		t.Fatal(err)
-	}
+	got, err := r.ReadAll()
 	r.Close()
-	if st := c.CacheStats(); st.ResidentBytes != 64*units.KB {
-		t.Fatalf("resident %d, want the 64K range", st.ResidentBytes)
+	if err != nil || !bytes.Equal(got, fresh) {
+		t.Fatalf("ReadAll = %v, old bytes %v; want the replacement's bytes",
+			err, err == nil && bytes.Equal(got, old))
+	}
+	if st := c.CacheStats(); st.Hits != 0 || st.Misses != 1 || st.ResidentBytes != 0 {
+		t.Fatalf("stats = %+v, want 1 miss and nothing resident", st)
 	}
 
-	inner.key, inner.next = "a", fresh
-	r, err = c.Open(ctx, "a")
-	if err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ { // a miss that fills, then a hit
+		if _, got, err := blob.Get(ctx, c, "a"); err != nil || !bytes.Equal(got, fresh) {
+			t.Fatalf("get %d = %v; want the replacement's bytes", i, err)
+		}
 	}
-	defer r.Close()
-	got, err := r.ReadAt(0, 64*units.KB)
-	if err != nil || !bytes.Equal(got, fresh[:64*units.KB]) {
-		t.Fatalf("ReadAt = %v, old bytes %v; want the replacement's bytes",
-			err, err == nil && bytes.Equal(got, old[:64*units.KB]))
+	if st := c.CacheStats(); st.Hits != 1 || st.Misses != 2 || st.ResidentBytes != size {
+		t.Fatalf("stats = %+v, want 1 hit, 2 misses and the object resident", st)
 	}
 }

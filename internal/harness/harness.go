@@ -180,15 +180,15 @@ var systems = []struct{ kind, name, backend string }{
 }
 
 // spec describes one volume of the given backend at experiment scale:
-// metadata-only drives and the 64 KB write requests the paper's tests
-// fixed (§5.3). No volume keeps the disk owner map: experiments read
+// metadata-only drives and the store's default write request,
+// blob.DefaultWriteRequestSize, the 64 KB the paper's tests fixed
+// (§5.3). No volume keeps the disk owner map: experiments read
 // extent lists, never the marker scan. Experiments adjust the returned
 // Spec for their arm.
 func (c Config) spec(backend string) stack.Spec {
 	return stack.Spec{
 		Backends: []string{backend},
 		Capacity: c.VolumeBytes,
-		Options:  []blob.Option{blob.WithWriteRequestSize(64 * units.KB)},
 	}
 }
 

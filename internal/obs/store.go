@@ -79,13 +79,13 @@ func (s *Store) observe(op *OpTrace, name string, start int64, err error) {
 	dur := s.clock.Now() - start
 	if s.reg != nil {
 		if err != nil {
-			s.reg.Counter(s.layer + "." + name + ".err." + ErrName(err)).Inc()
+			s.reg.Counter(s.layer + "." + name + ".err." + blob.ErrName(err)).Inc()
 		} else {
 			s.reg.Histogram(s.layer + "." + name).Observe(dur)
 		}
 	}
 	if op != nil {
-		op.addSpan(Span{Layer: s.layer, Op: name, Start: start, Dur: dur, Err: ErrName(err)})
+		op.addSpan(Span{Layer: s.layer, Op: name, Start: start, Dur: dur, Err: blob.ErrName(err)})
 	}
 }
 

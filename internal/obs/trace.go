@@ -300,7 +300,7 @@ func (c *Collector) FinishOp(op *OpTrace, err error) {
 	}
 	op.End = c.Clock.Now()
 	if err != nil {
-		op.Err = ErrName(err)
+		op.Err = blob.ErrName(err)
 	}
 	if c.Registry != nil {
 		mustVirtual(c.Registry, "obs.Collector")
@@ -322,10 +322,3 @@ func (c *Collector) FinishOp(op *OpTrace, err error) {
 		c.Tracer.Add(op)
 	}
 }
-
-// ErrName maps an error onto the short name of the blob sentinel it
-// wraps, for metric labels and trace fields ("notfound", "nospace",
-// "canceled", ...). Unrecognized errors report "other". The vocabulary
-// lives in blob.ErrName so metric labels and the network service's
-// wire names can never disagree.
-func ErrName(err error) string { return blob.ErrName(err) }

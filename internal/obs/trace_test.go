@@ -238,8 +238,8 @@ func TestCollectorLifecycle(t *testing.T) {
 	nilc.FinishOp(nil, nil)
 }
 
-// TestErrName pins the sentinel → label mapping used in metric names
-// and trace fields.
+// TestErrName pins the sentinel → label mapping (blob.ErrName) that
+// metric names and trace fields carry.
 func TestErrName(t *testing.T) {
 	cases := []struct {
 		err  error
@@ -260,7 +260,7 @@ func TestErrName(t *testing.T) {
 		{fmt.Errorf("wrapped: %w", blob.ErrNotFound), "notfound"},
 	}
 	for _, tc := range cases {
-		if got := ErrName(tc.err); got != tc.want {
+		if got := blob.ErrName(tc.err); got != tc.want {
 			t.Errorf("ErrName(%v) = %q, want %q", tc.err, got, tc.want)
 		}
 	}

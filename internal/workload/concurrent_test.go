@@ -85,8 +85,8 @@ func TestBulkLoadGivesEveryStreamAnObject(t *testing.T) {
 func TestRunnerStreamsContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	r := NewRunner(newFS(64*units.MB), Constant{Size: 1 * units.MB}, 1).WithStreams(2).
-		WithContext(ctx)
+	r := NewRunner(newFS(64*units.MB), Constant{Size: 1 * units.MB}, 1).WithStreams(2)
+	r.Executor().WithContext(ctx)
 	if _, err := r.BulkLoad(0.5); !errors.Is(err, context.Canceled) {
 		t.Fatalf("BulkLoad under cancelled ctx = %v", err)
 	}

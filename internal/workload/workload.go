@@ -186,13 +186,6 @@ func (r *Runner) WithCollector(c *obs.Collector) *Runner {
 	return r
 }
 
-// WithContext sets the context the runner's operations carry, for
-// cancelling a long workload phase from outside.
-func (r *Runner) WithContext(ctx context.Context) *Runner {
-	r.exec.WithContext(ctx)
-	return r
-}
-
 // Executor exposes the engine the runner's phases execute through.
 func (r *Runner) Executor() *Executor { return r.exec }
 
