@@ -27,19 +27,10 @@ var ErrNoSpace = errors.New("alloc: out of space")
 // Policy is a cluster allocator. Implementations are not safe for
 // concurrent use.
 type Policy interface {
-	// Name identifies the policy in benchmark output.
-	Name() string
-
 	// Alloc returns runs totalling exactly n clusters. The result may be
 	// fragmented. It returns ErrNoSpace when fewer than n clusters are
 	// free (partial allocations are never retained).
 	Alloc(n int64) ([]extent.Run, error)
-
-	// AllocAppend allocates n clusters for an append to an object whose
-	// current last cluster is tail (tail < 0 for a fresh object).
-	// Policies that detect sequential appends (the NTFS run cache) try to
-	// extend at tail+1 before falling back to Alloc.
-	AllocAppend(n, tail int64) ([]extent.Run, error)
 
 	// Free returns a run to the pool.
 	Free(r extent.Run)
@@ -64,34 +55,32 @@ const (
 // fails, the file is fragmented").
 type fitPolicy struct {
 	kind   fitKind
-	name   string
 	idx    *extent.FreeIndex
 	cursor int64 // next-fit scan position
 }
 
 // NewFirstFit returns a lowest-offset first-fit allocator over a volume of
 // the given size in clusters.
-func NewFirstFit(clusters int64) Policy { return newFit(firstFit, "first-fit", clusters) }
+func NewFirstFit(clusters int64) Policy { return newFit(firstFit, clusters) }
 
 // NewBestFit returns a smallest-sufficient-run allocator.
-func NewBestFit(clusters int64) Policy { return newFit(bestFit, "best-fit", clusters) }
+func NewBestFit(clusters int64) Policy { return newFit(bestFit, clusters) }
 
 // NewWorstFit returns a largest-run allocator.
-func NewWorstFit(clusters int64) Policy { return newFit(worstFit, "worst-fit", clusters) }
+func NewWorstFit(clusters int64) Policy { return newFit(worstFit, clusters) }
 
 // NewNextFit returns a roving-cursor first-fit allocator.
-func NewNextFit(clusters int64) Policy { return newFit(nextFit, "next-fit", clusters) }
+func NewNextFit(clusters int64) Policy { return newFit(nextFit, clusters) }
 
-func newFit(kind fitKind, name string, clusters int64) *fitPolicy {
+func newFit(kind fitKind, clusters int64) *fitPolicy {
 	if clusters <= 0 {
 		panic(fmt.Sprintf("alloc: bad volume size %d", clusters))
 	}
 	idx := extent.NewFreeIndex()
 	idx.Free(extent.Run{Start: 0, Len: clusters})
-	return &fitPolicy{kind: kind, name: name, idx: idx}
+	return &fitPolicy{kind: kind, idx: idx}
 }
 
-func (p *fitPolicy) Name() string        { return p.name }
 func (p *fitPolicy) FreeClusters() int64 { return p.idx.FreeClusters() }
 func (p *fitPolicy) Free(r extent.Run)   { p.idx.Free(r) }
 
@@ -138,10 +127,4 @@ func (p *fitPolicy) Alloc(n int64) ([]extent.Run, error) {
 		remaining -= r.Len
 	}
 	return out, nil
-}
-
-func (p *fitPolicy) AllocAppend(n, tail int64) ([]extent.Run, error) {
-	// Classic policies ignore append context.
-	_ = tail
-	return p.Alloc(n)
 }

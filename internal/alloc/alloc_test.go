@@ -13,29 +13,35 @@ import (
 func total(runs []extent.Run) int64 { return extent.SumLen(runs) }
 
 func TestFitPoliciesBasic(t *testing.T) {
-	for _, mk := range []func(int64) Policy{NewFirstFit, NewBestFit, NewWorstFit, NewNextFit} {
-		p := mk(1000)
+	for _, pol := range []struct {
+		name string
+		mk   func(int64) Policy
+	}{
+		{"first-fit", NewFirstFit}, {"best-fit", NewBestFit},
+		{"worst-fit", NewWorstFit}, {"next-fit", NewNextFit},
+	} {
+		name, p := pol.name, pol.mk(1000)
 		if p.FreeClusters() != 1000 {
-			t.Fatalf("%s: FreeClusters = %d", p.Name(), p.FreeClusters())
+			t.Fatalf("%s: FreeClusters = %d", name, p.FreeClusters())
 		}
 		runs, err := p.Alloc(100)
 		if err != nil || total(runs) != 100 {
-			t.Fatalf("%s: Alloc(100) = %v, %v", p.Name(), runs, err)
+			t.Fatalf("%s: Alloc(100) = %v, %v", name, runs, err)
 		}
 		if p.FreeClusters() != 900 {
-			t.Fatalf("%s: FreeClusters after alloc = %d", p.Name(), p.FreeClusters())
+			t.Fatalf("%s: FreeClusters after alloc = %d", name, p.FreeClusters())
 		}
 		for _, r := range runs {
 			p.Free(r)
 		}
 		if p.FreeClusters() != 1000 {
-			t.Fatalf("%s: FreeClusters after free = %d", p.Name(), p.FreeClusters())
+			t.Fatalf("%s: FreeClusters after free = %d", name, p.FreeClusters())
 		}
 		if _, err := p.Alloc(1001); err != ErrNoSpace {
-			t.Fatalf("%s: oversized alloc err = %v", p.Name(), err)
+			t.Fatalf("%s: oversized alloc err = %v", name, err)
 		}
 		if _, err := p.Alloc(0); err == nil {
-			t.Fatalf("%s: zero alloc succeeded", p.Name())
+			t.Fatalf("%s: zero alloc succeeded", name)
 		}
 	}
 }

@@ -42,9 +42,6 @@ func NewBuddy(clusters int64) *Buddy {
 	return b
 }
 
-// Name implements Policy.
-func (b *Buddy) Name() string { return "buddy" }
-
 // FreeClusters implements Policy. Note that internal fragmentation means
 // an Alloc(n) may consume more than n free clusters.
 func (b *Buddy) FreeClusters() int64 { return b.free }
@@ -92,13 +89,6 @@ func (b *Buddy) Alloc(n int64) ([]extent.Run, error) {
 	return []extent.Run{{Start: start, Len: size}}, nil
 }
 
-// AllocAppend implements Policy; the buddy system has no append special
-// case.
-func (b *Buddy) AllocAppend(n, tail int64) ([]extent.Run, error) {
-	_ = tail
-	return b.Alloc(n)
-}
-
 // Free returns a block allocated by Alloc. The run length must be the
 // power-of-two size that Alloc returned.
 func (b *Buddy) Free(r extent.Run) {
@@ -121,10 +111,5 @@ func (b *Buddy) Free(r extent.Run) {
 	}
 	b.freeAt[k][start] = struct{}{}
 }
-
-// MaxFragments reports the buddy system's hard bound on fragments for an
-// object of n clusters: always 1, since every allocation is one block.
-// Exposed for the policy-comparison bench.
-func (b *Buddy) MaxFragments(n int64) int { return 1 }
 
 var _ Policy = (*Buddy)(nil)

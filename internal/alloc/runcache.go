@@ -47,9 +47,6 @@ func NewRunCache(clusters int64, bandFrac float64) *RunCache {
 	return &RunCache{idx: idx, clusters: clusters, outerBand: int64(float64(clusters) * bandFrac)}
 }
 
-// Name implements Policy.
-func (rc *RunCache) Name() string { return "ntfs-run-cache" }
-
 // FreeClusters reports immediately allocatable clusters. Pending
 // (quarantined) clusters are excluded until CommitLog.
 func (rc *RunCache) FreeClusters() int64 { return rc.idx.FreeClusters() }

@@ -262,13 +262,13 @@ func (d *opRun) step(i int) {
 			}
 		}
 	case 14: // which versions a compactor pass moved is Stat's to tell
-		if fleet, err := compact.NewFleet(d.s, 1); err == nil {
+		if comp, err := compact.New(d.s, 1); err == nil {
 			d.note("compact.RunOnce")
 			before := map[string]uint64{}
 			for _, key := range d.m.Keys() {
 				before[key] = d.stat(key)
 			}
-			fleet.RunOnce(ctx)
+			comp.RunOnce(ctx)
 			for _, key := range d.m.Keys() {
 				if info, err := d.s.Stat(ctx, key); err != nil || info.Version != before[key] {
 					d.relocate(key)

@@ -3,7 +3,7 @@
 // read/write performance impacts that can outweigh its benefits" but
 // never measures the tradeoff; this package makes it measurable. A
 // Compactor works in the idle windows of live traffic over any
-// blob.Store-backed engine: it watches per-store fragmentation (the
+// blob.Store-backed engine: it watches each shard's fragmentation (the
 // same Snapshot statistic the shard layer aggregates) and rewrites the
 // worst-fragmented objects into contiguous space, metered by a duty
 // cycle on the shared virtual clock, so the rewrite traffic's cost is
@@ -15,9 +15,11 @@
 // The compactor needs no engine-specific hooks: it drives the
 // blob.Rewriter capability, which core.FileStore, core.DBStore and
 // shard.Store implement and blob.As finds beneath wrapper layers such
-// as cache.Store. Every rewrite publishes a fresh object version, so
-// readers pinned to the old layout fail with a typed error rather than
-// observing a torn rewrite.
+// as cache.Store, and it finds a shard fan-out the same way. One
+// Compactor covers a sharded store: it keeps a duty account per shard.
+// Every rewrite publishes a fresh object version, so readers pinned to
+// the old layout fail with a typed error rather than observing a torn
+// rewrite.
 package compact
 
 import (
@@ -78,41 +80,45 @@ func (s *Stats) add(o Stats) {
 	s.BusySeconds += o.BusySeconds
 }
 
-func (s Stats) String() string {
-	return fmt.Sprintf("%d scans, %d rewrites (%s), %.2fs busy",
-		s.Scans, s.Rewrites, units.FormatBytes(s.RewriteBytes), s.BusySeconds)
-}
-
 // Compactor is one compaction worker. It runs no goroutine of its own:
 // every rewrite happens on the goroutine that calls CatchUp or RunOnce,
 // and a Compactor is driven by one caller at a time. With nothing else
 // running during a call, the clock time a rewrite spans is exactly the
 // compactor's own work.
+//
+// Over a sharded store (found through any wrapper layers) the compactor
+// keeps one account per shard: each selects candidates from its own
+// child and meters its own duty cycle, as a deployment compacts shards
+// independently, while every rewrite executes through the top of the
+// store chain, so shard routing holds. A cache above needs no hook: its
+// readers check the store's version before serving from memory.
 type Compactor struct {
-	exec  blob.Rewriter
-	scan  frag.Source // candidate-selection scope (a shard child in a Fleet)
-	clock *vclock.Clock
-	duty  float64
+	exec     blob.Rewriter
+	clock    *vclock.Clock
+	duty     float64
+	startNs  int64 // the duty window opens when the compactor is built
+	accounts []account
+}
 
-	stats   Stats
-	busyNs  int64
-	startNs int64 // the duty window opens when the compactor is built
+// account is one shard's (or an unsharded store's) share of the work.
+type account struct {
+	scan   frag.Source // candidate-selection scope
+	stats  Stats
+	busyNs int64
+}
+
+// sharded is the structural shard-enumeration capability (shard.Store).
+type sharded interface {
+	NumShards() int
+	Shard(int) blob.Store
 }
 
 // New builds a compactor over store at the given duty cycle: the
-// fraction of virtual time, in [0, 1], the compactor may consume. 0
-// disables CatchUp; 1 removes its gate. It fails with ErrUnsupported
-// when the store lacks the rewrite capability, and with an error
-// wrapping blob.ErrBadOption for a duty cycle outside [0, 1].
+// fraction of virtual time, in [0, 1], each shard's account may
+// consume. 0 disables CatchUp; 1 removes its gate. It fails with
+// ErrUnsupported when the store lacks the rewrite capability, and with
+// an error wrapping blob.ErrBadOption for a duty cycle outside [0, 1].
 func New(store blob.Store, duty float64) (*Compactor, error) {
-	return newScoped(store, store, duty)
-}
-
-// newScoped builds a compactor that selects candidates from scan but
-// executes rewrites through store — the shape a shard Fleet uses so
-// per-child scans stay cheap while rewrites flow through the top of the
-// store chain (shard routing).
-func newScoped(store blob.Store, scan frag.Source, duty float64) (*Compactor, error) {
 	rw, ok := blob.As[blob.Rewriter](store)
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnsupported, store.Name())
@@ -120,67 +126,88 @@ func newScoped(store blob.Store, scan frag.Source, duty float64) (*Compactor, er
 	if err := ValidateDuty(duty); err != nil {
 		return nil, err
 	}
-	return &Compactor{
-		exec:    rw,
-		scan:    scan,
-		clock:   store.Clock(),
-		duty:    duty,
-		startNs: store.Clock().Now(),
-	}, nil
+	c := &Compactor{
+		exec:     rw,
+		clock:    store.Clock(),
+		duty:     duty,
+		startNs:  store.Clock().Now(),
+		accounts: []account{{scan: store}},
+	}
+	if sh, ok := blob.As[sharded](store); ok {
+		c.accounts = make([]account, sh.NumShards())
+		for i := range c.accounts {
+			c.accounts[i].scan = sh.Shard(i)
+		}
+	}
+	return c, nil
 }
 
-// Stats returns the compactor's cumulative counters.
-func (c *Compactor) Stats() Stats { return c.stats }
+// Stats returns the compactor's cumulative counters, summed over its
+// accounts.
+func (c *Compactor) Stats() Stats {
+	var total Stats
+	for i := range c.accounts {
+		total.add(c.accounts[i].stats)
+	}
+	return total
+}
 
-// RunOnce performs one full scan-and-rewrite cycle with the duty gate
-// held open — the offline entry point. It returns the work done by this
-// cycle alone.
+// RunOnce performs one full scan-and-rewrite cycle per account with the
+// duty gate held open — the offline entry point. It returns the work
+// done by this pass alone.
 func (c *Compactor) RunOnce(ctx context.Context) Stats {
-	return c.cycle(ctx, false)
+	var total Stats
+	for i := range c.accounts {
+		total.add(c.cycle(ctx, &c.accounts[i], false))
+	}
+	return total
 }
 
-// CatchUp performs duty-gated work during a foreground idle window and
-// returns as soon as the gate closes, no work remains or ctx is done:
-// each call does at most enough work to bring busy time up to the duty
-// cycle × the virtual time elapsed since the compactor was built. A
-// zero duty cycle is a no-op.
+// CatchUp performs duty-gated work during a foreground idle window,
+// account by account. Each account works until its gate closes, no work
+// remains or ctx is done: at most enough to bring its busy time up to
+// the duty cycle × the virtual time elapsed since the compactor was
+// built. A zero duty cycle is a no-op.
 func (c *Compactor) CatchUp(ctx context.Context) {
 	if c.duty <= 0 {
 		return
 	}
-	for c.gateOpen() {
-		if s := c.cycle(ctx, true); s.Rewrites == 0 {
-			return
+	for i := range c.accounts {
+		a := &c.accounts[i]
+		for c.gateOpen(a) {
+			if s := c.cycle(ctx, a, true); s.Rewrites == 0 {
+				break
+			}
 		}
 	}
 }
 
-// gateOpen reports whether the compactor's charged virtual time fits
-// under the duty cycle × the virtual time elapsed since it was built.
-func (c *Compactor) gateOpen() bool {
-	return c.duty >= 1 || float64(c.busyNs) <= c.duty*float64(c.clock.Now()-c.startNs)
+// gateOpen reports whether a's charged virtual time fits under the duty
+// cycle × the virtual time elapsed since the compactor was built.
+func (c *Compactor) gateOpen(a *account) bool {
+	return c.duty >= 1 || float64(a.busyNs) <= c.duty*float64(c.clock.Now()-c.startNs)
 }
 
-// charge accounts one operation's virtual time as compactor busy time.
+// charge accounts one operation's virtual time as a's busy time.
 //
 //fragvet:ignore vclockpurity duty-cycle bookkeeping only; the store already advanced the clock during the rewrite being charged
-func (c *Compactor) charge(s *Stats, w vclock.Stopwatch) {
+func (c *Compactor) charge(a *account, s *Stats, w vclock.Stopwatch) {
 	ns := w.Nanoseconds()
-	c.busyNs += ns
+	a.busyNs += ns
 	s.BusySeconds += float64(ns) / 1e9
 }
 
-// cycle runs one scan plus the work it uncovers: worst-first rewrites
-// up to cycleBudget. When gated, the duty gate is consulted before
-// every rewrite and a closed gate abandons the cycle; a done ctx
-// abandons it too. It returns the cycle's work, which it also adds to
-// the compactor's counters.
-func (c *Compactor) cycle(ctx context.Context, gated bool) (s Stats) {
+// cycle runs one scan of a's scope plus the work it uncovers:
+// worst-first rewrites up to cycleBudget. When gated, a's duty gate is
+// consulted before every rewrite and a closed gate abandons the cycle;
+// a done ctx abandons it too. It returns the cycle's work, which it
+// also adds to a's counters.
+func (c *Compactor) cycle(ctx context.Context, a *account, gated bool) (s Stats) {
 	if ctx.Err() != nil {
 		return s
 	}
-	defer func() { c.stats.add(s) }()
-	rep := frag.Analyze(c.scan)
+	defer func() { a.stats.add(s) }()
+	rep := frag.Analyze(a.scan)
 	s.Scans++
 
 	// Rewrite only when fragmentation is hot, worst-first, under the
@@ -201,12 +228,12 @@ func (c *Compactor) cycle(ctx context.Context, gated bool) (s Stats) {
 		return cands[i].Key < cands[j].Key
 	})
 	for _, o := range cands {
-		if s.RewriteBytes >= cycleBudget || ctx.Err() != nil || gated && !c.gateOpen() {
+		if s.RewriteBytes >= cycleBudget || ctx.Err() != nil || gated && !c.gateOpen(a) {
 			break
 		}
 		w := vclock.StartWatch(c.clock)
 		n, err := c.exec.CompactObject(ctx, o.Key)
-		c.charge(&s, w)
+		c.charge(a, &s, w)
 		switch {
 		case err == nil && n > 0:
 			s.Rewrites++

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/blob"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/disk"
 	"repro/internal/frag"
+	"repro/internal/obs"
 	"repro/internal/shard"
 	"repro/internal/units"
 	"repro/internal/vclock"
@@ -266,9 +268,10 @@ func TestCanceledContextDoesNoWork(t *testing.T) {
 	}
 }
 
-// TestFleetPerShard pins the fleet fan-out: one compactor per shard
-// child, scans scoped per child, rewrites routed through the top.
-func TestFleetPerShard(t *testing.T) {
+// TestCompactorPerShard pins the shard fan-out: one account per shard
+// child, scans scoped per child, rewrites routed through the top, and
+// PublishMetrics reporting the totals and each shard's share of them.
+func TestCompactorPerShard(t *testing.T) {
 	ctx := context.Background()
 	clock := vclock.New()
 	children := make([]blob.Store, 4)
@@ -294,43 +297,92 @@ func TestFleetPerShard(t *testing.T) {
 	}
 	before := frag.Analyze(s).MeanFragments()
 
-	fleet, err := compact.NewFleet(s, 1)
+	c, err := compact.New(s, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fleet.Size() != 4 {
-		t.Fatalf("fleet size = %d, want 4", fleet.Size())
-	}
-	st := fleet.RunOnce(ctx)
+	st := c.RunOnce(ctx)
 	if st.Rewrites == 0 || st.Scans != 4 {
-		t.Fatalf("fleet pass = %v, want rewrites > 0 across 4 scans", st)
+		t.Fatalf("pass = %+v, want rewrites > 0 across 4 scans", st)
 	}
 	if after := frag.Analyze(s).MeanFragments(); after >= before {
 		t.Fatalf("mean fragments %.2f -> %.2f, want a decrease", before, after)
 	}
+	if got := c.Stats(); got != st {
+		t.Fatalf("Stats() = %+v after one pass, want the pass's %+v", got, st)
+	}
+
+	reg := obs.NewRegistry()
+	c.PublishMetrics(reg, "compact")
+	snap := reg.Snapshot()
+	for name, want := range map[string]int64{
+		"compact.scans":        st.Scans,
+		"compact.rewrites":     st.Rewrites,
+		"compact.skipped_busy": st.SkippedBusy,
+		"compact.errors":       st.Errors,
+	} {
+		if got, ok := snap.Counters[name]; !ok || got != want {
+			t.Errorf("counter %s = %d (present %v), want %d", name, got, ok, want)
+		}
+	}
+	if got, ok := snap.Gauges["compact.duty_cycle"]; !ok || got != 1 {
+		t.Errorf("gauge compact.duty_cycle = %v (present %v), want 1", got, ok)
+	}
+	var bytes, busy float64
+	for i := 0; i < 4; i++ {
+		name := fmt.Sprintf("compact.shard%d", i)
+		b, okB := snap.Gauges[name+".rewrite_bytes"]
+		sec, okS := snap.Gauges[name+".busy_seconds"]
+		if !okB || !okS || b <= 0 || sec <= 0 {
+			t.Errorf("%s: rewrite_bytes %v (present %v), busy_seconds %v (present %v), want both > 0",
+				name, b, okB, sec, okS)
+		}
+		bytes += b
+		busy += sec
+	}
+	if _, ok := snap.Gauges["compact.shard4.rewrite_bytes"]; ok {
+		t.Error("published a fifth shard's gauge over a 4-shard store")
+	}
+	if bytes != float64(st.RewriteBytes) || snap.Gauges["compact.rewrite_bytes"] != bytes {
+		t.Errorf("per-shard rewrite bytes sum to %v, total gauge %v, Stats %d",
+			bytes, snap.Gauges["compact.rewrite_bytes"], st.RewriteBytes)
+	}
+	if math.Abs(busy-st.BusySeconds) > 1e-9 || math.Abs(snap.Gauges["compact.busy_seconds"]-busy) > 1e-9 {
+		t.Errorf("per-shard busy seconds sum to %v, total gauge %v, Stats %v",
+			busy, snap.Gauges["compact.busy_seconds"], st.BusySeconds)
+	}
 }
 
-// TestFleetUnwrapsCache pins the layering rule: the fleet finds the
-// shard fan-out and the rewriter beneath a cache, and a read through
-// the cache after the relocation still succeeds.
-func TestFleetUnwrapsCache(t *testing.T) {
+// TestCompactorUnwrapsCache pins the layering rule: the compactor finds
+// the rewriter beneath a cache, keeps one account over an unsharded
+// store (so it publishes no per-shard gauge), and a read through the
+// cache after the relocation still succeeds.
+func TestCompactorUnwrapsCache(t *testing.T) {
 	ctx := context.Background()
 	inner := newShatteredFS(t, 8, units.MB)
 	cached, err := cache.New(inner, cache.WithCapacity(32*units.MB))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fleet, err := compact.NewFleet(cached, 1)
+	c, err := compact.New(cached, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fleet.Size() != 1 {
-		t.Fatalf("fleet size = %d, want 1", fleet.Size())
-	}
-	if st := fleet.RunOnce(ctx); st.Rewrites == 0 {
-		t.Fatalf("fleet over cache did no rewrites: %v", st)
+	if st := c.RunOnce(ctx); st.Rewrites == 0 || st.Scans != 1 {
+		t.Fatalf("pass over cache = %+v, want rewrites > 0 in one scan", st)
 	}
 	if _, _, err := blob.Get(ctx, cached, "obj-00"); err != nil {
 		t.Fatalf("read through cache after compaction: %v", err)
+	}
+	reg := obs.NewRegistry()
+	c.PublishMetrics(reg, "compact")
+	snap := reg.Snapshot()
+	if snap.Counters["compact.rewrites"] != c.Stats().Rewrites {
+		t.Errorf("compact.rewrites = %d, want %d", snap.Counters["compact.rewrites"], c.Stats().Rewrites)
+	}
+	for name := range snap.Gauges {
+		if strings.HasPrefix(name, "compact.shard") {
+			t.Errorf("unsharded store published per-shard gauge %s", name)
+		}
 	}
 }

@@ -32,9 +32,10 @@ const compactionSteps = 8
 // an online compactor at each duty cycle (0 = off). The compactor is
 // built right before the measured churn, so its duty window opens there.
 // The churn runs in increments, and the idle window at each increment
-// boundary is one compactor step: Fleet.CatchUp works, duty gated, up to
-// its share of the virtual time elapsed so far. Nothing runs beside the
-// churn stream, so every row is reproducible at one seed. Rewrites
+// boundary is one compactor step: Compactor.CatchUp works, duty gated,
+// each shard up to its share of the virtual time elapsed so far.
+// Nothing runs beside the churn stream, so every row is reproducible at
+// one seed. Rewrites
 // charge full read+write disk cost on the shared virtual clock, and the
 // measured span covers churn and catch-up alike, so the MB/s column
 // already contains the compaction tax that the fragments/object column
@@ -69,10 +70,10 @@ func CompactionSweep(c Config) ([]*stats.Table, error) {
 			// alongside the foreground ops.
 			err := c.age(clock, p.observe(c.spec(st.backend)), dist, []float64{preAge}, drive{}, func(a arm) error {
 				before := meanFrags(a.store)
-				var fleet *compact.Fleet
+				var comp *compact.Compactor
 				if duty > 0 {
 					var err error
-					if fleet, err = compact.NewFleet(a.store, duty); err != nil {
+					if comp, err = compact.New(a.store, duty); err != nil {
 						return fmt.Errorf("compact %s duty %g: %w", kind, duty, err)
 					}
 				}
@@ -90,21 +91,21 @@ func CompactionSweep(c Config) ([]*stats.Table, error) {
 						return fmt.Errorf("compact %s churn to %.2f: %w", kind, age, err)
 					}
 					churnBytes += res.Bytes
-					if fleet != nil {
-						fleet.CatchUp(context.Background())
+					if comp != nil {
+						comp.CatchUp(context.Background())
 					}
 				}
 				mbps := units.MBps(churnBytes, w.Seconds())
 				f := meanFrags(a.store)
 				fragSeries.Add(duty, f)
 				tputSeries.Add(duty, mbps)
-				if fleet != nil {
-					fleet.PublishMetrics(p.registry(), "compact")
-					st := fleet.Stats()
+				if comp != nil {
+					comp.PublishMetrics(p.registry(), "compact")
+					st := comp.Stats()
 					frags.Note("%s duty %.2f: %d rewrites (%s), %.1f virtual s compactor-busy; frags %.2f → %.2f",
 						name, duty, st.Rewrites, units.FormatBytes(st.RewriteBytes), st.BusySeconds, before, f)
-					c.logf("compact: %s duty %.2f: %v (frags %.2f → %.2f, churn %.2f MB/s)",
-						kind, duty, st, before, f, mbps)
+					c.logf("compact: %s duty %.2f: %d scans, %d rewrites (%s), %.2fs busy (frags %.2f → %.2f, churn %.2f MB/s)",
+						kind, duty, st.Scans, st.Rewrites, units.FormatBytes(st.RewriteBytes), st.BusySeconds, before, f, mbps)
 				} else {
 					c.logf("compact: %s compactor off: frags %.2f → %.2f, churn %.2f MB/s",
 						kind, before, f, mbps)

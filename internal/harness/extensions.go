@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"repro/internal/alloc"
 	"repro/internal/blob"
@@ -132,7 +133,9 @@ func InterleavedAppend(c Config) ([]*stats.Table, error) {
 
 // PolicyComparison replays the aging workload shape against the classic
 // allocation policies of §3.2/§3.4 plus the NTFS-style run cache,
-// measuring fragments/object over storage age. Object sizes are uniform
+// measuring fragments/object over storage age: each arm replaces random
+// objects until its retired requested clusters reach the age point ×
+// its live ones (§4.4's definition). Object sizes are uniform
 // around a 10 MB mean: with a bare allocator and no metadata traffic,
 // constant sizes recycle perfectly under every policy (the §5.4
 // intuition the real systems defeat), so the uniform distribution is
@@ -160,6 +163,7 @@ func PolicyComparison(c Config) ([]*stats.Table, error) {
 		{"buddy", func() alloc.Policy { return alloc.NewBuddy(clusters) }},
 		{"ntfs-run-cache", func() alloc.Policy { return alloc.NewRunCache(clusters, 0.35) }},
 	}
+	var replaces []string
 	for _, pol := range policies {
 		p := pol.mk()
 		rng := rand.New(rand.NewSource(c.Seed))
@@ -190,17 +194,25 @@ func PolicyComparison(c Config) ([]*stats.Table, error) {
 			return p.Alloc(objClusters)
 		}
 
-		// Bulk load to occupancy.
+		// Bulk load to occupancy, counting the clusters each allocation
+		// took: buddy's power-of-two rounding takes more than it was asked
+		// for, and a volume loaded to its last block could not churn.
+		// sizes holds each object's requested clusters, which storage age
+		// counts (§4.4: retired over live).
 		var objects [][]extent.Run
+		var sizes []int64
+		var live int64
 		target := int64(occupancy * float64(clusters))
 		for used := int64(0); used+meanClusters <= target; {
 			size := sampleSize()
 			runs, err := allocObject(size)
 			if err != nil {
-				break // buddy's internal fragmentation fills earlier
+				break
 			}
 			objects = append(objects, runs)
-			used += size
+			sizes = append(sizes, size)
+			live += size
+			used += extent.SumLen(runs)
 		}
 		if len(objects) == 0 {
 			return nil, fmt.Errorf("policy %s: no objects loaded", pol.name)
@@ -220,19 +232,33 @@ func PolicyComparison(c Config) ([]*stats.Table, error) {
 			return float64(totalF) / float64(len(objects))
 		}
 		s.Add(0, meanRuns())
-		ops := 0
+		// Each step churns until the arm reaches the target storage age.
+		// A replace allocates before it frees, so near full it can be
+		// refused; it is skipped and counted, and an arm that refuses a
+		// whole generation of replaces in a row cannot age at all.
+		var retired int64
+		ops, refused, streak := 0, 0, 0
 		for _, age := range c.agePoints()[1:] {
-			for gen := 0; gen < len(objects); gen++ {
+			for float64(retired) < age*float64(live) {
 				j := rng.Intn(len(objects))
-				newRuns, err := allocObject(sampleSize())
+				size := sampleSize()
+				newRuns, err := allocObject(size)
 				if err != nil {
-					// Out of space (buddy rounding): skip this op.
+					refused++
+					if streak++; streak >= len(objects) {
+						return nil, fmt.Errorf("policy %s: %d replaces in a row refused at age %.2f: %w",
+							pol.name, streak, float64(retired)/float64(live), err)
+					}
 					continue
 				}
+				streak = 0
 				for _, r := range objects[j] {
 					p.Free(r)
 				}
 				objects[j] = newRuns
+				retired += sizes[j]
+				live += size - sizes[j]
+				sizes[j] = size
 				ops++
 				if rc, ok := p.(*alloc.RunCache); ok && ops%16 == 0 {
 					rc.CommitLog()
@@ -241,7 +267,9 @@ func PolicyComparison(c Config) ([]*stats.Table, error) {
 			s.Add(age, meanRuns())
 			c.logf("  %s age %.1f: %.2f", pol.name, age, meanRuns())
 		}
+		replaces = append(replaces, fmt.Sprintf("%s %d/%d", pol.name, refused, ops+refused))
 	}
+	t.Note("replaces refused for space / attempted: %s", strings.Join(replaces, ", "))
 	t.Note("abstract replay (no disk timing); buddy allocates power-of-two blocks, trading internal for external fragmentation (§3.4)")
 	return []*stats.Table{t}, nil
 }

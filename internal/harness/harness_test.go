@@ -265,30 +265,33 @@ func TestInterleavedAppend(t *testing.T) {
 	}
 }
 
-// TestPolicyComparison sanity-checks the §3.2/§3.4 shoot-out: buddy never
+// TestPolicyComparison sanity-checks the §3.2/§3.4 shoot-out: every arm
+// ages (an arm whose replaces are all refused fails the run), buddy never
 // fragments externally, and the deferred-reuse run cache fragments more
 // than the idealized policies.
 func TestPolicyComparison(t *testing.T) {
 	if testing.Short() {
 		t.Skip("aging run")
 	}
-	cfg := shapeConfig()
-	cfg.VolumeBytes = 1 * units.GB
-	tables, err := PolicyComparison(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buddy := findSeries(t, tables[0], "buddy")
-	rc := findSeries(t, tables[0], "ntfs-run-cache")
-	bf := findSeries(t, tables[0], "best-fit")
-	bLast := lastPoint(t, buddy)
-	if bLast.Y != 1 {
-		t.Errorf("buddy fragmented externally: %.2f", bLast.Y)
-	}
-	rcLast := lastPoint(t, rc)
-	bfLast := lastPoint(t, bf)
-	if rcLast.Y <= bfLast.Y {
-		t.Errorf("run cache with deferred reuse (%.2f) should fragment more than idealized best-fit (%.2f)", rcLast.Y, bfLast.Y)
+	// 512 MB is the -quick volume, where a buddy arm loaded to its last
+	// block refuses every replace.
+	for _, vol := range []int64{512 * units.MB, 1 * units.GB} {
+		cfg := shapeConfig()
+		cfg.VolumeBytes = vol
+		tables, err := PolicyComparison(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", units.FormatBytes(vol), err)
+		}
+		buddy := findSeries(t, tables[0], "buddy")
+		rc := findSeries(t, tables[0], "ntfs-run-cache")
+		bf := findSeries(t, tables[0], "best-fit")
+		if bLast := lastPoint(t, buddy); bLast.Y != 1 {
+			t.Errorf("%s: buddy fragmented externally: %.2f", units.FormatBytes(vol), bLast.Y)
+		}
+		if rcLast, bfLast := lastPoint(t, rc), lastPoint(t, bf); rcLast.Y <= bfLast.Y {
+			t.Errorf("%s: run cache with deferred reuse (%.2f) should fragment more than idealized best-fit (%.2f)",
+				units.FormatBytes(vol), rcLast.Y, bfLast.Y)
+		}
 	}
 }
 
@@ -377,7 +380,7 @@ var experimentDigests = map[string]string{
 	"hint":        "5207fc339c391a32cd9ee484841327b0c342b203744917d228b80c24970a2e56",
 	"wreq":        "1b1df376bb2195b17b20720e41633268986039561e8c55868c541be2e8890f58",
 	"ileave":      "a973032bed397d9000b9137a4d45281ca54d7d0794b9f48511aedac9bed6b3cf",
-	"policy":      "ddbc154fcc8974996244c93424cfd6f8478739931a6a9e2138c483d6ee0fe8a1",
+	"policy":      "5dec3c5b7786996feabf4d3c3132e64e98b979281beba27018b29fc8fcbb7384",
 	"shard":       "436f5feb4570e875603495fced279bb94c6962fc9610f2b6a527f162b8f71d6d",
 	"interleave":  "2e9286019dbd3c4702c8330afd224c04c9c8a3c265546d2679dc7002bfdb193a",
 	"readcache":   "d7131e957c606892201912845ce3b86d21c0958af1c0454c9f866598140fcac9",

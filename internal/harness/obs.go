@@ -52,7 +52,7 @@ func (p *probe) collector() *obs.Collector {
 }
 
 // registry returns the arm's registry (nil when off), for
-// obs.NewCommitObserver and Fleet.PublishMetrics.
+// obs.NewCommitObserver and Compactor.PublishMetrics.
 func (p *probe) registry() *obs.Registry {
 	if p == nil {
 		return nil

@@ -27,7 +27,7 @@ import (
 // volume, not of any writer), and phase timing is read from the store's
 // virtual clock. Nothing but the streams runs during a Run: store
 // maintenance such as online compaction is a step the caller takes
-// between runs (compact.Fleet.CatchUp), never a concurrent worker.
+// between runs (compact.Compactor.CatchUp), never a concurrent worker.
 type Executor struct {
 	ctx       context.Context
 	tracker   *core.AgeTracker
