@@ -173,4 +173,24 @@ func (rc *RunCache) takeOuterBand(n int64) (extent.Run, bool) {
 // RunCount reports the number of cached free runs.
 func (rc *RunCache) RunCount() int { return rc.idx.RunCount() }
 
+// Runs returns copies of the free runs, in offset order, and of the
+// runs awaiting log commit. Intended for tests.
+func (rc *RunCache) Runs() (free, pending []extent.Run) {
+	return rc.idx.Runs(), append([]extent.Run(nil), rc.pending...)
+}
+
+// CheckInvariants panics unless the free index passes its own check and
+// the pending count matches the runs awaiting log commit. Intended for
+// tests.
+func (rc *RunCache) CheckInvariants() {
+	rc.idx.CheckInvariants()
+	var n int64
+	for _, r := range rc.pending {
+		n += r.Len
+	}
+	if n != rc.pendingClusters {
+		panic(fmt.Sprintf("alloc: pending count %d != sum %d", rc.pendingClusters, n))
+	}
+}
+
 var _ Policy = (*RunCache)(nil)

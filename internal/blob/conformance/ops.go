@@ -15,6 +15,7 @@ import (
 	"repro/internal/compact"
 	"repro/internal/db"
 	"repro/internal/disk"
+	"repro/internal/fs"
 	"repro/internal/units"
 )
 
@@ -39,7 +40,8 @@ var opSizes = []int64{0, 1, 4 * units.KB, 5000, 64 * units.KB, 130 * units.KB, 3
 // view must have cap == len and keep its bytes to the end; a second
 // goroutine re-reads the views after each operation, so under -race a
 // store that writes into a view it handed out is a reported race. The
-// sequence ends with the database engine's invariant check.
+// sequence ends with the engine's invariant check (the database's or
+// the filesystem volume's).
 func RunOps(t *testing.T, mk Factory, ops []byte) {
 	t.Helper()
 	d := &opRun{t: t, in: ops, m: NewModel(), seen: map[string][2]uint64{},
@@ -62,6 +64,9 @@ func RunOps(t *testing.T, mk Factory, ops []byte) {
 	}
 	if e, ok := blob.As[interface{ Engine() *db.Database }](d.s); ok {
 		e.Engine().CheckInvariants()
+	}
+	if e, ok := blob.As[interface{ Volume() *fs.Volume }](d.s); ok {
+		e.Volume().CheckInvariants()
 	}
 }
 

@@ -3,23 +3,22 @@
 // read/write performance impacts that can outweigh its benefits" but
 // never measures the tradeoff; this package makes it measurable. A
 // Compactor works in the idle windows of live traffic over any
-// blob.Store-backed engine: it watches each shard's fragmentation (the
-// same Snapshot statistic the shard layer aggregates) and rewrites the
-// worst-fragmented objects into contiguous space, metered by a duty
-// cycle on the shared virtual clock, so the rewrite traffic's cost is
-// charged against the same throughput numbers it is trying to improve.
-// The caller drives it as a step of the simulation (CatchUp between
-// churn increments), so a run at one seed is reproducible whatever the
-// duty cycle.
+// blob.Store-backed engine: it scans the store's per-object fragment
+// counts (frag.Analyze) and rewrites the worst-fragmented objects into
+// contiguous space, metered by a duty cycle on the shared virtual
+// clock, so the rewrite traffic's cost is charged against the same
+// throughput numbers it is trying to improve. The caller drives it as
+// a step of the simulation (CatchUp between churn increments), so a run
+// at one seed is reproducible whatever the duty cycle.
 //
 // The compactor needs no engine-specific hooks: it drives the
 // blob.Rewriter capability, which core.FileStore, core.DBStore and
 // shard.Store implement and blob.As finds beneath wrapper layers such
-// as cache.Store, and it finds a shard fan-out the same way. One
-// Compactor covers a sharded store: it keeps a duty account per shard.
-// Every rewrite publishes a fresh object version, so readers pinned to
-// the old layout fail with a typed error rather than observing a torn
-// rewrite.
+// as cache.Store. Over a shard.Store, one Compactor keeps one duty
+// account: its scan spans every shard, and the shard layer routes each
+// rewrite to the key's owner. Every rewrite publishes a fresh object
+// version, so readers pinned to the old layout fail with a typed error
+// rather than observing a torn rewrite.
 package compact
 
 import (
@@ -35,9 +34,6 @@ import (
 	"repro/internal/units"
 	"repro/internal/vclock"
 )
-
-// ErrUnsupported reports a store without the rewrite capability.
-var ErrUnsupported = errors.New("compact: store does not support object rewrite")
 
 // The compactor's fixed tuning; the duty cycle is its one knob.
 const (
@@ -86,128 +82,95 @@ func (s *Stats) add(o Stats) {
 // running during a call, the clock time a rewrite spans is exactly the
 // compactor's own work.
 //
-// Over a sharded store (found through any wrapper layers) the compactor
-// keeps one account per shard: each selects candidates from its own
-// child and meters its own duty cycle, as a deployment compacts shards
-// independently, while every rewrite executes through the top of the
-// store chain, so shard routing holds. A cache above needs no hook: its
-// readers check the store's version before serving from memory.
+// A compactor keeps one account: each cycle scans the whole store it
+// was given (a shard.Store's scan spans every child) and executes every
+// rewrite through the top of the store chain, so shard routing holds,
+// under one duty gate. A cache above needs no hook: its readers check
+// the store's version before serving from memory.
 type Compactor struct {
-	exec     blob.Rewriter
-	clock    *vclock.Clock
-	duty     float64
-	startNs  int64 // the duty window opens when the compactor is built
-	accounts []account
-}
-
-// account is one shard's (or an unsharded store's) share of the work.
-type account struct {
-	scan   frag.Source // candidate-selection scope
-	stats  Stats
-	busyNs int64
-}
-
-// sharded is the structural shard-enumeration capability (shard.Store).
-type sharded interface {
-	NumShards() int
-	Shard(int) blob.Store
+	store   blob.Store // candidate-selection scope
+	exec    blob.Rewriter
+	clock   *vclock.Clock
+	duty    float64
+	startNs int64 // the duty window opens when the compactor is built
+	busyNs  int64
+	stats   Stats
 }
 
 // New builds a compactor over store at the given duty cycle: the
-// fraction of virtual time, in [0, 1], each shard's account may
-// consume. 0 disables CatchUp; 1 removes its gate. It fails with
-// ErrUnsupported when the store lacks the rewrite capability, and with
-// an error wrapping blob.ErrBadOption for a duty cycle outside [0, 1].
+// fraction of virtual time, in [0, 1], the compactor may consume. 0
+// disables CatchUp; 1 removes its gate. It fails with an error wrapping
+// errors.ErrUnsupported when the store lacks the rewrite capability,
+// and with one wrapping blob.ErrBadOption for a duty cycle outside
+// [0, 1].
 func New(store blob.Store, duty float64) (*Compactor, error) {
 	rw, ok := blob.As[blob.Rewriter](store)
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnsupported, store.Name())
+		return nil, fmt.Errorf("%w: %s cannot compact objects", errors.ErrUnsupported, store.Name())
 	}
 	if err := ValidateDuty(duty); err != nil {
 		return nil, err
 	}
-	c := &Compactor{
-		exec:     rw,
-		clock:    store.Clock(),
-		duty:     duty,
-		startNs:  store.Clock().Now(),
-		accounts: []account{{scan: store}},
-	}
-	if sh, ok := blob.As[sharded](store); ok {
-		c.accounts = make([]account, sh.NumShards())
-		for i := range c.accounts {
-			c.accounts[i].scan = sh.Shard(i)
-		}
-	}
-	return c, nil
+	return &Compactor{
+		store:   store,
+		exec:    rw,
+		clock:   store.Clock(),
+		duty:    duty,
+		startNs: store.Clock().Now(),
+	}, nil
 }
 
-// Stats returns the compactor's cumulative counters, summed over its
-// accounts.
-func (c *Compactor) Stats() Stats {
-	var total Stats
-	for i := range c.accounts {
-		total.add(c.accounts[i].stats)
-	}
-	return total
-}
+// Stats returns the compactor's cumulative counters.
+func (c *Compactor) Stats() Stats { return c.stats }
 
-// RunOnce performs one full scan-and-rewrite cycle per account with the
-// duty gate held open — the offline entry point. It returns the work
-// done by this pass alone.
+// RunOnce performs one full scan-and-rewrite cycle with the duty gate
+// held open — the offline entry point. It returns the work done by this
+// pass alone.
 func (c *Compactor) RunOnce(ctx context.Context) Stats {
-	var total Stats
-	for i := range c.accounts {
-		total.add(c.cycle(ctx, &c.accounts[i], false))
-	}
-	return total
+	return c.cycle(ctx, false)
 }
 
-// CatchUp performs duty-gated work during a foreground idle window,
-// account by account. Each account works until its gate closes, no work
-// remains or ctx is done: at most enough to bring its busy time up to
-// the duty cycle × the virtual time elapsed since the compactor was
-// built. A zero duty cycle is a no-op.
+// CatchUp performs duty-gated work during a foreground idle window. It
+// works until the gate closes, no work remains or ctx is done: at most
+// enough to bring its busy time up to the duty cycle × the virtual time
+// elapsed since the compactor was built. A zero duty cycle is a no-op.
 func (c *Compactor) CatchUp(ctx context.Context) {
 	if c.duty <= 0 {
 		return
 	}
-	for i := range c.accounts {
-		a := &c.accounts[i]
-		for c.gateOpen(a) {
-			if s := c.cycle(ctx, a, true); s.Rewrites == 0 {
-				break
-			}
+	for c.gateOpen() {
+		if s := c.cycle(ctx, true); s.Rewrites == 0 {
+			break
 		}
 	}
 }
 
-// gateOpen reports whether a's charged virtual time fits under the duty
-// cycle × the virtual time elapsed since the compactor was built.
-func (c *Compactor) gateOpen(a *account) bool {
-	return c.duty >= 1 || float64(a.busyNs) <= c.duty*float64(c.clock.Now()-c.startNs)
+// gateOpen reports whether the charged virtual time fits under the
+// duty cycle × the virtual time elapsed since the compactor was built.
+func (c *Compactor) gateOpen() bool {
+	return c.duty >= 1 || float64(c.busyNs) <= c.duty*float64(c.clock.Now()-c.startNs)
 }
 
-// charge accounts one operation's virtual time as a's busy time.
+// charge books one operation's virtual time as busy time.
 //
 //fragvet:ignore vclockpurity duty-cycle bookkeeping only; the store already advanced the clock during the rewrite being charged
-func (c *Compactor) charge(a *account, s *Stats, w vclock.Stopwatch) {
+func (c *Compactor) charge(s *Stats, w vclock.Stopwatch) {
 	ns := w.Nanoseconds()
-	a.busyNs += ns
+	c.busyNs += ns
 	s.BusySeconds += float64(ns) / 1e9
 }
 
-// cycle runs one scan of a's scope plus the work it uncovers:
-// worst-first rewrites up to cycleBudget. When gated, a's duty gate is
+// cycle runs one scan of the store plus the work it uncovers:
+// worst-first rewrites up to cycleBudget. When gated, the duty gate is
 // consulted before every rewrite and a closed gate abandons the cycle;
 // a done ctx abandons it too. It returns the cycle's work, which it
-// also adds to a's counters.
-func (c *Compactor) cycle(ctx context.Context, a *account, gated bool) (s Stats) {
+// also adds to the compactor's counters.
+func (c *Compactor) cycle(ctx context.Context, gated bool) (s Stats) {
 	if ctx.Err() != nil {
 		return s
 	}
-	defer func() { a.stats.add(s) }()
-	rep := frag.Analyze(a.scan)
+	defer func() { c.stats.add(s) }()
+	rep := frag.Analyze(c.store)
 	s.Scans++
 
 	// Rewrite only when fragmentation is hot, worst-first, under the
@@ -228,12 +191,12 @@ func (c *Compactor) cycle(ctx context.Context, a *account, gated bool) (s Stats)
 		return cands[i].Key < cands[j].Key
 	})
 	for _, o := range cands {
-		if s.RewriteBytes >= cycleBudget || ctx.Err() != nil || gated && !c.gateOpen(a) {
+		if s.RewriteBytes >= cycleBudget || ctx.Err() != nil || gated && !c.gateOpen() {
 			break
 		}
 		w := vclock.StartWatch(c.clock)
 		n, err := c.exec.CompactObject(ctx, o.Key)
-		c.charge(a, &s, w)
+		c.charge(&s, w)
 		switch {
 		case err == nil && n > 0:
 			s.Rewrites++

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/blob"
@@ -37,6 +36,72 @@ func newShatteredFS(t *testing.T, n int, size int64) *core.FileStore {
 	}
 	store.Volume().ShatterFiles(4)
 	return store
+}
+
+// newShatteredShards builds a shard.Store over shards file stores of
+// 256 MB on one clock, holding n objects of 1 MB, and shatters every
+// child's volume.
+func newShatteredShards(t *testing.T, shards, n int) *shard.Store {
+	t.Helper()
+	clock := vclock.New()
+	children := make([]blob.Store, shards)
+	for i := range children {
+		c, err := core.NewFileStore(clock,
+			blob.WithCapacity(256*units.MB), blob.WithDiskMode(disk.MetadataMode))
+		if err != nil {
+			t.Fatal(err)
+		}
+		children[i] = c
+	}
+	s, err := shard.New(children...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for i := 0; i < n; i++ {
+		if err := blob.Put(ctx, s, fmt.Sprintf("obj-%02d", i), units.MB, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, child := range children {
+		child.(*core.FileStore).Volume().ShatterFiles(4)
+	}
+	return s
+}
+
+// checkPublished publishes c's metrics and checks that the registry
+// holds exactly the seven aggregate names, with Stats()'s values.
+func checkPublished(t *testing.T, c *compact.Compactor, duty float64) {
+	t.Helper()
+	reg := obs.NewRegistry()
+	c.PublishMetrics(reg, "compact")
+	snap := reg.Snapshot()
+	st := c.Stats()
+	wantCounters := map[string]int64{
+		"compact.scans":        st.Scans,
+		"compact.rewrites":     st.Rewrites,
+		"compact.skipped_busy": st.SkippedBusy,
+		"compact.errors":       st.Errors,
+	}
+	wantGauges := map[string]float64{
+		"compact.rewrite_bytes": float64(st.RewriteBytes),
+		"compact.busy_seconds":  st.BusySeconds,
+		"compact.duty_cycle":    duty,
+	}
+	if len(snap.Counters) != len(wantCounters) || len(snap.Gauges) != len(wantGauges) {
+		t.Errorf("published counters %v and gauges %v, want exactly %v and %v",
+			snap.Counters, snap.Gauges, wantCounters, wantGauges)
+	}
+	for name, want := range wantCounters {
+		if got, ok := snap.Counters[name]; !ok || got != want {
+			t.Errorf("counter %s = %d (present %v), want %d", name, got, ok, want)
+		}
+	}
+	for name, want := range wantGauges {
+		if got, ok := snap.Gauges[name]; !ok || got != want {
+			t.Errorf("gauge %s = %v (present %v), want %v", name, got, ok, want)
+		}
+	}
 }
 
 func TestValidateDuty(t *testing.T) {
@@ -102,7 +167,7 @@ func TestNewRejectsUnsupportedAndBadDuty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := compact.New(noRewrite{store}, 0.5); !errors.Is(err, compact.ErrUnsupported) {
+	if _, err := compact.New(noRewrite{store}, 0.5); !errors.Is(err, errors.ErrUnsupported) {
 		t.Fatalf("New(no-rewrite store) = %v, want ErrUnsupported", err)
 	}
 	for _, d := range []float64{-1, 2} {
@@ -194,37 +259,51 @@ func TestRunOnceCompactsDBStore(t *testing.T) {
 // TestDutyCycleBoundsBusyTime pins the gate on one goroutine:
 // foreground reads advance the shared clock and alternate with CatchUp,
 // and after every step the compactor's busy time stays within duty ×
-// the virtual time elapsed since it was built, plus one op's cost.
+// the virtual time elapsed since it was built, plus one op's cost. Over
+// a sharded store the bound is the same: the duty cycle bounds the
+// whole compactor, not each shard.
 func TestDutyCycleBoundsBusyTime(t *testing.T) {
 	const duty = 0.1
-	ctx := context.Background()
-	store := newShatteredFS(t, 24, units.MB)
-	c, err := compact.New(store, duty)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := vclock.StartWatch(store.Clock())
-	for i := 0; i < 400; i++ {
-		if _, _, err := blob.Get(ctx, store, fmt.Sprintf("obj-%02d", i%24)); err != nil {
-			t.Fatal(err)
-		}
-		c.CatchUp(ctx)
-		st := c.Stats()
-		// The gate admits an op while busy <= duty × elapsed, so it can
-		// overshoot by at most the op it admitted last; objects are
-		// uniform, so twice the mean per-op busy time bounds one op.
-		slack := 2 * st.BusySeconds / float64(st.Rewrites+st.SkippedBusy+1)
-		if elapsed := w.Seconds(); st.BusySeconds > duty*elapsed+slack {
-			t.Fatalf("step %d: busy %.4fs exceeds duty %.2f of elapsed %.4fs (+%.4fs slack)",
-				i, st.BusySeconds, duty, elapsed, slack)
-		}
-	}
-	// Fragmented objects remain, so the compactor also used its share:
-	// it trails duty × elapsed by less than one op.
-	st := c.Stats()
-	slack := 2 * st.BusySeconds / float64(st.Rewrites+st.SkippedBusy+1)
-	if st.Rewrites == 0 || st.BusySeconds < duty*w.Seconds()-slack {
-		t.Fatalf("compactor fell behind its share: %v over %.4fs elapsed", st, w.Seconds())
+	for _, tc := range []struct {
+		name           string
+		build          func(t *testing.T) blob.Store
+		objects, steps int
+	}{
+		{"file", func(t *testing.T) blob.Store { return newShatteredFS(t, 24, units.MB) }, 24, 400},
+		{"4 shards", func(t *testing.T) blob.Store { return newShatteredShards(t, 4, 64) }, 64, 200},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := context.Background()
+			store := tc.build(t)
+			c, err := compact.New(store, duty)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := vclock.StartWatch(store.Clock())
+			for i := 0; i < tc.steps; i++ {
+				if _, _, err := blob.Get(ctx, store, fmt.Sprintf("obj-%02d", i%tc.objects)); err != nil {
+					t.Fatal(err)
+				}
+				c.CatchUp(ctx)
+				st := c.Stats()
+				// The gate admits an op while busy <= duty × elapsed, so it
+				// can overshoot by at most the op it admitted last; objects
+				// are uniform, so twice the mean per-op busy time bounds
+				// one op.
+				slack := 2 * st.BusySeconds / float64(st.Rewrites+st.SkippedBusy+1)
+				if elapsed := w.Seconds(); st.BusySeconds > duty*elapsed+slack {
+					t.Fatalf("step %d: busy %.4fs exceeds duty %.2f of elapsed %.4fs (+%.4fs slack)",
+						i, st.BusySeconds, duty, elapsed, slack)
+				}
+			}
+			// Fragmented objects remain, so the compactor also used its
+			// share: it trails duty × elapsed by less than one op.
+			st := c.Stats()
+			slack := 2 * st.BusySeconds / float64(st.Rewrites+st.SkippedBusy+1)
+			if st.Rewrites == 0 || st.BusySeconds < duty*w.Seconds()-slack {
+				t.Fatalf("compactor fell behind its share: %+v over %.4fs elapsed", st, w.Seconds())
+			}
+		})
 	}
 }
 
@@ -268,42 +347,19 @@ func TestCanceledContextDoesNoWork(t *testing.T) {
 	}
 }
 
-// TestCompactorPerShard pins the shard fan-out: one account per shard
-// child, scans scoped per child, rewrites routed through the top, and
-// PublishMetrics reporting the totals and each shard's share of them.
+// TestCompactorPerShard pins the sharded pass: one scan covers every
+// shard, rewrites route through the top to each key's owner, and
+// PublishMetrics reports only the aggregate names.
 func TestCompactorPerShard(t *testing.T) {
-	ctx := context.Background()
-	clock := vclock.New()
-	children := make([]blob.Store, 4)
-	for i := range children {
-		c, err := core.NewFileStore(clock,
-			blob.WithCapacity(128*units.MB), blob.WithDiskMode(disk.MetadataMode))
-		if err != nil {
-			t.Fatal(err)
-		}
-		children[i] = c
-	}
-	s, err := shard.New(children...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 32; i++ {
-		if err := blob.Put(ctx, s, fmt.Sprintf("key-%02d", i), units.MB, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, child := range children {
-		child.(*core.FileStore).Volume().ShatterFiles(4)
-	}
+	s := newShatteredShards(t, 4, 32)
 	before := frag.Analyze(s).MeanFragments()
-
 	c, err := compact.New(s, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := c.RunOnce(ctx)
-	if st.Rewrites == 0 || st.Scans != 4 {
-		t.Fatalf("pass = %+v, want rewrites > 0 across 4 scans", st)
+	st := c.RunOnce(context.Background())
+	if st.Rewrites == 0 || st.Scans != 1 {
+		t.Fatalf("pass = %+v, want rewrites > 0 in one scan", st)
 	}
 	if after := frag.Analyze(s).MeanFragments(); after >= before {
 		t.Fatalf("mean fragments %.2f -> %.2f, want a decrease", before, after)
@@ -311,52 +367,12 @@ func TestCompactorPerShard(t *testing.T) {
 	if got := c.Stats(); got != st {
 		t.Fatalf("Stats() = %+v after one pass, want the pass's %+v", got, st)
 	}
-
-	reg := obs.NewRegistry()
-	c.PublishMetrics(reg, "compact")
-	snap := reg.Snapshot()
-	for name, want := range map[string]int64{
-		"compact.scans":        st.Scans,
-		"compact.rewrites":     st.Rewrites,
-		"compact.skipped_busy": st.SkippedBusy,
-		"compact.errors":       st.Errors,
-	} {
-		if got, ok := snap.Counters[name]; !ok || got != want {
-			t.Errorf("counter %s = %d (present %v), want %d", name, got, ok, want)
-		}
-	}
-	if got, ok := snap.Gauges["compact.duty_cycle"]; !ok || got != 1 {
-		t.Errorf("gauge compact.duty_cycle = %v (present %v), want 1", got, ok)
-	}
-	var bytes, busy float64
-	for i := 0; i < 4; i++ {
-		name := fmt.Sprintf("compact.shard%d", i)
-		b, okB := snap.Gauges[name+".rewrite_bytes"]
-		sec, okS := snap.Gauges[name+".busy_seconds"]
-		if !okB || !okS || b <= 0 || sec <= 0 {
-			t.Errorf("%s: rewrite_bytes %v (present %v), busy_seconds %v (present %v), want both > 0",
-				name, b, okB, sec, okS)
-		}
-		bytes += b
-		busy += sec
-	}
-	if _, ok := snap.Gauges["compact.shard4.rewrite_bytes"]; ok {
-		t.Error("published a fifth shard's gauge over a 4-shard store")
-	}
-	if bytes != float64(st.RewriteBytes) || snap.Gauges["compact.rewrite_bytes"] != bytes {
-		t.Errorf("per-shard rewrite bytes sum to %v, total gauge %v, Stats %d",
-			bytes, snap.Gauges["compact.rewrite_bytes"], st.RewriteBytes)
-	}
-	if math.Abs(busy-st.BusySeconds) > 1e-9 || math.Abs(snap.Gauges["compact.busy_seconds"]-busy) > 1e-9 {
-		t.Errorf("per-shard busy seconds sum to %v, total gauge %v, Stats %v",
-			busy, snap.Gauges["compact.busy_seconds"], st.BusySeconds)
-	}
+	checkPublished(t, c, 1)
 }
 
 // TestCompactorUnwrapsCache pins the layering rule: the compactor finds
-// the rewriter beneath a cache, keeps one account over an unsharded
-// store (so it publishes no per-shard gauge), and a read through the
-// cache after the relocation still succeeds.
+// the rewriter beneath a cache, and a read through the cache after the
+// relocation still succeeds.
 func TestCompactorUnwrapsCache(t *testing.T) {
 	ctx := context.Background()
 	inner := newShatteredFS(t, 8, units.MB)
@@ -374,15 +390,5 @@ func TestCompactorUnwrapsCache(t *testing.T) {
 	if _, _, err := blob.Get(ctx, cached, "obj-00"); err != nil {
 		t.Fatalf("read through cache after compaction: %v", err)
 	}
-	reg := obs.NewRegistry()
-	c.PublishMetrics(reg, "compact")
-	snap := reg.Snapshot()
-	if snap.Counters["compact.rewrites"] != c.Stats().Rewrites {
-		t.Errorf("compact.rewrites = %d, want %d", snap.Counters["compact.rewrites"], c.Stats().Rewrites)
-	}
-	for name := range snap.Gauges {
-		if strings.HasPrefix(name, "compact.shard") {
-			t.Errorf("unsharded store published per-shard gauge %s", name)
-		}
-	}
+	checkPublished(t, c, 1)
 }

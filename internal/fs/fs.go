@@ -30,6 +30,7 @@
 package fs
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -304,6 +305,56 @@ func (v *Volume) Stats() Stats {
 		MetaWrites:   v.statMetaWrite,
 		FreeRunCount: v.rc.RunCount(),
 		PendingBytes: v.rc.PendingClusters() * v.ClusterSize(),
+	}
+}
+
+// CheckInvariants panics unless the run cache passes its own check and
+// every cluster of the volume is held exactly once: by the MFT zone, a
+// file (temp files included), a directory index buffer, a free run or a
+// run awaiting log commit. It is the counterpart of the database
+// engine's check. Intended for tests.
+func (v *Volume) CheckInvariants() {
+	v.rc.CheckInvariants()
+	type held struct {
+		r     extent.Run
+		owner string
+	}
+	all := []held{{extent.Run{Start: v.metaStart, Len: v.metaLen}, "the MFT zone"}}
+	for name, f := range v.files {
+		var n int64
+		for _, r := range f.runs {
+			all = append(all, held{r, "file " + name})
+			n += r.Len
+		}
+		if n != f.allocated {
+			panic(fmt.Sprintf("fs: file %s counts %d clusters, its runs hold %d", name, f.allocated, n))
+		}
+	}
+	for _, r := range v.indexBufs {
+		all = append(all, held{r, "a directory index buffer"})
+	}
+	free, pending := v.rc.Runs()
+	for _, r := range free {
+		all = append(all, held{r, "the free index"})
+	}
+	for _, r := range pending {
+		all = append(all, held{r, "the log's pending list"})
+	}
+	slices.SortFunc(all, func(a, b held) int { return cmp.Compare(a.r.Start, b.r.Start) })
+	clusters := v.drive.Geometry().Clusters
+	var total int64
+	for i, h := range all {
+		if h.r.Len <= 0 || h.r.Start < 0 || h.r.End() > clusters {
+			panic(fmt.Sprintf("fs: %s holds %v, outside the volume's %d clusters", h.owner, h.r, clusters))
+		}
+		if i > 0 && h.r.Start < all[i-1].r.End() {
+			panic(fmt.Sprintf("fs: cluster %d held by both %s (%v) and %s (%v)",
+				h.r.Start, all[i-1].owner, all[i-1].r, h.owner, h.r))
+		}
+		total += h.r.Len
+	}
+	if total != clusters {
+		panic(fmt.Sprintf("fs: %d clusters accounted for, the volume has %d", total, clusters))
 	}
 }
 

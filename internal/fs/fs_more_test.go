@@ -204,6 +204,50 @@ func TestIndexBufferChurnBalanced(t *testing.T) {
 	}
 }
 
+// TestCheckInvariants pins the volume's cluster books: after churn,
+// shattering, a compaction and a delete whose clusters await the log,
+// every cluster is held once; a buffer that doubles a file's cluster or
+// a leaked free run makes the check panic.
+func TestCheckInvariants(t *testing.T) {
+	v := newVolume(64*units.MB, disk.MetadataMode)
+	for i := 0; i < 40; i++ {
+		replaceFile(t, v, fmt.Sprintf("f%d", i%12), int64(1+i%5)*100*units.KB)
+	}
+	v.ShatterFiles(2)
+	if _, ok := v.CompactFile("f3"); !ok {
+		t.Fatal("f3 was not compacted")
+	}
+	if err := v.Delete("f4"); err != nil {
+		t.Fatal(err)
+	}
+	if v.rc.PendingClusters() == 0 {
+		t.Fatal("fixture: no clusters await the log")
+	}
+	v.CheckInvariants()
+
+	mustPanic := func(what string, corrupt func(v *Volume)) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("CheckInvariants accepted %s", what)
+			}
+		}()
+		corrupt(v)
+		v.CheckInvariants()
+	}
+	f, _ := v.Lookup("f0")
+	mustPanic("a cluster held twice", func(v *Volume) {
+		v.indexBufs = append(v.indexBufs, extent.Run{Start: f.runs[0].Start, Len: 1})
+	})
+	v.indexBufs = v.indexBufs[:len(v.indexBufs)-1]
+	v.CheckInvariants()
+	mustPanic("a leaked run", func(v *Volume) {
+		if _, err := v.rc.Alloc(1); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
 // TestBatchDefersAndCoalescesMetadataForces pins the volume half of
 // group commit: inside a BeginBatch/EndBatch bracket, MFT record writes
 // are deferred and deduplicated (Close and Rename of one file share one

@@ -33,13 +33,12 @@ const compactionSteps = 8
 // built right before the measured churn, so its duty window opens there.
 // The churn runs in increments, and the idle window at each increment
 // boundary is one compactor step: Compactor.CatchUp works, duty gated,
-// each shard up to its share of the virtual time elapsed so far.
-// Nothing runs beside the churn stream, so every row is reproducible at
-// one seed. Rewrites
-// charge full read+write disk cost on the shared virtual clock, and the
-// measured span covers churn and catch-up alike, so the MB/s column
-// already contains the compaction tax that the fragments/object column
-// shows the benefit of.
+// up to its share of the virtual time elapsed so far. Nothing runs
+// beside the churn stream, so every row is reproducible at one seed.
+// Rewrites charge full read+write disk cost on the shared virtual
+// clock, and the measured span covers churn and catch-up alike, so the
+// MB/s column already contains the compaction tax that the
+// fragments/object column shows the benefit of.
 func CompactionSweep(c Config) ([]*stats.Table, error) {
 	duties := c.dutyCycles()
 	objSize := units.RoundUp(c.VolumeBytes/400, 64*units.KB)

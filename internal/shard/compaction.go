@@ -10,9 +10,9 @@ import (
 
 // This file routes compactor rewrites through the shard layer: a
 // rewrite goes to the key's owning child (the same rendezvous routing
-// every other operation uses). The compact.Compactor keeps one duty
-// account per child and sums their Stats; the shard layer itself stays
-// a pure router.
+// every other operation uses). A compact.Compactor over the shard store
+// scans every child through EachObjectRuns and meters all of them under
+// one duty account; the shard layer itself stays a pure router.
 
 // CompactObject forwards a compactor rewrite to key's owning shard.
 func (s *Store) CompactObject(ctx context.Context, key string) (int64, error) {

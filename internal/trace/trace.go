@@ -306,6 +306,9 @@ func NewRecorder(store blob.Store) *Recorder {
 	return &Recorder{Store: store}
 }
 
+// Inner returns the wrapped store, for analysis tools and blob.As.
+func (r *Recorder) Inner() blob.Store { return r.Store }
+
 // Ops returns the recorded trace.
 func (r *Recorder) Ops() []Op {
 	r.mu.Lock()

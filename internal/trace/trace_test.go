@@ -146,6 +146,13 @@ func TestRecorderCapturesWorkload(t *testing.T) {
 	if puts == 0 || replaces == 0 || gets == 0 {
 		t.Fatalf("incomplete recording: %d puts %d replaces %d gets", puts, replaces, gets)
 	}
+	// blob.As sees the capabilities of the store beneath the recorder.
+	if _, ok := blob.As[blob.Rewriter](rec); !ok {
+		t.Error("blob.As[blob.Rewriter] does not find the core store beneath a Recorder")
+	}
+	if _, ok := blob.CommitStatsOf(rec); !ok {
+		t.Error("blob.CommitStatsOf does not find the core store beneath a Recorder")
+	}
 }
 
 // TestReplayReproducesStateAndAge is the core trace-based-generation

@@ -272,15 +272,8 @@ func (s *ReadSource) Next(rng *rand.Rand) (Op, bool) {
 	}
 	if s.pick == nil {
 		s.pick = func() int { return rng.Intn(len(s.Keys)) }
-		if pop := s.Popularity; pop != nil {
-			s.pick = func() int { return pop.Pick(rng, len(s.Keys)) }
-			// A popularity exposing a phase-bound sampler (ZipfPopularity
-			// does) sets it up once instead of once per draw.
-			if pp, ok := pop.(interface {
-				Picker(*rand.Rand, int) func() int
-			}); ok {
-				s.pick = pp.Picker(rng, len(s.Keys))
-			}
+		if s.Popularity != nil {
+			s.pick = s.Popularity.Picker(rng, len(s.Keys))
 		}
 	}
 	idx := s.pick()

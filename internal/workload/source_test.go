@@ -207,8 +207,8 @@ func TestReadSourceEmitsSamples(t *testing.T) {
 // badPopularity picks indexes outside the population.
 type badPopularity struct{}
 
-func (badPopularity) Name() string             { return "bad" }
-func (badPopularity) Pick(*rand.Rand, int) int { return 99 }
+func (badPopularity) Name() string                      { return "bad" }
+func (badPopularity) Picker(*rand.Rand, int) func() int { return func() int { return 99 } }
 
 // TestReadSourceBadPopularity pins the sticky-error contract: an
 // out-of-range popularity draw ends the stream with ErrBadDist

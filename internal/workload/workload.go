@@ -306,13 +306,14 @@ type ReadOptions struct {
 	Collector *obs.Collector
 }
 
-// Popularity picks the index of the object one read targets among n
-// live objects. Implementations must return a value in [0, n).
+// Popularity picks the index of the object each read targets among n
+// live objects.
 type Popularity interface {
 	// Name identifies the popularity mix in reports.
 	Name() string
-	// Pick draws one object index in [0, n).
-	Pick(rng *rand.Rand, n int) int
+	// Picker returns a sampler for one read phase over n live objects,
+	// drawing from rng. Every draw must lie in [0, n).
+	Picker(rng *rand.Rand, n int) func() int
 }
 
 // MeasureReadThroughput reads `samples` uniformly chosen objects and

@@ -31,20 +31,10 @@ func NewZipfPopularity(s float64) (ZipfPopularity, error) {
 // Name implements Popularity.
 func (p ZipfPopularity) Name() string { return fmt.Sprintf("zipf(s=%.2f)", p.S) }
 
-// Pick implements Popularity: rank 0 (the first-created live object) is
-// the hottest. Draws come from math/rand's bounded Zipf sampler seeded
-// by the phase RNG, so a fixed seed yields a fixed read sequence.
-// Phases that draw many samples at fixed n should use Picker instead —
-// Pick pays the sampler's setup on every call.
-func (p ZipfPopularity) Pick(rng *rand.Rand, n int) int {
-	return p.Picker(rng, n)()
-}
-
-// Picker returns a sampler bound to rng and a fixed population size,
-// paying rand.NewZipf's setup once per phase instead of once per draw.
-// readPhase detects this method and hoists it out of its sample loop;
-// the draws consume rng identically either way (NewZipf itself consumes
-// no randomness), so Pick and Picker yield the same sequence.
+// Picker implements Popularity: rank 0 (the first-created live object)
+// is the hottest. Draws come from math/rand's bounded Zipf sampler
+// seeded by the phase RNG, so a fixed seed yields a fixed read
+// sequence; rand.NewZipf's setup is paid once per phase, not per draw.
 func (p ZipfPopularity) Picker(rng *rand.Rand, n int) func() int {
 	if n <= 1 {
 		return func() int { return 0 }

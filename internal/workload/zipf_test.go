@@ -24,8 +24,9 @@ func TestZipfPopularity(t *testing.T) {
 	const n = 400
 	counts := make([]int, n)
 	rng := rand.New(rand.NewSource(7))
+	pick := pop.Picker(rng, n)
 	for i := 0; i < 20000; i++ {
-		idx := pop.Pick(rng, n)
+		idx := pick()
 		if idx < 0 || idx >= n {
 			t.Fatalf("pick %d outside [0,%d)", idx, n)
 		}
@@ -43,13 +44,13 @@ func TestZipfPopularity(t *testing.T) {
 		t.Fatalf("zipf popularity not skewed: hot decile %d vs cold half %d", hot, cold)
 	}
 	// Same seed, same sequence.
-	a, b := rand.New(rand.NewSource(9)), rand.New(rand.NewSource(9))
+	a, b := pop.Picker(rand.New(rand.NewSource(9)), n), pop.Picker(rand.New(rand.NewSource(9)), n)
 	for i := 0; i < 100; i++ {
-		if pop.Pick(a, n) != pop.Pick(b, n) {
+		if a() != b() {
 			t.Fatal("popularity picks not deterministic under a fixed seed")
 		}
 	}
-	if pop.Pick(rng, 1) != 0 || pop.Pick(rng, 0) != 0 {
+	if pop.Picker(rng, 1)() != 0 || pop.Picker(rng, 0)() != 0 {
 		t.Fatal("degenerate populations must pick index 0")
 	}
 }
@@ -101,9 +102,9 @@ func TestNewZipfPopularityValidation(t *testing.T) {
 func TestZipfPopularityLiteralFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, s := range []float64{0, 0.5, 1, -3} {
-		pop := ZipfPopularity{S: s}
+		pick := ZipfPopularity{S: s}.Picker(rng, 100)
 		for i := 0; i < 50; i++ {
-			if idx := pop.Pick(rng, 100); idx < 0 || idx >= 100 {
+			if idx := pick(); idx < 0 || idx >= 100 {
 				t.Fatalf("S=%v: pick %d outside [0,100)", s, idx)
 			}
 		}
