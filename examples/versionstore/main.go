@@ -54,7 +54,7 @@ func main() {
 					log.Fatal(err)
 				}
 			}
-			res, err := runner.MeasureReadThroughput(150)
+			res, err := runner.MeasureRead(150, workload.ReadOptions{})
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -204,6 +204,38 @@ func TestRunCacheFragmentsWhenNoFit(t *testing.T) {
 	_ = all
 }
 
+// TestRunCacheTakeContiguous pins the whole-run request a relocation
+// makes: the lowest-offset run that holds all of it, or nothing taken
+// and nothing quarantined; under pressure it commits the log first, as
+// Alloc does.
+func TestRunCacheTakeContiguous(t *testing.T) {
+	rc := NewRunCache(100, 0)
+	rc.Alloc(100)
+	rc.Free(extent.Run{Start: 10, Len: 10})
+	rc.Free(extent.Run{Start: 40, Len: 20})
+	rc.Free(extent.Run{Start: 70, Len: 20})
+	rc.CommitLog()
+	if r, ok := rc.TakeContiguous(15); !ok || r != (extent.Run{Start: 40, Len: 15}) {
+		t.Fatalf("TakeContiguous(15) = %v, %v; want the first run that holds it", r, ok)
+	}
+	if r, ok := rc.TakeContiguous(25); ok {
+		t.Fatalf("TakeContiguous(25) = %v with no 25-cluster run free", r)
+	}
+	if rc.FreeClusters() != 35 || rc.PendingClusters() != 0 {
+		t.Fatalf("a refusal moved space: free %d, pending %d", rc.FreeClusters(), rc.PendingClusters())
+	}
+	if _, ok := rc.TakeContiguous(0); ok {
+		t.Fatal("TakeContiguous(0) granted a run")
+	}
+	// 35 clusters free and 30 pending, which coalesce into [0, 40).
+	rc.Free(extent.Run{Start: 0, Len: 10})
+	rc.Free(extent.Run{Start: 20, Len: 20})
+	if r, ok := rc.TakeContiguous(40); !ok || r != (extent.Run{Start: 0, Len: 40}) {
+		t.Fatalf("TakeContiguous(40) under pressure = %v, %v; want [0, 40)", r, ok)
+	}
+	rc.CheckInvariants()
+}
+
 func TestBuddyBasic(t *testing.T) {
 	b := NewBuddy(1024)
 	runs, err := b.Alloc(100) // rounds to 128

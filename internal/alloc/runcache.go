@@ -111,14 +111,8 @@ func (rc *RunCache) allocAppend(out []extent.Run, n, tail int64) ([]extent.Run, 
 	if n <= 0 {
 		return nil, fmt.Errorf("alloc: invalid request %d", n)
 	}
-	if rc.idx.FreeClusters() < n {
-		// NTFS would force a log commit under pressure rather than fail
-		// while quarantined space exists.
-		if rc.idx.FreeClusters()+rc.pendingClusters >= n {
-			rc.CommitLog()
-		} else {
-			return nil, ErrNoSpace
-		}
+	if !rc.room(n) {
+		return nil, ErrNoSpace
 	}
 	remaining := n
 
@@ -162,6 +156,25 @@ func (rc *RunCache) allocAppend(out []extent.Run, n, tail int64) ([]extent.Run, 
 		remaining -= r.Len
 	}
 	return out, nil
+}
+
+// TakeContiguous takes n clusters as one run, the lowest-offset free
+// run that holds them, or takes nothing (the log is committed first
+// when only quarantined space could make room, as in Alloc).
+func (rc *RunCache) TakeContiguous(n int64) (extent.Run, bool) {
+	if n <= 0 || !rc.room(n) {
+		return extent.Run{}, false
+	}
+	return rc.idx.TakeFirstFit(n)
+}
+
+// room reports whether n clusters can be allocated. NTFS forces a log
+// commit under pressure rather than fail while quarantined space exists.
+func (rc *RunCache) room(n int64) bool {
+	if free := rc.idx.FreeClusters(); free < n && free+rc.pendingClusters >= n {
+		rc.CommitLog()
+	}
+	return rc.idx.FreeClusters() >= n
 }
 
 // takeOuterBand finds the lowest-offset free run that both fits n and

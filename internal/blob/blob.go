@@ -145,6 +145,11 @@ type Store interface {
 	// LiveBytes returns the total logical bytes of live objects.
 	LiveBytes() int64
 
+	// RetiredBytes returns the logical bytes of every version a commit
+	// replaced or a delete removed since the store was built; over
+	// LiveBytes, it is the paper's storage age (§4.4).
+	RetiredBytes() int64
+
 	// FreeBytes returns the immediately allocatable bytes of the backing
 	// store.
 	FreeBytes() int64

@@ -17,6 +17,7 @@ type Model struct {
 	writers map[int]*stream
 	readers map[int]*object // the version each reader opened, and whether it is closed
 	next    int             // the last abstract version handed out
+	retired int64           // bytes of the versions a commit replaced or a delete removed
 }
 
 // object is one committed version; data is nil for a stream of nil
@@ -93,6 +94,9 @@ func (m *Model) Commit(h int) error {
 		return blob.ErrInvalidSize
 	}
 	w.closed = true
+	if old := m.objs[w.key]; old != nil {
+		m.retired += old.size
+	}
 	m.next++
 	m.objs[w.key] = &object{key: w.key, version: m.next, size: w.size, data: w.data}
 	return nil
@@ -106,9 +110,11 @@ func (m *Model) Abort(h int) error {
 
 // Delete predicts Delete(key).
 func (m *Model) Delete(key string) error {
-	if m.objs[key] == nil {
+	o := m.objs[key]
+	if o == nil {
 		return blob.ErrNotFound
 	}
+	m.retired += o.size
 	delete(m.objs, key)
 	return nil
 }
@@ -185,7 +191,8 @@ func (m *Model) Relocate(key string) error {
 	return nil
 }
 
-// Keys, ObjectCount and LiveBytes predict the accounting surface.
+// Keys, ObjectCount, LiveBytes and RetiredBytes predict the accounting
+// surface. A relocation, an abort and a refused write retire nothing.
 func (m *Model) Keys() []string { return slices.Sorted(maps.Keys(m.objs)) }
 
 func (m *Model) ObjectCount() int { return len(m.objs) }
@@ -196,3 +203,5 @@ func (m *Model) LiveBytes() (n int64) {
 	}
 	return n
 }
+
+func (m *Model) RetiredBytes() int64 { return m.retired }

@@ -36,12 +36,12 @@ var opSizes = []int64{0, 1, 4 * units.KB, 5000, 64 * units.KB, 130 * units.KB, 3
 // handle slots (see step; missing bytes read as zero), runs them on a
 // fresh data-mode store from mk and on a Model, and fails t at the
 // first result or sentinel that differs. After every operation
-// ObjectCount, LiveBytes and Keys must be the model's. Every payload
-// view must have cap == len and keep its bytes to the end; a second
-// goroutine re-reads the views after each operation, so under -race a
-// store that writes into a view it handed out is a reported race. The
-// sequence ends with the engine's invariant check (the database's or
-// the filesystem volume's).
+// ObjectCount, LiveBytes, RetiredBytes and Keys must be the model's.
+// Every payload view must have cap == len and keep its bytes to the
+// end; a second goroutine re-reads the views after each operation, so
+// under -race a store that writes into a view it handed out is a
+// reported race. The sequence ends with the engine's invariant check
+// (the database's or the filesystem volume's).
 func RunOps(t *testing.T, mk Factory, ops []byte) {
 	t.Helper()
 	d := &opRun{t: t, in: ops, m: NewModel(), seen: map[string][2]uint64{},
@@ -53,6 +53,7 @@ func RunOps(t *testing.T, mk Factory, ops []byte) {
 		d.step(i)
 		d.expectEqual("ObjectCount", d.s.ObjectCount(), d.m.ObjectCount())
 		d.expectEqual("LiveBytes", d.s.LiveBytes(), d.m.LiveBytes())
+		d.expectEqual("RetiredBytes", d.s.RetiredBytes(), d.m.RetiredBytes())
 		d.expectEqual("Keys", strings.Join(slices.Sorted(slices.Values(d.s.Keys())), " "), strings.Join(d.m.Keys(), " "))
 		select {
 		case d.tick <- struct{}{}:

@@ -411,6 +411,9 @@ func (s *Store) ObjectCount() int { st, _ := s.stats(context.Background()); retu
 // LiveBytes implements blob.Store.
 func (s *Store) LiveBytes() int64 { st, _ := s.stats(context.Background()); return st.LiveBytes }
 
+// RetiredBytes implements blob.Store.
+func (s *Store) RetiredBytes() int64 { st, _ := s.stats(context.Background()); return st.RetiredBytes }
+
 // FreeBytes implements blob.Store.
 func (s *Store) FreeBytes() int64 { st, _ := s.stats(context.Background()); return st.FreeBytes }
 

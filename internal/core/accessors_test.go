@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"sort"
 	"testing"
 
@@ -51,36 +50,5 @@ func TestBackendEscapeHatches(t *testing.T) {
 	}
 	if fsStore.Name() == dbStore.Name() {
 		t.Fatal("backends share a name")
-	}
-}
-
-func TestTrackerAccessors(t *testing.T) {
-	ctx := context.Background()
-	fsStore, _ := newStores(t, 64*units.MB, disk.MetadataMode)
-	tr := NewAgeTracker(fsStore)
-	if tr.Store() != fsStore {
-		t.Fatal("Store() mismatch")
-	}
-	tr.Put(ctx, "a", 1*units.MB, nil)
-	tr.Replace(ctx, "a", 1*units.MB, nil)
-	if tr.RetiredBytes() != 1*units.MB {
-		t.Fatalf("retired %d", tr.RetiredBytes())
-	}
-	if tr.LiveBytes() != 1*units.MB {
-		t.Fatalf("live %d", tr.LiveBytes())
-	}
-	// Replace of a missing key behaves as create: no retirement.
-	if err := tr.Replace(ctx, "fresh", 1*units.MB, nil); err != nil {
-		t.Fatal(err)
-	}
-	if tr.RetiredBytes() != 1*units.MB {
-		t.Fatalf("create-by-replace retired bytes: %d", tr.RetiredBytes())
-	}
-	// Delete of missing key errors without corrupting counters.
-	if err := tr.Delete(ctx, "ghost"); !errors.Is(err, blob.ErrNotFound) {
-		t.Fatalf("delete missing = %v, want ErrNotFound", err)
-	}
-	if tr.LiveBytes() != 2*units.MB {
-		t.Fatalf("live after failed delete: %d", tr.LiveBytes())
 	}
 }

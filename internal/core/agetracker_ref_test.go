@@ -7,13 +7,15 @@ import (
 	"repro/internal/blob"
 )
 
-// refAgeTracker is the reference for AgeTracker: the per-key ledger the
-// tracker kept before retired bytes were derived from the store's live
-// count. It records the last committed size of every key it routes (a
-// dead entry once it deletes one), and charges retired and live bytes
-// against that ledger when a write commits. A key it has never routed
+// refAgeTracker is the reference for the stores' retired and live
+// bytes and for AgeTracker: the per-key ledger the tracker kept before
+// the stores counted both themselves. It records the last committed
+// size of every key it routes (a dead entry once it deletes one), and
+// charges retired and live bytes against that ledger when a write
+// commits. A key it has never routed
 // falls back to the size a Stat returned when the write opened. Slow
-// and exact; TestAgeTrackerMatchesReference holds the tracker to it.
+// and exact; TestAgeTrackerMatchesReference holds the stores and the
+// tracker to it.
 type refAgeTracker struct {
 	store        blob.Store
 	retiredBytes int64
@@ -52,12 +54,6 @@ func (a *refAgeTracker) RetiredBytes() int64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.retiredBytes
-}
-
-func (a *refAgeTracker) ResetBaseline() {
-	a.mu.Lock()
-	a.retiredBytes = 0
-	a.mu.Unlock()
 }
 
 // swap records next as key's entry and returns the previous one.

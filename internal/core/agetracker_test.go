@@ -13,29 +13,39 @@ import (
 	"repro/internal/units"
 )
 
-// retiredBytes reads a core store's retired-byte counter.
-func retiredBytes(t *testing.T, s blob.Store) int64 {
-	t.Helper()
-	r, ok := blob.As[interface{ RetiredBytes() int64 }](s)
-	if !ok {
-		t.Fatalf("%s counts no retired bytes", s.Name())
-	}
-	return r.RetiredBytes()
-}
-
 // ageOp is one step of a differential sequence.
 type ageOp struct {
-	kind string // put, replace, delete, reset
+	kind string // put, replace, delete
 	key  string
 	size int64
 }
 
-// ageOps is the surface the differential test drives on both trackers.
+// ageOps is the write surface the differential test drives on the
+// store and on the reference.
 type ageOps interface {
 	Put(ctx context.Context, key string, size int64, data []byte) error
 	Replace(ctx context.Context, key string, size int64, data []byte) error
 	Delete(ctx context.Context, key string) error
-	ResetBaseline()
+}
+
+// storeOps writes straight to a store as workload.Executor does: a
+// replace or a delete first makes the application's metadata lookup.
+type storeOps struct{ s blob.Store }
+
+func (o storeOps) Put(ctx context.Context, key string, size int64, data []byte) error {
+	return blob.Put(ctx, o.s, key, size, data)
+}
+
+func (o storeOps) Replace(ctx context.Context, key string, size int64, data []byte) error {
+	o.s.Stat(ctx, key)
+	return blob.Replace(ctx, o.s, key, size, data)
+}
+
+func (o storeOps) Delete(ctx context.Context, key string) error {
+	if _, err := o.s.Stat(ctx, key); err != nil {
+		return err
+	}
+	return o.s.Delete(ctx, key)
 }
 
 func (op ageOp) apply(ctx context.Context, a ageOps) error {
@@ -44,22 +54,18 @@ func (op ageOp) apply(ctx context.Context, a ageOps) error {
 		return a.Put(ctx, op.key, op.size, nil)
 	case "replace":
 		return a.Replace(ctx, op.key, op.size, nil)
-	case "delete":
-		return a.Delete(ctx, op.key)
 	}
-	a.ResetBaseline()
-	return nil
+	return a.Delete(ctx, op.key)
 }
 
-// TestAgeTrackerMatchesReference replays seeded op sequences through
-// the tracker and through refAgeTracker, the per-key ledger it
-// replaced, each on its own fresh store of the same backend. After
-// every op both must agree bit for bit on Age, RetiredBytes and
-// LiveBytes, return the same error and have charged the same virtual
-// time (the tracker's Stat before a safe write or a delete is the
-// modelled application's metadata lookup). The volume is small enough
-// that writes are refused with ErrNoSpaceLeft, and every path must
-// occur in every backend's run.
+// TestAgeTrackerMatchesReference replays seeded op sequences straight
+// into a store and through refAgeTracker, the per-key ledger the
+// tracker once kept, each on its own fresh store of the same backend.
+// After every op the store's RetiredBytes and LiveBytes and the
+// tracker's Age must equal the reference's bit for bit, both must
+// return the same error and have charged the same virtual time. The
+// volume is small enough that writes are refused with ErrNoSpaceLeft,
+// and every path must occur in every backend's run.
 func TestAgeTrackerMatchesReference(t *testing.T) {
 	const sequences, steps, capacity = 200, 60, 4 * units.MB
 	keys := []string{"k0", "k1", "k2", "k3", "k4", "k5"}
@@ -78,46 +84,45 @@ func TestAgeTrackerMatchesReference(t *testing.T) {
 				open := func() blob.Store {
 					return backend.open(t, blob.WithCapacity(capacity), blob.WithDiskMode(disk.MetadataMode))
 				}
-				got, want := NewAgeTracker(open()), newRefAgeTracker(open())
+				s, want := open(), newRefAgeTracker(open())
+				tr := NewAgeTracker(s)
 				live := map[string]bool{}
 				for step := 0; step < steps; step++ {
 					op := ageOp{key: keys[rng.Intn(len(keys))], size: (1 + rng.Int63n(16)) * 64 * units.KB}
-					switch r := rng.Intn(20); {
+					switch r := rng.Intn(19); {
 					case r < 6:
 						op.kind = "put"
 					case r < 15:
 						op.kind = "replace"
-					case r < 19:
-						op.kind = "delete"
 					default:
-						op.kind = "reset"
+						op.kind = "delete"
 					}
-					gotErr, wantErr := op.apply(ctx, got), op.apply(ctx, want)
+					gotErr, wantErr := op.apply(ctx, storeOps{s}), op.apply(ctx, want)
 					where := fmt.Sprintf("seed %d step %d %s %s %d", seed, step, op.kind, op.key, op.size)
 					if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
-						t.Fatalf("%s: tracker err %v, reference err %v", where, gotErr, wantErr)
+						t.Fatalf("%s: store err %v, reference err %v", where, gotErr, wantErr)
 					}
 					paths[agePath(op, live[op.key], gotErr)]++
-					if gotErr == nil && op.kind != "reset" {
+					if gotErr == nil {
 						live[op.key] = op.kind != "delete"
 					}
-					if g, w := got.RetiredBytes(), want.RetiredBytes(); g != w {
+					if g, w := s.RetiredBytes(), want.RetiredBytes(); g != w {
 						t.Fatalf("%s: retired %d, reference %d", where, g, w)
 					}
-					if g, w := got.LiveBytes(), want.LiveBytes(); g != w {
+					if g, w := s.LiveBytes(), want.LiveBytes(); g != w {
 						t.Fatalf("%s: live %d, reference %d", where, g, w)
 					}
-					if g, w := got.Age(), want.Age(); math.Float64bits(g) != math.Float64bits(w) {
+					if g, w := tr.Age(), want.Age(); math.Float64bits(g) != math.Float64bits(w) {
 						t.Fatalf("%s: age %v, reference %v", where, g, w)
 					}
-					if g, w := got.Store().Clock().Seconds(), want.store.Clock().Seconds(); g != w {
+					if g, w := s.Clock().Seconds(), want.store.Clock().Seconds(); g != w {
 						t.Fatalf("%s: virtual time %v, reference %v", where, g, w)
 					}
 				}
 			}
 			for _, p := range []string{"put", "put of a live key", "replace of a live key",
 				"replace of an absent key", "delete of a live key", "delete of an absent key",
-				"write refused for space", "reset"} {
+				"write refused for space"} {
 				if paths[p] == 0 {
 					t.Errorf("no sequence took the %q path (%v)", p, paths)
 				}
@@ -131,8 +136,6 @@ func agePath(op ageOp, wasLive bool, err error) string {
 	switch {
 	case errors.Is(err, blob.ErrNoSpaceLeft):
 		return "write refused for space"
-	case op.kind == "reset":
-		return "reset"
 	case op.kind == "put" && wasLive:
 		return "put of a live key"
 	case op.kind == "put":
@@ -152,7 +155,7 @@ func TestRetiredBytesCountedWhereVersionsDie(t *testing.T) {
 	eachStore(t, 128*units.MB, disk.MetadataMode, func(t *testing.T, s blob.Store) {
 		check := func(what string, retired int64) {
 			t.Helper()
-			if got := retiredBytes(t, s); got != retired {
+			if got := s.RetiredBytes(); got != retired {
 				t.Fatalf("%s: retired %d, want %d", what, got, retired)
 			}
 		}
@@ -200,7 +203,7 @@ func TestRetiredBytesCountedWhereVersionsDie(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		retired, live := retiredBytes(t, s), s.LiveBytes()
+		retired, live := s.RetiredBytes(), s.LiveBytes()
 		moved := int64(0)
 		for _, k := range s.Keys() {
 			n, err := s.(blob.Rewriter).CompactObject(ctx, k)

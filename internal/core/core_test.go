@@ -148,19 +148,16 @@ func TestAgeTracker(t *testing.T) {
 	tr := NewAgeTracker(fsStore)
 	const size = 1 * units.MB
 	for i := 0; i < 10; i++ {
-		if err := tr.Put(ctx, fmt.Sprintf("o%d", i), size, nil); err != nil {
+		if err := blob.Put(ctx, fsStore, fmt.Sprintf("o%d", i), size, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if tr.Age() != 0 {
 		t.Fatalf("age after puts = %g", tr.Age())
 	}
-	if tr.LiveBytes() != 10*size {
-		t.Fatalf("live = %d", tr.LiveBytes())
-	}
 	// Replace every object once: age 1 ("safe writes per object").
 	for i := 0; i < 10; i++ {
-		if err := tr.Replace(ctx, fmt.Sprintf("o%d", i), size, nil); err != nil {
+		if err := blob.Replace(ctx, fsStore, fmt.Sprintf("o%d", i), size, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -169,7 +166,7 @@ func TestAgeTracker(t *testing.T) {
 	}
 	// Again: age 2.
 	for i := 0; i < 10; i++ {
-		if err := tr.Replace(ctx, fmt.Sprintf("o%d", i), size, nil); err != nil {
+		if err := blob.Replace(ctx, fsStore, fmt.Sprintf("o%d", i), size, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -177,16 +174,12 @@ func TestAgeTracker(t *testing.T) {
 		t.Fatalf("age = %g, want 2", got)
 	}
 	// Deletes retire bytes too.
-	if err := tr.Delete(ctx, "o0"); err != nil {
+	if err := fsStore.Delete(ctx, "o0"); err != nil {
 		t.Fatal(err)
 	}
 	wantAge := float64(21*size) / float64(9*size)
 	if got := tr.Age(); got != wantAge {
 		t.Fatalf("age after delete = %g, want %g", got, wantAge)
-	}
-	tr.ResetBaseline()
-	if tr.Age() != 0 {
-		t.Fatal("ResetBaseline did not zero age")
 	}
 }
 
@@ -196,34 +189,41 @@ func TestAgeTracker(t *testing.T) {
 func TestAgeTrackerChargesAtCommit(t *testing.T) {
 	ctx := context.Background()
 	eachStore(t, 16*units.MB, disk.MetadataMode, func(t *testing.T, s blob.Store) {
-		tr := NewAgeTracker(s)
 		check := func(what string, retired, live int64) {
 			t.Helper()
-			if tr.RetiredBytes() != retired || tr.LiveBytes() != live {
+			if s.RetiredBytes() != retired || s.LiveBytes() != live {
 				t.Fatalf("%s: retired=%d live=%d, want %d and %d",
-					what, tr.RetiredBytes(), tr.LiveBytes(), retired, live)
+					what, s.RetiredBytes(), s.LiveBytes(), retired, live)
 			}
 		}
-		if err := tr.Put(ctx, "a", 1*units.MB, nil); err != nil {
+		if err := blob.Put(ctx, s, "a", 1*units.MB, nil); err != nil {
 			t.Fatal(err)
 		}
 		check("put", 0, 1*units.MB)
-		if err := tr.Replace(ctx, "a", 2*units.MB, nil); err != nil {
+		if err := blob.Replace(ctx, s, "a", 2*units.MB, nil); err != nil {
 			t.Fatal(err)
 		}
 		check("replace", 1*units.MB, 2*units.MB)
-		if err := tr.Replace(ctx, "a", 64*units.MB, nil); !errors.Is(err, blob.ErrNoSpaceLeft) {
+		if err := blob.Replace(ctx, s, "a", 64*units.MB, nil); !errors.Is(err, blob.ErrNoSpaceLeft) {
 			t.Fatalf("oversized replace = %v, want ErrNoSpaceLeft", err)
 		}
 		check("refused replace", 1*units.MB, 2*units.MB)
-		if err := tr.Put(ctx, "a", 1*units.MB, nil); !errors.Is(err, blob.ErrAlreadyExists) {
+		if err := blob.Put(ctx, s, "a", 1*units.MB, nil); !errors.Is(err, blob.ErrAlreadyExists) {
 			t.Fatalf("put of a live key = %v, want ErrAlreadyExists", err)
 		}
 		check("refused put", 1*units.MB, 2*units.MB)
-		if err := tr.Put(ctx, "b", 1*units.MB, nil); err != nil {
+		if err := blob.Put(ctx, s, "b", 1*units.MB, nil); err != nil {
 			t.Fatal(err)
 		}
 		check("second put", 1*units.MB, 3*units.MB)
+		if err := blob.Replace(ctx, s, "fresh", 1*units.MB, nil); err != nil {
+			t.Fatal(err)
+		}
+		check("create by replace", 1*units.MB, 4*units.MB)
+		if err := s.Delete(ctx, "ghost"); !errors.Is(err, blob.ErrNotFound) {
+			t.Fatalf("delete of an absent key = %v, want ErrNotFound", err)
+		}
+		check("refused delete", 1*units.MB, 4*units.MB)
 	})
 }
 
@@ -234,15 +234,14 @@ func TestAgeTrackerChargesAtCommit(t *testing.T) {
 func TestAgeTrackerDeleteDuringReplaceStream(t *testing.T) {
 	ctx := context.Background()
 	eachStore(t, 128*units.MB, disk.MetadataMode, func(t *testing.T, s blob.Store) {
-		tr := NewAgeTracker(s)
-		if err := tr.Put(ctx, "a", 1*units.MB, nil); err != nil {
+		if err := blob.Put(ctx, s, "a", 1*units.MB, nil); err != nil {
 			t.Fatal(err)
 		}
 		w, err := s.Replace(ctx, "a", 2*units.MB)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := tr.Delete(ctx, "a"); err != nil {
+		if err := s.Delete(ctx, "a"); err != nil {
 			t.Fatal(err)
 		}
 		if err := w.Append(2*units.MB, nil); err != nil {
@@ -251,7 +250,7 @@ func TestAgeTrackerDeleteDuringReplaceStream(t *testing.T) {
 		if err := w.Commit(); err != nil {
 			t.Fatal(err)
 		}
-		if got := retiredBytes(t, s); got != 1*units.MB {
+		if got := s.RetiredBytes(); got != 1*units.MB {
 			t.Fatalf("old version retired twice: retired=%d, want %d", got, 1*units.MB)
 		}
 		if s.LiveBytes() != 2*units.MB {
@@ -268,18 +267,17 @@ func TestAgeIndependentOfVolumeSize(t *testing.T) {
 	ages := make([]float64, 0, 2)
 	for _, capacity := range []int64{128 * units.MB, 512 * units.MB} {
 		s := mustFileStore(t, blob.WithCapacity(capacity), blob.WithDiskMode(disk.MetadataMode))
-		tr := NewAgeTracker(s)
 		for i := 0; i < 8; i++ {
-			if err := tr.Put(ctx, fmt.Sprintf("o%d", i), 1*units.MB, nil); err != nil {
+			if err := blob.Put(ctx, s, fmt.Sprintf("o%d", i), 1*units.MB, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
 		for i := 0; i < 20; i++ {
-			if err := tr.Replace(ctx, fmt.Sprintf("o%d", i%8), 1*units.MB, nil); err != nil {
+			if err := blob.Replace(ctx, s, fmt.Sprintf("o%d", i%8), 1*units.MB, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
-		ages = append(ages, tr.Age())
+		ages = append(ages, NewAgeTracker(s).Age())
 	}
 	if ages[0] != ages[1] {
 		t.Fatalf("storage age differed across volume sizes: %g vs %g", ages[0], ages[1])

@@ -29,7 +29,7 @@ import (
 //
 // The store is safe for concurrent callers: one internal mutex
 // serializes access to the single-threaded engine beneath, and a key has
-// at most one uncommitted writer.
+// at most one open writer.
 type DBStore struct {
 	store
 	eng *db.Database

@@ -29,7 +29,7 @@ import (
 //
 // The store is safe for concurrent callers: one internal mutex
 // serializes access to the single-threaded volume and metadata engines
-// beneath, and a key has at most one uncommitted writer.
+// beneath, and a key has at most one open writer.
 type FileStore struct {
 	store
 	vol    *fs.Volume
@@ -308,7 +308,7 @@ func (s *FileStore) endGroup() {
 
 func (s *FileStore) free() int64 { return s.vol.FreeBytes() }
 
-// eachFile visits every committed file with its key, skipping temps.
+// eachFile visits every published file with its key, skipping temps.
 func (s *FileStore) eachFile(fn func(key string, f *fs.File)) {
 	s.vol.EachFile(func(f *fs.File) {
 		if !fs.IsTemp(f.Name()) {

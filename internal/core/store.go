@@ -69,7 +69,7 @@ type store struct {
 	mu        sync.Mutex // guards the engine, the byte counts and inflight
 	liveBytes int64
 	retired   int64           // bytes of versions replaced or deleted
-	inflight  map[string]bool // keys with an uncommitted writer
+	inflight  map[string]bool // keys with an open writer
 
 	// readers and writers recycle this store's handles; at high stream
 	// counts the per-op handle allocation was a top-ten allocation site.
@@ -88,7 +88,7 @@ func (s *store) init(e engine, clock *vclock.Clock, opts blob.Options) {
 		func() { s.mu.Lock(); e.beginGroup(); s.mu.Unlock() },
 		func() { s.mu.Lock(); e.endGroup(); s.mu.Unlock() })
 	// The commit pipeline's sibling count: every writer holding an
-	// uncommitted claim, whether or not its commit is queued.
+	// open claim, whether or not its commit is queued.
 	s.committer.SetOpenWriters(func() int {
 		s.mu.Lock()
 		defer s.mu.Unlock()
@@ -344,7 +344,7 @@ func (s *store) Stat(ctx context.Context, key string) (blob.Info, error) {
 // reading relocated bytes. The rewrite rides the group-commit pipeline
 // and charges full read+write disk cost. It returns the bytes moved: 0
 // when the object is already contiguous or could not be placed. A key
-// with an uncommitted writer fails with blob.ErrBusy so the compactor
+// with an open writer fails with blob.ErrBusy so the compactor
 // can skip and retry later.
 func (s *store) CompactObject(ctx context.Context, key string) (int64, error) {
 	if err := ctx.Err(); err != nil {
@@ -381,9 +381,8 @@ func (s *store) LiveBytes() int64 {
 	return s.liveBytes
 }
 
-// RetiredBytes returns the bytes of every version a commit replaced or
-// a delete removed since the store was built. A relocation — a
-// compaction rewrite — retires nothing: the version stays live.
+// RetiredBytes implements blob.Store. A relocation — a compaction
+// rewrite — retires nothing: the version stays live.
 func (s *store) RetiredBytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -6,9 +6,6 @@ import (
 	"repro/internal/extent"
 )
 
-// extRun builds an extent.Run (local shorthand).
-func extRun(start, length int64) extent.Run { return extent.Run{Start: start, Len: length} }
-
 // This file holds the per-file relocation the online compactor
 // (internal/compact) drives through the store's CompactObject, the
 // analogue of the Windows utility's on-line partial defragmentation the
@@ -50,12 +47,8 @@ func (v *Volume) moveContiguous(f *File) bool {
 	if need == 0 {
 		return false
 	}
-	runs, err := v.rc.Alloc(need)
-	if err != nil || len(runs) != 1 {
-		// Could not get contiguous space; put any partial grant back.
-		for _, r := range runs {
-			v.rc.Free(r)
-		}
+	run, ok := v.rc.TakeContiguous(need)
+	if !ok {
 		return false
 	}
 	// Read old, write new, free old.
@@ -64,13 +57,13 @@ func (v *Volume) moveContiguous(f *File) bool {
 	}
 	tag := v.nextTag
 	v.nextTag++
-	v.drive.WriteRun(runs[0], tag, 0, nil)
+	v.drive.WriteRun(run, tag, 0, nil)
 	for _, r := range f.runs {
 		v.rc.Free(r)
 		v.drive.ClearOwner(r)
 	}
 	nf := &File{vol: v, name: f.name, tag: tag, size: f.size, data: f.data}
-	nf.appendRuns(runs)
+	nf.appendRuns([]extent.Run{run})
 	v.files[f.name] = nf
 	f.runs = nil
 	f.allocated = 0
@@ -100,7 +93,7 @@ func (v *Volume) ShatterFiles(stripeClusters int64) float64 {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	var spacers []sfRun
+	var spacers []extent.Run
 	for _, name := range names {
 		f := v.files[name]
 		need := f.allocated
@@ -129,14 +122,12 @@ func (v *Volume) ShatterFiles(stripeClusters int64) float64 {
 			got += n
 			// A spacer keeps the next stripe from landing adjacent.
 			if sp, err := v.rc.Alloc(stripeClusters); err == nil {
-				for _, r := range sp {
-					spacers = append(spacers, sfRun{r.Start, r.Len})
-				}
+				spacers = append(spacers, sp...)
 			}
 		}
 	}
-	for _, s := range spacers {
-		v.rc.Free(extRun(s.start, s.len))
+	for _, r := range spacers {
+		v.rc.Free(r)
 	}
 	v.rc.CommitLog()
 	var frags, n int
@@ -149,5 +140,3 @@ func (v *Volume) ShatterFiles(stripeClusters int64) float64 {
 	}
 	return float64(frags) / float64(n)
 }
-
-type sfRun struct{ start, len int64 }

@@ -331,6 +331,55 @@ func TestDefragment(t *testing.T) {
 	}
 }
 
+// TestRefusedCompactionLeavesTheVolume pins that a move refused for
+// want of one contiguous run takes nothing: with free space cut into
+// 16 KB runs and nothing awaiting the log, compacting a 400 KB file
+// fails without a log flush, leaves no clusters quarantined and leaves
+// the free space as it was.
+func TestRefusedCompactionLeavesTheVolume(t *testing.T) {
+	v := newVolume(16*units.MB, disk.MetadataMode)
+	var names []string
+	for i := 0; ; i++ {
+		name := fmt.Sprintf("f%d", i)
+		f, err := v.Create(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Append(16*units.KB, nil); err != nil {
+			v.Delete(name)
+			break
+		}
+		f.Close()
+		names = append(names, name)
+	}
+	for i := 0; i < len(names); i += 2 {
+		v.Delete(names[i])
+	}
+	v.FlushLog()
+	g, _ := v.Create("frag")
+	if err := g.Append(400*units.KB, nil); err != nil {
+		t.Fatal(err)
+	}
+	g.Close()
+	if g.Fragments() < 2 || v.rc.PendingClusters() != 0 {
+		t.Fatalf("fixture: %d fragments, %d clusters pending", g.Fragments(), v.rc.PendingClusters())
+	}
+	flushes, free := v.Stats().LogFlushes, v.FreeBytes()
+	if moved, ok := v.CompactFile("frag"); ok {
+		t.Fatalf("CompactFile moved %d bytes with no 400 KB run free", moved)
+	}
+	if got := v.Stats().LogFlushes; got != flushes {
+		t.Errorf("log flushes %d -> %d", flushes, got)
+	}
+	if got := v.rc.PendingClusters(); got != 0 {
+		t.Errorf("%d clusters pending after the refused move", got)
+	}
+	if got := v.FreeBytes(); got != free {
+		t.Errorf("free bytes %d -> %d", free, got)
+	}
+	v.CheckInvariants()
+}
+
 func TestShatterFiles(t *testing.T) {
 	v := newVolume(32*units.MB, disk.MetadataMode)
 	for i := 0; i < 10; i++ {

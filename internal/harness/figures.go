@@ -54,7 +54,7 @@ func Figure1(c Config) ([]*stats.Table, error) {
 		for j, st := range systems {
 			i := 0
 			err := c.age(vclock.New(), c.spec(st.backend), workload.Constant{Size: size}, ages, drive{}, func(a arm) error {
-				res, err := a.runner.MeasureReadThroughput(c.ReadSamples)
+				res, err := a.runner.MeasureRead(c.ReadSamples, workload.ReadOptions{})
 				if err != nil {
 					return err
 				}

@@ -654,6 +654,7 @@ func (s *Server) handleStats(r *request, w *response) error {
 		Name:          s.store.Name(),
 		ObjectCount:   s.store.ObjectCount(),
 		LiveBytes:     s.store.LiveBytes(),
+		RetiredBytes:  s.store.RetiredBytes(),
 		FreeBytes:     s.store.FreeBytes(),
 		CapacityBytes: s.store.CapacityBytes(),
 		ClockNs:       s.store.Clock().Now(),

@@ -105,11 +105,13 @@ const (
 )
 
 // StatsResponse is the body of GET /v1/stats: the store's accounting
-// surface plus its identity and virtual clock.
+// surface plus its identity and virtual clock. RetiredBytes over
+// LiveBytes is the served store's storage age.
 type StatsResponse struct {
 	Name          string `json:"name"`
 	ObjectCount   int    `json:"object_count"`
 	LiveBytes     int64  `json:"live_bytes"`
+	RetiredBytes  int64  `json:"retired_bytes"`
 	FreeBytes     int64  `json:"free_bytes"`
 	CapacityBytes int64  `json:"capacity_bytes"`
 	ClockNs       int64  `json:"clock_ns"`

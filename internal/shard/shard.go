@@ -226,6 +226,15 @@ func (s *Store) LiveBytes() int64 {
 	return n
 }
 
+// RetiredBytes implements blob.Store.
+func (s *Store) RetiredBytes() int64 {
+	var n int64
+	for _, c := range s.children {
+		n += c.RetiredBytes()
+	}
+	return n
+}
+
 // FreeBytes implements blob.Store. Note the aggregate overstates what
 // one writer can use: a single object must fit inside one shard's free
 // pool, which is the per-shard fragmentation effect the harness's

@@ -99,7 +99,7 @@ func (s *Store) Snapshot() Snapshot {
 				Backend:       c.Name(),
 				Objects:       c.ObjectCount(),
 				LiveBytes:     c.LiveBytes(),
-				RetiredBytes:  retiredBytes(c),
+				RetiredBytes:  c.RetiredBytes(),
 				FreeBytes:     c.FreeBytes(),
 				CapacityBytes: c.CapacityBytes(),
 				MeanFragments: rep.MeanFragments(),
@@ -124,14 +124,4 @@ func (s *Store) Snapshot() Snapshot {
 	}
 	snap.LiveImbalance = stats.CV(liveByShard)
 	return snap
-}
-
-// retiredBytes reads a child's retired-byte count through its wrapper
-// chain: the core stores count it where versions die.
-func retiredBytes(c blob.Store) int64 {
-	r, ok := blob.As[interface{ RetiredBytes() int64 }](c)
-	if !ok {
-		return 0
-	}
-	return r.RetiredBytes()
 }

@@ -22,8 +22,10 @@ import (
 	"repro/internal/server"
 	"repro/internal/shard"
 	"repro/internal/stack"
+	"repro/internal/trace"
 	"repro/internal/units"
 	"repro/internal/vclock"
+	"repro/internal/workload"
 )
 
 // TestMain fails the package if a test leaves a goroutine running; a
@@ -181,6 +183,54 @@ func FuzzStoreOps(f *testing.F) {
 			t.Run(r.name, func(t *testing.T) { conformance.RunOps(t, r.factory(t), ops) })
 		}
 	})
+}
+
+// TestServedAgeMatchesInProcess replays one seeded op list — creates,
+// replaces and deletes at k=1 — on a 4-shard stack in process and on
+// the same stack through the network hop, where the client reads
+// RetiredBytes and LiveBytes from /v1/stats. Both runs must end with
+// the retired and live bytes the list implies and the same storage age.
+func TestServedAgeMatchesInProcess(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 0))
+	var ops []trace.Op
+	live := map[string]bool{}
+	for range 400 {
+		op := workload.Op{Key: fmt.Sprintf("k%02d", rng.IntN(32)), Size: (1 + rng.Int64N(128)) * 4 * units.KB}
+		switch {
+		case !live[op.Key]:
+			op.Kind, live[op.Key] = workload.OpCreate, true
+		case rng.IntN(4) == 0:
+			op.Kind, op.Size, live[op.Key] = workload.OpDelete, 0, false
+		default:
+			op.Kind = workload.OpReplace
+		}
+		ops = append(ops, trace.Op{Op: op})
+	}
+	want, err := trace.Analyze(ops)
+	if err != nil || want.RetiredBytes == 0 {
+		t.Fatalf("Analyze = %+v, %v", want, err)
+	}
+	spec := stack.Spec{Backends: []string{stack.File, stack.DB, stack.File, stack.DB}, Shards: 4, Capacity: 32 * units.MB}
+	for i, top := range []func(*testing.T, blob.Store) blob.Store{nil, served} {
+		s, err := stack.Build(vclock.New(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if top != nil {
+			s = top(t, s)
+		}
+		how := [...]string{"in process", "served"}[i]
+		res, err := trace.Replay(context.Background(), s, trace.OpsSources(ops)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.RetiredBytes() != want.RetiredBytes || s.LiveBytes() != want.LiveBytes ||
+			res.StorageAge != want.StorageAge || core.NewAgeTracker(s).Age() != want.StorageAge {
+			t.Fatalf("%s: retired %d, live %d, age %g (replay said %g); the op list implies %d, %d, %g",
+				how, s.RetiredBytes(), s.LiveBytes(), core.NewAgeTracker(s).Age(), res.StorageAge,
+				want.RetiredBytes, want.LiveBytes, want.StorageAge)
+		}
+	}
 }
 
 func TestSpecString(t *testing.T) {

@@ -334,7 +334,7 @@ func TestRecordReplayDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	read, err := runner.MeasureReadThroughput(40)
+	read, err := runner.MeasureRead(40, workload.ReadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

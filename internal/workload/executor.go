@@ -22,21 +22,21 @@ import (
 // seed. One stream runs inline on the caller's goroutine, so a k=1
 // phase is byte-for-byte the classic sequential workload.
 //
-// The Executor owns the storage-age accounting: all mutations route
-// through one shared core.AgeTracker (storage age is a property of the
-// volume, not of any writer), and phase timing is read from the store's
-// virtual clock. Nothing but the streams runs during a Run: store
-// maintenance such as online compaction is a step the caller takes
-// between runs (compact.Compactor.CatchUp), never a concurrent worker.
+// Every stream writes straight to the store, whose own live and retired
+// bytes are the storage age (a property of the volume, not of any
+// writer), and phase timing is read from the store's virtual clock.
+// Nothing but the streams runs during a Run: store maintenance such as
+// online compaction is a step the caller takes between runs
+// (compact.Compactor.CatchUp), never a concurrent worker.
 type Executor struct {
 	ctx       context.Context
-	tracker   *core.AgeTracker
+	store     blob.Store
 	collector *obs.Collector
 }
 
-// NewExecutor creates an executor over store with a fresh AgeTracker.
+// NewExecutor creates an executor over store.
 func NewExecutor(store blob.Store) *Executor {
-	return &Executor{ctx: context.Background(), tracker: core.NewAgeTracker(store)}
+	return &Executor{ctx: context.Background(), store: store}
 }
 
 // WithContext sets the context every stream's operations carry, for
@@ -56,11 +56,11 @@ func (e *Executor) WithCollector(c *obs.Collector) *Executor {
 	return e
 }
 
-// Tracker exposes the shared storage-age tracker.
-func (e *Executor) Tracker() *core.AgeTracker { return e.tracker }
+// Tracker reads the store's storage age.
+func (e *Executor) Tracker() *core.AgeTracker { return core.NewAgeTracker(e.store) }
 
 // Store returns the store under test.
-func (e *Executor) Store() blob.Store { return e.tracker.Store() }
+func (e *Executor) Store() blob.Store { return e.store }
 
 // Stream pairs a Source with the RNG that drives it. RNGs are
 // caller-owned so they can persist across phases (the classic Runner
@@ -101,7 +101,7 @@ type Counts struct {
 	// Skipped counts writes refused with ErrNoSpaceLeft under
 	// TolerateNoSpace.
 	Skipped int
-	// BytesWritten is payload bytes committed by creates and replaces.
+	// BytesWritten is payload bytes of successful creates and replaces.
 	BytesWritten int64
 	// BytesRead is payload bytes returned by reads (a ranged read counts
 	// its range length).
@@ -159,9 +159,8 @@ const MaxStreams = 4096
 // A stream count outside [1, MaxStreams] is refused with an error
 // wrapping blob.ErrBadOption.
 //
-// Every stream charges the one shared tracker, which keeps no per-key
-// state. One stream runs inline: a k=1 phase is byte-for-byte the
-// classic sequential workload.
+// One stream runs inline: a k=1 phase is byte-for-byte the classic
+// sequential workload.
 func (e *Executor) Run(streams []Stream, opts RunOptions) (RunResult, error) {
 	if len(streams) < 1 {
 		return RunResult{}, fmt.Errorf("workload: %d streams (want at least 1): %w",
@@ -172,7 +171,7 @@ func (e *Executor) Run(streams []Stream, opts RunOptions) (RunResult, error) {
 			len(streams), MaxStreams, blob.ErrBadOption)
 	}
 	res := RunResult{Streams: make([]Counts, len(streams))}
-	w := vclock.StartWatch(e.Store().Clock())
+	w := vclock.StartWatch(e.store.Clock())
 	var err error
 	if len(streams) == 1 {
 		// One stream runs inline: no goroutine between the caller and
@@ -224,7 +223,7 @@ func (e *Executor) runStream(id int, st Stream, tolerate, alone bool, c *Counts)
 		}
 		var opWatch vclock.Stopwatch
 		if trackSkips {
-			opWatch = vclock.StartWatch(e.Store().Clock())
+			opWatch = vclock.StartWatch(e.store.Clock())
 		}
 		opCtx, tr := e.collector.StartOp(e.ctx, id, op.Kind.String(), op.Key)
 		err := e.execOp(opCtx, op, c)
@@ -254,30 +253,35 @@ func (e *Executor) runStream(id int, st Stream, tolerate, alone bool, c *Counts)
 
 // execOp executes one op, charging c only on success. ctx carries the
 // op's trace (when a collector is installed) so obs-wrapped layers of
-// the store chain can attribute their spans to it. Mutations go
-// through the shared tracker.
+// the store chain can attribute their spans to it. A replace or delete
+// first makes the application's metadata lookup, a Stat charged like
+// one.
 func (e *Executor) execOp(ctx context.Context, op Op, c *Counts) error {
 	switch op.Kind {
 	case OpCreate:
-		if err := e.tracker.Put(ctx, op.Key, op.Size, nil); err != nil {
+		if err := blob.Put(ctx, e.store, op.Key, op.Size, nil); err != nil {
 			return err
 		}
 		c.Creates++
 		c.BytesWritten += op.Size
 	case OpReplace:
-		if err := e.tracker.Replace(ctx, op.Key, op.Size, nil); err != nil {
+		e.store.Stat(ctx, op.Key)
+		if err := blob.Replace(ctx, e.store, op.Key, op.Size, nil); err != nil {
 			return err
 		}
 		c.Replaces++
 		c.BytesWritten += op.Size
 	case OpDelete:
-		if err := e.tracker.Delete(ctx, op.Key); err != nil {
+		if _, err := e.store.Stat(ctx, op.Key); err != nil {
+			return err
+		}
+		if err := e.store.Delete(ctx, op.Key); err != nil {
 			return err
 		}
 		c.Deletes++
 	case OpRead:
 		if op.Len > 0 {
-			r, err := e.Store().Open(ctx, op.Key)
+			r, err := e.store.Open(ctx, op.Key)
 			if err != nil {
 				return err
 			}

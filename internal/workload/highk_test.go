@@ -73,11 +73,10 @@ func TestRunnerStreamsHighK(t *testing.T) {
 }
 
 // TestConcurrentStreamsAgeMatchesSequential runs 256 executor streams
-// over disjoint keyspaces — a load phase, ResetBaseline, then replaces
-// and deletes — and checks that the shared tracker ends with the same
-// retired bytes, live bytes and Age, to the last bit, as the same
-// streams run one after another. Under -race it also checks that the
-// tracker's counting needs no lock of its own.
+// over disjoint keyspaces — a load phase, then replaces and deletes —
+// and checks that the store ends with the same retired bytes, live
+// bytes and Age, to the last bit, as the same streams run one after
+// another.
 func TestConcurrentStreamsAgeMatchesSequential(t *testing.T) {
 	const streams, objects = 256, 4
 	phase := func(stream int, load bool) []Op {
@@ -96,7 +95,7 @@ func TestConcurrentStreamsAgeMatchesSequential(t *testing.T) {
 		}
 		return ops
 	}
-	run := func(concurrent bool) *core.AgeTracker {
+	run := func(concurrent bool) blob.Store {
 		ex := NewExecutor(newFS(512 * units.MB))
 		for _, load := range []bool{true, false} {
 			var all []Stream
@@ -113,11 +112,8 @@ func TestConcurrentStreamsAgeMatchesSequential(t *testing.T) {
 			} else if _, err := ex.Run(all, RunOptions{}); err != nil {
 				t.Fatal(err)
 			}
-			if load {
-				ex.Tracker().ResetBaseline()
-			}
 		}
-		return ex.Tracker()
+		return ex.Store()
 	}
 	seq, conc := run(false), run(true)
 	if seq.RetiredBytes() == 0 {
@@ -129,7 +125,8 @@ func TestConcurrentStreamsAgeMatchesSequential(t *testing.T) {
 	if seq.LiveBytes() != conc.LiveBytes() {
 		t.Fatalf("live bytes: sequential %d, concurrent %d", seq.LiveBytes(), conc.LiveBytes())
 	}
-	if math.Float64bits(seq.Age()) != math.Float64bits(conc.Age()) {
-		t.Fatalf("age: sequential %v, concurrent %v", seq.Age(), conc.Age())
+	seqAge, concAge := core.NewAgeTracker(seq).Age(), core.NewAgeTracker(conc).Age()
+	if math.Float64bits(seqAge) != math.Float64bits(concAge) {
+		t.Fatalf("age: sequential %v, concurrent %v", seqAge, concAge)
 	}
 }

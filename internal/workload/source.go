@@ -179,7 +179,7 @@ func (s *LoadSource) Next(rng *rand.Rand) (Op, bool) {
 	return Op{Kind: OpCreate, Key: s.Key(), Size: size}, true
 }
 
-// Observe implements SourceObserver: committed creates are reported to
+// Observe implements SourceObserver: successful creates are reported to
 // OnCreate.
 func (s *LoadSource) Observe(op Op, err error) {
 	if err == nil && op.Kind == OpCreate && s.OnCreate != nil {
@@ -191,8 +191,8 @@ func (s *LoadSource) Observe(op Op, err error) {
 // until the storage age reaches TargetAge, optionally interleaving
 // whole-object reads after each successful write (the paper's §4.3
 // get/put mix). Age is polled through the Age func so k concurrent
-// churn streams sharing one AgeTracker all stop at the volume-wide
-// target.
+// churn streams reading one store's storage age all stop at the
+// volume-wide target.
 type ChurnSource struct {
 	// Keys is the stream's keyspace; every write and interleaved read
 	// targets a uniformly drawn member.
@@ -202,7 +202,7 @@ type ChurnSource struct {
 	// TargetAge stops the stream once Age() reaches it.
 	TargetAge float64
 	// Age reports the current storage age (normally AgeTracker.Age,
-	// which reads the store's live byte count on every poll).
+	// which reads the store's retired and live bytes on every poll).
 	Age func() float64
 	// ReadsPerWrite interleaves this many whole-object reads per
 	// SUCCESSFUL safe write; a skipped or failed write interleaves none,
@@ -231,7 +231,7 @@ func (s *ChurnSource) Next(rng *rand.Rand) (Op, bool) {
 }
 
 // Observe implements SourceObserver: only a write that actually
-// committed queues its interleaved reads, so the rng sequence matches
+// succeeded queues its interleaved reads, so the rng sequence matches
 // the classic loop under TolerateNoSpace skips (which drew no read keys
 // for skipped writes).
 func (s *ChurnSource) Observe(op Op, err error) {

@@ -132,8 +132,8 @@ func (r Result) String() string {
 // (keys prefixed "s<i>-") and its seeded RNG, and the Executor runs them
 // on k goroutines, so appends from different streams genuinely
 // interleave in allocation order while each stream's op sequence stays
-// reproducible. All streams share the Executor's AgeTracker: storage
-// age is a property of the volume, not of any writer.
+// reproducible. All streams churn to the store's one storage age: it is
+// a property of the volume, not of any writer.
 type Runner struct {
 	exec    *Executor
 	dist    SizeDist
@@ -189,7 +189,7 @@ func (r *Runner) WithCollector(c *obs.Collector) *Runner {
 // Executor exposes the engine the runner's phases execute through.
 func (r *Runner) Executor() *Executor { return r.exec }
 
-// Tracker exposes the storage-age tracker.
+// Tracker reads the store's storage age.
 func (r *Runner) Tracker() *core.AgeTracker { return r.exec.Tracker() }
 
 // Repo returns the store under test.
@@ -235,7 +235,6 @@ func (r *Runner) BulkLoadBytes(targetBytes int64) (Result, error) {
 		specs[i] = Stream{Source: src, RNG: s.rng}
 	}
 	rr, err := r.exec.Run(specs, RunOptions{})
-	r.Tracker().ResetBaseline()
 	res := r.writeResult(rr)
 	if err != nil {
 		return res, fmt.Errorf("bulk load after %d objects: %w", res.Ops, err)
@@ -316,17 +315,10 @@ type Popularity interface {
 	Picker(rng *rand.Rand, n int) func() int
 }
 
-// MeasureReadThroughput reads `samples` uniformly chosen objects and
-// returns the payload throughput in MB/s of virtual time — the paper's
-// primary performance indicator (§5). samples <= 0 is refused with
-// ErrNoSamples.
-func (r *Runner) MeasureReadThroughput(samples int) (Result, error) {
-	return r.MeasureRead(samples, ReadOptions{})
-}
-
 // MeasureRead reads `samples` objects drawn by opts.Popularity
 // (uniform when nil) and returns the payload throughput in MB/s of
-// virtual time.
+// virtual time — the paper's primary performance indicator (§5).
+// samples <= 0 is refused with ErrNoSamples.
 func (r *Runner) MeasureRead(samples int, opts ReadOptions) (Result, error) {
 	res, err := readPhase(r.exec, r.Keys(), samples, r.streams[0].rng, opts)
 	if err != nil {
@@ -371,7 +363,7 @@ func readPhase(exec *Executor, keys []string, samples int,
 }
 
 // writeResult converts a write run into the phase Result: Bytes and
-// MBps cover committed payload, with a lone stream's skipped-op time
+// MBps cover the payload written, with a lone stream's skipped-op time
 // excluded from the throughput mean.
 func (r *Runner) writeResult(rr RunResult) Result {
 	total := rr.Total()

@@ -98,12 +98,32 @@ func TestChurnReachesAge(t *testing.T) {
 	}
 }
 
+// TestAgeCountsWritesBesideTheRunner pins that storage age is the
+// store's own number: a replace made straight on the store, not through
+// the runner's executor, ages the volume all the same.
+func TestAgeCountsWritesBesideTheRunner(t *testing.T) {
+	r := NewRunner(newFS(64*units.MB), Constant{Size: 1 * units.MB}, 1)
+	if _, err := r.BulkLoad(0.5); err != nil {
+		t.Fatal(err)
+	}
+	if age := r.Tracker().Age(); age != 0 {
+		t.Fatalf("age after bulk load = %g, want 0", age)
+	}
+	live := r.Repo().LiveBytes()
+	if err := blob.Replace(context.Background(), r.Repo(), r.Keys()[0], 1*units.MB, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := r.Tracker().Age(), float64(1*units.MB)/float64(live); got != want {
+		t.Fatalf("age after a direct replace = %g, want %g", got, want)
+	}
+}
+
 func TestChurnBeforeLoadFails(t *testing.T) {
 	r := NewRunner(newFS(64*units.MB), Constant{Size: 1 * units.MB}, 1)
 	if _, err := r.ChurnToAge(1, ChurnOptions{}); err == nil {
 		t.Fatal("churn before load succeeded")
 	}
-	if _, err := r.MeasureReadThroughput(5); err == nil {
+	if _, err := r.MeasureRead(5, ReadOptions{}); err == nil {
 		t.Fatal("measure before load succeeded")
 	}
 }
@@ -113,7 +133,7 @@ func TestMeasureReadThroughput(t *testing.T) {
 	if _, err := r.BulkLoad(0.4); err != nil {
 		t.Fatal(err)
 	}
-	res, err := r.MeasureReadThroughput(50)
+	res, err := r.MeasureRead(50, ReadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,8 +157,8 @@ func TestMeasureReadRejectsBadSamples(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, samples := range []int{0, -7} {
-		if _, err := r.MeasureReadThroughput(samples); !errors.Is(err, ErrNoSamples) {
-			t.Fatalf("MeasureReadThroughput(%d) = %v, want ErrNoSamples", samples, err)
+		if _, err := r.MeasureRead(samples, ReadOptions{}); !errors.Is(err, ErrNoSamples) {
+			t.Fatalf("MeasureRead(%d) = %v, want ErrNoSamples", samples, err)
 		}
 	}
 	if _, err := ReadPhase(context.Background(), r.Repo(), r.Keys(), 0, 1, ReadOptions{}); !errors.Is(err, ErrNoSamples) {
