@@ -40,7 +40,7 @@ func main() {
 	}
 	store, _ := blob.As[*cache.Store](built) // the cache layer, for its counters
 	fmt.Printf("built %s: %s store behind an %s cache\n\n",
-		store.Name(), units.FormatBytes(store.CapacityBytes()),
+		store.Name(), units.FormatBytes(store.Usage().CapacityBytes),
 		units.FormatBytes(store.Capacity()))
 
 	// Store a handful of 1 MB objects through the ordinary surface.

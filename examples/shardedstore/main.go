@@ -42,7 +42,7 @@ func main() {
 	}
 	store, _ := blob.As[*shard.Store](built) // the shard layer, for routing and snapshots
 	fmt.Printf("built %s: %s total capacity across %d shards\n\n",
-		store.Name(), units.FormatBytes(store.CapacityBytes()), store.NumShards())
+		store.Name(), units.FormatBytes(store.Usage().CapacityBytes), store.NumShards())
 
 	// Writes go through the ordinary blob.Store surface; the router
 	// decides which shard owns each key. Rendezvous hashing means a

@@ -102,5 +102,5 @@ func main() {
 			}
 		}
 	}
-	fmt.Printf("\nversioned store keeps %d live versions of budget.xls (WebDAV-style, §1)\n", repo.ObjectCount())
+	fmt.Printf("\nversioned store keeps %d live versions of budget.xls (WebDAV-style, §1)\n", repo.Usage().Objects)
 }

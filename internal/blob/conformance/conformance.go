@@ -227,9 +227,8 @@ func testConcurrentWriters(t *testing.T, mk Factory) {
 	inParallel(t, writers, func(g int) error {
 		return blob.Put(context.Background(), s, fmt.Sprintf("w%02d", g), 512*units.KB, nil)
 	})
-	if s.ObjectCount() != writers || s.LiveBytes() != writers*512*units.KB {
-		t.Fatalf("ObjectCount = %d, LiveBytes = %d, want %d and %d",
-			s.ObjectCount(), s.LiveBytes(), writers, writers*512*units.KB)
+	if u := s.Usage(); u.Objects != writers || u.LiveBytes != writers*512*units.KB {
+		t.Fatalf("Usage = %+v, want %d objects and %d live bytes", u, writers, writers*512*units.KB)
 	}
 }
 

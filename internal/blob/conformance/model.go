@@ -191,17 +191,15 @@ func (m *Model) Relocate(key string) error {
 	return nil
 }
 
-// Keys, ObjectCount, LiveBytes and RetiredBytes predict the accounting
-// surface. A relocation, an abort and a refused write retire nothing.
+// Keys and Usage predict the accounting surface; Usage has no free or
+// capacity bytes, as the model has no layout. A relocation, an abort
+// and a refused write retire nothing.
 func (m *Model) Keys() []string { return slices.Sorted(maps.Keys(m.objs)) }
 
-func (m *Model) ObjectCount() int { return len(m.objs) }
-
-func (m *Model) LiveBytes() (n int64) {
+func (m *Model) Usage() blob.Usage {
+	u := blob.Usage{Objects: len(m.objs), RetiredBytes: m.retired}
 	for _, o := range m.objs {
-		n += o.size
+		u.LiveBytes += o.size
 	}
-	return n
+	return u
 }
-
-func (m *Model) RetiredBytes() int64 { return m.retired }

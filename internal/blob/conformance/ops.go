@@ -36,7 +36,8 @@ var opSizes = []int64{0, 1, 4 * units.KB, 5000, 64 * units.KB, 130 * units.KB, 3
 // handle slots (see step; missing bytes read as zero), runs them on a
 // fresh data-mode store from mk and on a Model, and fails t at the
 // first result or sentinel that differs. After every operation
-// ObjectCount, LiveBytes, RetiredBytes and Keys must be the model's.
+// the objects, live bytes and retired bytes of one Usage, and Keys,
+// must be the model's.
 // Every payload view must have cap == len and keep its bytes to the
 // end; a second goroutine re-reads the views after each operation, so
 // under -race a store that writes into a view it handed out is a
@@ -51,9 +52,9 @@ func RunOps(t *testing.T, mk Factory, ops []byte) {
 	defer func() { close(d.tick); <-d.done }()
 	for i := 0; i < MaxOps && len(d.in) > 0; i++ {
 		d.step(i)
-		d.expectEqual("ObjectCount", d.s.ObjectCount(), d.m.ObjectCount())
-		d.expectEqual("LiveBytes", d.s.LiveBytes(), d.m.LiveBytes())
-		d.expectEqual("RetiredBytes", d.s.RetiredBytes(), d.m.RetiredBytes())
+		u := d.s.Usage()
+		u.FreeBytes, u.CapacityBytes = 0, 0 // the model has no layout
+		d.expectEqual("Usage", u, d.m.Usage())
 		d.expectEqual("Keys", strings.Join(slices.Sorted(slices.Values(d.s.Keys())), " "), strings.Join(d.m.Keys(), " "))
 		select {
 		case d.tick <- struct{}{}:
@@ -142,7 +143,7 @@ func (d *opRun) expect(got, want error) {
 func (d *opRun) expectEqual(what string, got, want any) {
 	d.t.Helper()
 	if got != want {
-		d.fail("%s = %v, want %v", what, got, want)
+		d.fail("%s = %+v, want %+v", what, got, want)
 	}
 }
 

@@ -124,7 +124,7 @@ type entry struct {
 // across inner-store calls.
 type Store struct {
 	// Store is the wrapped store. It is embedded so the introspection
-	// methods the cache does not change (Stat, Keys, LiveBytes, ...)
+	// methods the cache does not change (Stat, Keys, Usage, ...)
 	// forward by promotion; capabilities it does not change — the
 	// compactor's Rewriter among them — are reached through Inner by
 	// blob.As.

@@ -387,11 +387,31 @@ func (s *Store) head(ctx context.Context, key string, hdr ...string) (blob.Info,
 	return blob.Info{Key: key, Size: resp.size, Version: uint64(resp.version)}, nil
 }
 
-// stats fetches the remote accounting surface.
+// maxStatsBody bounds a /v1/stats body, whose seven fields take a few
+// hundred bytes.
+const maxStatsBody = 64 << 10
+
+// stats fetches the remote accounting surface in one round trip. A body
+// over maxStatsBody bytes, or one that does not decode, is an error
+// wrapping ErrBadResponse.
 func (s *Store) stats(ctx context.Context) (wire.StatsResponse, error) {
 	var st wire.StatsResponse
-	err := s.doJSON(ctx, "GET", wire.PathStats, &st)
-	return st, err
+	resp, err := s.do(ctx, "GET", wire.PathStats, nil)
+	if err != nil {
+		return st, err
+	}
+	defer resp.body.Close()
+	data, err := io.ReadAll(io.LimitReader(resp.body, maxStatsBody+1))
+	switch {
+	case err != nil:
+		return st, fmt.Errorf("client: stats: %w", err)
+	case len(data) > maxStatsBody:
+		return st, fmt.Errorf("client: stats: %w: body over %d bytes", ErrBadResponse, maxStatsBody)
+	}
+	if err := json.Unmarshal(data, &st); err != nil {
+		return st, fmt.Errorf("client: stats: %w: %v", ErrBadResponse, err)
+	}
+	return st, nil
 }
 
 // Keys lists live objects. The blob.Store accounting surface has no
@@ -405,23 +425,15 @@ func (s *Store) Keys() []string {
 	return kr.Keys
 }
 
-// ObjectCount implements blob.Store (one stats round trip).
-func (s *Store) ObjectCount() int { st, _ := s.stats(context.Background()); return st.ObjectCount }
+// Usage implements blob.Store: one stats round trip, so every count is
+// the server's reading at one moment. A network failure reports zeros.
+func (s *Store) Usage() blob.Usage { st, _ := s.stats(context.Background()); return st.Usage }
 
-// LiveBytes implements blob.Store.
-func (s *Store) LiveBytes() int64 { st, _ := s.stats(context.Background()); return st.LiveBytes }
+// ObjectCount implements blob.Store, kept only because bench/ calls it (until J).
+func (s *Store) ObjectCount() int { return s.Usage().Objects }
 
-// RetiredBytes implements blob.Store.
-func (s *Store) RetiredBytes() int64 { st, _ := s.stats(context.Background()); return st.RetiredBytes }
-
-// FreeBytes implements blob.Store.
-func (s *Store) FreeBytes() int64 { st, _ := s.stats(context.Background()); return st.FreeBytes }
-
-// CapacityBytes implements blob.Store.
-func (s *Store) CapacityBytes() int64 {
-	st, _ := s.stats(context.Background())
-	return st.CapacityBytes
-}
+// LiveBytes implements blob.Store, kept only because bench/ calls it (until J).
+func (s *Store) LiveBytes() int64 { return s.Usage().LiveBytes }
 
 // EachObjectRuns implements frag.Source over the layout endpoint, so
 // fragmentation analysis runs against a served store.

@@ -385,17 +385,14 @@ func TestClientAccountingSurface(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if got, want := c.Usage(), inner.Usage(); got != want {
+		t.Fatalf("Usage = %+v, want %+v", got, want)
+	}
 	if got, want := c.ObjectCount(), inner.ObjectCount(); got != want {
 		t.Fatalf("ObjectCount = %d, want %d", got, want)
 	}
 	if got, want := c.LiveBytes(), inner.LiveBytes(); got != want {
 		t.Fatalf("LiveBytes = %d, want %d", got, want)
-	}
-	if got, want := c.CapacityBytes(), inner.CapacityBytes(); got != want {
-		t.Fatalf("CapacityBytes = %d, want %d", got, want)
-	}
-	if got, want := c.FreeBytes(), inner.FreeBytes(); got != want {
-		t.Fatalf("FreeBytes = %d, want %d", got, want)
 	}
 	keys := c.Keys()
 	if len(keys) != 3 {

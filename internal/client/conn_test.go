@@ -326,6 +326,39 @@ func TestReadWantsSizeHeader(t *testing.T) {
 	}
 }
 
+// TestStatsBodyIsBounded: the client reads at most 64 KB of a
+// /v1/stats body. One over that, however long, fails with
+// ErrBadResponse, so a misbehaving server cannot make Dial or Usage read
+// without end; a padded body under the bound is read.
+func TestStatsBodyIsBounded(t *testing.T) {
+	var pad atomic.Int64
+	w := newWireServer(t, dataInner(), func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+			if n := pad.Load(); n > 0 && r.URL.Path == wire.PathStats {
+				fmt.Fprintf(rw, `{"name":"padded","object_count":1,"pad":"%s"}`, strings.Repeat("x", int(n)))
+				return
+			}
+			h.ServeHTTP(rw, r)
+		})
+	})
+	pad.Store(1 << 10)
+	c, err := client.Dial(w.ts.URL)
+	if err != nil {
+		t.Fatalf("Dial answered with a 1 KB pad: %v", err)
+	}
+	if c.Name() != "padded" || c.Usage().Objects != 1 {
+		t.Fatalf("padded stats read as name %q, %+v", c.Name(), c.Usage())
+	}
+	c.Close()
+	pad.Store(1 << 20)
+	if _, err := client.Dial(w.ts.URL); !errors.Is(err, client.ErrBadResponse) {
+		t.Fatalf("Dial answered with a 1 MiB stats body = %v, want ErrBadResponse", err)
+	}
+	if u := w.c.Usage(); u != (blob.Usage{}) {
+		t.Fatalf("Usage over a 1 MiB stats body = %+v, want zeros", u)
+	}
+}
+
 // TestCloseLeavesNoConnection: Close closes every idle connection; the
 // Store still works afterwards and keeps none.
 func TestCloseLeavesNoConnection(t *testing.T) {

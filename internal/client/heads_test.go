@@ -196,7 +196,7 @@ func TestRequestHeadsMatchNetHTTP(t *testing.T) {
 			{"PUT create data", func() error { return c.Upload(ctx, key, 5, data, false) }, "PUT", blob + "?mode=create", data, []string{wire.HeaderSize, "5"}},
 			{"PUT replace data", func() error { return c.Upload(ctx, key, 5, data, true) }, "PUT", blob + "?mode=replace", data, []string{wire.HeaderSize, "5"}},
 			{"DELETE", func() error { return c.Delete(ctx, key) }, "DELETE", blob, nil, nil},
-			{"stats", func() error { c.LiveBytes(); return nil }, "GET", wire.PathStats, nil, nil},
+			{"stats", func() error { c.Usage(); return nil }, "GET", wire.PathStats, nil, nil},
 			{"keys", func() error { c.Keys(); return nil }, "GET", wire.PathKeys, nil, nil},
 			{"layout", func() error { c.EachObjectRuns(func(string, int64, []extent.Run) {}); return nil }, "GET", wire.PathLayout, nil, nil},
 		} {

@@ -17,19 +17,19 @@ func TestAccessors(t *testing.T) {
 		if s.Clock() == nil {
 			t.Fatal("nil clock")
 		}
-		if s.CapacityBytes() <= 0 || s.CapacityBytes() > 128*units.MB {
-			t.Fatalf("capacity %d", s.CapacityBytes())
+		u0 := s.Usage()
+		if u0.CapacityBytes <= 0 || u0.CapacityBytes > 128*units.MB {
+			t.Fatalf("capacity %d", u0.CapacityBytes)
 		}
-		free0 := s.FreeBytes()
-		if free0 <= 0 || free0 > s.CapacityBytes() {
-			t.Fatalf("free %d of %d", free0, s.CapacityBytes())
+		if u0.FreeBytes <= 0 || u0.FreeBytes > u0.CapacityBytes {
+			t.Fatalf("free %d of %d", u0.FreeBytes, u0.CapacityBytes)
 		}
 		for _, k := range []string{"b", "a", "c"} {
 			if err := blob.Put(ctx, s, k, 256*units.KB, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if s.FreeBytes() >= free0 {
+		if s.Usage().FreeBytes >= u0.FreeBytes {
 			t.Fatal("puts did not consume space")
 		}
 		keys := s.Keys()

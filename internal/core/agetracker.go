@@ -14,9 +14,9 @@ import "repro/internal/blob"
 // ratio of bytes in objects that once existed on a volume to the number
 // of bytes in use on the volume" (§4.4) — for a safe-write workload,
 // replaced bytes divided by live bytes ("safe writes per object"). Both
-// counts are the store's own (blob.Store's RetiredBytes and LiveBytes),
-// so every write that commits is counted whichever caller made it, and
-// an aborted or refused one is not.
+// counts are the store's own, read together in one blob.Usage, so every
+// write that commits is counted whichever caller made it, and an aborted
+// or refused one is not.
 type AgeTracker struct {
 	store blob.Store
 }
@@ -28,9 +28,9 @@ func NewAgeTracker(store blob.Store) *AgeTracker { return &AgeTracker{store: sto
 // Age returns the current storage age. The churn sources poll it
 // before every write.
 func (a *AgeTracker) Age() float64 {
-	live := a.store.LiveBytes()
-	if live == 0 {
+	u := a.store.Usage()
+	if u.LiveBytes == 0 {
 		return 0
 	}
-	return float64(a.store.RetiredBytes()) / float64(live)
+	return float64(u.RetiredBytes) / float64(u.LiveBytes)
 }

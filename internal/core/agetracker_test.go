@@ -106,10 +106,11 @@ func TestAgeTrackerMatchesReference(t *testing.T) {
 					if gotErr == nil {
 						live[op.key] = op.kind != "delete"
 					}
-					if g, w := s.RetiredBytes(), want.RetiredBytes(); g != w {
+					u := s.Usage()
+					if g, w := u.RetiredBytes, want.RetiredBytes(); g != w {
 						t.Fatalf("%s: retired %d, reference %d", where, g, w)
 					}
-					if g, w := s.LiveBytes(), want.LiveBytes(); g != w {
+					if g, w := u.LiveBytes, want.LiveBytes(); g != w {
 						t.Fatalf("%s: live %d, reference %d", where, g, w)
 					}
 					if g, w := tr.Age(), want.Age(); math.Float64bits(g) != math.Float64bits(w) {
@@ -155,7 +156,7 @@ func TestRetiredBytesCountedWhereVersionsDie(t *testing.T) {
 	eachStore(t, 128*units.MB, disk.MetadataMode, func(t *testing.T, s blob.Store) {
 		check := func(what string, retired int64) {
 			t.Helper()
-			if got := s.RetiredBytes(); got != retired {
+			if got := s.Usage().RetiredBytes; got != retired {
 				t.Fatalf("%s: retired %d, want %d", what, got, retired)
 			}
 		}
@@ -203,7 +204,8 @@ func TestRetiredBytesCountedWhereVersionsDie(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		retired, live := s.RetiredBytes(), s.LiveBytes()
+		u := s.Usage()
+		retired, live := u.RetiredBytes, u.LiveBytes
 		moved := int64(0)
 		for _, k := range s.Keys() {
 			n, err := s.(blob.Rewriter).CompactObject(ctx, k)

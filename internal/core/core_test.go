@@ -191,9 +191,9 @@ func TestAgeTrackerChargesAtCommit(t *testing.T) {
 	eachStore(t, 16*units.MB, disk.MetadataMode, func(t *testing.T, s blob.Store) {
 		check := func(what string, retired, live int64) {
 			t.Helper()
-			if s.RetiredBytes() != retired || s.LiveBytes() != live {
+			if u := s.Usage(); u.RetiredBytes != retired || u.LiveBytes != live {
 				t.Fatalf("%s: retired=%d live=%d, want %d and %d",
-					what, s.RetiredBytes(), s.LiveBytes(), retired, live)
+					what, u.RetiredBytes, u.LiveBytes, retired, live)
 			}
 		}
 		if err := blob.Put(ctx, s, "a", 1*units.MB, nil); err != nil {
@@ -250,11 +250,9 @@ func TestAgeTrackerDeleteDuringReplaceStream(t *testing.T) {
 		if err := w.Commit(); err != nil {
 			t.Fatal(err)
 		}
-		if got := s.RetiredBytes(); got != 1*units.MB {
-			t.Fatalf("old version retired twice: retired=%d, want %d", got, 1*units.MB)
-		}
-		if s.LiveBytes() != 2*units.MB {
-			t.Fatalf("live = %d, want %d", s.LiveBytes(), 2*units.MB)
+		if u := s.Usage(); u.RetiredBytes != 1*units.MB || u.LiveBytes != 2*units.MB {
+			t.Fatalf("retired=%d live=%d, want %d (the old version retired once) and %d",
+				u.RetiredBytes, u.LiveBytes, 1*units.MB, 2*units.MB)
 		}
 	})
 }

@@ -61,9 +61,6 @@ func (s *DBStore) Name() string { return "database" }
 // Engine exposes the underlying database for analysis tools.
 func (s *DBStore) Engine() *db.Database { return s.eng }
 
-// CapacityBytes implements blob.Store.
-func (s *DBStore) CapacityBytes() int64 { return s.eng.CapacityBytes() }
-
 // --- engine ---
 
 // open is the engine's row probe, free of its charge when not charged.
@@ -149,8 +146,11 @@ func (s *DBStore) compact(key string) (int64, error) { return s.eng.Compact(key)
 func (s *DBStore) beginGroup() { s.eng.BeginGroup() }
 func (s *DBStore) endGroup()   { s.eng.EndGroup() }
 
-func (s *DBStore) free() int64    { return s.eng.FreeBytes() }
 func (s *DBStore) keys() []string { return s.eng.Keys() }
+
+func (s *DBStore) usage() blob.Usage {
+	return blob.Usage{Objects: s.eng.ObjectCount(), FreeBytes: s.eng.FreeBytes(), CapacityBytes: s.eng.CapacityBytes()}
+}
 
 func (s *DBStore) eachRuns(fn func(key string, bytes int64, runs []extent.Run)) {
 	s.eng.EachObject(fn)

@@ -105,9 +105,6 @@ func (s *FileStore) Name() string { return "filesystem" }
 // Volume exposes the underlying filesystem for analysis tools.
 func (s *FileStore) Volume() *fs.Volume { return s.vol }
 
-// CapacityBytes implements blob.Store.
-func (s *FileStore) CapacityBytes() int64 { return s.vol.CapacityBytes() }
-
 // --- engine ---
 
 // open charges the metadata-row lookup and the file open, unless resumed.
@@ -306,7 +303,10 @@ func (s *FileStore) endGroup() {
 	s.metaDB.EndGroup()
 }
 
-func (s *FileStore) free() int64 { return s.vol.FreeBytes() }
+// usage counts the metadata table's rows: one per published object.
+func (s *FileStore) usage() blob.Usage {
+	return blob.Usage{Objects: s.meta.Len(), FreeBytes: s.vol.FreeBytes(), CapacityBytes: s.vol.CapacityBytes()}
+}
 
 // eachFile visits every published file with its key, skipping temps.
 func (s *FileStore) eachFile(fn func(key string, f *fs.File)) {

@@ -55,7 +55,8 @@ type engine interface {
 	endGroup()
 
 	keys() []string
-	free() int64
+	// usage fills the engine's counts: objects, free bytes, capacity.
+	usage() blob.Usage
 	eachRuns(fn func(key string, bytes int64, runs []extent.Run))
 	eachTag(fn func(key string, tag uint32))
 }
@@ -371,30 +372,21 @@ func (s *store) Keys() []string {
 	return s.e.keys()
 }
 
-// ObjectCount implements blob.Store.
-func (s *store) ObjectCount() int { return len(s.Keys()) }
-
-// LiveBytes implements blob.Store.
-func (s *store) LiveBytes() int64 {
+// Usage implements blob.Store in one hold of mu. A relocation — a
+// compaction rewrite — retires nothing: the version stays live.
+func (s *store) Usage() blob.Usage {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.liveBytes
+	u := s.e.usage()
+	u.LiveBytes, u.RetiredBytes = s.liveBytes, s.retired
+	return u
 }
 
-// RetiredBytes implements blob.Store. A relocation — a compaction
-// rewrite — retires nothing: the version stays live.
-func (s *store) RetiredBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.retired
-}
+// ObjectCount implements blob.Store, kept only because bench/ calls it (until J).
+func (s *store) ObjectCount() int { return s.Usage().Objects }
 
-// FreeBytes implements blob.Store.
-func (s *store) FreeBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.e.free()
-}
+// LiveBytes implements blob.Store, kept only because bench/ calls it (until J).
+func (s *store) LiveBytes() int64 { return s.Usage().LiveBytes }
 
 // EachObjectRuns implements frag.Source.
 func (s *store) EachObjectRuns(fn func(key string, bytes int64, runs []extent.Run)) {

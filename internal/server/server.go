@@ -651,13 +651,9 @@ func (s *Server) handleKeys(r *request, w *response) error {
 
 func (s *Server) handleStats(r *request, w *response) error {
 	return s.writeJSON(w, wire.StatsResponse{
-		Name:          s.store.Name(),
-		ObjectCount:   s.store.ObjectCount(),
-		LiveBytes:     s.store.LiveBytes(),
-		RetiredBytes:  s.store.RetiredBytes(),
-		FreeBytes:     s.store.FreeBytes(),
-		CapacityBytes: s.store.CapacityBytes(),
-		ClockNs:       s.store.Clock().Now(),
+		Name:    s.store.Name(),
+		Usage:   s.store.Usage(),
+		ClockNs: s.store.Clock().Now(),
 	})
 }
 

@@ -151,6 +151,47 @@ func TestFrontDoorRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStatsWireNames pins the JSON names of GET /v1/stats, which CI's
+// server-smoke job and readers outside this repository parse, and that
+// the body carries the store's Usage.
+func TestStatsWireNames(t *testing.T) {
+	store := dataStore(t)
+	_, ts, client := newTestServer(t, store, Config{})
+	ctx := context.Background()
+	for _, size := range []int64{64 * units.KB, 96 * units.KB} {
+		if err := blob.Replace(ctx, store, "a", size, make([]byte, size)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	resp := doReq(t, client, "GET", ts.URL+wire.PathStats, nil)
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/stats: status %d, %v", resp.StatusCode, err)
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
+	var names []string
+	for tok, err := dec.Token(); err == nil; tok, err = dec.Token() {
+		if name, ok := tok.(string); ok && dec.More() {
+			names = append(names, name)
+			if _, err := dec.Token(); err != nil { // the value
+				t.Fatal(err)
+			}
+		}
+	}
+	want := []string{"name", "object_count", "live_bytes", "retired_bytes", "free_bytes", "capacity_bytes", "clock_ns"}
+	if !reflect.DeepEqual(names, want) {
+		t.Fatalf("/v1/stats names %v, want %v (body %s)", names, want, body)
+	}
+	var st wire.StatsResponse
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+	if u := store.Usage(); st.Usage != u || st.Objects != 1 || st.RetiredBytes != 64*units.KB {
+		t.Fatalf("/v1/stats carries %+v, the store %+v", st.Usage, u)
+	}
+}
+
 // TestRangeRequests pins ranged GETs riding blob.Reader.ReadAt:
 // correct bytes with 206 + Content-Range, suffix and open-ended forms,
 // and a typed 416 for a range past EOF.
@@ -568,7 +609,7 @@ func TestIngestLayoutIgnoresBodySegmentation(t *testing.T) {
 		// Fill with 48 KB objects, then free every third: the free space
 		// is holes smaller than one 64 KB write request.
 		ctx := context.Background()
-		n := int(s.CapacityBytes() * 9 / 10 / (48 * units.KB))
+		n := int(s.Usage().CapacityBytes * 9 / 10 / (48 * units.KB))
 		for i := 0; i < n; i++ {
 			if err := blob.Put(ctx, s, fmt.Sprintf("fill-%04d", i), 48*units.KB, nil); err != nil {
 				t.Fatal(err)

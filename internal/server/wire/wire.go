@@ -42,6 +42,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/blob"
 	"repro/internal/extent"
 )
 
@@ -104,17 +105,13 @@ const (
 	ModeReplace = "replace"
 )
 
-// StatsResponse is the body of GET /v1/stats: the store's accounting
-// surface plus its identity and virtual clock. RetiredBytes over
-// LiveBytes is the served store's storage age.
+// StatsResponse is the body of GET /v1/stats: the store's identity,
+// one blob.Usage and its virtual clock. RetiredBytes over LiveBytes is
+// the served store's storage age.
 type StatsResponse struct {
-	Name          string `json:"name"`
-	ObjectCount   int    `json:"object_count"`
-	LiveBytes     int64  `json:"live_bytes"`
-	RetiredBytes  int64  `json:"retired_bytes"`
-	FreeBytes     int64  `json:"free_bytes"`
-	CapacityBytes int64  `json:"capacity_bytes"`
-	ClockNs       int64  `json:"clock_ns"`
+	Name string `json:"name"`
+	blob.Usage
+	ClockNs int64 `json:"clock_ns"`
 }
 
 // KeysResponse is the body of GET /v1/keys.

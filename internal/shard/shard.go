@@ -208,53 +208,23 @@ func (s *Store) Keys() []string {
 	return out
 }
 
-// ObjectCount implements blob.Store.
-func (s *Store) ObjectCount() int {
-	n := 0
+// Usage implements blob.Store: the sum of one Usage per child. Each
+// child's is one snapshot, so the sum holds every child's counts
+// together. FreeBytes overstates what one writer can use: a single
+// object must fit inside one shard's free pool, which is the per-shard
+// fragmentation effect the harness's "shard" experiment measures.
+func (s *Store) Usage() (u blob.Usage) {
 	for _, c := range s.children {
-		n += c.ObjectCount()
+		u.Add(c.Usage())
 	}
-	return n
+	return u
 }
 
-// LiveBytes implements blob.Store.
-func (s *Store) LiveBytes() int64 {
-	var n int64
-	for _, c := range s.children {
-		n += c.LiveBytes()
-	}
-	return n
-}
+// ObjectCount implements blob.Store, kept only because bench/ calls it (until J).
+func (s *Store) ObjectCount() int { return s.Usage().Objects }
 
-// RetiredBytes implements blob.Store.
-func (s *Store) RetiredBytes() int64 {
-	var n int64
-	for _, c := range s.children {
-		n += c.RetiredBytes()
-	}
-	return n
-}
-
-// FreeBytes implements blob.Store. Note the aggregate overstates what
-// one writer can use: a single object must fit inside one shard's free
-// pool, which is the per-shard fragmentation effect the harness's
-// "shard" experiment measures.
-func (s *Store) FreeBytes() int64 {
-	var n int64
-	for _, c := range s.children {
-		n += c.FreeBytes()
-	}
-	return n
-}
-
-// CapacityBytes implements blob.Store.
-func (s *Store) CapacityBytes() int64 {
-	var n int64
-	for _, c := range s.children {
-		n += c.CapacityBytes()
-	}
-	return n
-}
+// LiveBytes implements blob.Store, kept only because bench/ calls it (until J).
+func (s *Store) LiveBytes() int64 { return s.Usage().LiveBytes }
 
 // EachObjectRuns implements frag.Source across every shard. Cluster
 // addresses are shard-local (each shard is its own drive), which is fine

@@ -165,11 +165,12 @@ func TestOperationsRouteToOwner(t *testing.T) {
 		t.Fatalf("Keys() returned %d keys", got)
 	}
 	// Aggregate capacity/free span all children.
-	if s.CapacityBytes() != 4*s.Shard(0).CapacityBytes() {
-		t.Fatalf("CapacityBytes = %d", s.CapacityBytes())
+	u := s.Usage()
+	if u.CapacityBytes != 4*s.Shard(0).Usage().CapacityBytes {
+		t.Fatalf("CapacityBytes = %d", u.CapacityBytes)
 	}
-	if s.FreeBytes() <= 0 || s.FreeBytes() >= s.CapacityBytes() {
-		t.Fatalf("FreeBytes = %d of %d", s.FreeBytes(), s.CapacityBytes())
+	if u.FreeBytes <= 0 || u.FreeBytes >= u.CapacityBytes {
+		t.Fatalf("FreeBytes = %d of %d", u.FreeBytes, u.CapacityBytes)
 	}
 }
 
@@ -224,9 +225,8 @@ func TestSnapshotAccounting(t *testing.T) {
 		if si.Backend != "filesystem" {
 			t.Fatalf("shard %d backend %q", si.Index, si.Backend)
 		}
-		if si.CapacityBytes != s.Shard(si.Index).CapacityBytes() {
-			t.Fatalf("shard %d capacity %d != child %d",
-				si.Index, si.CapacityBytes, s.Shard(si.Index).CapacityBytes())
+		if got := s.Shard(si.Index).Usage().CapacityBytes; si.CapacityBytes != got {
+			t.Fatalf("shard %d capacity %d != child %d", si.Index, si.CapacityBytes, got)
 		}
 		if occ := si.Occupancy(); occ < 0 || occ > 1 {
 			t.Fatalf("shard %d occupancy %f", si.Index, occ)
@@ -292,10 +292,11 @@ func TestSnapshotRetiredIsChildrenSum(t *testing.T) {
 		if !ok {
 			t.Fatalf("shard %d is not a core store", i)
 		}
-		if si.RetiredBytes != child.RetiredBytes() {
-			t.Fatalf("shard %d retired %d, child counted %d", i, si.RetiredBytes, child.RetiredBytes())
+		retired := child.Usage().RetiredBytes
+		if si.RetiredBytes != retired {
+			t.Fatalf("shard %d retired %d, child counted %d", i, si.RetiredBytes, retired)
 		}
-		sum += child.RetiredBytes()
+		sum += retired
 	}
 	if snap.RetiredBytes != sum || sum != want {
 		t.Fatalf("fleet retired %d, children sum %d, want %d", snap.RetiredBytes, sum, want)

@@ -18,18 +18,11 @@ type ShardInfo struct {
 	ID      string
 	Backend string
 
-	// Objects and LiveBytes count the shard's live population;
-	// RetiredBytes the object versions the child replaced or deleted
-	// since it was built (0 for a child that does not count them).
-	Objects      int
-	LiveBytes    int64
-	RetiredBytes int64
-
-	// FreeBytes and CapacityBytes describe the shard's free pool — the
-	// space one writer on this shard allocates from, the governing
-	// variable of the paper's Figure 6.
-	FreeBytes     int64
-	CapacityBytes int64
+	// Usage is the child's accounting. Its FreeBytes and CapacityBytes
+	// describe the shard's free pool — the space one writer on this
+	// shard allocates from, the governing variable of the paper's
+	// Figure 6.
+	blob.Usage
 
 	// MeanFragments is mean fragments/object on this shard alone.
 	MeanFragments float64
@@ -64,12 +57,8 @@ type Snapshot struct {
 	// Shards holds one entry per shard, in shard order.
 	Shards []ShardInfo
 
-	// Aggregates over the whole store.
-	Objects       int
-	LiveBytes     int64
-	RetiredBytes  int64
-	FreeBytes     int64
-	CapacityBytes int64
+	// Usage is the sum of the shards' accounting.
+	blob.Usage
 
 	// MeanFragments is mean fragments/object across every shard's
 	// objects together (object-weighted, not a mean of shard means).
@@ -97,11 +86,7 @@ func (s *Store) Snapshot() Snapshot {
 				Index:         i,
 				ID:            s.ids[i],
 				Backend:       c.Name(),
-				Objects:       c.ObjectCount(),
-				LiveBytes:     c.LiveBytes(),
-				RetiredBytes:  c.RetiredBytes(),
-				FreeBytes:     c.FreeBytes(),
-				CapacityBytes: c.CapacityBytes(),
+				Usage:         c.Usage(),
 				MeanFragments: rep.MeanFragments(),
 			}
 		}(i, c)
@@ -111,11 +96,7 @@ func (s *Store) Snapshot() Snapshot {
 	totalFragments := 0.0
 	liveByShard := make([]float64, len(snap.Shards))
 	for i, si := range snap.Shards {
-		snap.Objects += si.Objects
-		snap.LiveBytes += si.LiveBytes
-		snap.RetiredBytes += si.RetiredBytes
-		snap.FreeBytes += si.FreeBytes
-		snap.CapacityBytes += si.CapacityBytes
+		snap.Add(si.Usage)
 		totalFragments += si.MeanFragments * float64(si.Objects)
 		liveByShard[i] = float64(si.LiveBytes)
 	}

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -224,13 +225,98 @@ func TestServedAgeMatchesInProcess(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s.RetiredBytes() != want.RetiredBytes || s.LiveBytes() != want.LiveBytes ||
+		u := s.Usage()
+		if u.RetiredBytes != want.RetiredBytes || u.LiveBytes != want.LiveBytes ||
 			res.StorageAge != want.StorageAge || core.NewAgeTracker(s).Age() != want.StorageAge {
 			t.Fatalf("%s: retired %d, live %d, age %g (replay said %g); the op list implies %d, %d, %g",
-				how, s.RetiredBytes(), s.LiveBytes(), core.NewAgeTracker(s).Age(), res.StorageAge,
+				how, u.RetiredBytes, u.LiveBytes, core.NewAgeTracker(s).Age(), res.StorageAge,
 				want.RetiredBytes, want.LiveBytes, want.StorageAge)
 		}
 	}
+}
+
+// TestStatsIsOneSnapshot: every Usage is one moment's accounting. On a
+// 4-shard file+db stack a writer creates and deletes objects of one
+// size while two readers poll Usage, one through the network hop and
+// one on the fleet in process; every answer must hold LiveBytes =
+// Objects × size. Each child reads its counts in one hold of its
+// engine mutex, so the fleet's sum, and the server's one-call
+// /v1/stats, hold it too. The writer makes a burst of writes after
+// each poll, so the two interleave on one P as on two.
+func TestStatsIsOneSnapshot(t *testing.T) {
+	const (
+		size   = 16 * units.KB
+		window = 32 // objects alive at once
+		polls  = 300
+		burst  = 4
+	)
+	spec := stack.Spec{Backends: []string{stack.File, stack.DB, stack.File, stack.DB}, Shards: 4, Capacity: 32 * units.MB}
+	s, err := stack.Build(vclock.New(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet, ok := blob.As[*shard.Store](s)
+	if !ok {
+		t.Fatalf("no shard.Store in %s", s.Name())
+	}
+	check := func(who string, u blob.Usage) error {
+		if u.LiveBytes != int64(u.Objects)*size {
+			return fmt.Errorf("%s: %d live bytes for %d objects of %d bytes", who, u.LiveBytes, u.Objects, size)
+		}
+		return nil
+	}
+	readers := map[string]blob.Store{"client": served(t, s), "fleet": fleet}
+	tick, stop := make(chan struct{}, 1), make(chan struct{})
+	errs := make(chan error, len(readers))
+	var wg sync.WaitGroup
+	for who, r := range readers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range polls {
+				if err := check(who, r.Usage()); err != nil {
+					errs <- err
+					return
+				}
+				select {
+				case tick <- struct{}{}:
+				default:
+				}
+			}
+		}()
+	}
+	go func() { wg.Wait(); close(stop) }()
+	ctx := context.Background()
+	key := func(i int) string { return fmt.Sprintf("o%06d", i) }
+	writes := 0
+	for running := true; running; {
+		select {
+		case <-tick:
+		case <-stop:
+			running = false
+		}
+		for range burst {
+			if err := blob.Put(ctx, s, key(writes), size, nil); err != nil {
+				t.Fatal(err)
+			}
+			if writes >= window {
+				if err := s.Delete(ctx, key(writes-window)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			writes++
+		}
+	}
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	for who, r := range readers {
+		if u := r.Usage(); u.Objects != min(writes, window) || check(who, u) != nil {
+			t.Fatalf("%s at rest: %+v, want %d objects of %d bytes", who, u, min(writes, window), size)
+		}
+	}
+	t.Logf("%d polls per reader during %d creates", polls, writes)
 }
 
 func TestSpecString(t *testing.T) {
@@ -282,7 +368,7 @@ func TestBuildLayers(t *testing.T) {
 	if got, want := s.Name(), "cache(sharded-2(database+filesystem))"; got != want {
 		t.Fatalf("Name() = %q, want %q", got, want)
 	}
-	if got, want := s.CapacityBytes(), 2*64*units.MB; got > want || got < want*9/10 {
+	if got, want := s.Usage().CapacityBytes, 2*64*units.MB; got > want || got < want*9/10 {
 		t.Fatalf("CapacityBytes() = %d, want about %d (capacity is per volume)", got, want)
 	}
 	fleet, ok := blob.As[*shard.Store](s)

@@ -34,8 +34,8 @@ func TestRunnerStreamsBulkLoadAndChurn(t *testing.T) {
 	if load.Ops == 0 || load.Bytes == 0 {
 		t.Fatalf("empty bulk load: %+v", load)
 	}
-	if got := int64(float64(store.CapacityBytes()) * 0.5); store.LiveBytes() > got {
-		t.Fatalf("overshot load target: live=%d target=%d", store.LiveBytes(), got)
+	if u := store.Usage(); u.LiveBytes > int64(float64(u.CapacityBytes)*0.5) {
+		t.Fatalf("overshot load target: live=%d of capacity %d", u.LiveBytes, u.CapacityBytes)
 	}
 	if r.Tracker().Age() != 0 {
 		t.Fatalf("age after load = %g", r.Tracker().Age())

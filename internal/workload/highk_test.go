@@ -116,14 +116,15 @@ func TestConcurrentStreamsAgeMatchesSequential(t *testing.T) {
 		return ex.Store()
 	}
 	seq, conc := run(false), run(true)
-	if seq.RetiredBytes() == 0 {
+	su, cu := seq.Usage(), conc.Usage()
+	if su.RetiredBytes == 0 {
 		t.Fatal("the sequential run retired nothing")
 	}
-	if seq.RetiredBytes() != conc.RetiredBytes() {
-		t.Fatalf("retired bytes: sequential %d, concurrent %d", seq.RetiredBytes(), conc.RetiredBytes())
+	if su.RetiredBytes != cu.RetiredBytes {
+		t.Fatalf("retired bytes: sequential %d, concurrent %d", su.RetiredBytes, cu.RetiredBytes)
 	}
-	if seq.LiveBytes() != conc.LiveBytes() {
-		t.Fatalf("live bytes: sequential %d, concurrent %d", seq.LiveBytes(), conc.LiveBytes())
+	if su.LiveBytes != cu.LiveBytes {
+		t.Fatalf("live bytes: sequential %d, concurrent %d", su.LiveBytes, cu.LiveBytes)
 	}
 	seqAge, concAge := core.NewAgeTracker(seq).Age(), core.NewAgeTracker(conc).Age()
 	if math.Float64bits(seqAge) != math.Float64bits(concAge) {

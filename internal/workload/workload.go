@@ -209,7 +209,7 @@ func (r *Runner) Keys() []string {
 // the repository's capacity. The paper's figures start from this state
 // ("storage age 0", §5.3) and both systems append sequentially during it.
 func (r *Runner) BulkLoad(occupancy float64) (Result, error) {
-	return r.BulkLoadBytes(int64(occupancy * float64(r.Repo().CapacityBytes())))
+	return r.BulkLoadBytes(int64(occupancy * float64(r.Repo().Usage().CapacityBytes)))
 }
 
 // BulkLoadBytes puts fresh objects until live bytes reach targetBytes.
@@ -222,7 +222,7 @@ func (r *Runner) BulkLoad(occupancy float64) (Result, error) {
 // streams' work intact.
 func (r *Runner) BulkLoadBytes(targetBytes int64) (Result, error) {
 	budget := NewByteBudget(targetBytes)
-	budget.Reserve(r.Repo().LiveBytes())
+	budget.Reserve(r.Repo().Usage().LiveBytes)
 	specs := make([]Stream, len(r.streams))
 	for i, s := range r.streams {
 		src := &LoadSource{
@@ -357,7 +357,7 @@ func readPhase(exec *Executor, keys []string, samples int,
 		Bytes:        total.BytesRead,
 		Seconds:      rr.Seconds,
 		MBps:         units.MBps(total.BytesRead, rr.Seconds),
-		ObjectsAlive: exec.Store().ObjectCount(),
+		ObjectsAlive: exec.Store().Usage().Objects,
 	}
 	return res, err
 }
@@ -376,6 +376,6 @@ func (r *Runner) writeResult(rr RunResult) Result {
 		SkippedSeconds: total.SkippedSeconds,
 		MBps:           units.MBps(bytes, rr.Seconds-total.SkippedSeconds),
 		EndingAge:      r.Tracker().Age(),
-		ObjectsAlive:   r.Repo().ObjectCount(),
+		ObjectsAlive:   r.Repo().Usage().Objects,
 	}
 }

@@ -65,7 +65,8 @@ func TestBulkLoadReachesOccupancy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	occ := float64(r.Repo().LiveBytes()) / float64(r.Repo().CapacityBytes())
+	u := r.Repo().Usage()
+	occ := float64(u.LiveBytes) / float64(u.CapacityBytes)
 	if occ < 0.45 || occ > 0.5 {
 		t.Fatalf("occupancy %.3f", occ)
 	}
