@@ -15,13 +15,14 @@ import (
 )
 
 // runLoadgen is the `fragbench loadgen` subcommand: drive a running
-// fragserve instance with concurrent clients and report wall-clock
-// tail latency per op kind, optionally as a JSON run report.
+// fragserve instance with concurrent op streams through
+// workload.Executor over one client.Store, and report wall-clock tail
+// latency per op kind, optionally as a JSON run report.
 func runLoadgen(args []string) {
 	fs := flag.NewFlagSet("loadgen", flag.ExitOnError)
 	var (
 		url      = fs.String("url", "http://127.0.0.1:8080", "fragserve base URL")
-		clientsN = fs.Int("clients", 64, "peak concurrent clients (the final ramp step)")
+		clientsN = fs.Int("clients", 64, "peak concurrent streams (the default ramp's last step)")
 		ramp     = fs.String("ramp", "", "comma-separated concurrency schedule (default: clients/4, clients/2, clients)")
 		duration = fs.Duration("duration", 5*time.Second, "wall-clock duration of EACH ramp step")
 		objects  = fs.Int("objects", 512, "objects prepopulated before measuring")
@@ -32,7 +33,18 @@ func runLoadgen(args []string) {
 		report   = fs.String("report", "", "write a schema-valid JSON run report to this file")
 	)
 	fs.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: fragbench loadgen [flags]\n\nflags:\n")
+		fmt.Fprint(os.Stderr, `usage: fragbench loadgen [flags]
+
+Drives a running fragserve with the simulator's own op executor
+(workload.Executor) over one client.Store: it prepopulates -objects
+objects, then runs the churn mix at each ramp step's k concurrent
+streams for -duration. Each op is what the executor does to any store:
+a replace is a HEAD then a PUT, a read a HEAD that opens the object
+then a GET of the version it pinned. Prints wall-clock latency
+quantiles per step and op kind, with errors and admission sheds.
+
+flags:
+`)
 		fs.PrintDefaults()
 	}
 	fs.Parse(args)
@@ -55,8 +67,8 @@ func runLoadgen(args []string) {
 		Objects:       *objects,
 		Dist:          dist,
 		ReadsPerWrite: *reads,
-		Payload:       *payload,
 		Seed:          *seed,
+		RunOptions:    workload.RunOptions{Payload: *payload},
 	}
 	if *report != "" {
 		cfg.Report = obs.NewRunReport()

@@ -462,8 +462,8 @@ var _ blob.Store = (*Store)(nil)
 
 // --- one-shot fast paths ---------------------------------------------
 
-// Fetch reads a whole object in one GET round trip — the load
-// generator's read path. Returns the object's size and, when the store
+// Fetch reads a whole object in one GET round trip, with no HEAD to
+// open it first — the bench's served read path. Returns the object's size and, when the store
 // retains payloads, its bytes.
 func (s *Store) Fetch(ctx context.Context, key string) (int64, []byte, error) {
 	return s.get(ctx, key)
@@ -524,8 +524,8 @@ func (s *Store) getRange(ctx context.Context, key string, off, length int64, hdr
 	return data, err
 }
 
-// Upload writes a whole object in one PUT round trip — the load
-// generator's write path, and a writer's Commit. data nil performs a
+// Upload writes a whole object in one PUT round trip — a writer's
+// Commit, and the bench's served write path. data nil performs a
 // metadata-only write of size logical bytes. replace selects
 // safe-replace semantics; otherwise create.
 func (s *Store) Upload(ctx context.Context, key string, size int64, data []byte, replace bool) error {

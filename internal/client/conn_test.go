@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -21,6 +22,7 @@ import (
 	"repro/internal/disk"
 	"repro/internal/server"
 	"repro/internal/server/wire"
+	"repro/internal/workload"
 )
 
 // countingListener counts the connections a test server accepts.
@@ -137,6 +139,57 @@ func TestWarmStoreHoldsOneConnection(t *testing.T) {
 	}
 	if n := w.ln.accepts.Load(); n != 1 {
 		t.Fatalf("%d sequential ops opened %d connections, want 1", ops, n)
+	}
+}
+
+// opList is a workload.Source over a fixed list of ops.
+type opList []workload.Op
+
+func (l *opList) Name() string { return "list" }
+
+func (l *opList) Next(*rand.Rand) (workload.Op, bool) {
+	if len(*l) == 0 {
+		return workload.Op{}, false
+	}
+	op := (*l)[0]
+	*l = (*l)[1:]
+	return op, true
+}
+
+// TestExecutorStreamsHoldOneConnectionEach: k executor streams over one
+// Store dial at most k connections, as the load generator runs them.
+// Each stream's request takes an idle connection or dials one, and hands
+// it back when done, so k streams never hold more than k at once.
+// TestWarmStoreHoldsOneConnection pins the same bound for one caller.
+func TestExecutorStreamsHoldOneConnectionEach(t *testing.T) {
+	for _, k := range []int{1, 4, 16} {
+		t.Run(fmt.Sprint(k), func(t *testing.T) {
+			w := newWireServer(t, dataInner(), nil)
+			streams := make([]workload.Stream, k)
+			for i := range streams {
+				var ops opList
+				for j := range 5 {
+					key := fmt.Sprintf("s%d-%d", i, j)
+					ops = append(ops,
+						workload.Op{Kind: workload.OpCreate, Key: key, Size: 8 << 10},
+						workload.Op{Kind: workload.OpReplace, Key: key, Size: 12 << 10},
+						workload.Op{Kind: workload.OpRead, Key: key},
+						workload.Op{Kind: workload.OpRead, Key: key, Off: 100, Len: 200},
+						workload.Op{Kind: workload.OpDelete, Key: key})
+				}
+				streams[i] = workload.Stream{Source: &ops, RNG: rand.New(rand.NewSource(int64(i)))}
+			}
+			rr, err := workload.NewExecutor(w.c).Run(streams, workload.RunOptions{Payload: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := rr.Total().Ops(); got != 25*k {
+				t.Fatalf("%d ops ran, want %d", got, 25*k)
+			}
+			if n := w.ln.accepts.Load(); n > int64(k) {
+				t.Fatalf("%d streams opened %d connections, want at most %d", k, n, k)
+			}
+		})
 	}
 }
 

@@ -65,14 +65,7 @@ func (s *DBStore) Engine() *db.Database { return s.eng }
 
 // open is the engine's row probe, free of its charge when not charged.
 func (s *DBStore) open(key string, charged bool) (int64, uint32, error) {
-	size, ok := s.eng.Size(key)
-	if charged || !ok {
-		var err error
-		if size, err = s.eng.Stat(key); err != nil {
-			return 0, 0, err
-		}
-	}
-	return size, s.eng.Tag(key), nil
+	return s.eng.Row(key, charged)
 }
 
 // stat charges what open does: both are the row probe.
@@ -83,16 +76,8 @@ func (s *DBStore) stat(key string, charged bool) (int64, uint32, error) {
 func (s *DBStore) exists(key string) bool { return s.eng.Has(key) }
 
 // read compares tags, which cost nothing: every write stamps a fresh one.
-func (s *DBStore) read(key string, tag uint32, whole bool, off, length int64) (data []byte, live bool, err error) {
-	if s.eng.Tag(key) != tag {
-		return nil, false, nil
-	}
-	if whole {
-		data, err = s.eng.Get(key)
-	} else {
-		data, err = s.eng.GetRange(key, off, length)
-	}
-	return data, true, err
+func (s *DBStore) read(key string, tag uint32, whole bool, off, length int64) ([]byte, bool, error) {
+	return s.eng.ReadVersion(key, tag, whole, off, length)
 }
 
 // stage has nothing to do: nothing reaches the engine before Commit.

@@ -39,6 +39,7 @@ type FileStore struct {
 
 	// Guarded by mu.
 	crashes map[string]bool // keys armed to crash at the next commit
+	objects int             // published files: +1 on a first publish, -1 on a remove
 }
 
 // NewFileStore builds a file-backed store on a fresh simulated drive
@@ -65,7 +66,7 @@ func NewFileStore(clock *vclock.Clock, options ...blob.Option) (*FileStore, erro
 	metaDB := db.Open(metaData, metaLog, db.Config{})
 	s := &FileStore{
 		vol:     vol,
-		meta:    metaDB.NewMetaTable("objects"),
+		meta:    metaDB.NewMetaTable(),
 		metaDB:  metaDB,
 		opts:    opts,
 		crashes: make(map[string]bool),
@@ -112,9 +113,7 @@ func (s *FileStore) open(key string, charged bool) (int64, uint32, error) {
 	if !charged {
 		return s.stat(key, false)
 	}
-	if !s.meta.Lookup(key) {
-		return 0, 0, fmt.Errorf("%w: %s", blob.ErrNotFound, key)
-	}
+	s.meta.Lookup()
 	f, err := s.vol.Open(fs.FileName(key))
 	if err != nil {
 		return 0, 0, err
@@ -227,17 +226,13 @@ func (s *FileStore) publish(w *writer) (int64, error) {
 	var old int64
 	name := fs.FileName(w.key)
 	prev, hadOld := s.vol.Lookup(name)
-	// Metadata first: the row mutation is the step that can fail (meta
+	// Metadata first: a row insert is the step that can fail (meta
 	// drive full), so it happens before anything becomes visible. On a
 	// failure the writer stays open and Abort discards the temp.
-	var err error
 	if hadOld {
 		old = prev.Size()
-		err = s.meta.Update(w.key)
-	} else {
-		err = s.meta.Insert(w.key)
-	}
-	if err != nil {
+		s.meta.Update()
+	} else if err := s.meta.Insert(); err != nil {
 		return 0, err
 	}
 	// Atomic commit point (ReplaceFile/rename(2) semantics). Rename of
@@ -245,9 +240,12 @@ func (s *FileStore) publish(w *writer) (int64, error) {
 	// somehow does — the synchronization burden §3.1 calls out.
 	if err := s.vol.Rename(w.tmp, name); err != nil {
 		if !hadOld {
-			_ = s.meta.Delete(w.key)
+			s.meta.Delete()
 		}
 		return 0, err
+	}
+	if !hadOld {
+		s.objects++
 	}
 	return old, nil
 }
@@ -267,7 +265,9 @@ func (s *FileStore) remove(key string) (int64, error) {
 	if err := s.vol.Delete(f.Name()); err != nil {
 		return 0, err
 	}
-	return size, s.meta.Delete(key)
+	s.meta.Delete()
+	s.objects--
+	return size, nil
 }
 
 // compact moves key's file into contiguous space; 0 bytes when it is
@@ -283,9 +283,7 @@ func (s *FileStore) compact(key string) (int64, error) {
 	}
 	// The relocation is a row update in the metadata database — the
 	// isolation from physical location the paper's design buys.
-	if err := s.meta.Update(key); err != nil {
-		return 0, err
-	}
+	s.meta.Update()
 	return n, nil
 }
 
@@ -303,9 +301,8 @@ func (s *FileStore) endGroup() {
 	s.metaDB.EndGroup()
 }
 
-// usage counts the metadata table's rows: one per published object.
 func (s *FileStore) usage() blob.Usage {
-	return blob.Usage{Objects: s.meta.Len(), FreeBytes: s.vol.FreeBytes(), CapacityBytes: s.vol.CapacityBytes()}
+	return blob.Usage{Objects: s.objects, FreeBytes: s.vol.FreeBytes(), CapacityBytes: s.vol.CapacityBytes()}
 }
 
 // eachFile visits every published file with its key, skipping temps.

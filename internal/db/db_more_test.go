@@ -114,32 +114,45 @@ func TestGetChargesNodePageReadsOnceCached(t *testing.T) {
 	}
 }
 
+// TestMetaTable pins the row costs a MetaTable charges, which are all it
+// does: it keeps no keys, since which objects exist is its caller's book.
+// Every call advances the clock: a Lookup by one row probe's CPU, the
+// three mutations by that and one log record each. Insert takes a new
+// row page every RowsPerPage inserts.
 func TestMetaTable(t *testing.T) {
 	d := newDB(64*units.MB, disk.MetadataMode)
-	mt := d.NewMetaTable("objects")
-	if err := mt.Insert("a"); err != nil {
-		t.Fatal(err)
+	mt := d.NewMetaTable()
+	clock := d.data.Clock()
+	advance := func(call func()) int64 {
+		before := clock.Now()
+		call()
+		return clock.Now() - before
 	}
-	if err := mt.Insert("a"); !errors.Is(err, ErrExists) {
-		t.Fatalf("dup insert err = %v", err)
+	if got := advance(mt.Lookup); got != rowCPUUs*1e3 {
+		t.Fatalf("Lookup advanced the clock %d ns, want %d", got, int64(rowCPUUs*1e3))
 	}
-	if !mt.Lookup("a") || mt.Lookup("b") {
-		t.Fatal("lookup wrong")
+	for name, call := range map[string]func(){
+		"Insert": func() {
+			if err := mt.Insert(); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"Update": mt.Update,
+		"Delete": mt.Delete,
+	} {
+		forces := d.statLogForces
+		if got := advance(call); got <= rowCPUUs*1e3 || d.statLogForces != forces+1 {
+			t.Fatalf("%s advanced the clock %d ns with %d log forces, want more than %d ns and one",
+				name, got, d.statLogForces-forces, int64(rowCPUUs*1e3))
+		}
 	}
-	if err := mt.Update("a"); err != nil {
-		t.Fatal(err)
+	for i := 1; i < RowsPerPage*3; i++ {
+		if err := mt.Insert(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := mt.Update("b"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("update missing err = %v", err)
-	}
-	if mt.Len() != 1 {
-		t.Fatalf("len = %d", mt.Len())
-	}
-	if err := mt.Delete("a"); err != nil {
-		t.Fatal(err)
-	}
-	if err := mt.Delete("a"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("double delete err = %v", err)
+	if got := len(d.rowPages); got != 3 {
+		t.Fatalf("row pages = %d, want 3 for %d inserts", got, RowsPerPage*3)
 	}
 }
 

@@ -463,7 +463,7 @@ func (d *Database) Get(key string) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, key)
 	}
-	return d.GetRange(key, 0, r.size)
+	return d.readRow(r, 0, r.size)
 }
 
 // GetRange reads the byte range [off, off+length) of an object, charging
@@ -478,10 +478,30 @@ func (d *Database) GetRange(key string, off, length int64) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, key)
 	}
+	return d.readRow(r, off, length)
+}
+
+// ReadVersion is Get (whole) or GetRange in one row lookup, for the
+// version of key whose data pages carry tag. When key no longer holds
+// that version, it reads nothing and reports live false.
+func (d *Database) ReadVersion(key string, tag uint32, whole bool, off, length int64) (data []byte, live bool, err error) {
+	r, ok := d.rows[key]
+	if !ok || r.tag != tag {
+		return nil, false, nil
+	}
+	if whole {
+		off, length = 0, r.size
+	}
+	data, err = d.readRow(r, off, length)
+	return data, true, err
+}
+
+// readRow is GetRange on a row already looked up.
+func (d *Database) readRow(r *row, off, length int64) ([]byte, error) {
 	// length > r.size-off rather than off+length > r.size: the sum can
 	// overflow int64 for hostile offsets, the subtraction cannot.
 	if off < 0 || length < 0 || length > r.size-off {
-		return nil, fmt.Errorf("%w: [%d,+%d) beyond size %d of %s", blob.ErrOutOfRange, off, length, r.size, key)
+		return nil, fmt.Errorf("%w: [%d,+%d) beyond size %d of %s", blob.ErrOutOfRange, off, length, r.size, r.key)
 	}
 	d.data.ChargeCPU(rowCPUUs)
 	if length == 0 {
@@ -534,12 +554,17 @@ func (d *Database) Has(key string) bool {
 	return true
 }
 
-// Size is Stat without its row probe's CPU charge (see blob.Resume).
-func (d *Database) Size(key string) (int64, bool) {
-	if r, ok := d.rows[key]; ok {
-		return r.size, true
+// Row returns an object's size and owner tag in one row lookup,
+// charging the row probe's CPU only when charged (see blob.Resume).
+func (d *Database) Row(key string, charged bool) (int64, uint32, error) {
+	r, ok := d.rows[key]
+	if !ok {
+		return 0, 0, fmt.Errorf("%w: %s", ErrNotFound, key)
 	}
-	return 0, false
+	if charged {
+		d.data.ChargeCPU(rowCPUUs)
+	}
+	return r.size, r.tag, nil
 }
 
 // Stat returns an object's size.

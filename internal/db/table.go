@@ -1,64 +1,43 @@
 package db
 
-import "fmt"
-
 // MetaTable models a plain row table without BLOB columns. The paper's
 // file-based configuration stores "object names and other metadata in SQL
 // server tables" (§4.1) while object data lives in NTFS files; MetaTable
 // charges the row-path costs of that arrangement (B-tree descent CPU, a
 // new heap page per RowsPerPage inserts, a log record per mutation)
-// without any BLOB allocation.
+// without any BLOB allocation. It keeps no keys: which objects exist is
+// the caller's book (the file store's is its volume), and a MetaTable
+// only charges for reading and writing their rows.
 type MetaTable struct {
-	d    *Database
-	name string
-	keys map[string]struct{}
+	d *Database
 }
 
 // NewMetaTable creates a metadata table on the database.
-func (d *Database) NewMetaTable(name string) *MetaTable {
-	return &MetaTable{d: d, name: name, keys: make(map[string]struct{})}
+func (d *Database) NewMetaTable() *MetaTable {
+	return &MetaTable{d: d}
 }
 
-// Insert adds a metadata row.
-func (mt *MetaTable) Insert(key string) error {
-	if _, ok := mt.keys[key]; ok {
-		return fmt.Errorf("%w: %s.%s", ErrExists, mt.name, key)
-	}
+// Insert charges a row insert: the only row operation that can fail,
+// when a new row page does not fit (ErrNoSpace).
+func (mt *MetaTable) Insert() error {
 	if err := mt.d.rowInsertCosts(); err != nil {
 		return err
 	}
 	mt.d.logAppend(128)
-	mt.keys[key] = struct{}{}
 	return nil
 }
 
-// Lookup charges a row read and reports whether the key exists.
-func (mt *MetaTable) Lookup(key string) bool {
-	mt.d.data.ChargeCPU(rowCPUUs)
-	_, ok := mt.keys[key]
-	return ok
-}
+// Lookup charges a row read.
+func (mt *MetaTable) Lookup() { mt.d.data.ChargeCPU(rowCPUUs) }
 
 // Update charges an in-place row update.
-func (mt *MetaTable) Update(key string) error {
-	if _, ok := mt.keys[key]; !ok {
-		return fmt.Errorf("%w: %s.%s", ErrNotFound, mt.name, key)
-	}
+func (mt *MetaTable) Update() {
 	mt.d.data.ChargeCPU(rowCPUUs)
 	mt.d.logAppend(128)
-	return nil
 }
 
-// Delete removes a metadata row.
-func (mt *MetaTable) Delete(key string) error {
-	if _, ok := mt.keys[key]; !ok {
-		return fmt.Errorf("%w: %s.%s", ErrNotFound, mt.name, key)
-	}
+// Delete charges a row removal.
+func (mt *MetaTable) Delete() {
 	mt.d.data.ChargeCPU(rowCPUUs)
 	mt.d.logAppend(128)
-	delete(mt.keys, key)
-	return nil
 }
-
-// Len returns the row count.
-func (mt *MetaTable) Len() int { return len(mt.keys) }

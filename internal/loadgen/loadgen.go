@@ -1,32 +1,40 @@
 // Package loadgen drives a network blob service with hundreds of
-// concurrent clients and measures wall-clock tail latency — the bridge
+// concurrent op streams and measures wall-clock tail latency — the bridge
 // from the repo's virtual-time simulations to a servable system.
 //
-// The op streams are the same workload.Source implementations the
-// simulator runs (LoadSource for prepopulation, ChurnSource for the
-// measured phases), so the generator exercises the same get/put mix as
-// the paper's §4.3 experiments; only the executor differs. Each client
-// goroutine owns a dialed client.Store, a seeded RNG, and a disjoint
-// slice of the keyspace (no artificial ErrBusy collisions), and
-// executes ops through the client's one-shot fast paths while
-// recording wall nanoseconds into log-bucketed obs histograms — p999
-// comes from the exact same quantile machinery as the virtual-time
-// figures, just tagged wall_ns.
+// It runs the repository's one op executor, workload.Executor, over one
+// dialed client.Store, with the simulator's own sources (LoadSource to
+// prepopulate, ChurnSource to measure), so it drives the paper's §4.3
+// get/put mix exactly as an in-process run does. The store's connection
+// pool gives each concurrent stream a keep-alive connection of its own.
+// On the wire each op is what the executor does to any store:
 //
-// Concurrency is ramped: each step in Config.Ramp runs the churn mix
-// at k clients for Config.StepDuration on a freshly reset registry,
-// and snapshots into its own "k=N" RunReport phase, so one run shows
-// how p50/p99/p999 move as offered load grows into the server's
-// admission limits. Admission sheds (429→ErrOverloaded,
-// 503→ErrUnavailable) are counted per op kind, never retried — shed
-// visibility is the point.
+//   - create: a HEAD that refuses an existing key, then a PUT;
+//   - replace: a HEAD (the application's metadata lookup), then a PUT;
+//   - delete: a HEAD, then a DELETE;
+//   - read: a HEAD that opens the object and pins its version, then a
+//     GET of that version (a Range GET for a ranged read).
+//
+// Each stream has a seeded RNG and a disjoint slice of the keyspace (no
+// artificial ErrBusy collisions). A wrapper around its source records
+// the wall time from the executor taking an op to its outcome into
+// log-bucketed obs histograms, tagged wall_ns: p999 comes from the same
+// quantile machinery as the virtual-time figures.
+//
+// Concurrency is ramped: each step in Config.Ramp runs the churn mix at
+// k streams for Config.StepDuration on a freshly reset registry and
+// snapshots into its own "k=N" RunReport phase, so one run shows how
+// the tail moves as offered load grows into the server's admission
+// limits. Admission sheds (429→ErrOverloaded, 503→ErrUnavailable) are
+// counted per op kind and never retried while measuring; prepopulation
+// retries them until they land.
 package loadgen
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,8 +51,7 @@ type Config struct {
 	// URL is the service base URL (e.g. http://127.0.0.1:8080).
 	URL string
 	// Ramp is the concurrency schedule: one measured phase per entry,
-	// in order. Every entry must be ≥ 1 and ≤ the final entry (the
-	// dial pool is sized to the maximum).
+	// in order. Every entry must be ≥ 1.
 	Ramp []int
 	// StepDuration is the wall-clock length of each measured phase.
 	StepDuration time.Duration
@@ -55,15 +62,14 @@ type Config struct {
 	// ReadsPerWrite interleaves whole-object reads after each
 	// successful replace (the §4.3 get/put mix).
 	ReadsPerWrite int
-	// Payload ships real object bytes over the wire; false drives the
-	// metadata-only path (sizes travel, bytes don't) for protocol-limit
-	// tests.
-	Payload bool
-	// Seed fixes every client's op stream (timing still varies).
+	// Seed fixes every stream's ops (timing still varies).
 	Seed int64
 	// Report, when non-nil, receives one experiment with a phase per
 	// ramp step.
 	Report *obs.RunReport
+	// RunOptions.Payload ships real object bytes; false writes metadata
+	// only (sizes travel, bytes don't). Run sets each phase's Errors.
+	workload.RunOptions
 }
 
 // Result summarizes a run.
@@ -97,56 +103,95 @@ func (r Result) TotalOps() int64 {
 	return n
 }
 
-// Run executes the full schedule: dial pool, prepopulate, then one
-// measured churn phase per ramp entry. The context cancels the whole
-// run (in-flight ops are abandoned mid-request; the per-op error is
-// not counted against the service).
+// Run executes the full schedule over one dialed store: prepopulate
+// with as many streams as the largest ramp entry, then one measured
+// churn phase per ramp entry. The context cancels the whole run
+// (in-flight ops are abandoned mid-request; the per-op error is not
+// counted against the service).
 func Run(ctx context.Context, cfg Config) (Result, error) {
 	if err := cfg.validate(); err != nil {
 		return Result{}, err
 	}
-	maxK := 0
-	for _, k := range cfg.Ramp {
-		if k > maxK {
-			maxK = k
-		}
-	}
-
-	// One dialed store per client: separate connection pools, like
-	// separate client processes would have.
-	clients := make([]*client.Store, maxK)
-	defer func() {
-		for _, c := range clients {
-			if c != nil {
-				c.Close()
-			}
-		}
-	}()
-	for i := range clients {
-		c, err := client.Dial(cfg.URL)
-		if err != nil {
-			return Result{}, fmt.Errorf("loadgen: dial client %d: %w", i, err)
-		}
-		clients[i] = c
-	}
-
-	keys, err := prepopulate(ctx, cfg, clients)
+	c, err := client.Dial(cfg.URL)
 	if err != nil {
-		return Result{}, err
+		return Result{}, fmt.Errorf("loadgen: %w", err)
+	}
+	defer c.Close()
+	exec := workload.NewExecutor(c).WithContext(ctx)
+	opts := cfg.RunOptions
+
+	// Prepopulation: LoadSource streams racing for one byte budget sized
+	// to cfg.Objects mean-sized objects; keys holds those that committed.
+	budget := workload.NewByteBudget(int64(cfg.Objects) * units.RoundUp(cfg.Dist.Mean(), 4*units.KB))
+	var nextKey atomic.Int64
+	var mu sync.Mutex
+	var keys []string
+	var load []workload.Stream
+	for i := range slices.Max(cfg.Ramp) {
+		load = append(load, workload.Stream{
+			Source: &workload.LoadSource{
+				Dist:   cfg.Dist,
+				Budget: budget,
+				Key:    func() string { return fmt.Sprintf("o%06d", nextKey.Add(1)) },
+				OnCreate: func(key string) {
+					mu.Lock()
+					keys = append(keys, key)
+					mu.Unlock()
+				},
+			},
+			RNG: rand.New(rand.NewSource(cfg.Seed + int64(i))),
+		})
+	}
+	opts.Errors = workload.RetryShed
+	if _, err := exec.Run(load, opts); ctx.Err() != nil {
+		return Result{}, ctx.Err()
+	} else if err != nil {
+		return Result{}, fmt.Errorf("loadgen: prepopulate: %w", err)
+	}
+	if len(keys) == 0 {
+		return Result{}, fmt.Errorf("loadgen: prepopulate committed no objects")
 	}
 
 	res := Result{Loaded: len(keys)}
 	reg := obs.NewWallRegistry()
+	opts.Errors = workload.Continue
 	for _, k := range cfg.Ramp {
 		reg.Reset()
-		step, err := runStep(ctx, cfg, clients[:k], keys, reg)
-		if err != nil {
-			return res, err
+		startNs := obs.WallNow()
+		age := func() float64 {
+			return float64(obs.WallNow()-startNs) / float64(cfg.StepDuration.Nanoseconds())
 		}
+		n := &tally{ctx: ctx, reg: reg}
+		var streams []workload.Stream
+		for i := range min(k, len(keys)) {
+			// Disjoint partition: stream i of k owns every key whose index
+			// ≡ i (mod k), so concurrent safe-writes never contend on a
+			// key and every ErrBusy the run sees is the server's, not the
+			// schedule's.
+			var part []string
+			for j := i; j < len(keys); j += k {
+				part = append(part, keys[j])
+			}
+			streams = append(streams, workload.Stream{
+				Source: &timed{Source: &workload.ChurnSource{
+					Keys:          part,
+					Dist:          cfg.Dist,
+					TargetAge:     1,
+					Age:           age,
+					ReadsPerWrite: cfg.ReadsPerWrite,
+				}, n: n},
+				RNG: rand.New(rand.NewSource(cfg.Seed + 1000003*int64(k) + int64(i))),
+			})
+		}
+		if _, err := exec.Run(streams, opts); ctx.Err() != nil {
+			return res, ctx.Err()
+		} else if err != nil {
+			return res, fmt.Errorf("loadgen: step k=%d: %w", k, err)
+		}
+		step := StepResult{Clients: k, Ops: n.ops.Load(), Errors: n.errs.Load(), Shed: n.shed.Load(), Snapshot: reg.Snapshot()}
 		res.Steps = append(res.Steps, step)
 		if cfg.Report != nil {
-			exp := cfg.Report.Section("loadgen")
-			exp.AddPhase(fmt.Sprintf("k=%d", k), step.Snapshot)
+			cfg.Report.Section("loadgen").AddPhase(fmt.Sprintf("k=%d", k), step.Snapshot)
 		}
 	}
 	return res, nil
@@ -176,194 +221,47 @@ func (cfg Config) validate() error {
 	return nil
 }
 
-// prepopulate creates the keyspace through LoadSource streams — one
-// per dialed client, racing for a shared byte budget sized to
-// cfg.Objects mean-sized objects — and returns the keys that actually
-// committed.
-func prepopulate(ctx context.Context, cfg Config, clients []*client.Store) ([]string, error) {
-	mean := cfg.Dist.Mean()
-	budget := workload.NewByteBudget(int64(cfg.Objects) * units.RoundUp(mean, 4*units.KB))
-	var nextKey atomic.Int64
-	var mu sync.Mutex
-	var keys []string
-	var firstErr error
-
-	var wg sync.WaitGroup
-	for i, c := range clients {
-		src := &workload.LoadSource{
-			Dist:   cfg.Dist,
-			Budget: budget,
-			Key: func() string {
-				return fmt.Sprintf("o%06d", nextKey.Add(1))
-			},
-			OnCreate: func(key string) {
-				mu.Lock()
-				keys = append(keys, key)
-				mu.Unlock()
-			},
-		}
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(i)))
-		wg.Add(1)
-		go func(c *client.Store) {
-			defer wg.Done()
-			err := drive(ctx, c, src, rng, nil, nil, cfg.payload, true)
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-			}
-		}(c)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, fmt.Errorf("loadgen: prepopulate: %w", firstErr)
-	}
-	if len(keys) == 0 {
-		return nil, fmt.Errorf("loadgen: prepopulate committed no objects")
-	}
-	return keys, nil
+// tally is one measured step's wall-clock registry and op counts,
+// shared by its streams.
+type tally struct {
+	ctx             context.Context
+	reg             *obs.Registry
+	ops, errs, shed atomic.Int64
 }
 
-// payload returns the bytes to ship for a write op: a patterned
-// buffer of the op's logical size when Payload mode is on, nil (the
-// metadata-only wire path) otherwise.
-func (cfg Config) payload(op workload.Op) []byte {
-	if !cfg.Payload || (op.Kind != workload.OpCreate && op.Kind != workload.OpReplace) {
-		return nil
-	}
-	buf := make([]byte, op.Size)
-	for i := range buf {
-		buf[i] = byte(i)
-	}
-	return buf
+// timed wraps one stream's source. It stamps the wall clock when the
+// executor takes an op (Next) and when it reports the outcome
+// (Observe), records the interval in the loadgen.<kind> histogram and a
+// failure in a loadgen.<kind>.err.<name> counter, and forwards Observe
+// to the source.
+type timed struct {
+	workload.Source
+	n     *tally
+	start int64
 }
 
-// runStep runs one measured phase: k ChurnSource streams over disjoint
-// keyspace partitions, stopping when the step's wall clock runs out.
-func runStep(ctx context.Context, cfg Config, clients []*client.Store, keys []string, reg *obs.Registry) (StepResult, error) {
-	k := len(clients)
-	startNs := obs.WallNow()
-	durNs := cfg.StepDuration.Nanoseconds()
-	age := func() float64 {
-		return float64(obs.WallNow()-startNs) / float64(durNs)
-	}
-
-	var ops, errs, shed atomic.Int64
-	count := func(err error) {
-		ops.Add(1)
-		if err != nil {
-			errs.Add(1)
-			if errors.Is(err, blob.ErrOverloaded) || errors.Is(err, blob.ErrUnavailable) {
-				shed.Add(1)
-			}
-		}
-	}
-
-	var wg sync.WaitGroup
-	for i, c := range clients {
-		// Disjoint partition: client i of k owns every key whose index
-		// ≡ i (mod k), so concurrent safe-writes never contend on a key
-		// and every ErrBusy the run sees is the server's, not the
-		// schedule's.
-		var part []string
-		for j := i; j < len(keys); j += k {
-			part = append(part, keys[j])
-		}
-		if len(part) == 0 {
-			continue
-		}
-		src := &workload.ChurnSource{
-			Keys:          part,
-			Dist:          cfg.Dist,
-			TargetAge:     1,
-			Age:           age,
-			ReadsPerWrite: cfg.ReadsPerWrite,
-		}
-		rng := rand.New(rand.NewSource(cfg.Seed + 1000003*int64(k) + int64(i)))
-		wg.Add(1)
-		go func(c *client.Store) {
-			defer wg.Done()
-			// Per-step errors are recorded, not fatal: a shed or timeout
-			// under saturation is a measurement, not a failure.
-			_ = drive(ctx, c, src, rng, reg, count, cfg.payload, false)
-		}(c)
-	}
-	wg.Wait()
-
-	if err := ctx.Err(); err != nil {
-		return StepResult{}, err
-	}
-	return StepResult{
-		Clients:  k,
-		Ops:      ops.Load(),
-		Errors:   errs.Load(),
-		Shed:     shed.Load(),
-		Snapshot: reg.Snapshot(),
-	}, nil
+func (t *timed) Next(rng *rand.Rand) (workload.Op, bool) {
+	op, ok := t.Source.Next(rng)
+	t.start = obs.WallNow()
+	return op, ok
 }
 
-// drive pulls ops from src until exhaustion (or ctx cancellation),
-// executing each through the client's one-shot paths and reporting the
-// outcome back to the source (SourceObserver feedback) and, when reg
-// is non-nil, into wall-clock histograms and error counters.
-//
-// retryShed re-issues an op refused by admission control until it
-// lands: prepopulation is setup, not measurement, and must converge
-// even against a deliberately tiny admission limit. Measured phases
-// never retry — shed visibility is the point.
-func drive(ctx context.Context, c *client.Store, src workload.Source, rng *rand.Rand, reg *obs.Registry, count func(error), payload func(workload.Op) []byte, retryShed bool) error {
-	obsv, _ := src.(workload.SourceObserver)
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil // run canceled; not a source failure
-		}
-		op, ok := src.Next(rng)
-		if !ok {
-			return nil
-		}
-		start := obs.WallNow()
-		err := execute(ctx, c, op, payload(op))
-		for retryShed && (errors.Is(err, blob.ErrOverloaded) || errors.Is(err, blob.ErrUnavailable)) && ctx.Err() == nil {
-			err = execute(ctx, c, op, payload(op))
-		}
-		if ctx.Err() != nil {
-			return nil // abandoned mid-op by cancellation; don't count
-		}
-		if reg != nil {
-			name := "loadgen." + op.Kind.String()
-			reg.Histogram(name).Observe(obs.WallNow() - start)
-			if err != nil {
-				reg.Counter(name + ".err." + blob.ErrName(err)).Add(1)
-			}
-		}
-		if count != nil {
-			count(err)
-		}
-		if obsv != nil {
-			obsv.Observe(op, err)
-		}
+func (t *timed) Observe(op workload.Op, err error) {
+	end := obs.WallNow()
+	if o, ok := t.Source.(workload.SourceObserver); ok {
+		o.Observe(op, err)
 	}
-}
-
-// execute maps one workload op onto the wire fast paths.
-func execute(ctx context.Context, c *client.Store, op workload.Op, payload []byte) error {
-	switch op.Kind {
-	case workload.OpCreate:
-		return c.Upload(ctx, op.Key, op.Size, payload, false)
-	case workload.OpReplace:
-		return c.Upload(ctx, op.Key, op.Size, payload, true)
-	case workload.OpDelete:
-		return c.Delete(ctx, op.Key)
-	case workload.OpRead:
-		if op.Len > 0 {
-			_, err := c.FetchAt(ctx, op.Key, op.Off, op.Len)
-			return err
+	if t.n.ctx.Err() != nil {
+		return // abandoned mid-op by cancellation; don't count
+	}
+	name := "loadgen." + op.Kind.String()
+	t.n.reg.Histogram(name).Observe(end - t.start)
+	t.n.ops.Add(1)
+	if err != nil {
+		t.n.reg.Counter(name + ".err." + blob.ErrName(err)).Add(1)
+		t.n.errs.Add(1)
+		if workload.Shed(err) {
+			t.n.shed.Add(1)
 		}
-		_, _, err := c.Fetch(ctx, op.Key)
-		return err
-	default:
-		return fmt.Errorf("%w: op kind %v", blob.ErrBadOption, op.Kind)
 	}
 }

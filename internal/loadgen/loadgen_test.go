@@ -136,7 +136,7 @@ func TestLoadgenShedVisibility(t *testing.T) {
 		Objects:       16,
 		Dist:          workload.Constant{Size: 4 * units.MB},
 		ReadsPerWrite: 1,
-		Payload:       true,
+		RunOptions:    workload.RunOptions{Payload: true},
 		Seed:          1,
 	})
 	if err != nil {

@@ -15,7 +15,8 @@ import (
 
 // Executor drives k operation streams from any mix of Sources against
 // one blob.Store — the single engine behind the Runner (one stream or
-// k) and trace replay. Each Stream runs on its own goroutine drawing
+// k), trace replay and the load generator, which runs it over a
+// client.Store. Each Stream runs on its own goroutine drawing
 // ops from its Source with its own RNG, so appends
 // from different streams genuinely interleave in allocation order (the
 // §6 regime) while each stream's op sequence stays reproducible per
@@ -72,19 +73,24 @@ type Stream struct {
 	// one RNG across concurrent streams would race.
 	RNG *rand.Rand
 	// SkipLimit aborts the stream when more than this many CONSECUTIVE
-	// writes are skipped under RunOptions.TolerateNoSpace (0 = no
-	// limit).
+	// writes are skipped under SkipNoSpace (0 = no limit).
 	SkipLimit int
 }
 
-// RunOptions controls one Executor.Run.
-type RunOptions struct {
-	// TolerateNoSpace skips writes failing with blob.ErrNoSpaceLeft
-	// instead of aborting the stream, counting them in Counts.Skipped —
-	// the sharded regime, where one nearly-full shard can refuse a
-	// replace while the fleet has room. Streams still fail once
-	// Stream.SkipLimit consecutive writes are refused, so a genuinely
-	// full store cannot spin forever.
+// ErrorPolicy says what a stream does when one of its ops fails. Under
+// every policy an observing source (SourceObserver) hears of each op
+// once, after any retries.
+type ErrorPolicy int
+
+const (
+	// FailFast, the zero value, ends the stream at its first failed op.
+	FailFast ErrorPolicy = iota
+	// SkipNoSpace skips a create or replace refused with
+	// blob.ErrNoSpaceLeft, counting it in Counts.Skipped — the sharded
+	// regime, where one nearly-full shard can refuse a replace while the
+	// fleet has room. A stream still fails once Stream.SkipLimit
+	// consecutive writes are refused, so a genuinely full store cannot
+	// spin forever, and any other failure ends it.
 	//
 	// A run of one stream also charges the virtual time burned by each
 	// skipped write to Counts.SkippedSeconds (a refused safe write still
@@ -92,14 +98,34 @@ type RunOptions struct {
 	// writes stay out of throughput means. With k concurrent streams a
 	// skipped op's interval overlaps other streams' useful work, so there
 	// is no idle time to subtract.
-	TolerateNoSpace bool
+	SkipNoSpace
+	// Continue goes on after any failed op: the failure is a measurement
+	// (a served step under overload), which an observing source counts.
+	Continue
+	// RetryShed runs an op refused by admission control
+	// (blob.ErrOverloaded, blob.ErrUnavailable) again until it lands or
+	// the run's context ends, then goes on as Continue does: a setup
+	// phase that must converge even against a tiny admission limit.
+	RetryShed
+)
+
+// RunOptions controls one Executor.Run. The zero value fails fast and
+// writes metadata only.
+type RunOptions struct {
+	// Errors is what a stream does when an op fails.
+	Errors ErrorPolicy
+	// Payload writes real bytes: every create and replace of a stream
+	// sends a prefix of one patterned buffer (byte i is byte(i)), grown
+	// to the largest write the stream has made. Without it a write is
+	// metadata-only: sizes travel, bytes do not.
+	Payload bool
 }
 
 // Counts is the raw per-stream operation accounting of one run.
 type Counts struct {
 	Creates, Replaces, Deletes, Reads int
 	// Skipped counts writes refused with ErrNoSpaceLeft under
-	// TolerateNoSpace.
+	// SkipNoSpace.
 	Skipped int
 	// BytesWritten is payload bytes of successful creates and replaces.
 	BytesWritten int64
@@ -107,7 +133,7 @@ type Counts struct {
 	// its range length).
 	BytesRead int64
 	// SkippedSeconds is virtual time consumed by skipped writes in a
-	// one-stream run under TolerateNoSpace.
+	// one-stream run under SkipNoSpace.
 	SkippedSeconds float64
 }
 
@@ -176,7 +202,7 @@ func (e *Executor) Run(streams []Stream, opts RunOptions) (RunResult, error) {
 	if len(streams) == 1 {
 		// One stream runs inline: no goroutine between the caller and
 		// the classic sequential workload.
-		err = e.runStream(0, streams[0], opts.TolerateNoSpace, true, &res.Streams[0])
+		err = e.runStream(0, streams[0], opts, true, &res.Streams[0])
 	} else {
 		errs := make([]error, len(streams))
 		// The streams start together, once all exist: a stream that ran
@@ -189,7 +215,7 @@ func (e *Executor) Run(streams []Stream, opts RunOptions) (RunResult, error) {
 			go func(i int) {
 				defer wg.Done()
 				<-start
-				errs[i] = e.runStream(i, streams[i], opts.TolerateNoSpace, false, &res.Streams[i])
+				errs[i] = e.runStream(i, streams[i], opts, false, &res.Streams[i])
 			}(i)
 		}
 		close(start)
@@ -200,13 +226,15 @@ func (e *Executor) Run(streams []Stream, opts RunOptions) (RunResult, error) {
 	return res, err
 }
 
-// runStream drains one source, executing each op against the store.
-// Under tolerate, a refused write is skipped, and its virtual time is
-// charged to c.SkippedSeconds when the stream runs alone.
-func (e *Executor) runStream(id int, st Stream, tolerate, alone bool, c *Counts) error {
-	trackSkips := tolerate && alone
+// runStream drains one source, executing each op against the store
+// and handling a failed op as opts.Errors says. A refused write skipped
+// under SkipNoSpace charges its virtual time to c.SkippedSeconds when
+// the stream runs alone.
+func (e *Executor) runStream(id int, st Stream, opts RunOptions, alone bool, c *Counts) error {
+	trackSkips := opts.Errors == SkipNoSpace && alone
 	src := st.Source
 	obs, observes := src.(SourceObserver)
+	var payload []byte // the stream's patterned write buffer under opts.Payload
 	consecutiveSkips := 0
 	for opIdx := 0; ; opIdx++ {
 		if err := e.ctx.Err(); err != nil {
@@ -221,52 +249,81 @@ func (e *Executor) runStream(id int, st Stream, tolerate, alone bool, c *Counts)
 			}
 			return nil
 		}
+		write := op.Kind == OpCreate || op.Kind == OpReplace
+		var data []byte
+		if opts.Payload && write {
+			payload = patterned(payload, op.Size)
+			data = payload[:op.Size]
+		}
 		var opWatch vclock.Stopwatch
 		if trackSkips {
 			opWatch = vclock.StartWatch(e.store.Clock())
 		}
 		opCtx, tr := e.collector.StartOp(e.ctx, id, op.Kind.String(), op.Key)
-		err := e.execOp(opCtx, op, c)
+		err := e.execOp(opCtx, op, data, c)
+		for opts.Errors == RetryShed && Shed(err) && e.ctx.Err() == nil {
+			err = e.execOp(opCtx, op, data, c)
+		}
 		e.collector.FinishOp(tr, err)
 		if observes {
 			obs.Observe(op, err)
 		}
-		if err != nil {
-			if tolerate && (op.Kind == OpCreate || op.Kind == OpReplace) &&
-				errors.Is(err, blob.ErrNoSpaceLeft) {
-				c.Skipped++
-				if trackSkips {
-					c.SkippedSeconds += opWatch.Seconds()
-				}
-				consecutiveSkips++
-				if st.SkipLimit > 0 && consecutiveSkips > st.SkipLimit {
-					return fmt.Errorf("stream %d (%s) op %d: store full on every try: %w",
-						id, src.Name(), opIdx, err)
-				}
-				continue
+		switch {
+		case err == nil:
+			consecutiveSkips = 0
+		case opts.Errors == Continue || opts.Errors == RetryShed:
+		case opts.Errors == SkipNoSpace && write && errors.Is(err, blob.ErrNoSpaceLeft):
+			c.Skipped++
+			if trackSkips {
+				c.SkippedSeconds += opWatch.Seconds()
 			}
+			consecutiveSkips++
+			if st.SkipLimit > 0 && consecutiveSkips > st.SkipLimit {
+				return fmt.Errorf("stream %d (%s) op %d: store full on every try: %w",
+					id, src.Name(), opIdx, err)
+			}
+		default:
 			return fmt.Errorf("stream %d (%s) op %d (%s): %w", id, src.Name(), opIdx, op, err)
 		}
-		consecutiveSkips = 0
 	}
 }
 
-// execOp executes one op, charging c only on success. ctx carries the
-// op's trace (when a collector is installed) so obs-wrapped layers of
-// the store chain can attribute their spans to it. A replace or delete
-// first makes the application's metadata lookup, a Stat charged like
-// one.
-func (e *Executor) execOp(ctx context.Context, op Op, c *Counts) error {
+// Shed reports whether err is an admission refusal (blob.ErrOverloaded
+// or blob.ErrUnavailable): what RetryShed runs again.
+func Shed(err error) bool {
+	return err != nil && (errors.Is(err, blob.ErrOverloaded) || errors.Is(err, blob.ErrUnavailable))
+}
+
+// patterned returns buf, or a longer replacement, holding at least n
+// bytes of the payload pattern. Byte i is always byte(i), so a prefix
+// of a longer buffer is what a buffer of its own length would be.
+func patterned(buf []byte, n int64) []byte {
+	if int64(len(buf)) >= n {
+		return buf
+	}
+	buf = make([]byte, n)
+	for i := range buf {
+		buf[i] = byte(i)
+	}
+	return buf
+}
+
+// execOp executes one op, charging c only on success; a write sends
+// data, nil for a metadata-only write. ctx carries the op's trace (when
+// a collector is installed) so obs-wrapped layers of the store chain
+// can attribute their spans to it. A replace or delete first makes the
+// application's metadata lookup, a Stat charged like one.
+func (e *Executor) execOp(ctx context.Context, op Op, data []byte, c *Counts) error {
 	switch op.Kind {
 	case OpCreate:
-		if err := blob.Put(ctx, e.store, op.Key, op.Size, nil); err != nil {
+		if err := blob.Put(ctx, e.store, op.Key, op.Size, data); err != nil {
 			return err
 		}
 		c.Creates++
 		c.BytesWritten += op.Size
 	case OpReplace:
 		e.store.Stat(ctx, op.Key)
-		if err := blob.Replace(ctx, e.store, op.Key, op.Size, nil); err != nil {
+		if err := blob.Replace(ctx, e.store, op.Key, op.Size, data); err != nil {
 			return err
 		}
 		c.Replaces++

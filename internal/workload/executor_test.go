@@ -9,7 +9,10 @@ import (
 	"testing"
 
 	"repro/internal/blob"
+	"repro/internal/core"
+	"repro/internal/disk"
 	"repro/internal/units"
+	"repro/internal/vclock"
 )
 
 // TestExecutorMixedSources pins the tentpole claim: one Run can drive a
@@ -152,7 +155,7 @@ func (s *sliceSource) Next(*rand.Rand) (Op, bool) {
 }
 
 // TestExecutorSkipLimit pins the full-store backstop: under
-// TolerateNoSpace a stream aborts with ErrNoSpaceLeft once SkipLimit
+// SkipNoSpace a stream aborts with ErrNoSpaceLeft once SkipLimit
 // consecutive writes are refused.
 func TestExecutorSkipLimit(t *testing.T) {
 	store := newFS(32 * units.MB)
@@ -165,7 +168,7 @@ func TestExecutorSkipLimit(t *testing.T) {
 	i := 0
 	src := &sliceSource{ops: ops, i: &i}
 	rr, err := exec.Run([]Stream{{Source: src, RNG: rand.New(rand.NewSource(1)), SkipLimit: 3}},
-		RunOptions{TolerateNoSpace: true})
+		RunOptions{Errors: SkipNoSpace})
 	if !errors.Is(err, blob.ErrNoSpaceLeft) {
 		t.Fatalf("err = %v, want ErrNoSpaceLeft", err)
 	}
@@ -175,9 +178,9 @@ func TestExecutorSkipLimit(t *testing.T) {
 }
 
 // TestSkipTimeChargedOnlyToALoneStream pins where a refused write's
-// virtual time goes under TolerateNoSpace: a run of one stream charges
+// virtual time goes under SkipNoSpace: a run of one stream charges
 // it to SkippedSeconds; in a run of two, each stream's refusals overlap
-// the other's work, so none is charged. Without TolerateNoSpace the
+// the other's work, so none is charged. Without SkipNoSpace the
 // refusal fails the run.
 func TestSkipTimeChargedOnlyToALoneStream(t *testing.T) {
 	run := func(streams int, opts RunOptions) (RunResult, error) {
@@ -190,7 +193,7 @@ func TestSkipTimeChargedOnlyToALoneStream(t *testing.T) {
 		}
 		return exec.Run(specs, opts)
 	}
-	tolerate := RunOptions{TolerateNoSpace: true}
+	tolerate := RunOptions{Errors: SkipNoSpace}
 	alone, err := run(1, tolerate)
 	if err != nil {
 		t.Fatal(err)
@@ -207,6 +210,128 @@ func TestSkipTimeChargedOnlyToALoneStream(t *testing.T) {
 		t.Fatalf("two streams: skipped %d, SkippedSeconds %g; want 2 skips and none charged", c.Skipped, c.SkippedSeconds)
 	}
 	if _, err := run(1, RunOptions{}); !errors.Is(err, blob.ErrNoSpaceLeft) {
-		t.Fatalf("refused write without TolerateNoSpace: err = %v, want ErrNoSpaceLeft", err)
+		t.Fatalf("refused write without SkipNoSpace: err = %v, want ErrNoSpaceLeft", err)
+	}
+}
+
+// refusingStore refuses its first fails Replace calls with err. Each
+// refusal burns one virtual second, as a refused safe write pays for its
+// allocation attempt.
+type refusingStore struct {
+	blob.Store
+	err          error
+	fails, calls int
+}
+
+func (s *refusingStore) Replace(ctx context.Context, key string, size int64) (blob.Writer, error) {
+	s.calls++
+	if s.calls <= s.fails {
+		s.Clock().AdvanceSeconds(1)
+		return nil, fmt.Errorf("%w: refused by the test", s.err)
+	}
+	return s.Store.Replace(ctx, key, size)
+}
+
+// observedSource counts what the executor reports back to a source.
+type observedSource struct {
+	sliceSource
+	calls, errs int
+}
+
+func (s *observedSource) Observe(_ Op, err error) {
+	s.calls++
+	if err != nil {
+		s.errs++
+	}
+}
+
+// TestExecutorErrorPolicy runs one stream of four replaces against a
+// store that refuses the first few, once per error policy. The source
+// must hear of every op it handed out exactly once, after any retries.
+func TestExecutorErrorPolicy(t *testing.T) {
+	const ops = 4
+	cases := []struct {
+		name      string
+		opts      RunOptions
+		refuse    error // the error of each refused replace
+		fails     int   // how many replace calls the store refuses
+		skipLimit int
+		wantErr   error // nil: the stream runs to its end
+		// What the run did: replace calls the store saw, replaces that
+		// committed, skips, and Observe calls with and without errors.
+		attempts, replaces, skipped, observed, observedErrs int
+	}{
+		{name: "FailFastByDefault", refuse: blob.ErrOverloaded, fails: 1, wantErr: blob.ErrOverloaded,
+			attempts: 1, observed: 1, observedErrs: 1},
+		{name: "SkipNoSpace", opts: RunOptions{Errors: SkipNoSpace}, refuse: blob.ErrNoSpaceLeft, fails: 2, skipLimit: 2,
+			attempts: 4, replaces: 2, skipped: 2, observed: 4, observedErrs: 2},
+		{name: "SkipNoSpaceStopsPastSkipLimit", opts: RunOptions{Errors: SkipNoSpace}, refuse: blob.ErrNoSpaceLeft, fails: 4, skipLimit: 2,
+			wantErr: blob.ErrNoSpaceLeft, attempts: 3, skipped: 3, observed: 3, observedErrs: 3},
+		{name: "SkipNoSpaceFailsOnAShed", opts: RunOptions{Errors: SkipNoSpace}, refuse: blob.ErrOverloaded, fails: 1,
+			wantErr: blob.ErrOverloaded, attempts: 1, observed: 1, observedErrs: 1},
+		{name: "ContinueAndCount", opts: RunOptions{Errors: Continue}, refuse: blob.ErrOverloaded, fails: 2,
+			attempts: 4, replaces: 2, observed: 4, observedErrs: 2},
+		{name: "RetryShedThenContinue", opts: RunOptions{Errors: RetryShed}, refuse: blob.ErrOverloaded, fails: 3,
+			attempts: 7, replaces: 4, observed: 4},
+		{name: "RetryShedContinuesPastOtherErrors", opts: RunOptions{Errors: RetryShed}, refuse: blob.ErrNoSpaceLeft, fails: 2,
+			attempts: 4, replaces: 2, observed: 4, observedErrs: 2},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			store := &refusingStore{Store: newFS(32 * units.MB), err: tc.refuse, fails: tc.fails}
+			list := make([]Op, ops)
+			for i := range list {
+				list[i] = Op{Kind: OpReplace, Key: "a", Size: units.MB}
+			}
+			src := &observedSource{sliceSource: sliceSource{ops: list, i: new(int)}}
+			rr, err := NewExecutor(store).Run([]Stream{{Source: src, RNG: rand.New(rand.NewSource(1)), SkipLimit: tc.skipLimit}}, tc.opts)
+			if tc.wantErr == nil && err != nil || tc.wantErr != nil && !errors.Is(err, tc.wantErr) {
+				t.Fatalf("err = %v, want %v", err, tc.wantErr)
+			}
+			c := rr.Total()
+			if store.calls != tc.attempts || c.Replaces != tc.replaces || c.Skipped != tc.skipped {
+				t.Fatalf("%d replace calls, %d committed, %d skipped; want %d, %d, %d",
+					store.calls, c.Replaces, c.Skipped, tc.attempts, tc.replaces, tc.skipped)
+			}
+			if src.calls != tc.observed || src.errs != tc.observedErrs {
+				t.Fatalf("Observe called %d times, %d with an error; want %d, %d",
+					src.calls, src.errs, tc.observed, tc.observedErrs)
+			}
+			// A lone stream charges each skip's virtual second, and only skips.
+			if c.SkippedSeconds < float64(c.Skipped) || c.Skipped == 0 && c.SkippedSeconds != 0 {
+				t.Fatalf("SkippedSeconds = %g for %d skips", c.SkippedSeconds, c.Skipped)
+			}
+		})
+	}
+}
+
+// TestExecutorPayload: under RunOptions.Payload every write carries its
+// size in patterned bytes (byte i is byte(i)), which read back whole, a
+// smaller write after a larger one included.
+func TestExecutorPayload(t *testing.T) {
+	store, err := core.NewFileStore(vclock.New(), blob.WithCapacity(32*units.MB), blob.WithDiskMode(disk.DataMode))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := map[string]int64{"a": 20 * units.KB, "b": 4 * units.KB}
+	ops := []Op{
+		{Kind: OpCreate, Key: "a", Size: 8 * units.KB},
+		{Kind: OpReplace, Key: "a", Size: sizes["a"]},
+		{Kind: OpCreate, Key: "b", Size: sizes["b"]},
+	}
+	src := &sliceSource{ops: ops, i: new(int)}
+	if _, err := NewExecutor(store).Run([]Stream{{Source: src, RNG: rand.New(rand.NewSource(1))}}, RunOptions{Payload: true}); err != nil {
+		t.Fatal(err)
+	}
+	for key, size := range sizes {
+		n, data, err := blob.Get(context.Background(), store, key)
+		if err != nil || n != size || int64(len(data)) != size {
+			t.Fatalf("%s: %d bytes of %d read (%v), want %d", key, len(data), n, err, size)
+		}
+		for i, b := range data {
+			if b != byte(i) {
+				t.Fatalf("%s: byte %d = %d, want %d", key, i, b, byte(i))
+			}
+		}
 	}
 }

@@ -284,7 +284,11 @@ func (r *Runner) ChurnToAge(target float64, opts ChurnOptions) (Result, error) {
 	if loaded == 0 {
 		return Result{}, fmt.Errorf("workload: churn before bulk load")
 	}
-	rr, err := r.exec.Run(specs, RunOptions{TolerateNoSpace: opts.TolerateNoSpace})
+	var ro RunOptions
+	if opts.TolerateNoSpace {
+		ro.Errors = SkipNoSpace
+	}
+	rr, err := r.exec.Run(specs, ro)
 	res := r.writeResult(rr)
 	if err != nil {
 		return res, fmt.Errorf("churn: %w", err)

@@ -8,7 +8,7 @@
 #   - CI's report run: fragbench -quick -obs -report ... -optrace ... all
 #   - each example under examples/
 #   - layoutmap on both backends, at CI's smoke scale
-#   - fragserve driven by fragbench loadgen over loopback
+#   - fragserve driven by fragbench loadgen over loopback, with payloads
 #   - each BENCHMARK.json workload for 3 s, through `go -C bench run .`
 #     with GOFLAGS carrying -cover, so the fragserve child it builds is
 #     covered too
@@ -79,7 +79,7 @@ for _ in $(seq 1 100); do
 	sleep 0.1
 done
 "$bin/fragbench" loadgen -url "$url" -clients 16 -ramp 4,16 -duration 1s \
-	-objects 128 -size 64K >/dev/null
+	-objects 128 -size 64K -payload >/dev/null
 curl -sf "$url/report" >/dev/null
 kill -TERM "$srv"
 wait "$srv"
