@@ -23,7 +23,7 @@ func runLoadgen(args []string) {
 	var (
 		url      = fs.String("url", "http://127.0.0.1:8080", "fragserve base URL")
 		clientsN = fs.Int("clients", 64, "peak concurrent streams (the default ramp's last step)")
-		ramp     = fs.String("ramp", "", "comma-separated concurrency schedule (default: clients/4, clients/2, clients)")
+		ramp     = fs.String("ramp", "", fmt.Sprintf("comma-separated concurrency schedule, each step 1..%d (default: clients/4, clients/2, clients)", workload.MaxStreams))
 		duration = fs.Duration("duration", 5*time.Second, "wall-clock duration of EACH ramp step")
 		objects  = fs.Int("objects", 512, "objects prepopulated before measuring")
 		size     = fs.String("size", "64K", "object-size distribution (constant:SIZE or uniform:MIN-MAX)")
@@ -67,8 +67,8 @@ flags:
 		Objects:       *objects,
 		Dist:          dist,
 		ReadsPerWrite: *reads,
+		Payload:       *payload,
 		Seed:          *seed,
-		RunOptions:    workload.RunOptions{Payload: *payload},
 	}
 	if *report != "" {
 		cfg.Report = obs.NewRunReport()

@@ -179,7 +179,7 @@ func TestExecutorStreamsHoldOneConnectionEach(t *testing.T) {
 				}
 				streams[i] = workload.Stream{Source: &ops, RNG: rand.New(rand.NewSource(int64(i)))}
 			}
-			rr, err := workload.NewExecutor(w.c).Run(streams, workload.RunOptions{Payload: true})
+			rr, err := workload.NewExecutor(w.c).WithPayload(true).Run(streams, workload.RunOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

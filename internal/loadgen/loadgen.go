@@ -51,7 +51,7 @@ type Config struct {
 	// URL is the service base URL (e.g. http://127.0.0.1:8080).
 	URL string
 	// Ramp is the concurrency schedule: one measured phase per entry,
-	// in order. Every entry must be ≥ 1.
+	// in order. Every entry must be in [1, workload.MaxStreams].
 	Ramp []int
 	// StepDuration is the wall-clock length of each measured phase.
 	StepDuration time.Duration
@@ -67,9 +67,9 @@ type Config struct {
 	// Report, when non-nil, receives one experiment with a phase per
 	// ramp step.
 	Report *obs.RunReport
-	// RunOptions.Payload ships real object bytes; false writes metadata
-	// only (sizes travel, bytes don't). Run sets each phase's Errors.
-	workload.RunOptions
+	// Payload ships real object bytes; false writes metadata only
+	// (sizes travel, bytes don't).
+	Payload bool
 }
 
 // Result summarizes a run.
@@ -117,8 +117,7 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 		return Result{}, fmt.Errorf("loadgen: %w", err)
 	}
 	defer c.Close()
-	exec := workload.NewExecutor(c).WithContext(ctx)
-	opts := cfg.RunOptions
+	exec := workload.NewExecutor(c).WithContext(ctx).WithPayload(cfg.Payload)
 
 	// Prepopulation: LoadSource streams racing for one byte budget sized
 	// to cfg.Objects mean-sized objects; keys holds those that committed.
@@ -142,8 +141,7 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 			RNG: rand.New(rand.NewSource(cfg.Seed + int64(i))),
 		})
 	}
-	opts.Errors = workload.RetryShed
-	if _, err := exec.Run(load, opts); ctx.Err() != nil {
+	if _, err := exec.Run(load, workload.RunOptions{Errors: workload.RetryShed}); ctx.Err() != nil {
 		return Result{}, ctx.Err()
 	} else if err != nil {
 		return Result{}, fmt.Errorf("loadgen: prepopulate: %w", err)
@@ -154,7 +152,6 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 
 	res := Result{Loaded: len(keys)}
 	reg := obs.NewWallRegistry()
-	opts.Errors = workload.Continue
 	for _, k := range cfg.Ramp {
 		reg.Reset()
 		startNs := obs.WallNow()
@@ -183,7 +180,7 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 				RNG: rand.New(rand.NewSource(cfg.Seed + 1000003*int64(k) + int64(i))),
 			})
 		}
-		if _, err := exec.Run(streams, opts); ctx.Err() != nil {
+		if _, err := exec.Run(streams, workload.RunOptions{Errors: workload.Continue}); ctx.Err() != nil {
 			return res, ctx.Err()
 		} else if err != nil {
 			return res, fmt.Errorf("loadgen: step k=%d: %w", k, err)
@@ -205,8 +202,8 @@ func (cfg Config) validate() error {
 		return fmt.Errorf("loadgen: %w: empty concurrency ramp", blob.ErrBadOption)
 	}
 	for _, k := range cfg.Ramp {
-		if k < 1 {
-			return fmt.Errorf("loadgen: %w: ramp step %d must be ≥ 1", blob.ErrBadOption, k)
+		if k < 1 || k > workload.MaxStreams {
+			return fmt.Errorf("loadgen: %w: ramp step %d outside [1, %d]", blob.ErrBadOption, k, workload.MaxStreams)
 		}
 	}
 	if cfg.StepDuration <= 0 {

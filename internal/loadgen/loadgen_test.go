@@ -136,7 +136,7 @@ func TestLoadgenShedVisibility(t *testing.T) {
 		Objects:       16,
 		Dist:          workload.Constant{Size: 4 * units.MB},
 		ReadsPerWrite: 1,
-		RunOptions:    workload.RunOptions{Payload: true},
+		Payload:       true,
 		Seed:          1,
 	})
 	if err != nil {
@@ -178,6 +178,7 @@ func TestLoadgenConfigValidation(t *testing.T) {
 		{"EmptyURL", func(c *loadgen.Config) { c.URL = "" }},
 		{"EmptyRamp", func(c *loadgen.Config) { c.Ramp = nil }},
 		{"ZeroStep", func(c *loadgen.Config) { c.Ramp = []int{0} }},
+		{"StepOverMaxStreams", func(c *loadgen.Config) { c.Ramp = []int{1, workload.MaxStreams + 1} }},
 		{"ZeroDuration", func(c *loadgen.Config) { c.StepDuration = 0 }},
 		{"NoObjects", func(c *loadgen.Config) { c.Objects = 0 }},
 		{"NilDist", func(c *loadgen.Config) { c.Dist = nil }},

@@ -33,6 +33,7 @@ type Executor struct {
 	ctx       context.Context
 	store     blob.Store
 	collector *obs.Collector
+	payload   bool
 }
 
 // NewExecutor creates an executor over store.
@@ -44,6 +45,15 @@ func NewExecutor(store blob.Store) *Executor {
 // cancelling a long phase from outside.
 func (e *Executor) WithContext(ctx context.Context) *Executor {
 	e.ctx = ctx
+	return e
+}
+
+// WithPayload makes every create and replace send real bytes: each
+// stream writes a prefix of one patterned buffer (byte i is byte(i)),
+// grown to the largest write the stream has made. Without it (the
+// default) a write is metadata-only: sizes travel, bytes do not.
+func (e *Executor) WithPayload(on bool) *Executor {
+	e.payload = on
 	return e
 }
 
@@ -109,16 +119,10 @@ const (
 	RetryShed
 )
 
-// RunOptions controls one Executor.Run. The zero value fails fast and
-// writes metadata only.
+// RunOptions controls one Executor.Run. The zero value fails fast.
 type RunOptions struct {
 	// Errors is what a stream does when an op fails.
 	Errors ErrorPolicy
-	// Payload writes real bytes: every create and replace of a stream
-	// sends a prefix of one patterned buffer (byte i is byte(i)), grown
-	// to the largest write the stream has made. Without it a write is
-	// metadata-only: sizes travel, bytes do not.
-	Payload bool
 }
 
 // Counts is the raw per-stream operation accounting of one run.
@@ -234,7 +238,7 @@ func (e *Executor) runStream(id int, st Stream, opts RunOptions, alone bool, c *
 	trackSkips := opts.Errors == SkipNoSpace && alone
 	src := st.Source
 	obs, observes := src.(SourceObserver)
-	var payload []byte // the stream's patterned write buffer under opts.Payload
+	var payload []byte // the stream's patterned write buffer under WithPayload
 	consecutiveSkips := 0
 	for opIdx := 0; ; opIdx++ {
 		if err := e.ctx.Err(); err != nil {
@@ -251,7 +255,7 @@ func (e *Executor) runStream(id int, st Stream, opts RunOptions, alone bool, c *
 		}
 		write := op.Kind == OpCreate || op.Kind == OpReplace
 		var data []byte
-		if opts.Payload && write {
+		if e.payload && write {
 			payload = patterned(payload, op.Size)
 			data = payload[:op.Size]
 		}

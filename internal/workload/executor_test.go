@@ -305,7 +305,7 @@ func TestExecutorErrorPolicy(t *testing.T) {
 	}
 }
 
-// TestExecutorPayload: under RunOptions.Payload every write carries its
+// TestExecutorPayload: under WithPayload every write carries its
 // size in patterned bytes (byte i is byte(i)), which read back whole, a
 // smaller write after a larger one included.
 func TestExecutorPayload(t *testing.T) {
@@ -320,7 +320,7 @@ func TestExecutorPayload(t *testing.T) {
 		{Kind: OpCreate, Key: "b", Size: sizes["b"]},
 	}
 	src := &sliceSource{ops: ops, i: new(int)}
-	if _, err := NewExecutor(store).Run([]Stream{{Source: src, RNG: rand.New(rand.NewSource(1))}}, RunOptions{Payload: true}); err != nil {
+	if _, err := NewExecutor(store).WithPayload(true).Run([]Stream{{Source: src, RNG: rand.New(rand.NewSource(1))}}, RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	for key, size := range sizes {
