@@ -40,8 +40,10 @@ Drives a running fragserve with the simulator's own op executor
 objects, then runs the churn mix at each ramp step's k concurrent
 streams for -duration. Each op is what the executor does to any store:
 a replace is a HEAD then a PUT, a read a HEAD that opens the object
-then a GET of the version it pinned. Prints wall-clock latency
-quantiles per step and op kind, with errors and admission sheds.
+then a GET of the version it pinned. Prints, per step and op kind,
+the count of successful ops and their wall-clock latency quantiles,
+with the kind's failed ops (errs) and, among them, admission sheds
+(shed).
 
 flags:
 `)
@@ -102,32 +104,20 @@ flags:
 	fmt.Printf("%-8s %-10s %10s %8s %8s %10s %10s %10s\n",
 		"step", "op", "count", "errs", "shed", "p50(ms)", "p99(ms)", "p999(ms)")
 	for _, step := range res.Steps {
-		for _, name := range []string{"loadgen.create", "loadgen.replace", "loadgen.read", "loadgen.delete"} {
-			h, ok := step.Snapshot.Histograms[name]
-			if !ok || h.Count == 0 {
+		for _, kind := range []string{"create", "replace", "read", "delete"} {
+			ok, errs, shed := step.Snapshot.Outcomes("op." + kind)
+			if ok+errs == 0 {
 				continue
 			}
-			op := strings.TrimPrefix(name, "loadgen.")
-			errs := countErrs(step.Snapshot, name)
+			h := step.Snapshot.Histograms["op."+kind] // nil when every op failed
 			fmt.Printf("%-8s %-10s %10d %8d %8d %10.2f %10.2f %10.2f\n",
-				fmt.Sprintf("k=%d", step.Clients), op, h.Count, errs, step.Shed,
+				fmt.Sprintf("k=%d", step.Clients), kind, ok, errs, shed,
 				ms(h.Quantile(0.5)), ms(h.Quantile(0.99)), ms(h.Quantile(0.999)))
 		}
 	}
 }
 
 func ms(ns int64) float64 { return float64(ns) / 1e6 }
-
-// countErrs totals the error counters recorded under one op histogram.
-func countErrs(snap obs.Snapshot, name string) int64 {
-	var n int64
-	for cname, v := range snap.Counters {
-		if strings.HasPrefix(cname, name+".err.") {
-			n += v
-		}
-	}
-	return n
-}
 
 // parseRamp parses a comma-separated concurrency schedule, defaulting
 // to a three-step ramp up to the peak client count.

@@ -54,7 +54,7 @@ func main() {
 					log.Fatal(err)
 				}
 			}
-			res, err := runner.MeasureRead(150, workload.ReadOptions{})
+			res, err := runner.MeasureRead(150, nil)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -114,8 +114,8 @@ func Dial(baseURL string) (*Store, error) {
 		clock:   vclock.New(),
 		writing: make(map[string]bool),
 	}
-	st, err := s.stats(context.Background())
-	if err != nil {
+	var st wire.StatsResponse
+	if err := s.doJSON(context.Background(), wire.PathStats, maxStatsBody, &st); err != nil {
 		return nil, fmt.Errorf("client: dial %s: %w", baseURL, err)
 	}
 	s.name = st.Name
@@ -281,14 +281,35 @@ func (s *Store) do(ctx context.Context, method, path string, payload []byte, hdr
 	return resp, nil
 }
 
-// doJSON performs a wire call and decodes a JSON success body into v.
-func (s *Store) doJSON(ctx context.Context, method, path string, v any) error {
-	resp, err := s.do(ctx, method, path, nil)
+// Bounds on the JSON bodies the client reads. A /v1/stats body takes a
+// few hundred bytes. /v1/keys and /v1/layout grow with the store: about
+// 80 B of layout per object × the 1M 4 KB objects of fragserve's
+// default 4G volume = 80 MB, bounded with about 3x headroom.
+const (
+	maxStatsBody   = 64 << 10
+	maxListingBody = 256 << 20
+)
+
+// doJSON GETs path and decodes its JSON success body into v. A body
+// over limit bytes, or one that does not decode, is an error wrapping
+// ErrBadResponse.
+func (s *Store) doJSON(ctx context.Context, path string, limit int64, v any) error {
+	resp, err := s.do(ctx, "GET", path, nil)
 	if err != nil {
 		return err
 	}
 	defer resp.body.Close()
-	return json.NewDecoder(resp.body).Decode(v)
+	data, err := io.ReadAll(io.LimitReader(resp.body, limit+1))
+	switch {
+	case err != nil:
+		return fmt.Errorf("client: GET %s: %w", path, err)
+	case int64(len(data)) > limit:
+		return fmt.Errorf("client: GET %s: %w: body over %d bytes", path, ErrBadResponse, limit)
+	}
+	if err := json.Unmarshal(data, v); err != nil {
+		return fmt.Errorf("client: GET %s: %w: %v", path, ErrBadResponse, err)
+	}
+	return nil
 }
 
 // --- blob.Store ------------------------------------------------------
@@ -387,39 +408,12 @@ func (s *Store) head(ctx context.Context, key string, hdr ...string) (blob.Info,
 	return blob.Info{Key: key, Size: resp.size, Version: uint64(resp.version)}, nil
 }
 
-// maxStatsBody bounds a /v1/stats body, whose seven fields take a few
-// hundred bytes.
-const maxStatsBody = 64 << 10
-
-// stats fetches the remote accounting surface in one round trip. A body
-// over maxStatsBody bytes, or one that does not decode, is an error
-// wrapping ErrBadResponse.
-func (s *Store) stats(ctx context.Context) (wire.StatsResponse, error) {
-	var st wire.StatsResponse
-	resp, err := s.do(ctx, "GET", wire.PathStats, nil)
-	if err != nil {
-		return st, err
-	}
-	defer resp.body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.body, maxStatsBody+1))
-	switch {
-	case err != nil:
-		return st, fmt.Errorf("client: stats: %w", err)
-	case len(data) > maxStatsBody:
-		return st, fmt.Errorf("client: stats: %w: body over %d bytes", ErrBadResponse, maxStatsBody)
-	}
-	if err := json.Unmarshal(data, &st); err != nil {
-		return st, fmt.Errorf("client: stats: %w: %v", ErrBadResponse, err)
-	}
-	return st, nil
-}
-
 // Keys lists live objects. The blob.Store accounting surface has no
 // context or error channel; a network failure reports an empty
 // listing.
 func (s *Store) Keys() []string {
 	var kr wire.KeysResponse
-	if err := s.doJSON(context.Background(), "GET", wire.PathKeys, &kr); err != nil {
+	if err := s.doJSON(context.Background(), wire.PathKeys, maxListingBody, &kr); err != nil {
 		return nil
 	}
 	return kr.Keys
@@ -427,7 +421,13 @@ func (s *Store) Keys() []string {
 
 // Usage implements blob.Store: one stats round trip, so every count is
 // the server's reading at one moment. A network failure reports zeros.
-func (s *Store) Usage() blob.Usage { st, _ := s.stats(context.Background()); return st.Usage }
+func (s *Store) Usage() blob.Usage {
+	var st wire.StatsResponse
+	if s.doJSON(context.Background(), wire.PathStats, maxStatsBody, &st) != nil {
+		return blob.Usage{}
+	}
+	return st.Usage
+}
 
 // ObjectCount implements blob.Store, kept only because bench/ calls it (until J).
 func (s *Store) ObjectCount() int { return s.Usage().Objects }
@@ -452,7 +452,7 @@ func (s *Store) EachObjectTag(fn func(key string, tag uint32)) {
 
 func (s *Store) layout() []wire.LayoutObject {
 	var objs []wire.LayoutObject
-	if err := s.doJSON(context.Background(), "GET", wire.PathLayout, &objs); err != nil {
+	if err := s.doJSON(context.Background(), wire.PathLayout, maxListingBody, &objs); err != nil {
 		return nil
 	}
 	return objs

@@ -43,7 +43,7 @@ func (c Config) newProbe(phase string, clock *vclock.Clock, missLayer string) *p
 }
 
 // collector returns the arm's op collector (nil when off), for
-// Runner.WithCollector and ReadOptions.Collector.
+// Runner.WithCollector and Executor.WithCollector.
 func (p *probe) collector() *obs.Collector {
 	if p == nil {
 		return nil

@@ -93,15 +93,15 @@ func ReadCacheSweep(c Config) ([]*stats.Table, error) {
 				// uncached arm has nothing to warm, so it skips straight to
 				// the measurement.
 				if cs != nil {
-					if _, err := workload.ReadPhase(ctx, rs, keys, c.ReadSamples, c.Seed+17,
-						workload.ReadOptions{Popularity: pop}); err != nil {
+					if _, err := workload.ReadPhase(workload.NewExecutor(rs).WithContext(ctx),
+						keys, c.ReadSamples, c.Seed+17, pop); err != nil {
 						return fmt.Errorf("readcache %s warmup: %w", kind, err)
 					}
 					cs.ResetStats()
 					p.reset()
 				}
-				res, err := workload.ReadPhase(ctx, rs, keys, c.ReadSamples, c.Seed+18,
-					workload.ReadOptions{Popularity: pop, Collector: p.collector()})
+				res, err := workload.ReadPhase(workload.NewExecutor(rs).WithContext(ctx).WithCollector(p.collector()),
+					keys, c.ReadSamples, c.Seed+18, pop)
 				if err != nil {
 					return fmt.Errorf("readcache %s measure: %w", kind, err)
 				}

@@ -16,10 +16,12 @@
 //     GET of that version (a Range GET for a ranged read).
 //
 // Each stream has a seeded RNG and a disjoint slice of the keyspace (no
-// artificial ErrBusy collisions). A wrapper around its source records
-// the wall time from the executor taking an op to its outcome into
-// log-bucketed obs histograms, tagged wall_ns: p999 comes from the same
-// quantile machinery as the virtual-time figures.
+// artificial ErrBusy collisions). The executor's own obs.Collector,
+// over a wall-unit registry, times each measured op on the wall clock:
+// the same op.<kind> histograms of successful ops and
+// op.<kind>.err.<sentinel> counters of failed ones that an in-process
+// run records in virtual time, tagged wall_ns, so p999 comes from the
+// same quantile machinery as the virtual-time figures.
 //
 // Concurrency is ramped: each step in Config.Ramp runs the churn mix at
 // k streams for Config.StepDuration on a freshly reset registry and
@@ -106,8 +108,8 @@ func (r Result) TotalOps() int64 {
 // Run executes the full schedule over one dialed store: prepopulate
 // with as many streams as the largest ramp entry, then one measured
 // churn phase per ramp entry. The context cancels the whole run
-// (in-flight ops are abandoned mid-request; the per-op error is not
-// counted against the service).
+// (in-flight ops are abandoned mid-request, and the cut step is not
+// reported).
 func Run(ctx context.Context, cfg Config) (Result, error) {
 	if err := cfg.validate(); err != nil {
 		return Result{}, err
@@ -152,13 +154,13 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 
 	res := Result{Loaded: len(keys)}
 	reg := obs.NewWallRegistry()
+	exec.WithCollector(&obs.Collector{Registry: reg})
 	for _, k := range cfg.Ramp {
 		reg.Reset()
 		startNs := obs.WallNow()
 		age := func() float64 {
 			return float64(obs.WallNow()-startNs) / float64(cfg.StepDuration.Nanoseconds())
 		}
-		n := &tally{ctx: ctx, reg: reg}
 		var streams []workload.Stream
 		for i := range min(k, len(keys)) {
 			// Disjoint partition: stream i of k owns every key whose index
@@ -170,13 +172,13 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 				part = append(part, keys[j])
 			}
 			streams = append(streams, workload.Stream{
-				Source: &timed{Source: &workload.ChurnSource{
+				Source: &workload.ChurnSource{
 					Keys:          part,
 					Dist:          cfg.Dist,
 					TargetAge:     1,
 					Age:           age,
 					ReadsPerWrite: cfg.ReadsPerWrite,
-				}, n: n},
+				},
 				RNG: rand.New(rand.NewSource(cfg.Seed + 1000003*int64(k) + int64(i))),
 			})
 		}
@@ -185,7 +187,9 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 		} else if err != nil {
 			return res, fmt.Errorf("loadgen: step k=%d: %w", k, err)
 		}
-		step := StepResult{Clients: k, Ops: n.ops.Load(), Errors: n.errs.Load(), Shed: n.shed.Load(), Snapshot: reg.Snapshot()}
+		snap := reg.Snapshot()
+		ok, failed, shed := snap.Outcomes("op.")
+		step := StepResult{Clients: k, Ops: ok + failed, Errors: failed, Shed: shed, Snapshot: snap}
 		res.Steps = append(res.Steps, step)
 		if cfg.Report != nil {
 			cfg.Report.Section("loadgen").AddPhase(fmt.Sprintf("k=%d", k), step.Snapshot)
@@ -216,49 +220,4 @@ func (cfg Config) validate() error {
 		return fmt.Errorf("loadgen: %w: nil size distribution", blob.ErrBadOption)
 	}
 	return nil
-}
-
-// tally is one measured step's wall-clock registry and op counts,
-// shared by its streams.
-type tally struct {
-	ctx             context.Context
-	reg             *obs.Registry
-	ops, errs, shed atomic.Int64
-}
-
-// timed wraps one stream's source. It stamps the wall clock when the
-// executor takes an op (Next) and when it reports the outcome
-// (Observe), records the interval in the loadgen.<kind> histogram and a
-// failure in a loadgen.<kind>.err.<name> counter, and forwards Observe
-// to the source.
-type timed struct {
-	workload.Source
-	n     *tally
-	start int64
-}
-
-func (t *timed) Next(rng *rand.Rand) (workload.Op, bool) {
-	op, ok := t.Source.Next(rng)
-	t.start = obs.WallNow()
-	return op, ok
-}
-
-func (t *timed) Observe(op workload.Op, err error) {
-	end := obs.WallNow()
-	if o, ok := t.Source.(workload.SourceObserver); ok {
-		o.Observe(op, err)
-	}
-	if t.n.ctx.Err() != nil {
-		return // abandoned mid-op by cancellation; don't count
-	}
-	name := "loadgen." + op.Kind.String()
-	t.n.reg.Histogram(name).Observe(end - t.start)
-	t.n.ops.Add(1)
-	if err != nil {
-		t.n.reg.Counter(name + ".err." + blob.ErrName(err)).Add(1)
-		t.n.errs.Add(1)
-		if workload.Shed(err) {
-			t.n.shed.Add(1)
-		}
-	}
 }

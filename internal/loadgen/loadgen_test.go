@@ -85,7 +85,7 @@ func TestLoadgenRampedRun(t *testing.T) {
 		if step.Snapshot.Unit != obs.UnitWall {
 			t.Fatalf("step k=%d snapshot unit = %q, want wall_ns", step.Clients, step.Snapshot.Unit)
 		}
-		for _, name := range []string{"loadgen.replace", "loadgen.read"} {
+		for _, name := range []string{"op.replace", "op.read"} {
 			h := step.Snapshot.Histograms[name]
 			if h == nil || h.Count == 0 {
 				t.Fatalf("step k=%d recorded no %s latencies", step.Clients, name)
@@ -152,7 +152,7 @@ func TestLoadgenShedVisibility(t *testing.T) {
 	// Sheds surface as typed per-op error counters in the snapshot.
 	var typed int64
 	for name, v := range step.Snapshot.Counters {
-		if name == "loadgen.replace.err.overloaded" || name == "loadgen.read.err.overloaded" {
+		if name == "op.replace.err.overloaded" || name == "op.read.err.overloaded" {
 			typed += v
 		}
 	}

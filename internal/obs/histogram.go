@@ -197,11 +197,12 @@ func (s *HistogramSnapshot) Mean() float64 {
 	return float64(s.Sum) / float64(s.Count)
 }
 
-// Quantile returns the q-quantile (0..1) in virtual nanoseconds,
+// Quantile returns the q-quantile (0..1) in the registry's unit,
 // linearly interpolated inside the covering bucket and clamped to the
-// observed min/max so p999 can never exceed the recorded maximum.
+// observed min/max so p999 can never exceed the recorded maximum. A nil
+// or empty snapshot reads 0.
 func (s *HistogramSnapshot) Quantile(q float64) int64 {
-	if s.Count == 0 {
+	if s == nil || s.Count == 0 {
 		return 0
 	}
 	if q <= 0 {

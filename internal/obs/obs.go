@@ -23,25 +23,28 @@
 //     fragbench harness emits alongside its text tables.
 //
 // Virtual time vs. wall clock: everything here measures the simulated
-// clock (vclock.Clock). An op's latency includes virtual time charged
-// by OTHER concurrent streams while the op was in flight — exactly the
-// queueing view a tail-latency SLO needs — and is reproducible per
-// seed, unlike wall-clock timings.
+// clock (vclock.Clock) but a NewWallRegistry, the network service's.
+// An op's latency includes virtual time charged by OTHER concurrent
+// streams while it was in flight — the queueing view a tail-latency
+// SLO needs — and is reproducible per seed, unlike wall-clock timings.
 package obs
 
 import (
 	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/blob"
 )
 
 // TimeUnit declares what a registry's latency histograms measure. The
 // tag travels with every Snapshot and PhaseReport so virtual-time sim
 // histograms and wall-clock server histograms can never be silently
-// mixed in one report: the vclock-timed recorders (Wrap,
-// NewCommitObserver, Collector) refuse a wall-unit registry, and the
-// report schema surfaces the unit per phase.
+// mixed in one report: Wrap and NewCommitObserver refuse a wall-unit
+// registry, a Collector times ops on the clock its registry's unit
+// names, and the report schema surfaces the unit per phase.
 type TimeUnit string
 
 const (
@@ -231,6 +234,33 @@ type Snapshot struct {
 	Counters   map[string]int64
 	Gauges     map[string]float64
 	Histograms map[string]*HistogramSnapshot
+}
+
+// Outcomes counts the ops recorded under name by the rule every op
+// recorder here follows: a success is a point in the name's histogram,
+// a failure a name.err.<sentinel> counter, and a shed a failure that
+// admission control refused (overloaded or unavailable). A name ending
+// in "." is a prefix: "op." sums every op kind.
+func (s Snapshot) Outcomes(name string) (ok, failed, shed int64) {
+	under := func(n string) bool {
+		return n == name || strings.HasSuffix(name, ".") && strings.HasPrefix(n, name)
+	}
+	for n, h := range s.Histograms {
+		if under(n) {
+			ok += h.Count
+		}
+	}
+	for n, v := range s.Counters {
+		op, sentinel, isErr := strings.Cut(n, ".err.")
+		if !isErr || !under(op) {
+			continue
+		}
+		failed += v
+		if sentinel == blob.ErrName(blob.ErrOverloaded) || sentinel == blob.ErrName(blob.ErrUnavailable) {
+			shed += v
+		}
+	}
+	return ok, failed, shed
 }
 
 // Snapshot copies every metric. Histograms with zero observations are

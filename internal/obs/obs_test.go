@@ -79,3 +79,47 @@ func TestSnapshotIsCopy(t *testing.T) {
 		t.Fatal("snapshot mutated by later recording")
 	}
 }
+
+// TestSnapshotOutcomes pins the one reading of op outcomes: successes
+// are histogram points, failures name.err.<sentinel> counters, a shed
+// is exactly an overloaded or unavailable failure, and a prefix sums
+// its op kinds without counting the read.hit/read.miss split (or any
+// other series) as ops.
+func TestSnapshotOutcomes(t *testing.T) {
+	r := NewRegistry()
+	for range 5 {
+		r.Histogram("op.read").Observe(10)
+	}
+	for range 3 {
+		r.Histogram("op.replace").Observe(10)
+	}
+	r.Histogram("op.delete") // created, never observed
+	r.Histogram("read.hit").Observe(10)
+	r.Histogram("read.miss").Observe(10)
+	r.Histogram("store.open").Observe(10)
+	r.Counter("op.read.err.overloaded").Add(2)
+	r.Counter("op.read.err.notfound").Add(1)
+	r.Counter("op.replace.err.unavailable").Add(4)
+	r.Counter("op.replace.err.busy").Add(1)
+	r.Counter("store.open.err.overloaded").Add(7)
+	r.Counter("op.reads") // not an error counter
+	s := r.Snapshot()
+
+	for _, tc := range []struct {
+		name             string
+		ok, failed, shed int64
+	}{
+		{"op.read", 5, 3, 2},
+		{"op.replace", 3, 5, 4},
+		{"op.delete", 0, 0, 0},
+		{"op.create", 0, 0, 0},
+		{"op.", 8, 8, 6},
+		{"store.open", 1, 7, 7},
+		{"op", 0, 0, 0}, // a bare name is not a prefix
+	} {
+		if ok, failed, shed := s.Outcomes(tc.name); ok != tc.ok || failed != tc.failed || shed != tc.shed {
+			t.Errorf("Outcomes(%q) = %d ok, %d failed, %d shed; want %d, %d, %d",
+				tc.name, ok, failed, shed, tc.ok, tc.failed, tc.shed)
+		}
+	}
+}

@@ -40,7 +40,7 @@ type OpTrace struct {
 	Kind string `json:"kind"`
 	// Key is the object key.
 	Key string `json:"key"`
-	// Start and End bound the op on the virtual clock, ns.
+	// Start and End bound the op on the collector's clock, ns.
 	Start int64 `json:"start"`
 	End   int64 `json:"end"`
 	// Err is the failure sentinel name, empty on success.
@@ -51,7 +51,7 @@ type OpTrace struct {
 	mu sync.Mutex
 }
 
-// Duration returns the op's virtual latency in ns.
+// Duration returns the op's latency in ns.
 func (t *OpTrace) Duration() int64 { return t.End - t.Start }
 
 // addSpan appends one layer span. Called by obs.Store from the op's
@@ -258,16 +258,19 @@ func (tr *Tracer) WriteChromeTrace(w io.Writer) error {
 // obs.Store layers can attach spans), records whole-op latency
 // histograms, classifies reads as cache hit or miss, and feeds the
 // tracer. Any field may be nil/empty; a nil *Collector disables
-// everything.
+// everything. It times an op on the clock its registry's unit names:
+// Clock for a NewRegistry, WallNow for a NewWallRegistry. Layer spans
+// are virtual, so a wall-unit collector given a Tracer or a MissLayer
+// panics.
 type Collector struct {
-	// Registry receives op.<kind> latency histograms and error
-	// counters; nil records none. Must be a virtual-unit registry — the
-	// collector times ops on the virtual clock (FinishOp panics on a
-	// wall-unit registry).
+	// Registry receives op.<kind> latency histograms of successful ops
+	// and op.<kind>.err.<sentinel> counters of failed ones; nil records
+	// none.
 	Registry *Registry
 	// Tracer retains completed ops; nil traces none.
 	Tracer *Tracer
-	// Clock is the virtual clock ops are timed on. Required.
+	// Clock is the virtual clock ops are timed on; a wall-unit
+	// collector needs none.
 	Clock *vclock.Clock
 	// Phase labels this collector's ops in the trace.
 	Phase string
@@ -279,6 +282,17 @@ type Collector struct {
 	MissLayer string
 }
 
+// now reads the clock ops are timed on.
+func (c *Collector) now() int64 {
+	if c.Registry.Unit() != UnitWall {
+		return c.Clock.Now()
+	}
+	if c.Tracer != nil || c.MissLayer != "" {
+		panic("obs.Collector: registry records wall_ns but trace spans are virtual-clock ns; trace or classify reads only with a NewRegistry (virtual) registry")
+	}
+	return WallNow()
+}
+
 // StartOp opens a traced operation on the given stream, returning the
 // context the op's store calls must carry. A nil collector returns ctx
 // unchanged and a nil op.
@@ -286,7 +300,7 @@ func (c *Collector) StartOp(ctx context.Context, stream int, kind, key string) (
 	if c == nil {
 		return ctx, nil
 	}
-	op := &OpTrace{Phase: c.Phase, Stream: stream, Kind: kind, Key: key, Start: c.Clock.Now()}
+	op := &OpTrace{Phase: c.Phase, Stream: stream, Kind: kind, Key: key, Start: c.now()}
 	return context.WithValue(ctx, opCtxKey{}, op), op
 }
 
@@ -298,12 +312,11 @@ func (c *Collector) FinishOp(op *OpTrace, err error) {
 	if c == nil || op == nil {
 		return
 	}
-	op.End = c.Clock.Now()
+	op.End = c.now()
 	if err != nil {
 		op.Err = blob.ErrName(err)
 	}
 	if c.Registry != nil {
-		mustVirtual(c.Registry, "obs.Collector")
 		if err != nil {
 			c.Registry.Counter("op." + op.Kind + ".err." + op.Err).Inc()
 		} else {

@@ -52,8 +52,8 @@ func TestTimeUnitTagging(t *testing.T) {
 }
 
 // TestWallRegistryRefusedByVclockRecorders pins the guard: the
-// vclock-timed recorders panic rather than mix virtual ns into a
-// wall_ns registry.
+// vclock-timed recorders, and a wall-unit Collector asked to trace
+// virtual spans, panic rather than mix virtual ns into wall_ns.
 func TestWallRegistryRefusedByVclockRecorders(t *testing.T) {
 	wall := NewWallRegistry()
 	clk := vclock.New()
@@ -77,13 +77,50 @@ func TestWallRegistryRefusedByVclockRecorders(t *testing.T) {
 	}
 	mustPanic("Wrap", func() { Wrap(inner, "disk", wall) })
 	mustPanic("NewCommitObserver", func() { NewCommitObserver(wall, "store") })
-	mustPanic("Collector.FinishOp", func() {
-		c := &Collector{Registry: wall, Clock: clk}
+	mustPanic("Collector with a Tracer", func() {
+		c := &Collector{Registry: wall, Tracer: NewTracer(), Clock: clk}
 		_, op := c.StartOp(t.Context(), 0, "read", "k")
 		c.FinishOp(op, nil)
+	})
+	mustPanic("Collector with a MissLayer", func() {
+		(&Collector{Registry: wall, MissLayer: "disk"}).StartOp(t.Context(), 0, "read", "k")
 	})
 
 	// The virtual-unit path is unaffected.
 	Wrap(inner, "disk", NewRegistry())
 	Wrap(inner, "disk", nil)
+}
+
+// TestWallCollectorTimesOnTheWallClock pins the other half of the
+// Collector's clock rule: on a wall-unit registry it times each op on
+// the wall clock, so ops against a store whose virtual clock never
+// moves still record non-zero wall_ns latencies, and failures land in
+// typed error counters, not in the histogram.
+func TestWallCollectorTimesOnTheWallClock(t *testing.T) {
+	wall := NewWallRegistry()
+	c := &Collector{Registry: wall, Clock: vclock.New()} // never advanced
+	for i := range 3 {
+		_, op := c.StartOp(t.Context(), 0, "read", "k")
+		for WallNow() <= op.Start { // the op's round trip: wall time passes
+		}
+		var err error
+		if i == 2 {
+			err = blob.ErrOverloaded
+		}
+		c.FinishOp(op, err)
+	}
+	s := wall.Snapshot()
+	if s.Unit != UnitWall {
+		t.Fatalf("snapshot unit = %q, want wall_ns", s.Unit)
+	}
+	h := s.Histograms["op.read"]
+	if h == nil {
+		t.Fatal("no op.read histogram")
+	}
+	if h.Count != 2 || h.Min <= 0 {
+		t.Fatalf("op.read: %d points, min %d ns; want 2 successes with non-zero wall latency", h.Count, h.Min)
+	}
+	if n := s.Counters["op.read.err.overloaded"]; n != 1 {
+		t.Fatalf("op.read.err.overloaded = %d, want 1 (counters: %v)", n, s.Counters)
+	}
 }

@@ -334,7 +334,7 @@ func TestRecordReplayDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	read, err := runner.MeasureRead(40, workload.ReadOptions{})
+	read, err := runner.MeasureRead(40, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,11 +57,10 @@ func (e *Executor) WithPayload(on bool) *Executor {
 	return e
 }
 
-// WithCollector installs per-op observability: every operation of
-// every stream is timed end-to-end on the virtual clock, recorded into
-// the collector's registry (op.<kind> histograms, read hit/miss
-// classification), and traced with its per-layer spans when the store
-// chain is obs-wrapped. A nil collector (the default) records nothing.
+// WithCollector installs per-op observability: every op of every
+// stream is timed end to end on the collector's clock, recorded in its
+// registry and traced with its per-layer spans when the store chain is
+// obs-wrapped. A nil collector (the default) records nothing.
 func (e *Executor) WithCollector(c *obs.Collector) *Executor {
 	e.collector = c
 	return e
@@ -110,7 +109,7 @@ const (
 	// is no idle time to subtract.
 	SkipNoSpace
 	// Continue goes on after any failed op: the failure is a measurement
-	// (a served step under overload), which an observing source counts.
+	// (a served step under overload), which the collector counts.
 	Continue
 	// RetryShed runs an op refused by admission control
 	// (blob.ErrOverloaded, blob.ErrUnavailable) again until it lands or

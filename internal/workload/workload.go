@@ -17,7 +17,6 @@
 package workload
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -296,19 +295,6 @@ func (r *Runner) ChurnToAge(target float64, opts ChurnOptions) (Result, error) {
 	return res, nil
 }
 
-// ReadOptions controls a read-throughput measurement phase.
-type ReadOptions struct {
-	// Popularity picks which live object each read targets; nil reads
-	// uniformly (the paper's §4.3 simplification). A Zipf popularity
-	// concentrates reads on a hot set — the regime where a read cache
-	// above the store pays off.
-	Popularity Popularity
-	// Collector, when non-nil, times every read end-to-end on the
-	// virtual clock and traces it through obs-wrapped store layers
-	// (obs.Collector.MissLayer splits cache hits from misses).
-	Collector *obs.Collector
-}
-
 // Popularity picks the index of the object each read targets among n
 // live objects.
 type Popularity interface {
@@ -319,51 +305,43 @@ type Popularity interface {
 	Picker(rng *rand.Rand, n int) func() int
 }
 
-// MeasureRead reads `samples` objects drawn by opts.Popularity
-// (uniform when nil) and returns the payload throughput in MB/s of
-// virtual time — the paper's primary performance indicator (§5).
-// samples <= 0 is refused with ErrNoSamples.
-func (r *Runner) MeasureRead(samples int, opts ReadOptions) (Result, error) {
-	res, err := readPhase(r.exec, r.Keys(), samples, r.streams[0].rng, opts)
-	if err != nil {
-		return res, err
-	}
-	res.EndingAge = r.Tracker().Age()
-	return res, nil
+// MeasureRead reads `samples` objects drawn by pop (uniform when nil:
+// the paper's §4.3 simplification) and returns the payload throughput
+// in MB/s of virtual time — the paper's primary performance indicator
+// (§5). samples <= 0 is refused with ErrNoSamples.
+func (r *Runner) MeasureRead(samples int, pop Popularity) (Result, error) {
+	return readPhase(r.exec, r.Keys(), samples, r.streams[0].rng, pop)
 }
 
-// ReadPhase reads `samples` objects drawn from keys by opts.Popularity
-// through s with a private seeded RNG. It is the standalone form of
-// Runner.MeasureRead for measuring the same aged layout through
-// different read paths (e.g. the same store behind several cache
-// capacities) with an identical key sequence per seed.
-func ReadPhase(ctx context.Context, s blob.Store, keys []string, samples int,
-	seed int64, opts ReadOptions) (Result, error) {
-	return readPhase(NewExecutor(s).WithContext(ctx).WithCollector(opts.Collector),
-		keys, samples, rand.New(rand.NewSource(seed)), opts)
+// ReadPhase reads `samples` objects drawn from keys by pop through exec
+// (its store, context and collector) with a private seeded RNG. It is
+// the standalone form of Runner.MeasureRead for measuring the same aged
+// layout through different read paths (e.g. the same store behind
+// several cache capacities) with an identical key sequence per seed.
+func ReadPhase(exec *Executor, keys []string, samples int, seed int64, pop Popularity) (Result, error) {
+	return readPhase(exec, keys, samples, rand.New(rand.NewSource(seed)), pop)
 }
 
 // readPhase is the shared read-measurement phase: a ReadSource through
 // the executor.
-func readPhase(exec *Executor, keys []string, samples int,
-	rng *rand.Rand, opts ReadOptions) (Result, error) {
+func readPhase(exec *Executor, keys []string, samples int, rng *rand.Rand, pop Popularity) (Result, error) {
 	if samples <= 0 {
 		return Result{}, fmt.Errorf("%w: got %d", ErrNoSamples, samples)
 	}
 	if len(keys) == 0 {
 		return Result{}, fmt.Errorf("workload: measure before bulk load")
 	}
-	src := &ReadSource{Keys: keys, Samples: samples, Popularity: opts.Popularity}
+	src := &ReadSource{Keys: keys, Samples: samples, Popularity: pop}
 	rr, err := exec.Run([]Stream{{Source: src, RNG: rng}}, RunOptions{})
 	total := rr.Total()
-	res := Result{
+	return Result{
 		Ops:          total.Ops(),
 		Bytes:        total.BytesRead,
 		Seconds:      rr.Seconds,
 		MBps:         units.MBps(total.BytesRead, rr.Seconds),
+		EndingAge:    exec.Tracker().Age(),
 		ObjectsAlive: exec.Store().Usage().Objects,
-	}
-	return res, err
+	}, err
 }
 
 // writeResult converts a write run into the phase Result: Bytes and

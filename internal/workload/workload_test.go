@@ -10,6 +10,7 @@ import (
 	"repro/internal/blob"
 	"repro/internal/core"
 	"repro/internal/disk"
+	"repro/internal/obs"
 	"repro/internal/units"
 	"repro/internal/vclock"
 )
@@ -124,7 +125,7 @@ func TestChurnBeforeLoadFails(t *testing.T) {
 	if _, err := r.ChurnToAge(1, ChurnOptions{}); err == nil {
 		t.Fatal("churn before load succeeded")
 	}
-	if _, err := r.MeasureRead(5, ReadOptions{}); err == nil {
+	if _, err := r.MeasureRead(5, nil); err == nil {
 		t.Fatal("measure before load succeeded")
 	}
 }
@@ -134,7 +135,7 @@ func TestMeasureReadThroughput(t *testing.T) {
 	if _, err := r.BulkLoad(0.4); err != nil {
 		t.Fatal(err)
 	}
-	res, err := r.MeasureRead(50, ReadOptions{})
+	res, err := r.MeasureRead(50, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,11 +159,11 @@ func TestMeasureReadRejectsBadSamples(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, samples := range []int{0, -7} {
-		if _, err := r.MeasureRead(samples, ReadOptions{}); !errors.Is(err, ErrNoSamples) {
+		if _, err := r.MeasureRead(samples, nil); !errors.Is(err, ErrNoSamples) {
 			t.Fatalf("MeasureRead(%d) = %v, want ErrNoSamples", samples, err)
 		}
 	}
-	if _, err := ReadPhase(context.Background(), r.Repo(), r.Keys(), 0, 1, ReadOptions{}); !errors.Is(err, ErrNoSamples) {
+	if _, err := ReadPhase(r.Executor(), r.Keys(), 0, 1, nil); !errors.Is(err, ErrNoSamples) {
 		t.Fatal("ReadPhase accepted 0 samples")
 	}
 }
@@ -179,23 +180,57 @@ func TestZipfPopularityReadMix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := r.MeasureRead(50, ReadOptions{Popularity: pop})
+	res, err := r.MeasureRead(50, pop)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Ops != 50 || res.Bytes != 50*512*units.KB || res.MBps <= 0 {
 		t.Fatalf("zipf read phase: %+v", res)
 	}
-	a, err := ReadPhase(context.Background(), r.Repo(), r.Keys(), 40, 9, ReadOptions{Popularity: pop})
+	a, err := ReadPhase(NewExecutor(r.Repo()), r.Keys(), 40, 9, pop)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ReadPhase(context.Background(), r.Repo(), r.Keys(), 40, 9, ReadOptions{Popularity: pop})
+	b, err := ReadPhase(NewExecutor(r.Repo()), r.Keys(), 40, 9, pop)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Ops != b.Ops || a.Bytes != b.Bytes {
 		t.Fatalf("ReadPhase not reproducible: %+v vs %+v", a, b)
+	}
+}
+
+// TestReadPhasesShareTheExecutor pins the one way a read phase is
+// observed and reported: ReadPhase times its reads with the collector
+// of the executor it is given, and it fills EndingAge as MeasureRead
+// does.
+func TestReadPhasesShareTheExecutor(t *testing.T) {
+	r := NewRunner(newFS(128*units.MB), Constant{Size: 512 * units.KB}, 3)
+	if _, err := r.BulkLoad(0.4); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.ChurnToAge(0.5, ChurnOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	age := r.Tracker().Age()
+	if age <= 0 {
+		t.Fatalf("churned store has age %v", age)
+	}
+	m, err := r.MeasureRead(20, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	exec := NewExecutor(r.Repo()).WithCollector(&obs.Collector{Registry: reg, Clock: r.Repo().Clock()})
+	p, err := ReadPhase(exec, r.Keys(), 20, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.EndingAge != age || p.EndingAge != age {
+		t.Fatalf("EndingAge: MeasureRead %v, ReadPhase %v, want %v", m.EndingAge, p.EndingAge, age)
+	}
+	if n, _, _ := reg.Snapshot().Outcomes("op.read"); n != 20 {
+		t.Fatalf("executor's collector timed %d reads, want 20", n)
 	}
 }
 
